@@ -2,7 +2,7 @@
 
 This package is the "disk" of the reproduction: fixed-size pages
 (default 8192 bytes, as in the paper), binary node serialization whose
-entry sizes reproduce the paper's fanouts, an LRU buffer pool with pin
+entry sizes reproduce the paper's fanouts, a SIEVE buffer pool with pin
 counts, and read/write counters split by tree level.  Every index family
 performs all node I/O through a :class:`~repro.storage.store.NodeStore`,
 which makes the "number of disk reads" metric directly comparable across

@@ -1,4 +1,4 @@
-"""LRU buffer pool.
+"""SIEVE buffer pool.
 
 The buffer pool sits between the trees and the page file.  It caches
 *deserialized node objects* keyed by page id (a real DBMS buffer caches
@@ -10,6 +10,16 @@ dirty frame (or a flush) costs one physical page write.  Those physical
 transfers are what the paper reports as "disk reads" / "disk accesses";
 they are counted by the :class:`~repro.storage.store.NodeStore` wrapping
 this pool, which also splits them by tree level.
+
+Replacement is SIEVE (Zhang et al., NSDI 2024): frames sit in a FIFO
+queue, a hit only sets the frame's ``visited`` bit, and on eviction a
+*hand* walks from the oldest frame towards the newest, clearing bits,
+and evicts the first frame it finds unvisited; it resumes from there
+next time, and new frames enter at the newest end, unvisited.  A 16-d
+k-NN reads nearly every page of the index, so back-to-back queries are
+a loop slightly larger than the pool -- where LRU evicts each page just
+before it is wanted again and SIEVE keeps most of the loop resident
+(the simulated-policy table is in ``docs/PERFORMANCE.md``).
 
 Frames can be *pinned* while a tree operation holds a reference to the
 node object; pinned frames are never evicted, so in-flight mutations are
@@ -24,7 +34,6 @@ frames (``docs/CONCURRENCY.md``).
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from collections.abc import Callable, Iterator
 
 from ..exceptions import BufferPinError
@@ -37,16 +46,18 @@ Node = LeafNode | InternalNode
 
 
 class _Frame:
-    __slots__ = ("node", "dirty", "pins")
+    __slots__ = ("node", "dirty", "pins", "visited", "newer", "older")
 
-    def __init__(self, node: Node) -> None:
+    def __init__(self, node: Node | None, dirty: bool = False) -> None:
         self.node = node
-        self.dirty = False
+        self.dirty = dirty
         self.pins = 0
+        self.visited = False
+        self.newer = self.older = self
 
 
 class BufferPool:
-    """Fixed-capacity LRU cache of node objects with pin counts.
+    """Fixed-capacity SIEVE cache of node objects with pin counts.
 
     Parameters
     ----------
@@ -70,7 +81,13 @@ class BufferPool:
             raise ValueError(f"buffer capacity must be at least 8 frames, got {capacity}")
         self.capacity = capacity
         self._write_back = write_back
-        self._frames: OrderedDict[int, _Frame] = OrderedDict()
+        self._frames: dict[int, _Frame] = {}
+        # The queue is a ring through a sentinel: ``_ring.older`` is the
+        # newest frame, ``_ring.newer`` the oldest.  The sentinel is pinned
+        # for good, so the hand steps over it like any other pinned frame.
+        self._ring = _Frame(None)
+        self._ring.pins = 1
+        self._hand = self._ring
         self.stats = stats if stats is not None else IOStats()
 
     def __len__(self) -> int:
@@ -95,13 +112,13 @@ class BufferPool:
         return self.stats.hit_ratio
 
     def get(self, page_id: int) -> Node | None:
-        """Return the cached node and refresh its recency, or ``None``."""
+        """Return the cached node and mark it visited, or ``None``."""
         frame = self._frames.get(page_id)
         if frame is None:
             self.stats.buffer_misses += 1
             return None
         self.stats.buffer_hits += 1
-        self._frames.move_to_end(page_id)
+        frame.visited = True
         return frame.node
 
     def put(self, node: Node, *, dirty: bool) -> None:
@@ -112,12 +129,16 @@ class BufferPool:
             # object, which is the authoritative current state.
             frame.node = node
             frame.dirty = frame.dirty or dirty
-            self._frames.move_to_end(node.page_id)
+            frame.visited = True
             return
-        self._evict_to(self.capacity - 1)
-        new_frame = _Frame(node)
-        new_frame.dirty = dirty
-        self._frames[node.page_id] = new_frame
+        if len(self._frames) >= self.capacity:
+            self._evict_one()
+        ring = self._ring
+        frame = _Frame(node, dirty)
+        frame.newer, frame.older = ring, ring.older
+        ring.older.newer = frame
+        ring.older = frame
+        self._frames[node.page_id] = frame
 
     def mark_dirty(self, page_id: int) -> None:
         """Flag a cached page as modified (no-op if not cached)."""
@@ -137,7 +158,12 @@ class BufferPool:
 
     def discard(self, page_id: int) -> None:
         """Drop a frame without writing it back (the page was freed)."""
-        self._frames.pop(page_id, None)
+        frame = self._frames.pop(page_id, None)
+        if frame is not None:
+            if self._hand is frame:
+                self._hand = frame.newer
+            frame.newer.older = frame.older
+            frame.older.newer = frame.newer
 
     def flush(self) -> int:
         """Write back every dirty frame; returns the number written."""
@@ -152,7 +178,7 @@ class BufferPool:
     def clear(self) -> None:
         """Flush and drop every frame (pins are ignored: caller owns the pool)."""
         self.flush()
-        self._frames.clear()
+        self.drop()
 
     def drop(self) -> None:
         """Drop every frame *without* write-back (transaction abort).
@@ -161,27 +187,33 @@ class BufferPool:
         responsible for restoring any index-level counters that pointed
         at the abandoned nodes.
         """
+        for frame in self._frames.values():
+            frame.newer = frame.older = None  # no cycles left for the collector
         self._frames.clear()
+        ring = self._ring
+        ring.newer = ring.older = self._hand = ring
 
     def nodes(self) -> Iterator[Node]:
         """Iterate over the cached node objects (for diagnostics)."""
         for frame in self._frames.values():
             yield frame.node
 
-    def _evict_to(self, target: int) -> None:
-        if len(self._frames) <= target:
-            return
-        for page_id in list(self._frames):
-            if len(self._frames) <= target:
-                return
-            frame = self._frames[page_id]
-            if frame.pins > 0:
-                continue
-            if frame.dirty:
-                self._write_back(frame.node)
-            del self._frames[page_id]
-        if len(self._frames) > target:
+    def _evict_one(self) -> None:
+        frame = self._hand
+        # Two laps at most: the first clears every unpinned frame's bit, so
+        # the second stops at the first unpinned frame -- or none exists.
+        for _ in range(2 * len(self._frames) + 2):
+            if frame.pins == 0:
+                if not frame.visited:
+                    break
+                frame.visited = False
+            frame = frame.newer
+        else:
             raise BufferPinError(
                 f"all {len(self._frames)} buffered frames are pinned; "
                 "increase the buffer capacity"
             )
+        if frame.dirty:
+            self._write_back(frame.node)
+        self._hand = frame  # discard() moves it on to the next-newer frame
+        self.discard(frame.node.page_id)

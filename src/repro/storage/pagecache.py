@@ -2,7 +2,7 @@
 
 The cache hierarchy, top to bottom::
 
-    BufferPool   — live decoded node objects (LRU over frames)
+    BufferPool   — live decoded node objects (SIEVE over frames)
     PageCache    — raw *encoded* node images  (LRU over bytes)   <- here
     PageFile     — the disk (or its in-memory stand-in)
 
