@@ -1,6 +1,6 @@
 # Convenience targets for development and reproduction runs.
 
-.PHONY: install lint test test-crash test-concurrency test-mp test-net test-batching bench bench-check examples all
+.PHONY: install lint test test-crash test-concurrency test-mp test-net test-batching bench bench-check results-check examples all
 
 # Byte-compile everything and run the dependency-free pyflakes-level
 # checker (tools/lint.py upgrades itself to real pyflakes when
@@ -71,6 +71,14 @@ bench-paper-scale:
 # job; --queries keeps it fast.
 bench-check:
 	python tools/bench_check.py --queries 200
+
+# Gate the archived paper tables: re-run benchmarks/ and fail if any
+# count column of benchmarks/results/*.txt moved (timing columns are
+# ignored; tables that did not move are put back untouched).  About
+# four minutes.  A change that is meant to move a count commits the
+# rewritten table this leaves behind.
+results-check:
+	python tools/results_diff.py
 
 examples:
 	python examples/quickstart.py

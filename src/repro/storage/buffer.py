@@ -1,4 +1,4 @@
-"""SIEVE buffer pool.
+"""SIEVE buffer pool with frequency-gated admission.
 
 The buffer pool sits between the trees and the page file.  It caches
 *deserialized node objects* keyed by page id (a real DBMS buffer caches
@@ -20,6 +20,18 @@ k-NN reads nearly every page of the index, so back-to-back queries are
 a loop slightly larger than the pool -- where LRU evicts each page just
 before it is wanted again and SIEVE keeps most of the loop resident
 (the simulated-policy table is in ``docs/PERFORMANCE.md``).
+
+Admission sits in front of replacement.  When the loop is *strict* --
+``knn_batch`` walks the pages in the same order block after block -- no
+page is hit between its load and its eviction, no bit is ever set, and
+SIEVE is FIFO: each newcomer evicts exactly the page needed next.  So a
+clean page just read is only *offered* (:meth:`BufferPool.offer`): a
+full pool installs it only if it was looked up more often lately than
+the frame the hand would evict (TinyLFU, Einziger et al., TOS 2017),
+and otherwise declines, keeping the part of the loop it already holds.
+Lookups are counted per page in small saturating counters that are
+halved periodically, so an old working set cannot keep a new one out.
+Writes, new nodes and pinned reads are never refused (:meth:`put`).
 
 Frames can be *pinned* while a tree operation holds a reference to the
 node object; pinned frames are never evicted, so in-flight mutations are
@@ -43,6 +55,12 @@ from .stats import IOStats
 __all__ = ["BufferPool"]
 
 Node = LeafNode | InternalNode
+
+# Lookup counts saturate at _COUNT_CAP and are halved every _AGING_PERIOD *
+# capacity lookups.  Not tuning surface (sweep in ``docs/PERFORMANCE.md``);
+# the low cap is what lets a new working set displace an old one quickly.
+_COUNT_CAP = 3
+_AGING_PERIOD = 10
 
 
 class _Frame:
@@ -88,6 +106,8 @@ class BufferPool:
         self._ring = _Frame(None)
         self._ring.pins = 1
         self._hand = self._ring
+        self._counts: dict[int, int] = {}  # page id -> recent lookups, <= _COUNT_CAP
+        self._lookups_to_aging = _AGING_PERIOD * capacity
         self.stats = stats if stats is not None else IOStats()
 
     def __len__(self) -> int:
@@ -113,6 +133,14 @@ class BufferPool:
 
     def get(self, page_id: int) -> Node | None:
         """Return the cached node and mark it visited, or ``None``."""
+        counts = self._counts
+        count = counts.get(page_id, 0)
+        if count < _COUNT_CAP:
+            counts[page_id] = count + 1
+        self._lookups_to_aging -= 1
+        if not self._lookups_to_aging:
+            self._counts = {p: c >> 1 for p, c in counts.items() if c > 1}
+            self._lookups_to_aging = _AGING_PERIOD * self.capacity
         frame = self._frames.get(page_id)
         if frame is None:
             self.stats.buffer_misses += 1
@@ -132,13 +160,30 @@ class BufferPool:
             frame.visited = True
             return
         if len(self._frames) >= self.capacity:
-            self._evict_one()
+            victim = self._victim()
+            if victim.dirty:
+                self._write_back(victim.node)
+            self.discard(victim.node.page_id)  # moves the hand on to the next-newer frame
         ring = self._ring
         frame = _Frame(node, dirty)
         frame.newer, frame.older = ring, ring.older
         ring.older.newer = frame
         ring.older = frame
         self._frames[node.page_id] = frame
+
+    def offer(self, node: Node) -> bool:
+        """Install a clean, just-read ``node`` if it has earned a frame.
+
+        ``put(node, dirty=False)``, except that a full pool declines
+        (returns ``False``; nothing is evicted or written back) unless the
+        page was looked up more often lately than the frame it would evict.
+        """
+        if node.page_id not in self._frames and len(self._frames) >= self.capacity:
+            count = self._counts.get
+            if count(node.page_id, 0) <= count(self._victim().node.page_id, 0):
+                return False
+        self.put(node, dirty=False)
+        return True
 
     def mark_dirty(self, page_id: int) -> None:
         """Flag a cached page as modified (no-op if not cached)."""
@@ -192,13 +237,16 @@ class BufferPool:
         self._frames.clear()
         ring = self._ring
         ring.newer = ring.older = self._hand = ring
+        self._counts = {}
+        self._lookups_to_aging = _AGING_PERIOD * self.capacity
 
     def nodes(self) -> Iterator[Node]:
         """Iterate over the cached node objects (for diagnostics)."""
         for frame in self._frames.values():
             yield frame.node
 
-    def _evict_one(self) -> None:
+    def _victim(self) -> _Frame:
+        """Advance the hand to the frame SIEVE evicts next and return it."""
         frame = self._hand
         # Two laps at most: the first clears every unpinned frame's bit, so
         # the second stops at the first unpinned frame -- or none exists.
@@ -213,7 +261,5 @@ class BufferPool:
                 f"all {len(self._frames)} buffered frames are pinned; "
                 "increase the buffer capacity"
             )
-        if frame.dirty:
-            self._write_back(frame.node)
-        self._hand = frame  # discard() moves it on to the next-newer frame
-        self.discard(frame.node.page_id)
+        self._hand = frame
+        return frame

@@ -150,7 +150,10 @@ class SnapshotStore:
                 self.stats.leaf_reads += extent
             else:
                 self.stats.node_reads += extent
-            self.buffer.put(node, dirty=False)
+            if pin:
+                self.buffer.put(node, dirty=False)
+            else:
+                self.buffer.offer(node)
             span = trace.active
             if span is not None:
                 span.page(page_id, node.level, extent, hit=False)

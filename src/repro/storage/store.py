@@ -430,7 +430,10 @@ class NodeStore:
             image = cache.get(page_id) if cache is not None else None
             if image is not None:
                 node = self.codec.decode(page_id, image)
-                self.buffer.put(node, dirty=False)
+                if pin:
+                    self.buffer.put(node, dirty=False)
+                else:
+                    self.buffer.offer(node)
                 span = trace.active
                 if span is not None:
                     span.page(page_id, node.level, node.extent, hit=True)
@@ -450,7 +453,10 @@ class NodeStore:
                 self.stats.leaf_reads += extent
             else:
                 self.stats.node_reads += extent
-            self.buffer.put(node, dirty=False)
+            if pin:
+                self.buffer.put(node, dirty=False)  # a pinned page must be resident
+            else:
+                self.buffer.offer(node)  # may decline: the caller still gets its node
             if cache is not None:
                 cache.put(page_id, data, extent)
             span = trace.active

@@ -7,6 +7,7 @@ the :class:`~repro.indexes.dynamic.DynamicTree` machinery.
 import numpy as np
 import pytest
 
+from repro import Database
 from repro.exceptions import KeyNotFoundError
 from repro.indexes import RStarTree, SRTree, SSTree
 
@@ -155,3 +156,40 @@ class TestUpdateSemantics:
         q = np.full(4, 5.05)
         got = [n.value for n in tree.nearest(q, 5)]
         assert got == brute_force_knn(pts, q, 5)
+
+
+class TestHeldButNotResident:
+    """A full pool may decline a clean page, so insert and delete routinely
+    hold a node object the pool does not.  If a second object of the same
+    page were ever decoded and mutated beside it, one of the two updates
+    would be lost -- and the file would differ from the one a pool that
+    never declines (or evicts) produces."""
+
+    def test_a_small_pool_builds_the_same_file(self, family, tmp_path):
+        rng = np.random.default_rng(5)
+        pts = rng.random((1500, 8))
+        doomed = rng.permutation(1500)[:500]
+        files = []
+        # 64 frames is the documented floor; the tree grows to twice that.
+        for frames in (64, 4096):
+            path = tmp_path / f"{frames}.idx"
+            with Database.create(path, kind=family.NAME, dims=8,
+                                 buffer_pages=frames) as db:
+                for i, p in enumerate(pts):
+                    db.insert(p, i)
+                for i in doomed:
+                    db.delete(pts[i], int(i))
+                db.verify()
+                live = {0}  # the meta page
+                for node in db.index.iter_nodes():
+                    live.update(node.all_page_ids)
+                page_size = db.index.layout.page_size
+            files.append((live, path.read_bytes()))
+        (small_live, small), (big_live, big) = files
+        assert small_live == big_live and len(small_live) > 2 * 64
+        assert len(small) == len(big)
+        # A freed page keeps whatever image last reached the disk, which
+        # depends on when it was evicted; every other page must match.
+        for page_id in sorted(small_live):
+            at = page_id * page_size
+            assert small[at:at + page_size] == big[at:at + page_size], page_id

@@ -11,6 +11,7 @@ from repro.exceptions import BufferPinError, StorageError
 from repro.storage.buffer import BufferPool
 from repro.storage.layout import NodeLayout
 from repro.storage.pagefile import InMemoryPageFile
+from repro.storage.snapshot import open_snapshot_store
 from repro.storage.stats import IOStats
 from repro.storage.store import NodeStore
 
@@ -143,6 +144,12 @@ def touch(pool, page_id):
         pool.put(Page(page_id), dirty=False)
 
 
+def fetch(pool, page_id):
+    """``NodeStore.read`` since admission: a clean miss is only offered a frame."""
+    if pool.get(page_id) is None:
+        pool.offer(Page(page_id))
+
+
 def full_pool(written=None):
     """Pages 0..7, oldest first, in a pool of 8; write-backs land in ``written``."""
     pool = BufferPool(8, (lambda node: None) if written is None else written.append)
@@ -258,8 +265,160 @@ class TestReplacementQuality:
         assert sum(i in pool for i in range(40)) >= 36
 
 
+    def test_strict_loop_larger_than_the_pool(self):
+        # knn_batch blocks: the same pages in the same order, round after
+        # round.  No page is hit between load and eviction, so SIEVE alone is
+        # FIFO here and keeps nothing; admission keeps a pool's worth of the
+        # loop (capacity / pages = 0.83, less what periodic aging lets in).
+        capacity = 256
+        pages = int(1.2 * capacity)
+        pool = BufferPool(capacity, lambda node: None)
+        for round_no in range(30):
+            if round_no == 10:
+                hits, misses = pool.hits, pool.misses
+            for i in range(pages):
+                fetch(pool, i)
+        hits, misses = pool.hits - hits, pool.misses - misses
+        assert hits / (hits + misses) >= 0.75
+
+    @pytest.mark.parametrize("warm_up", [20, 23, 26])
+    def test_a_new_working_set_displaces_the_old_one(self, warm_up):
+        # Uniform lookups over 1.2 x capacity pages, then over a disjoint set
+        # of the same size.  The old residents hold saturated counts, so the
+        # newcomers are refused until the next aging halves them -- at most
+        # one aging period (10 x capacity lookups) away; the three warm-up
+        # lengths put the switch right at, a third and two thirds into one --
+        # and the refill stalls wherever the hand rests on a frame that ties
+        # with every newcomer.  Measured: back to the old hit ratio within 18
+        # x capacity lookups at the worst phase, and anywhere from 0.15 to 0.84
+        # over lookups 8..16 x capacity.  Pinned here: two aging periods.
+        capacity = 256
+        pages = int(1.2 * capacity)
+        pool = BufferPool(capacity, lambda node: None)
+        rng = random.Random(1)
+
+        def hit_ratio(first_page, lookups):
+            hits = pool.hits
+            for _ in range(lookups):
+                fetch(pool, first_page + rng.randrange(pages))
+            return (pool.hits - hits) / lookups
+
+        hit_ratio(0, (warm_up - 16) * capacity)
+        before = hit_ratio(0, 16 * capacity)
+        hit_ratio(10_000, 20 * capacity)
+        after = hit_ratio(10_000, 16 * capacity)
+        assert before >= 0.8
+        assert abs(after - before) <= 0.03
+        assert not any(i in pool for i in range(pages))
+
+
+class TestAdmission:
+    """``offer``: a clean page just read must earn its frame."""
+
+    def hot_pool(self, written=None):
+        """Pages 0..7 resident with saturated counts; 0 and 1 dirty, 2 pinned."""
+        pool = full_pool(written)
+        for _ in range(3):
+            for i in range(8):
+                pool.get(i)
+        pool.mark_dirty(0)
+        pool.mark_dirty(1)
+        pool.pin(2)
+        return pool
+
+    def test_with_room_an_offer_installs(self):
+        pool = BufferPool(8, lambda node: None)
+        assert all(pool.offer(Page(i)) for i in range(8))
+        assert len(pool) == 8
+
+    def test_a_full_pool_declines_a_colder_page_and_changes_nothing(self):
+        written = []
+        pool = self.hot_pool(written)
+        assert pool.get(8) is None
+        assert pool.offer(Page(8)) is False
+        assert [i for i in range(9) if i in pool] == list(range(8))
+        assert written == []
+        assert pool.flush() == 2 and [n.page_id for n in written] == [0, 1]
+        for i in range(20, 40):                  # 2 is still pinned
+            pool.put(Page(i), dirty=False)
+        assert 2 in pool
+
+    def test_a_hotter_page_takes_the_frame_of_the_hands_victim(self):
+        written = []
+        pool = full_pool(written)                # residents never looked up: count 0
+        pool.mark_dirty(0)
+        assert pool.get(8) is None               # one lookup: count 1 > 0
+        assert pool.offer(Page(8)) is True
+        assert 0 not in pool and 8 in pool and len(pool) == 8
+        assert [n.page_id for n in written] == [0]
+
+    def test_a_tie_goes_to_the_resident(self):
+        pool = full_pool()
+        for i in range(8):
+            pool.get(i)
+        assert pool.get(8) is None               # one lookup each: a tie with any victim
+        assert pool.offer(Page(8)) is False
+        assert pool.get(8) is None               # two against one
+        assert pool.offer(Page(8)) is True
+        assert [i for i in range(9) if i not in pool] == [0]
+
+    def test_an_offer_of_a_resident_page_is_a_clean_put(self):
+        written = []
+        pool = self.hot_pool(written)
+        replacement = Page(0)
+        assert pool.offer(replacement) is True
+        assert len(pool) == 8 and pool.get(0) is replacement
+        assert pool.flush() == 2                 # still dirty: the bit is ORed
+
+    def test_put_installs_whatever_the_counts_say(self):
+        pool = self.hot_pool()
+        pool.put(Page(8), dirty=False)           # never looked up, hottest residents
+        assert 8 in pool and len(pool) == 8
+
+    @pytest.mark.parametrize("reset", ["drop", "clear"])
+    def test_drop_and_clear_forget_the_lookup_counts(self, reset):
+        # drop_cache() is how the figure benchmarks start a query cold: what
+        # the pool decides afterwards must not depend on what ran before --
+        # neither through stale counts nor through the phase of the aging.
+        used = self.hot_pool()
+        for _ in range(50):
+            used.get(11)
+        used.unpin(2)
+        getattr(used, reset)()
+        fresh = BufferPool(8, lambda node: None)
+        rng = random.Random(3)
+        for _ in range(600):
+            page_id = rng.randrange(12)
+            fetch(used, page_id)
+            fetch(fresh, page_id)
+            assert [i in used for i in range(12)] == [i in fresh for i in range(12)]
+
+    @pytest.mark.parametrize("snapshot", [False, True], ids=["live", "snapshot"])
+    def test_a_pinned_read_is_never_declined(self, store, snapshot):
+        leaves = [fill_leaf(store, seed=i) for i in range(9)]
+        store.flush()
+        view = open_snapshot_store(store, buffer_capacity=8) if snapshot else store
+        view.drop_cache()
+        hot, cold = [leaf.page_id for leaf in leaves[:8]], leaves[8].page_id
+        for _ in range(3):
+            for page_id in hot:
+                view.read(page_id)
+        reads = view.stats.page_reads
+        held = view.read(cold)                   # declined: the caller alone holds it
+        assert held.count == 3 and cold not in view.buffer
+        assert view.stats.page_reads == reads + 1
+        pinned = view.read(cold, pin=True)       # must be resident to be pinned
+        assert cold in view.buffer and len(view.buffer) == 8
+        for page_id in hot:                      # a flood cannot push it out
+            view.read(page_id)
+        assert view.read(cold) is pinned
+        view.unpin(cold)
+        if snapshot:
+            view.close()
+
+
 POOL_OPS = st.lists(
-    st.tuples(st.sampled_from(["get", "put", "put_dirty", "pin", "unpin",
+    st.tuples(st.sampled_from(["get", "put", "put_dirty", "offer", "pin", "unpin",
                                "mark_dirty", "discard", "flush", "drop"]),
               st.integers(0, 13)),
     max_size=120,
@@ -306,6 +465,22 @@ def test_pool_against_a_model(ops):
                 assert written == [latest[p] for p in evicted if p in dirty]
                 for p in evicted:
                     forget(p)
+        elif op == "offer":
+            node = Page(pid)
+            full = pid not in before and len(before) == capacity
+            if full and all(pins.get(p) for p in before):
+                with pytest.raises(BufferPinError):
+                    pool.offer(node)
+            elif pool.offer(node):               # exactly put(node, dirty=False)
+                latest[pid] = node
+                evicted = [p for p in before if p not in pool]
+                assert len(evicted) == full
+                assert not any(pins.get(p) for p in evicted)
+                assert written == [latest[p] for p in evicted if p in dirty]
+                for p in evicted:
+                    forget(p)
+            else:                                # declined: only ever by a full pool,
+                assert full and written == []    # and nothing moves (checked below)
         elif op == "pin" and pid in before:
             pool.pin(pid)
             pins[pid] = pins.get(pid, 0) + 1
@@ -329,7 +504,7 @@ def test_pool_against_a_model(ops):
             latest.clear()
             dirty.clear()
             pins.clear()
-        if op not in ("put", "put_dirty", "flush"):
+        if op not in ("put", "put_dirty", "offer", "flush"):
             assert written == []
         assert {p for p in range(14) if p in pool} == set(latest)
         assert len(pool) == len(latest) <= capacity
