@@ -1,6 +1,6 @@
 # Convenience targets for development and reproduction runs.
 
-.PHONY: install lint test test-crash test-concurrency test-mp test-net test-batching bench bench-check results-check examples all
+.PHONY: install lint sloc test test-crash test-concurrency test-mp test-net test-batching bench bench-check results-check examples all
 
 # Byte-compile everything and run the dependency-free pyflakes-level
 # checker (tools/lint.py upgrades itself to real pyflakes when
@@ -8,6 +8,12 @@
 lint:
 	python -m compileall -q src tests benchmarks examples tools
 	python tools/lint.py
+
+# Code lines (no blanks, comments or docstrings) per file and package
+# under src/repro, so "this PR removed N lines" is a reported number.
+# CI prints it after lint.
+sloc:
+	python tools/sloc.py
 
 # `pip install -e .` needs the `wheel` package for PEP 517 editable
 # builds; offline environments fall back to the legacy setuptools path.
@@ -33,12 +39,16 @@ test-concurrency:
 
 # Multiprocess serving under the spawn start method (the portable one:
 # macOS/Windows default, and the only method safe under threads): the
-# mmap page store plus the ProcessServingPool crash/equivalence suite.
+# mmap page store, the ProcessServingPool crash/equivalence suite, and
+# the files holding the pool-contract tests parametrized over both
+# backends (the `pool_backend` fixture starts its worker processes by
+# fork in tier-1 and by REPRO_MP_START_METHOD here).
 # faulthandler dumps all stacks if a deadlock eats the hard timeout.
 test-mp:
 	timeout -k 10 600 env PYTHONFAULTHANDLER=1 REPRO_MP_START_METHOD=spawn \
 	    PYTHONPATH=src \
-	    python -m pytest tests/test_mmap_pagefile.py tests/test_procpool.py -q
+	    python -m pytest tests/test_mmap_pagefile.py tests/test_procpool.py \
+	    tests/test_serving_faults.py tests/test_exec_batch.py -q
 
 # The network query service: QuerySurface conformance across all five
 # handle kinds (remote results byte-equal to local on the three paper

@@ -11,12 +11,19 @@ whole *block* of queries:
   ``(Q, count)`` leaf distance matrix
   (:func:`~repro.geometry.point.cross_distances`) in single numpy
   passes, with per-query pruning bounds kept in a NumPy array;
-* :class:`~repro.exec.parallel.ServingPool` serves a read-only on-disk
-  tree from several worker threads, each with its own buffer pool —
-  or, with ``backend="process"``, from several worker *processes*
-  (:class:`~repro.exec.procpool.ProcessServingPool`) sharing one
-  memory-mapped copy of the file, which is what actually scales with
-  cores (the GIL serializes the thread workers on small tree nodes).
+* :class:`~repro.exec.parallel.ServingPool` serves one index from
+  several workers, each with its own buffer pool.  It is **one core,
+  two sets of worker primitives**: the query surface, sharding, the
+  deadline-bounded gather, degradation accounting and the worker-side
+  block runner exist once (:mod:`repro.exec.parallel`, which also
+  states the fault-handling policy and when to choose which backend);
+  a backend only says how a shard reaches a worker and what happens to
+  a worker that failed — threads that are quarantined
+  (:class:`~repro.exec.parallel.ServingPool`, the only backend for a
+  live database) or, with ``backend="process"``, processes over one
+  shared memory-mapped copy of the file that are killed and respawned
+  (:class:`~repro.exec.procpool.ProcessServingPool`), which is what
+  actually scales with cores.
 
 Together with the zero-copy page decode
 (:class:`~repro.storage.serializer.NodeCodec`) and the raw-image

@@ -1,14 +1,14 @@
-"""Multiprocess serving: worker processes over a shared mmap'd index.
+"""The serving pool's process backend: workers over a shared mmap.
 
-The thread-based :class:`~repro.exec.parallel.ServingPool` cannot scale
-SR-tree queries across cores: the hot loop decodes small (~60×16) leaf
-arrays, and for arrays that size the interpreter work *between* numpy
-kernels dominates, so the GIL serializes the workers.  This module runs
-each worker in its own **process** instead.  Every worker re-opens the
-saved index file ``readonly`` — an :class:`~repro.storage.pagefile.MmapPageFile`
-under its private buffer pool — so the OS page cache physically shares
-one copy of the data across the whole pool, and each page read is a
-zero-copy ``memoryview`` into the shared map.
+:class:`ProcessServingPool` is :class:`~repro.exec.parallel.PoolCore`
+(query surface, sharding, gather, degradation — see
+:mod:`repro.exec.parallel`, which also says when to choose this
+backend) with the worker primitives implemented by **processes**.
+Every worker re-opens the saved index file ``readonly`` — an
+:class:`~repro.storage.pagefile.MmapPageFile` under its private buffer
+pool — so the OS page cache physically shares one copy of the data
+across the whole pool, each page read is a zero-copy ``memoryview``
+into the shared map, and no GIL serializes the workers.
 
 ::
 
@@ -16,40 +16,33 @@ zero-copy ``memoryview`` into the shared map.
         answers = pool.knn(queries, k=21)
     print(pool.stats().page_reads)        # merged across processes
 
-Query blocks ship to the workers as pickled ndarray buffers; results
-come back with three telemetry payloads that the parent merges so the
+A shard ships to its worker as pickled ndarray buffers; the child runs
+the same :func:`~repro.exec.parallel._run_blocks` a pool thread would,
+and answers with three telemetry payloads that the parent merges so the
 process boundary stays invisible to operators:
 
 * the worker's cumulative :class:`~repro.storage.stats.IOStats`
-  (feeds :meth:`ProcessServingPool.stats` / :meth:`worker_stats`);
+  (feeds :meth:`ProcessServingPool.stats` / ``worker_stats()``);
 * per-family **counter deltas** from the worker's metrics registry,
   re-applied to the parent's :data:`~repro.obs.registry.REGISTRY` (so
   ``/metrics`` and ``/varz`` keep totalling the whole pool);
 * the worker's new flight-recorder records, re-recorded into the
   parent's ring with ``worker="procN"``.
 
-Histograms are *not* merged (bucket merges are lossy); instead the
-parent observes each returned per-block wall time through
-:func:`~repro.obs.hooks.on_pool_block`, which also applies the pool's
-latency SLO.
+Histograms are *not* merged (bucket merges are lossy); the core
+observes each returned per-block wall time instead.
 
-**Fault handling.**  The resilience policy mirrors the thread pool's —
-transient-I/O retries inside the worker, per-call ``timeout``, shard
-degradation with ``repro_degraded_queries_total{reason=...}`` — with
-one upgrade processes make possible: a worker that times out or dies
-(``SIGKILL``, OOM, torn pipe) is **terminated and respawned** instead
-of quarantined-forever, because killing a process cannot corrupt the
-parent (its mmap, buffer pool, and caches die with it).  The new
-degradation reason ``worker_died`` covers shards lost to a dead
-worker; ``timeout`` keeps its meaning.  Programming errors (bad
-arguments, bugs) are re-raised in the parent after every pipe has been
-drained, so the pool stays usable.
+**Retiring a worker.**  A worker that times out or dies (``SIGKILL``,
+OOM, torn pipe — degradation reason ``worker_died``) is **terminated
+and respawned** rather than quarantined: killing a process cannot
+corrupt the parent (its mmap, buffer pool, and caches die with it), so
+the pool is back at full strength for the next call.  A worker's
+programming error arrives as a ``RuntimeError`` carrying the child's
+traceback.
 
 Live :class:`~repro.api.Database` sources are **not** supported — an
 epoch-pinned snapshot view shares the writer's in-process store, which
-cannot cross a process boundary.  Serve a live database with the
-thread backend (see :mod:`repro.exec.parallel`); serve an immutable
-saved file with this one.
+cannot cross a process boundary.
 """
 
 from __future__ import annotations
@@ -57,22 +50,13 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import time
-import warnings
-
-import numpy as np
 
 from ..exceptions import StorageError, TransientIOError
-from ..geometry import as_points
-from ..indexes.base import Neighbor
 from ..obs.flightrec import FLIGHT
-from ..obs.hooks import (
-    on_degraded,
-    on_pool_block,
-    on_worker_respawned,
-)
+from ..obs.hooks import on_worker_respawned
 from ..obs.registry import REGISTRY
 from ..storage.stats import IOStats
-from .parallel import _unbatch
+from .parallel import PoolCore, _remaining, _run_blocks
 
 __all__ = ["ProcessServingPool", "DEFAULT_START_METHOD"]
 
@@ -128,78 +112,6 @@ def _apply_counter_deltas(deltas: dict) -> None:
         family.labels(**dict(zip(family.label_names, key))).inc(amount)
 
 
-def _run_blocks(index, op: str, queries: np.ndarray, kwargs: dict,
-                retries: int, backoff: float):
-    """Run one shard block-by-block; returns ``(results, block_times)``.
-
-    ``block_times`` entries are ``(wall_ms, queries)`` — the same shape
-    the thread pool reports, so the parent can feed them to
-    :func:`~repro.obs.hooks.on_pool_block` unchanged.  A block that
-    raises :class:`TransientIOError` is retried with exponential
-    backoff; exhausted retries propagate and degrade the whole shard.
-    """
-    from .batch import DEFAULT_BLOCK_SIZE, batch_knn, batch_range
-
-    out: list[list[Neighbor]] = []
-    times: list[tuple[float, int]] = []
-    if op == "window":
-        # queries is the stacked (2, dims) [low; high] pair — one call,
-        # one result list, same retry policy as a block.
-        b0 = time.perf_counter()
-        for attempt in range(retries + 1):
-            try:
-                result = index.window(queries[0], queries[1])
-                break
-            except TransientIOError:
-                if attempt == retries:
-                    raise
-                time.sleep(backoff * (2 ** attempt))
-        return [result], [((time.perf_counter() - b0) * 1e3, 1)]
-    if op == "knn":
-        k = kwargs["k"]
-        batched = kwargs.get("batched", True)
-        block_size = kwargs.get("block_size") or DEFAULT_BLOCK_SIZE
-        step = block_size if batched else 1
-    else:
-        radius = kwargs["radius"]
-        batched = True
-        block_size = step = DEFAULT_BLOCK_SIZE
-    for start in range(0, len(queries), step):
-        block = queries[start : start + step]
-        # k / radius arrive as a scalar or a per-query array aligned
-        # with this worker's shard; arrays are sliced per block.
-        if op == "knn":
-            block_k = (k[start : start + step]
-                       if isinstance(k, np.ndarray) else k)
-        else:
-            block_r = (radius[start : start + step]
-                       if isinstance(radius, np.ndarray) else radius)
-        b0 = time.perf_counter()
-        for attempt in range(retries + 1):
-            try:
-                if op == "knn":
-                    if batched:
-                        chunk = batch_knn(index, block, block_k,
-                                          block_size=block_size)
-                    else:
-                        chunk = []
-                        for pos, point in enumerate(block):
-                            ki = (int(block_k[pos])
-                                  if isinstance(block_k, np.ndarray)
-                                  else block_k)
-                            chunk.append(index.nearest(point, k=ki))
-                else:
-                    chunk = batch_range(index, block, block_r)
-                break
-            except TransientIOError:
-                if attempt == retries:
-                    raise
-                time.sleep(backoff * (2 ** attempt))
-        out.extend(chunk)
-        times.append(((time.perf_counter() - b0) * 1e3, len(block)))
-    return out, times
-
-
 def _worker_main(conn, path: str, opts: dict) -> None:
     """Worker process entry point: open the index, serve the pipe.
 
@@ -213,21 +125,14 @@ def _worker_main(conn, path: str, opts: dict) -> None:
     from ..indexes.factory import _open_index
 
     try:
-        index = _open_index(
-            path,
-            opts.get("buffer_capacity"),
-            opts.get("page_cache_capacity", 0),
-            readonly=True,
-        )
+        index = _open_index(path, opts["buffer_capacity"],
+                            opts["page_cache_capacity"], readonly=True)
     except BaseException as exc:  # noqa: BLE001 - must report, then die
         try:
             conn.send(("error", type(exc).__name__, traceback.format_exc()))
         finally:
             conn.close()
         return
-    retries = opts.get("read_retries", 2)
-    backoff = opts.get("retry_backoff", 0.01)
-    delay = opts.get("test_delay_s", 0.0)
     try:
         conn.send(("ready", {
             "dims": index.dims,
@@ -248,14 +153,13 @@ def _worker_main(conn, path: str, opts: dict) -> None:
                 index.store.drop_cache()
                 conn.send(("ok", None))
                 continue
-            # ("query", op, queries, kwargs)
-            _, op, queries, kwargs = msg
-            if delay:
-                time.sleep(delay)
+            _, op, queries, params = msg  # a "query"
+            if opts["test_delay_s"]:
+                time.sleep(opts["test_delay_s"])
             try:
                 results, times = _run_blocks(
-                    index, op, queries, kwargs, retries, backoff
-                )
+                    index, op, queries, params,
+                    opts["read_retries"], opts["retry_backoff"])
             except TransientIOError as exc:
                 conn.send(("degraded", "io_error", str(exc)))
                 continue
@@ -276,7 +180,7 @@ def _worker_main(conn, path: str, opts: dict) -> None:
             conn.send(("ok", (
                 results, times, index.stats.snapshot(), deltas, records,
             )))
-    except (BrokenPipeError, OSError):
+    except OSError:
         pass  # parent died; nothing left to report to
     finally:
         try:
@@ -286,48 +190,26 @@ def _worker_main(conn, path: str, opts: dict) -> None:
         conn.close()
 
 
-class ProcessServingPool:
+class ProcessServingPool(PoolCore):
     """A fixed pool of worker *processes* over one saved index file.
 
-    The public query surface is the thread pool's —
-    :meth:`knn` / :meth:`range` with ``batched`` / ``block_size`` /
-    ``with_flags`` / ``with_times``, :meth:`stats`,
-    :meth:`worker_stats`, :meth:`drop_caches`, context management — so
-    ``ServingPool(path, backend="process")`` is a drop-in swap.
+    ``ServingPool(path, backend="process")`` constructs this class.
 
-    Parameters not shared with :class:`~repro.exec.parallel.ServingPool`:
-
+    Parameters (the rest are :class:`~repro.exec.parallel.PoolCore`'s)
+    ----------
+    source:
+        A page file written by ``index.save()`` / ``repro build``.
     start_method:
         Multiprocessing start method (``None`` = the
         ``REPRO_MP_START_METHOD`` environment variable, default
         ``spawn``).
     """
 
-    def __init__(
-        self,
-        source,
-        *,
-        workers: int | None = None,
-        buffer_capacity: int | None = None,
-        page_cache_capacity: int = 0,
-        timeout: float | None = None,
-        read_retries: int = 2,
-        retry_backoff: float = 0.01,
-        slo_ms: float | None = None,
-        start_method: str | None = None,
-        _test_delay_s: float = 0.0,
-        _sanctioned: bool = False,
-    ) -> None:
-        from ..api import Database
+    backend = "process"
 
-        if not _sanctioned:
-            warnings.warn(
-                "constructing ProcessServingPool directly is deprecated; "
-                "use ServingPool(source, backend='process') — same pool, "
-                "one sanctioned entry point",
-                DeprecationWarning,
-                stacklevel=2,
-            )
+    def __init__(self, source, *, start_method: str | None = None,
+                 _test_delay_s: float = 0.0, **kwargs) -> None:
+        from ..api import Database
 
         if isinstance(source, Database):
             raise ValueError(
@@ -336,54 +218,37 @@ class ProcessServingPool:
                 "which share the writer's in-process store and cannot "
                 "cross a process boundary — use backend='thread'"
             )
-        if workers is None:
-            workers = min(4, os.cpu_count() or 1)
-        if workers < 1:
-            raise ValueError(f"workers must be positive, got {workers}")
-        if timeout is not None and timeout <= 0:
-            raise ValueError(f"timeout must be positive, got {timeout}")
-        if read_retries < 0:
-            raise ValueError(f"read_retries must be >= 0, got {read_retries}")
-        if slo_ms is not None and slo_ms <= 0:
-            raise ValueError(f"slo_ms must be positive, got {slo_ms}")
+        self._ctx = mp.get_context(start_method or os.environ.get(
+            "REPRO_MP_START_METHOD", DEFAULT_START_METHOD))
+        self._test_delay_s = _test_delay_s
+        super().__init__(source, **kwargs)
+
+    def _open_workers(self, source, workers, buffer_capacity,
+                      page_cache_capacity) -> None:
         self._path = os.fspath(source)
         if not os.path.exists(self._path):
             raise FileNotFoundError(self._path)
-        self._timeout = timeout
-        self._slo_ms = slo_ms
-        self._degraded_queries = 0
-        method = start_method or os.environ.get(
-            "REPRO_MP_START_METHOD", DEFAULT_START_METHOD
-        )
-        self._ctx = mp.get_context(method)
         self._opts = {
             "buffer_capacity": buffer_capacity,
             "page_cache_capacity": page_cache_capacity,
-            "read_retries": read_retries,
-            "retry_backoff": retry_backoff,
-            "test_delay_s": _test_delay_s,
+            "read_retries": self._read_retries,
+            "retry_backoff": self._retry_backoff,
+            "test_delay_s": self._test_delay_s,
         }
-        count = workers
-        self._procs: list = [None] * count
-        self._conns: list = [None] * count
+        self._procs: list = [None] * workers
+        self._conns: list = [None] * workers
+        self._pids: list[int | None] = [None] * workers
         #: Latest cumulative IOStats received from each live worker.
-        self._worker_stats: list[IOStats] = [IOStats() for _ in range(count)]
+        self._worker_stats = [IOStats() for _ in range(workers)]
         #: Stats of workers that died/respawned, folded into the total.
         self._retired_stats = IOStats()
         self._respawn_counts: dict[int, int] = {}
-        self._dims: int | None = None
-        self._kind: str | None = None
-        self._size: int | None = None
-        self._pids: list[int | None] = [None] * count
-        self._closed = False
         try:
-            for idx in range(count):
+            for idx in range(workers):
                 self._spawn(idx)
         except BaseException:
             self.close()
             raise
-
-    # ------------------------------------------------------------------
 
     def _spawn(self, idx: int) -> None:
         """Start worker ``idx`` and wait for its ready handshake."""
@@ -403,30 +268,23 @@ class ProcessServingPool:
                     f"{SPAWN_TIMEOUT_S:.0f}s"
                 )
             msg = parent_conn.recv()
-        except (EOFError, OSError) as exc:
+            if msg[0] == "error":
+                raise StorageError(
+                    f"worker {idx} failed to open {self._path}: "
+                    f"{msg[1]}\n{msg[2]}"
+                )
+        except BaseException as exc:
             proc.terminate()
             proc.join(timeout=5)
             parent_conn.close()
-            raise StorageError(
-                f"worker {idx} died during startup"
-            ) from exc
-        except BaseException:
-            proc.terminate()
-            proc.join(timeout=5)
-            parent_conn.close()
+            if isinstance(exc, (EOFError, OSError)):
+                raise StorageError(
+                    f"worker {idx} died during startup"
+                ) from exc
             raise
-        if msg[0] == "error":
-            proc.join(timeout=5)
-            parent_conn.close()
-            raise StorageError(
-                f"worker {idx} failed to open {self._path}: "
-                f"{msg[1]}\n{msg[2]}"
-            )
-        info = msg[1]
-        self._dims = info["dims"]
-        self._kind = info["kind"]
-        self._size = info.get("size")
-        self._pids[idx] = info["pid"]
+        #: The newest handshake: dims, kind, size (and that worker's pid).
+        self._info = msg[1]
+        self._pids[idx] = msg[1]["pid"]
         self._procs[idx] = proc
         self._conns[idx] = parent_conn
 
@@ -436,279 +294,76 @@ class ProcessServingPool:
         The dead worker's last-reported stats are retired into the pool
         total so :meth:`stats` stays cumulative across respawns.
         """
-        proc = self._procs[idx]
-        if proc is not None:
-            if proc.is_alive():
-                proc.terminate()
-            proc.join(timeout=5)
-        conn = self._conns[idx]
-        if conn is not None:
-            conn.close()
+        self._stop(idx)
         self._retired_stats = self._retired_stats + self._worker_stats[idx]
         self._worker_stats[idx] = IOStats()
         self._respawn_counts[idx] = self._respawn_counts.get(idx, 0) + 1
         on_worker_respawned(idx, reason)
         self._spawn(idx)
 
+    def _stop(self, idx: int, grace: float = 0.0) -> None:
+        """Wait ``grace`` seconds for worker ``idx`` to exit, terminate
+        it if it has not, and close its pipe."""
+        proc, conn = self._procs[idx], self._conns[idx]
+        if proc is not None:
+            proc.join(timeout=grace)
+            if proc.is_alive():
+                proc.terminate()
+            proc.join(timeout=5)
+        if conn is not None:
+            conn.close()
+
     # ------------------------------------------------------------------
 
-    @property
-    def workers(self) -> int:
-        """Number of worker processes (== private index handles)."""
-        return len(self._procs)
-
-    @property
-    def dims(self) -> int:
-        """Dimensionality of the served index."""
-        return self._dims
-
-    @property
-    def backend(self) -> str:
-        """Always ``"process"`` (API parity with the facade kwarg)."""
-        return "process"
-
-    @property
-    def kind(self) -> str:
-        """Registry name of the served index family."""
-        return self._kind
-
-    @property
-    def size(self) -> int:
-        """Number of points in the served (immutable) file."""
-        return self._size
-
-    @property
-    def closed(self) -> bool:
-        """Whether :meth:`close` has completed."""
-        return self._closed
-
-    @property
-    def degraded_queries(self) -> int:
-        """Queries answered with empty (degraded) results so far."""
-        return self._degraded_queries
-
-    @property
-    def snapshot_epoch(self) -> None:
-        """Always ``None``: the served file is immutable (no epochs)."""
-        return None
-
-    @property
-    def quarantined_workers(self) -> int:
-        """Always 0: failed worker processes are respawned, never
-        quarantined (killing a process cannot corrupt the parent)."""
-        return 0
+    def _describe(self) -> dict:
+        return self._info
 
     @property
     def respawned_workers(self) -> int:
         """Total worker respawns (timeouts + deaths) over the pool's life."""
         return sum(self._respawn_counts.values())
 
-    # ------------------------------------------------------------------
-
-    def knn(self, queries, k: int = 1, *, batched: bool = True,
-            block_size: int | None = None, with_flags: bool = False,
-            with_times: bool = False, timeout: float | None = None):
-        """The ``k`` nearest neighbors, single query or batch.
-
-        Shapes match :meth:`repro.exec.parallel.ServingPool.knn`: a 1-D
-        point returns one ``list[Neighbor]``, a 2-D batch one list per
-        query.
-        """
-        if np.asarray(queries).ndim == 1:
-            return _unbatch(self.knn_batch(
-                np.asarray(queries, dtype=np.float64)[None, :], k,
-                batched=batched, block_size=block_size,
-                with_flags=with_flags, with_times=with_times,
-                timeout=timeout,
-            ), with_flags, with_times)
-        return self.knn_batch(queries, k, batched=batched,
-                              block_size=block_size, with_flags=with_flags,
-                              with_times=with_times, timeout=timeout)
-
-    def knn_batch(self, queries, k: int = 1, *, batched: bool = True,
-                  block_size: int | None = None, with_flags: bool = False,
-                  with_times: bool = False, timeout: float | None = None):
-        """The ``k`` nearest neighbors of every query, in input order.
-
-        Semantics (``batched``, ``with_flags``, ``with_times``,
-        ``timeout``) match
-        :meth:`repro.exec.parallel.ServingPool.knn_batch` exactly; the
-        results are byte-for-byte those of single-query search.
-        """
-        queries = as_points(queries, self.dims)
-        if np.ndim(k) > 0:
-            k = np.asarray(k, dtype=np.int64)
-            if k.shape != (queries.shape[0],):
-                raise ValueError(
-                    f"per-query k must have shape ({queries.shape[0]},), "
-                    f"got {k.shape}")
-        results, complete, times = self._scatter(
-            "knn", queries,
-            {"k": k, "batched": batched, "block_size": block_size},
-            "pool_knn", timeout=timeout, per_query=("k",),
-        )
-        return self._package(results, complete, times, with_flags,
-                             with_times)
-
-    def range(self, queries, radius: float, *, with_flags: bool = False,
-              with_times: bool = False, timeout: float | None = None):
-        """All stored points within ``radius``, single query or batch;
-        shapes and flags behave as in :meth:`knn`."""
-        single = np.asarray(queries).ndim == 1
-        queries = as_points(queries, self.dims)
-        if np.ndim(radius) > 0:
-            radius = np.asarray(radius, dtype=np.float64)
-            if radius.shape != (queries.shape[0],):
-                raise ValueError(
-                    f"per-query radius must have shape "
-                    f"({queries.shape[0]},), got {radius.shape}")
-        results, complete, times = self._scatter(
-            "range", queries, {"radius": radius}, "pool_range",
-            timeout=timeout, per_query=("radius",),
-        )
-        out = self._package(results, complete, times, with_flags,
-                            with_times)
-        return _unbatch(out, with_flags, with_times) if single else out
-
-    def range_batch(self, queries, radius, *, with_flags: bool = False,
-                    with_times: bool = False, timeout: float | None = None):
-        """Batched range query: one result list per query row; ``radius``
-        is a scalar or a ``(Q,)`` per-query array."""
-        queries = as_points(queries, self.dims)
-        return self.range(queries, radius, with_flags=with_flags,
-                          with_times=with_times, timeout=timeout)
-
-    def window(self, low, high, *, timeout: float | None = None
-               ) -> list[Neighbor]:
-        """All stored points inside the box ``[low, high]``.
-
-        Runs on one worker process under the usual degrade/respawn
-        policy; a degraded call returns ``[]``.
-        """
-        pair = np.stack([
-            np.asarray(low, dtype=np.float64),
-            np.asarray(high, dtype=np.float64),
-        ])
-        results, _complete, _times = self._scatter(
-            "window", pair, {}, "pool_window", timeout=timeout, whole=True,
-        )
-        return results[0]
-
-    def lookup(self, point, *, timeout: float | None = None) -> list[object]:
-        """Exact-match point query: every payload stored at ``point``."""
-        return [n.value for n in self.window(point, point, timeout=timeout)]
-
-    @staticmethod
-    def _package(results, complete, times, with_flags, with_times):
-        out = (results, complete) if with_flags else results
-        if with_times:
-            return (*out, times) if with_flags else (out, times)
-        return out
-
-    def _scatter(self, op: str, queries: np.ndarray, kwargs: dict,
-                 slo_op: str, *, timeout: float | None = None,
-                 whole: bool = False, per_query: tuple = ()):
-        if self._closed:
-            raise RuntimeError("serving pool is closed")
-        if timeout is None:
-            timeout = self._timeout
-        if whole:
-            # The payload is one opaque argument block (e.g. a window's
-            # stacked [low; high] pair), not per-query rows: ship it
-            # intact to a single worker, expect a single result.
-            n = 1
-            shards = [(0, np.arange(1), queries)]
-        else:
-            n = queries.shape[0]
-            shards = [
-                (idx, shard, queries[shard])
-                for idx, shard in enumerate(
-                    np.array_split(np.arange(n), self.workers)
-                )
-                if shard.size
-            ]
-        results: list[list[Neighbor] | None] = [None] * n
-        complete = [True] * n
-        times: list[tuple[float, int]] = []
-        if queries.shape[0] == 0:
-            return results, complete, times
-        sent: list[tuple[int, np.ndarray, str | None]] = []
-        for idx, shard, payload in shards:
-            # Per-query parameter arrays (heterogeneous k/radius) are
-            # sliced to this shard so they stay aligned worker-side.
-            shard_kwargs = kwargs
-            for name in per_query:
-                if isinstance(kwargs.get(name), np.ndarray):
-                    if shard_kwargs is kwargs:
-                        shard_kwargs = dict(kwargs)
-                    shard_kwargs[name] = kwargs[name][shard]
-            try:
-                self._conns[idx].send(("query", op, payload, shard_kwargs))
-                sent.append((idx, shard, None))
-            except (BrokenPipeError, OSError):
-                sent.append((idx, shard, "worker_died"))
-        deadline = (None if timeout is None
-                    else time.monotonic() + timeout)
-        errors: list[str] = []
-        for idx, shard, reason in sent:
-            if reason is None:
-                reason = self._collect(
-                    idx, shard, deadline, slo_op, results, times, errors
-                )
-            if reason is not None:
-                if reason in ("timeout", "worker_died"):
-                    self._respawn(idx, reason)
-                on_degraded(reason, int(shard.size))
-                self._degraded_queries += int(shard.size)
-                for qi in shard:
-                    results[qi] = []
-                    complete[qi] = False
-        if errors:
-            # A worker hit a programming error (bad arguments, a bug).
-            # Every pipe has been drained above, so the pool is still
-            # consistent — re-raise in the caller like the thread pool.
-            raise RuntimeError(
-                "serving-pool worker raised:\n" + errors[0]
-            )
-        return results, complete, times
-
-    def _collect(self, idx: int, shard: np.ndarray, deadline,
-                 slo_op: str, results, times, errors) -> str | None:
-        """Receive one worker's answer; returns a degradation reason or
-        ``None`` on success.  Merges telemetry on the way."""
-        conn = self._conns[idx]
+    def _submit(self, worker: int, op: str, queries, params: dict) -> bool:
+        """Whether the shard reached the worker's pipe."""
         try:
-            if deadline is None:
-                conn.poll(None)
-            else:
-                remaining = max(0.0, deadline - time.monotonic())
-                if not conn.poll(remaining):
-                    return "timeout"
+            self._conns[worker].send(("query", op, queries, params))
+            return True
+        except OSError:
+            return False
+
+    def _collect(self, worker: int, sent: bool, deadline):
+        """Receive one worker's answer, merging its telemetry."""
+        if not sent:
+            return "worker_died", None
+        conn = self._conns[worker]
+        try:
+            if not conn.poll(_remaining(deadline)):
+                return "timeout", None
             msg = conn.recv()
-        except (EOFError, OSError, BrokenPipeError):
-            return "worker_died"
+        except (EOFError, OSError):
+            return "worker_died", None
         if msg[0] == "degraded":
-            return msg[1]
+            return msg[1], None
         if msg[0] == "error":
-            errors.append(f"{msg[1]}: {msg[2]}")
-            return None
+            raise RuntimeError(
+                f"serving-pool worker raised:\n{msg[1]}: {msg[2]}")
         out, block_times, stats, deltas, records = msg[1]
-        for pos, qi in enumerate(shard):
-            results[qi] = out[pos]
-        for wall_ms, count in block_times:
-            on_pool_block(slo_op, wall_ms / 1e3, self._slo_ms)
-            times.append((wall_ms, count))
-        self._worker_stats[idx] = stats
+        self._worker_stats[worker] = stats
         _apply_counter_deltas(deltas)
         for record in records:
             fields = dict(record)
             for name in _COMPUTED_RECORD_FIELDS:
                 fields.pop(name, None)
-            fields["worker"] = f"proc{idx}"
+            fields["worker"] = f"proc{worker}"
             FLIGHT.record(**fields)
-        return None
+        return None, (out, block_times)
 
-    # ------------------------------------------------------------------
+    def _retire(self, worker: int, reason: str, sent: bool) -> None:
+        if reason in ("timeout", "worker_died"):
+            self._respawn(worker, reason)
+
+    def _io_stats(self) -> list[IOStats]:
+        return self._worker_stats
 
     def stats(self) -> IOStats:
         """Aggregate I/O counters summed over every worker process.
@@ -717,92 +372,40 @@ class ProcessServingPool:
         the retired totals of any respawned workers), so the figure is
         current as of the last completed call.
         """
-        total = self._retired_stats + IOStats()
-        for stats in self._worker_stats:
-            total = total + stats
-        return total
+        return self._retired_stats + super().stats()
 
-    def worker_stats(self) -> list[dict]:
-        """Per-worker I/O breakdown, one dict per worker process.
-
-        Same schema as the thread pool's (``bench-throughput`` snapshots
-        it into ``per_worker``) plus ``pid`` and ``respawns``;
-        ``quarantines`` is always 0 — failed processes are respawned,
-        and the respawn count is the equivalent health signal.
-        """
-        out: list[dict] = []
-        for worker, stats in enumerate(self._worker_stats):
-            out.append({
-                "worker": worker,
-                "pid": self._pids[worker],
-                "page_reads": stats.page_reads,
-                "node_reads": stats.node_reads,
-                "leaf_reads": stats.leaf_reads,
-                "buffer_hits": stats.buffer_hits,
-                "buffer_misses": stats.buffer_misses,
-                "buffer_hit_ratio": stats.hit_ratio,
-                "page_cache_hits": stats.page_cache_hits,
-                "page_cache_misses": stats.page_cache_misses,
-                "distance_computations": stats.distance_computations,
-                "quarantines": 0,
+    def _health(self, worker: int) -> dict:
+        # Never quarantined: the respawn count is the health signal.
+        return {"pid": self._pids[worker], "quarantines": 0,
                 "quarantined": False,
-                "respawns": self._respawn_counts.get(worker, 0),
-            })
-        return out
+                "respawns": self._respawn_counts.get(worker, 0)}
 
-    def drop_caches(self) -> None:
-        """Cold-start every worker (empties buffer pools and page caches).
-
-        A worker that fails to answer the drop is respawned — which is
-        an even colder start.
-        """
-        if self._closed:
-            raise RuntimeError("serving pool is closed")
+    def _drop(self, workers: list[int]) -> None:
+        """A worker that fails to answer the drop is respawned — which
+        is an even colder start."""
         pending = []
-        for idx, conn in enumerate(self._conns):
+        for idx in workers:
             try:
-                conn.send(("drop",))
+                self._conns[idx].send(("drop",))
                 pending.append(idx)
-            except (BrokenPipeError, OSError):
+            except OSError:
                 self._respawn(idx, "worker_died")
         for idx in pending:
             try:
                 if not self._conns[idx].poll(SPAWN_TIMEOUT_S):
                     raise EOFError
                 self._conns[idx].recv()
-            except (EOFError, OSError, BrokenPipeError):
+            except (EOFError, OSError):
                 self._respawn(idx, "worker_died")
 
-    def close(self) -> None:
-        """Stop every worker process (idempotent).
-
-        Workers are asked to stop, given a grace period, then
-        terminated; their pipes are closed either way.
-        """
-        if self._closed:
-            return
-        self._closed = True
+    def _close_workers(self) -> None:
+        """Workers are asked to stop, given a grace period, then
+        terminated; their pipes are closed either way."""
         for conn in self._conns:
-            if conn is None:
-                continue
-            try:
-                conn.send(("stop",))
-            except (BrokenPipeError, OSError):
-                pass
-        for idx, proc in enumerate(self._procs):
-            if proc is None:
-                continue
-            proc.join(timeout=5)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=5)
-            conn = self._conns[idx]
             if conn is not None:
-                conn.close()
-
-    def __enter__(self) -> "ProcessServingPool":
-        return self
-
-    def __exit__(self, *exc_info) -> bool:
-        self.close()
-        return False
+                try:
+                    conn.send(("stop",))
+                except OSError:
+                    pass
+        for idx in range(len(self._procs)):
+            self._stop(idx, grace=5)

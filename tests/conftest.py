@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -22,3 +24,17 @@ def small_cloud(rng) -> np.ndarray:
 def tiny_cloud(rng) -> np.ndarray:
     """40 points, 4-dimensional — small enough for exhaustive checks."""
     return rng.random((40, 4))
+
+
+@pytest.fixture(params=["thread", "process"])
+def pool_backend(request) -> dict:
+    """``ServingPool`` keywords selecting each backend in turn.
+
+    Worker processes start by ``fork`` (fast) unless
+    ``REPRO_MP_START_METHOD`` names another method: ``make test-mp``
+    sets it to ``spawn`` so the same contract runs under both.
+    """
+    if request.param == "thread":
+        return {"backend": "thread"}
+    return {"backend": "process",
+            "start_method": os.environ.get("REPRO_MP_START_METHOD", "fork")}

@@ -8,6 +8,7 @@ on at least three workloads, across index families.
 import numpy as np
 import pytest
 
+from repro import Database
 from repro.exceptions import EmptyIndexError
 from repro.exec import ServingPool, batch_knn, batch_range
 from repro.indexes import build_index
@@ -164,36 +165,78 @@ class TestServingPool:
             delta = pool.stats().since(before)
         assert delta.page_reads > 0
 
-    def test_with_times_returns_per_block_latencies(self, saved):
+    def test_with_times_returns_per_block_latencies(self, saved,
+                                                    pool_backend):
         path, data = saved
         queries = _queries(data, 20, seed=35)
-        with ServingPool(path, workers=2) as pool:
+        with ServingPool(path, workers=2, **pool_backend) as pool:
             got, times = pool.knn(queries, k=3, block_size=8,
                                   with_times=True)
         assert len(got) == len(queries)
         assert sum(count for _ms, count in times) == len(queries)
-        assert all(ms >= 0 for ms, _count in times)
+        assert all(ms >= 0 and count > 0 for ms, count in times)
         # 20 queries sharded over 2 workers in blocks of <= 8 means at
         # least 3 blocks were timed independently.
         assert len(times) >= 3
 
-    def test_with_times_composes_with_flags(self, saved):
+    def test_with_times_composes_with_flags(self, saved, pool_backend):
         path, data = saved
         queries = _queries(data, 6, seed=36)
-        with ServingPool(path, workers=2) as pool:
+        with ServingPool(path, workers=2, **pool_backend) as pool:
             got, complete, times = pool.knn(queries, k=3, with_flags=True,
                                             with_times=True)
-        assert len(got) == len(complete) == len(queries)
-        assert all(complete)
-        assert sum(count for _ms, count in times) == len(queries)
+            assert len(got) == len(complete) == len(queries)
+            assert all(complete)
+            assert sum(count for _ms, count in times) == len(queries)
+            # A 1-D query unwraps its row and its flag, not the times.
+            one, ok, times = pool.knn(queries[0], k=3, with_flags=True,
+                                      with_times=True)
+            assert_same_neighbors([one], got[:1], tol=0)
+            assert ok is True
+            assert [count for _ms, count in times] == [1]
+            one, ok, times = pool.range(queries[0], 0.4, with_flags=True,
+                                        with_times=True)
+            assert_same_neighbors([one], pool.range(queries[:1], 0.4), tol=0)
+            assert ok is True
+            assert [count for _ms, count in times] == [1]
 
-    def test_range_with_times(self, saved):
+    def test_range_with_times(self, saved, pool_backend):
         path, data = saved
         queries = _queries(data, 6, seed=37)
-        with ServingPool(path, workers=2) as pool:
+        with ServingPool(path, workers=2, **pool_backend) as pool:
             got, times = pool.range(queries, 0.4, with_times=True)
         assert len(got) == len(queries)
         assert sum(count for _ms, count in times) == len(queries)
+
+    def test_per_query_parameters_stay_aligned_across_shards(
+            self, saved, pool_backend):
+        path, data = saved
+        queries = _queries(data, 7, seed=38)  # shards of 3, 2, 2
+        ks = np.arange(1, 8)
+        radii = np.linspace(0.2, 0.5, 7)
+        with Database.open(path) as db:
+            want_knn = [db.knn(q, k=int(k)) for q, k in zip(queries, ks)]
+            want_range = [db.range(q, r) for q, r in zip(queries, radii)]
+        with ServingPool(path, workers=3, **pool_backend) as pool:
+            assert_same_neighbors(pool.knn(queries, ks), want_knn, tol=0)
+            assert_same_neighbors(pool.knn(queries, ks, batched=False),
+                                  want_knn, tol=0)
+            assert_same_neighbors(pool.range(queries, radii), want_range,
+                                  tol=0)
+
+    def test_window_and_lookup_equal_the_database(self, saved, pool_backend):
+        path, data = saved
+        low, high = data[0] - 0.25, data[0] + 0.25
+        with Database.open(path) as db:
+            want_window = db.window(low, high)
+            want_lookup = db.lookup(data[0])
+        assert want_window and want_lookup
+        with ServingPool(path, workers=2, **pool_backend) as pool:
+            got = pool.window(low, high)
+            assert_same_neighbors([got], [want_window], tol=0)
+            for g, w in zip(got, want_window):
+                assert np.array_equal(g.point, w.point)
+            assert pool.lookup(data[0]) == want_lookup
 
     def test_worker_stats_attributes_io_per_worker(self, saved):
         path, data = saved
@@ -210,12 +253,15 @@ class TestServingPool:
             assert entry["quarantined"] is False
             assert 0.0 <= entry["buffer_hit_ratio"] <= 1.0
 
-    def test_closed_pool_rejects_queries(self, saved):
+    def test_closed_pool_rejects_queries(self, saved, pool_backend):
         path, data = saved
-        pool = ServingPool(path, workers=1)
+        pool = ServingPool(path, workers=1, **pool_backend)
         pool.close()
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError, match="closed"):
             pool.knn(data[:2], k=1)
+        with pytest.raises(RuntimeError, match="closed"):
+            pool.drop_caches()
+        pool.close()  # idempotent
 
     def test_worker_count_validation(self, saved):
         path, _data = saved

@@ -107,15 +107,6 @@ def test_process_pool_matches_single_query_search(saved_indexes, name):
         assert_byte_equal(got_unbatched, want_knn[:6])
 
 
-def test_with_times_reports_worker_block_latencies(uniform_index):
-    queries = np.random.default_rng(9).random((8, 8))
-    with ServingPool(uniform_index, workers=2, backend="process") as pool:
-        results, times = pool.knn(queries, k=3, with_times=True)
-        assert len(results) == 8
-        assert times and all(ms >= 0 and count > 0 for ms, count in times)
-        assert sum(count for _, count in times) == 8
-
-
 # ---------------------------------------------------------------------------
 # Crash resilience: SIGKILL mid-call degrades, never hangs
 # ---------------------------------------------------------------------------
@@ -281,46 +272,24 @@ def test_live_database_rejected_by_process_backend(uniform_index):
             ProcessServingPool(db)
 
 
-def test_missing_file_and_bad_parameters_rejected(tmp_path):
+def test_missing_file_rejected(tmp_path):
     with pytest.raises(FileNotFoundError):
         ServingPool(str(tmp_path / "nope.srtree"), workers=1,
                     backend="process")
-    path = str(tmp_path / "x.srtree")
-    with Database.create(path, kind="sr", dims=4) as db:
-        db.insert_many(np.random.default_rng(0).random((8, 4)))
-    with pytest.raises(ValueError):
-        ServingPool(path, workers=0, backend="process")
-    with pytest.raises(ValueError):
-        ServingPool(path, timeout=0.0, backend="process")
-    with pytest.raises(ValueError):
-        ServingPool(path, read_retries=-1, backend="process")
 
 
-def test_direct_construction_is_deprecated(uniform_index):
-    # ServingPool(source, backend="process") is the one sanctioned
-    # entry point; the class constructor still works (same pool) but
-    # warns, and tools/lint.py flags it inside src/repro.
-    with pytest.warns(DeprecationWarning, match="backend='process'"):
-        pool = ProcessServingPool(uniform_index, workers=1)
-    pool.close()
+def test_direct_construction_is_the_same_class_and_does_not_warn(
+        uniform_index):
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
-        ServingPool(uniform_index, workers=1, backend="process").close()
-
-
-def test_closed_pool_refuses_queries(uniform_index):
-    pool = ServingPool(uniform_index, workers=1, backend="process")
-    pool.close()
-    with pytest.raises(RuntimeError, match="closed"):
-        pool.knn(np.zeros((1, 8)), k=1)
-    # close() is idempotent.
-    pool.close()
-
-
-def test_empty_query_block_is_trivially_complete(uniform_index):
-    with ServingPool(uniform_index, workers=1, backend="process") as pool:
-        results, complete = pool.knn(np.empty((0, 8)), k=3,
-                                     with_flags=True)
-        assert results == []
-        assert complete == []
-        assert pool.degraded_queries == 0
+        direct = ProcessServingPool(uniform_index, workers=1)
+        facade = ServingPool(uniform_index, workers=1, backend="process")
+    with direct, facade:
+        assert type(direct) is type(facade) is ProcessServingPool
+    # A keyword only one backend understands is rejected by the other.
+    with pytest.raises(TypeError, match="start_method"):
+        ServingPool(uniform_index, workers=1, start_method="fork")
+    with pytest.raises(TypeError, match="_test_delay_s"):
+        ServingPool(uniform_index, workers=1, _test_delay_s=0.1)
+    with pytest.raises(TypeError, match="backend"):
+        ProcessServingPool(uniform_index, workers=1, backend="process")

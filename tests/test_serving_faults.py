@@ -177,17 +177,23 @@ def test_released_worker_serves_from_cold_caches(index_path):
         assert all(len(row) == K for row in results)
 
 
-def test_empty_query_block_is_complete_and_not_degraded(index_path):
-    """Regression: an empty block must not report incomplete results,
-    even when every worker is quarantined."""
+def test_empty_query_block_is_complete_and_not_degraded(index_path,
+                                                        pool_backend):
+    """Regression: an empty block must not report incomplete results."""
     empty = np.empty((0, DIMS))
-    before = DEGRADED_QUERIES.labels(reason="quarantined").value
-    with ServingPool(index_path, workers=1, timeout=0.05) as pool:
+    with ServingPool(index_path, workers=1, **pool_backend) as pool:
         results, complete = pool.knn(empty, k=K, with_flags=True)
         assert results == [] and complete == []
         assert pool.range(empty, 0.5) == []
         assert pool.degraded_queries == 0
-        # Quarantine the only worker, then ask again: still trivially
+
+
+def test_empty_query_block_is_complete_with_every_worker_quarantined(
+        index_path):
+    empty = np.empty((0, DIMS))
+    before = DEGRADED_QUERIES.labels(reason="quarantined").value
+    with ServingPool(index_path, workers=1, timeout=0.05) as pool:
+        # Quarantine the only worker, then ask: still trivially
         # complete, and the degraded counter must not move.
         plan = FaultPlan(slow_read_seconds=0.1)
         _inject(pool, 0, plan)
@@ -260,17 +266,52 @@ def test_range_queries_degrade_the_same_way(index_path):
         assert results[0] == []
 
 
-def test_invalid_resilience_parameters_rejected(index_path):
+def test_invalid_resilience_parameters_rejected(index_path, pool_backend):
+    with pytest.raises(ValueError, match="workers"):
+        ServingPool(index_path, workers=0, **pool_backend)
     with pytest.raises(ValueError, match="timeout"):
-        ServingPool(index_path, workers=1, timeout=0.0)
+        ServingPool(index_path, workers=1, timeout=0.0, **pool_backend)
     with pytest.raises(ValueError, match="read_retries"):
-        ServingPool(index_path, workers=1, read_retries=-1)
+        ServingPool(index_path, workers=1, read_retries=-1, **pool_backend)
 
 
 def test_programming_errors_still_raise(index_path):
     with ServingPool(index_path, workers=1) as pool:
         with pytest.raises(Exception):
             pool.knn(np.zeros((2, DIMS + 3)), k=K)  # wrong dimensionality
+
+
+def test_raised_shard_leaves_no_thread_on_a_worker_handle(index_path):
+    """Regression: a shard's programming error used to re-raise while a
+    sibling shard was still traversing, so the next call put a second
+    thread on that worker's private, non-thread-safe handle."""
+    import threading
+
+    queries = uniform_dataset(8, DIMS, seed=15)
+    with ServingPool(index_path, workers=2) as pool:
+        _inject(pool, 1, FaultPlan(slow_read_seconds=0.02))
+        index = pool._indexes[1]
+        read_node = index.read_node
+        inside = threading.Lock()
+        overlaps = []
+
+        def guarded_read_node(*args, **kwargs):
+            alone = inside.acquire(blocking=False)
+            if not alone:
+                overlaps.append(threading.current_thread().name)
+            try:
+                return read_node(*args, **kwargs)
+            finally:
+                if alone:
+                    inside.release()
+
+        index.read_node = guarded_read_node
+        with pytest.raises(ValueError):
+            # k=0 is rejected inside worker 0's shard.
+            pool.knn(queries, np.array([0, 3, 3, 3, 3, 3, 3, 3]))
+        results = pool.knn(queries, K)
+        assert overlaps == []
+        assert all(len(row) == K for row in results)
 
 
 def test_pool_close_survives_a_dead_worker(index_path):

@@ -7,9 +7,7 @@ definitions, and ``__all__`` names that don't exist in the module, and
 (c) a repository policy pass: ``pickle.loads``/``pickle.load`` may
 appear only in the storage serializer (everything else goes through
 the codec), raw page files and stores may be constructed only inside
-the storage/exec layers, ``ProcessServingPool`` is constructed only
-through the ``ServingPool(backend="process")`` facade, and library
-code under ``src/repro`` may not
+the storage/exec layers, and library code under ``src/repro`` may not
 ``print`` or call ``logging.getLogger`` — the CLI and the structured
 event log (``repro.obs.events``) are the only output surfaces.  Falls
 through to the real ``pyflakes`` when it is installed
@@ -264,46 +262,6 @@ def check_store_construction(path: str, tree: ast.Module) -> list[str]:
     return problems
 
 
-#: Where direct ``ProcessServingPool(...)`` construction is allowed: the
-#: execution package itself.  Everyone else uses the unified facade,
-#: ``ServingPool(source, backend="process")``, so there is exactly one
-#: sanctioned pool entry point (direct construction also raises a
-#: ``DeprecationWarning`` at runtime).  Tests and benchmarks may still
-#: construct it directly to exercise the shim.
-POOL_ALLOWED_PREFIXES = (
-    os.path.join("src", "repro", "exec") + os.sep,
-)
-
-
-def check_pool_construction(path: str, tree: ast.Module) -> list[str]:
-    """Flag ``ProcessServingPool(...)`` construction outside ``repro.exec``.
-
-    Only library code under ``src/repro`` is policed.
-    """
-    norm = path.replace("/", os.sep)
-    if not norm.startswith(os.path.join("src", "repro") + os.sep):
-        return []
-    if any(norm.startswith(prefix) for prefix in POOL_ALLOWED_PREFIXES):
-        return []
-    problems: list[str] = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        name = None
-        if isinstance(func, ast.Name):
-            name = func.id
-        elif isinstance(func, ast.Attribute):
-            name = func.attr
-        if name == "ProcessServingPool":
-            problems.append(
-                f"{path}:{node.lineno}: direct ProcessServingPool(...) "
-                f"construction outside repro.exec; use "
-                f"ServingPool(source, backend='process') instead"
-            )
-    return problems
-
-
 #: Library files allowed to write to stdout/stderr directly: the CLI
 #: (whose job is printing) and the event log (the single logging
 #: surface — everything else emits through ``repro.obs.events.EVENTS``
@@ -369,7 +327,6 @@ def run_policy_pass(paths) -> int:
         problems.extend(check_pickle_usage(path, tree))
         problems.extend(check_pagefile_construction(path, tree))
         problems.extend(check_store_construction(path, tree))
-        problems.extend(check_pool_construction(path, tree))
         problems.extend(check_logging_surface(path, tree))
     for problem in problems:
         print(problem)
