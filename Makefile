@@ -23,11 +23,13 @@ install:
 test:
 	pytest tests/
 
-# The durability suite on its own: checksum sweeps, WAL replay, and the
+# The durability suite on its own: checksum sweeps, WAL replay and
+# ordering, the delta-record state machine (needs hypothesis), and the
 # randomized crash harness (210 fixed-seed kill points across the three
 # paper workloads).  CI runs this as a dedicated job.
 test-crash:
 	PYTHONPATH=src python -m pytest tests/test_checksums.py tests/test_wal.py \
+	    tests/test_wal_ordering.py tests/test_wal_delta.py \
 	    tests/test_crash_recovery.py tests/test_cli_durability.py -q
 
 # Snapshot isolation under real thread interleaving: unit tests for the

@@ -47,6 +47,7 @@ __all__ = [
     "on_supernode_growth",
     "on_build",
     "on_checksum_failure",
+    "on_wal_append",
     "on_wal_commit",
     "on_wal_recovery",
     "on_degraded",
@@ -216,6 +217,16 @@ WAL_COMMITS = REGISTRY.counter(
     "Transactions committed through the write-ahead log",
     (),
 )
+WAL_APPENDED_BYTES = REGISTRY.counter(
+    "repro_wal_appended_bytes_total",
+    "Bytes appended to the write-ahead log, by record kind",
+    ("record",),
+)
+# _append runs several times per insert: the four children are bound once.
+_WAL_APPENDED = {
+    kind: WAL_APPENDED_BYTES.labels(record=kind)
+    for kind in ("page", "delta", "meta", "marker")
+}
 WAL_RECOVERED_TXNS = REGISTRY.counter(
     "repro_wal_recovered_txns_total",
     "Committed transactions replayed from the WAL during recovery",
@@ -583,6 +594,13 @@ def on_checksum_failure(page_id: int | None = None) -> None:
     CHECKSUM_FAILURES.inc()
 
 
+def on_wal_append(record: str, nbytes: int) -> None:
+    """Record one log record of kind ``page``/``delta``/``meta``/``marker``."""
+    if not _enabled:
+        return
+    _WAL_APPENDED[record].inc(nbytes)
+
+
 def on_wal_commit(txn_id: int | None = None, synced: bool = True) -> None:
     """Record a transaction committed through the WAL."""
     if EVENTS.enabled_for(DEBUG):
@@ -592,10 +610,11 @@ def on_wal_commit(txn_id: int | None = None, synced: bool = True) -> None:
     WAL_COMMITS.inc()
 
 
-def on_wal_recovery(txns: int) -> None:
+def on_wal_recovery(txns: int, deltas: int = 0) -> None:
     """Record ``txns`` committed transactions replayed during recovery."""
     if txns > 0:
-        EVENTS.emit("wal_recovery", level=INFO, replayed_txns=txns)
+        EVENTS.emit("wal_recovery", level=INFO, replayed_txns=txns,
+                    replayed_deltas=deltas)
     if not _enabled or txns <= 0:
         return
     WAL_RECOVERED_TXNS.inc(txns)

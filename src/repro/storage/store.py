@@ -563,6 +563,22 @@ class NodeStore:
         if self.page_cache is not None:
             self.page_cache.clear()
 
+    def _delta_base(self, page_id: int) -> bytes | None:
+        """The image a page's next log record may be cut against.
+
+        ``None`` unless the log already holds an image of the page.
+        Otherwise its current image — shadow, pending table, then a raw
+        page-file read that is no node fetch (no ``IOStats``, buffer
+        pool, or page cache involved).  A failed read is ``None`` too:
+        the log then takes a whole image, which needs no base.
+        """
+        if not self.wal.has_image(page_id):
+            return None
+        try:
+            return self._read_page_image(page_id)
+        except (StorageError, OSError):
+            return None
+
     def _write_back(self, node: Node) -> None:
         image = self.codec.encode(node)
         page_size = self.layout.page_size
@@ -575,7 +591,7 @@ class NodeStore:
                 # (first + extras concatenation) stays page aligned.
                 if len(chunk) < page_size:
                     chunk = chunk + b"\x00" * (page_size - len(chunk))
-                self.wal.log_page(page_id, chunk)
+                self.wal.log_page(page_id, chunk, self._delta_base(page_id))
                 self._shadow[page_id] = chunk
             else:
                 with self._mu:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,8 @@ def test_recover_replays_a_crashed_log(tmp_path, data_file, capsys):
     assert run("recover", "--index", out) == 0
     text = capsys.readouterr().out
     assert "recovered" in text
+    # Repeat writes of a page were logged as byte ranges, and replayed.
+    assert int(re.search(r"(\d+) delta\(s\)", text).group(1)) > 0
     assert run("verify", "--index", out) == 0
     assert "OK" in capsys.readouterr().out
 

@@ -19,7 +19,7 @@ import pytest
 
 from repro import Database
 from repro.exceptions import PageNotFoundError, StorageError, WALError
-from repro.storage import InMemoryPageFile, WriteAheadLog, scan_wal
+from repro.storage import InMemoryPageFile, WriteAheadLog, recover, scan_wal
 from repro.storage.layout import NodeLayout
 from repro.storage.store import NodeStore
 
@@ -99,6 +99,39 @@ class TestBatchedCommitsStayWALOnly:
         store.flush()
         # ... and still reach the data file at the next boundary.
         assert store.pagefile.read(leaf.page_id)
+        store.close()
+
+    def test_images_logged_as_deltas_wait_for_the_boundary_too(
+        self, tmp_path, layout
+    ):
+        """The data file never runs ahead of the durable log — also when
+        the pending image reached the log as byte ranges, not whole."""
+        store = make_store(tmp_path, layout, sync_every=2)
+        leaf = committed_leaf(store, seed=7)  # batched: PAGE, pending only
+
+        def grow(value: int) -> bytes:
+            store.begin_txn()
+            node = store.read(leaf.page_id)
+            node.add(np.full(4, value / 10.0), value)
+            store.write(node)
+            store.commit_txn()
+            image = store.codec.encode(node)
+            return image + b"\x00" * (layout.page_size - len(image))
+
+        second = grow(1)  # DELTA against the pending image; fsync boundary
+        assert store.pagefile.read(leaf.page_id) == second
+        third = grow(2)  # DELTA against the data file; batched again
+        committed, _ = scan_wal(store.wal.path)
+        assert [(t.whole_images, t.deltas) for t in committed] == [
+            (1, 0), (0, 1), (0, 1)]
+        assert store.pagefile.read(leaf.page_id) == second  # not ahead
+        # What a crash here would recover is the log's state, third write
+        # included, rebuilt without reading the data file.
+        replayed = InMemoryPageFile(layout.page_size)
+        recover(replayed, store.wal.path, truncate=False)
+        assert replayed.read(leaf.page_id) == third
+        fourth = grow(3)  # boundary: everything pending is applied
+        assert store.pagefile.read(leaf.page_id) == fourth
         store.close()
 
     def test_close_applies_pending_then_truncates(self, tmp_path, layout):
