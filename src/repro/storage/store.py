@@ -570,7 +570,7 @@ class NodeStore:
         Otherwise its current image — shadow, pending table, then a raw
         page-file read that is no node fetch (no ``IOStats``, buffer
         pool, or page cache involved).  A failed read is ``None`` too:
-        the log then takes a whole image, which needs no base.
+        the log then takes the page's non-zero ranges, which need no base.
         """
         if not self.wal.has_image(page_id):
             return None
@@ -617,7 +617,8 @@ class NodeStore:
         if len(image) > self.layout.page_size:
             raise StorageError("index metadata does not fit in the meta page")
         if self.in_txn:
-            self.wal.log_meta(image)
+            base = self._shadow_meta
+            self.wal.log_meta(image, self._pending_meta if base is None else base)
             self._shadow_meta = image
             return
         self._require_healthy()

@@ -36,31 +36,41 @@ Record format (little endian)::
     +--------+------+---------+-------------+-------+-----------+
 
 ``CRC32`` covers type, txn id, and payload, so a torn append (or a bit
-flip) invalidates the record and everything after it.  PAGE payloads are
-``page_id (u32) + page image`` (trailing zero bytes dropped; replay pads
-them back); DELTA payloads are ``page_id (u32) + base CRC32 (u32) +
-padded image length (u32)`` followed by ``offset (u32) + length (u32) +
-bytes`` ranges; META payloads are the raw meta-page image; BEGIN/COMMIT
-have empty payloads.
+flip) invalidates the record and everything after it.  IMAGE payloads
+are ``page_id (u32) + padded image length (u32)`` followed by ``offset
+(u32) + length (u32) + bytes`` ranges over a page of zeros; DELTA and
+META_DELTA payloads are ``page_id (u32) + base CRC32 (u32) + padded
+image length (u32)`` followed by the same ranges over the base image;
+META payloads are the raw meta-page image; BEGIN/COMMIT have empty
+payloads.  PAGE (``page_id (u32)`` + the image without its trailing
+zeros) is what an older process wrote in IMAGE's place: it is still
+replayed, and never written.
 
-**Log what changed, not the page.**  An insert rewrites a few hundred
-bytes in each page on its path, so only the *first* write of a page since
-the last truncate is logged as a whole PAGE image.  Every later write is
-a DELTA: the byte ranges in which the new image differs from the page's
-current one, plus the CRC32 of that (padded) base image.  The log keeps
-one CRC per imaged page — four bytes, never the image — and
-:meth:`WriteAheadLog.log_page` cuts a delta only against a base that has
-exactly that CRC; a stale base (the page's only image sat in an aborted
-transaction, the page was freed and reallocated, the read failed) gets a
-whole image instead, which is always correct.  The CRC table follows the
-same rule replay does — a transaction's images count only once it
-commits — so the writer and :func:`recover` always agree on what a delta
-applies to.  Replay never takes a base from the data file (a crash while
-an earlier recovery was applying images can leave any page torn): it
-keeps one running image per distinct page, applies each committed
-transaction's deltas to it, and treats a delta whose base CRC does not
-match as a corrupt record — the scan stops there, as for a torn tail.
-PAGE-only logs written before DELTA existed replay unchanged.
+**Log the bytes that are not already known.**  One range encoder
+(:func:`_encode_ranges`) cuts every record that carries page bytes.  The
+*first* write of a page since the last truncate has nothing in the log
+to lean on, so it is cut against a page of zeros — an IMAGE: a leaf is
+mostly the padding of its fixed data areas, and the zeros stay out of
+the log.  The record kind itself says "start from zeros"; replay never
+infers that from a CRC, so an IMAGE overrides whatever image of the page
+the log held before (the page was freed and reallocated, or its base was
+stale).  Every later write is a DELTA: the ranges in which the new image
+differs from the page's current one, plus the CRC32 of that (padded)
+base image.  The log keeps one CRC per imaged page — four bytes, never
+the image — and :meth:`WriteAheadLog.log_page` cuts a delta only against
+a base that has exactly that CRC; a stale base (the page's only image
+sat in an aborted transaction, the page was freed and reallocated, the
+read failed) gets an IMAGE instead, which is always correct.  The meta
+page follows the page rule: the first META since a truncate is the raw
+image, later ones are META_DELTA records against the last meta image the
+log holds, under the same CRC.  The CRC table follows the same rule
+replay does — a transaction's images count only once it commits — so the
+writer and :func:`recover` always agree on what a delta applies to.
+Replay never takes a base from the data file (a crash while an earlier
+recovery was applying images can leave any page torn): it keeps one
+running image per distinct page, applies each committed transaction's
+records to it, and treats a delta whose base CRC does not match as a
+corrupt record — the scan stops there, as for a torn tail.
 
 **fsync batching.**  ``sync_every=1`` (default) fsyncs on every commit —
 every acknowledged insert survives an OS crash.  ``sync_every=N`` fsyncs
@@ -102,13 +112,19 @@ REC_PAGE = 2
 REC_META = 3
 REC_COMMIT = 4
 REC_DELTA = 5
+REC_IMAGE = 6
+REC_META_DELTA = 7
 
 _RECORD_KIND = {REC_BEGIN: "marker", REC_COMMIT: "marker", REC_PAGE: "page",
-                REC_DELTA: "delta", REC_META: "meta"}
+                REC_IMAGE: "page", REC_DELTA: "delta", REC_META: "meta",
+                REC_META_DELTA: "meta"}
 
 _PAGE_ID = struct.Struct("<I")
+_IMAGE = struct.Struct("<II")  # page id, padded image length
 _DELTA = struct.Struct("<III")  # page id, CRC32 of the padded base, its length
 _RANGE = struct.Struct("<II")  # offset, length (the bytes follow)
+_MIN_PAYLOAD = {REC_PAGE: _PAGE_ID.size, REC_IMAGE: _IMAGE.size,
+                REC_DELTA: _DELTA.size, REC_META_DELTA: _DELTA.size}
 
 
 @dataclass(slots=True)
@@ -133,7 +149,7 @@ class RecoveryReport:
     """What a recovery pass found and did."""
 
     committed_txns: int = 0
-    replayed_pages: int = 0  # whole PAGE images
+    replayed_pages: int = 0  # whole images (IMAGE, or an older log's PAGE)
     replayed_deltas: int = 0
     replayed_meta: bool = False
     discarded_txns: int = 0
@@ -188,9 +204,10 @@ class WriteAheadLog:
         # handle creates the file, so the size is always readable).
         self._size = os.path.getsize(self._path)
         # CRC32 of the newest logged image of every page imaged since
-        # the last truncate: committed transactions, and the open one's
-        # overlay that commit() merges and abort() drops — the same
-        # visibility rule scan_wal applies to the images themselves.
+        # the last truncate (the meta page under META_PAGE_ID, which is
+        # no node's): committed transactions, and the open one's overlay
+        # that commit() merges and abort() drops — the same visibility
+        # rule scan_wal applies to the images themselves.
         self._image_crcs: dict[int, int] = {}
         self._txn_image_crcs: dict[int, int] = {}
 
@@ -243,34 +260,54 @@ class WriteAheadLog:
 
     def log_page(self, page_id: int, image: bytes,
                  base: bytes | None = None) -> None:
-        """Journal the after-image of one page, whole or as a delta.
+        """Journal the after-image of one page, as whatever is smaller.
 
         ``base`` is the page's current image (the committed one, or the
         one this transaction logged before), padded like ``image``; pass
         it when :meth:`has_image` says the log already holds the page.
-        If its CRC32 is the one the log remembers for the page, only the
-        byte ranges that differ are written; otherwise — or when the
-        ranges would not be smaller — the whole image is.
+        If its CRC32 is the one the log remembers for the page, the byte
+        ranges that differ from it are cut as a DELTA; otherwise — or
+        when those ranges would not be smaller — the record is an IMAGE,
+        the ranges that differ from a page of zeros.
         """
         self._require_txn()
-        whole = image.rstrip(b"\x00")
-        payload = None
-        if base is not None and len(base) == len(image):
-            known = self._image_crc(page_id)
-            if known is not None and zlib.crc32(base) == known:
-                payload = _encode_delta(page_id, known, base, image)
-                if len(payload) >= _PAGE_ID.size + len(whole):
-                    payload = None
-        if payload is None:
-            self._append(REC_PAGE, self._txn_id, _PAGE_ID.pack(page_id) + whole)
-        else:
-            self._append(REC_DELTA, self._txn_id, payload)
+        kind, payload = REC_DELTA, self._cut_delta(page_id, image, base)
+        # An IMAGE is longer than its non-zero words, and most deltas
+        # are not: those need no IMAGE cut to be compared with.
+        words = np.frombuffer(image, np.uint32, len(image) >> 2)
+        if payload is None or len(payload) >= _IMAGE.size + 4 * np.count_nonzero(words):
+            sparse = _IMAGE.pack(page_id, len(image)) + _encode_ranges(None, image)
+            if payload is None or len(payload) >= len(sparse):
+                kind, payload = REC_IMAGE, sparse
+        self._append(kind, self._txn_id, payload)
         self._txn_image_crcs[page_id] = zlib.crc32(image)
 
-    def log_meta(self, image: bytes) -> None:
-        """Journal the after-image of the meta page."""
+    def log_meta(self, image: bytes, base: bytes | None = None) -> None:
+        """Journal the after-image of the meta page, raw or as a delta.
+
+        ``base`` is the meta image ``image`` replaces, if the caller
+        holds one.  The page rule applies: a META_DELTA only against a
+        base with the CRC32 of the last meta image in the log, and only
+        if it is smaller than the image itself.
+        """
         self._require_txn()
-        self._append(REC_META, self._txn_id, bytes(image))
+        image = bytes(image)
+        delta = self._cut_delta(META_PAGE_ID, image, base)
+        if delta is not None and len(delta) < len(image):
+            self._append(REC_META_DELTA, self._txn_id, delta)
+        else:
+            self._append(REC_META, self._txn_id, image)
+        self._txn_image_crcs[META_PAGE_ID] = zlib.crc32(image)
+
+    def _cut_delta(self, page_id: int, image: bytes,
+                   base: bytes | None) -> bytes | None:
+        """DELTA payload from ``base``, or ``None`` if it is no base."""
+        if base is None or len(base) != len(image):
+            return None
+        known = self._image_crc(page_id)
+        if known is None or zlib.crc32(base) != known:
+            return None
+        return _DELTA.pack(page_id, known, len(image)) + _encode_ranges(base, image)
 
     def commit(self) -> bool:
         """Append the COMMIT record; fsync per the batching policy.
@@ -370,37 +407,62 @@ def _record_crc(rec_type: int, txn_id: int, payload: bytes) -> int:
     return zlib.crc32(payload, crc) & 0xFFFFFFFF
 
 
-def _encode_delta(page_id: int, base_crc: int, base: bytes, image: bytes) -> bytes:
-    """DELTA payload turning ``base`` into ``image`` (equal lengths).
+def _encode_ranges(base: bytes | None, image: bytes) -> bytes:
+    """``offset, length, bytes`` ranges turning ``base`` into ``image``.
 
-    The images are compared four bytes at a time (a byte-exact diff
-    costs twice the time for 3 % fewer bytes), so a range starts and
-    ends on a word boundary.  Changed words with at most two unchanged
-    ones between them are logged as one range: the gap costs no more
-    than the second range header would.
+    ``base`` has ``image``'s length; ``None`` stands for that many zero
+    bytes.  The images are compared four bytes at a time (a byte-exact
+    diff costs twice the time for 3 % fewer bytes), so a range starts
+    and ends on a word boundary.  Changed words with at most two
+    unchanged ones between them are logged as one range: the gap costs
+    no more than the second range header would.
     """
     size = len(image)
     words = size >> 2
-    changed = (
-        np.frombuffer(base, np.uint32, words) != np.frombuffer(image, np.uint32, words)
-    ).nonzero()[0].tolist()
+    new = np.frombuffer(image, np.uint32, words)
+    changed = new != (0 if base is None else np.frombuffer(base, np.uint32, words))
+    # Where a word's successor differs in changedness a run starts or
+    # ends: with the two ends of the page, alternately (start, end).
+    bounds = (np.flatnonzero(changed[1:] != changed[:-1]) + 1).tolist()
+    if words and changed[0]:
+        bounds.insert(0, 0)
+    if words and changed[-1]:
+        bounds.append(words)
     runs = []
-    if changed:
-        start = last = changed[0]
-        for word in changed:
-            if word - last > 3:
-                runs.append((start << 2, (last + 1) << 2))
-                start = word
-            last = word
-        runs.append((start << 2, (last + 1) << 2))
+    if bounds:
+        start = bounds[0]
+        for i in range(1, len(bounds) - 1, 2):
+            if bounds[i + 1] - bounds[i] > 2:
+                runs.append((start << 2, bounds[i] << 2))
+                start = bounds[i + 1]
+        runs.append((start << 2, bounds[-1] << 2))
     tail = words << 2  # a page size that is no multiple of four
-    if base[tail:] != image[tail:]:
+    if image[tail:] != (bytes(size - tail) if base is None else base[tail:]):
         runs.append((tail, size))
-    parts = [_DELTA.pack(page_id, base_crc, size)]
+    parts = []
     for start, end in runs:
         parts.append(_RANGE.pack(start, end - start))
         parts.append(image[start:end])
     return b"".join(parts)
+
+
+def _apply_ranges(image: bytearray, payload, pos: int) -> bytearray | None:
+    """Write the ranges at ``payload[pos:]`` into ``image``, in place.
+
+    ``None`` if a range is cut short or leaves the image: the record is
+    corrupt, and the caller ends the scan.
+    """
+    size, end = len(image), len(payload)
+    while pos < end:
+        if pos + _RANGE.size > end:
+            return None
+        offset, length = _RANGE.unpack_from(payload, pos)
+        pos += _RANGE.size
+        if offset + length > size or pos + length > end:
+            return None
+        image[offset : offset + length] = payload[pos : pos + length]
+        pos += length
+    return image
 
 
 def _apply_delta(base, payload) -> bytearray | None:
@@ -418,27 +480,23 @@ def _apply_delta(base, payload) -> bytearray | None:
     image[: len(base)] = base
     if zlib.crc32(image) != base_crc:
         return None
-    pos, end = _DELTA.size, len(payload)
-    while pos < end:
-        if pos + _RANGE.size > end:
-            return None
-        offset, length = _RANGE.unpack_from(payload, pos)
-        pos += _RANGE.size
-        if offset + length > size or pos + length > end:
-            return None
-        image[offset : offset + length] = payload[pos : pos + length]
-        pos += length
-    return image
+    return _apply_ranges(image, payload, _DELTA.size)
+
+
+def _apply_image(payload) -> tuple[int, bytearray | None]:
+    """Page id and image of an IMAGE payload: its ranges over zeros."""
+    page_id, size = _IMAGE.unpack_from(payload)
+    return page_id, _apply_ranges(bytearray(size), payload, _IMAGE.size)
 
 
 def _scan(path) -> tuple[list[_Txn], dict[int, bytes], bytes | None, RecoveryReport]:
     """Walk a log: committed transactions, final images, final meta, report.
 
     The image table holds one entry per distinct page — the newest
-    committed image, a slice of the raw log for a PAGE record or a
-    materialised buffer once a delta touched it — so the scan's memory
-    is bounded by distinct pages x page size on top of the raw log, no
-    matter how many transactions rewrote each page.
+    committed image, a materialised buffer (a slice of the raw log for
+    an older log's PAGE record) — so the scan's memory is bounded by
+    distinct pages x page size on top of the raw log, no matter how
+    many transactions rewrote each page.
     """
     report = RecoveryReport()
     committed: list[_Txn] = []
@@ -466,11 +524,20 @@ def _scan(path) -> tuple[list[_Txn], dict[int, bytes], bytes | None, RecoveryRep
             open_txns[txn_id] = _Txn(txn_id)
         elif rec_type not in _RECORD_KIND:
             break  # unknown record type: treat as corruption
+        elif length < _MIN_PAYLOAD.get(rec_type, 0):
+            break  # too short to be what it says it is: corruption too
         elif txn is None:
             pass  # a record of a transaction whose BEGIN the log lacks
         elif rec_type == REC_PAGE:
             (page_id,) = _PAGE_ID.unpack_from(payload)
             txn.pages[page_id] = payload[_PAGE_ID.size :]
+            txn.whole_images += 1
+        elif rec_type == REC_IMAGE:
+            # From zeros, whatever image of the page the scan holds.
+            page_id, image = _apply_image(payload)
+            if image is None:
+                break
+            txn.pages[page_id] = image
             txn.whole_images += 1
         elif rec_type == REC_DELTA:
             page_id = _DELTA.unpack_from(payload)[0]
@@ -484,6 +551,11 @@ def _scan(path) -> tuple[list[_Txn], dict[int, bytes], bytes | None, RecoveryRep
             txn.deltas += 1
         elif rec_type == REC_META:
             txn.meta = payload
+        elif rec_type == REC_META_DELTA:
+            image = _apply_delta(meta if txn.meta is None else txn.meta, payload)
+            if image is None:
+                break
+            txn.meta = image
         else:  # REC_COMMIT
             del open_txns[txn_id]
             images.update(txn.pages)
@@ -569,7 +641,8 @@ def open_wal(path, *, sync_every: int = 1, fault_plan=None,
     normally empty here); any surviving records are scanned so fresh
     transactions get ids strictly above everything already on disk.
     Their images do not seed the CRC table: the first write of each page
-    in this session is logged whole, which is always correct.
+    (and of the meta page) in this session is cut against nothing — an
+    IMAGE, a raw META — which is always correct.
     """
     wal = WriteAheadLog(path, sync_every=sync_every, fault_plan=fault_plan,
                         checkpoint_bytes=checkpoint_bytes)

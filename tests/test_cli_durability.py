@@ -57,16 +57,32 @@ def test_recover_replays_a_crashed_log(tmp_path, data_file, capsys):
     from repro.exceptions import CrashError
     from repro.storage import FaultPlan
 
-    out = str(tmp_path / "crashed.db")
     points = np.load(data_file)
-    with Database.create(out, kind="sr", dims=4, durability="wal",
-                         page_size=2048):
-        pass
-    plan = FaultPlan(fail_after_write_bytes=40_000)
-    db = Database.open(out, fault_plan=plan, sync_every=50)
-    with pytest.raises(CrashError):
-        for i, point in enumerate(points):
-            db.insert(point, value=i)
+
+    def insert_all(path: str, plan: FaultPlan):
+        """Bytes written (log and data file) after each completed insert,
+        and the handle the budget ran out under (``None``: closed cleanly)."""
+        with Database.create(path, kind="sr", dims=4, durability="wal",
+                             page_size=2048):
+            pass
+        db = Database.open(path, fault_plan=plan, sync_every=50)
+        written = []
+        try:
+            for i, point in enumerate(points):
+                db.insert(point, value=i)
+                written.append(plan.bytes_written)
+        except CrashError:
+            return written, db
+        db.close()
+        return written, None
+
+    # Die in the log record(s) of insert 21, before the first fsync
+    # boundary: the budget comes from an uncrashed run, not a literal.
+    written, _ = insert_all(str(tmp_path / "probe.db"), FaultPlan())
+    budget = (written[19] + written[20]) // 2
+    out = str(tmp_path / "crashed.db")
+    completed, db = insert_all(out, FaultPlan(fail_after_write_bytes=budget))
+    assert db is not None and len(completed) == 20
     # Model process death: hand the buffered bytes to the "OS".
     pagefile = db.index.store.pagefile
     while hasattr(pagefile, "inner"):

@@ -109,6 +109,24 @@ def _run_until_crash(path: str, points: np.ndarray,
     return ok, crashed
 
 
+def _uncrashed_bytes(tmp_path, template: str, points: np.ndarray,
+                     sync_every: int) -> int:
+    """Bytes a fault-free run of the workload writes, log and data file.
+
+    Every byte budget below is cut from this measurement, not from a
+    literal: how much an insert logs is the log format's business.
+    """
+    probe = str(tmp_path / "probe.db")
+    shutil.copy(template, probe)
+    plan = FaultPlan(fail_after_write_bytes=None)
+    db = Database.open(probe, fault_plan=plan, sync_every=sync_every)
+    for i, point in enumerate(points):
+        db.insert(point, value=i)
+    db.close()
+    assert plan.bytes_written > 0
+    return plan.bytes_written
+
+
 def _verify_recovered(path: str, points: np.ndarray, n_ok: int) -> int:
     """Reopen after a crash; assert integrity and k-NN parity."""
     with Database.open(path) as db:
@@ -142,16 +160,7 @@ def test_randomized_crash_points_recover_cleanly(tmp_path, family):
     points = _workload(family)
     template = _make_template(tmp_path, family)
 
-    # Calibrate: how many bytes does the full fault-free run write?
-    probe = str(tmp_path / "probe.db")
-    shutil.copy(template, probe)
-    plan = FaultPlan(fail_after_write_bytes=None)
-    db = Database.open(probe, fault_plan=plan, sync_every=100)
-    for i, point in enumerate(points):
-        db.insert(point, value=i)
-    db.close()
-    total_bytes = plan.bytes_written
-    assert total_bytes > 0
+    total_bytes = _uncrashed_bytes(tmp_path, template, points, sync_every=100)
 
     rng = np.random.default_rng(SEED)
     budgets = sorted(
@@ -184,20 +193,20 @@ def test_crash_between_commit_and_apply_is_replayed(tmp_path):
     """
     points = _workload("uniform")
     template = _make_template(tmp_path, "commitgap")
-    # Find a budget that dies *after* a COMMIT record: run with a
-    # generous budget, then binary-search is overkill — just sweep a few
-    # budgets and require at least one n_ok < size case.
+    # Find a budget that dies *after* a COMMIT record: binary-search is
+    # overkill — just sweep a few budgets below what the whole run
+    # writes and require at least one n_ok < size case.
+    total_bytes = _uncrashed_bytes(tmp_path, template, points, sync_every=1)
     rng = np.random.default_rng(SEED + 99)
     seen_replayed_tail = False
     trial_path = str(tmp_path / "gap.db")
     for trial in range(40):
-        budget = int(rng.integers(512, 60_000))
+        budget = int(rng.integers(512, total_bytes))
         shutil.copy(template, trial_path)
         shutil.copy(template + ".wal", trial_path + ".wal")
         n_ok, crashed = _run_until_crash(trial_path, points, budget,
                                          seed=trial, sync_every=1)
-        if not crashed:
-            continue
+        assert crashed  # the budget is below the run's bytes
         with Database.open(trial_path) as db:
             if db.size == n_ok + 1:
                 seen_replayed_tail = True
@@ -213,8 +222,9 @@ def test_recovery_is_idempotent_at_the_database_level(tmp_path):
     trial_path = str(tmp_path / "idem.db")
     shutil.copy(template, trial_path)
     shutil.copy(template + ".wal", trial_path + ".wal")
-    n_ok, crashed = _run_until_crash(trial_path, points, 20_000, seed=7)
-    assert crashed
+    budget = _uncrashed_bytes(tmp_path, template, points, sync_every=100) // 3
+    n_ok, crashed = _run_until_crash(trial_path, points, budget, seed=7)
+    assert crashed and n_ok > 0  # mid-run: commits to replay, and a torn tail
     first = _verify_recovered(trial_path, points, n_ok)
     # Opening (and thus recovering) again converges to the same state.
     second = _verify_recovered(trial_path, points, n_ok)
