@@ -58,7 +58,6 @@ from .indexes import (
     build_index,
     bulk_load,
     make_index,
-    open_index,
 )
 from .obs import REGISTRY, MetricsRegistry, explain, render, trace
 from .storage import FilePageFile, InMemoryPageFile, IOStats
@@ -121,7 +120,6 @@ __all__ = [
     "explain",
     "histogram_dataset",
     "make_index",
-    "open_index",
     "render",
     "sample_queries",
     "trace",

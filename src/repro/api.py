@@ -37,9 +37,8 @@ epoch.  Queries through a snapshot never observe an in-flight WAL
 transaction's shadow pages or a half-applied commit, even while another
 thread keeps inserting; see ``docs/CONCURRENCY.md``.
 
-The older entry points (``make_index``/``build_index``/``open_index``,
-direct index-class construction) keep working; ``open_index`` warns and
-forwards here.
+The older entry points (``make_index``/``build_index``, direct
+index-class construction) keep working.
 """
 
 from __future__ import annotations
@@ -258,8 +257,8 @@ class Database:
             (:func:`repro.obs.hooks.set_slo_ms`).
         index_kwargs:
             Uniform factory keywords — ``page_size``, ``buffer_pages``,
-            ``page_cache_bytes``, ``reinsert_fraction``, family extras —
-            validated with did-you-mean errors.
+            ``reinsert_fraction``, family extras — validated with
+            did-you-mean errors.
         """
         from .storage import DEFAULT_PAGE_SIZE, open_storage, wal_path
         from .storage.stack import open_pagefile
@@ -321,7 +320,6 @@ class Database:
         durability: str | None = None,
         sync_every: int = 1,
         buffer_pages: int | None = None,
-        page_cache_bytes: int = 0,
         fault_plan=None,
         slo_ms: float | None = None,
     ) -> "Database":
@@ -331,25 +329,12 @@ class Database:
         (unless ``durability`` overrides it) the durability mode it was
         created with.  ``slo_ms`` behaves as in :meth:`create`.
         """
-        from .storage import DEFAULT_PAGE_SIZE, load_meta_prefix
-
         file_path = os.fspath(path)
-        page_cache_capacity = 0
-        if page_cache_bytes:
-            geometry, prefix_meta = load_meta_prefix(file_path)
-            if geometry is not None and geometry["page_size"]:
-                page_size = geometry["page_size"]
-            else:
-                page_size = (prefix_meta or {}).get(
-                    "page_size", DEFAULT_PAGE_SIZE
-                )
-            page_cache_capacity = max(0, int(page_cache_bytes) // page_size)
         if slo_ms is not None and slo_ms <= 0:
             raise ValueError(f"slo_ms must be positive, got {slo_ms}")
         index = _open_index(
             file_path,
             buffer_pages,
-            page_cache_capacity,
             durability=durability,
             sync_every=sync_every,
             fault_plan=fault_plan,

@@ -82,7 +82,6 @@ class ThroughputResult:
     p95_ms: float
     page_reads_per_query: float   #: physical pages read / query (cold start)
     buffer_hit_ratio: float
-    page_cache_hit_ratio: float
     workers: int = 1
     #: worker backend for pool modes ("thread" | "process"); "inline"
     #: for the single/batched modes, which have no pool.
@@ -135,7 +134,6 @@ def _result(mode, queries, k, wall, samples_ms, stats_delta, workers=1,
         p95_ms=_percentiles(samples_ms)[1],
         page_reads_per_query=stats_delta.page_reads / queries,
         buffer_hit_ratio=stats_delta.hit_ratio,
-        page_cache_hit_ratio=stats_delta.page_cache_hit_ratio,
         workers=workers,
         per_worker=list(per_worker or []),
     )
@@ -155,10 +153,10 @@ def _expand_block_times(block_times) -> list[float]:
     return samples
 
 
-def _run_single(path, queries, k, buffer_capacity, page_cache_capacity):
+def _run_single(path, queries, k, buffer_capacity):
     from ..indexes.factory import _open_index
 
-    index = _open_index(path, buffer_capacity, page_cache_capacity)
+    index = _open_index(path, buffer_capacity)
     try:
         index.store.drop_cache()
         before = index.stats.snapshot()
@@ -175,12 +173,11 @@ def _run_single(path, queries, k, buffer_capacity, page_cache_capacity):
     return _result("single", len(queries), k, wall, samples, delta)
 
 
-def _run_batched(path, queries, k, block_size, buffer_capacity,
-                 page_cache_capacity):
+def _run_batched(path, queries, k, block_size, buffer_capacity):
     from ..exec import batch_knn
     from ..indexes.factory import _open_index
 
-    index = _open_index(path, buffer_capacity, page_cache_capacity)
+    index = _open_index(path, buffer_capacity)
     try:
         index.store.drop_cache()
         before = index.stats.snapshot()
@@ -201,14 +198,13 @@ def _run_batched(path, queries, k, block_size, buffer_capacity,
 
 
 def _run_parallel(path, queries, k, block_size, workers, buffer_capacity,
-                  page_cache_capacity, backend):
+                  backend):
     from ..exec import ServingPool
 
     # Pool construction (spawning worker processes under
     # backend="process") happens before t0: startup cost is a one-time
     # serving-deployment cost, not per-query throughput.
     with ServingPool(path, workers=workers, buffer_capacity=buffer_capacity,
-                     page_cache_capacity=page_cache_capacity,
                      backend=backend) as pool:
         pool.drop_caches()
         before = pool.stats()
@@ -368,7 +364,6 @@ def run_throughput(
     block_size: int = 64,
     workers: int = 4,
     buffer_capacity: int | None = None,
-    page_cache_capacity: int = 0,
     writer_qps: float = DEFAULT_WRITER_QPS,
     backend: str = "process",
     clients: int = 8,
@@ -391,15 +386,13 @@ def run_throughput(
     results: dict[str, ThroughputResult] = {}
     for mode in modes:
         if mode == "single":
-            results[mode] = _run_single(path, queries, k, buffer_capacity,
-                                        page_cache_capacity)
+            results[mode] = _run_single(path, queries, k, buffer_capacity)
         elif mode == "batched":
             results[mode] = _run_batched(path, queries, k, block_size,
-                                         buffer_capacity, page_cache_capacity)
+                                         buffer_capacity)
         elif mode == "parallel":
             results[mode] = _run_parallel(path, queries, k, block_size,
-                                          workers, buffer_capacity,
-                                          page_cache_capacity, backend)
+                                          workers, buffer_capacity, backend)
         elif mode == "mixed":
             results[mode] = _run_mixed(path, queries, k, block_size,
                                        workers, buffer_capacity, writer_qps)
@@ -425,7 +418,6 @@ def run_throughput(
         "k": k,
         "queries": int(queries.shape[0]),
         "block_size": block_size,
-        "page_cache_capacity": page_cache_capacity,
         "modes": {mode: asdict(res) for mode, res in results.items()},
         "speedups": {},
     }

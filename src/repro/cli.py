@@ -181,9 +181,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "(default; worker processes over a shared mmap, "
                             "scales with cores) or 'thread' (GIL-bound; "
                             "what the mixed mode always uses)")
-    bench.add_argument("--page-cache", type=int, default=0, metavar="PAGES",
-                       help="raw-image page cache per handle, in pages "
-                            "(default 0 = off)")
     bench.add_argument("--writer-qps", type=float, default=None,
                        metavar="QPS",
                        help="mixed-workload mode: serve from snapshot views "
@@ -705,7 +702,6 @@ def _cmd_bench_throughput(args) -> int:
         modes=modes,
         block_size=args.block_size,
         workers=args.workers,
-        page_cache_capacity=args.page_cache,
         writer_qps=(DEFAULT_WRITER_QPS if args.writer_qps is None
                     else args.writer_qps),
         backend=args.backend,

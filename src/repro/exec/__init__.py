@@ -26,8 +26,7 @@ whole *block* of queries:
   actually scales with cores.
 
 Together with the zero-copy page decode
-(:class:`~repro.storage.serializer.NodeCodec`) and the raw-image
-:class:`~repro.storage.pagecache.PageCache`, this is the throughput
+(:class:`~repro.storage.serializer.NodeCodec`), this is the throughput
 path benchmarked by ``repro bench-throughput`` (see
 ``docs/PERFORMANCE.md``).
 """

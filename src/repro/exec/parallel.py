@@ -1,9 +1,9 @@
 """The serving pool: one scatter/gather core, thread workers.
 
 A pool serves one index from several workers at once, each with a
-**private** handle (buffer pool, page cache,
-:class:`~repro.storage.stats.IOStats`).  Everything a caller sees is
-implemented once, in :class:`PoolCore`: argument validation, the query
+**private** handle (buffer pool, :class:`~repro.storage.stats.IOStats`).
+Everything a caller sees is implemented once, in :class:`PoolCore`:
+argument validation, the query
 surface (:meth:`~PoolCore.knn` / :meth:`~PoolCore.range`, their
 ``*_batch`` forms, :meth:`~PoolCore.window`, :meth:`~PoolCore.lookup`),
 contiguous sharding, the deadline-bounded gather, degradation
@@ -201,8 +201,6 @@ class PoolCore:
         Worker count; defaults to ``min(4, cpu_count)``.
     buffer_capacity:
         Per-worker buffer pool frames (``None`` = store default).
-    page_cache_capacity:
-        Per-worker raw-image page cache, in pages (0 = off).
     timeout:
         Per-call deadline in seconds shared by all shards of one call;
         ``None`` (default) waits forever.  A shard that misses the
@@ -222,7 +220,7 @@ class PoolCore:
 
     A backend subclass supplies the worker primitives:
 
-    ``_open_workers(source, workers, buffer_capacity, page_cache_capacity)``
+    ``_open_workers(source, workers, buffer_capacity)``
         open every worker's handle;
     ``_describe()``
         ``{"dims", "kind", "size"}`` of the served index;
@@ -254,7 +252,6 @@ class PoolCore:
         *,
         workers: int | None = None,
         buffer_capacity: int | None = None,
-        page_cache_capacity: int = 0,
         timeout: float | None = None,
         read_retries: int = 2,
         retry_backoff: float = 0.01,
@@ -277,8 +274,7 @@ class PoolCore:
         self._workers = workers
         self._degraded_queries = 0
         self._closed = False
-        self._open_workers(source, workers, buffer_capacity,
-                           page_cache_capacity)
+        self._open_workers(source, workers, buffer_capacity)
 
     # ------------------------------------------------------------------
 
@@ -538,15 +534,12 @@ class PoolCore:
             "buffer_hits": stats.buffer_hits,
             "buffer_misses": stats.buffer_misses,
             "buffer_hit_ratio": stats.hit_ratio,
-            "page_cache_hits": stats.page_cache_hits,
-            "page_cache_misses": stats.page_cache_misses,
             "distance_computations": stats.distance_computations,
             **self._health(worker),
         } for worker, stats in enumerate(self._io_stats())]
 
     def drop_caches(self) -> None:
-        """Cold-start every available worker (empties buffer pools and
-        page caches)."""
+        """Cold-start every available worker (empties buffer pools)."""
         if self._closed:
             raise RuntimeError("serving pool is closed")
         self._drop(self._available())
@@ -580,9 +573,7 @@ class ServingPool(PoolCore):
         :class:`~repro.api.Database` (snapshot mode: each worker owns an
         epoch-pinned read-only view of the live index, refreshed to the
         newest committed epoch at the start of every call; closing the
-        pool releases the pins but leaves the database open;
-        ``page_cache_capacity`` is ignored, workers read through the
-        base store).
+        pool releases the pins but leaves the database open).
     timeout:
         A worker thread that misses the deadline cannot be interrupted
         and finishes in the background, during which the worker is
@@ -613,8 +604,7 @@ class ServingPool(PoolCore):
             )
         super().__init__(source, **kwargs)
 
-    def _open_workers(self, source, workers, buffer_capacity,
-                      page_cache_capacity) -> None:
+    def _open_workers(self, source, workers, buffer_capacity) -> None:
         from ..api import Database
         from ..indexes.factory import _open_index
 
@@ -632,8 +622,7 @@ class ServingPool(PoolCore):
             ]
         else:
             self._indexes = [
-                _open_index(source, buffer_capacity, page_cache_capacity)
-                for _ in range(workers)
+                _open_index(source, buffer_capacity) for _ in range(workers)
             ]
         self._executor = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-serve"
@@ -703,8 +692,8 @@ class ServingPool(PoolCore):
         actually completed.  That task ran against the handle possibly
         after the disk misbehaved mid-read and while ``drop_caches()``
         was skipping the worker; anything it left in the private buffer
-        pool / page cache is suspect, so the handle is cold-started
-        before it serves again.
+        pool is suspect, so the handle is cold-started before it serves
+        again.
         """
         available = []
         for worker, index in enumerate(self._indexes):

@@ -125,8 +125,7 @@ def _worker_main(conn, path: str, opts: dict) -> None:
     from ..indexes.factory import _open_index
 
     try:
-        index = _open_index(path, opts["buffer_capacity"],
-                            opts["page_cache_capacity"], readonly=True)
+        index = _open_index(path, opts["buffer_capacity"], readonly=True)
     except BaseException as exc:  # noqa: BLE001 - must report, then die
         try:
             conn.send(("error", type(exc).__name__, traceback.format_exc()))
@@ -223,14 +222,12 @@ class ProcessServingPool(PoolCore):
         self._test_delay_s = _test_delay_s
         super().__init__(source, **kwargs)
 
-    def _open_workers(self, source, workers, buffer_capacity,
-                      page_cache_capacity) -> None:
+    def _open_workers(self, source, workers, buffer_capacity) -> None:
         self._path = os.fspath(source)
         if not os.path.exists(self._path):
             raise FileNotFoundError(self._path)
         self._opts = {
             "buffer_capacity": buffer_capacity,
-            "page_cache_capacity": page_cache_capacity,
             "read_retries": self._read_retries,
             "retry_backoff": self._retry_backoff,
             "test_delay_s": self._test_delay_s,

@@ -10,7 +10,7 @@
 
 from .base import Entry, Neighbor, SpatialIndex
 from .bulk import bulk_load
-from .factory import INDEX_KINDS, build_index, make_index, open_index
+from .factory import INDEX_KINDS, build_index, make_index
 from .kdb import KDBTree
 from .linear import LinearScan
 from .rstar import RStarTree
@@ -36,5 +36,4 @@ __all__ = [
     "build_index",
     "bulk_load",
     "make_index",
-    "open_index",
 ]

@@ -99,7 +99,6 @@ class _IndexConfig:
     buffer_capacity: int = DEFAULT_BUFFER_CAPACITY
     min_utilization: float = 0.4
     reinsert_fraction: float = 0.3
-    page_cache_capacity: int = 0
     extras: dict = field(default_factory=dict)
 
 
@@ -133,7 +132,6 @@ class SpatialIndex(ABC):
         min_utilization: float = 0.4,
         reinsert_fraction: float = 0.3,
         stats: IOStats | None = None,
-        page_cache_capacity: int = 0,
         wal: WriteAheadLog | None = None,
     ) -> None:
         self._layout = NodeLayout(
@@ -145,8 +143,7 @@ class SpatialIndex(ABC):
             leaf_data_size=leaf_data_size,
         )
         self._store = NodeStore(
-            self._layout, pagefile, buffer_capacity, stats,
-            page_cache_capacity=page_cache_capacity, wal=wal,
+            self._layout, pagefile, buffer_capacity, stats, wal=wal,
         )
         self._config = _IndexConfig(
             page_size=page_size,
@@ -154,7 +151,6 @@ class SpatialIndex(ABC):
             buffer_capacity=buffer_capacity,
             min_utilization=min_utilization,
             reinsert_fraction=reinsert_fraction,
-            page_cache_capacity=page_cache_capacity,
         )
         self._size = 0
         root = self._store.new_leaf()
@@ -530,16 +526,13 @@ class SpatialIndex(ABC):
     @classmethod
     def open(cls, pagefile: PageFile,
              buffer_capacity: int = DEFAULT_BUFFER_CAPACITY,
-             page_cache_capacity: int = 0,
              wal: WriteAheadLog | None = None) -> "SpatialIndex":
         """Re-open an index previously written with :meth:`save`.
 
         The page file's meta page supplies every construction parameter;
-        the class must match the one that wrote the file.
-        ``page_cache_capacity`` (pages, 0 = off) sizes the optional
-        raw-image cache between the buffer pool and the page file, and
-        ``wal`` attaches an (already recovered) write-ahead log so
-        subsequent mutations are transactional.
+        the class must match the one that wrote the file.  ``wal``
+        attaches an (already recovered) write-ahead log so subsequent
+        mutations are transactional.
         """
         probe_layout = NodeLayout(
             dims=1,
@@ -554,8 +547,7 @@ class SpatialIndex(ABC):
                 f"page file holds a {meta['index']!r} index, not {cls.NAME!r}"
             )
         index = cls.__new__(cls)
-        _restore(index, cls, pagefile, buffer_capacity, meta,
-                 page_cache_capacity=page_cache_capacity, wal=wal)
+        _restore(index, cls, pagefile, buffer_capacity, meta, wal=wal)
         index._restore_extra(meta)
         return index
 
@@ -673,7 +665,6 @@ class SpatialIndex(ABC):
 
 
 def _restore(index: SpatialIndex, cls, pagefile, buffer_capacity, meta,
-             page_cache_capacity: int = 0,
              wal: WriteAheadLog | None = None) -> None:
     """Rebuild a live index object around an existing page file."""
     index._layout = NodeLayout(
@@ -684,15 +675,13 @@ def _restore(index: SpatialIndex, cls, pagefile, buffer_capacity, meta,
         page_size=meta["page_size"],
         leaf_data_size=meta["leaf_data_size"],
     )
-    index._store = NodeStore(index._layout, pagefile, buffer_capacity,
-                             page_cache_capacity=page_cache_capacity, wal=wal)
+    index._store = NodeStore(index._layout, pagefile, buffer_capacity, wal=wal)
     index._config = _IndexConfig(
         page_size=meta["page_size"],
         leaf_data_size=meta["leaf_data_size"],
         buffer_capacity=buffer_capacity,
         min_utilization=meta["min_utilization"],
         reinsert_fraction=meta["reinsert_fraction"],
-        page_cache_capacity=page_cache_capacity,
     )
     index._root_id = meta["root_id"]
     index._height = meta["height"]

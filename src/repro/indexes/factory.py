@@ -5,15 +5,14 @@ classes, and provides a uniform "build an index over this data set"
 entry point that hides the static/dynamic construction difference.
 
 Keyword arguments are *uniform* across the families: every factory call
-accepts the canonical spellings ``page_size``, ``buffer_pages``,
-``page_cache_bytes``, and ``reinsert_fraction`` (plus the historical
-``buffer_capacity``/``page_cache_capacity`` frame-count forms), and an
-unknown keyword is rejected with a did-you-mean error instead of the
-bare ``TypeError`` a blind ``**kwargs`` pass-through used to produce.
+accepts the canonical spellings ``page_size``, ``buffer_pages`` and
+``reinsert_fraction`` (plus the historical ``buffer_capacity``
+frame-count form), and an unknown keyword is rejected with a
+did-you-mean error instead of the bare ``TypeError`` a blind
+``**kwargs`` pass-through used to produce.
 
-:func:`open_index` is kept for backward compatibility but deprecated —
-new code should use :class:`repro.api.Database`, which adds checksums,
-WAL recovery, and a uniform query surface on top of the same machinery.
+Saved indexes are re-opened through :class:`repro.api.Database`, which
+adds checksums, WAL recovery, and a uniform query surface.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from __future__ import annotations
 import difflib
 import inspect
 import time
-import warnings
 
 import numpy as np
 
@@ -36,7 +34,7 @@ from .srx import SRXTree
 from .sstree import SSTree
 from .vamsplit import VAMSplitRTree
 
-__all__ = ["INDEX_KINDS", "make_index", "build_index", "open_index"]
+__all__ = ["INDEX_KINDS", "make_index", "build_index"]
 
 INDEX_KINDS: dict[str, type[SpatialIndex]] = {
     RTree.NAME: RTree,
@@ -83,8 +81,6 @@ def normalize_index_kwargs(cls: type[SpatialIndex], kwargs: dict) -> dict:
 
     * ``buffer_pages`` (canonical) ⇄ ``buffer_capacity`` (legacy alias,
       both are frame counts; passing both is an error);
-    * ``page_cache_bytes`` (canonical) is converted to the page-count
-      ``page_cache_capacity`` using the index's page size;
     * anything the constructor does not accept raises ``ValueError``
       with a close-match suggestion.
     """
@@ -96,20 +92,8 @@ def normalize_index_kwargs(cls: type[SpatialIndex], kwargs: dict) -> dict:
                 "(they are the same knob; buffer_pages is canonical)"
             )
         out["buffer_capacity"] = out.pop("buffer_pages")
-    if "page_cache_bytes" in out:
-        if "page_cache_capacity" in out:
-            raise ValueError(
-                "pass either page_cache_bytes or page_cache_capacity, not "
-                "both (page_cache_bytes is canonical)"
-            )
-        from ..storage import DEFAULT_PAGE_SIZE
-
-        page_size = int(out.get("page_size", DEFAULT_PAGE_SIZE))
-        out["page_cache_capacity"] = max(
-            0, int(out.pop("page_cache_bytes")) // page_size
-        )
     allowed = _allowed_kwargs(cls)
-    aliases = {"buffer_pages", "page_cache_bytes"}
+    aliases = {"buffer_pages"}
     for name in out:
         if name not in allowed:
             hint = difflib.get_close_matches(name, allowed | aliases, n=1)
@@ -152,8 +136,7 @@ def build_index(kind: str, points, values=None, **kwargs) -> SpatialIndex:
     return index
 
 
-def _open_index(path, buffer_capacity: int | None = None,
-                page_cache_capacity: int = 0, *,
+def _open_index(path, buffer_capacity: int | None = None, *,
                 durability: str | None = None,
                 sync_every: int = 1,
                 fault_plan=None,
@@ -214,21 +197,5 @@ def _open_index(path, buffer_capacity: int | None = None,
             f"file holds an unknown index kind {meta['index']!r}"
         ) from None
     capacity = buffer_capacity if buffer_capacity else DEFAULT_BUFFER_CAPACITY
-    return cls.open(pagefile, buffer_capacity=capacity,
-                    page_cache_capacity=page_cache_capacity, wal=wal)
+    return cls.open(pagefile, buffer_capacity=capacity, wal=wal)
 
-
-def open_index(path, buffer_capacity: int | None = None,
-               page_cache_capacity: int = 0, **kwargs) -> SpatialIndex:
-    """Deprecated: use :meth:`repro.api.Database.open` instead.
-
-    Behaves exactly like the internal opener (including WAL recovery and
-    checksum awareness) but warns so callers migrate to the facade.
-    """
-    warnings.warn(
-        "open_index() is deprecated; use repro.Database.open(path) "
-        "(same behavior plus a uniform query API)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _open_index(path, buffer_capacity, page_cache_capacity, **kwargs)

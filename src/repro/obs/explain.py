@@ -141,12 +141,6 @@ def explain(span: Span) -> str:
         f"pages read {pages} physical ({node_pages} node + {leaf_pages} leaf) · "
         f"buffer hits {hits} ({hit_pct:.1f}%)"
     )
-    page_cache_hits = sum(p.page_cache_hits for p in _walk(span))
-    if page_cache_hits:
-        # Raw-image cache hits are a subset of the hit fetches above:
-        # served without a physical read, but by re-decoding a cached
-        # page image rather than from a live node object.
-        lines.append(f"page-cache hits {page_cache_hits} (counted as buffer hits)")
     pushes = sum(p.queue_pushes for p in _walk(span))
     pops = sum(p.queue_pops for p in _walk(span))
     peak = max(p.queue_peak for p in _walk(span))

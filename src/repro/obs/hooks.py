@@ -156,11 +156,6 @@ BUFFER_LOOKUPS = REGISTRY.counter(
     "Buffer pool lookups, by outcome",
     ("index_kind", "outcome"),
 )
-PAGE_CACHE_LOOKUPS = REGISTRY.counter(
-    "repro_page_cache_lookups_total",
-    "Raw-image page cache lookups (buffer-pool misses probing below), by outcome",
-    ("index_kind", "outcome"),
-)
 NODE_CACHE_HIT_RATIO = REGISTRY.gauge(
     "repro_node_cache_hit_ratio",
     "Decoded-node (buffer pool) cache hit ratio over the index lifetime",
@@ -357,8 +352,6 @@ class _QueryObservation:
             stats.distance_computations,
             stats.buffer_hits,
             stats.buffer_misses,
-            stats.page_cache_hits,
-            stats.page_cache_misses,
         )
         self._qid = EVENTS.next_query_id()
         if EVENTS.enabled_for(DEBUG):
@@ -427,12 +420,6 @@ class _QueryObservation:
             BUFFER_LOOKUPS.labels(index_kind=kind, outcome="hit").inc(hits)
         if misses:
             BUFFER_LOOKUPS.labels(index_kind=kind, outcome="miss").inc(misses)
-        pc_hits = stats.page_cache_hits - b[6]
-        pc_misses = stats.page_cache_misses - b[7]
-        if pc_hits:
-            PAGE_CACHE_LOOKUPS.labels(index_kind=kind, outcome="hit").inc(pc_hits)
-        if pc_misses:
-            PAGE_CACHE_LOOKUPS.labels(index_kind=kind, outcome="miss").inc(pc_misses)
         NODE_CACHE_HIT_RATIO.labels(index_kind=kind).set(stats.hit_ratio)
         wall_ms = elapsed * 1e3
         rec = FLIGHT.record(

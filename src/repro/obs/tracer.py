@@ -86,12 +86,6 @@ class Span:
     queue_pushes: int = 0
     queue_pops: int = 0
     queue_peak: int = 0
-    #: Node fetches satisfied by decoding a cached raw page image
-    #: (:class:`~repro.storage.pagecache.PageCache`) instead of the page
-    #: file.  These are recorded as ``hit=True`` fetches — no physical
-    #: read happened — so ``pages_read`` still equals the physical
-    #: ``IOStats.page_reads`` delta.
-    page_cache_hits: int = 0
 
     # -- event recording (called from instrumentation sites) ----------
 

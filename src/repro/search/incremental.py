@@ -10,9 +10,10 @@ e.g. "closest image with a licence" or distance-bounded joins.
 This is an extension beyond the paper (which fixes k = 21 throughout),
 built on the same per-family MINDIST bounds.
 
-``iter_nearest`` reads ``trace.active`` once when the generator starts
-and runs either an untraced loop (no span branches per node or child)
-or a traced twin that records visit/prune/queue events.
+The generator is consumed lazily and may outlive the span it was
+created in, so the one loop reads ``trace.active`` each time it expands
+a node — where the store records that node's fetch — and a node's
+fetch and its visit/prune/queue events always land in the same span.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import numpy as np
 
 from ..indexes.base import Neighbor
 from ..obs.tracer import trace
+from .knn import leaf_distances, trace_expansion
 
 __all__ = ["iter_nearest"]
 
@@ -45,23 +47,6 @@ def iter_nearest(index, point: np.ndarray, max_distance: float = float("inf"),
     distance is no greater than the MINDIST of every unexpanded subtree
     still in the queue.
     """
-    span = trace.active
-    if span is None:
-        return _iter_nearest(index, point, max_distance)
-    return _iter_nearest_traced(index, point, max_distance, span)
-
-
-def _leaf_candidates(node, point: np.ndarray, stats) -> np.ndarray:
-    pts = node.points[: node.count]
-    diff = pts - point
-    dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    stats.distance_computations += node.count
-    return pts, dists
-
-
-def _iter_nearest(index, point: np.ndarray,
-                  max_distance: float) -> Iterator[Neighbor]:
-    """Untraced fast path: zero tracing branches in the queue loop."""
     stats = index.stats
     tiebreak = count()
     # Items: (distance, kind, tiebreak, payload); kind orders points
@@ -76,10 +61,14 @@ def _iter_nearest(index, point: np.ndarray,
             yield Neighbor(dist, candidate_point, value)
             continue
         node = index.read_node(payload)
+        span = trace.active
+        if span is not None:
+            span.visit(payload, node.level, dist, max_distance)
+            span.queue(len(queue), popped=1)
         if node.is_leaf:
             if node.count == 0:
                 continue
-            pts, dists = _leaf_candidates(node, point, stats)
+            pts, dists = leaf_distances(node, point, stats)
             for i in range(node.count):
                 if dists[i] <= max_distance:
                     heapq.heappush(
@@ -87,6 +76,8 @@ def _iter_nearest(index, point: np.ndarray,
                         (float(dists[i]), _POINT, next(tiebreak),
                          (pts[i].copy(), node.values[i])),
                     )
+            if span is not None:
+                span.queue(len(queue))
             continue
         child_dists = index.child_mindists(node, point)
         stats.distance_computations += node.count
@@ -98,48 +89,5 @@ def _iter_nearest(index, point: np.ndarray,
                     (float(child_dists[i]), _NODE, next(tiebreak),
                      int(child_ids[i])),
                 )
-
-
-def _iter_nearest_traced(index, point: np.ndarray, max_distance: float,
-                         span) -> Iterator[Neighbor]:
-    """Traced twin of :func:`_iter_nearest`."""
-    stats = index.stats
-    tiebreak = count()
-    queue: list[tuple] = [(0.0, _NODE, next(tiebreak), index.root_id)]
-    while queue:
-        dist, kind, _, payload = heapq.heappop(queue)
-        if dist > max_distance:
-            return
-        if kind == _POINT:
-            candidate_point, value = payload
-            yield Neighbor(dist, candidate_point, value)
-            continue
-        node = index.read_node(payload)
-        span.visit(payload, node.level, dist, max_distance)
-        span.queue(len(queue), popped=1)
-        if node.is_leaf:
-            if node.count == 0:
-                continue
-            pts, dists = _leaf_candidates(node, point, stats)
-            for i in range(node.count):
-                if dists[i] <= max_distance:
-                    heapq.heappush(
-                        queue,
-                        (float(dists[i]), _POINT, next(tiebreak),
-                         (pts[i].copy(), node.values[i])),
-                    )
-            span.queue(len(queue))
-            continue
-        child_dists = index.child_mindists(node, point)
-        stats.distance_computations += node.count
-        for i in range(node.count):
-            if child_dists[i] <= max_distance:
-                heapq.heappush(
-                    queue,
-                    (float(child_dists[i]), _NODE, next(tiebreak),
-                     int(node.child_ids[i])),
-                )
-                span.queue(len(queue), pushed=1)
-            else:
-                span.prune(int(node.child_ids[i]), node.level - 1,
-                           float(child_dists[i]), max_distance)
+        if span is not None:
+            trace_expansion(span, node, child_dists, max_distance, len(queue))

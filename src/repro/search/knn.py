@@ -19,12 +19,12 @@ Distance computations are tallied into the index's
 :class:`~repro.storage.stats.IOStats` as a machine-independent CPU-cost
 proxy; physical page reads are counted by the node store itself.
 
-**Tracing cost.**  Each algorithm reads ``trace.active`` exactly once
-per query and dispatches to either an untraced fast path (no span
-branches anywhere in the per-node loops) or a traced twin that records
-visit/prune/queue events.  The price is a second small code path per
-algorithm; the payoff is that the overwhelmingly common untraced query
-pays a single branch, not one per node and child.
+**Tracing.**  Each algorithm is one traversal that takes the active
+span (``trace.active``, read once per query) and records its
+visit/prune/queue events under ``if span is not None`` at the places
+where a node is expanded — never per leaf candidate.  The untraced query
+pays those few branches per node and nothing else; there is no second
+copy of any loop to keep in step.
 """
 
 from __future__ import annotations
@@ -116,6 +116,50 @@ class KnnCandidates:
 
 
 # ----------------------------------------------------------------------
+# shared by every traversal
+# ----------------------------------------------------------------------
+
+
+def leaf_distances(node, point: np.ndarray, stats):
+    """The one leaf kernel: ``(points, distances)`` over a leaf's entries.
+
+    Exact Euclidean distances from ``point`` to every point the leaf
+    stores, tallied as distance computations.  The arithmetic is
+    :func:`~repro.geometry.point.distances_to_many`'s, spelled out here
+    to keep two call frames off the per-leaf path.
+    """
+    pts = node.points[: node.count]
+    diff = pts - point
+    stats.distance_computations += node.count
+    return pts, np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+
+def trace_expansion(span, node, child_dists, bound: float, depth: int) -> None:
+    """Record one expanded node of a queue-driven traversal on ``span``.
+
+    The children within ``bound`` were pushed (their verdict comes when
+    they are popped); every other child is pruned here, in entry order.
+    ``depth`` is the queue length after the pushes.
+    """
+    level = node.level - 1
+    pushed = 0
+    for i in range(node.count):
+        if child_dists[i] <= bound:
+            pushed += 1
+        else:
+            span.prune(int(node.child_ids[i]), level, float(child_dists[i]),
+                       bound)
+    span.queue(depth, pushed=pushed)
+
+
+def _scan_leaf(node, point, candidates, stats) -> None:
+    if node.count == 0:
+        return
+    pts, dists = leaf_distances(node, point, stats)
+    candidates.offer_batch(dists, pts, node.values)
+
+
+# ----------------------------------------------------------------------
 # depth-first branch-and-bound
 # ----------------------------------------------------------------------
 
@@ -127,29 +171,15 @@ def knn_search(index, point: np.ndarray, k: int) -> list[Neighbor]:
     distance (fewer when the index holds fewer than ``k`` points).
     """
     candidates = KnnCandidates(k)
-    stats = index.stats
     span = trace.active
-    if span is None:
-        _visit(index, index.root_id, point, candidates, stats)
-    else:
+    if span is not None:
         span.visit(index.root_id, index.height - 1, 0.0)
-        _visit_traced(index, index.root_id, point, candidates, stats, span)
+    _visit(index, index.root_id, point, candidates, index.stats, span)
     return candidates.results()
 
 
-def _scan_leaf(node, point, candidates, stats) -> None:
-    if node.count == 0:
-        return
-    pts = node.points[: node.count]
-    diff = pts - point
-    dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    stats.distance_computations += node.count
-    candidates.offer_batch(dists, pts, node.values)
-
-
 def _visit(index, page_id: int, point: np.ndarray, candidates: KnnCandidates,
-           stats) -> None:
-    """Untraced fast path: zero tracing branches in the hot loop."""
+           stats, span) -> None:
     node = index.read_node(page_id)
     if node.is_leaf:
         _scan_leaf(node, point, candidates, stats)
@@ -157,35 +187,22 @@ def _visit(index, page_id: int, point: np.ndarray, candidates: KnnCandidates,
     dists = index.child_mindists(node, point)
     stats.distance_computations += node.count
     child_ids = node.child_ids
-    for i in np.argsort(dists, kind="stable"):
+    order = np.argsort(dists, kind="stable")
+    for pos, i in enumerate(order):
         # Children are visited in MINDIST order, so once one exceeds the
         # current bound every later one does too.
         if dists[i] > candidates.bound:
+            if span is not None:
+                bound = candidates.bound
+                for j in order[pos:]:
+                    span.prune(int(child_ids[j]), node.level - 1,
+                               float(dists[j]), bound)
             break
-        _visit(index, int(child_ids[i]), point, candidates, stats)
-
-
-def _visit_traced(index, page_id: int, point: np.ndarray,
-                  candidates: KnnCandidates, stats, span) -> None:
-    """Traced twin of :func:`_visit`: records visit/prune events."""
-    node = index.read_node(page_id)
-    if node.is_leaf:
-        _scan_leaf(node, point, candidates, stats)
-        return
-    dists = index.child_mindists(node, point)
-    stats.distance_computations += node.count
-    order = np.argsort(dists, kind="stable")
-    for pos, i in enumerate(order):
-        if dists[i] > candidates.bound:
-            bound = candidates.bound
-            for j in order[pos:]:
-                span.prune(int(node.child_ids[j]), node.level - 1,
-                           float(dists[j]), bound)
-            break
-        span.visit(int(node.child_ids[i]), node.level - 1, float(dists[i]),
-                   candidates.bound)
-        _visit_traced(index, int(node.child_ids[i]), point, candidates, stats,
-                      span)
+        child_id = int(child_ids[i])
+        if span is not None:
+            span.visit(child_id, node.level - 1, float(dists[i]),
+                       candidates.bound)
+        _visit(index, child_id, point, candidates, stats, span)
 
 
 # ----------------------------------------------------------------------
@@ -208,26 +225,29 @@ def knn_search_best_first(index, point: np.ndarray, k: int) -> list[Neighbor]:
     Returns the same results as :func:`knn_search`.
     """
     candidates = KnnCandidates(k)
-    span = trace.active
-    if span is None:
-        _best_first(index, point, candidates)
-    else:
-        _best_first_traced(index, point, candidates, span)
-    return candidates.results()
-
-
-def _best_first(index, point: np.ndarray, candidates: KnnCandidates) -> None:
-    """Untraced fast path of the best-first traversal."""
     stats = index.stats
+    span = trace.active
     tiebreak = count()
-    # Queue items: (mindist, tiebreak, page_id).
-    queue: list[tuple[float, int, int]] = [(0.0, next(tiebreak), index.root_id)]
+    # Queue items: (mindist, tiebreak, page_id, level); the level rides
+    # along so whatever is still queued at the end can be attributed to
+    # its tree level when it is pruned.
+    queue: list[tuple[float, int, int, int]] = [
+        (0.0, next(tiebreak), index.root_id, index.height - 1)
+    ]
     while queue:
-        dist, _, page_id = heapq.heappop(queue)
+        dist, _, page_id, level = heapq.heappop(queue)
         if dist > candidates.bound:
             # Every remaining subtree is farther than the k-th best.
+            if span is not None:
+                bound = candidates.bound
+                span.prune(page_id, level, dist, bound)
+                for leftover_dist, _, leftover_id, leftover_level in queue:
+                    span.prune(leftover_id, leftover_level, leftover_dist, bound)
             break
         node = index.read_node(page_id)
+        if span is not None:
+            span.visit(page_id, node.level, dist, candidates.bound)
+            span.queue(len(queue), popped=1)
         if node.is_leaf:
             _scan_leaf(node, point, candidates, stats)
             continue
@@ -235,49 +255,14 @@ def _best_first(index, point: np.ndarray, candidates: KnnCandidates) -> None:
         stats.distance_computations += node.count
         bound = candidates.bound
         child_ids = node.child_ids
+        child_level = node.level - 1
         for i in range(node.count):
             if child_dists[i] <= bound:
                 heapq.heappush(
                     queue,
-                    (float(child_dists[i]), next(tiebreak), int(child_ids[i])),
+                    (float(child_dists[i]), next(tiebreak), int(child_ids[i]),
+                     child_level),
                 )
-
-
-def _best_first_traced(index, point: np.ndarray, candidates: KnnCandidates,
-                       span) -> None:
-    """Traced twin of :func:`_best_first`."""
-    stats = index.stats
-    tiebreak = count()
-    # Page-id -> level side table so queue leftovers can be attributed
-    # to their tree level at prune time.
-    levels: dict[int, int] = {index.root_id: index.height - 1}
-    queue: list[tuple[float, int, int]] = [(0.0, next(tiebreak), index.root_id)]
-    while queue:
-        dist, _, page_id = heapq.heappop(queue)
-        if dist > candidates.bound:
-            span.prune(page_id, levels.get(page_id, -1), dist, candidates.bound)
-            for leftover_dist, _, leftover_id in queue:
-                span.prune(leftover_id, levels.get(leftover_id, -1),
-                           leftover_dist, candidates.bound)
-            break
-        node = index.read_node(page_id)
-        span.visit(page_id, node.level, dist, candidates.bound)
-        span.queue(len(queue), popped=1)
-        if node.is_leaf:
-            _scan_leaf(node, point, candidates, stats)
-            continue
-        child_dists = index.child_mindists(node, point)
-        stats.distance_computations += node.count
-        bound = candidates.bound
-        for i in range(node.count):
-            if child_dists[i] <= bound:
-                child_id = int(node.child_ids[i])
-                heapq.heappush(
-                    queue,
-                    (float(child_dists[i]), next(tiebreak), child_id),
-                )
-                levels[child_id] = node.level - 1
-                span.queue(len(queue), pushed=1)
-            else:
-                span.prune(int(node.child_ids[i]), node.level - 1,
-                           float(child_dists[i]), bound)
+        if span is not None:
+            trace_expansion(span, node, child_dists, bound, len(queue))
+    return candidates.results()

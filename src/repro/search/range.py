@@ -3,9 +3,8 @@
 The traversal prunes a subtree as soon as its region MINDIST exceeds
 the query radius, using the same per-family MINDIST as the k-NN search.
 
-Like the k-NN algorithms, ``range_search`` reads ``trace.active`` once
-per query and dispatches to an untraced fast path (no span branches in
-the per-node loop) or a traced twin that records visit/prune events.
+Like the k-NN algorithms, the one traversal takes the active span and
+records a visit/prune verdict per child under ``if span is not None``.
 """
 
 from __future__ import annotations
@@ -14,6 +13,7 @@ import numpy as np
 
 from ..indexes.base import Neighbor
 from ..obs.tracer import trace
+from .knn import leaf_distances
 
 __all__ = ["range_search"]
 
@@ -22,57 +22,32 @@ def range_search(index, point: np.ndarray, radius: float) -> list[Neighbor]:
     """All stored points with Euclidean distance <= ``radius``, closest first."""
     results: list[Neighbor] = []
     span = trace.active
-    if span is None:
-        _visit(index, index.root_id, point, radius, results)
-    else:
+    if span is not None:
         span.visit(index.root_id, index.height - 1, 0.0, radius)
-        _visit_traced(index, index.root_id, point, radius, results, span)
+    _visit(index, index.root_id, point, radius, results, span)
     results.sort(key=lambda n: n.distance)
     return results
 
 
-def _scan_leaf(node, point: np.ndarray, radius: float,
-               results: list[Neighbor], stats) -> None:
-    if node.count == 0:
-        return
-    pts = node.points[: node.count]
-    diff = pts - point
-    dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    stats.distance_computations += node.count
-    for i in np.nonzero(dists <= radius)[0]:
-        results.append(Neighbor(float(dists[i]), pts[i].copy(), node.values[i]))
-
-
 def _visit(index, page_id: int, point: np.ndarray, radius: float,
-           results: list[Neighbor]) -> None:
-    """Untraced fast path: zero tracing branches in the hot loop."""
+           results: list[Neighbor], span) -> None:
     node = index.read_node(page_id)
     stats = index.stats
     if node.is_leaf:
-        _scan_leaf(node, point, radius, results, stats)
+        if node.count == 0:
+            return
+        pts, dists = leaf_distances(node, point, stats)
+        for i in np.nonzero(dists <= radius)[0]:
+            results.append(Neighbor(float(dists[i]), pts[i].copy(), node.values[i]))
         return
     dists = index.child_mindists(node, point)
     stats.distance_computations += node.count
-    child_ids = node.child_ids
-    for i in np.nonzero(dists <= radius)[0]:
-        _visit(index, int(child_ids[i]), point, radius, results)
-
-
-def _visit_traced(index, page_id: int, point: np.ndarray, radius: float,
-                  results: list[Neighbor], span) -> None:
-    """Traced twin of :func:`_visit`: records visit/prune events."""
-    node = index.read_node(page_id)
-    stats = index.stats
-    if node.is_leaf:
-        _scan_leaf(node, point, radius, results, stats)
-        return
-    dists = index.child_mindists(node, point)
-    stats.distance_computations += node.count
-    for i in range(node.count):
-        mindist = float(dists[i])
-        child_id = int(node.child_ids[i])
+    level = node.level - 1
+    for child_id, mindist in zip(node.child_ids[: node.count].tolist(),
+                                 dists.tolist()):
         if mindist <= radius:
-            span.visit(child_id, node.level - 1, mindist, radius)
-            _visit_traced(index, child_id, point, radius, results, span)
-        else:
-            span.prune(child_id, node.level - 1, mindist, radius)
+            if span is not None:
+                span.visit(child_id, level, mindist, radius)
+            _visit(index, child_id, point, radius, results, span)
+        elif span is not None:
+            span.prune(child_id, level, mindist, radius)

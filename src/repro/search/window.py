@@ -7,9 +7,9 @@ regions when the sphere's center is farther from the box than its
 radius, SR regions when either shape misses (the same complementary
 pruning as the paper's nearest-neighbor MINDIST rule).
 
-Like the other search algorithms, ``window_search`` reads
-``trace.active`` once per query and dispatches to an untraced fast loop
-(no span branches per node) or a traced twin.
+Like the other search algorithms, the one traversal takes the active
+span and records a visit/prune verdict per child under
+``if span is not None``.
 """
 
 from __future__ import annotations
@@ -53,12 +53,30 @@ def window_search(index, low: np.ndarray, high: np.ndarray) -> list[Neighbor]:
     if np.any(low > high):
         raise ValueError("window query has low > high on some dimension")
     results: list[Neighbor] = []
+    stats = index.stats
     span = trace.active
-    if span is None:
-        _walk(index, low, high, results)
-    else:
+    if span is not None:
         span.visit(index.root_id, index.height - 1, 0.0)
-        _walk_traced(index, low, high, results, span)
+    stack = [index.root_id]
+    while stack:
+        node = index.read_node(stack.pop())
+        if node.is_leaf:
+            _scan_leaf(node, low, high, results, stats)
+            continue
+        mask = child_window_mask(node, low, high)
+        stats.distance_computations += node.count
+        child_ids = node.child_ids
+        if span is not None:
+            # A window query has no MINDIST; record 0.0 for survivors and
+            # +inf for pruned children (the region misses the box).
+            for i in range(node.count):
+                if mask[i]:
+                    span.visit(int(child_ids[i]), node.level - 1, 0.0)
+                else:
+                    span.prune(int(child_ids[i]), node.level - 1,
+                               float("inf"), 0.0)
+        for i in np.nonzero(mask)[0]:
+            stack.append(int(child_ids[i]))
     return results
 
 
@@ -71,44 +89,3 @@ def _scan_leaf(node, low: np.ndarray, high: np.ndarray,
     stats.distance_computations += node.count
     for i in np.nonzero(inside)[0]:
         results.append(Neighbor(0.0, pts[i].copy(), node.values[i]))
-
-
-def _walk(index, low: np.ndarray, high: np.ndarray,
-          results: list[Neighbor]) -> None:
-    """Untraced fast path: zero tracing branches in the traversal loop."""
-    stats = index.stats
-    stack = [index.root_id]
-    while stack:
-        node = index.read_node(stack.pop())
-        if node.is_leaf:
-            _scan_leaf(node, low, high, results, stats)
-            continue
-        mask = child_window_mask(node, low, high)
-        stats.distance_computations += node.count
-        child_ids = node.child_ids
-        for i in np.nonzero(mask)[0]:
-            stack.append(int(child_ids[i]))
-
-
-def _walk_traced(index, low: np.ndarray, high: np.ndarray,
-                 results: list[Neighbor], span) -> None:
-    """Traced twin of :func:`_walk`: records visit/prune events."""
-    stats = index.stats
-    stack = [index.root_id]
-    while stack:
-        node = index.read_node(stack.pop())
-        if node.is_leaf:
-            _scan_leaf(node, low, high, results, stats)
-            continue
-        mask = child_window_mask(node, low, high)
-        stats.distance_computations += node.count
-        # A window query has no MINDIST; record 0.0 for survivors and
-        # +inf for pruned children (the region misses the box).
-        for i in range(node.count):
-            child_id = int(node.child_ids[i])
-            if mask[i]:
-                span.visit(child_id, node.level - 1, 0.0)
-            else:
-                span.prune(child_id, node.level - 1, float("inf"), 0.0)
-        for i in np.nonzero(mask)[0]:
-            stack.append(int(node.child_ids[i]))

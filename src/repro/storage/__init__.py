@@ -19,7 +19,6 @@ from .constants import (
 from .faults import FaultInjectingPageFile, FaultPlan
 from .layout import NodeLayout
 from .nodes import InternalNode, LeafNode
-from .pagecache import PageCache
 from .pagefile import FilePageFile, InMemoryPageFile, MmapPageFile, PageFile
 from .serializer import NodeCodec, load_meta_prefix, peek_meta_geometry
 from .snapshot import SnapshotStore, open_snapshot_store
@@ -53,7 +52,6 @@ __all__ = [
     "NodeCodec",
     "NodeLayout",
     "NodeStore",
-    "PageCache",
     "PageFile",
     "RecoveryReport",
     "SnapshotStore",

@@ -168,8 +168,8 @@ def load_meta_prefix(path) -> tuple[dict | None, dict | None]:
     file, and a pickle stream ignores trailing padding.  ``geometry``
     comes from the superblock (``None`` for legacy files); ``meta`` is
     the full dict, or ``None`` when the pickled tail is torn or legacy
-    decoding fails.  Used by ``Database.open``/``open_index`` to learn
-    the page size and checksum mode before building the page-file stack.
+    decoding fails.  Used by ``Database.open`` to learn the page size
+    and checksum mode before building the page-file stack.
     """
     size = os.path.getsize(path)
     with open(path, "rb") as handle:

@@ -116,10 +116,6 @@ class SnapshotStore:
         return self.base.has_checksums
 
     @property
-    def page_cache(self):
-        return None
-
-    @property
     def closed(self) -> bool:
         return self._closed
 

@@ -24,12 +24,9 @@ class IOStats:
     by tree level (Figure 14).  ``buffer_hits``/``buffer_misses`` count
     buffer-pool lookups by outcome (a miss is what triggers a physical
     read), so snapshots and deltas cover cache behavior too.
-    ``page_cache_hits``/``page_cache_misses`` count lookups in the
-    optional raw-image :class:`~repro.storage.pagecache.PageCache` that
-    sits between the buffer pool and the page file (both stay zero while
-    the cache is disabled, the default).  ``distance_computations``
-    counts point distance evaluations performed by search, a
-    machine-independent proxy for the paper's CPU-time curves.
+    ``distance_computations`` counts point distance evaluations
+    performed by search, a machine-independent proxy for the paper's
+    CPU-time curves.
     """
 
     page_reads: int = 0
@@ -40,8 +37,6 @@ class IOStats:
     leaf_writes: int = 0
     buffer_hits: int = 0
     buffer_misses: int = 0
-    page_cache_hits: int = 0
-    page_cache_misses: int = 0
     distance_computations: int = 0
 
     @property
@@ -54,12 +49,6 @@ class IOStats:
         """Decoded-node (buffer pool) hit ratio in [0, 1] (0.0 before any lookup)."""
         lookups = self.buffer_hits + self.buffer_misses
         return self.buffer_hits / lookups if lookups else 0.0
-
-    @property
-    def page_cache_hit_ratio(self) -> float:
-        """Raw-image page-cache hit ratio in [0, 1] (0.0 before any lookup)."""
-        lookups = self.page_cache_hits + self.page_cache_misses
-        return self.page_cache_hits / lookups if lookups else 0.0
 
     def reset(self) -> None:
         """Zero every counter."""
@@ -94,6 +83,5 @@ class IOStats:
             f"IOStats(reads={self.page_reads} [{self.node_reads}n/{self.leaf_reads}l], "
             f"writes={self.page_writes} [{self.node_writes}n/{self.leaf_writes}l], "
             f"buffer={self.buffer_hits}h/{self.buffer_misses}m, "
-            f"pagecache={self.page_cache_hits}h/{self.page_cache_misses}m, "
             f"dist={self.distance_computations})"
         )

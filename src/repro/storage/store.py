@@ -34,7 +34,6 @@ from .checksums import ChecksumPageFile
 from .constants import META_PAGE_ID
 from .layout import NodeLayout
 from .nodes import InternalNode, LeafNode
-from .pagecache import PageCache
 from .pagefile import InMemoryPageFile, PageFile
 from .serializer import NodeCodec, pack_meta, unpack_meta
 from .stats import IOStats
@@ -65,7 +64,6 @@ class NodeStore:
         pagefile: PageFile | None = None,
         buffer_capacity: int = DEFAULT_BUFFER_CAPACITY,
         stats: IOStats | None = None,
-        page_cache_capacity: int = 0,
         wal: WriteAheadLog | None = None,
     ) -> None:
         self.layout = layout
@@ -80,14 +78,6 @@ class NodeStore:
         self.codec = NodeCodec(layout)
         self.stats = stats if stats is not None else IOStats()
         self.buffer = BufferPool(buffer_capacity, self._write_back, stats=self.stats)
-        #: Optional raw-image cache between the buffer pool and the page
-        #: file; ``page_cache_capacity`` is in pages, 0 disables it (the
-        #: default — benchmark read counts must not change under it).
-        self.page_cache: PageCache | None = (
-            PageCache(page_cache_capacity, stats=self.stats)
-            if page_cache_capacity > 0
-            else None
-        )
         #: Optional write-ahead log.  While a transaction is open every
         #: page write is journaled and *shadowed* in memory instead of
         #: reaching the page file; :meth:`commit_txn` makes the shadow
@@ -417,30 +407,9 @@ class NodeStore:
         the X-tree cost model.  When a trace span is active, every fetch
         is also recorded as a page event (hit or physical read) so
         EXPLAIN can attribute the query's I/O.
-
-        With a :class:`~repro.storage.pagecache.PageCache` configured,
-        a buffer-pool miss first probes the cache for the node's raw
-        image; a hit decodes it (zero-copy) without touching the page
-        file, counts **no** physical read, and is recorded on the span
-        as a hit fetch plus ``span.page_cache_hits``.
         """
         node = self.buffer.get(page_id)
         if node is None:
-            cache = self.page_cache
-            image = cache.get(page_id) if cache is not None else None
-            if image is not None:
-                node = self.codec.decode(page_id, image)
-                if pin:
-                    self.buffer.put(node, dirty=False)
-                else:
-                    self.buffer.offer(node)
-                span = trace.active
-                if span is not None:
-                    span.page(page_id, node.level, node.extent, hit=True)
-                    span.page_cache_hits += 1
-                if pin:
-                    self.buffer.pin(page_id)
-                return node
             data = self._read_page_image(page_id)
             extent, extras = self.codec.peek_extent(data)
             if extent > 1:
@@ -457,8 +426,6 @@ class NodeStore:
                 self.buffer.put(node, dirty=False)  # a pinned page must be resident
             else:
                 self.buffer.offer(node)  # may decline: the caller still gets its node
-            if cache is not None:
-                cache.put(page_id, data, extent)
             span = trace.active
             if span is not None:
                 span.page(page_id, node.level, extent, hit=False)
@@ -496,8 +463,6 @@ class NodeStore:
         """Record that ``node`` was mutated (write-back happens lazily)."""
         self._require_writable()
         self.buffer.put(node, dirty=True)
-        if self.page_cache is not None:
-            self.page_cache.invalidate(node.page_id)
 
     def pin(self, page_id: int) -> None:
         """Protect a buffered page from eviction."""
@@ -520,8 +485,6 @@ class NodeStore:
         else:
             page_ids = node_or_id.all_page_ids
         self.buffer.discard(page_ids[0])
-        if self.page_cache is not None:
-            self.page_cache.invalidate(page_ids[0])
         if self.in_txn:
             for page_id in page_ids:
                 self._shadow.pop(page_id, None)
@@ -553,23 +516,21 @@ class NodeStore:
             self.pagefile.sync()
 
     def drop_cache(self) -> None:
-        """Flush, then empty the buffer pool and the page cache.
+        """Flush, then empty the buffer pool.
 
         The benchmark harness calls this before each measured query so
         that every query starts cold and the read counter matches the
         paper's per-query disk-read metric.
         """
         self.buffer.clear()
-        if self.page_cache is not None:
-            self.page_cache.clear()
 
     def _delta_base(self, page_id: int) -> bytes | None:
         """The image a page's next log record may be cut against.
 
         ``None`` unless the log already holds an image of the page.
         Otherwise its current image — shadow, pending table, then a raw
-        page-file read that is no node fetch (no ``IOStats``, buffer
-        pool, or page cache involved).  A failed read is ``None`` too:
+        page-file read that is no node fetch (no ``IOStats`` or buffer
+        pool involved).  A failed read is ``None`` too:
         the log then takes the page's non-zero ranges, which need no base.
         """
         if not self.wal.has_image(page_id):
@@ -772,8 +733,6 @@ class NodeStore:
         if self.wal is not None and self.wal.in_txn:
             self.wal.abort()
         self.buffer.drop()
-        if self.page_cache is not None:
-            self.page_cache.clear()
         self._shadow.clear()
         self._shadow_meta = None
         self._txn_freed.clear()

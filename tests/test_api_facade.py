@@ -7,7 +7,7 @@ import pytest
 
 import repro
 from repro import Database, Neighbor
-from repro.indexes import build_index, open_index
+from repro.indexes import build_index
 from repro.obs import trace
 from repro.workloads import cluster_dataset, histogram_dataset, uniform_dataset
 
@@ -89,14 +89,25 @@ def test_unknown_durability_rejected(tmp_path):
 
 def test_canonical_kwargs_accepted(tmp_path):
     with Database.create(str(tmp_path / "k.db"), kind="sr", dims=4,
-                         page_size=4096, buffer_pages=64,
-                         page_cache_bytes=64 * 4096) as db:
+                         page_size=4096, buffer_pages=64) as db:
         assert db.stats()["page_size"] == 4096
 
 
 def test_unknown_kwarg_gets_a_suggestion():
     with pytest.raises(ValueError, match="buffer_pages"):
         Database.create(None, kind="sr", dims=4, bufer_pages=8)
+
+
+@pytest.mark.parametrize("keyword", ["page_cache_bytes", "page_cache_capacity"])
+def test_removed_page_cache_keywords_are_refused(tmp_path, keyword):
+    # The raw-image page cache is gone; its spellings must fail loudly,
+    # not be swallowed as a no-op.
+    with pytest.raises(ValueError, match=f"unknown keyword '{keyword}'"):
+        Database.create(None, kind="sr", dims=4, **{keyword: 64 * 4096})
+    path = str(tmp_path / "k.db")
+    Database.create(path, kind="sr", dims=4).close()
+    with pytest.raises(TypeError, match=keyword):
+        Database.open(path, **{keyword: 64 * 4096})
 
 
 def test_conflicting_buffer_spellings_rejected():
@@ -254,22 +265,3 @@ def test_repr_mentions_kind_and_state():
     db.close()
     assert "closed" in repr(db)
     db.close()  # idempotent
-
-
-# ----------------------------------------------------------------------
-# the deprecated entry points still work, with a warning
-# ----------------------------------------------------------------------
-
-def test_open_index_is_deprecated_but_functional(tmp_path):
-    points = workload("uniform", 50)
-    path = str(tmp_path / "legacy.db")
-    with Database.create(path, kind="sr", dims=DIMS) as db:
-        db.insert_many(points)
-    with pytest.warns(DeprecationWarning, match="Database.open"):
-        index = open_index(path)
-    try:
-        assert index.size == len(points)
-        got = [n.value for n in index.nearest(points[2], k=3)]
-        assert got == brute_force_knn(points, points[2], 3)
-    finally:
-        index.store.close()

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from repro import Database
 from repro.cli import main
-from repro.indexes import open_index
 
 
 @pytest.fixture
@@ -70,9 +70,8 @@ class TestBuildInfoQuery:
         index_file = tmp_path / f"index.{kind}"
         assert run("build", "--kind", kind, "--data", data_file,
                    "--out", index_file) == 0
-        index = open_index(index_file)
-        assert index.size == 200
-        index.store.close()
+        with Database.open(index_file) as db:
+            assert db.index.size == 200
 
     def test_build_rejects_bad_shape(self, tmp_path, capsys):
         bad = tmp_path / "bad.npy"
@@ -90,6 +89,13 @@ class TestBuildInfoQuery:
     def test_missing_index_file(self, tmp_path, capsys):
         assert run("info", "--index", tmp_path / "absent.idx") == 2
 
+    def test_removed_page_cache_flag_is_refused(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run("bench-throughput", "--index", tmp_path / "x.idx",
+                "--page-cache", 8)
+        assert exit_info.value.code == 2
+        assert "--page-cache" in capsys.readouterr().err
+
 
 class TestOpenIndex:
     def test_open_with_custom_page_size(self, tmp_path, rng):
@@ -101,10 +107,9 @@ class TestOpenIndex:
                       pagefile=FilePageFile(path, page_size=16384))
         tree.load(rng.random((50, 4)))
         tree.close()
-        reopened = open_index(path)
-        assert reopened.layout.page_size == 16384
-        assert reopened.size == 50
-        reopened.store.close()
+        with Database.open(path) as db:
+            assert db.index.layout.page_size == 16384
+            assert db.index.size == 50
 
 
 class TestQueryExplain:

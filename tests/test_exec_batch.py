@@ -128,13 +128,8 @@ class TestServingPool:
     def test_parallel_matches_sequential(self, saved):
         path, data = saved
         queries = _queries(data, 20, seed=32)
-        from repro.indexes import open_index
-
-        index = open_index(path)
-        try:
-            want = [index.nearest(q, k=9) for q in queries]
-        finally:
-            index.store.close()
+        with Database.open(path) as db:
+            want = [db.index.nearest(q, k=9) for q in queries]
         with ServingPool(path, workers=3) as pool:
             got = pool.knn(queries, k=9)
             unbatched = pool.knn(queries, k=9, batched=False)
@@ -144,13 +139,8 @@ class TestServingPool:
     def test_range_matches_sequential(self, saved):
         path, data = saved
         queries = _queries(data, 10, seed=33)
-        from repro.indexes import open_index
-
-        index = open_index(path)
-        try:
-            want = [index.within(q, 0.5) for q in queries]
-        finally:
-            index.store.close()
+        with Database.open(path) as db:
+            want = [db.index.within(q, 0.5) for q in queries]
         with ServingPool(path, workers=2) as pool:
             got = pool.range(queries, 0.5)
         for g_list, w_list in zip(got, want):
@@ -267,3 +257,8 @@ class TestServingPool:
         path, _data = saved
         with pytest.raises(ValueError):
             ServingPool(path, workers=0)
+
+    def test_removed_page_cache_keyword_is_refused(self, saved, pool_backend):
+        path, _data = saved
+        with pytest.raises(TypeError, match="page_cache_capacity"):
+            ServingPool(path, workers=1, page_cache_capacity=8, **pool_backend)

@@ -8,6 +8,8 @@ query, exactly.
 
 from __future__ import annotations
 
+from itertools import islice
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,16 @@ from repro.obs.explain import ExplainError, explain, level_breakdown
 from repro.obs.tracer import DESCENDED, PRUNED, Span, trace
 from repro.storage.pagefile import FilePageFile
 from repro.storage.stats import IOStats
+
+
+#: The five search algorithms, each as ``run(tree, query) -> neighbors``.
+ALGORITHMS = {
+    "knn": lambda tree, q: tree.nearest(q, k=5),
+    "knn_best_first": lambda tree, q: tree.nearest(q, k=5, algorithm="best-first"),
+    "range": lambda tree, q: tree.within(q, 0.5),
+    "window": lambda tree, q: tree.window(q - 0.2, q + 0.2),
+    "incremental": lambda tree, q: list(islice(tree.iter_nearest(q), 5)),
+}
 
 
 @pytest.fixture(autouse=True)
@@ -151,6 +163,40 @@ class TestDisabledFastPath:
         # and the traced run actually recorded the traversal
         assert span.fetches and span.visits
 
+    @pytest.mark.parametrize("kind", ["srtree", "sstree", "rstar"])
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    def test_every_algorithm_counts_the_same_traced_and_untraced(
+            self, small_cloud, kind, algorithm):
+        """One loop serves both modes: the span may only add events."""
+        tree = build_index(kind, small_cloud)
+        run = ALGORITHMS[algorithm]
+        query = small_cloud[17]
+        run(tree, query)  # warm the buffer: runs now deterministic
+
+        before = tree.stats.snapshot()
+        plain = run(tree, query)
+        untraced = tree.stats.since(before)
+
+        trace.enable()
+        before = tree.stats.snapshot()
+        with trace.span(algorithm) as span:
+            traced = run(tree, query)
+        delta = tree.stats.since(before)
+
+        assert plain and ([(n.distance, n.value) for n in plain]
+                          == [(n.distance, n.value) for n in traced])
+        assert delta == untraced
+        # Verdict conservation: besides the root's own entry, every child
+        # of every expanded internal node gets exactly one verdict.  The
+        # incremental iterator stopped early leaves some children queued.
+        children = sum(tree.read_node(f.page_id).count
+                       for f in span.fetches if f.level > 0)
+        assert children > 0
+        if algorithm == "incremental":
+            assert len(span.visits) <= 1 + children
+        else:
+            assert len(span.visits) == 1 + children
+
 
 class TestEndToEndExplain:
     def test_cold_knn_pages_match_iostats_delta(self, cold_tree):
@@ -227,6 +273,39 @@ class TestEndToEndExplain:
         delta = cold_tree.stats.since(before)
         assert span.pages_read == delta.page_reads
         assert span.queue_pops >= len(span.descended)
+
+    def test_generator_made_before_the_span_records_its_visits(self, cold_tree):
+        # Regression: the span used to be read when the generator was
+        # created, so one made outside any span fetched pages into the
+        # consumer's span without a single visit to explain them.
+        trace.enable()
+        lazy = cold_tree.iter_nearest(np.full(cold_tree.dims, 0.5))
+        before = cold_tree.stats.snapshot()
+        with trace.span("incremental") as span:
+            got = list(islice(lazy, 5))
+        assert len(got) == 5
+        assert span.pages_read == cold_tree.stats.since(before).page_reads > 0
+        assert len(span.descended) == len(span.fetches)
+
+    def test_generator_crossing_spans_keeps_fetch_and_visit_together(
+            self, cold_tree):
+        # Regression: a generator made in span A and consumed in span B
+        # wrote its visits into the closed A and its fetches into B.
+        trace.enable()
+        with trace.span("a") as made_in:
+            # From a corner, so that MINDISTs differ and the leaves are
+            # read a few at a time rather than all for the first neighbor.
+            lazy = cold_tree.iter_nearest(np.zeros(cold_tree.dims))
+        with trace.span("b") as first:
+            next(lazy)
+        with trace.span("c") as rest:
+            assert len(list(islice(lazy, 100))) == 100
+        assert not made_in.fetches and not made_in.visits
+        for span in (first, rest):
+            assert span.fetches
+            assert len(span.descended) == len(span.fetches)
+            assert ([v.page_id for v in span.descended]
+                    == [f.page_id for f in span.fetches])
 
     def test_window_query_traces(self, cold_tree):
         low = np.zeros(cold_tree.dims)

@@ -8,14 +8,11 @@ in ``tests/test_concurrency.py``.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import pytest
 
 from repro import REGISTRY, Database, Snapshot
 from repro.exceptions import StorageError
-from repro.indexes import open_index
 
 DIMS = 5
 
@@ -304,26 +301,3 @@ class TestSurface:
         refreshes = 'repro_snapshot_refreshes_total{index_kind="srtree"}'
         assert after[refreshes] - before.get(refreshes, 0.0) == 1
         assert after['repro_snapshot_age_epochs{index_kind="srtree"}'] == 10
-
-
-# ----------------------------------------------------------------------
-# the deprecated open_index shim warns usefully (regression)
-# ----------------------------------------------------------------------
-
-def test_open_index_warning_points_at_the_caller(tmp_path):
-    pts = _points(20)
-    path = str(tmp_path / "legacy.db")
-    with Database.create(path, kind="srtree", dims=DIMS) as db:
-        for p in pts:
-            db.insert(p)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        index = open_index(path)
-    index.store.close()
-    hits = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-    assert len(hits) == 1
-    warning = hits[0]
-    # stacklevel=2 must attribute the warning to *this* file, not to the
-    # shim's own frame inside repro.indexes.factory.
-    assert warning.filename == __file__
-    assert "repro.Database.open" in str(warning.message)

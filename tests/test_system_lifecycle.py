@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro import (
+    Database,
     FilePageFile,
     KDBTree,
     RStarTree,
@@ -17,7 +18,6 @@ from repro import (
     SRTree,
     SRXTree,
     SSTree,
-    open_index,
 )
 from repro.workloads import histogram_dataset
 
@@ -111,7 +111,7 @@ def test_full_lifecycle(cls, tmp_path, rng):
 
     # --- phase 4: persist, reopen kind-agnostically, keep going ---------
     index.close()
-    reopened = open_index(path)
+    reopened = Database.open(path).index
     assert type(reopened) is cls
     assert reopened.size == len(oracle.values)
     assert [n.value for n in reopened.nearest(q, 7)] == oracle.knn(q, 7)

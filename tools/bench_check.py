@@ -54,8 +54,8 @@ sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 #: Fields every per-mode entry must carry (docs/PERFORMANCE.md schema).
 MODE_FIELDS = (
     "mode", "queries", "k", "wall_seconds", "qps", "p50_ms", "p95_ms",
-    "page_reads_per_query", "buffer_hit_ratio", "page_cache_hit_ratio",
-    "workers", "backend", "speedup_vs_single",
+    "page_reads_per_query", "buffer_hit_ratio", "workers", "backend",
+    "speedup_vs_single",
 )
 
 #: Top-level keys the document must carry.
@@ -227,9 +227,7 @@ def run_regression(doc: dict, tolerance: float,
             backend = "process"
         fresh = run_throughput(
             path, queries, k, modes=modes, block_size=block_size,
-            workers=workers,
-            page_cache_capacity=int(doc.get("page_cache_capacity", 0)),
-            backend=backend,
+            workers=workers, backend=backend,
         )
         print(f"bench-check: reran {', '.join(modes)} over a fresh "
               f"{points} x {dims} uniform {kind} ({n_queries} queries, "
