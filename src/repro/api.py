@@ -185,7 +185,125 @@ def validate_query_kwargs(op: str, kwargs: dict, *,
         )
 
 
-class Database:
+class _IndexHandle:
+    """What :class:`Database` and :class:`Snapshot` share: one
+    :class:`~repro.indexes.base.SpatialIndex` (live, or an epoch-pinned
+    view of one) behind the read half of :class:`QuerySurface`."""
+
+    _index: SpatialIndex
+
+    @property
+    def index(self) -> SpatialIndex:
+        """The underlying index engine — for a snapshot, its epoch-pinned
+        view (for benchmark/diagnostic code)."""
+        return self._index
+
+    @property
+    def kind(self) -> str:
+        """Registry name of the index family (e.g. ``"srtree"``)."""
+        return self._index.NAME
+
+    @property
+    def dims(self) -> int:
+        """Dimensionality of the stored points."""
+        return self._index.dims
+
+    @property
+    def size(self) -> int:
+        """Number of stored points (a snapshot: in its pinned state)."""
+        return self._index.size
+
+    def __len__(self) -> int:
+        return self._index.size
+
+    @property
+    def closed(self) -> bool:
+        """Whether :meth:`close` has completed."""
+        return self._index.closed
+
+    # -- queries: uniform across every family; a snapshot answers from
+    # -- exactly the committed state at its epoch
+
+    def knn(self, point, k: int = 1, **kwargs) -> list[Neighbor]:
+        """The ``k`` nearest stored points, closest first.
+
+        ``algorithm`` (family-dependent) is the only extra keyword;
+        anything else is rejected with a did-you-mean hint instead of
+        leaking into the search internals.
+        """
+        validate_query_kwargs("knn", kwargs)
+        return self._index.nearest(point, k=k, **kwargs)
+
+    def knn_batch(self, points, k=1) -> list[list[Neighbor]]:
+        """The ``k`` nearest neighbors of each query point, batched.
+
+        Same :class:`~repro.indexes.base.Neighbor` results as
+        :meth:`knn`, amortized over the whole query block.  ``k`` is
+        one int shared by every query or a ``(Q,)`` array with one
+        value per query (how the network coalescer shares a traversal
+        across mixed-``k`` requests).
+        """
+        return self._index.nearest_batch(points, k=k)
+
+    def range(self, point, radius: float) -> list[Neighbor]:
+        """All stored points within ``radius`` of ``point``, closest first."""
+        return self._index.within(point, radius)
+
+    def range_batch(self, points, radius) -> list[list[Neighbor]]:
+        """The range query of each query point, batched.
+
+        ``radius`` is a scalar shared by every query or a ``(Q,)``
+        array with one radius per query; results match :meth:`range`
+        exactly.
+        """
+        return self._index.within_batch(points, radius)
+
+    def window(self, low, high) -> list[Neighbor]:
+        """All stored points inside the axis-aligned box ``[low, high]``."""
+        return self._index.window(low, high)
+
+    def lookup(self, point) -> list[object]:
+        """Exact-match point query: every payload stored at ``point``."""
+        return self._index.lookup(point)
+
+    def explain(self, point, k: int = 1) -> str:
+        """Run one k-NN query under the tracer and render its EXPLAIN.
+
+        The report's page counts equal the ``IOStats.page_reads`` delta
+        of the same query — the invariant ``tests/test_api_facade.py``
+        asserts under every durability mode.  A snapshot's report is
+        labelled with its pinned epoch.
+        """
+        from .obs import explain as render_explain
+        from .obs import trace
+
+        index = self._index
+        labels = {"epoch": index.snapshot_epoch} if index.is_snapshot else {}
+        was_enabled = trace.enabled
+        trace.enable()
+        try:
+            with trace.span("knn", k=k, **labels) as span:
+                index.nearest(point, k=k)
+            return render_explain(span)
+        finally:
+            if not was_enabled:
+                trace.disable()
+
+    # -- lifecycle
+
+    def close(self) -> None:
+        """Release the handle (idempotent): a database saves and closes
+        its file, a snapshot drops its epoch pin and private buffers."""
+        self._index.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+class Database(_IndexHandle):
     """A context-managed spatial database over one index file.
 
     Construct with :meth:`create` or :meth:`open`, never directly.  The
@@ -347,37 +465,9 @@ class Database:
     # ------------------------------------------------------------------
 
     @property
-    def index(self) -> SpatialIndex:
-        """The underlying index engine (for benchmark/diagnostic code)."""
-        return self._index
-
-    @property
     def path(self) -> str | None:
         """Backing file path, or ``None`` for an in-memory database."""
         return self._path
-
-    @property
-    def kind(self) -> str:
-        """Registry name of the index family (e.g. ``"srtree"``)."""
-        return self._index.NAME
-
-    @property
-    def dims(self) -> int:
-        """Dimensionality of the stored points."""
-        return self._index.dims
-
-    @property
-    def size(self) -> int:
-        """Number of stored points."""
-        return self._index.size
-
-    def __len__(self) -> int:
-        return self._index.size
-
-    @property
-    def closed(self) -> bool:
-        """Whether :meth:`close` has completed."""
-        return self._index.closed
 
     @property
     def durability(self) -> str:
@@ -417,52 +507,6 @@ class Database:
         self._index.delete(point, value)
 
     # ------------------------------------------------------------------
-    # queries — uniform across every family
-    # ------------------------------------------------------------------
-
-    def knn(self, point, k: int = 1, **kwargs) -> list[Neighbor]:
-        """The ``k`` nearest stored points, closest first.
-
-        ``algorithm`` (family-dependent) is the only extra keyword;
-        anything else is rejected with a did-you-mean hint instead of
-        leaking into the search internals.
-        """
-        validate_query_kwargs("knn", kwargs)
-        return self._index.nearest(point, k=k, **kwargs)
-
-    def knn_batch(self, points, k=1) -> list[list[Neighbor]]:
-        """The ``k`` nearest neighbors of each query point, batched.
-
-        Same :class:`~repro.indexes.base.Neighbor` results as
-        :meth:`knn`, amortized over the whole query block.  ``k`` is
-        one int shared by every query or a ``(Q,)`` array with one
-        value per query (how the network coalescer shares a traversal
-        across mixed-``k`` requests).
-        """
-        return self._index.nearest_batch(points, k=k)
-
-    def range(self, point, radius: float) -> list[Neighbor]:
-        """All stored points within ``radius`` of ``point``, closest first."""
-        return self._index.within(point, radius)
-
-    def range_batch(self, points, radius) -> list[list[Neighbor]]:
-        """The range query of each query point, batched.
-
-        ``radius`` is a scalar shared by every query or a ``(Q,)``
-        array with one radius per query; results match :meth:`range`
-        exactly.
-        """
-        return self._index.within_batch(points, radius)
-
-    def window(self, low, high) -> list[Neighbor]:
-        """All stored points inside the axis-aligned box ``[low, high]``."""
-        return self._index.window(low, high)
-
-    def lookup(self, point) -> list[object]:
-        """Exact-match point query: every payload stored at ``point``."""
-        return self._index.lookup(point)
-
-    # ------------------------------------------------------------------
     # diagnostics
     # ------------------------------------------------------------------
 
@@ -488,26 +532,6 @@ class Database:
             "distance_computations": io.distance_computations,
             "buffer_hit_ratio": io.hit_ratio,
         }
-
-    def explain(self, point, k: int = 1) -> str:
-        """Run one k-NN query under the tracer and render its EXPLAIN.
-
-        The report's page counts equal the ``IOStats.page_reads`` delta
-        of the same query — the invariant ``tests/test_api_facade.py``
-        asserts under every durability mode.
-        """
-        from .obs import explain as render_explain
-        from .obs import trace
-
-        was_enabled = trace.enabled
-        trace.enable()
-        try:
-            with trace.span("knn", k=k) as span:
-                self._index.nearest(point, k=k)
-            return render_explain(span)
-        finally:
-            if not was_enabled:
-                trace.disable()
 
     def verify(self) -> None:
         """Run the family's structural invariant checks (raises on damage)."""
@@ -547,16 +571,6 @@ class Database:
         """Persist metadata and every dirty page without closing."""
         self._index.save()
 
-    def close(self) -> None:
-        """Save and close the database (idempotent)."""
-        self._index.close()
-
-    def __enter__(self) -> "Database":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     def __repr__(self) -> str:
         status = "closed" if self.closed else f"{self.size} points"
         where = self._path or _MEMORY
@@ -564,7 +578,7 @@ class Database:
                 f"path={where!r}, durability={self.durability!r}, {status})")
 
 
-class Snapshot:
+class Snapshot(_IndexHandle):
     """A read-only view of a :class:`Database` at one committed epoch.
 
     Created by :meth:`Database.snapshot`, never directly.  Offers the
@@ -581,77 +595,22 @@ class Snapshot:
                  _db: "Database | None" = None) -> None:
         if _token is not _CONSTRUCT:
             raise TypeError("use Database.snapshot()")
-        self._view = view
+        self._index = view
         self._db = _db
-
-    # -- identity ------------------------------------------------------
-
-    @property
-    def index(self) -> SpatialIndex:
-        """The underlying epoch-pinned index view."""
-        return self._view
 
     @property
     def epoch(self) -> int:
         """The committed epoch this snapshot reads from."""
-        return self._view.snapshot_epoch
+        return self._index.snapshot_epoch
 
     @property
     def age(self) -> int:
         """Committed epochs published since this snapshot was pinned."""
-        return self._view.store.lag
-
-    @property
-    def kind(self) -> str:
-        return self._view.NAME
-
-    @property
-    def dims(self) -> int:
-        return self._view.dims
-
-    @property
-    def size(self) -> int:
-        """Number of points in the pinned committed state."""
-        return self._view.size
-
-    def __len__(self) -> int:
-        return self._view.size
-
-    @property
-    def closed(self) -> bool:
-        return self._view.closed
-
-    # -- queries -------------------------------------------------------
-
-    def knn(self, point, k: int = 1, **kwargs) -> list[Neighbor]:
-        """The ``k`` nearest points of the pinned state, closest first."""
-        validate_query_kwargs("knn", kwargs)
-        return self._view.nearest(point, k=k, **kwargs)
-
-    def knn_batch(self, points, k=1) -> list[list[Neighbor]]:
-        """Batched k-NN over the pinned state (``k`` scalar or per-query)."""
-        return self._view.nearest_batch(points, k=k)
-
-    def range(self, point, radius: float) -> list[Neighbor]:
-        """All pinned points within ``radius`` of ``point``."""
-        return self._view.within(point, radius)
-
-    def range_batch(self, points, radius) -> list[list[Neighbor]]:
-        """Batched range query over the pinned state (scalar or
-        per-query ``radius``)."""
-        return self._view.within_batch(points, radius)
-
-    def window(self, low, high) -> list[Neighbor]:
-        """All pinned points inside the box ``[low, high]``."""
-        return self._view.window(low, high)
-
-    def lookup(self, point) -> list[object]:
-        """Exact-match point query against the pinned state."""
-        return self._view.lookup(point)
+        return self._index.store.lag
 
     def stats(self) -> dict:
         """A snapshot of the pinned view: identity, epoch, I/O counters."""
-        view = self._view
+        view = self._index
         io = view.stats
         return {
             "kind": view.NAME,
@@ -663,23 +622,6 @@ class Snapshot:
             "distance_computations": io.distance_computations,
             "buffer_hit_ratio": io.hit_ratio,
         }
-
-    def explain(self, point, k: int = 1) -> str:
-        """EXPLAIN one k-NN query, annotated with the pinned epoch."""
-        from .obs import explain as render_explain
-        from .obs import trace
-
-        was_enabled = trace.enabled
-        trace.enable()
-        try:
-            with trace.span("knn", k=k, epoch=self.epoch) as span:
-                self._view.nearest(point, k=k)
-            return render_explain(span)
-        finally:
-            if not was_enabled:
-                trace.disable()
-
-    # -- lifecycle -----------------------------------------------------
 
     def refresh(self) -> int:
         """Advance to the newest committed epoch; returns the new epoch.
@@ -693,17 +635,7 @@ class Snapshot:
             # the live handle's state (pages *and* meta) so the refresh
             # lands on a consistent save point, exactly like snapshot().
             db.flush()
-        return self._view.refresh_snapshot()
-
-    def close(self) -> None:
-        """Release the epoch pin and private buffers (idempotent)."""
-        self._view.close()
-
-    def __enter__(self) -> "Snapshot":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        return self._index.refresh_snapshot()
 
     def __repr__(self) -> str:
         status = "closed" if self.closed else f"epoch {self.epoch}"

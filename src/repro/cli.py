@@ -569,22 +569,12 @@ def _cmd_stats(args) -> int:
 
 def _exercise_index(index, *, queries: int, k: int, seed: int) -> None:
     """Run cold sample k-NN queries so the registry has something to say."""
+    from .bench.throughput import sample_queries
+
     if queries < 1 or index.size == 0:
         return
-    rng = np.random.default_rng(seed)
-    sample = max(queries, 1)
-    reservoir: list[np.ndarray] = []
-    for i, (point, _value) in enumerate(index.iter_points()):
-        if len(reservoir) < sample:
-            reservoir.append(point)
-        else:
-            j = int(rng.integers(0, i + 1))
-            if j < sample:
-                reservoir[j] = point
-        if i >= 20 * sample:
-            break
     k = min(k, index.size)
-    for point in reservoir[:queries]:
+    for point in sample_queries(index, queries, seed):
         index.store.drop_cache()
         index.nearest(point, k=k)
 

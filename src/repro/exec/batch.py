@@ -52,10 +52,30 @@ from ..obs.hooks import observed_query
 from ..obs.tracer import trace
 from ..search.knn import KnnCandidates
 
-__all__ = ["DEFAULT_BLOCK_SIZE", "batch_knn", "batch_range"]
+__all__ = ["DEFAULT_BLOCK_SIZE", "batch_knn", "batch_range", "per_query"]
 
 DEFAULT_BLOCK_SIZE = 64
 """Queries per traversal block (bounds the broadcast temporaries)."""
+
+
+def per_query(name: str, value, nq: int) -> np.ndarray:
+    """``k`` or ``radius`` for ``nq`` queries, checked, as a ``(nq,)`` array.
+
+    ``value`` is one scalar shared by every query or a ``(nq,)``
+    array-like with one value per query; ``k`` must be at least 1, a
+    ``radius`` at least 0.  Every handle kind normalises through here —
+    the engine, the serving pools, the network client — so a bad
+    argument fails with the same message wherever it is caught.
+    """
+    dtype, least, must_be = ((np.int64, 1, "positive") if name == "k"
+                             else (np.float64, 0.0, "non-negative"))
+    values = np.asarray(value, dtype=dtype)
+    if values.ndim and values.shape != (nq,):
+        raise ValueError(
+            f"per-query {name} must have shape ({nq},), got {values.shape}")
+    if values.size and values.min() < least:
+        raise ValueError(f"{name} must be {must_be}, got {values.min()}")
+    return np.broadcast_to(values, (nq,))
 
 
 # ----------------------------------------------------------------------
@@ -87,7 +107,7 @@ def batch_knn(index, queries, k: int = 1, *,
         element-wise identical to ``index.nearest(queries[q], k)``.
     """
     queries = as_points(queries, index.dims)
-    ks = _per_query_ks(k, queries.shape[0])
+    ks = per_query("k", k, queries.shape[0])
     if index.size == 0:
         raise EmptyIndexError("cannot run a nearest-neighbor query on an empty index")
     if block_size < 1:
@@ -100,22 +120,6 @@ def batch_knn(index, queries, k: int = 1, *,
                            ks[start : start + block_size])
             )
     return results
-
-
-def _per_query_ks(k, nq: int) -> np.ndarray:
-    """Normalize ``k`` (scalar or per-query array) to a ``(nq,)`` array."""
-    ks = np.asarray(k)
-    if ks.ndim == 0:
-        if int(ks) < 1:
-            raise ValueError(f"k must be positive, got {k}")
-        return np.full(nq, int(ks), dtype=np.int64)
-    if ks.shape != (nq,):
-        raise ValueError(
-            f"per-query k must have shape ({nq},), got {ks.shape}")
-    ks = ks.astype(np.int64)
-    if ks.size and int(ks.min()) < 1:
-        raise ValueError(f"k must be positive, got {int(ks.min())}")
-    return ks
 
 
 def _knn_block(index, queries: np.ndarray, ks: np.ndarray) -> list[list[Neighbor]]:
@@ -195,7 +199,7 @@ def batch_range(index, queries, radius: float, *,
     giving each query its own radius.
     """
     queries = as_points(queries, index.dims)
-    radii = _per_query_radii(radius, queries.shape[0])
+    radii = per_query("radius", radius, queries.shape[0])
     if block_size < 1:
         raise ValueError(f"block_size must be positive, got {block_size}")
     results: list[list[Neighbor]] = []
@@ -206,22 +210,6 @@ def batch_range(index, queries, radius: float, *,
                              radii[start : start + block_size])
             )
     return results
-
-
-def _per_query_radii(radius, nq: int) -> np.ndarray:
-    """Normalize ``radius`` (scalar or per-query) to a ``(nq,)`` array."""
-    radii = np.asarray(radius, dtype=np.float64)
-    if radii.ndim == 0:
-        if float(radii) < 0:
-            raise ValueError(f"radius must be non-negative, got {radius}")
-        return np.full(nq, float(radii))
-    if radii.shape != (nq,):
-        raise ValueError(
-            f"per-query radius must have shape ({nq},), got {radii.shape}")
-    if radii.size and float(radii.min()) < 0:
-        raise ValueError(
-            f"radius must be non-negative, got {float(radii.min())}")
-    return radii
 
 
 def _range_block(index, queries: np.ndarray, radii: np.ndarray) -> list[list[Neighbor]]:

@@ -110,6 +110,7 @@ from ..obs.hooks import (
     on_worker_released,
 )
 from ..storage.stats import IOStats
+from .batch import per_query
 
 __all__ = ["PoolCore", "ServingPool"]
 
@@ -419,13 +420,11 @@ class PoolCore:
         """Validate a knn/range call, scatter it, package the answer."""
         queries = as_points(queries, self.dims)
         name = "k" if op == "knn" else "radius"
-        if np.ndim(params[name]) > 0:
-            params[name] = values = np.asarray(
-                params[name], dtype=np.int64 if op == "knn" else np.float64)
-            if values.shape != (queries.shape[0],):
-                raise ValueError(
-                    f"per-query {name} must have shape "
-                    f"({queries.shape[0]},), got {values.shape}")
+        values = per_query(name, params[name], queries.shape[0])
+        if np.ndim(params[name]):
+            # One value per query is sharded with the queries; a shared
+            # scalar crosses to the workers as the scalar it is.
+            params[name] = values
         return _package(*self._scatter(op, queries, params, timeout=timeout),
                         with_flags, with_times, single)
 

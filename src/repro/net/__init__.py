@@ -8,8 +8,8 @@ plane that crosses the machine boundary:
 * :class:`~repro.net.server.QueryServer` — a dependency-free threaded
   HTTP/1.1 front end exposing the full
   :class:`~repro.api.QuerySurface` read surface (``knn``,
-  ``knn_batch``, ``range``, ``window``, ``lookup``, ``stats``,
-  ``explain``) plus token-authenticated mutations over a live
+  ``knn_batch``, ``range``, ``range_batch``, ``window``, ``lookup``,
+  ``stats``, ``explain``) plus token-authenticated mutations over a live
   :class:`~repro.api.Database` or a
   :class:`~repro.exec.ServingPool`, with production behaviors built
   in: admission control (bounded in-flight + queue, overflow sheds
@@ -30,7 +30,8 @@ plane that crosses the machine boundary:
     # server process
     with repro.Database.open("tree.db") as db, \\
          QueryServer(db, port=8750, auth_token="s3cret") as srv:
-        srv.serve_forever()
+        ...                      # serving from a daemon thread already;
+                                 # leaving the block drains and unbinds
 
     # client process — same calls as a local Database
     with RemoteDatabase.connect("localhost:8750", token="s3cret") as db:

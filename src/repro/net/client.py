@@ -39,6 +39,7 @@ from ..exceptions import (
     RemoteError,
     ServerOverloadedError,
 )
+from ..exec.batch import per_query
 from . import protocol
 
 __all__ = ["RemoteDatabase"]
@@ -385,23 +386,16 @@ class RemoteDatabase:
             raise ValueError(
                 f"knn_batch expects a (n, dims) batch, got shape "
                 f"{points.shape}")
-        if np.ndim(k) > 0:
-            ks = np.asarray(k, dtype=np.int64)
-            if ks.shape != (points.shape[0],):
-                raise ValueError(
-                    f"per-query k must have shape ({points.shape[0]},), "
-                    f"got {ks.shape}")
-            k_header = ",".join(str(int(ki)) for ki in ks)
-            k_doc = [int(ki) for ki in ks]
-        else:
-            k_header = str(int(k))
-            k_doc = int(k)
+        ks = per_query("k", k, points.shape[0])
+        # One k per row travels as a list; a shared scalar as itself.
+        k_doc = ks.tolist() if np.ndim(k) else int(k)
         if self._binary:
             response, payload, resp_type = self._call(
                 "knn_batch",
                 body=protocol.encode_matrix(points),
                 content_type=protocol.BINARY_CONTENT_TYPE,
-                extra_headers={protocol.K_HEADER: k_header},
+                extra_headers={protocol.K_HEADER: ",".join(
+                    map(str, np.atleast_1d(k_doc)))},
                 deadline_ms=deadline_ms)
             if resp_type == protocol.NEIGHBORS_CONTENT_TYPE:
                 return protocol.decode_neighbor_block(payload)
@@ -428,15 +422,8 @@ class RemoteDatabase:
             raise ValueError(
                 f"range_batch expects a (n, dims) batch, got shape "
                 f"{points.shape}")
-        if np.ndim(radius) > 0:
-            radii = np.asarray(radius, dtype=np.float64)
-            if radii.shape != (points.shape[0],):
-                raise ValueError(
-                    f"per-query radius must have shape "
-                    f"({points.shape[0]},), got {radii.shape}")
-            radius_doc = [float(r) for r in radii]
-        else:
-            radius_doc = float(radius)
+        radii = per_query("radius", radius, points.shape[0])
+        radius_doc = radii.tolist() if np.ndim(radius) else float(radius)
         response, _, _ = self._call(
             "range_batch", {"points": points.tolist(), "radius": radius_doc},
             deadline_ms=deadline_ms)

@@ -134,15 +134,17 @@ class CoalescingScheduler:
         (the off path stays byte-identical to direct dispatch).
     max_batch:
         Flush immediately once a group holds this many requests.
-    pooled:
-        Whether ``source`` takes a per-call ``timeout=`` (serving
-        pools).  A batch's timeout is the *largest* remaining budget
-        among its members, so one short deadline cannot degrade its
+    call_kwargs:
+        ``deadline -> dict`` of extra keywords for a call on ``source``
+        that must finish by ``deadline`` (the server's rule for handing
+        a pool the remaining budget as ``timeout=``; the default passes
+        nothing).  A batch is called with the *largest* deadline among
+        its members, so one short deadline cannot degrade its
         batchmates.
     """
 
     def __init__(self, source, *, batch_delay_s: float, max_batch: int,
-                 pooled: bool = False) -> None:
+                 call_kwargs=lambda deadline: {}) -> None:
         if batch_delay_s <= 0:
             raise ValueError(
                 f"batch_delay_s must be positive, got {batch_delay_s}")
@@ -151,7 +153,7 @@ class CoalescingScheduler:
         self._source = source
         self._delay_s = float(batch_delay_s)
         self._max_batch = int(max_batch)
-        self._pooled = bool(pooled)
+        self._call_kwargs = call_kwargs
         self._cv = threading.Condition()
         self._groups: dict[str, _Group] = {}
         #: Operations with a batch currently executing; their groups
@@ -257,9 +259,7 @@ class CoalescingScheduler:
 
     def _run_solo(self, op: str, point, param, deadline):
         """Direct dispatch (used while draining and by the failsafe)."""
-        kwargs = {}
-        if self._pooled and deadline is not None:
-            kwargs["timeout"] = max(deadline - time.monotonic(), 1e-3)
+        kwargs = self._call_kwargs(deadline)
         if op == "knn":
             return self._source.knn(point, k=param, **kwargs)
         return self._source.range(point, param, **kwargs)
@@ -352,13 +352,9 @@ class CoalescingScheduler:
             if coalesced:
                 self._coalesced += len(survivors)
         if survivors:
-            kwargs = {}
-            if self._pooled:
-                budgets = [m.deadline for m in survivors
-                           if m.deadline is not None]
-                if budgets:
-                    kwargs["timeout"] = max(
-                        max(budgets) - time.monotonic(), 1e-3)
+            kwargs = self._call_kwargs(max(
+                (m.deadline for m in survivors if m.deadline is not None),
+                default=None))
             try:
                 points = np.stack([m.point for m in survivors])
                 if batch.op == "knn":

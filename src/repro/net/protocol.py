@@ -11,6 +11,8 @@ endpoint               method  body
 ``/v1/knn_batch``      POST    ``{"points": [[...]], "k": 3}`` *or* a binary
                                matrix body (``k`` via ``X-Repro-K``)
 ``/v1/range``          POST    ``{"point": [...], "radius": 0.5}``
+``/v1/range_batch``    POST    ``{"points": [[...]], "radius": 0.5}`` (or one
+                               radius per row)
 ``/v1/window``         POST    ``{"low": [...], "high": [...]}``
 ``/v1/lookup``         POST    ``{"point": [...]}``
 ``/v1/stats``          GET     —
@@ -34,7 +36,9 @@ Statuses: ``200`` success; ``400`` invalid request (the JSON error
 document's ``error_type`` names the library exception to re-raise
 client-side); ``401`` bad/missing token; ``403`` mutations disabled;
 ``404`` unknown endpoint; ``405`` operation unsupported by the served
-handle; ``413`` oversized body; ``429`` shed by admission control
+handle; ``413`` oversized body (this and the 400 for a body that cannot
+be framed come from :mod:`repro.httpd`, before the server sees the
+request); ``429`` shed by admission control
 (``Retry-After`` set); ``503`` draining for shutdown; ``504`` deadline
 expired.
 

@@ -3,10 +3,12 @@
 :class:`QueryServer` fronts any :class:`~repro.api.QuerySurface`
 implementation — a :class:`~repro.api.Database`, a
 :class:`~repro.api.Snapshot`, or a live serving pool — with the wire
-protocol defined in :mod:`repro.net.protocol`.  It is deliberately
-dependency-free (``http.server`` + threads), mirroring the telemetry
-server, but unlike the telemetry server it is a *data plane* and gets
-the production behaviors that implies:
+protocol defined in :mod:`repro.net.protocol`.  The HTTP itself —
+listener, keep-alive, request-body framing (the 64 MiB cap, refusing
+what it cannot frame, reading past an unread body before a response)
+and the response writer — is :mod:`repro.httpd`, shared with the
+telemetry server; this module is what makes the query server a *data
+plane*:
 
 * **Admission control.**  At most ``max_inflight`` requests execute at
   once; up to ``max_queue`` more wait for a slot.  Overflow is shed
@@ -24,7 +26,8 @@ the production behaviors that implies:
   every in-flight request to finish, then unbinds.  Zero admitted
   queries are dropped.
 * **Keep-alive.**  HTTP/1.1 with explicit ``Content-Length`` on every
-  response, so clients reuse one connection across calls.
+  response, so clients reuse one connection across calls; no early
+  response (shed, 401, 403, 404) is written ahead of an unread body.
 
 Every request lands in the observability stack: shed decisions bump
 ``repro_shed_requests_total{reason}``, served requests bump
@@ -38,25 +41,21 @@ from __future__ import annotations
 import dataclasses
 import hmac
 import json
-import socket
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 
 from ..exceptions import NetError, ReproError
+from ..exec.batch import per_query
 from ..geometry import as_point
+from ..httpd import HttpListener, Request
 from ..obs.events import DEBUG, EVENTS, INFO, WARN
 from ..obs.hooks import on_net_inflight, on_net_request, on_net_shed
 from . import protocol
 from .coalesce import CoalescedDeadlineError, CoalescingScheduler
 
 __all__ = ["QueryServer"]
-
-#: Upper bound on request bodies; far above any sane batch, low enough
-#: that a misbehaving client cannot balloon server memory.
-MAX_BODY_BYTES = 64 * 1024 * 1024
 
 #: Exceptions whose *type name* travels in the 400 error document so the
 #: client re-raises the same class locally.  Anything else is a 500.
@@ -187,61 +186,15 @@ class QueryServer:
         if batch_delay_ms > 0:
             self._coalescer = CoalescingScheduler(
                 source, batch_delay_s=batch_delay_ms / 1e3,
-                max_batch=max_batch, pooled=self._pooled)
+                max_batch=max_batch, call_kwargs=self._pool_kwargs)
         self._closed = False
         self._close_lock = threading.Lock()
         self._shed = {"overload": 0, "deadline": 0, "draining": 0}
         self._served = 0
         self._stats_lock = threading.Lock()
-
-        server = self
-
-        class _Handler(BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.1"
-            # Identify the service, not the Python stdlib version.
-            server_version = f"repro-query/{protocol.PROTOCOL_VERSION}"
-            sys_version = ""
-            # Status line, headers, and body go out as separate writes;
-            # with Nagle on, the follow-up segments sit behind the
-            # peer's delayed ACK (~40 ms per response on loopback).
-            disable_nagle_algorithm = True
-            # Buffer the response side so status + headers + body leave
-            # as one segment (one syscall) per response instead of
-            # three; handle_one_request() flushes after each dispatch.
-            wbufsize = 64 * 1024
-
-            def send_response(self, code: int, message=None) -> None:
-                # Trim the stdlib's per-response Server/Date headers:
-                # both are optional, and at coalesced-batch rates their
-                # strftime + client-side parse are measurable.
-                self.log_request(code)
-                self.send_response_only(code, message)
-
-            def do_GET(self) -> None:  # noqa: N802 (http.server API)
-                server._handle(self, body_allowed=False)
-
-            def do_POST(self) -> None:  # noqa: N802 (http.server API)
-                server._handle(self, body_allowed=True)
-
-            def log_message(self, fmt: str, *args) -> None:
-                if EVENTS.enabled_for(DEBUG):
-                    EVENTS.emit("query_server_log", level=DEBUG,
-                                message=fmt % args)
-
-        class _Server(ThreadingHTTPServer):
-            # The socketserver default backlog (5) resets connections
-            # when a fleet of clients connects at once; admission
-            # control, not the listen queue, is our concurrency bound.
-            request_queue_size = 128
-
-        self._httpd = _Server((host, port), _Handler)
-        self._httpd.daemon_threads = True
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            name="repro-query-server",
-            daemon=True,
-        )
-        self._thread.start()
+        self._listener = HttpListener(host, port, self._handle,
+                                      name="repro-query-server",
+                                      log_event="query_server_log")
         EVENTS.emit("query_server_started", level=INFO,
                     host=self.address[0], port=self.address[1],
                     max_inflight=max_inflight, max_queue=max_queue,
@@ -255,7 +208,7 @@ class QueryServer:
     @property
     def address(self) -> tuple[str, int]:
         """The bound ``(host, port)``."""
-        return self._httpd.server_address[:2]
+        return self._listener.address
 
     @property
     def draining(self) -> bool:
@@ -305,10 +258,9 @@ class QueryServer:
             # admission slots and must finish before wait_idle.
             self._coalescer.drain()
         # Stop the accept loop first so no new connections race the wait.
-        self._httpd.shutdown()
+        self._listener.stop_accepting()
         drained = self._admission.wait_idle(self._drain_timeout_s)
-        self._httpd.server_close()
-        self._thread.join(timeout=5.0)
+        self._listener.unbind()
         EVENTS.emit("query_server_stopped", level=INFO if drained else WARN,
                     drained=drained, served=self._served)
 
@@ -321,56 +273,47 @@ class QueryServer:
     # ------------------------------------------------------------------
     # request plumbing
 
-    def _handle(self, handler: BaseHTTPRequestHandler,
-                body_allowed: bool) -> None:
+    def _handle(self, request: Request) -> None:
         started = time.monotonic()
-        endpoint = self._route(handler.path)
-        status = 500
+        endpoint = self._route(request.path)
+        deadline = self._parse_deadline(request, started)
         try:
             if endpoint is None:
-                self._discard_body(handler)
-                status = self._send_error(
-                    handler, 404,
-                    NetError(f"unknown endpoint {handler.path!r}; "
+                self._send_error(
+                    request, 404,
+                    NetError(f"unknown endpoint {request.path!r}; "
                              f"endpoints live under /v1/"))
-                return
-            deadline = self._parse_deadline(handler, started)
-            if deadline is _BAD_DEADLINE:
-                self._discard_body(handler)
-                status = self._send_error(
-                    handler, 400,
+            elif deadline is _BAD_DEADLINE:
+                self._send_error(
+                    request, 400,
                     ValueError(f"invalid {protocol.DEADLINE_HEADER} header"))
-                return
-            if endpoint in ("server", "stats"):
+            elif endpoint in ("server", "stats"):
                 # Control-plane reads bypass admission: they must stay
                 # observable while the data plane is saturated.
-                status = self._dispatch(handler, endpoint, body_allowed,
-                                        deadline)
-                return
-            if deadline is not None and started >= deadline:
-                status = self._shed_response(handler, "deadline")
-                return
-            reason = self._admission.acquire(deadline)
-            if reason is not None:
-                status = self._shed_response(handler, reason)
-                return
-            on_net_inflight(self._admission.inflight)
-            try:
-                status = self._dispatch(handler, endpoint, body_allowed,
-                                        deadline)
-            finally:
-                self._admission.release()
+                self._dispatch(request, endpoint, deadline)
+            elif deadline is not None and started >= deadline:
+                self._shed_response(request, "deadline")
+            elif (reason := self._admission.acquire(deadline)) is not None:
+                self._shed_response(request, reason)
+            else:
                 on_net_inflight(self._admission.inflight)
+                try:
+                    self._dispatch(request, endpoint, deadline)
+                finally:
+                    self._admission.release()
+                    on_net_inflight(self._admission.inflight)
         except (BrokenPipeError, ConnectionResetError):
             # The client went away mid-request.  The query (if any)
             # already ran; drop the response and keep the server loop
             # healthy.
-            handler.close_connection = True
-            status = 499  # nginx's "client closed request" convention
+            request.close_connection = True
+            request.status = 499  # nginx's "client closed request" convention
             if EVENTS.enabled_for(DEBUG):
                 EVENTS.emit("net_client_disconnected", level=DEBUG,
                             endpoint=endpoint)
         finally:
+            # No status means no response was written: the request died.
+            status = request.status or 500
             seconds = time.monotonic() - started
             on_net_request(endpoint or "unknown", status, seconds)
             with self._stats_lock:
@@ -378,7 +321,7 @@ class QueryServer:
                     self._served += 1
             if EVENTS.enabled_for(DEBUG):
                 EVENTS.emit("net_request", level=DEBUG,
-                            endpoint=endpoint or handler.path,
+                            endpoint=endpoint or request.path,
                             status=status, wall_ms=seconds * 1e3)
 
     @staticmethod
@@ -389,9 +332,8 @@ class QueryServer:
         return endpoint if endpoint in protocol.ENDPOINTS else None
 
     @staticmethod
-    def _parse_deadline(handler: BaseHTTPRequestHandler,
-                        started: float):
-        raw = handler.headers.get(protocol.DEADLINE_HEADER)
+    def _parse_deadline(request: Request, started: float):
+        raw = request.headers.get(protocol.DEADLINE_HEADER)
         if raw is None:
             return None
         try:
@@ -402,29 +344,7 @@ class QueryServer:
             return _BAD_DEADLINE
         return started + budget_ms / 1e3
 
-    @staticmethod
-    def _discard_body(handler: BaseHTTPRequestHandler) -> None:
-        """Consume an unread request body before an early response.
-
-        A response written with body bytes still unread desyncs the
-        keep-alive stream: the leftover body is parsed as the next
-        request line.  Small bodies are drained; oversized (or
-        unframed) ones close the connection instead of reading them.
-        """
-        try:
-            length = int(handler.headers.get("Content-Length") or 0)
-        except ValueError:
-            length = -1
-        if 0 <= length <= 1 << 20:
-            if length:
-                handler.rfile.read(length)
-        else:
-            handler.close_connection = True
-
-    def _shed_response(self, handler: BaseHTTPRequestHandler,
-                       reason: str, *, discard: bool = True) -> int:
-        if discard:
-            self._discard_body(handler)
+    def _shed_response(self, request: Request, reason: str) -> None:
         status = {"overload": 429, "deadline": 504, "draining": 503}[reason]
         with self._stats_lock:
             self._shed[reason] += 1
@@ -432,42 +352,17 @@ class QueryServer:
         EVENTS.emit("request_shed", level=WARN, reason=reason,
                     inflight=self._admission.inflight,
                     queued=self._admission.queued)
-        headers = {}
-        if reason == "overload":
-            headers["Retry-After"] = "1"
         doc = {"error": f"request shed: {reason}", "error_type": "shed",
                "reason": reason}
-        self._send_json(handler, status, doc, headers=headers)
-        return status
-
-    def _send_error(self, handler: BaseHTTPRequestHandler, status: int,
-                    exc: BaseException) -> int:
-        self._send_json(handler, status, protocol.error_doc(exc))
-        return status
+        request.send_json(
+            status, doc, {"Retry-After": "1"} if reason == "overload" else None)
 
     @staticmethod
-    def _send_json(handler: BaseHTTPRequestHandler, status: int,
-                   doc: dict, headers: dict | None = None) -> None:
-        body = json.dumps(doc).encode("utf-8")
-        handler.send_response(status)
-        handler.send_header("Content-Type", protocol.JSON_CONTENT_TYPE)
-        handler.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            handler.send_header(name, value)
-        handler.end_headers()
-        handler.wfile.write(body)
+    def _send_error(request: Request, status: int,
+                    exc: BaseException) -> None:
+        request.send_json(status, protocol.error_doc(exc))
 
-    @staticmethod
-    def _send_binary(handler: BaseHTTPRequestHandler, status: int,
-                     body: bytes, content_type: str) -> None:
-        handler.send_response(status)
-        handler.send_header("Content-Type", content_type)
-        handler.send_header("Content-Length", str(len(body)))
-        handler.end_headers()
-        handler.wfile.write(body)
-
-    def _send_neighbors(self, handler: BaseHTTPRequestHandler,
-                        neighbors: list) -> None:
+    def _send_neighbors(self, request: Request, neighbors: list) -> None:
         """One query's result list, binary when the client accepts it.
 
         Clients advertising ``Accept:`` :data:`NEIGHBORS_CONTENT_TYPE`
@@ -475,110 +370,104 @@ class QueryServer:
         JSON encode cost of a k=21 result, and at coalesced-batch rates
         that per-response cost is what bounds server throughput.
         """
-        accept = handler.headers.get("Accept", "")
+        accept = request.headers.get("Accept", "")
         if protocol.NEIGHBORS_CONTENT_TYPE in accept:
-            self._send_binary(handler, 200,
-                              protocol.encode_neighbor_block([neighbors]),
-                              protocol.NEIGHBORS_CONTENT_TYPE)
+            request.send(200, protocol.encode_neighbor_block([neighbors]),
+                         protocol.NEIGHBORS_CONTENT_TYPE)
         else:
-            self._send_json(handler, 200,
-                            {"neighbors": protocol.neighbors_to_doc(neighbors)})
+            request.send_json(
+                200, {"neighbors": protocol.neighbors_to_doc(neighbors)})
 
     @staticmethod
-    def _read_body(handler: BaseHTTPRequestHandler) -> bytes:
-        length = int(handler.headers.get("Content-Length", 0))
-        if length > MAX_BODY_BYTES:
-            raise _TooLarge(length)
-        return handler.rfile.read(length) if length else b""
+    def _read_body(request: Request) -> bytes:
+        # A stage of its own, by this name, because the ledger times it
+        # (ledger/shims.py: net.server.read_body).
+        return request.read_body()
 
     # ------------------------------------------------------------------
     # endpoint execution
 
-    def _dispatch(self, handler: BaseHTTPRequestHandler, endpoint: str,
-                  body_allowed: bool, deadline: float | None) -> int:
-        if endpoint in protocol.WRITE_ENDPOINTS:
-            auth_status = self._check_auth(handler)
-            if auth_status is not None:
-                return auth_status
-        try:
-            body = self._read_body(handler) if body_allowed else b""
-        except _TooLarge as exc:
-            handler.close_connection = True  # too big to drain
-            return self._send_error(
-                handler, 413,
-                NetError(f"request body of {exc.length} bytes exceeds the "
-                         f"{MAX_BODY_BYTES}-byte limit"))
-        content_type = (handler.headers.get("Content-Type") or
+    def _dispatch(self, request: Request, endpoint: str,
+                  deadline: float | None) -> None:
+        if (endpoint in protocol.WRITE_ENDPOINTS
+                and not self._check_auth(request)):
+            return
+        # Only a POST carries a body the endpoint reads; any other is
+        # read past by the response.
+        body = self._read_body(request) if request.command == "POST" else b""
+        content_type = (request.headers.get("Content-Type") or
                         protocol.JSON_CONTENT_TYPE).split(";")[0].strip()
         try:
-            return self._execute(handler, endpoint, body, content_type,
-                                 deadline)
+            self._execute(request, endpoint, body, content_type, deadline)
         except CoalescedDeadlineError:
             # The request's deadline expired while it waited in a
             # micro-batch; it was never executed.  Same 504 + shed
-            # accounting as a pre-dispatch deadline shed — but the
-            # body was already consumed, so nothing to discard.
-            return self._shed_response(handler, "deadline", discard=False)
+            # accounting as a pre-dispatch deadline shed.
+            self._shed_response(request, "deadline")
         except NotImplementedError as exc:
-            return self._send_error(handler, 405, exc)
+            self._send_error(request, 405, exc)
         except _CLIENT_ERRORS as exc:
-            return self._send_error(handler, 400, exc)
+            self._send_error(request, 400, exc)
         except (BrokenPipeError, ConnectionResetError):
             raise
         except Exception as exc:  # pragma: no cover - defense in depth
             EVENTS.emit("query_server_error", level=WARN,
                         endpoint=endpoint, error=repr(exc))
-            return self._send_error(handler, 500, exc)
+            self._send_error(request, 500, exc)
 
-    def _check_auth(self, handler: BaseHTTPRequestHandler) -> int | None:
+    def _check_auth(self, request: Request) -> bool:
+        """Whether the request may mutate; if not, the refusal is sent."""
         if self._auth_token is None:
-            self._discard_body(handler)
-            return self._send_error(
-                handler, 403,
+            self._send_error(
+                request, 403,
                 NetError("mutations are disabled: the server was started "
                          "without an auth token"))
-        supplied = handler.headers.get(protocol.TOKEN_HEADER, "")
+            return False
+        supplied = request.headers.get(protocol.TOKEN_HEADER, "")
         if not hmac.compare_digest(supplied.encode("utf-8"),
                                    self._auth_token.encode("utf-8")):
-            self._discard_body(handler)
-            return self._send_error(
-                handler, 401,
+            self._send_error(
+                request, 401,
                 NetError(f"missing or invalid {protocol.TOKEN_HEADER}"))
-        return None
+            return False
+        return True
 
     def _pool_kwargs(self, deadline: float | None) -> dict:
-        """Per-call kwargs propagating the remaining budget into pools."""
+        """Per-call kwargs propagating the remaining budget into pools.
+
+        The one statement of "remaining deadline -> a pool's
+        ``timeout=``"; the coalescer calls it too, with a batch's
+        largest member deadline.
+        """
         if not self._pooled or deadline is None:
             return {}
         return {"timeout": max(deadline - time.monotonic(), 1e-3)}
 
-    def _execute(self, handler: BaseHTTPRequestHandler, endpoint: str,
-                 body: bytes, content_type: str,
-                 deadline: float | None) -> int:
+    def _execute(self, request: Request, endpoint: str, body: bytes,
+                 content_type: str, deadline: float | None) -> None:
         source = self._source
         pool_kw = self._pool_kwargs(deadline)
 
         if endpoint == "server":
-            self._send_json(handler, 200, self._descriptor())
-            return 200
+            request.send_json(200, self._descriptor())
+            return
 
         if endpoint == "stats":
-            self._send_json(handler, 200, {"stats": self._stats_doc()})
-            return 200
+            request.send_json(200, {"stats": self._stats_doc()})
+            return
 
         if endpoint == "knn_batch":
-            points, k = self._batch_request(handler, body, content_type)
+            points, k = self._batch_request(request, body, content_type)
             results = source.knn_batch(points, k=k, **pool_kw)
             if content_type == protocol.BINARY_CONTENT_TYPE:
-                self._send_binary(handler, 200,
-                                  protocol.encode_neighbor_block(results),
-                                  protocol.NEIGHBORS_CONTENT_TYPE)
+                request.send(200, protocol.encode_neighbor_block(results),
+                             protocol.NEIGHBORS_CONTENT_TYPE)
             else:
-                self._send_json(handler, 200, {
+                request.send_json(200, {
                     "results": [protocol.neighbors_to_doc(r)
                                 for r in results],
                 })
-            return 200
+            return
 
         binary_body = content_type == protocol.BINARY_CONTENT_TYPE
         doc = {} if binary_body else self._json_doc(body)
@@ -590,8 +479,7 @@ class QueryServer:
             if self._coalescer is not None and "algorithm" not in doc:
                 # Validate before enqueueing so a malformed request
                 # fails alone instead of poisoning its batchmates.
-                if k < 1:
-                    raise ValueError(f"k must be positive, got {k}")
+                per_query("k", k, 1)
                 point = as_point(point, getattr(source, "dims", None))
                 neighbors = self._coalescer.submit("knn", point, k, deadline)
             else:
@@ -599,25 +487,24 @@ class QueryServer:
                 if "algorithm" in doc:
                     kwargs["algorithm"] = doc["algorithm"]
                 neighbors = source.knn(point, k=k, **kwargs)
-            self._send_neighbors(handler, neighbors)
-            return 200
+            self._send_neighbors(request, neighbors)
+            return
 
         if endpoint == "range":
             point = _required(doc, "point")
             radius = float(_required(doc, "radius"))
             _reject_unknown(doc, {"point", "radius"})
             if self._coalescer is not None:
-                if radius < 0:
-                    raise ValueError(
-                        f"radius must be non-negative, got {radius}")
+                per_query("radius", radius, 1)
                 point = as_point(point, getattr(source, "dims", None))
                 neighbors = self._coalescer.submit("range", point, radius,
                                                    deadline)
             else:
                 neighbors = source.range(point, radius, **pool_kw)
-            self._send_neighbors(handler, neighbors)
-            return 200
+            self._send_neighbors(request, neighbors)
+            return
 
+        # Every other endpoint answers 200 with one JSON document.
         if endpoint == "range_batch":
             points = np.asarray(_required(doc, "points"), dtype=np.float64)
             radius = _required(doc, "radius")
@@ -627,28 +514,22 @@ class QueryServer:
                 radius = float(radius)
             _reject_unknown(doc, {"points", "radius"})
             results = source.range_batch(points, radius, **pool_kw)
-            self._send_json(handler, 200, {
-                "results": [protocol.neighbors_to_doc(r) for r in results],
-            })
-            return 200
+            reply = {"results": [protocol.neighbors_to_doc(r)
+                                 for r in results]}
 
-        if endpoint == "window":
+        elif endpoint == "window":
             low = _required(doc, "low")
             high = _required(doc, "high")
             _reject_unknown(doc, {"low", "high"})
             neighbors = source.window(low, high, **pool_kw)
-            self._send_json(handler, 200,
-                            {"neighbors": protocol.neighbors_to_doc(neighbors)})
-            return 200
+            reply = {"neighbors": protocol.neighbors_to_doc(neighbors)}
 
-        if endpoint == "lookup":
+        elif endpoint == "lookup":
             point = _required(doc, "point")
             _reject_unknown(doc, {"point"})
-            values = source.lookup(point, **pool_kw)
-            self._send_json(handler, 200, {"values": list(values)})
-            return 200
+            reply = {"values": list(source.lookup(point, **pool_kw))}
 
-        if endpoint == "explain":
+        elif endpoint == "explain":
             if not hasattr(source, "explain"):
                 raise NotImplementedError(
                     f"the served handle ({type(source).__name__}) does not "
@@ -656,11 +537,9 @@ class QueryServer:
             point = _required(doc, "point")
             k = int(doc.get("k", 1))
             _reject_unknown(doc, {"point", "k"})
-            self._send_json(handler, 200,
-                            {"explain": source.explain(point, k=k)})
-            return 200
+            reply = {"explain": source.explain(point, k=k)}
 
-        if endpoint == "insert":
+        elif endpoint == "insert":
             self._require_mutable("insert")
             point = _required(doc, "point")
             _reject_unknown(doc, {"point", "value"})
@@ -668,10 +547,9 @@ class QueryServer:
                 source.insert(point, doc["value"])
             else:
                 source.insert(point)
-            self._send_json(handler, 200, {"ok": True, "size": source.size})
-            return 200
+            reply = {"ok": True, "size": source.size}
 
-        if endpoint == "insert_many":
+        elif endpoint == "insert_many":
             self._require_mutable("insert_many")
             if binary_body:
                 points, _ = protocol.decode_matrix(body)
@@ -686,12 +564,10 @@ class QueryServer:
                 inserted = source.insert_many(points, values)
             if inserted is None:  # non-conforming source; fall back
                 inserted = len(points)
-            self._send_json(handler, 200, {
-                "ok": True, "inserted": int(inserted), "size": source.size,
-            })
-            return 200
+            reply = {"ok": True, "inserted": int(inserted),
+                     "size": source.size}
 
-        if endpoint == "delete":
+        elif endpoint == "delete":
             self._require_mutable("delete")
             point = _required(doc, "point")
             _reject_unknown(doc, {"point", "value"})
@@ -699,10 +575,11 @@ class QueryServer:
                 source.delete(point, value=doc["value"])
             else:
                 source.delete(point)
-            self._send_json(handler, 200, {"ok": True, "size": source.size})
-            return 200
+            reply = {"ok": True, "size": source.size}
 
-        raise NetError(f"unroutable endpoint {endpoint!r}")  # unreachable
+        else:  # unreachable: _route admits only protocol.ENDPOINTS
+            raise NetError(f"unroutable endpoint {endpoint!r}")
+        request.send_json(200, reply)
 
     def _require_mutable(self, op: str) -> None:
         if not hasattr(self._source, op):
@@ -710,11 +587,11 @@ class QueryServer:
                 f"the served handle ({type(self._source).__name__}) does "
                 f"not support {op}; serve a Database for mutations")
 
-    def _batch_request(self, handler: BaseHTTPRequestHandler, body: bytes,
+    def _batch_request(self, request: Request, body: bytes,
                        content_type: str):
         if content_type == protocol.BINARY_CONTENT_TYPE:
             points, _ = protocol.decode_matrix(body)
-            raw = handler.headers.get(protocol.K_HEADER, "1")
+            raw = request.headers.get(protocol.K_HEADER, "1")
             # A comma-separated header carries per-query k values.
             if "," in raw:
                 k = np.asarray([int(part) for part in raw.split(",")],
@@ -780,12 +657,6 @@ class QueryServer:
 _BAD_DEADLINE = object()
 
 
-class _TooLarge(Exception):
-    def __init__(self, length: int) -> None:
-        super().__init__(str(length))
-        self.length = length
-
-
 def _required(doc: dict, key: str):
     if key not in doc:
         raise ValueError(f"request body is missing required field {key!r}")
@@ -797,10 +668,3 @@ def _reject_unknown(doc: dict, allowed: set) -> None:
     if unknown:
         raise ValueError(
             f"unknown request field(s) {unknown}; allowed: {sorted(allowed)}")
-
-
-def _free_port(host: str = "127.0.0.1") -> int:
-    """A free TCP port on ``host`` (racy, for tests and CLIs only)."""
-    with socket.socket() as sock:
-        sock.bind((host, 0))
-        return sock.getsockname()[1]

@@ -1,7 +1,9 @@
 """HTTP telemetry endpoint: ``/metrics``, ``/healthz``, ``/varz``.
 
-A dependency-free, threaded :mod:`http.server` that makes the process's
-observability surfaces scrapeable from outside:
+Three routes on :mod:`repro.httpd` — the HTTP/1.1 substrate the query
+server stands on too, so a scraper keeps one connection alive across
+scrapes — that make the process's observability surfaces scrapeable
+from outside:
 
 * ``/metrics`` — the metrics registry in Prometheus text exposition
   format, **byte-identical** to ``render(REGISTRY)`` (a stock
@@ -17,9 +19,9 @@ observability surfaces scrapeable from outside:
 
 The server binds ``127.0.0.1`` on an ephemeral port by default and
 serves from a daemon thread; it is an operator tool, not a hardened
-public endpoint.  Request handling is quiet — the stock
-``BaseHTTPRequestHandler`` stderr chatter is routed into the event log
-(DEBUG) instead, keeping one logging surface.
+public endpoint.  Request handling is quiet — ``http.server``'s
+stderr chatter goes to the event log instead (``telemetry_request``,
+DEBUG), keeping one logging surface.
 
 ::
 
@@ -34,11 +36,8 @@ public endpoint.  Request handling is quiet — the stock
 
 from __future__ import annotations
 
-import json
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
-from .events import DEBUG, EVENTS, INFO
+from ..httpd import HttpListener, Request
+from .events import EVENTS, INFO
 from .flightrec import FLIGHT
 from .prometheus import render
 from .registry import REGISTRY
@@ -75,8 +74,7 @@ class TelemetryServer:
         self._databases: list = []
         self._pools: list = []
         self._query_servers: list = []
-        self._httpd: ThreadingHTTPServer | None = None
-        self._thread: threading.Thread | None = None
+        self._listener: HttpListener | None = None
 
     # -- watched handles ---------------------------------------------------
 
@@ -102,45 +100,21 @@ class TelemetryServer:
 
     def start(self) -> "TelemetryServer":
         """Bind and serve from a daemon thread (idempotent)."""
-        if self._httpd is not None:
-            return self
-        server = self
-
-        class _Handler(BaseHTTPRequestHandler):
-            def do_GET(self) -> None:  # noqa: N802 - http.server API
-                server._handle(self)
-
-            def log_message(self, format: str, *args) -> None:
-                # One logging surface: route the stock stderr chatter
-                # into the event log at DEBUG.
-                if server._events.enabled_for(DEBUG):
-                    server._events.emit(
-                        "telemetry_request", level=DEBUG,
-                        detail=format % args,
-                    )
-
-        self._httpd = ThreadingHTTPServer((self._host, self._port), _Handler)
-        self._httpd.daemon_threads = True
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            name="repro-telemetry",
-            daemon=True,
-        )
-        self._thread.start()
-        self._events.emit("telemetry_server_started", level=INFO,
-                          host=self.host, port=self.port)
+        if self._listener is None:
+            self._listener = HttpListener(
+                self._host, self._port, self._handle, name="repro-telemetry",
+                log_event="telemetry_request", events=self._events)
+            self._events.emit("telemetry_server_started", level=INFO,
+                              host=self.host, port=self.port)
         return self
 
     def stop(self) -> None:
         """Shut the listener down and join the serving thread."""
-        if self._httpd is None:
+        if self._listener is None:
             return
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        self._httpd = None
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
+        listener, self._listener = self._listener, None
+        listener.stop_accepting()
+        listener.unbind()
         self._events.emit("telemetry_server_stopped", level=INFO)
 
     def __enter__(self) -> "TelemetryServer":
@@ -152,18 +126,20 @@ class TelemetryServer:
     # -- address -----------------------------------------------------------
 
     @property
+    def _address(self) -> tuple[str, int]:
+        if self._listener is not None:
+            return self._listener.address
+        return self._host, self._port
+
+    @property
     def host(self) -> str:
         """Bound host."""
-        if self._httpd is not None:
-            return self._httpd.server_address[0]
-        return self._host
+        return self._address[0]
 
     @property
     def port(self) -> int:
         """Bound port (the ephemeral pick once started)."""
-        if self._httpd is not None:
-            return self._httpd.server_address[1]
-        return self._port
+        return self._address[1]
 
     @property
     def url(self) -> str:
@@ -247,33 +223,18 @@ class TelemetryServer:
 
     # -- request handling ----------------------------------------------------
 
-    def _handle(self, request: BaseHTTPRequestHandler) -> None:
+    def _handle(self, request: Request) -> None:
         path = request.path.split("?", 1)[0].rstrip("/") or "/"
         if path == "/metrics":
-            body = render(self._registry).encode("utf-8")
-            self._respond(request, 200, body,
-                          "text/plain; version=0.0.4; charset=utf-8")
+            request.send(200, render(self._registry).encode("utf-8"),
+                         "text/plain; version=0.0.4; charset=utf-8")
         elif path == "/healthz":
             healthy, doc = self.health()
-            self._send_json(request, 200 if healthy else 503, doc)
+            request.send_json(200 if healthy else 503, doc, pretty=True)
         elif path == "/varz":
-            self._send_json(request, 200, self.varz())
+            request.send_json(200, self.varz(), pretty=True)
         else:
-            self._send_json(request, 404, {
+            request.send_json(404, {
                 "error": f"unknown path {path!r}",
                 "paths": ["/metrics", "/healthz", "/varz"],
-            })
-
-    def _send_json(self, request, status: int, doc: dict) -> None:
-        body = (json.dumps(doc, indent=2, sort_keys=True, default=str)
-                + "\n").encode("utf-8")
-        self._respond(request, status, body, "application/json")
-
-    @staticmethod
-    def _respond(request, status: int, body: bytes,
-                 content_type: str) -> None:
-        request.send_response(status)
-        request.send_header("Content-Type", content_type)
-        request.send_header("Content-Length", str(len(body)))
-        request.end_headers()
-        request.wfile.write(body)
+            }, pretty=True)

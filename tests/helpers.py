@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import socket
+
 import numpy as np
 
 
@@ -14,3 +16,21 @@ def brute_force_knn(points: np.ndarray, query: np.ndarray, k: int) -> list[int]:
     dists = np.linalg.norm(points - query, axis=1)
     order = np.lexsort((np.arange(len(points)), dists))
     return [int(i) for i in order[:k]]
+
+
+def raw_http(address, payload: bytes, *, timeout: float = 5.0) -> bytes:
+    """Send raw bytes to ``address``; everything the server answers
+    until it closes (or resets) the connection.
+
+    A server that neither answers nor closes within ``timeout`` raises
+    ``TimeoutError`` — which is how a wedged connection fails a test.
+    """
+    with socket.create_connection(tuple(address), timeout=timeout) as sock:
+        sock.sendall(payload)
+        chunks = []
+        try:
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+        except ConnectionResetError:
+            pass  # closed with our unread bytes still in its buffer
+        return b"".join(chunks)

@@ -220,6 +220,37 @@ def test_deadline_expired_in_batch_sheds_member_only(corpus):
         sched.drain()
 
 
+def test_batch_is_called_with_its_largest_member_deadline(corpus):
+    # The server hands the scheduler its one deadline -> pool timeout=
+    # function; a batch calls it with the *largest* member deadline, so
+    # one short budget cannot degrade its batchmates.
+    db, data = corpus
+    seen = []
+
+    class _Recording(_SlowSource):
+        def knn_batch(self, points, k=1, **kwargs):
+            seen.append(kwargs)
+            return self._db.knn_batch(points, k=k)
+
+    sched = CoalescingScheduler(
+        _Recording(db), batch_delay_s=30.0, max_batch=3,
+        call_kwargs=lambda deadline: {"timeout": deadline})
+    try:
+        far = time.monotonic() + 60.0
+        deadlines = [far - 30.0, far, None]
+        threads = [
+            threading.Thread(target=sched.submit, args=(
+                "knn", np.asarray(data[i]), 2, deadline))
+            for i, deadline in enumerate(deadlines)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10.0)
+        assert seen == [{"timeout": far}]
+    finally:
+        sched.drain()
+
+
 def test_drain_flushes_half_full_batch(corpus):
     db, data = corpus
     # A 60 s delay: without drain() the lone member would wait forever.

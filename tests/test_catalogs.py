@@ -1,0 +1,62 @@
+"""The documented catalogs are the ones the code has.
+
+``docs/OBSERVABILITY.md`` lists every metric family and every event,
+``docs/SERVING.md`` and the ``repro.net.protocol`` docstring every
+endpoint.  Each list is re-derived here from the code — the families in
+``REGISTRY``, the literals passed to ``emit(`` under ``src/repro``,
+``protocol.ENDPOINTS`` — and must match name for name, so a metric,
+event or endpoint cannot be added, renamed or dropped on one side only.
+(A test, not a ``tools/lint.py`` policy: the linter imports nothing from
+the package, and the registry is only knowable by importing it.)
+"""
+
+from __future__ import annotations
+
+import re
+from pathlib import Path
+
+from repro.net import protocol
+from repro.obs import REGISTRY
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _first_column(path: str, start: str, end: str, pattern: str) -> list[str]:
+    """Names matching ``pattern`` in the first cell of every table row of
+    the part of ``path`` between the lines ``start`` and ``end``."""
+    text = (ROOT / path).read_text(encoding="utf-8")
+    section = text[text.index(start):text.index(end)]
+    return [name
+            for line in section.splitlines() if line.startswith("| `")
+            for name in re.findall(pattern, line.split("|")[1])]
+
+
+def _in_source(pattern: str) -> set[str]:
+    return {name
+            for path in (ROOT / "src" / "repro").rglob("*.py")
+            for name in re.findall(pattern, path.read_text(encoding="utf-8"))}
+
+
+def test_metric_catalog_is_the_registry():
+    documented = _first_column("docs/OBSERVABILITY.md", "### Metric catalog",
+                               "## The tracer", r"`(repro_\w+)`")
+    assert sorted(documented) == sorted(f.name for f in REGISTRY.families())
+
+
+def test_event_catalog_is_what_the_code_emits():
+    documented = _first_column("docs/OBSERVABILITY.md",
+                               "### The structured event log",
+                               "Events land in a bounded ring", r"`(\w+)`")
+    # http.server's chatter is emitted under a name each server hands
+    # the substrate (``log_event=``), not under a literal.
+    emitted = (_in_source(r'\bemit\(\s*"(\w+)"')
+               | _in_source(r'\blog_event="(\w+)"'))
+    assert sorted(documented) == sorted(emitted)
+
+
+def test_endpoint_tables_are_the_protocol():
+    serving = _first_column("docs/SERVING.md", "## Endpoints",
+                            "### Request framing", r"`/v1/(\w+)`")
+    docstring = re.findall(r"^``/v1/(\w+)``", protocol.__doc__, re.MULTILINE)
+    assert sorted(serving) == sorted(protocol.ENDPOINTS)
+    assert sorted(docstring) == sorted(protocol.ENDPOINTS)

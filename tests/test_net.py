@@ -32,10 +32,14 @@ from repro.exceptions import (
     ServerOverloadedError,
 )
 from repro.exec import ServingPool
+from repro.httpd import MAX_BODY_BYTES
 from repro.net import QueryServer, RemoteDatabase
+from repro.obs.events import EVENTS
 from repro.obs.hooks import NET_REQUESTS, SHED_REQUESTS
 from repro.obs.server import TelemetryServer
 from repro.workloads import uniform_dataset
+
+from .helpers import raw_http
 
 
 @pytest.fixture(scope="module")
@@ -317,6 +321,96 @@ def test_malformed_requests_are_client_errors(corpus):
                 rdb.knn(np.zeros(3), k=1)
             with pytest.raises(TypeError, match="kk"):
                 rdb.knn(corpus.data[0], kk=3)
+
+
+# ---------------------------------------------------------------------------
+# Request framing (repro.httpd), over raw sockets
+# ---------------------------------------------------------------------------
+
+
+def _knn_request(corpus, length: bytes | None = None,
+                 extra: bytes = b"") -> bytes:
+    body = json.dumps({"point": corpus.data[0].tolist(), "k": 2}).encode()
+    if length is None:
+        length = str(len(body)).encode()
+    return (b"POST /v1/knn HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Type: application/json\r\n" + extra +
+            b"Content-Length: " + length + b"\r\n\r\n" + body)
+
+
+@pytest.mark.parametrize("length, status", [
+    (b"-1", 400), (b"abc", 400), (b"%d" % (MAX_BODY_BYTES + 1), 413)])
+def test_unframeable_body_is_refused_and_closed(corpus, capfd, length,
+                                                status):
+    # Regression: `Content-Length: -1` blocked in rfile.read(-1) holding
+    # an admission slot; `abc` died in int() with no response and a
+    # socketserver traceback on stderr.
+    with QueryServer(corpus.db) as server:
+        emitted = EVENTS.emitted
+        started = time.monotonic()
+        raw = raw_http(server.address, _knn_request(corpus, length),
+                       timeout=1.0)
+        assert time.monotonic() - started < 1.0
+        assert raw.startswith(b"HTTP/1.1 %d " % status)
+        assert raw.count(b"HTTP/1.1 ") == 1  # then EOF: it closed
+        assert server.describe()["inflight"] == 0
+        assert EVENTS.emitted == emitted + 1
+        event = EVENTS.tail(1)[0]
+        assert event["event"] == "http_request_refused"
+        assert event["status"] == status
+    assert capfd.readouterr().err == ""
+
+
+def test_refused_requests_hold_no_admission_slot(corpus):
+    # Regression: max_inflight hundred-byte unauthenticated requests
+    # wedged the data plane; every later query was shed 429.
+    with QueryServer(corpus.db, max_inflight=2, max_queue=0) as server:
+        socks = []
+        try:
+            for _ in range(2):
+                sock = socket.create_connection(server.address, timeout=5.0)
+                sock.sendall(_knn_request(corpus, b"-1"))
+                socks.append(sock)
+            for sock in socks:  # still open: at the parent, still reading
+                assert sock.recv(65536).startswith(b"HTTP/1.1 400 ")
+            raw = raw_http(server.address, _knn_request(
+                corpus, extra=b"Connection: close\r\n"))
+        finally:
+            for sock in socks:
+                sock.close()
+        assert raw.startswith(b"HTTP/1.1 200 ")
+        assert server.describe()["shed"]["overload"] == 0
+
+
+def test_unread_body_is_read_past_before_the_response(corpus):
+    # Regression: a GET's body was left unread, so the next request on
+    # the connection was parsed as `helloGET ...` and answered 501.
+    with QueryServer(corpus.db) as server:
+        raw = raw_http(
+            server.address,
+            b"GET /v1/stats HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Length: 5\r\n\r\nhello"
+            b"GET /v1/stats HTTP/1.1\r\nHost: test\r\n"
+            b"Connection: close\r\n\r\n")
+    assert raw.count(b"HTTP/1.1 ") == 2
+    assert raw.count(b"HTTP/1.1 200 ") == 2
+
+
+def test_chunked_body_is_refused_not_parsed(corpus):
+    # The substrate frames bodies by Content-Length only: a chunked
+    # POST is one 4xx on a connection that is then closed, never a
+    # chunk-size line parsed as the next request.
+    with QueryServer(corpus.db) as server:
+        raw = raw_http(
+            server.address,
+            b"POST /v1/knn HTTP/1.1\r\nHost: test\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n"
+            b"5\r\nhello\r\n0\r\n\r\n")
+    assert raw.startswith(b"HTTP/1.1 400 ")
+    head, _, body = raw.partition(b"\r\n\r\n")
+    (length,) = [int(line.split(b":")[1]) for line in head.split(b"\r\n")
+                 if line.lower().startswith(b"content-length:")]
+    assert len(body) == length  # nothing after the one response
 
 
 # ---------------------------------------------------------------------------

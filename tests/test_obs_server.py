@@ -13,6 +13,8 @@ from repro.api import Database
 from repro.exec import ServingPool
 from repro.obs import REGISTRY, TelemetryServer, render
 
+from .helpers import raw_http
+
 
 def _get(url: str) -> tuple[int, dict[str, str], bytes]:
     try:
@@ -92,6 +94,17 @@ class TestEndpoints:
         with TelemetryServer() as srv:
             assert srv.port > 0
             assert srv.url == f"http://127.0.0.1:{srv.port}"
+
+    def test_keep_alive_answers_a_second_request(self):
+        # Regression: the telemetry copy spoke HTTP/1.0 and closed after
+        # every response, so each scrape was a new TCP connection.
+        with TelemetryServer() as srv:
+            raw = raw_http(
+                (srv.host, srv.port),
+                b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n"
+                b"GET /healthz HTTP/1.1\r\nHost: test\r\n"
+                b"Connection: close\r\n\r\n")
+        assert raw.count(b"HTTP/1.1 200 ") == 2
 
     def test_stop_is_idempotent(self):
         srv = TelemetryServer().start()

@@ -306,8 +306,17 @@ def test_raised_shard_leaves_no_thread_on_a_worker_handle(index_path):
                     inside.release()
 
         index.read_node = guarded_read_node
-        with pytest.raises(ValueError):
-            # k=0 is rejected inside worker 0's shard.
+
+        def buggy_read_node(*args, **kwargs):
+            raise ValueError("a bug inside worker 0's shard")
+
+        # (A bad k no longer gets this far: the pool rejects it before
+        # any shard goes out.)
+        pool._indexes[0].read_node = buggy_read_node
+        with pytest.raises(ValueError, match="worker 0's shard"):
+            pool.knn(queries, K)
+        del pool._indexes[0].read_node
+        with pytest.raises(ValueError, match="k must be positive"):
             pool.knn(queries, np.array([0, 3, 3, 3, 3, 3, 3, 3]))
         results = pool.knn(queries, K)
         assert overlaps == []

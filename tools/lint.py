@@ -9,7 +9,9 @@ appear only in the storage serializer (everything else goes through
 the codec), raw page files and stores may be constructed only inside
 the storage/exec layers, and library code under ``src/repro`` may not
 ``print`` or call ``logging.getLogger`` — the CLI and the structured
-event log (``repro.obs.events``) are the only output surfaces.  Falls
+event log (``repro.obs.events``) are the only output surfaces — nor
+import ``http.server``/``socketserver`` outside ``repro/httpd.py``, the
+one HTTP substrate under both servers.  Falls
 through to the real ``pyflakes`` when it is installed
 (its diagnostics are a strict superset of (b); the policy pass runs
 either way).
@@ -314,6 +316,37 @@ def check_logging_surface(path: str, tree: ast.Module) -> list[str]:
     return problems
 
 
+#: The one library module that may stand on the stdlib's server stack:
+#: both servers import the substrate, so keep-alive, body framing and the
+#: response writer exist (and get fixed, and get fuzzed) once.
+HTTP_STACK_ALLOWED = os.path.join("src", "repro", "httpd.py")
+HTTP_STACK_MODULES = frozenset({"http.server", "socketserver"})
+
+
+def check_http_stack(path: str, tree: ast.Module) -> list[str]:
+    """Flag ``http.server``/``socketserver`` imports under ``src/repro``
+    outside the HTTP substrate."""
+    norm = path.replace("/", os.sep)
+    if (not norm.startswith(os.path.join("src", "repro") + os.sep)
+            or norm == HTTP_STACK_ALLOWED):
+        return []
+    problems: list[str] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module] + [f"{node.module}.{alias.name}"
+                                       for alias in node.names]
+        else:
+            continue
+        for module in HTTP_STACK_MODULES.intersection(modules):
+            problems.append(
+                f"{path}:{node.lineno}: {module} imported outside "
+                f"repro/httpd.py; serve through repro.httpd.HttpListener"
+            )
+    return problems
+
+
 def run_policy_pass(paths) -> int:
     """Repository policy checks that run even when pyflakes is installed."""
     problems: list[str] = []
@@ -328,6 +361,7 @@ def run_policy_pass(paths) -> int:
         problems.extend(check_pagefile_construction(path, tree))
         problems.extend(check_store_construction(path, tree))
         problems.extend(check_logging_surface(path, tree))
+        problems.extend(check_http_stack(path, tree))
     for problem in problems:
         print(problem)
     if problems:
