@@ -1,6 +1,6 @@
 # Convenience targets for development and reproduction runs.
 
-.PHONY: install lint sloc test test-crash test-concurrency test-mp test-net test-batching bench bench-check results-check examples all
+.PHONY: install lint sloc test test-crash test-concurrency test-mp test-net test-batching bench results-check examples all
 
 # Byte-compile everything and run the dependency-free pyflakes-level
 # checker (tools/lint.py upgrades itself to real pyflakes when
@@ -81,13 +81,6 @@ bench:
 # Approach the paper's original data-set sizes (slow).
 bench-paper-scale:
 	REPRO_BENCH_SCALE=10 pytest benchmarks/ --benchmark-only
-
-# Gate the committed BENCH_throughput.json: schema sanity (real
-# per-block percentiles, per-worker breakdowns) plus a same-spec
-# re-measurement with a generous tolerance.  CI runs this as a smoke
-# job; --queries keeps it fast.
-bench-check:
-	python tools/bench_check.py --queries 200
 
 # Gate the archived paper tables: re-run benchmarks/ and fail if any
 # count column of benchmarks/results/*.txt moved (timing columns are

@@ -4,25 +4,19 @@
   with the paper's cold-buffer methodology;
 * :mod:`~repro.bench.experiments` — one function per paper table/figure,
   with process-wide data-set/index memoization;
-* :mod:`~repro.bench.throughput` — serving throughput (single vs
-  batched vs parallel execution, ``repro bench-throughput``);
 * :mod:`~repro.bench.report` — fixed-width table rendering and report
   archiving.
 """
 
 from .report import format_table, format_value, write_report
 from .runner import BuildCost, QueryCost, build_with_cost, run_query_batch
-from .throughput import ThroughputResult, run_throughput, sample_queries
 
 __all__ = [
     "BuildCost",
     "QueryCost",
-    "ThroughputResult",
     "build_with_cost",
     "format_table",
     "format_value",
     "run_query_batch",
-    "run_throughput",
-    "sample_queries",
     "write_report",
 ]

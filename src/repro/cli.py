@@ -35,10 +35,6 @@ Usage (also via ``python -m repro``)::
     # Exercise an index and dump the metrics registry (Prometheus text).
     python -m repro stats --index images.srtree --queries 20 --format prom
 
-    # Serving throughput: single vs batched vs parallel execution.
-    python -m repro bench-throughput --index images.srtree --queries 500 \\
-        -k 21 --out BENCH_throughput.json
-
 The query command also reports the paper's cost metric (pages read by
 the cold query); see ``docs/OBSERVABILITY.md`` for the metric catalog
 and the tracing API behind ``--explain``.
@@ -155,50 +151,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="output format: Prometheus text exposition, "
                             "JSON, or a flat name=value listing")
     stats.set_defaults(handler=_cmd_stats)
-
-    bench = sub.add_parser(
-        "bench-throughput",
-        help="measure serving throughput (single vs batched vs parallel)",
-        description="Runs the same cold k-NN query set against a saved "
-                    "index under each execution mode of repro.exec and "
-                    "writes a BENCH_throughput.json document (see "
-                    "docs/PERFORMANCE.md for the schema).",
-    )
-    bench.add_argument("--index", required=True, help="saved index file")
-    bench.add_argument("--queries", type=int, default=500,
-                       help="number of k-NN queries (default 500)")
-    bench.add_argument("-k", type=int, default=21)
-    bench.add_argument("--modes", default="single,batched,parallel",
-                       help="comma-separated subset of single,batched,"
-                            "parallel,mixed,remote,remote_coalesced")
-    bench.add_argument("--block-size", type=int, default=64,
-                       help="queries per traversal block (batched/parallel)")
-    bench.add_argument("--workers", type=int, default=4,
-                       help="workers for the parallel mode")
-    bench.add_argument("--backend", choices=("thread", "process"),
-                       default="process",
-                       help="parallel-mode worker backend: 'process' "
-                            "(default; worker processes over a shared mmap, "
-                            "scales with cores) or 'thread' (GIL-bound; "
-                            "what the mixed mode always uses)")
-    bench.add_argument("--writer-qps", type=float, default=None,
-                       metavar="QPS",
-                       help="mixed-workload mode: serve from snapshot views "
-                            "while a background writer commits this many "
-                            "inserts/sec through the WAL against a scratch "
-                            "copy of the index (implies adding 'mixed' to "
-                            "--modes)")
-    bench.add_argument("--clients", type=int, default=8,
-                       help="concurrent client threads for the remote "
-                            "modes (default 8)")
-    bench.add_argument("--remote-batch-delay-ms", type=float, default=1.0,
-                       metavar="MS",
-                       help="coalescing window for the remote_coalesced "
-                            "mode (default 1.0)")
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--out", default="BENCH_throughput.json",
-                       help="output JSON path (default BENCH_throughput.json)")
-    bench.set_defaults(handler=_cmd_bench_throughput)
 
     serve = sub.add_parser(
         "serve-metrics",
@@ -377,12 +329,17 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_build(args) -> int:
-    from .storage import open_storage
+    from .storage import open_storage, wal_path
 
     data = np.load(args.data)
     if data.ndim != 2:
         raise ValueError(f"{args.data} does not hold an (N, D) point array")
     checksums = args.checksums or args.durability == "wal"
+    # --out replaces: a tree appended to an earlier build's pages would
+    # leak them (and lay this build's page size over the old one's).
+    for stale in (args.out, wal_path(args.out)):
+        if os.path.exists(stale):
+            os.remove(stale)
     pagefile, wal, _report = open_storage(
         args.out,
         page_size=args.page_size,
@@ -569,14 +526,31 @@ def _cmd_stats(args) -> int:
 
 def _exercise_index(index, *, queries: int, k: int, seed: int) -> None:
     """Run cold sample k-NN queries so the registry has something to say."""
-    from .bench.throughput import sample_queries
-
     if queries < 1 or index.size == 0:
         return
     k = min(k, index.size)
-    for point in sample_queries(index, queries, seed):
+    for point in _sample_stored_points(index, queries, seed):
         index.store.drop_cache()
         index.nearest(point, k=k)
+
+
+def _sample_stored_points(index, count: int, seed: int) -> np.ndarray:
+    """Reservoir-sample ``count`` stored points to use as query points."""
+    rng = np.random.default_rng(seed)
+    reservoir: list[np.ndarray] = []
+    for i, (point, _value) in enumerate(index.iter_points()):
+        if len(reservoir) < count:
+            reservoir.append(point)
+        else:
+            j = int(rng.integers(0, i + 1))
+            if j < count:
+                reservoir[j] = point
+        if i >= 20 * count:
+            break
+    base = len(reservoir)  # > 0: the caller returns early on an empty index
+    while len(reservoir) < count:
+        reservoir.append(reservoir[len(reservoir) % base])
+    return np.vstack(reservoir[:count])
 
 
 def _cmd_serve_metrics(args) -> int:
@@ -658,60 +632,6 @@ def _cmd_events(args) -> int:
             index.store.close()
     for event in EVENTS.tail(args.tail, level=args.level):
         print(json.dumps(event, sort_keys=True, default=str))
-    return 0
-
-
-def _cmd_bench_throughput(args) -> int:
-    from .bench.throughput import (
-        DEFAULT_WRITER_QPS,
-        run_throughput,
-        sample_queries,
-        write_json,
-    )
-
-    modes = tuple(m.strip() for m in args.modes.split(",") if m.strip())
-    if args.writer_qps is not None and "mixed" not in modes:
-        modes = modes + ("mixed",)
-    index = _open_index(args.index)
-    try:
-        k = min(args.k, index.size)
-        queries = sample_queries(index, args.queries, seed=args.seed)
-        info = {
-            "index_kind": index.NAME,
-            "points": index.size,
-            "dims": index.dims,
-            "height": index.height,
-            "path": str(args.index),
-        }
-    finally:
-        index.store.close()
-    doc = run_throughput(
-        args.index,
-        queries,
-        k,
-        modes=modes,
-        block_size=args.block_size,
-        workers=args.workers,
-        writer_qps=(DEFAULT_WRITER_QPS if args.writer_qps is None
-                    else args.writer_qps),
-        backend=args.backend,
-        clients=args.clients,
-        remote_batch_delay_ms=args.remote_batch_delay_ms,
-        dataset_info=info,
-    )
-    write_json(doc, args.out)
-    for mode, res in doc["modes"].items():
-        line = (f"{mode:>16}: {res['qps']:10.1f} qps  "
-                f"p50 {res['p50_ms']:.3f} ms  p95 {res['p95_ms']:.3f} ms  "
-                f"{res['page_reads_per_query']:.1f} pages/query")
-        if mode in ("parallel", "mixed") or mode.startswith("remote"):
-            line += f"  [{res['backend']}]"
-        if mode == "mixed":
-            line += f"  ({res['writer_commits']} writer commits)"
-        print(line)
-    for name, ratio in doc["speedups"].items():
-        print(f"speedup {name}: {ratio:.2f}x")
-    print(f"wrote {args.out}")
     return 0
 
 

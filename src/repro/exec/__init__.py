@@ -26,8 +26,8 @@ whole *block* of queries:
   actually scales with cores.
 
 Together with the zero-copy page decode
-(:class:`~repro.storage.serializer.NodeCodec`), this is the throughput
-path benchmarked by ``repro bench-throughput`` (see
+(:class:`~repro.storage.serializer.NodeCodec`), this is the path the
+ledger's ``uniform_batch`` and ``uniform_pool`` workloads measure (see
 ``docs/PERFORMANCE.md``).
 """
 

@@ -144,20 +144,12 @@ def _run_blocks(index, op: str, queries: np.ndarray, params: dict,
         def run(rows):
             return batch_range(index, queries[rows],
                                of(params["radius"], rows))
-    elif params["batched"]:
+    else:
         step = block_size = params["block_size"] or DEFAULT_BLOCK_SIZE
 
         def run(rows):
             return batch_knn(index, queries[rows], of(params["k"], rows),
                              block_size=block_size)
-    else:
-        step = 1
-
-        def run(rows):
-            k = params["k"]
-            if isinstance(k, np.ndarray):
-                k = int(k[rows.start])
-            return [index.nearest(queries[rows.start], k=k)]
 
     out: list[list[Neighbor]] = []
     times: list[tuple[float, int]] = []
@@ -323,9 +315,9 @@ class PoolCore:
 
     # ------------------------------------------------------------------
 
-    def knn(self, queries, k: int = 1, *, batched: bool = True,
-            block_size: int | None = None, with_flags: bool = False,
-            with_times: bool = False, timeout: float | None = None):
+    def knn(self, queries, k: int = 1, *, block_size: int | None = None,
+            with_flags: bool = False, with_times: bool = False,
+            timeout: float | None = None):
         """The ``k`` nearest neighbors, single query or batch.
 
         A single 1-D ``point`` returns one ``list[Neighbor]`` — the
@@ -335,20 +327,18 @@ class PoolCore:
         """
         return self._query(
             "knn", queries, np.asarray(queries).ndim == 1,
-            {"k": k, "batched": batched, "block_size": block_size},
+            {"k": k, "block_size": block_size},
             with_flags, with_times, timeout)
 
-    def knn_batch(self, queries, k: int = 1, *, batched: bool = True,
+    def knn_batch(self, queries, k: int = 1, *,
                   block_size: int | None = None, with_flags: bool = False,
                   with_times: bool = False, timeout: float | None = None):
         """The ``k`` nearest neighbors of every query, in input order.
 
         ``k`` is a scalar shared by every query or a ``(Q,)`` array
-        with one ``k`` per query.  ``batched=True`` (default) runs the
-        block engine per shard in blocks of ``block_size`` (default
-        :data:`~repro.exec.batch.DEFAULT_BLOCK_SIZE`) queries;
-        ``batched=False`` loops ``index.nearest`` per query — same
-        results, used as the throughput baseline.
+        with one ``k`` per query.  Each shard runs the block engine in
+        blocks of ``block_size`` (default
+        :data:`~repro.exec.batch.DEFAULT_BLOCK_SIZE`) queries.
 
         With ``with_flags=True``, returns ``(results, complete)`` where
         ``complete[i]`` is ``False`` for queries whose shard degraded
@@ -357,9 +347,7 @@ class PoolCore:
         With ``with_times=True``, a list of per-block ``(wall_ms,
         queries)`` pairs is appended to the return value — the *real*
         per-block latencies measured inside the workers (one entry per
-        traversal block; per query when ``batched=False``), which is
-        what the throughput benchmark's parallel percentiles are
-        computed from.  A block appears once; its time spans any
+        traversal block).  A block appears once; its time spans any
         transient-I/O retries.  Degraded shards report no blocks.
 
         ``timeout`` overrides the pool-level deadline for this one call
@@ -368,7 +356,7 @@ class PoolCore:
         """
         return self._query(
             "knn", queries, False,
-            {"k": k, "batched": batched, "block_size": block_size},
+            {"k": k, "block_size": block_size},
             with_flags, with_times, timeout)
 
     def range(self, queries, radius: float, *, with_flags: bool = False,
@@ -516,14 +504,12 @@ class PoolCore:
     def worker_stats(self) -> list[dict]:
         """Per-worker I/O breakdown (attributes the pool aggregate).
 
-        One dict per worker: page reads split by level, buffer/page-
-        cache outcomes with the worker's own hit ratios, distance
+        One dict per worker: page reads split by level, buffer
+        outcomes with the worker's own hit ratio, distance
         computations, how many times the worker has entered quarantine
         and whether it is quarantined right now; the process backend
-        adds ``pid`` and ``respawns``.  This is what
-        ``bench-throughput`` snapshots into ``per_worker`` so a skewed
-        pool-level ``buffer_hit_ratio`` can be traced to the worker
-        responsible.
+        adds ``pid`` and ``respawns`` — so a skewed pool-level
+        ``buffer_hit_ratio`` can be traced to the worker responsible.
         """
         return [{
             "worker": worker,

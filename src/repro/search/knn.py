@@ -60,21 +60,6 @@ class KnnCandidates:
             return float("inf")
         return -self._heap[0][0]
 
-    def offer(self, distance: float, point: np.ndarray, value: object) -> None:
-        """Consider one candidate.
-
-        The reject path — by far the most common once the heap is full —
-        reads the bound once and returns without allocating the heap
-        tuple or drawing a tiebreak number.
-        """
-        heap = self._heap
-        if len(heap) < self.k:
-            heapq.heappush(heap, (-distance, next(self._tiebreak), point, value))
-            return
-        if distance >= -heap[0][0]:
-            return
-        heapq.heapreplace(heap, (-distance, next(self._tiebreak), point, value))
-
     def offer_batch(self, distances: np.ndarray, points: np.ndarray, values) -> None:
         """Consider a leaf's worth of candidates at once.
 

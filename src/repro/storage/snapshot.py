@@ -26,7 +26,7 @@ from ..obs.tracer import trace
 from .buffer import BufferPool
 from .nodes import InternalNode, LeafNode
 from .stats import IOStats
-from .store import NodeStore
+from .store import NodeStore, load_node
 
 __all__ = ["SnapshotStore", "open_snapshot_store"]
 
@@ -134,25 +134,7 @@ class SnapshotStore:
         self._require_open()
         node = self.buffer.get(page_id)
         if node is None:
-            data = self.base.read_image_at(page_id, self._epoch)
-            extent, extras = self.codec.peek_extent(data)
-            if extent > 1:
-                data = data + b"".join(
-                    self.base.read_image_at(p, self._epoch) for p in extras
-                )
-            node = self.codec.decode(page_id, data)
-            self.stats.page_reads += extent
-            if node.is_leaf:
-                self.stats.leaf_reads += extent
-            else:
-                self.stats.node_reads += extent
-            if pin:
-                self.buffer.put(node, dirty=False)
-            else:
-                self.buffer.offer(node)
-            span = trace.active
-            if span is not None:
-                span.page(page_id, node.level, extent, hit=False)
+            node = load_node(self, page_id, pin)
         else:
             span = trace.active
             if span is not None:
@@ -160,6 +142,9 @@ class SnapshotStore:
         if pin:
             self.buffer.pin(page_id)
         return node
+
+    def _read_page_image(self, page_id: int):
+        return self.base.read_image_at(page_id, self._epoch)
 
     def read_meta(self) -> dict:
         """The index metadata dict as of the pinned epoch."""

@@ -55,6 +55,38 @@ the log covers falls back to dropping the whole (private) buffer pool.
 """
 
 
+def load_node(store, page_id: int, pin: bool) -> Node:
+    """Resolve a buffer miss on ``store``: fetch, decode, count, admit.
+
+    The one miss path under :meth:`NodeStore.read` and
+    :meth:`~repro.storage.snapshot.SnapshotStore.read`, which differ
+    only in ``_read_page_image``, each store's way from a page id to
+    its image of the page.
+    """
+    read_image = store._read_page_image
+    data = read_image(page_id)
+    extent, extras = store.codec.peek_extent(data)
+    if extent > 1:
+        # join (not +=) so memoryview images from an mmap-backed
+        # page file concatenate without needing bytes on the left.
+        data = b"".join((data, *map(read_image, extras)))
+    node = store.codec.decode(page_id, data)
+    stats = store.stats
+    stats.page_reads += extent
+    if node.is_leaf:
+        stats.leaf_reads += extent
+    else:
+        stats.node_reads += extent
+    if pin:
+        store.buffer.put(node, dirty=False)  # a pinned page must be resident
+    else:
+        store.buffer.offer(node)  # may decline: the caller still gets its node
+    span = trace.active
+    if span is not None:
+        span.page(page_id, node.level, extent, hit=False)
+    return node
+
+
 class NodeStore:
     """Page-granular node storage for one index instance."""
 
@@ -410,25 +442,7 @@ class NodeStore:
         """
         node = self.buffer.get(page_id)
         if node is None:
-            data = self._read_page_image(page_id)
-            extent, extras = self.codec.peek_extent(data)
-            if extent > 1:
-                # join (not +=) so memoryview images from an mmap-backed
-                # page file concatenate without needing bytes on the left.
-                data = b"".join((data, *(self._read_page_image(p) for p in extras)))
-            node = self.codec.decode(page_id, data)
-            self.stats.page_reads += extent
-            if node.is_leaf:
-                self.stats.leaf_reads += extent
-            else:
-                self.stats.node_reads += extent
-            if pin:
-                self.buffer.put(node, dirty=False)  # a pinned page must be resident
-            else:
-                self.buffer.offer(node)  # may decline: the caller still gets its node
-            span = trace.active
-            if span is not None:
-                span.page(page_id, node.level, extent, hit=False)
+            node = load_node(self, page_id, pin)
         else:
             span = trace.active
             if span is not None:

@@ -2,19 +2,23 @@
 
 ``docs/OBSERVABILITY.md`` lists every metric family and every event,
 ``docs/SERVING.md`` and the ``repro.net.protocol`` docstring every
-endpoint.  Each list is re-derived here from the code — the families in
-``REGISTRY``, the literals passed to ``emit(`` under ``src/repro``,
-``protocol.ENDPOINTS`` — and must match name for name, so a metric,
-event or endpoint cannot be added, renamed or dropped on one side only.
+endpoint, ``README.md`` and ``docs/API.md`` every CLI sub-command.  Each
+list is re-derived here from the code — the families in ``REGISTRY``,
+the literals passed to ``emit(`` under ``src/repro``,
+``protocol.ENDPOINTS``, the argparse sub-parsers — and must match name
+for name, so a metric, event, endpoint or command cannot be added,
+renamed or dropped on one side only.
 (A test, not a ``tools/lint.py`` policy: the linter imports nothing from
 the package, and the registry is only knowable by importing it.)
 """
 
 from __future__ import annotations
 
+import argparse
 import re
 from pathlib import Path
 
+from repro.cli import _build_parser
 from repro.net import protocol
 from repro.obs import REGISTRY
 
@@ -60,3 +64,16 @@ def test_endpoint_tables_are_the_protocol():
     docstring = re.findall(r"^``/v1/(\w+)``", protocol.__doc__, re.MULTILINE)
     assert sorted(serving) == sorted(protocol.ENDPOINTS)
     assert sorted(docstring) == sorted(protocol.ENDPOINTS)
+
+
+def test_cli_command_lists_are_the_parser():
+    commands, = (sorted(action.choices)
+                 for action in _build_parser()._actions
+                 if isinstance(action, argparse._SubParsersAction))
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    one_line, = re.findall(r"`python -m repro \{([\w,-]+)\}`", readme)
+    api = (ROOT / "docs" / "API.md").read_text(encoding="utf-8")
+    block = api[api.index("## CLI"):].split("```")[1]
+    assert sorted(one_line.split(",")) == commands
+    # continuation lines of a command's flags are indented
+    assert sorted(re.findall(r"^([\w-]+)", block, re.MULTILINE)) == commands

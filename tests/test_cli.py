@@ -89,13 +89,6 @@ class TestBuildInfoQuery:
     def test_missing_index_file(self, tmp_path, capsys):
         assert run("info", "--index", tmp_path / "absent.idx") == 2
 
-    def test_removed_page_cache_flag_is_refused(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exit_info:
-            run("bench-throughput", "--index", tmp_path / "x.idx",
-                "--page-cache", 8)
-        assert exit_info.value.code == 2
-        assert "--page-cache" in capsys.readouterr().err
-
 
 class TestOpenIndex:
     def test_open_with_custom_page_size(self, tmp_path, rng):

@@ -45,6 +45,23 @@ def test_build_checksums_without_wal(tmp_path, data_file, capsys):
                "--data", data_file, "-k", "3") == 0
 
 
+def test_build_replaces_an_existing_index(tmp_path, data_file, capsys):
+    """--out onto an earlier build leaves one tree, not two: the file is
+    the size of a first build, whatever geometry the old one had."""
+    clean, out = tmp_path / "clean.db", tmp_path / "rebuilt.db"
+    assert run("build", "--data", data_file, "--out", clean,
+               "--durability", "wal") == 0
+    assert run("build", "--data", data_file, "--out", out) == 0
+    assert run("build", "--data", data_file, "--out", out,
+               "--durability", "wal") == 0
+    assert out.stat().st_size == clean.stat().st_size
+    assert (out.with_name("rebuilt.db.wal").stat().st_size
+            == clean.with_name("clean.db.wal").stat().st_size)
+    capsys.readouterr()
+    assert run("verify", "--index", out) == 0
+    assert "150 points" in capsys.readouterr().out
+
+
 def test_recover_on_clean_file_is_a_noop(tmp_path, data_file, capsys):
     out = tmp_path / "clean.db"
     run("build", "--data", data_file, "--out", out, "--durability", "wal")

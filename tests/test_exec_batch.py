@@ -132,9 +132,7 @@ class TestServingPool:
             want = [db.index.nearest(q, k=9) for q in queries]
         with ServingPool(path, workers=3) as pool:
             got = pool.knn(queries, k=9)
-            unbatched = pool.knn(queries, k=9, batched=False)
         assert_same_neighbors(got, want)
-        assert_same_neighbors(unbatched, want)
 
     def test_range_matches_sequential(self, saved):
         path, data = saved
@@ -209,8 +207,6 @@ class TestServingPool:
             want_range = [db.range(q, r) for q, r in zip(queries, radii)]
         with ServingPool(path, workers=3, **pool_backend) as pool:
             assert_same_neighbors(pool.knn(queries, ks), want_knn, tol=0)
-            assert_same_neighbors(pool.knn(queries, ks, batched=False),
-                                  want_knn, tol=0)
             assert_same_neighbors(pool.range(queries, radii), want_range,
                                   tol=0)
 

@@ -197,6 +197,35 @@ def test_readonly_open_serves_without_ever_writing(tmp_path, small_cloud):
     assert not os.path.exists(wal_path(str(out)))
 
 
+def test_snapshot_view_over_a_mapping_reads_supernodes(tmp_path):
+    """A supernode's page images are memoryviews over the mapping; the
+    snapshot view joins them on the same miss path as the live handle."""
+    from repro.indexes import build_index
+    from repro.workloads import uniform_dataset
+
+    data = uniform_dataset(3000, 16, seed=0)
+    out = tmp_path / "srx.db"
+    tree = build_index("srx", data, page_size=2048,
+                       pagefile=FilePageFile(out, page_size=2048))
+    assert tree.supernode_count() > 0
+    tree.close()
+
+    live = _open_index(str(out), readonly=True)
+    try:
+        view = live.snapshot_view()
+        try:
+            for point in data[:5]:
+                got = view.nearest(point, k=5)
+                want = live.nearest(point, k=5)
+                assert ([(n.value, n.distance) for n in got]
+                        == [(n.value, n.distance) for n in want])
+            assert view.stats.page_reads > 0
+        finally:
+            view.close()
+    finally:
+        live.close()
+
+
 def test_filepagefile_positional_reads_are_thread_safe(tmp_path):
     """pread carries its own offset: concurrent readers sharing one fd
     never race on a seek position."""

@@ -101,11 +101,6 @@ def test_process_pool_matches_single_query_search(saved_indexes, name):
         got_range = pool.range(queries, radius)
         assert_byte_equal(got_range, want_range)
 
-        # Unbatched per-query fallback goes through the same shipping
-        # path and must agree too.
-        got_unbatched = pool.knn(queries[:6], k=k, batched=False)
-        assert_byte_equal(got_unbatched, want_knn[:6])
-
 
 # ---------------------------------------------------------------------------
 # Crash resilience: SIGKILL mid-call degrades, never hangs

@@ -125,8 +125,11 @@ def test_leaf_codec_roundtrip(points, payloads):
 @settings(max_examples=80, deadline=None)
 def test_candidates_keep_k_smallest(dists, k):
     heap = KnnCandidates(k)
-    for i, d in enumerate(dists):
-        heap.offer(d, np.array([d]), i)
+    column = np.array(dists)
+    for start in range(0, len(dists), 12):  # one offer per leaf's worth
+        rows = slice(start, start + 12)
+        heap.offer_batch(column[rows], column[rows, None],
+                         range(len(dists))[rows])
     result = [n.distance for n in heap.results()]
     assert result == sorted(dists)[: min(k, len(dists))]
 

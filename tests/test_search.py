@@ -17,38 +17,41 @@ from repro.search.metrics import (
 from tests.helpers import brute_force_knn
 
 
+def _offer(candidates, *pairs):
+    """Offer ``(distance, value)`` pairs as one leaf's batch."""
+    dists = np.array([d for d, _ in pairs], dtype=np.float64)
+    candidates.offer_batch(dists, dists[:, None], [v for _, v in pairs])
+
+
 class TestKnnCandidates:
     def test_fills_up_to_k(self):
         c = KnnCandidates(3)
-        for d in (5.0, 1.0, 3.0):
-            c.offer(d, np.array([d]), d)
+        _offer(c, (5.0, 5.0), (1.0, 1.0), (3.0, 3.0))
         assert len(c) == 3
         assert c.bound == 5.0
 
     def test_bound_infinite_while_filling(self):
         c = KnnCandidates(3)
-        c.offer(1.0, np.array([1.0]), 1)
+        _offer(c, (1.0, 1))
         assert c.bound == float("inf")
 
     def test_replaces_worst(self):
         c = KnnCandidates(2)
-        c.offer(5.0, np.array([5.0]), "far")
-        c.offer(1.0, np.array([1.0]), "near")
-        c.offer(2.0, np.array([2.0]), "mid")
+        _offer(c, (5.0, "far"), (1.0, "near"))
+        _offer(c, (2.0, "mid"))
         values = [n.value for n in c.results()]
         assert values == ["near", "mid"]
 
     def test_ignores_worse_candidate(self):
         c = KnnCandidates(1)
-        c.offer(1.0, np.array([1.0]), "keep")
-        c.offer(9.0, np.array([9.0]), "drop")
+        _offer(c, (1.0, "keep"))
+        _offer(c, (9.0, "drop"))
         assert [n.value for n in c.results()] == ["keep"]
 
     def test_results_sorted_ascending(self, rng):
         c = KnnCandidates(10)
-        for _ in range(50):
-            d = float(rng.random())
-            c.offer(d, np.array([d]), d)
+        for _ in range(10):
+            _offer(c, *((float(d), float(d)) for d in rng.random(5)))
         dists = [n.distance for n in c.results()]
         assert dists == sorted(dists)
         assert len(dists) == 10
@@ -62,13 +65,14 @@ class TestKnnCandidates:
         a.offer_batch(dists, pts, list(range(40)))
         b = KnnCandidates(7)
         for i in range(40):
-            b.offer(float(dists[i]), pts[i], i)
+            b.offer_batch(dists[i:i + 1], pts[i:i + 1], [i])
         assert [n.value for n in a.results()] == [n.value for n in b.results()]
+        assert [n.value for n in a.results()] == list(np.argsort(dists)[:7])
 
     def test_ties_preserve_first_seen(self):
         c = KnnCandidates(1)
-        c.offer(1.0, np.array([0.0]), "first")
-        c.offer(1.0, np.array([0.0]), "second")
+        _offer(c, (1.0, "first"), (1.0, "second"))
+        _offer(c, (1.0, "third"))
         assert [n.value for n in c.results()] == ["first"]
 
 
