@@ -26,9 +26,10 @@ test:
 # The durability suite on its own: checksum sweeps, WAL replay and
 # ordering, the log-record state machine (needs hypothesis: IMAGE, DELTA
 # and META_DELTA records under aborts, stale bases, truncates and kills;
-# an older log's PAGE records by hand), and the randomized crash harness
-# (210 fixed-seed kill points across the three paper workloads).  CI
-# runs this as a dedicated job.
+# the reserved PAGE record refused, by hand), and the randomized crash
+# harness (210 fixed-seed kill points across the three paper workloads,
+# each reopening in WAL mode; a torn meta page).  CI runs this as a
+# dedicated job.
 test-crash:
 	PYTHONPATH=src python -m pytest tests/test_checksums.py tests/test_wal.py \
 	    tests/test_wal_ordering.py tests/test_wal_delta.py \

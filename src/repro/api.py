@@ -29,7 +29,8 @@ Durability modes:
 * ``durability="wal"`` — every :meth:`insert`/:meth:`delete` commits as
   one transaction through a physical redo log; page images are sealed
   with CRC32 trailers; :meth:`Database.open` replays whatever a crash
-  left behind.  See ``docs/DURABILITY.md``.
+  left behind, and only then reads the meta page that says which mode
+  to resume.  See ``docs/DURABILITY.md``.
 
 Concurrent reads: :meth:`Database.snapshot` returns a
 :class:`Snapshot` — a read-only handle pinned to the newest *committed*
@@ -37,8 +38,12 @@ epoch.  Queries through a snapshot never observe an in-flight WAL
 transaction's shadow pages or a half-applied commit, even while another
 thread keeps inserting; see ``docs/CONCURRENCY.md``.
 
-The older entry points (``make_index``/``build_index``, direct
-index-class construction) keep working.
+A file describes itself: :meth:`Database.open` takes a path and nothing
+else it could get wrong (page size, checksums, kind and mode all come
+from the file), every family fills through :meth:`Database.insert_many`,
+and a file this library did not write is refused by name.  The older
+entry points (``make_index``/``build_index``, direct index-class
+construction) keep working.
 """
 
 from __future__ import annotations
@@ -374,9 +379,9 @@ class Database(_IndexHandle):
             to the process-wide objective
             (:func:`repro.obs.hooks.set_slo_ms`).
         index_kwargs:
-            Uniform factory keywords — ``page_size``, ``buffer_pages``,
-            ``reinsert_fraction``, family extras — validated with
-            did-you-mean errors.
+            Uniform factory keywords — ``page_size``,
+            ``buffer_capacity``, ``reinsert_fraction``, family extras —
+            validated with did-you-mean errors.
         """
         from .storage import DEFAULT_PAGE_SIZE, open_storage, wal_path
         from .storage.stack import open_pagefile
@@ -437,22 +442,26 @@ class Database(_IndexHandle):
         *,
         durability: str | None = None,
         sync_every: int = 1,
-        buffer_pages: int | None = None,
+        buffer_capacity: int | None = None,
         fault_plan=None,
         slo_ms: float | None = None,
     ) -> "Database":
         """Open an existing database, running WAL recovery first.
 
-        The file's own meta page supplies the index kind, geometry, and
-        (unless ``durability`` overrides it) the durability mode it was
-        created with.  ``slo_ms`` behaves as in :meth:`create`.
+        The file describes itself: its superblock supplies the page
+        geometry, and its meta page — read once, after recovery — the
+        index kind and (unless ``durability`` overrides it) the
+        durability mode it was last saved with.  A file this library
+        did not write raises :class:`~repro.exceptions.ReproError`.
+        ``buffer_capacity`` is the buffer pool size in frames;
+        ``slo_ms`` behaves as in :meth:`create`.
         """
         file_path = os.fspath(path)
         if slo_ms is not None and slo_ms <= 0:
             raise ValueError(f"slo_ms must be positive, got {slo_ms}")
         index = _open_index(
             file_path,
-            buffer_pages,
+            buffer_capacity,
             durability=durability,
             sync_every=sync_every,
             fault_plan=fault_plan,
@@ -494,7 +503,9 @@ class Database(_IndexHandle):
     def insert_many(self, points, values=None) -> int:
         """Insert many points (payloads default to row indices).
 
-        Returns the number of points inserted — the same contract as
+        Works for every family: on the static ``vamsplit`` tree this is
+        its one bulk build (a second call raises).  Returns the number
+        of points inserted — the same contract as
         :meth:`repro.net.RemoteDatabase.insert_many`, pinned by the
         QuerySurface conformance suite.
         """

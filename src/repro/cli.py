@@ -51,8 +51,9 @@ import time
 import numpy as np
 
 from .analysis import describe
-from .indexes import INDEX_KINDS, build_index
-from .indexes.factory import _open_index
+from .api import Database
+from .exceptions import IndexError_, ReproError, StorageError
+from .indexes import INDEX_KINDS
 from .obs import REGISTRY, explain, render, trace
 from .workloads import cluster_dataset, histogram_dataset, uniform_dataset
 
@@ -69,7 +70,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, FileNotFoundError, KeyError) as exc:
+    except (ValueError, FileNotFoundError, KeyError, ReproError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -329,28 +330,18 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_build(args) -> int:
-    from .storage import open_storage, wal_path
-
     data = np.load(args.data)
     if data.ndim != 2:
         raise ValueError(f"{args.data} does not hold an (N, D) point array")
     checksums = args.checksums or args.durability == "wal"
+    start = time.perf_counter()
     # --out replaces: a tree appended to an earlier build's pages would
     # leak them (and lay this build's page size over the old one's).
-    for stale in (args.out, wal_path(args.out)):
-        if os.path.exists(stale):
-            os.remove(stale)
-    pagefile, wal, _report = open_storage(
-        args.out,
-        page_size=args.page_size,
-        checksums=checksums,
-        durability=args.durability,
-    )
-    start = time.perf_counter()
-    index = build_index(args.kind, data, pagefile=pagefile, wal=wal,
-                        page_size=args.page_size)
-    elapsed = time.perf_counter() - start
-    index.close()
+    with Database.create(args.out, kind=args.kind, dims=data.shape[1],
+                         durability=args.durability, checksums=checksums,
+                         overwrite=True, page_size=args.page_size) as db:
+        db.insert_many(data)
+        elapsed = time.perf_counter() - start
     extras = []
     if checksums:
         extras.append("checksummed")
@@ -363,25 +354,25 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_info(args) -> int:
-    index = _open_index(args.index)
-    try:
-        print(describe(index))
-    finally:
-        index.store.close()
+    with Database.open(args.index) as db:
+        print(describe(db.index))
     return 0
+
+
+def _query_point(args) -> np.ndarray:
+    if args.point is not None:
+        return np.array([float(x) for x in args.point.split(",")])
+    if not args.data:
+        raise ValueError("--row requires --data")
+    return np.load(args.data)[args.row]
 
 
 def _cmd_query(args) -> int:
     if args.remote is not None:
         return _cmd_query_remote(args)
-    index = _open_index(args.index)
-    try:
-        if args.point is not None:
-            point = np.array([float(x) for x in args.point.split(",")])
-        else:
-            if not args.data:
-                raise ValueError("--row requires --data")
-            point = np.load(args.data)[args.row]
+    with Database.open(args.index) as db:
+        index = db.index
+        point = _query_point(args)
         index.store.drop_cache()
         before = index.stats.snapshot()
         start = time.perf_counter()
@@ -403,8 +394,6 @@ def _cmd_query(args) -> int:
             print()
             print(explain(span))
             trace.disable()
-    finally:
-        index.store.close()
     return 0
 
 
@@ -412,12 +401,7 @@ def _cmd_query_remote(args) -> int:
     from .exceptions import NetError
     from .net import RemoteDatabase
 
-    if args.point is not None:
-        point = np.array([float(x) for x in args.point.split(",")])
-    else:
-        if not args.data:
-            raise ValueError("--row requires --data")
-        point = np.load(args.data)[args.row]
+    point = _query_point(args)
     try:
         with RemoteDatabase.connect(args.remote,
                                     deadline_ms=args.deadline_ms) as db:
@@ -441,7 +425,6 @@ def _cmd_serve(args) -> int:
     import signal
     import threading
 
-    from .api import Database
     from .exec import ServingPool
     from .net import QueryServer
     from .obs import TelemetryServer
@@ -514,14 +497,16 @@ def _cmd_serve(args) -> int:
 
 def _cmd_stats(args) -> int:
     if args.index:
-        index = _open_index(args.index)
-        try:
-            _exercise_index(index, queries=args.queries, k=args.k,
-                            seed=args.seed)
-        finally:
-            index.store.close()
+        _exercise(args)
     _print_registry(args.format)
     return 0
+
+
+def _exercise(args) -> None:
+    """Open ``--index`` and run its cold sample queries (stats/slow/events)."""
+    with Database.open(args.index) as db:
+        _exercise_index(db.index, queries=args.queries, k=args.k,
+                        seed=args.seed)
 
 
 def _exercise_index(index, *, queries: int, k: int, seed: int) -> None:
@@ -554,7 +539,6 @@ def _sample_stored_points(index, count: int, seed: int) -> np.ndarray:
 
 
 def _cmd_serve_metrics(args) -> int:
-    from .api import Database
     from .obs import TelemetryServer
     from .obs.hooks import set_slo_ms
 
@@ -584,12 +568,7 @@ def _cmd_slow(args) -> int:
 
     if args.slow_ms is not None:
         FLIGHT.configure(slow_query_ms=args.slow_ms)
-    index = _open_index(args.index)
-    try:
-        _exercise_index(index, queries=args.queries, k=args.k,
-                        seed=args.seed)
-    finally:
-        index.store.close()
+    _exercise(args)
     slowest = FLIGHT.slowest(args.top)
     if args.format == "json":
         print(json.dumps([rec.to_dict() for rec in slowest], indent=2,
@@ -624,38 +603,19 @@ def _cmd_events(args) -> int:
 
     EVENTS.configure(min_level=args.level)
     if args.index:
-        index = _open_index(args.index)
-        try:
-            _exercise_index(index, queries=args.queries, k=args.k,
-                            seed=args.seed)
-        finally:
-            index.store.close()
+        _exercise(args)
     for event in EVENTS.tail(args.tail, level=args.level):
         print(json.dumps(event, sort_keys=True, default=str))
     return 0
 
 
 def _cmd_recover(args) -> int:
-    from .storage import load_meta_prefix, open_storage, wal_path
+    from .storage import open_storage, wal_path
 
-    if not os.path.exists(args.index):
-        raise FileNotFoundError(args.index)
-    geometry, prefix_meta = load_meta_prefix(args.index)
-    if geometry is not None:
-        page_size = geometry["page_size"] or 8192
-        checksums = geometry["checksums"]
-    else:
-        page_size = (prefix_meta or {}).get("page_size", 8192)
-        checksums = False
     log = wal_path(args.index)
     had_log = os.path.exists(log) and os.path.getsize(log) > 0
-    pagefile, _wal, report = open_storage(
-        args.index,
-        page_size=page_size,
-        checksums=checksums,
-        durability="none",
-        create=False,
-    )
+    pagefile, _wal, report = open_storage(args.index, create=False,
+                                          durability="none")
     pagefile.close()
     if had_log:
         print(report)
@@ -665,22 +625,18 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .exceptions import ReproError
-
-    index = _open_index(args.index)
     try:
-        points = 0
-        for _point, _value in index.iter_points():
-            points += 1
-        index.check_invariants()
-    except ReproError as exc:
+        with Database.open(args.index) as db:
+            points = sum(1 for _ in db.index.iter_points())
+            db.verify()
+            sealed = ("checksummed pages, "
+                      if db.index.store.has_checksums else "")
+            height = db.index.height
+    except (StorageError, IndexError_) as exc:
         print(f"{args.index}: FAILED -- {exc}", file=sys.stderr)
         return 1
-    finally:
-        index.store.close()
-    sealed = "checksummed pages, " if index.store.has_checksums else ""
     print(f"{args.index}: OK ({sealed}{points} points, "
-          f"height {index.height}, invariants hold)")
+          f"height {height}, invariants hold)")
     return 0
 
 

@@ -30,11 +30,13 @@ from ..storage import (
     InternalNode,
     IOStats,
     LeafNode,
+    META_PAGE_ID,
     NodeLayout,
     NodeStore,
     PageFile,
     WriteAheadLog,
 )
+from ..storage.serializer import unpack_meta
 
 __all__ = ["Neighbor", "Entry", "SpatialIndex"]
 
@@ -534,22 +536,19 @@ class SpatialIndex(ABC):
         attaches an (already recovered) write-ahead log so subsequent
         mutations are transactional.
         """
-        probe_layout = NodeLayout(
-            dims=1,
-            has_rects=True,
-            has_spheres=False,
-            has_weights=False,
-            page_size=pagefile.page_size,
-        )
-        meta = NodeStore(probe_layout, pagefile, buffer_capacity).read_meta()
+        meta = unpack_meta(pagefile.read(META_PAGE_ID))
         if meta["index"] != cls.NAME:
             raise ValueError(
                 f"page file holds a {meta['index']!r} index, not {cls.NAME!r}"
             )
-        index = cls.__new__(cls)
-        _restore(index, cls, pagefile, buffer_capacity, meta, wal=wal)
-        index._restore_extra(meta)
-        return index
+        return _restore(cls, pagefile, buffer_capacity, meta, wal=wal)
+
+    def _adopt_meta(self, meta: dict) -> None:
+        """Take the tree's counters and the family's extras from ``meta``."""
+        self._root_id = meta["root_id"]
+        self._height = meta["height"]
+        self._size = meta["size"]
+        self._restore_extra(meta)
 
     # ------------------------------------------------------------------
     # snapshots (epoch-pinned read-only views)
@@ -601,10 +600,7 @@ class SpatialIndex(ABC):
         view._layout = self._layout
         view._store = store
         view._config = self._config
-        view._root_id = meta["root_id"]
-        view._height = meta["height"]
-        view._size = meta["size"]
-        view._restore_extra(meta)
+        view._adopt_meta(meta)
         return view
 
     def refresh_snapshot(self, epoch: int | None = None) -> int:
@@ -623,11 +619,7 @@ class SpatialIndex(ABC):
             )
         age = store.lag  # staleness being caught up, for the metric
         store.refresh_to(epoch)
-        meta = store.read_meta()
-        self._root_id = meta["root_id"]
-        self._height = meta["height"]
-        self._size = meta["size"]
-        self._restore_extra(meta)
+        self._adopt_meta(store.read_meta())
         on_snapshot_refresh(self.NAME, age)
         return store.epoch
 
@@ -664,9 +656,10 @@ class SpatialIndex(ABC):
         self.close()
 
 
-def _restore(index: SpatialIndex, cls, pagefile, buffer_capacity, meta,
-             wal: WriteAheadLog | None = None) -> None:
-    """Rebuild a live index object around an existing page file."""
+def _restore(cls: type[SpatialIndex], pagefile: PageFile, buffer_capacity: int,
+             meta: dict, wal: WriteAheadLog | None = None) -> SpatialIndex:
+    """A live ``cls`` index around an existing page file and its meta dict."""
+    index = cls.__new__(cls)
     index._layout = NodeLayout(
         dims=meta["dims"],
         has_rects=cls.HAS_RECTS,
@@ -683,6 +676,5 @@ def _restore(index: SpatialIndex, cls, pagefile, buffer_capacity, meta,
         min_utilization=meta["min_utilization"],
         reinsert_fraction=meta["reinsert_fraction"],
     )
-    index._root_id = meta["root_id"]
-    index._height = meta["height"]
-    index._size = meta["size"]
+    index._adopt_meta(meta)
+    return index

@@ -5,14 +5,16 @@ classes, and provides a uniform "build an index over this data set"
 entry point that hides the static/dynamic construction difference.
 
 Keyword arguments are *uniform* across the families: every factory call
-accepts the canonical spellings ``page_size``, ``buffer_pages`` and
-``reinsert_fraction`` (plus the historical ``buffer_capacity``
-frame-count form), and an unknown keyword is rejected with a
-did-you-mean error instead of the bare ``TypeError`` a blind
-``**kwargs`` pass-through used to produce.
+accepts ``page_size``, ``buffer_capacity`` and ``reinsert_fraction``
+(each constructor's own names — there is one spelling), and an unknown
+keyword is rejected with a did-you-mean error instead of the bare
+``TypeError`` a blind ``**kwargs`` pass-through used to produce.
 
 Saved indexes are re-opened through :class:`repro.api.Database`, which
-adds checksums, WAL recovery, and a uniform query surface.
+arrives at :func:`_open_index` below — as the serving pools' workers
+do: :func:`repro.storage.open_existing` turns the path into a recovered
+page stack and its meta, the registry supplies the class, and the base
+module's one restore routine builds the handle.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ import time
 import numpy as np
 
 from ..obs.hooks import on_build
-from .base import SpatialIndex
+from ..storage import DEFAULT_BUFFER_CAPACITY, open_existing
+from .base import SpatialIndex, _restore
 from .kdb import KDBTree
 from .linear import LinearScan
 from .rstar import RStarTree
@@ -77,41 +80,25 @@ def _allowed_kwargs(cls: type[SpatialIndex]) -> set[str]:
 
 
 def normalize_index_kwargs(cls: type[SpatialIndex], kwargs: dict) -> dict:
-    """Translate canonical factory keywords and reject unknown ones.
-
-    * ``buffer_pages`` (canonical) ⇄ ``buffer_capacity`` (legacy alias,
-      both are frame counts; passing both is an error);
-    * anything the constructor does not accept raises ``ValueError``
-      with a close-match suggestion.
-    """
-    out = dict(kwargs)
-    if "buffer_pages" in out:
-        if "buffer_capacity" in out:
-            raise ValueError(
-                "pass either buffer_pages or buffer_capacity, not both "
-                "(they are the same knob; buffer_pages is canonical)"
-            )
-        out["buffer_capacity"] = out.pop("buffer_pages")
+    """Reject keywords ``cls`` does not accept, with a close-match hint."""
     allowed = _allowed_kwargs(cls)
-    aliases = {"buffer_pages"}
-    for name in out:
+    for name in kwargs:
         if name not in allowed:
-            hint = difflib.get_close_matches(name, allowed | aliases, n=1)
+            hint = difflib.get_close_matches(name, allowed, n=1)
             suggestion = f"; did you mean {hint[0]!r}?" if hint else ""
             raise ValueError(
                 f"{cls.__name__} got an unknown keyword {name!r}{suggestion} "
-                f"(accepted: {sorted(allowed | aliases)})"
+                f"(accepted: {sorted(allowed)})"
             )
-    return out
+    return dict(kwargs)
 
 
 def make_index(kind: str, dims: int, **kwargs) -> SpatialIndex:
     """Instantiate an empty index of the given kind.
 
-    ``kind`` is one of ``rstar``, ``sstree``, ``srtree``, ``kdb``,
-    ``vamsplit``, or ``linear``; remaining keyword arguments are passed
-    to the index constructor (page size, buffer pages, ...) after the
-    canonical-name translation of :func:`normalize_index_kwargs`.
+    ``kind`` is a registry name (:data:`INDEX_KINDS`); the remaining
+    keyword arguments go to the index constructor (page size, buffer
+    capacity, ...) once :func:`normalize_index_kwargs` has checked them.
     """
     cls = resolve_kind(kind)
     return cls(dims, **normalize_index_kwargs(cls, kwargs))
@@ -120,18 +107,16 @@ def make_index(kind: str, dims: int, **kwargs) -> SpatialIndex:
 def build_index(kind: str, points, values=None, **kwargs) -> SpatialIndex:
     """Build an index of the given kind over a complete data set.
 
-    Dynamic indexes insert the points one by one (as the paper's
-    experiments do); the static VAMSplit R-tree bulk-loads them.
+    Every family fills through :meth:`SpatialIndex.load`: the dynamic
+    indexes insert the points one by one (as the paper's experiments
+    do); the static VAMSplit R-tree's ``load`` is its bulk ``build``.
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise ValueError("expected an (N, D) array of points")
     index = make_index(kind, points.shape[1], **kwargs)
     start = time.perf_counter()
-    if isinstance(index, VAMSplitRTree):
-        index.build(points, values)
-    else:
-        index.load(points, values)
+    index.load(points, values)
     on_build(index, points.shape[0], time.perf_counter() - start)
     return index
 
@@ -143,59 +128,23 @@ def _open_index(path, buffer_capacity: int | None = None, *,
                 readonly: bool = False) -> SpatialIndex:
     """Re-open a saved index from a page file on disk (internal).
 
-    The raw file prefix supplies the geometry (page size, checksum
-    mode); any write-ahead log left by a previous process is recovered
-    *before* the meta page is trusted; then the meta page supplies the
-    index kind and construction parameters.
-
     ``durability=None`` (default) re-opens in whatever mode the index
-    was last saved with; ``"wal"``/``"none"`` force the mode for this
-    session.  ``readonly=True`` memory-maps the (recovered) file
-    instead of opening it for writing: reads are zero-copy and the OS
-    page cache is shared with every other process mapping the file, but
-    all mutation raises.
+    was last saved with — read from the meta page *after* recovery;
+    ``"wal"``/``"none"`` force the mode for this session.
+    ``readonly=True`` memory-maps the (recovered) file instead of
+    opening it for writing: reads are zero-copy and the OS page cache is
+    shared with every other process mapping the file, but all mutation
+    raises.
     """
-    from ..storage import (
-        DEFAULT_BUFFER_CAPACITY,
-        DEFAULT_PAGE_SIZE,
-        NodeLayout,
-        NodeStore,
-        load_meta_prefix,
-        open_storage,
+    pagefile, wal, _report, meta = open_existing(
+        path, durability=durability, sync_every=sync_every,
+        fault_plan=fault_plan, readonly=readonly,
     )
-
-    geometry, prefix_meta = load_meta_prefix(path)
-    if geometry is not None:
-        page_size = geometry["page_size"] or DEFAULT_PAGE_SIZE
-        checksums = geometry["checksums"]
-    else:
-        # Legacy file (raw-pickle meta page, no superblock): unsealed
-        # pages, geometry only available from the pickled dict.
-        page_size = (prefix_meta or {}).get("page_size", DEFAULT_PAGE_SIZE)
-        checksums = False
-    if durability is None:
-        durability = (prefix_meta or {}).get("durability", "none")
-        if durability not in ("none", "wal"):
-            durability = "none"
-    pagefile, wal, _report = open_storage(
-        path,
-        page_size=page_size,
-        checksums=checksums,
-        durability=durability,
-        sync_every=sync_every,
-        fault_plan=fault_plan,
-        create=False,
-        readonly=readonly,
-    )
-    probe = NodeLayout(dims=1, has_rects=True, has_spheres=False,
-                       has_weights=False, page_size=pagefile.page_size)
-    meta = NodeStore(probe, pagefile).read_meta()
-    try:
-        cls = INDEX_KINDS[meta["index"]]
-    except KeyError:
-        raise ValueError(
-            f"file holds an unknown index kind {meta['index']!r}"
-        ) from None
-    capacity = buffer_capacity if buffer_capacity else DEFAULT_BUFFER_CAPACITY
-    return cls.open(pagefile, buffer_capacity=capacity, wal=wal)
-
+    cls = INDEX_KINDS.get(meta.get("index"))
+    if cls is None:
+        pagefile.close()
+        if wal is not None:
+            wal.close()
+        raise ValueError(f"file holds an unknown index kind {meta.get('index')!r}")
+    return _restore(cls, pagefile, buffer_capacity or DEFAULT_BUFFER_CAPACITY,
+                    meta, wal=wal)

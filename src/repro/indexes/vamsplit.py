@@ -10,8 +10,8 @@ advantage of full knowledge of the data set while the others are
 designed to be fully dynamic" (Section 3.1).
 
 Queries use the same branch-and-bound machinery as the dynamic trees,
-over plain bounding rectangles.  ``insert``/``delete`` raise: rebuild
-the tree to change its contents.
+over plain bounding rectangles.  ``load`` is ``build`` (once);
+``insert``/``delete`` raise: rebuild the tree to change its contents.
 """
 
 from __future__ import annotations
@@ -64,6 +64,10 @@ class VAMSplitRTree(SpatialIndex):
         self._height = height
         self._size = n
         self._built = True
+
+    #: The static tree's "insert many" is "build once": the facade and
+    #: ``build_index`` fill every family through ``load``.
+    load = build
 
     # ------------------------------------------------------------------
     # construction
@@ -144,8 +148,8 @@ class VAMSplitRTree(SpatialIndex):
 
     def _insert_point(self, point, value: object = None) -> None:
         raise NotImplementedError(
-            "the VAMSplit R-tree is a static index: use build() with the "
-            "complete data set"
+            "the VAMSplit R-tree is a static index: use build() (or "
+            "insert_many(), once) with the complete data set"
         )
 
     def child_mindists(self, node: InternalNode, point: np.ndarray) -> np.ndarray:

@@ -20,9 +20,9 @@ from .faults import FaultInjectingPageFile, FaultPlan
 from .layout import NodeLayout
 from .nodes import InternalNode, LeafNode
 from .pagefile import FilePageFile, InMemoryPageFile, MmapPageFile, PageFile
-from .serializer import NodeCodec, load_meta_prefix, peek_meta_geometry
+from .serializer import NodeCodec
 from .snapshot import SnapshotStore, open_snapshot_store
-from .stack import open_pagefile, open_storage, wal_path
+from .stack import open_existing, open_pagefile, open_storage, wal_path
 from .stats import IOStats
 from .store import DEFAULT_BUFFER_CAPACITY, NodeStore
 from .wal import (
@@ -56,12 +56,11 @@ __all__ = [
     "RecoveryReport",
     "SnapshotStore",
     "WriteAheadLog",
-    "load_meta_prefix",
+    "open_existing",
     "open_pagefile",
     "open_snapshot_store",
     "open_storage",
     "open_wal",
-    "peek_meta_geometry",
     "recover",
     "scan_wal",
     "wal_path",

@@ -34,7 +34,10 @@ persist, reported as :class:`~repro.exceptions.PageOverflowError`.
 
 This module is also the only place allowed to call :func:`pickle.loads`
 (enforced by ``tools/lint.py``); the node store's metadata page goes
-through :func:`pack_meta` / :func:`unpack_meta` here.
+through :func:`pack_meta` / :func:`unpack_meta` here.  There is one meta
+format: a fixed superblock (what :func:`read_superblock` takes from a
+file's first bytes) in front of a CRC-guarded pickle.  A page 0 without
+the superblock is refused, never unpickled.
 """
 
 from __future__ import annotations
@@ -46,16 +49,15 @@ import zlib
 
 import numpy as np
 
-from ..exceptions import PageOverflowError, SerializationError
+from ..exceptions import PageOverflowError, ReproError, SerializationError
 from .layout import NodeLayout
 from .nodes import InternalNode, LeafNode
 
 __all__ = [
     "NodeCodec",
     "META_SUPERBLOCK_SIZE",
-    "load_meta_prefix",
     "pack_meta",
-    "peek_meta_geometry",
+    "read_superblock",
     "unpack_meta",
 ]
 
@@ -97,6 +99,7 @@ _META_SUPERBLOCK = struct.Struct("<8sIHHII")
 _META_MAGIC = b"RPROMET1"
 _META_FLAG_CHECKSUMS = 0x0001
 META_SUPERBLOCK_SIZE = _META_SUPERBLOCK.size
+_NOT_AN_INDEX = "is not a repro index file (it does not start with a meta superblock)"
 
 
 def pack_meta(meta: dict) -> bytes:
@@ -123,32 +126,33 @@ def pack_meta(meta: dict) -> bytes:
     return header + payload
 
 
-def peek_meta_geometry(payload: bytes) -> dict | None:
-    """File geometry from a meta image, using only the fixed superblock.
+def read_superblock(path) -> tuple[int, bool]:
+    """``(page_size, checksums)`` of an index file, from its superblock.
 
-    Returns ``{"page_size": int, "checksums": bool}`` or ``None`` when
-    the image does not start with a meta superblock (legacy raw-pickle
-    meta pages, foreign files).  Robust against a torn pickled tail.
+    The meta page is page 0, so whatever the page geometry the
+    superblock is the first :data:`META_SUPERBLOCK_SIZE` bytes of the
+    file: nothing else is read, and nothing is unpickled, to learn how
+    to open the file and find its WAL.  A file that does not start with
+    one is not an index this code wrote, and is refused.
     """
-    if len(payload) < META_SUPERBLOCK_SIZE or payload[:8] != _META_MAGIC:
-        return None
-    _, page_size, flags, _, _, _ = _META_SUPERBLOCK.unpack_from(payload)
-    return {
-        "page_size": int(page_size),
-        "checksums": bool(flags & _META_FLAG_CHECKSUMS),
-    }
+    with open(path, "rb") as handle:
+        head = handle.read(META_SUPERBLOCK_SIZE)
+    if len(head) < META_SUPERBLOCK_SIZE or head[:8] != _META_MAGIC:
+        raise ReproError(f"{os.fspath(path)} {_NOT_AN_INDEX}")
+    _, page_size, flags, _, _, _ = _META_SUPERBLOCK.unpack(head)
+    return page_size, bool(flags & _META_FLAG_CHECKSUMS)
 
 
 def unpack_meta(payload: bytes) -> dict:
-    """Inverse of :func:`pack_meta` (legacy raw-pickle pages accepted)."""
-    body = payload
-    if len(payload) >= META_SUPERBLOCK_SIZE and payload[:8] == _META_MAGIC:
-        _, _, _, _, length, crc = _META_SUPERBLOCK.unpack_from(payload)
-        body = payload[META_SUPERBLOCK_SIZE : META_SUPERBLOCK_SIZE + length]
-        if len(body) != length or zlib.crc32(body) & 0xFFFFFFFF != crc:
-            raise SerializationError(
-                "metadata page failed its CRC check (torn meta write?)"
-            )
+    """Inverse of :func:`pack_meta`: superblock, CRC check, then the dict."""
+    if len(payload) < META_SUPERBLOCK_SIZE or payload[:8] != _META_MAGIC:
+        raise SerializationError(f"page 0 {_NOT_AN_INDEX}")
+    _, _, _, _, length, crc = _META_SUPERBLOCK.unpack_from(payload)
+    body = payload[META_SUPERBLOCK_SIZE : META_SUPERBLOCK_SIZE + length]
+    if len(body) != length or zlib.crc32(body) & 0xFFFFFFFF != crc:
+        raise SerializationError(
+            "metadata page failed its CRC check (torn meta write?)"
+        )
     try:
         meta = _pickle_loads(body)
     except Exception as exc:  # pickle raises many types
@@ -158,28 +162,6 @@ def unpack_meta(payload: bytes) -> dict:
             f"metadata page decoded to {type(meta).__name__}, expected dict"
         )
     return meta
-
-
-def load_meta_prefix(path) -> tuple[dict | None, dict | None]:
-    """Best-effort ``(geometry, meta)`` from the head of an index file.
-
-    Reads the raw file prefix without assuming a page geometry — the
-    meta page is page 0, so its image is simply the first bytes of the
-    file, and a pickle stream ignores trailing padding.  ``geometry``
-    comes from the superblock (``None`` for legacy files); ``meta`` is
-    the full dict, or ``None`` when the pickled tail is torn or legacy
-    decoding fails.  Used by ``Database.open`` to learn the page size
-    and checksum mode before building the page-file stack.
-    """
-    size = os.path.getsize(path)
-    with open(path, "rb") as handle:
-        prefix = handle.read(min(size, 1 << 20))
-    geometry = peek_meta_geometry(prefix)
-    try:
-        meta = unpack_meta(prefix)
-    except SerializationError:
-        meta = None
-    return geometry, meta
 
 
 class NodeCodec:

@@ -13,11 +13,13 @@ then catches — instead of producing a validly-sealed corrupt page.
 
 :func:`open_pagefile` is the only sanctioned way to build this stack
 outside the storage package (``tools/lint.py`` rejects direct
-``FilePageFile(...)`` construction elsewhere in ``repro``), and
-:func:`open_storage` adds WAL recovery on top for the common
-open-an-existing-index path.  The same lint rule confines direct
-``NodeStore``/``SnapshotStore`` construction to the storage and
-execution layers: read-only views over a live store come from
+``FilePageFile(...)`` construction elsewhere in ``repro``).
+:func:`open_storage` adds WAL recovery on top for a file being created;
+:func:`open_existing` is the one path from a saved index file to an
+open stack — the file supplies its own geometry (the meta superblock)
+and, once recovered, its own meta.  The same lint rule confines direct
+``NodeStore``/``SnapshotStore`` construction to the storage package and
+``indexes/base.py``: read-only views over a live store come from
 :func:`~repro.storage.snapshot.open_snapshot_store` (or
 ``index.snapshot_view()`` / ``Database.snapshot()`` above it), which
 pin a committed epoch before reading anything.
@@ -28,12 +30,13 @@ from __future__ import annotations
 import os
 
 from .checksums import CHECKSUM_TRAILER_SIZE, ChecksumPageFile
-from .constants import DEFAULT_PAGE_SIZE
+from .constants import DEFAULT_PAGE_SIZE, META_PAGE_ID
 from .faults import FaultInjectingPageFile, FaultPlan
 from .pagefile import FilePageFile, InMemoryPageFile, MmapPageFile, PageFile
+from .serializer import read_superblock, unpack_meta
 from .wal import RecoveryReport, WriteAheadLog, open_wal, recover
 
-__all__ = ["open_pagefile", "open_storage", "wal_path"]
+__all__ = ["open_existing", "open_pagefile", "open_storage", "wal_path"]
 
 
 def wal_path(path: str | os.PathLike) -> str:
@@ -113,6 +116,47 @@ def open_storage(
     durability itself — then opens a fresh log when ``durability ==
     "wal"``.  Returns ``(pagefile, wal_or_none, recovery_report)``.
 
+    ``page_size`` and ``checksums`` are the geometry of a file this call
+    may create.  With ``create=False`` (or ``readonly=True``) the file
+    exists and describes itself: this is :func:`open_existing` without
+    the meta dict.
+    """
+    if not create or readonly:
+        return open_existing(
+            path, durability=durability, sync_every=sync_every,
+            fault_plan=fault_plan, readonly=readonly,
+        )[:3]
+    _check_durability(durability)
+    pagefile = open_pagefile(
+        path, page_size=page_size, checksums=checksums, fault_plan=fault_plan,
+    )
+    log_path = wal_path(path)
+    report = recover(pagefile, log_path) if _has_log(log_path) else RecoveryReport()
+    wal = None
+    if durability == "wal":
+        wal = open_wal(log_path, sync_every=sync_every, fault_plan=fault_plan)
+    return pagefile, wal, report
+
+
+def open_existing(
+    path: str | os.PathLike,
+    *,
+    durability: str | None = None,
+    sync_every: int = 1,
+    fault_plan: FaultPlan | None = None,
+    readonly: bool = False,
+) -> tuple[PageFile, WriteAheadLog | None, RecoveryReport, dict]:
+    """The one path from an index file to an open page stack and its meta.
+
+    Everything that opens a saved index arrives here, and the order is
+    fixed: the superblock (the file's first 24 bytes) gives the page
+    geometry; the stack is built; any WAL a previous process left is
+    recovered; *then* the meta page is read, once, CRC-checked — a meta
+    page torn by a crash has been repaired from the log by now, so what
+    it says (``durability=None`` takes the mode the index was saved
+    with) is the committed truth.  A file without a superblock raises
+    :class:`~repro.exceptions.ReproError` before anything is opened.
+
     With ``readonly=True`` the data file is memory-mapped
     (:class:`~repro.storage.pagefile.MmapPageFile`) and no WAL is
     opened regardless of ``durability``.  Recovery still runs first —
@@ -120,45 +164,43 @@ def open_storage(
     file whose WAL holds unapplied commits would serve stale pages —
     and only then is the (now fully recovered) file mapped.
     """
+    if durability is not None:
+        _check_durability(durability)
+    page_size, checksums = read_superblock(path)
+    log_path = wal_path(path)
+
+    def stack(mmap: bool) -> PageFile:
+        return open_pagefile(path, page_size=page_size, checksums=checksums,
+                             fault_plan=fault_plan, create=False, mmap=mmap)
+
+    replay = _has_log(log_path)
+    report = RecoveryReport()
+    pagefile = stack(mmap=readonly and not replay)
+    try:
+        if replay:
+            report = recover(pagefile, log_path)
+            if readonly:
+                pagefile.close()
+                pagefile = stack(mmap=True)
+        meta = unpack_meta(pagefile.read(META_PAGE_ID))
+    except BaseException:
+        pagefile.close()
+        raise
+    if durability is None:
+        durability = "wal" if meta.get("durability") == "wal" else "none"
+    wal = None
+    if durability == "wal" and not readonly:
+        wal = open_wal(log_path, sync_every=sync_every, fault_plan=fault_plan)
+    return pagefile, wal, report, meta
+
+
+def _check_durability(durability: str) -> None:
     if durability not in ("none", "wal"):
         raise ValueError(
             f"unknown durability mode {durability!r}; expected 'none' or 'wal'"
         )
-    log_path = wal_path(path)
-    report = RecoveryReport()
-    if readonly:
-        if os.path.exists(log_path) and os.path.getsize(log_path):
-            writable = open_pagefile(
-                path,
-                page_size=page_size,
-                checksums=checksums,
-                fault_plan=fault_plan,
-                create=False,
-            )
-            try:
-                report = recover(writable, log_path)
-                writable.sync()
-            finally:
-                writable.close()
-        pagefile = open_pagefile(
-            path,
-            page_size=page_size,
-            checksums=checksums,
-            fault_plan=fault_plan,
-            create=False,
-            mmap=True,
-        )
-        return pagefile, None, report
-    pagefile = open_pagefile(
-        path,
-        page_size=page_size,
-        checksums=checksums,
-        fault_plan=fault_plan,
-        create=create,
-    )
-    if os.path.exists(log_path) and os.path.getsize(log_path):
-        report = recover(pagefile, log_path)
-    wal: WriteAheadLog | None = None
-    if durability == "wal":
-        wal = open_wal(log_path, sync_every=sync_every, fault_plan=fault_plan)
-    return pagefile, wal, report
+
+
+def _has_log(log_path: str) -> bool:
+    """Whether a previous process left log records to replay."""
+    return os.path.exists(log_path) and os.path.getsize(log_path) > 0

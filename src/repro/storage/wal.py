@@ -42,9 +42,12 @@ are ``page_id (u32) + padded image length (u32)`` followed by ``offset
 META_DELTA payloads are ``page_id (u32) + base CRC32 (u32) + padded
 image length (u32)`` followed by the same ranges over the base image;
 META payloads are the raw meta-page image; BEGIN/COMMIT have empty
-payloads.  PAGE (``page_id (u32)`` + the image without its trailing
-zeros) is what an older process wrote in IMAGE's place: it is still
-replayed, and never written.
+payloads.  Type 2 (PAGE, a whole image, which builds before IMAGE wrote
+in its place) is reserved: no writer emits it, the number is never
+reused, and a log carrying one is refused with a :class:`WALError` —
+not scanned as a torn tail, which would drop the committed transactions
+behind it without a word.  Every clean close leaves an empty log, so
+that is the way to carry a file between builds.
 
 **Log the bytes that are not already known.**  One range encoder
 (:func:`_encode_ranges`) cuts every record that carries page bytes.  The
@@ -108,23 +111,21 @@ _RECORD = struct.Struct("<IBQII")
 _MAGIC = 0x57414C31  # "WAL1"
 
 REC_BEGIN = 1
-REC_PAGE = 2
+REC_PAGE = 2  # reserved: refused by _scan, never written, never reused
 REC_META = 3
 REC_COMMIT = 4
 REC_DELTA = 5
 REC_IMAGE = 6
 REC_META_DELTA = 7
 
-_RECORD_KIND = {REC_BEGIN: "marker", REC_COMMIT: "marker", REC_PAGE: "page",
-                REC_IMAGE: "page", REC_DELTA: "delta", REC_META: "meta",
-                REC_META_DELTA: "meta"}
+_RECORD_KIND = {REC_BEGIN: "marker", REC_COMMIT: "marker", REC_IMAGE: "page",
+                REC_DELTA: "delta", REC_META: "meta", REC_META_DELTA: "meta"}
 
-_PAGE_ID = struct.Struct("<I")
 _IMAGE = struct.Struct("<II")  # page id, padded image length
 _DELTA = struct.Struct("<III")  # page id, CRC32 of the padded base, its length
 _RANGE = struct.Struct("<II")  # offset, length (the bytes follow)
-_MIN_PAYLOAD = {REC_PAGE: _PAGE_ID.size, REC_IMAGE: _IMAGE.size,
-                REC_DELTA: _DELTA.size, REC_META_DELTA: _DELTA.size}
+_MIN_PAYLOAD = {REC_IMAGE: _IMAGE.size, REC_DELTA: _DELTA.size,
+                REC_META_DELTA: _DELTA.size}
 
 
 @dataclass(slots=True)
@@ -149,7 +150,7 @@ class RecoveryReport:
     """What a recovery pass found and did."""
 
     committed_txns: int = 0
-    replayed_pages: int = 0  # whole images (IMAGE, or an older log's PAGE)
+    replayed_pages: int = 0  # whole images (IMAGE records)
     replayed_deltas: int = 0
     replayed_meta: bool = False
     discarded_txns: int = 0
@@ -493,10 +494,9 @@ def _scan(path) -> tuple[list[_Txn], dict[int, bytes], bytes | None, RecoveryRep
     """Walk a log: committed transactions, final images, final meta, report.
 
     The image table holds one entry per distinct page — the newest
-    committed image, a materialised buffer (a slice of the raw log for
-    an older log's PAGE record) — so the scan's memory is bounded by
-    distinct pages x page size on top of the raw log, no matter how
-    many transactions rewrote each page.
+    committed image, a materialised buffer — so the scan's memory is
+    bounded by distinct pages x page size on top of the raw log, no
+    matter how many transactions rewrote each page.
     """
     report = RecoveryReport()
     committed: list[_Txn] = []
@@ -518,6 +518,12 @@ def _scan(path) -> tuple[list[_Txn], dict[int, bytes], bytes | None, RecoveryRep
         payload = data[pos + header_size : end]
         if _record_crc(rec_type, txn_id, payload) != crc:
             break  # bit flip or torn header
+        if rec_type == REC_PAGE:
+            raise WALError(
+                f"{os.fspath(path)}: record type {REC_PAGE} (PAGE) at byte {pos} "
+                "is from an older build and no longer replayed; close the index "
+                "cleanly with that build (an empty log) before opening it here"
+            )
         report.last_txn_id = max(report.last_txn_id, txn_id)
         txn = open_txns.get(txn_id)
         if rec_type == REC_BEGIN:
@@ -528,10 +534,6 @@ def _scan(path) -> tuple[list[_Txn], dict[int, bytes], bytes | None, RecoveryRep
             break  # too short to be what it says it is: corruption too
         elif txn is None:
             pass  # a record of a transaction whose BEGIN the log lacks
-        elif rec_type == REC_PAGE:
-            (page_id,) = _PAGE_ID.unpack_from(payload)
-            txn.pages[page_id] = payload[_PAGE_ID.size :]
-            txn.whole_images += 1
         elif rec_type == REC_IMAGE:
             # From zeros, whatever image of the page the scan holds.
             page_id, image = _apply_image(payload)

@@ -7,7 +7,7 @@ import pytest
 
 import repro
 from repro import Database, Neighbor
-from repro.indexes import build_index
+from repro.indexes import INDEX_KINDS, build_index
 from repro.obs import trace
 from repro.workloads import cluster_dataset, histogram_dataset, uniform_dataset
 
@@ -89,13 +89,14 @@ def test_unknown_durability_rejected(tmp_path):
 
 def test_canonical_kwargs_accepted(tmp_path):
     with Database.create(str(tmp_path / "k.db"), kind="sr", dims=4,
-                         page_size=4096, buffer_pages=64) as db:
+                         page_size=4096, buffer_capacity=64) as db:
         assert db.stats()["page_size"] == 4096
+        assert db.index.store.buffer.capacity == 64
 
 
 def test_unknown_kwarg_gets_a_suggestion():
-    with pytest.raises(ValueError, match="buffer_pages"):
-        Database.create(None, kind="sr", dims=4, bufer_pages=8)
+    with pytest.raises(ValueError, match="did you mean 'buffer_capacity'"):
+        Database.create(None, kind="sr", dims=4, bufer_capacity=8)
 
 
 @pytest.mark.parametrize("keyword", ["page_cache_bytes", "page_cache_capacity"])
@@ -110,10 +111,19 @@ def test_removed_page_cache_keywords_are_refused(tmp_path, keyword):
         Database.open(path, **{keyword: 64 * 4096})
 
 
-def test_conflicting_buffer_spellings_rejected():
-    with pytest.raises(ValueError, match="not both"):
-        Database.create(None, kind="sr", dims=4,
-                        buffer_pages=8, buffer_capacity=8)
+def test_conflicting_buffer_spellings_rejected(tmp_path):
+    # One spelling: the frame count is ``buffer_capacity`` at every
+    # entry point, and the alias it once had is refused by name.
+    with pytest.raises(ValueError, match="did you mean 'buffer_capacity'"):
+        Database.create(None, kind="sr", dims=4, buffer_pages=8)
+    with pytest.raises(ValueError, match="did you mean 'buffer_capacity'"):
+        build_index("srtree", workload("uniform"), buffer_pages=8)
+    path = str(tmp_path / "b.db")
+    Database.create(path, kind="sr", dims=4).close()
+    with pytest.raises(TypeError, match="buffer_pages"):
+        Database.open(path, buffer_pages=8)
+    with Database.open(path, buffer_capacity=8) as db:
+        assert db.index.store.buffer.capacity == 8
 
 
 # ----------------------------------------------------------------------
@@ -138,6 +148,23 @@ def test_facade_matches_direct_engine(tmp_path, family):
             assert ([n.value for n in db.range(query, r)]
                     == [n.value for n in direct.within(query, r)])
     direct.store.close()
+
+
+@pytest.mark.parametrize("kind", sorted(INDEX_KINDS))
+def test_facade_fills_and_reopens_every_family(tmp_path, kind):
+    """create -> insert_many -> close -> open answers as the linear scan
+    does, the static VAMSplit R-tree (whose fill is one build) included."""
+    points = workload("cluster")
+    with Database.create(None, kind="linear", dims=DIMS) as scan:
+        scan.insert_many(points)
+        want = [[n.distance for n in scan.knn(q, k=K)] for q in points[:8]]
+    path = str(tmp_path / f"{kind}.db")
+    with Database.create(path, kind=kind, dims=DIMS) as db:
+        assert db.insert_many(points) == len(points)
+    with Database.open(path) as db:
+        assert (db.kind, db.size) == (kind, len(points))
+        got = [[n.distance for n in db.knn(q, k=K)] for q in points[:8]]
+    assert got == want
 
 
 def test_knn_batch_shares_the_neighbor_type(tmp_path):
@@ -213,6 +240,38 @@ def test_open_can_force_the_durability_mode(tmp_path):
     with Database.open(path) as db:  # meta now records wal
         assert db.durability == "wal"
         assert db.size == 2
+
+
+def test_open_reads_the_meta_page_once_and_after_recovery(tmp_path, monkeypatch):
+    """One path from a file to a handle: superblock, recovery, then a
+    single meta read -- nothing unpickled before the log is replayed."""
+    import shutil
+
+    from repro.storage import FilePageFile, serializer, stack
+
+    live, copy = str(tmp_path / "live.db"), str(tmp_path / "copy.db")
+    with Database.create(live, kind="sr", dims=4, durability="wal") as db:
+        db.insert_many(workload("uniform")[:, :4])
+        shutil.copy(live, copy)  # process death: a log worth replaying
+        shutil.copy(live + ".wal", copy + ".wal")
+
+    events = []
+
+    def traced(name, real, keep=lambda *args: True):
+        def wrapper(*args, **kwargs):
+            if keep(*args):
+                events.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(FilePageFile, "read", traced(
+        "read page 0", FilePageFile.read, lambda self, page_id: page_id == 0))
+    monkeypatch.setattr(stack, "recover", traced("recover", stack.recover))
+    monkeypatch.setattr(serializer, "_pickle_loads",
+                        traced("unpickle", serializer._pickle_loads))
+    with Database.open(copy) as db:
+        assert events == ["recover", "read page 0", "unpickle"]
+        assert (db.durability, db.size) == ("wal", 120)
 
 
 @pytest.mark.parametrize("durability", ["none", "wal"])

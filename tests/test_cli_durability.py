@@ -132,3 +132,45 @@ def test_verify_fails_on_corruption(tmp_path, data_file, capsys):
 
 def test_recover_missing_file_errors(tmp_path):
     assert run("recover", "--index", tmp_path / "nope.db") == 2
+
+
+NOT_AN_INDEX = {
+    "random": np.random.default_rng(7).bytes(20_000),
+    "empty": b"",
+    "short": b"RPROMET1\x00\x20",
+}
+
+
+@pytest.fixture(params=sorted(NOT_AN_INDEX))
+def impostor(request, tmp_path):
+    path = tmp_path / f"{request.param}.db"
+    path.write_bytes(NOT_AN_INDEX[request.param])
+    return path
+
+
+@pytest.mark.parametrize("command", ["info", "query", "verify", "recover"])
+def test_a_file_that_is_not_an_index_is_refused_in_words(
+        impostor, command, capsys):
+    argv = [command, "--index", impostor]
+    if command == "query":
+        argv += ["--point", "0.5,0.5,0.5,0.5", "-k", "3"]
+    before = impostor.read_bytes()
+    assert run(*argv) == 2
+    out, err = capsys.readouterr()
+    assert err == f"error: {impostor} is not a repro index file " \
+                  "(it does not start with a meta superblock)\n"
+    assert "clean shutdown" not in out and "Traceback" not in out + err
+    assert impostor.read_bytes() == before
+    assert not impostor.with_name(impostor.name + ".wal").exists()
+
+
+def test_the_library_refuses_a_file_that_is_not_an_index(impostor):
+    from repro import Database
+    from repro.exceptions import ReproError, StorageError
+    from repro.exec import ServingPool
+
+    for opener in (Database.open, ServingPool):
+        with pytest.raises(ReproError, match="is not a repro index file") as info:
+            opener(str(impostor))
+        assert not isinstance(info.value, StorageError)  # not "damage"
+    assert not impostor.with_name(impostor.name + ".wal").exists()

@@ -20,6 +20,7 @@ suite executes ``3 * TRIALS_PER_FAMILY >= 200`` randomized crash points.
 
 from __future__ import annotations
 
+import os
 import shutil
 
 import numpy as np
@@ -130,6 +131,7 @@ def _uncrashed_bytes(tmp_path, template: str, points: np.ndarray,
 def _verify_recovered(path: str, points: np.ndarray, n_ok: int) -> int:
     """Reopen after a crash; assert integrity and k-NN parity."""
     with Database.open(path) as db:
+        assert db.durability == "wal"  # the mode survives the crash too
         size = db.size
         # The insert that crashed may or may not have reached COMMIT.
         assert size in (n_ok, n_ok + 1), (
@@ -229,3 +231,29 @@ def test_recovery_is_idempotent_at_the_database_level(tmp_path):
     # Opening (and thus recovering) again converges to the same state.
     second = _verify_recovered(trial_path, points, n_ok)
     assert first == second
+
+
+def test_torn_meta_page_keeps_the_durability_mode(tmp_path):
+    """The tear the superblock exists to survive: the meta page's pickled
+    tail is mangled in the data file while the log still holds every
+    commit.  The mode is read from the meta page *after* recovery has
+    rewritten it, so the reopened database is still transactional."""
+    points = uniform_dataset(300, DIMS, seed=SEED)
+    live, torn = str(tmp_path / "live.db"), str(tmp_path / "torn.db")
+    with Database.create(live, kind="sr", dims=DIMS, durability="wal",
+                         page_size=PAGE_SIZE) as db:
+        for i, point in enumerate(points):
+            db.insert(point, value=i)
+        # Process death, not a clean close: the log is un-checkpointed.
+        shutil.copy(live, torn)
+        shutil.copy(live + ".wal", torn + ".wal")
+    with open(torn, "r+b") as handle:
+        handle.seek(40)  # past the 24-byte superblock, inside the pickle
+        handle.write(b"\xa5" * 64)
+    with Database.open(torn) as db:
+        assert db.durability == "wal"
+        assert db.size == 300
+        db.verify()
+        logged = os.path.getsize(torn + ".wal")
+        db.insert(points[0] / 2, value=300)
+        assert os.path.getsize(torn + ".wal") > logged

@@ -174,7 +174,7 @@ class TestHeldButNotResident:
         for frames in (64, 4096):
             path = tmp_path / f"{frames}.idx"
             with Database.create(path, kind=family.NAME, dims=8,
-                                 buffer_pages=frames) as db:
+                                 buffer_capacity=frames) as db:
                 for i, p in enumerate(pts):
                     db.insert(p, i)
                 for i in doomed:

@@ -524,8 +524,10 @@ class TestMeta:
 
     def test_non_dict_meta_rejected(self, store):
         import pickle
+        # A raw pickle in page 0 is a format no writer emits: refused
+        # as any other file without a superblock, never unpickled.
         store.pagefile.write(0, pickle.dumps([1, 2, 3]))
-        with pytest.raises(StorageError):
+        with pytest.raises(StorageError, match="not a repro index file"):
             store.read_meta()
 
 

@@ -41,7 +41,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, precondition, rule
 
 from repro import Database
-from repro.exceptions import CrashError, TransientIOError
+from repro.exceptions import CrashError, TransientIOError, WALError
 from repro.storage import (
     FaultPlan,
     FilePageFile,
@@ -888,8 +888,7 @@ def test_record_that_leaves_the_page_or_is_cut_short_ends_replay(tmp_path):
             (REC_IMAGE, _IMAGE.pack(4, PAGE) + _RANGE.pack(PAGE - 2, 4) + b"over"),
             (REC_IMAGE, _IMAGE.pack(4, PAGE) + _RANGE.pack(0, 8) + b"short"),
             (REC_IMAGE, _IMAGE.pack(4, PAGE)[:-1]),
-            (REC_DELTA, _DELTA.pack(3, zlib.crc32(padded(b"fine")), PAGE)[:-1]),
-            (REC_PAGE, b"\x04\x00")):
+            (REC_DELTA, _DELTA.pack(3, zlib.crc32(padded(b"fine")), PAGE)[:-1])):
         wal.begin()
         wal._append(kind, wal._txn_id, payload)
         wal.commit()
@@ -908,16 +907,21 @@ def raw_record(kind: int, txn: int, payload: bytes = b"") -> bytes:
 
 
 def test_log_of_an_older_process_replays_to_the_same_bytes(tmp_path):
-    """``PAGE`` (padded, then trimmed), raw ``META`` and ``DELTA``, as the
-    two parents wrote them — and new records on top of what they left."""
+    """Raw ``META`` and ``DELTA`` over ``IMAGE``, record by record as any
+    build since the ``IMAGE`` record writes them — and new records on top
+    of what they left.  The ``PAGE`` record older builds wrote in
+    ``IMAGE``'s place is refused, not replayed and not skipped."""
     log = str(tmp_path / "old.wal")
     one, two, meta = padded(b"one"), padded(b"two, rewritten"), padded(b"meta")
     three = two[:32] + b"tail" + two[36:]
-    page_id = struct.Struct("<I")
-    old = (raw_record(1, 1) + raw_record(REC_PAGE, 1, page_id.pack(5) + one)
+
+    def image(page: int, content: bytes) -> bytes:
+        return _IMAGE.pack(page, PAGE) + _encode_ranges(None, content)
+
+    old = (raw_record(1, 1) + raw_record(REC_IMAGE, 1, image(5, one))
            + raw_record(REC_META, 1, meta) + raw_record(4, 1)
-           + raw_record(1, 2) + raw_record(REC_PAGE, 2, page_id.pack(5) + two)
-           + raw_record(REC_PAGE, 2, page_id.pack(6) + b"one") + raw_record(4, 2)
+           + raw_record(1, 2) + raw_record(REC_IMAGE, 2, image(5, two))
+           + raw_record(REC_IMAGE, 2, image(6, padded(b"one"))) + raw_record(4, 2)
            + raw_record(1, 3)
            + raw_record(REC_DELTA, 3, _DELTA.pack(5, zlib.crc32(two), PAGE)
                         + _RANGE.pack(32, 4) + b"tail")
@@ -938,8 +942,7 @@ def test_log_of_an_older_process_replays_to_the_same_bytes(tmp_path):
             raw_record(1, 4)
             + raw_record(REC_DELTA, 4, _DELTA.pack(5, zlib.crc32(three), PAGE)
                          + _encode_ranges(three, one))
-            + raw_record(REC_IMAGE, 4, _IMAGE.pack(6, PAGE)
-                         + _encode_ranges(None, two))
+            + raw_record(REC_IMAGE, 4, image(6, two))
             + raw_record(REC_META_DELTA, 4,
                          _DELTA.pack(META_PAGE_ID, zlib.crc32(meta), PAGE)
                          + _encode_ranges(meta, padded(b"META")))
@@ -949,6 +952,24 @@ def test_log_of_an_older_process_replays_to_the_same_bytes(tmp_path):
             report.replayed_deltas) == (4, 4, 3)
     assert (fresh.read(5), fresh.read(6), meta_page(fresh)) == (
         one, two, padded(b"META"))
+
+    # A committed PAGE record behind committed work: the log is refused
+    # whole (a "torn tail" reading would drop txn 2 without a word), the
+    # data file is not touched and the log is left for the build that
+    # can read it.
+    stale = (old[: len(raw_record(1, 1))]
+             + raw_record(REC_PAGE, 1, struct.pack("<I", 5) + one)
+             + raw_record(4, 1)
+             + raw_record(1, 2) + raw_record(REC_IMAGE, 2, image(6, two))
+             + raw_record(4, 2))
+    with open(log, "wb") as handle:
+        handle.write(stale)
+    untouched = InMemoryPageFile(PAGE)
+    with pytest.raises(WALError, match=r"record type 2 \(PAGE\)"):
+        recover(untouched, log)
+    assert untouched.allocated_pages == 0
+    with open(log, "rb") as handle:
+        assert handle.read() == stale
 
 
 def test_crash_at_every_record_boundary_recovers_the_committed_prefix(tmp_path):

@@ -212,30 +212,29 @@ def check_pagefile_construction(path: str, tree: ast.Module) -> list[str]:
 
 
 #: Index-handle stores that may be constructed from a raw page file /
-#: base store only inside the storage and execution layers: everyone
-#: else must go through ``open_storage`` (live handles) or
-#: ``open_snapshot_store`` / ``index.snapshot_view`` (epoch-pinned
-#: views), so a reader can never observe a torn mix of pre- and
-#: post-commit pages.
+#: base store only inside the storage package and the index base
+#: module: everyone else must go through ``open_existing`` /
+#: ``Database.open`` (live handles) or ``open_snapshot_store`` /
+#: ``index.snapshot_view`` (epoch-pinned views), so a reader can never
+#: observe a torn mix of pre- and post-commit pages — and a throw-away
+#: "probe" store cannot come back unnoticed.
 STORE_CLASSES = frozenset({
     "NodeStore",
     "SnapshotStore",
 })
 
 #: Where direct store construction is allowed: the storage package
-#: (defines the stores), the execution layer's factory plumbing, and the
-#: index base/factory modules that own handle lifecycle.
+#: (defines the stores) and the index base module, whose constructor
+#: and one restore routine own handle lifecycle.
 STORE_ALLOWED_PREFIXES = (
     os.path.join("src", "repro", "storage") + os.sep,
-    os.path.join("src", "repro", "exec") + os.sep,
     os.path.join("src", "repro", "indexes", "base.py"),
-    os.path.join("src", "repro", "indexes", "factory.py"),
 )
 
 
 def check_store_construction(path: str, tree: ast.Module) -> list[str]:
     """Flag ``NodeStore``/``SnapshotStore`` construction outside the
-    storage and execution layers.
+    storage package and ``indexes/base.py``.
 
     Only library code under ``src/repro`` is policed; tests and
     benchmarks legitimately build raw stores to exercise single layers.
@@ -258,8 +257,8 @@ def check_store_construction(path: str, tree: ast.Module) -> list[str]:
         if name in STORE_CLASSES:
             problems.append(
                 f"{path}:{node.lineno}: direct {name}(...) construction "
-                f"outside repro.storage/repro.exec; open handles through "
-                f"repro.storage.open_storage or index.snapshot_view()"
+                f"outside repro.storage and indexes/base.py; open handles "
+                f"through Database.open or index.snapshot_view()"
             )
     return problems
 
