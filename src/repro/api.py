@@ -52,14 +52,13 @@ import difflib
 import os
 from typing import Protocol, runtime_checkable
 
-import numpy as np
-
 from .indexes.base import Neighbor, SpatialIndex
 from .indexes.factory import (
     _open_index,
     normalize_index_kwargs,
     resolve_kind,
 )
+from .storage.stats import IOStats
 
 __all__ = [
     "Database",
@@ -105,6 +104,44 @@ class QuerySurface(Protocol):
     The protocol is ``runtime_checkable``: ``isinstance(h,
     QuerySurface)`` verifies member *presence* (not signatures), which
     is what the conformance suite pins down.
+
+    **The argument contract** is the same on every handle because it is
+    decided in two places only — :func:`repro.geometry.as_point` /
+    ``as_points`` for coordinates, :func:`repro.exec.batch.per_query`
+    for ``k`` and radius — and a remote handle applies it before the
+    round trip.  The suite's disagreement matrix holds every handle to
+    ``Database``'s outcome, class and message::
+
+        method                       accepts                            refuses, and with which class
+        ---------------------------  ---------------------------------  -----------------------------------
+        knn(point, k=1)              point: 1-D, dims finite floats     shape, dims: DimensionalityError
+                                     k: one whole number >= 1           NaN, inf coordinate: ValueError
+                                                                        k of 0, 2.5, NaN, a list: ValueError
+                                                                        empty index: EmptyIndexError
+        knn_batch(points, k=1)       points: (n, dims); a 1-D point     as knn, and a k of another
+                                     is one row                         length: ValueError
+                                     k: one value, or (n,) per row
+        range(point, radius)         point: as knn                      point: as knn
+                                     radius: one number >= 0, or inf    radius of -1, NaN: ValueError
+        range_batch(points, radius)  as knn_batch's points and k        as range, and a radius of another
+                                                                        length: ValueError
+        window(low, high)            two points as knn's,               points: as knn
+                                     low <= high on every axis          low > high: ValueError
+        lookup(point)                point: as knn                      point: as knn
+        stats()                      --                                 -- (a dict; on the pools an IOStats)
+        any read                     the keywords its handle names      an unknown keyword: TypeError
+        any read after close()       --                                 StorageError (Database, Snapshot),
+                                                                        RuntimeError (pools),
+                                                                        NetError (RemoteDatabase)
+
+    Everything else is one handle's extension, not the contract: a
+    pool's ``knn``/``range`` also take a 2-D batch (every other handle
+    refuses one), its reads take ``with_flags=`` / ``with_times=`` /
+    ``timeout=`` (``knn`` also ``block_size=``) and its ``stats()`` is
+    an :class:`~repro.storage.stats.IOStats`; a remote handle's reads
+    take ``deadline_ms=``; ``Database`` and ``Snapshot`` take
+    ``algorithm=`` on ``knn`` (a remote handle forwards it), render
+    ``explain(point, k) -> str`` (remote too) and have a ``len()``.
     """
 
     @property
@@ -155,8 +192,9 @@ class QuerySurface(Protocol):
         """Exact-match point query: every payload stored at ``point``."""
         ...
 
-    def stats(self) -> dict:
-        """A diagnostic snapshot of the handle (loosely typed)."""
+    def stats(self) -> dict | IOStats:
+        """A diagnostic snapshot of the handle: a dict, or — on the
+        serving pools — the workers' summed ``IOStats``."""
         ...
 
     def close(self) -> None:
@@ -509,9 +547,7 @@ class Database(_IndexHandle):
         :meth:`repro.net.RemoteDatabase.insert_many`, pinned by the
         QuerySurface conformance suite.
         """
-        points = np.ascontiguousarray(points, dtype=np.float64)
-        self._index.load(points, values)
-        return int(points.shape[0])
+        return self._index.load(points, values)
 
     def delete(self, point, value: object = ...) -> None:
         """Remove one stored copy of ``point`` (families that support it)."""

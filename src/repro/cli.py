@@ -134,8 +134,15 @@ def _build_parser() -> argparse.ArgumentParser:
                             "visit/prune breakdown (EXPLAIN)")
     query.set_defaults(handler=_cmd_query)
 
+    # stats, slow and events exercise an index the same way first.
+    exercise = argparse.ArgumentParser(add_help=False)
+    exercise.add_argument("--queries", type=int, default=20,
+                          help="cold sample k-NN queries to run (default 20)")
+    exercise.add_argument("-k", type=int, default=21)
+    exercise.add_argument("--seed", type=int, default=0)
+
     stats = sub.add_parser(
-        "stats",
+        "stats", parents=[exercise],
         help="exercise an index and dump the metrics registry",
         description="Runs a batch of cold k-NN queries against a saved "
                     "index to populate the metrics registry, then dumps "
@@ -144,42 +151,12 @@ def _build_parser() -> argparse.ArgumentParser:
                     "recorded (empty in a fresh CLI invocation).",
     )
     stats.add_argument("--index", help="saved index file to exercise")
-    stats.add_argument("--queries", type=int, default=20,
-                       help="number of sample k-NN queries to run (default 20)")
-    stats.add_argument("-k", type=int, default=21)
-    stats.add_argument("--seed", type=int, default=0)
     stats.add_argument("--format", choices=_STATS_FORMATS, default="prom",
                        help="output format: Prometheus text exposition, "
                             "JSON, or a flat name=value listing")
     stats.set_defaults(handler=_cmd_stats)
 
     serve = sub.add_parser(
-        "serve-metrics",
-        help="serve /metrics, /healthz, and /varz over HTTP",
-        description="Opens a saved index and serves the process "
-                    "telemetry endpoints (Prometheus text at /metrics, "
-                    "health at /healthz, JSON state at /varz) until "
-                    "Ctrl-C or --duration elapses.  --queries runs that "
-                    "many cold sample k-NN queries first so the "
-                    "registry and flight recorder have data.",
-    )
-    serve.add_argument("--index", required=True, help="saved index file")
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=9464,
-                       help="listen port (default 9464; 0 = ephemeral)")
-    serve.add_argument("--queries", type=int, default=0,
-                       help="sample k-NN queries to run before serving")
-    serve.add_argument("-k", type=int, default=21)
-    serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--slo-ms", type=float, default=None,
-                       help="process-wide latency objective in ms "
-                            "(repro_slo_violations_total)")
-    serve.add_argument("--duration", type=float, default=None,
-                       help="serve this many seconds, then exit "
-                            "(default: until Ctrl-C)")
-    serve.set_defaults(handler=_cmd_serve_metrics)
-
-    serve_q = sub.add_parser(
         "serve",
         help="serve an index's query API over HTTP (repro.net)",
         description="Opens a saved index and serves the full query "
@@ -197,53 +174,53 @@ def _build_parser() -> argparse.ArgumentParser:
                     "'repro query --remote HOST:PORT' or "
                     "repro.RemoteDatabase.  See docs/SERVING.md.",
     )
-    serve_q.add_argument("--index", required=True, help="saved index file")
-    serve_q.add_argument("--host", default="127.0.0.1")
-    serve_q.add_argument("--port", type=int, default=8750,
+    serve.add_argument("--index", required=True, help="saved index file")
+    serve.add_argument("--host", default="127.0.0.1")
+    serve.add_argument("--port", type=int, default=8750,
                          help="listen port (default 8750; 0 = ephemeral)")
-    serve_q.add_argument("--workers", type=int, default=1,
+    serve.add_argument("--workers", type=int, default=1,
                          help="serve through a pool of this many workers "
                               "(default 1 = a single Database handle, "
                               "which also enables mutations with --token)")
-    serve_q.add_argument("--backend", choices=("thread", "process"),
+    serve.add_argument("--backend", choices=("thread", "process"),
                          default="thread",
                          help="pool backend when --workers > 1")
-    serve_q.add_argument("--max-inflight", type=int, default=8,
+    serve.add_argument("--max-inflight", type=int, default=8,
                          help="admission control: concurrent requests "
                               "(default 8)")
-    serve_q.add_argument("--max-queue", type=int, default=16,
+    serve.add_argument("--max-queue", type=int, default=16,
                          help="admission control: queued requests beyond "
                               "the in-flight bound; overflow sheds with "
                               "429 (default 16)")
-    serve_q.add_argument("--batch-delay-ms", type=float, default=0.0,
+    serve.add_argument("--batch-delay-ms", type=float, default=0.0,
                          metavar="MS",
                          help="coalesce concurrent knn/range requests "
                               "into batched traversals, waiting up to "
                               "this long for company (default 0 = off; "
                               "see docs/SERVING.md 'Dynamic batching')")
-    serve_q.add_argument("--max-batch", type=int, default=32,
+    serve.add_argument("--max-batch", type=int, default=32,
                          help="flush a coalesced batch at this many "
                               "requests (default 32; needs "
                               "--batch-delay-ms > 0)")
-    serve_q.add_argument("--token", default=None,
+    serve.add_argument("--token", default=None,
                          help="shared secret enabling mutation endpoints "
                               "(omit to serve read-only)")
-    serve_q.add_argument("--timeout", type=float, default=None,
+    serve.add_argument("--timeout", type=float, default=None,
                          help="default per-call worker deadline in "
                               "seconds (pool serving only)")
-    serve_q.add_argument("--slo-ms", type=float, default=None,
+    serve.add_argument("--slo-ms", type=float, default=None,
                          help="process-wide latency objective in ms")
-    serve_q.add_argument("--telemetry-port", type=int, default=None,
+    serve.add_argument("--telemetry-port", type=int, default=None,
                          metavar="PORT",
                          help="also serve /metrics, /healthz, /varz on "
                               "this port (0 = ephemeral)")
-    serve_q.add_argument("--duration", type=float, default=None,
+    serve.add_argument("--duration", type=float, default=None,
                          help="serve this many seconds, then drain and "
                               "exit (default: until SIGTERM/Ctrl-C)")
-    serve_q.set_defaults(handler=_cmd_serve)
+    serve.set_defaults(handler=_cmd_serve)
 
     slow = sub.add_parser(
-        "slow",
+        "slow", parents=[exercise],
         help="slowest queries seen by the flight recorder",
         description="Runs cold sample k-NN queries against a saved "
                     "index (like 'stats'), then prints the flight "
@@ -253,10 +230,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     "whether full trace detail was captured.",
     )
     slow.add_argument("--index", required=True, help="saved index file")
-    slow.add_argument("--queries", type=int, default=20,
-                      help="number of sample k-NN queries (default 20)")
-    slow.add_argument("-k", type=int, default=21)
-    slow.add_argument("--seed", type=int, default=0)
     slow.add_argument("-n", "--top", type=int, default=10,
                       help="how many of the slowest queries to show")
     slow.add_argument("--slow-ms", type=float, default=None,
@@ -267,7 +240,7 @@ def _build_parser() -> argparse.ArgumentParser:
     slow.set_defaults(handler=_cmd_slow)
 
     events = sub.add_parser(
-        "events",
+        "events", parents=[exercise],
         help="dump the structured event log",
         description="Prints the in-process event ring as one-line JSON "
                     "events.  With --index, first exercises the index "
@@ -276,10 +249,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     "show.",
     )
     events.add_argument("--index", help="saved index file to exercise")
-    events.add_argument("--queries", type=int, default=20,
-                        help="sample k-NN queries to run (default 20)")
-    events.add_argument("-k", type=int, default=21)
-    events.add_argument("--seed", type=int, default=0)
     events.add_argument("--tail", type=int, default=None, metavar="N",
                         help="print only the last N events")
     events.add_argument("--level", default="debug",
@@ -503,20 +472,16 @@ def _cmd_stats(args) -> int:
 
 
 def _exercise(args) -> None:
-    """Open ``--index`` and run its cold sample queries (stats/slow/events)."""
+    """Open ``--index`` and run cold sample k-NN queries so the registry
+    has something to say (stats/slow/events)."""
     with Database.open(args.index) as db:
-        _exercise_index(db.index, queries=args.queries, k=args.k,
-                        seed=args.seed)
-
-
-def _exercise_index(index, *, queries: int, k: int, seed: int) -> None:
-    """Run cold sample k-NN queries so the registry has something to say."""
-    if queries < 1 or index.size == 0:
-        return
-    k = min(k, index.size)
-    for point in _sample_stored_points(index, queries, seed):
-        index.store.drop_cache()
-        index.nearest(point, k=k)
+        index = db.index
+        if args.queries < 1 or index.size == 0:
+            return
+        k = min(args.k, index.size)
+        for point in _sample_stored_points(index, args.queries, args.seed):
+            index.store.drop_cache()
+            index.nearest(point, k=k)
 
 
 def _sample_stored_points(index, count: int, seed: int) -> np.ndarray:
@@ -536,31 +501,6 @@ def _sample_stored_points(index, count: int, seed: int) -> np.ndarray:
     while len(reservoir) < count:
         reservoir.append(reservoir[len(reservoir) % base])
     return np.vstack(reservoir[:count])
-
-
-def _cmd_serve_metrics(args) -> int:
-    from .obs import TelemetryServer
-    from .obs.hooks import set_slo_ms
-
-    if args.slo_ms is not None:
-        set_slo_ms(args.slo_ms)
-    with Database.open(args.index) as db:
-        if args.queries:
-            _exercise_index(db.index, queries=args.queries, k=args.k,
-                            seed=args.seed)
-        with TelemetryServer(host=args.host, port=args.port) as srv:
-            srv.watch_database(db)
-            print(f"serving telemetry for {args.index} at {srv.url}  "
-                  f"(/metrics /healthz /varz) -- Ctrl-C to stop")
-            try:
-                if args.duration is not None:
-                    time.sleep(args.duration)
-                else:
-                    while True:
-                        time.sleep(3600)
-            except KeyboardInterrupt:
-                pass
-    return 0
 
 
 def _cmd_slow(args) -> int:

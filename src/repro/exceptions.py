@@ -153,3 +153,25 @@ class RemoteError(NetError):
     def __init__(self, message: str, remote_type: str | None = None) -> None:
         super().__init__(message)
         self.remote_type = remote_type
+
+
+#: The classes an exception may cross a boundary as — the network (a
+#: server's 400/405 error document, re-raised by
+#: :class:`~repro.net.client.RemoteDatabase`) or a process-pool worker's
+#: pipe (:mod:`repro.exec.procpool`).  The far side ships the *type
+#: name* and the message; the near side re-raises ``RERAISABLE[name]``
+#: and only ever instantiates a class it already trusts (a whitelist,
+#: not ``getattr(builtins, ...)``).  Anything not listed is a defect
+#: there, not a mistake here: HTTP 500 / ``RemoteError`` on the wire, a
+#: ``RuntimeError`` carrying the worker's traceback on the pipe.
+RERAISABLE: dict[str, type] = {
+    "ValueError": ValueError,
+    "TypeError": TypeError,
+    "KeyError": KeyError,
+    "LookupError": LookupError,
+    "NotImplementedError": NotImplementedError,
+}
+RERAISABLE.update({
+    name: obj for name, obj in list(globals().items())
+    if isinstance(obj, type) and issubclass(obj, ReproError)
+})

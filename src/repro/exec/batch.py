@@ -62,18 +62,25 @@ def per_query(name: str, value, nq: int) -> np.ndarray:
     """``k`` or ``radius`` for ``nq`` queries, checked, as a ``(nq,)`` array.
 
     ``value`` is one scalar shared by every query or a ``(nq,)``
-    array-like with one value per query; ``k`` must be at least 1, a
-    ``radius`` at least 0.  Every handle kind normalises through here —
-    the engine, the serving pools, the network client — so a bad
+    array-like with one value per query; ``k`` must be a whole number
+    of at least 1 (``2.5`` is refused, not rounded), a ``radius`` at
+    least 0 and not NaN.  This is the only place that decides: every
+    handle kind normalises through here — the scalar and block engines,
+    the linear scan, the serving pools, the network client — so a bad
     argument fails with the same message wherever it is caught.
     """
-    dtype, least, must_be = ((np.int64, 1, "positive") if name == "k"
-                             else (np.float64, 0.0, "non-negative"))
-    values = np.asarray(value, dtype=dtype)
+    values = np.asarray(value, dtype=np.float64)
     if values.ndim and values.shape != (nq,):
         raise ValueError(
             f"per-query {name} must have shape ({nq},), got {values.shape}")
-    if values.size and values.min() < least:
+    least, must_be = (1, "positive") if name == "k" else (0.0, "non-negative")
+    if name == "k":
+        with np.errstate(invalid="ignore"):  # NaN/inf: caught just below
+            whole = values.astype(np.int64)
+        if (whole != values).any():
+            raise ValueError(f"k must be an integer, got {value}")
+        values = whole
+    if values.size and not values.min() >= least:  # "not >=": NaN fails too
         raise ValueError(f"{name} must be {must_be}, got {values.min()}")
     return np.broadcast_to(values, (nq,))
 

@@ -81,9 +81,14 @@ every call runs under one resilience policy, whatever the backend:
   the whole call degrades (reason ``quarantined``) rather than risking
   two threads on one buffer pool.  A process is killed and respawned
   (see :mod:`repro.exec.procpool`);
-* a worker's programming error (bad arguments, a bug) is re-raised in
-  the caller, but only after every shard of the call has been
-  collected, so no shard is left running behind the caller's back.
+* arguments are checked before anything is scattered
+  (:func:`~repro.geometry.as_point` / ``as_points`` for coordinates,
+  :func:`~repro.exec.batch.per_query` for ``k`` and radius), so no
+  worker sees an unchecked one; what a worker still raises (an empty
+  index, ``low > high``, a bug) is re-raised in the caller — the same
+  class on both backends (:data:`repro.exceptions.RERAISABLE`) — but
+  only after every shard of the call has been collected, so no shard
+  is left running behind the caller's back.
 
 **Observability caveat.**  The query tracer (:mod:`repro.obs.tracer`)
 is deliberately single-threaded; do not enable tracing around pool
@@ -101,7 +106,7 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 import numpy as np
 
 from ..exceptions import StorageError, TransientIOError
-from ..geometry import as_points
+from ..geometry import as_point, as_points
 from ..indexes.base import Neighbor
 from ..obs.hooks import (
     on_degraded,
@@ -326,7 +331,7 @@ class PoolCore:
         list per query (see :meth:`knn_batch` for the keyword details).
         """
         return self._query(
-            "knn", queries, np.asarray(queries).ndim == 1,
+            "knn", queries, np.ndim(queries) == 1,
             {"k": k, "block_size": block_size},
             with_flags, with_times, timeout)
 
@@ -368,7 +373,7 @@ class PoolCore:
         ``with_flags``/``with_times``/``timeout`` behave as in
         :meth:`knn_batch`.
         """
-        return self._query("range", queries, np.asarray(queries).ndim == 1,
+        return self._query("range", queries, np.ndim(queries) == 1,
                            {"radius": radius}, with_flags, with_times,
                            timeout)
 
@@ -391,8 +396,7 @@ class PoolCore:
         retire policy as the sharded calls; a degraded call returns
         ``[]`` (counted in ``repro_degraded_queries_total``).
         """
-        pair = np.stack([np.asarray(low, dtype=np.float64),
-                         np.asarray(high, dtype=np.float64)])
+        pair = np.stack([as_point(low, self.dims), as_point(high, self.dims)])
         return self._scatter("window", pair, {}, timeout=timeout)[0][0]
 
     def lookup(self, point, *, timeout: float | None = None) -> list[object]:
@@ -406,7 +410,8 @@ class PoolCore:
     def _query(self, op: str, queries, single: bool, params: dict,
                with_flags: bool, with_times: bool, timeout):
         """Validate a knn/range call, scatter it, package the answer."""
-        queries = as_points(queries, self.dims)
+        queries = (as_point(queries, self.dims)[None] if single
+                   else as_points(queries, self.dims))
         name = "k" if op == "knn" else "radius"
         values = per_query(name, params[name], queries.shape[0])
         if np.ndim(params[name]):

@@ -36,9 +36,17 @@ observes each returned per-block wall time instead.
 OOM, torn pipe — degradation reason ``worker_died``) is **terminated
 and respawned** rather than quarantined: killing a process cannot
 corrupt the parent (its mmap, buffer pool, and caches die with it), so
-the pool is back at full strength for the next call.  A worker's
-programming error arrives as a ``RuntimeError`` carrying the child's
-traceback.
+the pool is back at full strength for the next call.
+
+**An exception a worker raises** crosses the pipe by the rule it
+crosses the network by: the worker ships ``(type name, message,
+traceback)``, and a class listed in
+:data:`repro.exceptions.RERAISABLE` (the library's own errors,
+``ValueError``, ``TypeError``, ...) is re-raised in the caller as
+itself, with the message — so both backends raise the same class for
+the same mistake and a server over either answers 400.  Anything not
+listed is a defect in the worker and arrives as a ``RuntimeError``
+carrying the child's traceback.
 
 Live :class:`~repro.api.Database` sources are **not** supported — an
 epoch-pinned snapshot view shares the writer's in-process store, which
@@ -51,7 +59,7 @@ import multiprocessing as mp
 import os
 import time
 
-from ..exceptions import StorageError, TransientIOError
+from ..exceptions import RERAISABLE, StorageError, TransientIOError
 from ..obs.flightrec import FLIGHT
 from ..obs.hooks import on_worker_respawned
 from ..obs.registry import REGISTRY
@@ -128,7 +136,8 @@ def _worker_main(conn, path: str, opts: dict) -> None:
         index = _open_index(path, opts["buffer_capacity"], readonly=True)
     except BaseException as exc:  # noqa: BLE001 - must report, then die
         try:
-            conn.send(("error", type(exc).__name__, traceback.format_exc()))
+            conn.send(("error", type(exc).__name__, str(exc),
+                       traceback.format_exc()))
         finally:
             conn.close()
         return
@@ -165,8 +174,8 @@ def _worker_main(conn, path: str, opts: dict) -> None:
             except StorageError as exc:
                 conn.send(("degraded", "storage_error", str(exc)))
                 continue
-            except Exception as exc:  # noqa: BLE001 - programming error
-                conn.send(("error", type(exc).__name__,
+            except Exception as exc:  # noqa: BLE001 - the caller's to raise
+                conn.send(("error", type(exc).__name__, str(exc),
                            traceback.format_exc()))
                 continue
             counters, deltas = _counter_deltas(counters)
@@ -268,7 +277,7 @@ class ProcessServingPool(PoolCore):
             if msg[0] == "error":
                 raise StorageError(
                     f"worker {idx} failed to open {self._path}: "
-                    f"{msg[1]}\n{msg[2]}"
+                    f"{msg[1]}\n{msg[3]}"
                 )
         except BaseException as exc:
             proc.terminate()
@@ -342,8 +351,11 @@ class ProcessServingPool(PoolCore):
         if msg[0] == "degraded":
             return msg[1], None
         if msg[0] == "error":
+            _, name, message, worker_traceback = msg
+            if name in RERAISABLE:
+                raise RERAISABLE[name](message)
             raise RuntimeError(
-                f"serving-pool worker raised:\n{msg[1]}: {msg[2]}")
+                f"serving-pool worker raised:\n{name}: {worker_traceback}")
         out, block_times, stats, deltas, records = msg[1]
         self._worker_stats[worker] = stats
         _apply_counter_deltas(deltas)

@@ -42,6 +42,13 @@ def as_point(value, dims: int | None = None) -> np.ndarray:
     -------
     numpy.ndarray
         A contiguous float64 copy-or-view of shape ``(D,)``.
+
+    This function and :func:`as_points` are the only places that decide
+    what a caller-supplied point may be: every handle kind and every
+    fill path coerces through them, so a wrong shape or a non-finite
+    coordinate (``ValueError``: a NaN inside a tree breaks its bounding
+    regions, and no distance to one is defined) is refused with the
+    same class and message wherever it enters.
     """
     point = np.ascontiguousarray(value, dtype=np.float64)
     if point.ndim != 1:
@@ -52,14 +59,14 @@ def as_point(value, dims: int | None = None) -> np.ndarray:
         raise DimensionalityError(
             f"expected a {dims}-dimensional point, got {point.shape[0]} dimensions"
         )
-    return point
+    return _finite(point)
 
 
 def as_points(values, dims: int | None = None) -> np.ndarray:
     """Coerce ``values`` into an ``(N, D)`` float64 matrix of points.
 
-    A single point is promoted to a one-row matrix.  ``dims`` is validated
-    like in :func:`as_point`.
+    A single point is promoted to a one-row matrix.  ``dims`` and the
+    coordinates are validated like in :func:`as_point`.
     """
     points = np.ascontiguousarray(values, dtype=np.float64)
     if points.ndim == 1:
@@ -72,7 +79,17 @@ def as_points(values, dims: int | None = None) -> np.ndarray:
         raise DimensionalityError(
             f"expected {dims}-dimensional points, got {points.shape[1]} dimensions"
         )
-    return points
+    return _finite(points)
+
+
+def _finite(array: np.ndarray) -> np.ndarray:
+    """``array`` itself, unless a coordinate is NaN or infinite.
+
+    One reduction per call at the boundary; nothing below it re-checks.
+    """
+    if not np.isfinite(array).all():
+        raise ValueError("point coordinates must be finite, got NaN or infinity")
+    return array
 
 
 def check_dims(actual: int, expected: int) -> None:

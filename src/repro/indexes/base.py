@@ -9,6 +9,7 @@ region mathematics.
 
 from __future__ import annotations
 
+import time
 from abc import ABC, abstractmethod
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -16,9 +17,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..exceptions import EmptyIndexError, StorageError
-from ..geometry import as_point
+from ..geometry import (
+    as_point,
+    as_points,
+    mindist_point_rects,
+    mindist_point_spheres,
+    mindist_points_rects,
+    mindist_points_spheres,
+)
 from ..obs.hooks import (
     observed_query,
+    on_build,
     on_epoch_published,
     on_flush,
     on_snapshot_refresh,
@@ -309,23 +318,41 @@ class SpatialIndex(ABC):
         """Undo counter changes made by an aborted mutation."""
         self._root_id, self._height, self._size = snapshot
 
-    def load(self, points, values=None) -> None:
-        """Insert many points one by one (values default to row indices)."""
-        points = np.ascontiguousarray(points, dtype=np.float64)
-        if points.ndim != 2:
-            raise ValueError("load expects an (N, D) array of points")
+    def load(self, points, values=None) -> int:
+        """Insert many points (values default to row indices); returns
+        how many.
+
+        The one fill path — :meth:`repro.api.Database.insert_many`,
+        ``repro build`` and :func:`~repro.indexes.factory.build_index`
+        all fill through here — so this is where the points are checked
+        (:func:`~repro.geometry.as_points`) and where a fill is timed
+        and counted (``repro_builds_total``, ``repro_build_seconds``).
+        """
+        points = as_points(points, self.dims)
+        start = time.perf_counter()
+        self._load(points, values)
+        on_build(self, points.shape[0], time.perf_counter() - start)
+        return points.shape[0]
+
+    def _load(self, points: np.ndarray, values) -> None:
+        """Family-specific fill: one by one here, one bulk build on the
+        static tree."""
         if values is None:
             values = range(points.shape[0])
         for point, value in zip(points, values, strict=False):
             self.insert(point, value)
 
-    @abstractmethod
     def child_mindists(self, node: InternalNode, point: np.ndarray) -> np.ndarray:
         """Lower-bound distance from ``point`` to each child region of ``node``.
 
-        This is the family-specific MINDIST that drives both the
-        branch-and-bound search (Section 4.4) and deletion lookups.
+        This is the MINDIST that drives both the branch-and-bound search
+        (Section 4.4) and deletion lookups.  The default covers every
+        region shape combination (``HAS_RECTS`` / ``HAS_SPHERES``);
+        subclasses with bespoke rules (the SR-tree's ``mindist_rule``)
+        override it together with :meth:`child_mindists_batch`.
         """
+        return self._region_mindists(
+            node, point, mindist_point_rects, mindist_point_spheres)
 
     def child_mindists_batch(
         self, node: InternalNode, points: np.ndarray
@@ -336,22 +363,19 @@ class SpatialIndex(ABC):
         batched execution engine (:mod:`repro.exec`): one vectorised
         numpy pass prices every child region of ``node`` against a whole
         block of queries.  Row ``q`` must equal
-        ``child_mindists(node, points[q])``; the default covers every
-        region shape combination, and subclasses with bespoke MINDIST
-        rules (e.g. the SR-tree's ``mindist_rule``) override it.
+        ``child_mindists(node, points[q])``.
         """
-        from ..geometry import mindist_points_rects, mindist_points_spheres
+        return self._region_mindists(
+            node, points, mindist_points_rects, mindist_points_spheres)
 
+    def _region_mindists(self, node, query, to_rects, to_spheres) -> np.ndarray:
         n = node.count
-        if self.HAS_RECTS and self.HAS_SPHERES:
-            rect = mindist_points_rects(points, node.lows[:n], node.highs[:n])
-            sphere = mindist_points_spheres(
-                points, node.centers[:n], node.radii[:n]
-            )
-            return np.maximum(rect, sphere)
-        if self.HAS_SPHERES:
-            return mindist_points_spheres(points, node.centers[:n], node.radii[:n])
-        return mindist_points_rects(points, node.lows[:n], node.highs[:n])
+        if not self.HAS_SPHERES:
+            return to_rects(query, node.lows[:n], node.highs[:n])
+        sphere = to_spheres(query, node.centers[:n], node.radii[:n])
+        if not self.HAS_RECTS:
+            return sphere
+        return np.maximum(to_rects(query, node.lows[:n], node.highs[:n]), sphere)
 
     # ------------------------------------------------------------------
     # queries (shared)
@@ -368,21 +392,27 @@ class SpatialIndex(ABC):
         :func:`repro.search.knn.knn_search_best_first`).  Both return
         identical results.
         """
-        from ..search.knn import knn_search, knn_search_best_first
+        from ..exec.batch import per_query
 
+        point = as_point(point, self.dims)
+        k = int(per_query("k", k, 1)[0])
         if self._size == 0:
             raise EmptyIndexError("cannot run a nearest-neighbor query on an empty index")
-        if k < 1:
-            raise ValueError(f"k must be positive, got {k}")
+        op = {"depth-first": "knn", "best-first": "knn_best_first"}.get(algorithm)
+        if op is None:
+            raise ValueError(
+                f"unknown algorithm {algorithm!r}; use 'depth-first' or 'best-first'"
+            )
+        with observed_query(self, op, k):
+            return self._knn(point, k, algorithm)
+
+    def _knn(self, point: np.ndarray, k: int, algorithm: str) -> list[Neighbor]:
+        """A checked k-NN query's traversal (the linear scan scans)."""
+        from ..search.knn import knn_search, knn_search_best_first
+
         if algorithm == "depth-first":
-            with observed_query(self, "knn", k):
-                return knn_search(self, as_point(point, self.dims), k)
-        if algorithm == "best-first":
-            with observed_query(self, "knn_best_first", k):
-                return knn_search_best_first(self, as_point(point, self.dims), k)
-        raise ValueError(
-            f"unknown algorithm {algorithm!r}; use 'depth-first' or 'best-first'"
-        )
+            return knn_search(self, point, k)
+        return knn_search_best_first(self, point, k)
 
     def nearest_batch(self, points, k=1) -> list[list[Neighbor]]:
         """The ``k`` nearest neighbors of *each* query point, batched.
@@ -400,12 +430,18 @@ class SpatialIndex(ABC):
 
     def within(self, point, radius: float) -> list[Neighbor]:
         """All stored points within ``radius`` of ``point``, closest first."""
+        from ..exec.batch import per_query
+
+        point = as_point(point, self.dims)
+        radius = float(per_query("radius", radius, 1)[0])
+        with observed_query(self, "range"):
+            return self._range(point, radius)
+
+    def _range(self, point: np.ndarray, radius: float) -> list[Neighbor]:
+        """A checked range query's traversal (the linear scan scans)."""
         from ..search.range import range_search
 
-        if radius < 0:
-            raise ValueError(f"radius must be non-negative, got {radius}")
-        with observed_query(self, "range"):
-            return range_search(self, as_point(point, self.dims), float(radius))
+        return range_search(self, point, radius)
 
     def within_batch(self, points, radius) -> list[list[Neighbor]]:
         """The range query of *each* query point, batched.
@@ -421,12 +457,15 @@ class SpatialIndex(ABC):
 
     def window(self, low, high) -> list[Neighbor]:
         """All stored points inside the axis-aligned box ``[low, high]``."""
+        low, high = as_point(low, self.dims), as_point(high, self.dims)
+        with observed_query(self, "window"):
+            return self._window(low, high)
+
+    def _window(self, low: np.ndarray, high: np.ndarray) -> list[Neighbor]:
+        """A checked window query's traversal (the linear scan scans)."""
         from ..search.window import window_search
 
-        with observed_query(self, "window"):
-            return window_search(
-                self, as_point(low, self.dims), as_point(high, self.dims)
-            )
+        return window_search(self, low, high)
 
     def lookup(self, point) -> list[object]:
         """Exact-match point query: the payloads stored at ``point``.
@@ -436,7 +475,6 @@ class SpatialIndex(ABC):
         a single root-to-leaf path; on the overlapping-region trees it
         may have to enter several subtrees.
         """
-        point = as_point(point, self.dims)
         return [n.value for n in self.window(point, point)]
 
     def iter_nearest(self, point, max_distance: float = float("inf")):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..geometry import as_points
 from .base import SpatialIndex
 
 __all__ = ["bulk_load", "vam_groups"]
@@ -85,9 +86,7 @@ def bulk_load(tree: SpatialIndex, points, values=None) -> None:
         )
     if tree.size != 0:
         raise ValueError("bulk_load requires an empty tree")
-    points = np.ascontiguousarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[1] != tree.dims:
-        raise ValueError(f"expected an (N, {tree.dims}) array of points")
+    points = as_points(points, tree.dims)
     n = points.shape[0]
     if n == 0:
         return

@@ -21,11 +21,9 @@ from __future__ import annotations
 
 import difflib
 import inspect
-import time
 
 import numpy as np
 
-from ..obs.hooks import on_build
 from ..storage import DEFAULT_BUFFER_CAPACITY, open_existing
 from .base import SpatialIndex, _restore
 from .kdb import KDBTree
@@ -111,13 +109,12 @@ def build_index(kind: str, points, values=None, **kwargs) -> SpatialIndex:
     indexes insert the points one by one (as the paper's experiments
     do); the static VAMSplit R-tree's ``load`` is its bulk ``build``.
     """
-    points = np.ascontiguousarray(points, dtype=np.float64)
-    if points.ndim != 2:
+    if np.ndim(points) != 2:
+        # ``dims`` is read off the data here, and one row cannot say
+        # whether it is a point or a column of them.
         raise ValueError("expected an (N, D) array of points")
-    index = make_index(kind, points.shape[1], **kwargs)
-    start = time.perf_counter()
+    index = make_index(kind, np.shape(points)[1], **kwargs)
     index.load(points, values)
-    on_build(index, points.shape[0], time.perf_counter() - start)
     return index
 
 

@@ -26,7 +26,6 @@ import numpy as np
 
 from ..exceptions import IndexError_, KeyNotFoundError
 from ..geometry import as_point
-from ..geometry.rectangle import mindist_point_rects
 from ..storage.nodes import InternalNode, LeafNode
 from .base import SpatialIndex
 
@@ -222,14 +221,6 @@ class KDBTree(SpatialIndex):
                     self._size -= 1
                     return
         raise KeyNotFoundError(f"point {point.tolist()} not found")
-
-    # ------------------------------------------------------------------
-    # search support
-    # ------------------------------------------------------------------
-
-    def child_mindists(self, node: InternalNode, point: np.ndarray) -> np.ndarray:
-        n = node.count
-        return mindist_point_rects(point, node.lows[:n], node.highs[:n])
 
     # ------------------------------------------------------------------
     # validation

@@ -12,10 +12,10 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from ..exceptions import EmptyIndexError
+from ..exceptions import InvariantViolationError
 from ..geometry import as_point
 from ..search.knn import KnnCandidates
-from ..storage.nodes import InternalNode, LeafNode
+from ..storage.nodes import LeafNode
 from .base import Neighbor, SpatialIndex
 
 __all__ = ["LinearScan"]
@@ -60,13 +60,11 @@ class LinearScan(SpatialIndex):
     # queries
     # ------------------------------------------------------------------
 
-    def nearest(self, point, k: int = 1) -> list[Neighbor]:
+    # The base class checks the arguments and observes the query; only
+    # the traversal differs: every page, whichever ``algorithm`` is named.
+
+    def _knn(self, point, k: int, algorithm: str) -> list[Neighbor]:
         """Exact k nearest neighbors by scanning every page."""
-        if self._size == 0:
-            raise EmptyIndexError("cannot run a nearest-neighbor query on an empty index")
-        if k < 1:
-            raise ValueError(f"k must be positive, got {k}")
-        point = as_point(point, self.dims)
         candidates = KnnCandidates(k)
         for leaf in self.iter_leaves():
             if leaf.count == 0:
@@ -78,11 +76,8 @@ class LinearScan(SpatialIndex):
             candidates.offer_batch(dists, pts, leaf.values)
         return candidates.results()
 
-    def within(self, point, radius: float) -> list[Neighbor]:
+    def _range(self, point, radius: float) -> list[Neighbor]:
         """All points within ``radius``, closest first, by scanning every page."""
-        if radius < 0:
-            raise ValueError(f"radius must be non-negative, got {radius}")
-        point = as_point(point, self.dims)
         results: list[Neighbor] = []
         for leaf in self.iter_leaves():
             if leaf.count == 0:
@@ -98,10 +93,8 @@ class LinearScan(SpatialIndex):
         results.sort(key=lambda n: n.distance)
         return results
 
-    def window(self, low, high) -> list[Neighbor]:
+    def _window(self, low, high) -> list[Neighbor]:
         """All points inside the box, by scanning every page."""
-        low = as_point(low, self.dims)
-        high = as_point(high, self.dims)
         if np.any(low > high):
             raise ValueError("window query has low > high on some dimension")
         results: list[Neighbor] = []
@@ -117,7 +110,6 @@ class LinearScan(SpatialIndex):
 
     def iter_nearest(self, point, max_distance: float = float("inf")):
         """Yield points in ascending distance (computed eagerly by a scan)."""
-        point = as_point(point, self.dims)
         neighbors = self.nearest(point, k=max(self._size, 1)) if self._size else []
         for neighbor in neighbors:
             if neighbor.distance > max_distance:
@@ -142,5 +134,20 @@ class LinearScan(SpatialIndex):
         for page_id in self._leaf_ids:
             yield self.read_node(page_id)
 
-    def child_mindists(self, node: InternalNode, point: np.ndarray) -> np.ndarray:
-        raise NotImplementedError("a linear scan has no internal nodes")
+    # ------------------------------------------------------------------
+    # validation
+    # ------------------------------------------------------------------
+
+    def check_invariants(self) -> None:
+        """Every page of the chain is a leaf within capacity, and their
+        counts sum to the stored size."""
+        total = 0
+        for node in self.iter_nodes():
+            if not node.is_leaf or node.count > node.capacity:
+                raise InvariantViolationError(
+                    f"page {node.page_id} of the chain is not a leaf "
+                    f"within capacity")
+            total += node.count
+        if total != self._size:
+            raise InvariantViolationError(
+                f"the chain holds {total} points, size says {self._size}")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..geometry.rectangle import mindist_point_rects
 from ..storage.nodes import InternalNode, LeafNode
 from .base import Entry
 from .dynamic import DynamicTree
@@ -108,10 +107,6 @@ class RStarTree(DynamicTree):
         lows = node.lows[: node.count]
         highs = node.highs[: node.count]
         return {"low": lows.min(axis=0), "high": highs.max(axis=0)}
-
-    def child_mindists(self, node: InternalNode, point: np.ndarray) -> np.ndarray:
-        n = node.count
-        return mindist_point_rects(point, node.lows[:n], node.highs[:n])
 
     # ------------------------------------------------------------------
     # forced reinsertion

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..geometry.rectangle import mindist_point_rects
 from ..storage.nodes import InternalNode, LeafNode
 from .base import Entry
 from .dynamic import DynamicTree
@@ -107,10 +106,6 @@ class RTree(DynamicTree):
         lows = node.lows[: node.count]
         highs = node.highs[: node.count]
         return {"low": lows.min(axis=0), "high": highs.max(axis=0)}
-
-    def child_mindists(self, node: InternalNode, point: np.ndarray) -> np.ndarray:
-        n = node.count
-        return mindist_point_rects(point, node.lows[:n], node.highs[:n])
 
     # ------------------------------------------------------------------
     # no forced reinsertion

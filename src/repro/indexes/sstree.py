@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..geometry.sphere import mindist_point_spheres
 from ..storage.nodes import InternalNode, LeafNode
 from .base import Entry
 from .dynamic import DynamicTree
@@ -84,10 +83,6 @@ class SSTree(DynamicTree):
         gaps = np.sqrt(np.einsum("ij,ij->i", diff, diff))
         radius = float(np.max(gaps + node.radii[:n]))
         return center, radius, int(total)
-
-    def child_mindists(self, node: InternalNode, point: np.ndarray) -> np.ndarray:
-        n = node.count
-        return mindist_point_spheres(point, node.centers[:n], node.radii[:n])
 
     # ------------------------------------------------------------------
     # forced reinsertion

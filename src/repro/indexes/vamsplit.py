@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..geometry.rectangle import mindist_point_rects
-from ..storage.nodes import InternalNode
 from .base import SpatialIndex
 
 __all__ = ["VAMSplitRTree"]
@@ -37,13 +35,10 @@ class VAMSplitRTree(SpatialIndex):
         super().__init__(dims, **kwargs)
         self._built = False
 
-    def build(self, points, values=None) -> None:
+    def _load(self, points: np.ndarray, values) -> None:
         """Construct the tree from the complete data set in one pass."""
         if self._built:
             raise RuntimeError("a VAMSplit R-tree is static: build it only once")
-        points = np.ascontiguousarray(points, dtype=np.float64)
-        if points.ndim != 2 or points.shape[1] != self.dims:
-            raise ValueError(f"expected an (N, {self.dims}) array of points")
         n = points.shape[0]
         if n == 0:
             self._built = True
@@ -66,8 +61,9 @@ class VAMSplitRTree(SpatialIndex):
         self._built = True
 
     #: The static tree's "insert many" is "build once": the facade and
-    #: ``build_index`` fill every family through ``load``.
-    load = build
+    #: ``build_index`` fill every family through ``load``, which checks
+    #: the points and hands them to :meth:`_load`.
+    build = SpatialIndex.load
 
     # ------------------------------------------------------------------
     # construction
@@ -151,10 +147,6 @@ class VAMSplitRTree(SpatialIndex):
             "the VAMSplit R-tree is a static index: use build() (or "
             "insert_many(), once) with the complete data set"
         )
-
-    def child_mindists(self, node: InternalNode, point: np.ndarray) -> np.ndarray:
-        n = node.count
-        return mindist_point_rects(point, node.lows[:n], node.highs[:n])
 
     # ------------------------------------------------------------------
     # validation

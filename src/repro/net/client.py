@@ -32,33 +32,18 @@ import threading
 
 import numpy as np
 
-from .. import exceptions
 from ..exceptions import (
+    RERAISABLE,
     DeadlineExceededError,
     NetError,
     RemoteError,
     ServerOverloadedError,
 )
 from ..exec.batch import per_query
+from ..geometry import as_point, as_points
 from . import protocol
 
 __all__ = ["RemoteDatabase"]
-
-#: Exception classes the client will re-raise from a 400 error document.
-#: A whitelist, not ``getattr(builtins, ...)``: the server names a type,
-#: the client only ever instantiates types it already trusts.
-_RERAISABLE: dict[str, type] = {
-    "ValueError": ValueError,
-    "TypeError": TypeError,
-    "KeyError": KeyError,
-    "LookupError": LookupError,
-    "NotImplementedError": NotImplementedError,
-}
-_RERAISABLE.update({
-    name: obj
-    for name, obj in vars(exceptions).items()
-    if isinstance(obj, type) and issubclass(obj, exceptions.ReproError)
-})
 
 
 class _Connection(http.client.HTTPConnection):
@@ -300,8 +285,8 @@ class RemoteDatabase:
                 retry_after=float(retry_after) if retry_after else None)
         if status == 504:
             raise DeadlineExceededError(message)
-        if status in (400, 405) and error_type in _RERAISABLE:
-            raise _RERAISABLE[error_type](message)
+        if status in (400, 405) and error_type in RERAISABLE:
+            raise RERAISABLE[error_type](message)
         raise RemoteError(f"HTTP {status} from /v1/{endpoint}: {message}",
                           remote_type=error_type)
 
@@ -355,12 +340,18 @@ class RemoteDatabase:
     # ------------------------------------------------------------------
     # QuerySurface
 
+    def _point(self, value) -> list[float]:
+        """One checked point as its JSON list: a wrong shape or a NaN
+        fails here, as on a local handle, before the round trip."""
+        return as_point(value, self.dims).tolist()
+
     def knn(self, point, k: int = 1, *, algorithm: str | None = None,
             deadline_ms: float | None = None, **kwargs):
         from ..api import validate_query_kwargs
 
         validate_query_kwargs("knn", kwargs, allowed=())
-        doc = {"point": _vector(point), "k": int(k)}
+        doc = {"point": self._point(point),
+               "k": int(per_query("k", k, 1)[0])}
         if algorithm is not None:
             doc["algorithm"] = algorithm
         return self._call_neighbors("knn", doc, deadline_ms)
@@ -381,11 +372,7 @@ class RemoteDatabase:
 
     def knn_batch(self, points, k=1, *, deadline_ms: float | None = None):
         """Batched kNN; ``k`` is a scalar or one value per query row."""
-        points = np.asarray(points, dtype=np.float64)
-        if points.ndim != 2:
-            raise ValueError(
-                f"knn_batch expects a (n, dims) batch, got shape "
-                f"{points.shape}")
+        points = as_points(points, self.dims)
         ks = per_query("k", k, points.shape[0])
         # One k per row travels as a list; a shared scalar as itself.
         k_doc = ks.tolist() if np.ndim(k) else int(k)
@@ -411,17 +398,14 @@ class RemoteDatabase:
     def range(self, point, radius: float, *,
               deadline_ms: float | None = None):
         return self._call_neighbors(
-            "range", {"point": _vector(point), "radius": float(radius)},
+            "range", {"point": self._point(point),
+                      "radius": float(per_query("radius", radius, 1)[0])},
             deadline_ms)
 
     def range_batch(self, points, radius, *,
                     deadline_ms: float | None = None):
         """Batched range search; ``radius`` is a scalar or one per row."""
-        points = np.asarray(points, dtype=np.float64)
-        if points.ndim != 2:
-            raise ValueError(
-                f"range_batch expects a (n, dims) batch, got shape "
-                f"{points.shape}")
+        points = as_points(points, self.dims)
         radii = per_query("radius", radius, points.shape[0])
         radius_doc = radii.tolist() if np.ndim(radius) else float(radius)
         response, _, _ = self._call(
@@ -431,21 +415,22 @@ class RemoteDatabase:
 
     def window(self, low, high, *, deadline_ms: float | None = None):
         response, _, _ = self._call(
-            "window", {"low": _vector(low), "high": _vector(high)},
+            "window", {"low": self._point(low), "high": self._point(high)},
             deadline_ms=deadline_ms)
         return protocol.neighbors_from_doc(response["neighbors"])
 
     def lookup(self, point, *, deadline_ms: float | None = None):
-        response, _, _ = self._call("lookup", {"point": _vector(point)},
+        response, _, _ = self._call("lookup", {"point": self._point(point)},
                                     deadline_ms=deadline_ms)
         return response["values"]
 
     def stats(self) -> dict:
         return self._request_json("GET", "stats")["stats"]
 
-    def explain(self, point, k: int = 1) -> dict:
+    def explain(self, point, k: int = 1) -> str:
         response, _, _ = self._call(
-            "explain", {"point": _vector(point), "k": int(k)})
+            "explain", {"point": self._point(point),
+                        "k": int(per_query("k", k, 1)[0])})
         return response["explain"]
 
     def server_info(self) -> dict:
@@ -456,7 +441,7 @@ class RemoteDatabase:
     # mutations (token-authenticated, never auto-retried)
 
     def insert(self, point, value=None) -> int:
-        doc = {"point": _vector(point)}
+        doc = {"point": self._point(point)}
         if value is not None:
             doc["value"] = value
         response, _, _ = self._call("insert", doc, mutation=True)
@@ -464,8 +449,8 @@ class RemoteDatabase:
 
     def insert_many(self, points, values=None) -> int:
         """Bulk insert; returns the number of points inserted."""
-        points = np.asarray(points, dtype=np.float64)
-        if values is None and self._binary and points.ndim == 2:
+        points = as_points(points, self.dims)
+        if values is None and self._binary:
             response, _, _ = self._call(
                 "insert_many",
                 body=protocol.encode_matrix(points),
@@ -479,15 +464,8 @@ class RemoteDatabase:
         return response["inserted"]
 
     def delete(self, point, value=...) -> int:
-        doc = {"point": _vector(point)}
+        doc = {"point": self._point(point)}
         if value is not ...:
             doc["value"] = value
         response, _, _ = self._call("delete", doc, mutation=True)
         return response["size"]
-
-
-def _vector(values) -> list[float]:
-    array = np.asarray(values, dtype=np.float64)
-    if array.ndim != 1:
-        raise ValueError(f"expected a single vector, got shape {array.shape}")
-    return array.tolist()

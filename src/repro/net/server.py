@@ -46,7 +46,7 @@ import time
 
 import numpy as np
 
-from ..exceptions import NetError, ReproError
+from ..exceptions import RERAISABLE, NetError
 from ..exec.batch import per_query
 from ..geometry import as_point
 from ..httpd import HttpListener, Request
@@ -57,9 +57,11 @@ from .coalesce import CoalescedDeadlineError, CoalescingScheduler
 
 __all__ = ["QueryServer"]
 
-#: Exceptions whose *type name* travels in the 400 error document so the
-#: client re-raises the same class locally.  Anything else is a 500.
-_CLIENT_ERRORS = (ReproError, ValueError, TypeError, KeyError, LookupError)
+#: Exceptions whose *type name* travels in the 400 (405 for
+#: ``NotImplementedError``) error document so the client re-raises the
+#: same class locally — whichever handle is served.  Anything else is a
+#: defect and a 500.
+_CLIENT_ERRORS = tuple(RERAISABLE.values())
 
 
 class _Admission:
@@ -474,12 +476,12 @@ class QueryServer:
 
         if endpoint == "knn":
             point = _required(doc, "point")
-            k = int(doc.get("k", 1))
+            k = doc.get("k", 1)  # checked by the handle's per_query
             _reject_unknown(doc, {"point", "k", "algorithm"})
             if self._coalescer is not None and "algorithm" not in doc:
                 # Validate before enqueueing so a malformed request
                 # fails alone instead of poisoning its batchmates.
-                per_query("k", k, 1)
+                k = int(per_query("k", k, 1)[0])
                 point = as_point(point, getattr(source, "dims", None))
                 neighbors = self._coalescer.submit("knn", point, k, deadline)
             else:
@@ -535,7 +537,7 @@ class QueryServer:
                     f"the served handle ({type(source).__name__}) does not "
                     f"support explain")
             point = _required(doc, "point")
-            k = int(doc.get("k", 1))
+            k = doc.get("k", 1)
             _reject_unknown(doc, {"point", "k"})
             reply = {"explain": source.explain(point, k=k)}
 
@@ -601,13 +603,8 @@ class QueryServer:
             return points, k
         doc = self._json_doc(body)
         points = _required(doc, "points")
-        k = doc.get("k", 1)
-        if isinstance(k, (list, tuple)):
-            k = np.asarray(k, dtype=np.int64)
-        else:
-            k = int(k)
         _reject_unknown(doc, {"points", "k"})
-        return np.asarray(points, dtype=np.float64), k
+        return np.asarray(points, dtype=np.float64), doc.get("k", 1)
 
     @staticmethod
     def _json_doc(body: bytes) -> dict:

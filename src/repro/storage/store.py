@@ -792,26 +792,26 @@ class NodeStore:
         A poisoned store closes *without* flushing or checkpointing:
         its in-memory state is suspect and the WAL — which still holds
         every committed transaction — must survive untruncated so the
-        next open can replay it into the data file.
+        next open can replay it into the data file.  A readonly store
+        has nothing to flush.  Every path empties the buffer pool, so a
+        closed store cannot go on answering reads from warm frames.
         """
         if self._closed:
             return
-        if self._poisoned is not None:
+        if self._poisoned is not None or self.readonly:
             self._closed = True
             if self.wal is not None:
                 self.wal.close()
-            self.pagefile.close()
-            return
-        if self.readonly:
-            self._closed = True
-            self.pagefile.close()
-            return
-        if self.in_txn:  # a caller died mid-transaction: roll back
-            self.abort_txn()
-        self.flush()
-        if self.wal is not None:
-            self.checkpoint()
-            self.wal.close()
+        else:
+            if self.in_txn:  # a caller died mid-transaction: roll back
+                self.abort_txn()
+            self.flush()
+            if self.wal is not None:
+                self.checkpoint()
+                self.wal.close()
+        # Nothing dirty is left (flushed, or never to be written); the
+        # next read reaches the closed page file and its StorageError.
+        self.buffer.drop()
         self.pagefile.close()
         self._closed = True
 

@@ -189,13 +189,16 @@ class TestTelemetryCommands:
         run("build", "--data", data_file, "--out", path)
         return path
 
-    def test_serve_metrics_runs_for_duration(self, index_file, capsys,
-                                             obs_restore):
-        assert run("serve-metrics", "--index", index_file, "--port", 0,
-                   "--queries", 3, "-k", 3, "--duration", 0.05) == 0
-        out = capsys.readouterr().out
-        assert "serving telemetry" in out
-        assert "http://127.0.0.1:" in out
+    def test_serve_runs_for_duration(self, index_file, capsys, obs_restore):
+        # The command the ledger starts (ledger/workloads.py), and the two
+        # banner lines it parses for the query and telemetry addresses.
+        assert run("serve", "--index", index_file, "--port", 0,
+                   "--telemetry-port", 0, "--duration", 0.05) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith(f"serving {index_file} at http://127.0.0.1:")
+        assert "/v1 (single handle, mutations disabled)" in lines[0]
+        assert lines[1].startswith("telemetry at http://127.0.0.1:")
+        assert lines[-1] == "drained; bye"
 
     def test_slow_table(self, index_file, capsys, obs_restore):
         assert run("slow", "--index", index_file, "--queries", 5,

@@ -73,10 +73,21 @@ class TestStructure:
         assert values == list(range(len(cloud)))
 
     def test_invariants(self, any_index):
-        kind, index = any_index
-        if kind == "linear":
-            pytest.skip("linear scan has no structural invariants")
+        _, index = any_index
         index.check_invariants()
+
+    def test_batch_mindists_are_rows_of_the_scalar_mindists(self, any_index,
+                                                            cloud):
+        # One default serves every family but the SR-tree; the block
+        # engine's matrix must be the scalar search's vectors, bit for bit.
+        kind, index = any_index
+        queries = cloud[:5] + 0.05
+        internal = [n for n in index.iter_nodes() if not n.is_leaf]
+        assert internal or kind == "linear"
+        for node in internal:
+            matrix = index.child_mindists_batch(node, queries)
+            for row, q in zip(matrix, queries):
+                assert np.array_equal(row, index.child_mindists(node, q)), kind
 
     def test_heights_reasonable(self, any_index, cloud):
         kind, index = any_index

@@ -87,6 +87,40 @@ class TestMutationMetrics:
         assert d['repro_deletes_total{index_kind="rstar"}'] == 1
         assert REGISTRY.flatten()[size_key] == len(tiny_cloud)
 
+    def test_every_fill_path_counts_as_a_build(self, metrics_on, tiny_cloud,
+                                               tmp_path):
+        # The fill times and counts itself (SpatialIndex.load), so the
+        # facade and the CLI — which never call build_index — are counted.
+        import numpy as np
+
+        from repro import Database
+        from repro.cli import main
+
+        before = REGISTRY.flatten()
+        with Database.create(None, kind="sstree",
+                             dims=tiny_cloud.shape[1]) as db:
+            db.insert_many(tiny_cloud)
+        data = tmp_path / "d.npy"
+        np.save(data, tiny_cloud)
+        assert main(["build", "--kind", "vamsplit", "--data", str(data),
+                     "--out", str(tmp_path / "v.db")]) == 0
+        d = delta(before, REGISTRY.flatten())
+        for kind in ("sstree", "vamsplit"):
+            assert d[f'repro_builds_total{{index_kind="{kind}"}}'] == 1
+            assert d[f'repro_build_seconds_count{{index_kind="{kind}"}}'] == 1
+
+    def test_linear_scan_queries_are_observed(self, metrics_on, tiny_cloud):
+        scan = build_index("linear", tiny_cloud)
+        before = REGISTRY.flatten()
+        scan.nearest(tiny_cloud[0], k=2)
+        scan.nearest(tiny_cloud[0], k=2, algorithm="best-first")
+        scan.within(tiny_cloud[0], radius=0.3)
+        scan.window(tiny_cloud[0], tiny_cloud[0])
+        d = delta(before, REGISTRY.flatten())
+        for op in ("knn", "knn_best_first", "range", "window"):
+            key = f'repro_queries_total{{index_kind="linear",op="{op}"}}'
+            assert d[key] == 1, op
+
     def test_splits_counted_during_build(self, metrics_on, small_cloud):
         before = REGISTRY.flatten()
         build_index("srtree", small_cloud)

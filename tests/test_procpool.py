@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from repro.api import Database
+from repro.exceptions import DimensionalityError
 from repro.exec import ProcessServingPool, ServingPool
 from repro.obs.flightrec import FLIGHT
 from repro.obs.hooks import DEGRADED_QUERIES, QUERIES
@@ -288,3 +289,27 @@ def test_direct_construction_is_the_same_class_and_does_not_warn(
         ServingPool(uniform_index, workers=1, _test_delay_s=0.1)
     with pytest.raises(TypeError, match="backend"):
         ProcessServingPool(uniform_index, workers=1, backend="process")
+
+
+def test_what_a_worker_raised_crosses_the_pipe_by_the_whitelist():
+    """A listed class is re-raised as itself; anything else is a defect
+    in the worker and keeps its traceback (``exceptions.RERAISABLE``)."""
+    class Pipe:
+        def __init__(self, message):
+            self.message = message
+
+        def poll(self, timeout):
+            return True
+
+        def recv(self):
+            return self.message
+
+    pool = object.__new__(ProcessServingPool)
+    pool._conns = [Pipe(("error", "DimensionalityError", "expected 4",
+                         "Traceback ...")),
+                   Pipe(("error", "ZeroDivisionError", "division by zero",
+                         "Traceback (most recent call last): worker.py"))]
+    with pytest.raises(DimensionalityError, match="^expected 4$"):
+        pool._collect(0, True, None)
+    with pytest.raises(RuntimeError, match="ZeroDivisionError.*worker.py"):
+        pool._collect(1, True, None)

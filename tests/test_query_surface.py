@@ -1,5 +1,12 @@
 """QuerySurface conformance: five handle kinds, one read contract.
 
+And one argument contract: what a point, a ``k`` and a radius may be is
+decided by ``geometry.as_point``/``as_points`` and ``exec.batch.per_query``
+alone, so the disagreement matrix at the end puts the same bad argument
+to every handle — plus a remote client of a server over a process pool,
+the longest path an argument can take — and demands the refusal
+``Database`` gives (same class, same message) or the answer it gives.
+
 ``repro.api.QuerySurface`` is the formal protocol every query handle
 implements — :class:`~repro.api.Database`, :class:`~repro.api.Snapshot`,
 :class:`~repro.exec.ServingPool` (thread and process backends), and
@@ -13,6 +20,8 @@ neighbor fails here before it can fail a benchmark.
 
 from __future__ import annotations
 
+import http.client
+import json
 from contextlib import contextmanager
 from types import SimpleNamespace
 
@@ -20,6 +29,12 @@ import numpy as np
 import pytest
 
 from repro.api import Database, QuerySurface
+from repro.exceptions import (
+    DimensionalityError,
+    EmptyIndexError,
+    NetError,
+    StorageError,
+)
 from repro.exec import ServingPool
 from repro.net import QueryServer, RemoteDatabase
 from repro.workloads import cluster_dataset, histogram_dataset, uniform_dataset
@@ -85,12 +100,20 @@ def _remote(c):
             yield rdb
 
 
+@contextmanager
+def _remote_process(c):
+    with _pool_process(c) as pool, QueryServer(pool) as server:
+        with RemoteDatabase.connect("%s:%d" % server.address) as rdb:
+            yield rdb
+
+
 HANDLES = {
     "database": _database,
     "snapshot": _snapshot,
     "pool_thread": _pool_thread,
     "pool_process": _pool_process,
     "remote": _remote,
+    "remote_process": _remote_process,
 }
 
 
@@ -244,3 +267,188 @@ def test_unknown_kwargs_rejected_everywhere(corpus, handle):
         assert "kk" in str(exc)
     else:  # pragma: no cover - conformance failure
         pytest.fail("unknown kwarg 'kk' was silently accepted")
+
+
+# ---------------------------------------------------------------------------
+# The disagreement matrix: one bad argument, every handle, one outcome
+# ---------------------------------------------------------------------------
+
+
+def _spoiled(c, value, rows=None):
+    """The first query (or ``rows`` queries) with one coordinate replaced."""
+    q = c.queries[0].copy() if rows is None else c.queries[:rows].copy()
+    q[..., 1] = value
+    return q
+
+
+# name -> (call, the class Database must refuse with, or None when the
+# argument is legal and every handle must answer as Database does).
+ARGUMENTS = {
+    "nan_point": (lambda h, c: h.knn(_spoiled(c, np.nan), k=2), ValueError),
+    "inf_point": (lambda h, c: h.range(_spoiled(c, np.inf), 0.3), ValueError),
+    "neg_inf_point_in_batch": (
+        lambda h, c: h.knn_batch(_spoiled(c, -np.inf, rows=3), k=2),
+        ValueError),
+    "nan_window": (
+        lambda h, c: h.window(_spoiled(c, np.nan), c.queries[0] + 1.0),
+        ValueError),
+    "k_zero": (lambda h, c: h.knn(c.queries[0], k=0), ValueError),
+    "k_fraction": (lambda h, c: h.knn(c.queries[0], k=2.5), ValueError),
+    "k_fraction_in_batch": (
+        lambda h, c: h.knn_batch(c.queries, k=2.5), ValueError),
+    "k_true": (lambda h, c: h.knn(c.queries[0], k=True), None),
+    "k_wrong_length": (
+        lambda h, c: h.knn_batch(c.queries, k=[1, 2]), ValueError),
+    "k_list_for_one_point": (
+        lambda h, c: h.knn(c.queries[0], k=[1, 2]), ValueError),
+    "radius_negative": (lambda h, c: h.range(c.queries[0], -1.0), ValueError),
+    "radius_nan": (
+        lambda h, c: h.range_batch(c.queries, float("nan")), ValueError),
+    "radius_wrong_length": (
+        lambda h, c: h.range_batch(c.queries, [0.1, 0.2]), ValueError),
+    "wrong_dims": (
+        lambda h, c: h.knn(c.queries[0][:-1], k=2), DimensionalityError),
+    "wrong_dims_in_batch": (
+        lambda h, c: h.range_batch(c.queries[:, :-1], 0.3),
+        DimensionalityError),
+    "batch_of_one_point": (lambda h, c: h.knn_batch(c.queries[0], k=3), None),
+    "range_batch_of_one_point": (
+        lambda h, c: h.range_batch(c.queries[0], 0.35), None),
+    "low_above_high": (
+        lambda h, c: h.window(c.queries[0] + 0.1, c.queries[0] - 0.1),
+        ValueError),
+    "window_wrong_dims": (
+        lambda h, c: h.window([0.0, 0.0], [1.0, 1.0]), DimensionalityError),
+    "lookup_wrong_dims": (
+        lambda h, c: h.lookup([0.0, 0.0]), DimensionalityError),
+    "lookup_of_a_batch": (
+        lambda h, c: h.lookup(c.queries), DimensionalityError),
+}
+
+
+def _outcome(call, handle, corpus):
+    """What a call did, in a form two handles' outcomes compare equal in."""
+    def plain(result):
+        if isinstance(result, list):
+            return [plain(item) for item in result]
+        if hasattr(result, "distance"):
+            return (result.distance, result.point.tolist(), result.value)
+        return result
+
+    try:
+        return "answered", plain(call(handle, corpus))
+    except Exception as exc:  # noqa: BLE001 - the class is the assertion
+        return "refused", type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(ARGUMENTS))
+def test_argument_contract_is_one_contract(corpus, handle, name):
+    call, refusal = ARGUMENTS[name]
+    want = _outcome(call, corpus.db, corpus)
+    if refusal is None:
+        assert want[0] == "answered"
+    else:
+        assert want[:2] == ("refused", refusal)
+    assert _outcome(call, handle, corpus) == want
+
+
+def test_two_dimensional_range_is_refused_or_the_pools_batch(corpus, handle):
+    # The one documented per-handle difference in shapes: a pool's
+    # knn/range take a 2-D batch; every other handle refuses it as
+    # Database does, a remote one before the round trip.
+    def call(h, c):
+        return h.range(c.queries[:3], 0.35)
+
+    want = _outcome(call, corpus.db, corpus)
+    assert want[:2] == ("refused", DimensionalityError)
+    if hasattr(handle, "worker_stats"):  # a pool, either backend
+        want = _outcome(lambda h, c: h.range_batch(c.queries[:3], 0.35),
+                        corpus.db, corpus)
+    assert _outcome(call, handle, corpus) == want
+
+
+@pytest.mark.parametrize("kind", sorted(HANDLES))
+def test_closed_handle_refuses_every_read(corpus, kind):
+    own = SimpleNamespace(db=Database.open(corpus.path), path=corpus.path)
+    refusal = {"database": StorageError, "snapshot": StorageError,
+               "pool_thread": RuntimeError, "pool_process": RuntimeError,
+               "remote": NetError, "remote_process": NetError}[kind]
+    q = corpus.queries[0]
+    try:
+        with HANDLES[kind](own) as h:
+            assert h.knn(q, k=2)  # warm: the closed handle has frames to lose
+            h.close()
+            assert h.closed
+            for read in (lambda: h.knn(q, k=2),
+                         lambda: h.knn_batch(corpus.queries, k=2),
+                         lambda: h.range(q, 0.3),
+                         lambda: h.window(q - 0.1, q + 0.1),
+                         lambda: h.lookup(q)):
+                with pytest.raises(refusal):
+                    read()
+    finally:
+        own.db.close()
+
+
+def _post(address, endpoint, doc, token=None):
+    """One raw JSON request (Python's ``json`` writes ``NaN``): the status
+    and body a client of any language would see."""
+    conn = http.client.HTTPConnection(*address, timeout=10)
+    try:
+        headers = {"Content-Type": "application/json"}
+        if token is not None:
+            headers["X-Repro-Token"] = token
+        conn.request("POST", f"/v1/{endpoint}", json.dumps(doc), headers)
+        response = conn.getresponse()
+        return response.status, response.read().decode("utf-8")
+    finally:
+        conn.close()
+
+
+def test_nan_is_refused_on_the_way_in_and_the_tree_still_verifies(tmp_path):
+    data = uniform_dataset(120, 4, seed=5)
+    bad = [float("nan"), 0.1, 0.2, 0.3]
+    with Database.create(str(tmp_path / "t.srtree"), kind="sr", dims=4,
+                         page_size=2048, durability="wal") as db:
+        db.insert_many(data)
+        with pytest.raises(ValueError, match="finite"):
+            db.insert(bad)
+        with pytest.raises(ValueError, match="finite"):
+            db.insert_many([data[0].tolist(), bad])
+        with QueryServer(db, auth_token="t") as server:
+            status, body = _post(server.address, "insert", {"point": bad}, "t")
+            assert (status, "finite" in body) == (400, True)
+            status, body = _post(server.address, "insert_many",
+                                 {"points": [data[0].tolist(), bad]}, "t")
+            assert (status, "finite" in body) == (400, True)
+            status, body = _post(server.address, "knn", {"point": bad, "k": 2})
+            assert (status, "finite" in body) == (400, True)
+        assert db.size == len(data)
+        db.verify()
+
+
+def test_worker_side_errors_are_one_class_on_both_backends(tmp_path,
+                                                           pool_backend):
+    path = str(tmp_path / "empty.srtree")
+    Database.create(path, kind="sr", dims=4).close()
+    with ServingPool(path, workers=1, **pool_backend) as pool:
+        with pytest.raises(EmptyIndexError, match="empty index"):
+            pool.knn([0.1, 0.2, 0.3, 0.4], k=2)
+        with pytest.raises(ValueError, match="low > high"):
+            pool.window([0.5] * 4, [0.1] * 4)
+        assert pool.degraded_queries == 0
+
+
+def test_bad_argument_through_a_process_pool_server_is_a_400(corpus):
+    q = corpus.queries[0]
+    with _pool_process(corpus) as pool, QueryServer(pool) as server:
+        for endpoint, doc in (
+                ("window", {"low": (q + 0.1).tolist(),
+                            "high": (q - 0.1).tolist()}),
+                ("window", {"low": [0.0, 0.0], "high": [1.0, 1.0]}),
+                ("lookup", {"point": [0.0, 0.0]}),
+                ("knn", {"point": q.tolist(), "k": 2.5}),
+                ("knn_batch", {"points": [q.tolist()], "k": [1, 2]})):
+            status, body = _post(server.address, endpoint, doc)
+            assert status == 400, (endpoint, doc, body)
+            assert "Traceback" not in body and ".py" not in body
