@@ -1,6 +1,6 @@
 # Convenience targets for development and reproduction runs.
 
-.PHONY: install lint sloc test test-crash test-concurrency test-mp test-net test-batching bench results-check examples all
+.PHONY: install lint sloc test test-crash test-concurrency test-mp test-net test-batching bench bench-paper-scale results-check examples all
 
 # Byte-compile everything and run the dependency-free pyflakes-level
 # checker (tools/lint.py upgrades itself to real pyflakes when

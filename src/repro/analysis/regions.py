@@ -15,7 +15,10 @@ average *volume* and average *diameter* of the leaf-level regions:
 
 All measurements walk the actual leaves and recompute shapes from the
 stored points, so they are exact for the tree as built (not subject to
-radius-update drift).
+radius-update drift).  The shapes are the indexes' own rules — the
+R*-tree's ``_rect_of`` and the SS-tree's ``_sphere_of``, one spelling on
+:class:`~repro.indexes.base.SpatialIndex` — applied to whichever tree's
+leaves are being measured.
 """
 
 from __future__ import annotations
@@ -83,16 +86,12 @@ def measure_leaf_regions(index: SpatialIndex) -> LeafRegionStats:
     for leaf in index.iter_leaves():
         if leaf.count == 0:
             continue
-        pts = leaf.points[: leaf.count]
-        center = pts.mean(axis=0)
-        diff = pts - center
-        radius = float(np.sqrt(np.max(np.einsum("ij,ij->i", diff, diff))))
+        _center, radius, _weight = index._sphere_of(leaf)
         sphere_volumes.append(_volume.sphere_volume(dims, radius))
         sphere_log_volumes.append(_volume.log_sphere_volume(dims, radius))
         sphere_diameters.append(2.0 * radius)
 
-        low = pts.min(axis=0)
-        high = pts.max(axis=0)
+        low, high = index._rect_of(leaf)
         rect_volumes.append(_volume.rect_volume(low, high))
         rect_log_volumes.append(_volume.log_rect_volume(low, high))
         rect_diameters.append(float(np.linalg.norm(high - low)))

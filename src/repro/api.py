@@ -81,6 +81,15 @@ registry names in :data:`repro.indexes.factory.INDEX_KINDS`."""
 _MEMORY = ":memory:"
 
 
+def _remove_files(file_path: str) -> None:
+    """Delete a data file and its write-ahead log, whichever exist."""
+    from .storage import wal_path
+
+    for name in (file_path, wal_path(file_path)):
+        if os.path.exists(name):
+            os.remove(name)
+
+
 def _resolve_alias(kind: str) -> str:
     return KIND_ALIASES.get(kind, kind)
 
@@ -421,7 +430,7 @@ class Database(_IndexHandle):
             ``buffer_capacity``, ``reinsert_fraction``, family extras —
             validated with did-you-mean errors.
         """
-        from .storage import DEFAULT_PAGE_SIZE, open_storage, wal_path
+        from .storage import DEFAULT_PAGE_SIZE, open_storage
         from .storage.stack import open_pagefile
 
         if durability not in ("none", "wal"):
@@ -435,29 +444,34 @@ class Database(_IndexHandle):
                 "an in-memory database cannot use durability='wal' "
                 "(there is no file to recover); give it a path"
             )
+        if sync_every < 1:
+            raise ValueError(f"sync_every must be >= 1, got {sync_every}")
+        if slo_ms is not None and slo_ms <= 0:
+            raise ValueError(f"slo_ms must be positive, got {slo_ms}")
         if checksums is None:
             checksums = durability == "wal"
         index_cls = resolve_kind(_resolve_alias(kind))
         kwargs = normalize_index_kwargs(index_cls, index_kwargs)
         page_size = int(kwargs.get("page_size", DEFAULT_PAGE_SIZE))
+        file_path = None if in_memory else os.fspath(path)
+        if file_path is not None and os.path.exists(file_path) and not overwrite:
+            raise FileExistsError(
+                f"{file_path} already exists; pass overwrite=True "
+                "or use Database.open()"
+            )
+        # The index constructors are what decide whether ``dims`` and the
+        # keywords are acceptable, so ask them — over memory, the result
+        # discarded — before an existing file is touched: a refused call
+        # destroys nothing.
+        index_cls(dims, **kwargs)
         if in_memory:
             pagefile = open_pagefile(
                 None, page_size=page_size, checksums=checksums,
                 fault_plan=fault_plan,
             )
             wal = None
-            file_path: str | None = None
         else:
-            file_path = os.fspath(path)
-            if os.path.exists(file_path):
-                if not overwrite:
-                    raise FileExistsError(
-                        f"{file_path} already exists; pass overwrite=True "
-                        "or use Database.open()"
-                    )
-                os.remove(file_path)
-                if os.path.exists(wal_path(file_path)):
-                    os.remove(wal_path(file_path))
+            _remove_files(file_path)
             pagefile, wal, _report = open_storage(
                 file_path,
                 page_size=page_size,
@@ -466,11 +480,19 @@ class Database(_IndexHandle):
                 sync_every=sync_every,
                 fault_plan=fault_plan,
             )
-        if slo_ms is not None and slo_ms <= 0:
-            raise ValueError(f"slo_ms must be positive, got {slo_ms}")
-        index = index_cls(dims, pagefile=pagefile, wal=wal, **kwargs)
-        index._slo_ms = slo_ms
-        index.save()
+        try:
+            index = index_cls(dims, pagefile=pagefile, wal=wal, **kwargs)
+            index._slo_ms = slo_ms
+            index.save()
+        except BaseException:
+            # Arguments were checked above, so this is the disk failing:
+            # leave neither open handles nor a stub no ``open`` accepts.
+            pagefile.close()
+            if wal is not None:
+                wal.close()
+            if file_path is not None:
+                _remove_files(file_path)
+            raise
         return cls(index, path=file_path, _token=_CONSTRUCT)
 
     @classmethod

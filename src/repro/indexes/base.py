@@ -3,8 +3,10 @@
 :class:`SpatialIndex` owns the node store and provides everything common
 to all five index structures — metadata, tree walking, query entry
 points (delegating to :mod:`repro.search`), persistence, and statistics.
-Subclasses implement the construction algorithms and the per-family
-region mathematics.
+It also states the region rules once — bounding rectangle, centroid
+sphere, parent-bounds-child and MINDIST, keyed by the ``HAS_RECTS`` /
+``HAS_SPHERES`` flags that fix the page layout.  Subclasses implement
+the construction algorithms.
 """
 
 from __future__ import annotations
@@ -16,10 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..exceptions import EmptyIndexError, StorageError
+from ..exceptions import EmptyIndexError, InvariantViolationError, StorageError
 from ..geometry import (
     as_point,
     as_points,
+    farthest_point_rects,
     mindist_point_rects,
     mindist_point_spheres,
     mindist_points_rects,
@@ -48,6 +51,9 @@ from ..storage import (
 from ..storage.serializer import unpack_meta
 
 __all__ = ["Neighbor", "Entry", "SpatialIndex"]
+
+#: Slack the containment checks allow a stored bound.
+_BOUND_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -118,8 +124,8 @@ class SpatialIndex(ABC):
 
     Subclasses declare their node-entry contents through the class
     attributes ``HAS_RECTS`` / ``HAS_SPHERES`` / ``HAS_WEIGHTS`` (which
-    determine the page layout and therefore the fanout) and implement
-    the abstract construction/search hooks.
+    determine the page layout and therefore the fanout, and select the
+    region rules below) and implement the abstract construction hooks.
     """
 
     #: Human-readable name used by the benchmark harness.
@@ -153,6 +159,8 @@ class SpatialIndex(ABC):
             page_size=page_size,
             leaf_data_size=leaf_data_size,
         )
+        # Refuses a utilization outside (0, 0.5] now, not at the first insert.
+        self._layout.min_fill(self._layout.leaf_capacity, min_utilization)
         self._store = NodeStore(
             self._layout, pagefile, buffer_capacity, stats, wal=wal,
         )
@@ -347,9 +355,10 @@ class SpatialIndex(ABC):
 
         This is the MINDIST that drives both the branch-and-bound search
         (Section 4.4) and deletion lookups.  The default covers every
-        region shape combination (``HAS_RECTS`` / ``HAS_SPHERES``);
-        subclasses with bespoke rules (the SR-tree's ``mindist_rule``)
-        override it together with :meth:`child_mindists_batch`.
+        region shape combination (``HAS_RECTS`` / ``HAS_SPHERES``); a
+        subclass with a bespoke rule (the SR-tree's ``mindist_rule``)
+        overrides :meth:`_region_mindists`, which serves this and
+        :meth:`child_mindists_batch` alike.
         """
         return self._region_mindists(
             node, point, mindist_point_rects, mindist_point_spheres)
@@ -368,7 +377,17 @@ class SpatialIndex(ABC):
         return self._region_mindists(
             node, points, mindist_points_rects, mindist_points_spheres)
 
+    # ------------------------------------------------------------------
+    # region rules: a region is a rectangle, a sphere, or both
+    # ------------------------------------------------------------------
+    #
+    # ``HAS_RECTS`` / ``HAS_SPHERES`` pick the shapes; each rule below is
+    # stated once for every family that bounds a node's *contents* (the
+    # K-D-B-tree's regions partition space instead and use none of it).
+
     def _region_mindists(self, node, query, to_rects, to_spheres) -> np.ndarray:
+        """MINDIST to each child region; with both shapes, the larger
+        of the two bounds (Section 4.4)."""
         n = node.count
         if not self.HAS_SPHERES:
             return to_rects(query, node.lows[:n], node.highs[:n])
@@ -376,6 +395,90 @@ class SpatialIndex(ABC):
         if not self.HAS_RECTS:
             return sphere
         return np.maximum(to_rects(query, node.lows[:n], node.highs[:n]), sphere)
+
+    def _rect_of(self, node) -> tuple[np.ndarray, np.ndarray]:
+        """Minimum bounding rectangle of a node's contents (Section 2.2)."""
+        n = node.count
+        if node.is_leaf:
+            pts = node.points[:n]
+            return pts.min(axis=0), pts.max(axis=0)
+        return node.lows[:n].min(axis=0), node.highs[:n].max(axis=0)
+
+    def _sphere_of(self, node) -> tuple[np.ndarray, float, int]:
+        """Centroid, radius and weight of a node's bounding sphere
+        (Section 2.3).
+
+        The center is the centroid of the points beneath the node (child
+        centroids weighted by subtree point counts); the radius reaches
+        the farthest point of a leaf, or the far side of the farthest
+        child sphere — the SS-tree's rule, which the SR-tree tightens
+        (:meth:`SRTree._entry_fields <repro.indexes.srtree.SRTree._entry_fields>`).
+        """
+        n = node.count
+        if node.is_leaf:
+            center, weight = node.points[:n].mean(axis=0), n
+        else:
+            weights = node.weights[:n].astype(np.float64)
+            total = weights.sum()
+            center = (node.centers[:n] * weights[:, None]).sum(axis=0) / total
+            weight = int(total)
+        return center, self._reach(center, node), weight
+
+    def _reach(self, center: np.ndarray, node, rects: bool = False) -> float:
+        """An upper bound on the distance from ``center`` to any point
+        beneath ``node``.
+
+        A leaf's farthest point; above the leaves, the far side of the
+        farthest child sphere.  With ``rects`` each child is an
+        intersection region, so the farthest vertex of its rectangle
+        bounds it too and the smaller of the two reaches counts.
+        """
+        n = node.count
+        if node.is_leaf:
+            diff = node.points[:n] - center
+            return float(np.sqrt(np.max(np.einsum("ij,ij->i", diff, diff))))
+        diff = node.centers[:n] - center
+        reaches = np.sqrt(np.einsum("ij,ij->i", diff, diff)) + node.radii[:n]
+        if rects:
+            reaches = np.minimum(reaches, farthest_point_rects(
+                center, node.lows[:n], node.highs[:n]))
+        return float(np.max(reaches))
+
+    def _entry_fields(self, node) -> dict:
+        """Region/weight keyword arguments describing ``node`` in its parent."""
+        fields = {}
+        if self.HAS_RECTS:
+            fields["low"], fields["high"] = self._rect_of(node)
+        if self.HAS_SPHERES:
+            fields["center"], fields["radius"], fields["weight"] = (
+                self._sphere_of(node))
+        return fields
+
+    def _check_parent_entry(self, parent: InternalNode, slot: int, child) -> None:
+        """Verify that entry ``slot`` of ``parent`` bounds ``child``'s contents.
+
+        The rectangle must contain the child's own bounding rectangle.
+        The sphere must reach every point beneath the child — not every
+        child *sphere*: under the SR-tree's ``min(d_s, d_r)`` radius a
+        parent sphere may be smaller than a child's, which is why the
+        reach keeps the rectangle term where both shapes are stored.
+        """
+        if self.HAS_RECTS:
+            low, high = self._rect_of(child)
+            if (np.any(low < parent.lows[slot] - _BOUND_EPS)
+                    or np.any(high > parent.highs[slot] + _BOUND_EPS)):
+                raise InvariantViolationError(
+                    f"parent {parent.page_id} entry {slot} rectangle does not "
+                    f"bound child {child.page_id}"
+                )
+        if self.HAS_SPHERES:
+            radius = float(parent.radii[slot])
+            reach = self._reach(parent.centers[slot], child, self.HAS_RECTS)
+            if reach > radius + _BOUND_EPS:
+                raise InvariantViolationError(
+                    f"parent {parent.page_id} entry {slot} sphere (r={radius:.6g}) "
+                    f"does not cover child {child.page_id} (reach {reach:.6g})"
+                )
 
     # ------------------------------------------------------------------
     # queries (shared)

@@ -35,6 +35,10 @@ def vam_groups(coords: np.ndarray, capacity: int,
     40 % fill bound) prevents underfull trailing groups, so the result
     can seed nodes that satisfy the R-tree minimum-utilization
     invariant.  Returns index arrays in coordinate-sorted order.
+
+    The one VAM partition: the static
+    :class:`~repro.indexes.vamsplit.VAMSplitRTree` carves its child
+    subtrees with it too (``capacity`` = points under one child).
     """
     if capacity < 1:
         raise ValueError(f"capacity must be positive, got {capacity}")

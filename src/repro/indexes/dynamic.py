@@ -12,26 +12,26 @@ implements that machinery once; each family subclasses it and supplies:
 ``_split_indices``
     How to partition an overflowing node's ``M + 1`` entries (R*: the
     margin-driven topological split; SS & SR: highest-variance dimension).
-``_entry_fields``
-    The parent-entry region describing a node (R*: MBR; SS: centroid
-    sphere; SR: centroid sphere with the Section-4.2 tightened radius
-    plus the MBR).
-``_reinsert_indices``
-    Which entries a forced reinsertion evicts (the farthest from the
-    node's center, per both the R*- and SS-tree papers).
-``child_mindists``
-    The MINDIST lower bound that drives search and deletion lookups.
 ``_should_reinsert`` / ``_mark_reinserted``
     The overflow-treatment trigger: the R*-tree reinserts once per level
     per insertion; the SS-tree (and hence the SR-tree) reinserts unless
     a reinsertion has already been made at the same node (Section 2.3).
+
+Regions are not a family hook.  What bounds a node — its MBR, its
+centroid sphere, or both — follows from the ``HAS_RECTS`` /
+``HAS_SPHERES`` flags and is stated once on
+:class:`~repro.indexes.base.SpatialIndex` (``_entry_fields``,
+``_check_parent_entry``, ``child_mindists``); the SR-tree adds its two
+Section-4 rules on top.  Which entries a forced reinsertion evicts is
+one rule too: the farthest from the node's center, per both the R*- and
+SS-tree papers (:meth:`DynamicTree._reinsert_indices`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..exceptions import KeyNotFoundError
+from ..exceptions import InvariantViolationError, KeyNotFoundError
 from ..geometry import as_point
 from ..obs import hooks as _obs
 from ..storage.nodes import InternalNode, LeafNode
@@ -57,14 +57,6 @@ class DynamicTree(SpatialIndex):
 
     def _split_indices(self, node: Node) -> tuple[np.ndarray, np.ndarray]:
         """Partition the entry indices of an overflowing node into two groups."""
-        raise NotImplementedError
-
-    def _entry_fields(self, node: Node) -> dict:
-        """Region/weight keyword arguments describing ``node`` in its parent."""
-        raise NotImplementedError
-
-    def _reinsert_indices(self, node: Node, count: int) -> np.ndarray:
-        """Entry indices a forced reinsertion evicts, in reinsertion order."""
         raise NotImplementedError
 
     def _should_reinsert(self, node: Node, is_root: bool) -> bool:
@@ -204,6 +196,27 @@ class DynamicTree(SpatialIndex):
         container_level = node.level
         for entry in evicted:
             self._insert_entry(entry, container_level)
+
+    def _reinsert_indices(self, node: Node, count: int) -> np.ndarray:
+        """The ``count`` entries farthest from the node's center, the
+        closest of them first (the order they are reinserted in).
+
+        Entries sit at their sphere centers, measured from the node's
+        centroid (SS, SR); a rectangle-only family has neither, so they
+        sit at their rectangle centers, measured from the center of the
+        box around those (R*).
+        """
+        n = node.count
+        if self.HAS_SPHERES:
+            coords = node.points[:n] if node.is_leaf else node.centers[:n]
+            center = self._sphere_of(node)[0]
+        else:
+            coords = (node.points[:n] if node.is_leaf
+                      else 0.5 * (node.lows[:n] + node.highs[:n]))
+            center = 0.5 * (coords.min(axis=0) + coords.max(axis=0))
+        diff = coords - center
+        order = np.argsort(np.einsum("ij,ij->i", diff, diff), kind="stable")
+        return order[-count:]
 
     def _prefer_supernode(self, node: InternalNode, group_a: np.ndarray,
                           group_b: np.ndarray) -> bool:
@@ -450,11 +463,9 @@ class DynamicTree(SpatialIndex):
 
         Raises :class:`~repro.exceptions.InvariantViolationError` on the
         first violation.  Checks: level monotonicity, fill factors,
-        stored point count, weight consistency, and the family-specific
-        region containment via :meth:`_check_parent_entry`.
+        stored point count, weight consistency, and region containment
+        (:meth:`~repro.indexes.base.SpatialIndex._check_parent_entry`).
         """
-        from ..exceptions import InvariantViolationError
-
         total_points = 0
         root = self.read_node(self._root_id)
         if root.level != self._height - 1:
@@ -500,9 +511,3 @@ class DynamicTree(SpatialIndex):
             raise InvariantViolationError(
                 f"tree holds {total_points} points, size says {self._size}"
             )
-
-    def _check_parent_entry(
-        self, parent: InternalNode, slot: int, child: Node
-    ) -> None:
-        """Family hook: verify the parent entry bounds the child's contents."""
-        raise NotImplementedError

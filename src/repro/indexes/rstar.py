@@ -97,18 +97,6 @@ class RStarTree(DynamicTree):
         return rstar_split(lows, highs, m)
 
     # ------------------------------------------------------------------
-    # regions
-    # ------------------------------------------------------------------
-
-    def _entry_fields(self, node: Node) -> dict:
-        if node.is_leaf:
-            pts = node.points[: node.count]
-            return {"low": pts.min(axis=0), "high": pts.max(axis=0)}
-        lows = node.lows[: node.count]
-        highs = node.highs[: node.count]
-        return {"low": lows.min(axis=0), "high": highs.max(axis=0)}
-
-    # ------------------------------------------------------------------
     # forced reinsertion
     # ------------------------------------------------------------------
 
@@ -118,40 +106,6 @@ class RStarTree(DynamicTree):
 
     def _mark_reinserted(self, node: Node) -> None:
         self._reinserted_levels.add(node.level)
-
-    def _reinsert_indices(self, node: Node, count: int) -> np.ndarray:
-        if node.is_leaf:
-            centers = node.points[: node.count]
-        else:
-            centers = 0.5 * (node.lows[: node.count] + node.highs[: node.count])
-        region_center = 0.5 * (centers.min(axis=0) + centers.max(axis=0))
-        diff = centers - region_center
-        dists = np.einsum("ij,ij->i", diff, diff)
-        order = np.argsort(dists, kind="stable")
-        # Evict the `count` farthest; reinsert the closest of them first.
-        return order[-count:]
-
-    # ------------------------------------------------------------------
-    # validation
-    # ------------------------------------------------------------------
-
-    def _check_parent_entry(self, parent: InternalNode, slot: int, child: Node) -> None:
-        from ..exceptions import InvariantViolationError
-
-        low = parent.lows[slot]
-        high = parent.highs[slot]
-        if child.is_leaf:
-            pts = child.points[: child.count]
-            inside = np.all(pts >= low - 1e-9) and np.all(pts <= high + 1e-9)
-        else:
-            inside = np.all(child.lows[: child.count] >= low - 1e-9) and np.all(
-                child.highs[: child.count] <= high + 1e-9
-            )
-        if not inside:
-            raise InvariantViolationError(
-                f"parent {parent.page_id} entry {slot} does not bound child "
-                f"{child.page_id}"
-            )
 
 
 def rstar_split(lows: np.ndarray, highs: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:

@@ -96,51 +96,11 @@ class RTree(DynamicTree):
         return linear_split(lows, highs, m)
 
     # ------------------------------------------------------------------
-    # regions and search (identical to the R*-tree's)
-    # ------------------------------------------------------------------
-
-    def _entry_fields(self, node: Node) -> dict:
-        if node.is_leaf:
-            pts = node.points[: node.count]
-            return {"low": pts.min(axis=0), "high": pts.max(axis=0)}
-        lows = node.lows[: node.count]
-        highs = node.highs[: node.count]
-        return {"low": lows.min(axis=0), "high": highs.max(axis=0)}
-
-    # ------------------------------------------------------------------
     # no forced reinsertion
     # ------------------------------------------------------------------
 
     def _should_reinsert(self, node: Node, is_root: bool) -> bool:
         return False
-
-    def _mark_reinserted(self, node: Node) -> None:  # pragma: no cover - unused
-        raise AssertionError("the original R-tree never reinserts")
-
-    def _reinsert_indices(self, node, count):  # pragma: no cover - unused
-        raise AssertionError("the original R-tree never reinserts")
-
-    # ------------------------------------------------------------------
-    # validation (same bound check as the R*-tree)
-    # ------------------------------------------------------------------
-
-    def _check_parent_entry(self, parent: InternalNode, slot: int, child: Node) -> None:
-        from ..exceptions import InvariantViolationError
-
-        low = parent.lows[slot]
-        high = parent.highs[slot]
-        if child.is_leaf:
-            pts = child.points[: child.count]
-            inside = np.all(pts >= low - 1e-9) and np.all(pts <= high + 1e-9)
-        else:
-            inside = np.all(child.lows[: child.count] >= low - 1e-9) and np.all(
-                child.highs[: child.count] <= high + 1e-9
-            )
-        if not inside:
-            raise InvariantViolationError(
-                f"parent {parent.page_id} entry {slot} does not bound child "
-                f"{child.page_id}"
-            )
 
 
 def quadratic_split(lows: np.ndarray, highs: np.ndarray,

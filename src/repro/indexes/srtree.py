@@ -22,12 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..geometry.rectangle import (
-    farthest_point_rects,
-    mindist_point_rects,
-    mindist_points_rects,
-)
-from ..geometry.sphere import mindist_point_spheres, mindist_points_spheres
+from ..geometry import farthest_point_rects
 from ..storage.nodes import InternalNode, LeafNode
 from .sstree import SSTree
 
@@ -87,110 +82,27 @@ class SRTree(SSTree):
         self._mindist_rule = meta.get("mindist_rule", "max")
 
     # ------------------------------------------------------------------
-    # regions
+    # regions: the two rules the paper adds to the SS-tree
     # ------------------------------------------------------------------
 
     def _entry_fields(self, node: Node) -> dict:
-        if node.is_leaf:
-            pts = node.points[: node.count]
-            center = pts.mean(axis=0)
-            diff = pts - center
-            radius = float(np.sqrt(np.max(np.einsum("ij,ij->i", diff, diff))))
-            return {
-                "center": center,
-                "radius": radius,
-                "low": pts.min(axis=0),
-                "high": pts.max(axis=0),
-                "weight": node.count,
-            }
+        """Both inherited shapes, the sphere's radius tightened to
+        ``min(d_s, d_r)`` (Section 4.2): no point beneath the node lies
+        past the farthest vertex of any child rectangle either."""
+        fields = super()._entry_fields(node)
+        if self._radius_rule == "min" and not node.is_leaf:
+            n = node.count
+            d_rect = float(np.max(farthest_point_rects(
+                fields["center"], node.lows[:n], node.highs[:n])))
+            fields["radius"] = min(fields["radius"], d_rect)
+        return fields
 
-        n = node.count
-        weights = node.weights[:n].astype(np.float64)
-        total = weights.sum()
-        center = (node.centers[:n] * weights[:, None]).sum(axis=0) / total
-        diff = node.centers[:n] - center
-        gaps = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        d_sphere = float(np.max(gaps + node.radii[:n]))
-        if self._radius_rule == "min":
-            d_rect = float(
-                np.max(farthest_point_rects(center, node.lows[:n], node.highs[:n]))
-            )
-            radius = min(d_sphere, d_rect)
-        else:
-            radius = d_sphere
-        return {
-            "center": center,
-            "radius": radius,
-            "low": node.lows[:n].min(axis=0),
-            "high": node.highs[:n].max(axis=0),
-            "weight": int(total),
-        }
-
-    def child_mindists(self, node: InternalNode, point: np.ndarray) -> np.ndarray:
+    def _region_mindists(self, node, query, to_rects, to_spheres) -> np.ndarray:
+        """``max(sphere, rect)`` (Section 4.4) is the inherited rule for
+        a region of both shapes; the ablations price one shape alone."""
         n = node.count
         if self._mindist_rule == "rect":
-            return mindist_point_rects(point, node.lows[:n], node.highs[:n])
-        sphere_dists = mindist_point_spheres(point, node.centers[:n], node.radii[:n])
+            return to_rects(query, node.lows[:n], node.highs[:n])
         if self._mindist_rule == "sphere":
-            return sphere_dists
-        rect_dists = mindist_point_rects(point, node.lows[:n], node.highs[:n])
-        return np.maximum(sphere_dists, rect_dists)
-
-    def child_mindists_batch(
-        self, node: InternalNode, points: np.ndarray
-    ) -> np.ndarray:
-        n = node.count
-        if self._mindist_rule == "rect":
-            return mindist_points_rects(points, node.lows[:n], node.highs[:n])
-        sphere_dists = mindist_points_spheres(
-            points, node.centers[:n], node.radii[:n]
-        )
-        if self._mindist_rule == "sphere":
-            return sphere_dists
-        rect_dists = mindist_points_rects(points, node.lows[:n], node.highs[:n])
-        return np.maximum(sphere_dists, rect_dists)
-
-    # ------------------------------------------------------------------
-    # validation
-    # ------------------------------------------------------------------
-
-    def _check_parent_entry(self, parent: InternalNode, slot: int, child: Node) -> None:
-        from ..exceptions import InvariantViolationError
-
-        low = parent.lows[slot]
-        high = parent.highs[slot]
-        center = parent.centers[slot]
-        radius = float(parent.radii[slot])
-        eps = 1e-9
-
-        if child.is_leaf:
-            pts = child.points[: child.count]
-            inside_rect = np.all(pts >= low - eps) and np.all(pts <= high + eps)
-            diff = pts - center
-            reach = float(np.sqrt(np.max(np.einsum("ij,ij->i", diff, diff))))
-        else:
-            inside_rect = np.all(child.lows[: child.count] >= low - eps) and np.all(
-                child.highs[: child.count] <= high + eps
-            )
-            # The SR-tree sphere bounds the *points* of the subtree, not
-            # necessarily the child spheres (that is the whole trick of
-            # the min(d_s, d_r) rule), so bound via child regions: every
-            # point of a child lies within min(child sphere reach, child
-            # rect farthest vertex) of the parent center.
-            diff = child.centers[: child.count] - center
-            gaps = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-            sphere_reach = gaps + child.radii[: child.count]
-            rect_reach = farthest_point_rects(
-                center, child.lows[: child.count], child.highs[: child.count]
-            )
-            reach = float(np.max(np.minimum(sphere_reach, rect_reach)))
-        if not inside_rect:
-            raise InvariantViolationError(
-                f"parent {parent.page_id} entry {slot} rectangle does not bound "
-                f"child {child.page_id}"
-            )
-        if reach > radius + 1e-9:
-            raise InvariantViolationError(
-                f"parent {parent.page_id} entry {slot} sphere (r={radius:.6g}) "
-                f"does not cover child {child.page_id} (reach {reach:.6g})"
-            )
+            return to_spheres(query, node.centers[:n], node.radii[:n])
+        return super()._region_mindists(node, query, to_rects, to_spheres)

@@ -17,7 +17,7 @@ from ..storage.nodes import InternalNode, LeafNode
 from .base import Entry
 from .dynamic import DynamicTree
 
-__all__ = ["SSTree", "variance_split", "centroid_of_node"]
+__all__ = ["SSTree", "variance_split"]
 
 Node = LeafNode | InternalNode
 
@@ -52,39 +52,6 @@ class SSTree(DynamicTree):
         return variance_split(coords, m)
 
     # ------------------------------------------------------------------
-    # regions
-    # ------------------------------------------------------------------
-
-    def _entry_fields(self, node: Node) -> dict:
-        center, radius, weight = self._sphere_of(node)
-        return {"center": center, "radius": radius, "weight": weight}
-
-    def _sphere_of(self, node: Node) -> tuple[np.ndarray, float, int]:
-        """Centroid, radius, and weight of a node's bounding sphere.
-
-        For a leaf the center is the centroid of its points; for an
-        internal node it is the weighted centroid of the child centroids
-        (weights being subtree point counts), and the radius reaches the
-        farthest point of any child sphere — the SS-tree's update rule,
-        which the SR-tree then tightens (see
-        :meth:`SRTree._entry_fields <repro.indexes.srtree.SRTree._entry_fields>`).
-        """
-        if node.is_leaf:
-            pts = node.points[: node.count]
-            center = pts.mean(axis=0)
-            diff = pts - center
-            radius = float(np.sqrt(np.max(np.einsum("ij,ij->i", diff, diff))))
-            return center, radius, node.count
-        n = node.count
-        weights = node.weights[:n].astype(np.float64)
-        total = weights.sum()
-        center = (node.centers[:n] * weights[:, None]).sum(axis=0) / total
-        diff = node.centers[:n] - center
-        gaps = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        radius = float(np.max(gaps + node.radii[:n]))
-        return center, radius, int(total)
-
-    # ------------------------------------------------------------------
     # forced reinsertion
     # ------------------------------------------------------------------
 
@@ -95,48 +62,6 @@ class SSTree(DynamicTree):
 
     def _mark_reinserted(self, node: Node) -> None:
         node.reinserted = True
-
-    def _reinsert_indices(self, node: Node, count: int) -> np.ndarray:
-        center = centroid_of_node(node)
-        if node.is_leaf:
-            coords = node.points[: node.count]
-        else:
-            coords = node.centers[: node.count]
-        diff = coords - center
-        dists = np.einsum("ij,ij->i", diff, diff)
-        order = np.argsort(dists, kind="stable")
-        # Evict the farthest entries; reinsert the closest of them first.
-        return order[-count:]
-
-    # ------------------------------------------------------------------
-    # validation
-    # ------------------------------------------------------------------
-
-    def _check_parent_entry(self, parent: InternalNode, slot: int, child: Node) -> None:
-        from ..exceptions import InvariantViolationError
-
-        center = parent.centers[slot]
-        radius = float(parent.radii[slot])
-        if child.is_leaf:
-            diff = child.points[: child.count] - center
-            reach = float(np.sqrt(np.max(np.einsum("ij,ij->i", diff, diff))))
-        else:
-            diff = child.centers[: child.count] - center
-            gaps = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-            reach = float(np.max(gaps + child.radii[: child.count]))
-        if reach > radius + 1e-9:
-            raise InvariantViolationError(
-                f"parent {parent.page_id} entry {slot} sphere (r={radius:.6g}) "
-                f"does not cover child {child.page_id} (reach {reach:.6g})"
-            )
-
-
-def centroid_of_node(node: Node) -> np.ndarray:
-    """Centroid of a node's contents (weighted for internal nodes)."""
-    if node.is_leaf:
-        return node.points[: node.count].mean(axis=0)
-    weights = node.weights[: node.count].astype(np.float64)
-    return (node.centers[: node.count] * weights[:, None]).sum(axis=0) / weights.sum()
 
 
 def variance_split(coords: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:

@@ -18,7 +18,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..exceptions import InvariantViolationError
+from ..storage.nodes import InternalNode, LeafNode
 from .base import SpatialIndex
+from .bulk import vam_groups
 
 __all__ = ["VAMSplitRTree"]
 
@@ -53,10 +56,9 @@ class VAMSplitRTree(SpatialIndex):
         # The empty leaf created by the base constructor becomes garbage.
         self._store.free(self._root_id)
 
-        indices = np.arange(n)
-        root_id, _, _, height = self._build_subtree(points, values, indices)
-        self._root_id = root_id
-        self._height = height
+        root = self._build_subtree(points, values, np.arange(n))
+        self._root_id = root.page_id
+        self._height = root.level + 1
         self._size = n
         self._built = True
 
@@ -73,66 +75,33 @@ class VAMSplitRTree(SpatialIndex):
         """Maximum points under a subtree of the given height."""
         return self.leaf_capacity * self.node_capacity ** (height - 1)
 
-    def _build_subtree(
-        self, points: np.ndarray, values: list, indices: np.ndarray
-    ) -> tuple[int, np.ndarray, np.ndarray, int]:
-        """Build the subtree for ``indices``; returns (page, low, high, height)."""
+    def _build_subtree(self, points: np.ndarray, values: list,
+                       indices: np.ndarray) -> LeafNode | InternalNode:
+        """Build, write and return the subtree holding ``indices``.
+
+        Above the leaves the rows go to :func:`~repro.indexes.bulk.vam_groups`
+        with the capacity of one child subtree as the group size: every
+        child but possibly the last is completely full — the
+        minimal-block-count guarantee.
+        """
         n = indices.shape[0]
         if n <= self.leaf_capacity:
             leaf = self._store.new_leaf()
             for i in indices:
                 leaf.add(points[i], values[i])
             self._store.write(leaf)
-            pts = points[indices]
-            return leaf.page_id, pts.min(axis=0), pts.max(axis=0), 1
+            return leaf
 
         height = 2
         while self._subtree_capacity(height) < n:
             height += 1
-        child_capacity = self._subtree_capacity(height - 1)
-
-        groups = self._vam_partition(points, indices, child_capacity)
         node = self._store.new_internal(height - 1)
-        lows = []
-        highs = []
-        for group in groups:
-            child_id, low, high, _ = self._build_subtree(points, values, group)
-            node.add(child_id, low=low, high=high)
-            lows.append(low)
-            highs.append(high)
+        for group in vam_groups(points[indices],
+                                self._subtree_capacity(height - 1)):
+            child = self._build_subtree(points, values, indices[group])
+            node.add(child.page_id, **self._entry_fields(child))
         self._store.write(node)
-        low = np.min(lows, axis=0)
-        high = np.max(highs, axis=0)
-        return node.page_id, low, high, height
-
-    def _vam_partition(
-        self, points: np.ndarray, indices: np.ndarray, child_capacity: int
-    ) -> list[np.ndarray]:
-        """Recursive VAM splits until every group fits one child subtree.
-
-        Each binary split sorts along the highest-variance dimension and
-        cuts at the multiple of ``child_capacity`` closest to the median,
-        so every group except possibly the last is completely full —
-        the minimal-block-count guarantee.
-        """
-        n = indices.shape[0]
-        if n <= child_capacity:
-            return [indices]
-        coords = points[indices]
-        dim = int(np.argmax(np.var(coords, axis=0)))
-        order = np.argsort(coords[:, dim], kind="stable")
-        ordered = indices[order]
-
-        blocks_left = max(1, round(n / 2 / child_capacity))
-        split = blocks_left * child_capacity
-        if split >= n:
-            split = (n - 1) // child_capacity * child_capacity
-            split = max(split, child_capacity)
-        left = ordered[:split]
-        right = ordered[split:]
-        return self._vam_partition(points, left, child_capacity) + self._vam_partition(
-            points, right, child_capacity
-        )
+        return node
 
     # ------------------------------------------------------------------
     # SpatialIndex interface
@@ -154,33 +123,18 @@ class VAMSplitRTree(SpatialIndex):
 
     def check_invariants(self) -> None:
         """Verify bounding containment and the stored point count."""
-        from ..exceptions import InvariantViolationError
-
         total = 0
-        stack = [(self._root_id, None, None)]
+        stack = [(self._root_id, None, -1)]
         while stack:
-            page_id, low, high = stack.pop()
+            page_id, parent, slot = stack.pop()
             node = self.read_node(page_id)
+            if parent is not None:
+                self._check_parent_entry(parent, slot, node)
             if node.is_leaf:
                 total += node.count
-                if low is not None and node.count:
-                    pts = node.points[: node.count]
-                    if not (np.all(pts >= low - 1e-9) and np.all(pts <= high + 1e-9)):
-                        raise InvariantViolationError(
-                            f"leaf {page_id} holds points outside its MBR"
-                        )
-                continue
-            for i in range(node.count):
-                if low is not None and (
-                    np.any(node.lows[i] < low - 1e-9)
-                    or np.any(node.highs[i] > high + 1e-9)
-                ):
-                    raise InvariantViolationError(
-                        f"child {i} of node {page_id} leaks outside its MBR"
-                    )
-                stack.append(
-                    (int(node.child_ids[i]), node.lows[i].copy(), node.highs[i].copy())
-                )
+            else:
+                stack.extend((int(node.child_ids[i]), node, i)
+                             for i in range(node.count))
         if total != self._size:
             raise InvariantViolationError(
                 f"tree holds {total} points, size says {self._size}"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,53 @@ def test_existing_file_requires_overwrite(tmp_path):
         Database.create(path, kind="sr", dims=4)
     with Database.create(path, kind="sr", dims=4, overwrite=True) as db:
         assert db.size == 0
+
+
+@pytest.mark.parametrize("refused", [
+    {"slo_ms": 0}, {"dims": 0}, {"min_utilization": 0.9},
+    {"radius_rule": "bogus"}, {"page_size": 100},
+    {"sync_every": 0, "durability": "wal"},
+], ids="+".join)
+def test_refused_create_leaves_the_existing_database_alone(tmp_path, refused):
+    # Every argument is checked before ``overwrite`` removes anything:
+    # this used to leave an 8 KiB stub no ``open`` accepts, held open.
+    path = str(tmp_path / "kept.db")
+    with Database.create(path, kind="sr", dims=4, durability="wal") as db:
+        db.insert_many(np.random.default_rng(0).random((200, 4)))
+    fds = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(ValueError):
+        Database.create(path, kind="sr", overwrite=True,
+                        **{"dims": 4, **refused})
+    assert len(os.listdir("/proc/self/fd")) == fds
+    with Database.open(path) as db:
+        assert db.size == 200
+        db.verify()
+
+
+def test_min_utilization_is_checked_at_construction():
+    # It used to be accepted, saved into the meta page, and then refused
+    # by every insert.
+    with pytest.raises(ValueError, match="utilization"):
+        Database.create(None, kind="sr", dims=4, min_utilization=0.7)
+    with Database.create(None, kind="sr", dims=4, min_utilization=0.5) as db:
+        db.insert(np.zeros(4))
+
+
+def test_failed_construction_closes_and_removes_what_create_opened(
+        tmp_path, monkeypatch):
+    # Past the argument checks only the disk can fail; create must then
+    # leave neither open descriptors nor a file ``open`` would refuse.
+    path = str(tmp_path / "stub.db")
+
+    def disk_full(self):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(repro.SpatialIndex, "save", disk_full)
+    fds = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(OSError, match="no space"):
+        Database.create(path, kind="sr", dims=4, durability="wal")
+    assert len(os.listdir("/proc/self/fd")) == fds
+    assert os.listdir(tmp_path) == []
 
 
 def test_memory_cannot_be_durable():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.indexes.base import Entry
-from repro.indexes.sstree import SSTree, centroid_of_node, variance_split
+from repro.indexes.sstree import SSTree, variance_split
 
 
 class TestVarianceSplit:
@@ -78,7 +78,7 @@ class TestCentroidRegions:
         pts = rng.random((8, 3))
         tree.load(pts)
         leaf = tree.read_node(tree.root_id)
-        np.testing.assert_allclose(centroid_of_node(leaf), pts.mean(axis=0))
+        np.testing.assert_allclose(tree._sphere_of(leaf)[0], pts.mean(axis=0))
 
     def test_spheres_cover_all_points(self, rng):
         # Every stored point must lie inside the sphere of every ancestor
