@@ -30,9 +30,9 @@ def test_fig5_region_shape(benchmark):
     rstar_diameter = rstar[6]
     ss_diameter = sstree[5]
 
-    # Rect volumes are a tiny fraction of sphere volumes (paper: ~2 %).
+    # Rectangle volumes are a tiny fraction of sphere volumes (paper: ~2 %).
     assert rstar_volume < 0.2 * ss_volume
-    # Sphere diameters are clearly shorter than rect diagonals.
+    # SS-tree sphere diameters are clearly shorter than rect diagonals.
     assert ss_diameter < rstar_diameter
 
     index = get_index("sstree", "uniform", size=sizes[0], dims=16)

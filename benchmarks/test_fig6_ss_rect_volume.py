@@ -21,7 +21,7 @@ def test_fig6_ss_rect_volume(benchmark):
 
     for row in rows:
         _, sphere_vol, rect_vol, ratio = row
-        # Rect volume is a vanishing fraction of the sphere volume.
+        # Rectangle volume is a vanishing fraction of the sphere volume.
         assert rect_vol < 0.1 * sphere_vol
         assert ratio < 0.1
 

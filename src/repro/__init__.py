@@ -42,7 +42,6 @@ from .exceptions import (
     WorkloadError,
 )
 from .net import QueryServer, RemoteDatabase
-from .geometry import Rect, Sphere, SRRegion
 from .indexes import (
     INDEX_KINDS,
     KDBTree,
@@ -95,11 +94,9 @@ __all__ = [
     "REGISTRY",
     "RStarTree",
     "RTree",
-    "Rect",
     "RemoteDatabase",
     "RemoteError",
     "ReproError",
-    "SRRegion",
     "SRTree",
     "SRXTree",
     "SSTree",
@@ -107,7 +104,6 @@ __all__ = [
     "ServingPool",
     "Snapshot",
     "SpatialIndex",
-    "Sphere",
     "StorageError",
     "TransientIOError",
     "VAMSplitRTree",

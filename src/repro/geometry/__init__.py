@@ -1,37 +1,20 @@
-"""Geometric primitives: points, rectangles, spheres, and SR regions.
+"""The geometry kernels the index structures run.
 
-This package is the computational kernel shared by every index structure:
-
-* :mod:`~repro.geometry.point` — point coercion and distance kernels,
-* :mod:`~repro.geometry.rectangle` — MBRs with MINDIST / farthest-vertex,
-* :mod:`~repro.geometry.sphere` — centroid bounding spheres,
-* :mod:`~repro.geometry.region` — the SR-tree's sphere-rectangle intersection,
+* :mod:`~repro.geometry.point` — point coercion (the one decider of what
+  a caller's point may be) and the point-to-point distance kernels,
+* :mod:`~repro.geometry.rectangle` — MINDIST and farthest-vertex distance
+  from a point to each of N rectangles,
+* :mod:`~repro.geometry.sphere` — MINDIST from a point to each of N spheres,
 * :mod:`~repro.geometry.volume` — log-domain hypervolume helpers.
+
+The region *rules* — which shapes bound a node, and how a region of both
+shapes is priced — live on :class:`~repro.indexes.base.SpatialIndex`;
+these functions are what those rules compute with.
 """
 
-from .point import (
-    as_point,
-    as_points,
-    cross_distances,
-    distance,
-    distances_to_many,
-    pairwise_distances,
-    squared_distances_to_many,
-)
-from .rectangle import (
-    Rect,
-    farthest_point_rects,
-    mindist_point_rects,
-    mindist_points_rects,
-    union_rects,
-)
-from .region import SRRegion
-from .sphere import (
-    Sphere,
-    maxdist_point_spheres,
-    mindist_point_spheres,
-    mindist_points_spheres,
-)
+from .point import as_point, as_points, cross_distances, pairwise_distances
+from .rectangle import farthest_point_rects, mindist_point_rects, mindist_points_rects
+from .sphere import mindist_point_spheres, mindist_points_spheres
 from .volume import (
     log_rect_volume,
     log_sphere_volume,
@@ -42,19 +25,13 @@ from .volume import (
 )
 
 __all__ = [
-    "Rect",
-    "SRRegion",
-    "Sphere",
     "as_point",
     "as_points",
     "cross_distances",
-    "distance",
-    "distances_to_many",
     "farthest_point_rects",
     "log_rect_volume",
     "log_sphere_volume",
     "log_unit_ball_volume",
-    "maxdist_point_spheres",
     "mindist_point_rects",
     "mindist_point_spheres",
     "mindist_points_rects",
@@ -62,7 +39,5 @@ __all__ = [
     "pairwise_distances",
     "rect_volume",
     "sphere_volume",
-    "squared_distances_to_many",
-    "union_rects",
     "unit_ball_volume",
 ]

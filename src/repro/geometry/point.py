@@ -2,11 +2,12 @@
 
 Points are plain ``numpy.ndarray`` objects of dtype ``float64``.  The helpers
 here normalise user input (lists, tuples, arrays of any float dtype) into that
-canonical form and provide the small set of vectorised distance kernels the
-trees are built on.
+canonical form and provide the point-to-point distance kernels: the batched
+engine's leaf scan and the Figure-17 distance-concentration analysis.
 
 The library uses the Euclidean (L2) metric throughout, matching the paper;
-:mod:`repro.search.metrics` provides alternative metrics for range queries.
+:mod:`repro.search.metrics` holds client-side helpers for other metrics,
+which no query uses.
 """
 
 from __future__ import annotations
@@ -15,16 +16,7 @@ import numpy as np
 
 from ..exceptions import DimensionalityError
 
-__all__ = [
-    "as_point",
-    "as_points",
-    "check_dims",
-    "cross_distances",
-    "distance",
-    "distances_to_many",
-    "pairwise_distances",
-    "squared_distances_to_many",
-]
+__all__ = ["as_point", "as_points", "cross_distances", "pairwise_distances"]
 
 
 def as_point(value, dims: int | None = None) -> np.ndarray:
@@ -90,36 +82,6 @@ def _finite(array: np.ndarray) -> np.ndarray:
     if not np.isfinite(array).all():
         raise ValueError("point coordinates must be finite, got NaN or infinity")
     return array
-
-
-def check_dims(actual: int, expected: int) -> None:
-    """Raise :class:`DimensionalityError` unless ``actual == expected``."""
-    if actual != expected:
-        raise DimensionalityError(
-            f"dimensionality mismatch: got {actual}, expected {expected}"
-        )
-
-
-def distance(a, b) -> float:
-    """Euclidean distance between two points."""
-    a = as_point(a)
-    b = as_point(b, dims=a.shape[0])
-    return float(np.linalg.norm(a - b))
-
-
-def squared_distances_to_many(point: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances from ``point`` to each row of ``points``.
-
-    This is the hot kernel of every node scan; it avoids the square root
-    until the caller actually needs metric distances.
-    """
-    diff = points - point
-    return np.einsum("ij,ij->i", diff, diff)
-
-
-def distances_to_many(point: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Euclidean distances from ``point`` to each row of ``points``."""
-    return np.sqrt(squared_distances_to_many(point, points))
 
 
 def cross_distances(queries: np.ndarray, points: np.ndarray) -> np.ndarray:

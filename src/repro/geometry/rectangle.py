@@ -1,210 +1,26 @@
-"""Axis-aligned hyper-rectangles (minimum bounding rectangles).
+"""Distances from a point to axis-aligned rectangles (minimum bounding
+rectangles).
 
-The :class:`Rect` class implements every rectangle operation the R*-tree
-family needs: MINDIST / farthest-vertex distance (the ``MAXDIST`` of the
-paper's Section 4.2), union, intersection tests, volume, margin, and
-enlargement metrics used by the R*-tree ChooseSubtree and split heuristics.
-
-For the hot paths inside node scans there are vectorised *batch* kernels
-operating on ``(N, D)`` matrices of lower and upper bounds, so that the
-distance from a query point to every child region of a node is computed in
-one numpy pass.
+Vectorised kernels over ``(N, D)`` matrices of lower and upper bounds, so
+the distance from a query point to every child region of a node is one
+numpy pass: MINDIST (Roussopoulos et al.; the paper's Section 4.4) and
+the farthest-vertex distance (the ``MAXDIST`` of Section 4.2).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from . import volume as _volume
-from .point import as_point, as_points
-
-__all__ = [
-    "Rect",
-    "mindist_point_rects",
-    "mindist_points_rects",
-    "farthest_point_rects",
-    "union_rects",
-]
-
-
-@dataclass(frozen=True)
-class Rect:
-    """An axis-aligned hyper-rectangle given by per-dimension bounds.
-
-    Instances are immutable; all mutating-style operations return new
-    rectangles.  ``low[i] <= high[i]`` is validated on construction.
-    """
-
-    low: np.ndarray
-    high: np.ndarray
-
-    def __post_init__(self) -> None:
-        low = as_point(self.low)
-        high = as_point(self.high, dims=low.shape[0])
-        if np.any(low > high):
-            raise ValueError("rectangle has low > high on some dimension")
-        # Bypass frozen-ness to store the canonicalized arrays.
-        object.__setattr__(self, "low", low)
-        object.__setattr__(self, "high", high)
-
-    # ------------------------------------------------------------------
-    # constructors
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def from_point(cls, point) -> "Rect":
-        """Degenerate rectangle covering a single point."""
-        p = as_point(point)
-        return cls(p.copy(), p.copy())
-
-    @classmethod
-    def bounding(cls, points) -> "Rect":
-        """Minimum bounding rectangle of a non-empty set of points."""
-        pts = as_points(points)
-        if pts.shape[0] == 0:
-            raise ValueError("cannot bound an empty point set")
-        return cls(pts.min(axis=0), pts.max(axis=0))
-
-    @classmethod
-    def unit_cube(cls, dims: int) -> "Rect":
-        """The unit cube ``[0, 1]^D``."""
-        return cls(np.zeros(dims), np.ones(dims))
-
-    # ------------------------------------------------------------------
-    # basic properties
-    # ------------------------------------------------------------------
-
-    @property
-    def dims(self) -> int:
-        """Dimensionality of the rectangle."""
-        return self.low.shape[0]
-
-    @property
-    def center(self) -> np.ndarray:
-        """Geometric center of the rectangle."""
-        return 0.5 * (self.low + self.high)
-
-    @property
-    def extents(self) -> np.ndarray:
-        """Per-dimension edge lengths."""
-        return self.high - self.low
-
-    @property
-    def diagonal(self) -> float:
-        """Length of the main diagonal — the rectangle's diameter."""
-        return float(np.linalg.norm(self.extents))
-
-    @property
-    def margin(self) -> float:
-        """Sum of edge lengths (the R*-tree split heuristic's 'margin')."""
-        return float(np.sum(self.extents))
-
-    def volume(self) -> float:
-        """Volume of the rectangle (0 for degenerate rectangles)."""
-        return _volume.rect_volume(self.low, self.high)
-
-    def log_volume(self) -> float:
-        """Natural log of the volume; ``-inf`` for degenerate rectangles."""
-        return _volume.log_rect_volume(self.low, self.high)
-
-    # ------------------------------------------------------------------
-    # point / rect relationships
-    # ------------------------------------------------------------------
-
-    def contains_point(self, point) -> bool:
-        """True if the point lies inside or on the boundary."""
-        p = as_point(point, dims=self.dims)
-        return bool(np.all(p >= self.low) and np.all(p <= self.high))
-
-    def contains_rect(self, other: "Rect") -> bool:
-        """True if ``other`` is entirely inside this rectangle."""
-        return bool(np.all(other.low >= self.low) and np.all(other.high <= self.high))
-
-    def intersects(self, other: "Rect") -> bool:
-        """True if the two rectangles share at least a boundary point."""
-        return bool(np.all(self.low <= other.high) and np.all(other.low <= self.high))
-
-    def intersection(self, other: "Rect") -> "Rect | None":
-        """The overlapping rectangle, or ``None`` when disjoint."""
-        low = np.maximum(self.low, other.low)
-        high = np.minimum(self.high, other.high)
-        if np.any(low > high):
-            return None
-        return Rect(low, high)
-
-    def overlap_volume(self, other: "Rect") -> float:
-        """Volume of the intersection with ``other`` (0 when disjoint)."""
-        inter = self.intersection(other)
-        return 0.0 if inter is None else inter.volume()
-
-    def union(self, other: "Rect") -> "Rect":
-        """Minimum bounding rectangle of the two rectangles."""
-        return Rect(np.minimum(self.low, other.low), np.maximum(self.high, other.high))
-
-    def extended(self, point) -> "Rect":
-        """Minimum bounding rectangle of this rectangle and a point."""
-        p = as_point(point, dims=self.dims)
-        return Rect(np.minimum(self.low, p), np.maximum(self.high, p))
-
-    def enlargement(self, other: "Rect") -> float:
-        """Volume increase needed to absorb ``other`` (R-tree heuristic)."""
-        return self.union(other).volume() - self.volume()
-
-    # ------------------------------------------------------------------
-    # distances
-    # ------------------------------------------------------------------
-
-    def mindist(self, point) -> float:
-        """MINDIST: Euclidean distance from a point to the rectangle.
-
-        Zero when the point is inside.  This is the ``MINDIST(p, R)`` of
-        Roussopoulos et al. and the paper's Section 4.4.
-        """
-        p = as_point(point, dims=self.dims)
-        delta = np.maximum(np.maximum(self.low - p, p - self.high), 0.0)
-        return float(np.linalg.norm(delta))
-
-    def farthest(self, point) -> float:
-        """Distance from a point to the farthest vertex of the rectangle.
-
-        This is the ``MAXDIST(p, R)`` used by the SR-tree's bounding-sphere
-        radius computation (paper Section 4.2): every point of the
-        rectangle lies within this distance of ``p``.
-        """
-        p = as_point(point, dims=self.dims)
-        delta = np.maximum(np.abs(self.low - p), np.abs(self.high - p))
-        return float(np.linalg.norm(delta))
-
-    # ------------------------------------------------------------------
-    # dunder conveniences
-    # ------------------------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Rect):
-            return NotImplemented
-        return bool(
-            np.array_equal(self.low, other.low) and np.array_equal(self.high, other.high)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.low.tobytes(), self.high.tobytes()))
-
-    def __repr__(self) -> str:
-        return f"Rect(low={self.low.tolist()}, high={self.high.tolist()})"
-
-
-# ----------------------------------------------------------------------
-# batch kernels over (N, D) bound matrices
-# ----------------------------------------------------------------------
+__all__ = ["mindist_point_rects", "mindist_points_rects", "farthest_point_rects"]
 
 
 def mindist_point_rects(point: np.ndarray, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
     """MINDIST from ``point`` to each of N rectangles, vectorised.
 
     ``lows`` and ``highs`` are ``(N, D)`` matrices.  Returns an ``(N,)``
-    array of Euclidean distances (0 where the point is inside).
+    array of Euclidean distances (0 where the point is inside).  The
+    roles broadcast: N points ``(N, D)`` against one box ``(D,)`` give
+    each point's MINDIST to that box.
     """
     delta = np.maximum(np.maximum(lows - point, point - highs), 0.0)
     return np.sqrt(np.einsum("ij,ij->i", delta, delta))
@@ -233,15 +49,3 @@ def farthest_point_rects(point: np.ndarray, lows: np.ndarray, highs: np.ndarray)
     """Farthest-vertex distance from ``point`` to each of N rectangles."""
     delta = np.maximum(np.abs(lows - point), np.abs(highs - point))
     return np.sqrt(np.einsum("ij,ij->i", delta, delta))
-
-
-def union_rects(lows: np.ndarray, highs: np.ndarray) -> Rect:
-    """Minimum bounding rectangle of N rectangles given as bound matrices."""
-    lows = np.asarray(lows, dtype=np.float64)
-    highs = np.asarray(highs, dtype=np.float64)
-    if lows.ndim == 1:
-        lows = lows.reshape(1, -1)
-        highs = highs.reshape(1, -1)
-    if lows.shape[0] == 0:
-        raise ValueError("cannot union an empty set of rectangles")
-    return Rect(lows.min(axis=0), highs.max(axis=0))

@@ -1,139 +1,16 @@
-"""Bounding hyper-spheres.
+"""Distances from a point to hyper-spheres.
 
-The SS-tree and SR-tree describe regions with spheres whose center is the
-centroid of the underlying points.  :class:`Sphere` provides the distance
-and containment operations those trees need, plus vectorised batch kernels
-mirroring the ones in :mod:`repro.geometry.rectangle`.
+The SS-tree and SR-tree bound regions with spheres centred on the
+centroid of the underlying points.  These kernels, over an ``(N, D)``
+matrix of centres and ``(N,)`` radii, mirror the ones in
+:mod:`repro.geometry.rectangle`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from . import volume as _volume
-from .point import as_point, as_points, distances_to_many
-
-__all__ = [
-    "Sphere",
-    "mindist_point_spheres",
-    "mindist_points_spheres",
-    "maxdist_point_spheres",
-]
-
-
-@dataclass(frozen=True)
-class Sphere:
-    """A hyper-sphere given by its center and (non-negative) radius."""
-
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self) -> None:
-        center = as_point(self.center)
-        radius = float(self.radius)
-        if radius < 0:
-            raise ValueError(f"radius must be non-negative, got {radius}")
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "radius", radius)
-
-    # ------------------------------------------------------------------
-    # constructors
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def from_point(cls, point) -> "Sphere":
-        """Degenerate (zero-radius) sphere at a point."""
-        return cls(as_point(point).copy(), 0.0)
-
-    @classmethod
-    def bounding_centroid(cls, points) -> "Sphere":
-        """The SS-tree bounding sphere of a point set.
-
-        The center is the *centroid* of the points (not the minimum
-        enclosing sphere's center) and the radius is the distance to the
-        farthest point, exactly as the SS-tree defines leaf regions.
-        """
-        pts = as_points(points)
-        if pts.shape[0] == 0:
-            raise ValueError("cannot bound an empty point set")
-        center = pts.mean(axis=0)
-        radius = float(np.max(distances_to_many(center, pts)))
-        return cls(center, radius)
-
-    # ------------------------------------------------------------------
-    # basic properties
-    # ------------------------------------------------------------------
-
-    @property
-    def dims(self) -> int:
-        """Dimensionality of the sphere."""
-        return self.center.shape[0]
-
-    @property
-    def diameter(self) -> float:
-        """Diameter of the sphere (twice the radius)."""
-        return 2.0 * self.radius
-
-    def volume(self) -> float:
-        """Volume of the sphere (0 for a degenerate sphere)."""
-        return _volume.sphere_volume(self.dims, self.radius)
-
-    def log_volume(self) -> float:
-        """Natural log of the volume; ``-inf`` for a degenerate sphere."""
-        return _volume.log_sphere_volume(self.dims, self.radius)
-
-    # ------------------------------------------------------------------
-    # relationships and distances
-    # ------------------------------------------------------------------
-
-    def contains_point(self, point) -> bool:
-        """True if the point lies inside or on the sphere."""
-        p = as_point(point, dims=self.dims)
-        return bool(np.linalg.norm(p - self.center) <= self.radius)
-
-    def contains_sphere(self, other: "Sphere") -> bool:
-        """True if ``other`` lies entirely inside this sphere."""
-        gap = float(np.linalg.norm(other.center - self.center))
-        return gap + other.radius <= self.radius + 1e-12
-
-    def intersects(self, other: "Sphere") -> bool:
-        """True if the two spheres share at least a boundary point."""
-        gap = float(np.linalg.norm(other.center - self.center))
-        return gap <= self.radius + other.radius
-
-    def mindist(self, point) -> float:
-        """Euclidean distance from a point to the sphere (0 inside).
-
-        ``max(0, ||p - center|| - radius)`` — the SS-tree's region
-        distance and one leg of the SR-tree's combined MINDIST.
-        """
-        p = as_point(point, dims=self.dims)
-        return max(0.0, float(np.linalg.norm(p - self.center)) - self.radius)
-
-    def maxdist(self, point) -> float:
-        """Distance from a point to the farthest point of the sphere."""
-        p = as_point(point, dims=self.dims)
-        return float(np.linalg.norm(p - self.center)) + self.radius
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Sphere):
-            return NotImplemented
-        return self.radius == other.radius and bool(
-            np.array_equal(self.center, other.center)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.center.tobytes(), self.radius))
-
-    def __repr__(self) -> str:
-        return f"Sphere(center={self.center.tolist()}, radius={self.radius})"
-
-
-# ----------------------------------------------------------------------
-# batch kernels over (N, D) center matrices + (N,) radii
-# ----------------------------------------------------------------------
+__all__ = ["mindist_point_spheres", "mindist_points_spheres"]
 
 
 def mindist_point_spheres(
@@ -157,12 +34,3 @@ def mindist_points_spheres(
     diff = centers[None, :, :] - points[:, None, :]
     gaps = np.sqrt(np.einsum("qnd,qnd->qn", diff, diff))
     return np.maximum(gaps - radii[None, :], 0.0)
-
-
-def maxdist_point_spheres(
-    point: np.ndarray, centers: np.ndarray, radii: np.ndarray
-) -> np.ndarray:
-    """Farthest-point distance from ``point`` to each of N spheres."""
-    diff = centers - point
-    gaps = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    return gaps + radii

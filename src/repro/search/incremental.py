@@ -30,8 +30,8 @@ from .knn import leaf_distances, trace_expansion
 
 __all__ = ["iter_nearest"]
 
-_NODE = 0
-_POINT = 1
+_POINT = 0
+_NODE = 1
 
 
 def iter_nearest(index, point: np.ndarray, max_distance: float = float("inf"),

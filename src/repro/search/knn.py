@@ -109,9 +109,7 @@ def leaf_distances(node, point: np.ndarray, stats):
     """The one leaf kernel: ``(points, distances)`` over a leaf's entries.
 
     Exact Euclidean distances from ``point`` to every point the leaf
-    stores, tallied as distance computations.  The arithmetic is
-    :func:`~repro.geometry.point.distances_to_many`'s, spelled out here
-    to keep two call frames off the per-leaf path.
+    stores, tallied as distance computations.
     """
     pts = node.points[: node.count]
     diff = pts - point

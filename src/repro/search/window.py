@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..geometry import mindist_point_rects
 from ..indexes.base import Neighbor
 from ..obs.tracer import trace
 
@@ -37,9 +38,7 @@ def child_window_mask(node, low: np.ndarray, high: np.ndarray) -> np.ndarray:
         highs = node.highs[:n]
         mask &= np.all(lows <= high, axis=1) & np.all(highs >= low, axis=1)
     if node.centers is not None:
-        centers = node.centers[:n]
-        delta = np.maximum(np.maximum(low - centers, centers - high), 0.0)
-        gaps = np.sqrt(np.einsum("ij,ij->i", delta, delta))
+        gaps = mindist_point_rects(node.centers[:n], low, high)
         mask &= gaps <= node.radii[:n]
     return mask
 

@@ -18,6 +18,21 @@ def brute_force_knn(points: np.ndarray, query: np.ndarray, k: int) -> list[int]:
     return [int(i) for i in order[:k]]
 
 
+def internal_entries(tree):
+    """``(node, slot, child, points beneath child)`` for every entry of
+    every internal node of ``tree``."""
+    beneath = {}
+    for node in sorted(tree.iter_nodes(), key=lambda node: node.level):
+        n = node.count
+        if node.is_leaf:
+            beneath[node.page_id] = node.points[:n]
+            continue
+        children = [int(c) for c in node.child_ids[:n]]
+        beneath[node.page_id] = np.vstack([beneath[c] for c in children])
+        for slot, child in enumerate(children):
+            yield node, slot, tree.read_node(child), beneath[child]
+
+
 def raw_http(address, payload: bytes, *, timeout: float = 5.0) -> bytes:
     """Send raw bytes to ``address``; everything the server answers
     until it closes (or resets) the connection.

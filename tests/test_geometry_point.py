@@ -7,11 +7,8 @@ from repro.exceptions import DimensionalityError
 from repro.geometry.point import (
     as_point,
     as_points,
-    check_dims,
-    distance,
-    distances_to_many,
+    cross_distances,
     pairwise_distances,
-    squared_distances_to_many,
 )
 
 
@@ -57,40 +54,25 @@ class TestAsPoints:
             as_points([[1.0, 2.0]], dims=5)
 
 
-class TestCheckDims:
-    def test_pass(self):
-        check_dims(4, 4)
-
-    def test_fail(self):
-        with pytest.raises(DimensionalityError):
-            check_dims(4, 5)
-
-
 class TestDistance:
     def test_unit_axis(self):
-        assert distance([0.0, 0.0], [3.0, 4.0]) == pytest.approx(5.0)
+        assert cross_distances(np.array([[0.0, 0.0]]),
+                               np.array([[3.0, 4.0]]))[0, 0] == 5.0
 
     def test_zero(self):
-        assert distance([1.5, -2.0], [1.5, -2.0]) == 0.0
-
-    def test_dim_mismatch(self):
-        with pytest.raises(DimensionalityError):
-            distance([0.0], [0.0, 1.0])
+        p = np.array([[1.5, -2.0]])
+        assert cross_distances(p, p)[0, 0] == 0.0
 
 
 class TestBatchDistances:
     def test_matches_loop(self, rng):
-        q = rng.random(6)
+        queries = rng.random((4, 6))
         pts = rng.random((50, 6))
-        expected = np.array([np.linalg.norm(p - q) for p in pts])
-        np.testing.assert_allclose(distances_to_many(q, pts), expected)
-        np.testing.assert_allclose(
-            squared_distances_to_many(q, pts), expected**2, rtol=1e-12
-        )
+        expected = np.array([[np.linalg.norm(p - q) for p in pts] for q in queries])
+        np.testing.assert_allclose(cross_distances(queries, pts), expected)
 
     def test_empty(self):
-        q = np.zeros(3)
-        assert distances_to_many(q, np.empty((0, 3))).shape == (0,)
+        assert cross_distances(np.zeros((2, 3)), np.empty((0, 3))).shape == (2, 0)
 
 
 class TestPairwiseDistances:

@@ -1,13 +1,11 @@
-"""Unit tests for repro.geometry.region and repro.geometry.volume."""
+"""Unit tests for repro.geometry.volume, and for the SR region as the
+SR-tree stores and prices it."""
 
 import math
 
 import numpy as np
 import pytest
 
-from repro.geometry.rectangle import Rect
-from repro.geometry.region import SRRegion
-from repro.geometry.sphere import Sphere
 from repro.geometry.volume import (
     log_rect_volume,
     log_sphere_volume,
@@ -16,6 +14,9 @@ from repro.geometry.volume import (
     sphere_volume,
     unit_ball_volume,
 )
+from repro.indexes import SRTree
+
+from tests.helpers import internal_entries
 
 
 class TestUnitBallVolume:
@@ -82,63 +83,70 @@ class TestRectVolume:
 
 
 class TestSRRegion:
-    @pytest.fixture
-    def region(self):
-        return SRRegion(Sphere([0.5, 0.5], 0.6), Rect([0.0, 0.0], [1.0, 1.0]))
+    """The SR region as the SR-tree stores it: the intersection of an
+    entry's sphere and rectangle (Section 3.4), priced by
+    ``max(d_sphere, d_rect)`` (Section 4.4)."""
 
-    def test_rejects_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            SRRegion(Sphere([0.0], 1.0), Rect([0.0, 0.0], [1.0, 1.0]))
+    @pytest.fixture(scope="class")
+    def tree(self):
+        tree = SRTree(6, page_size=1024, leaf_data_size=16)
+        tree.load(np.random.default_rng(17).random((500, 6)))
+        assert tree.height >= 3
+        return tree
 
-    def test_mindist_is_max_of_shapes(self, region):
-        q = np.array([2.0, 0.5])
-        expected = max(region.sphere.mindist(q), region.rect.mindist(q))
-        assert region.mindist(q) == pytest.approx(expected)
+    def test_mindist_is_max_of_shapes(self, tree, rng):
+        # The two single-shape bounds, computed here without the kernels:
+        # distance to the query clipped onto the box, and |q - c| - r.
+        for node, slot, _, _ in internal_entries(tree):
+            q = rng.random(6) * 2 - 0.5
+            rect = np.linalg.norm(q - np.clip(q, node.lows[slot], node.highs[slot]))
+            sphere = max(0.0, np.linalg.norm(q - node.centers[slot]) - node.radii[slot])
+            assert tree.child_mindists(node, q)[slot] == pytest.approx(
+                max(rect, sphere), abs=1e-12)
 
-    def test_mindist_tighter_than_each_shape(self, region, rng):
-        # The combined bound dominates both single-shape bounds.
-        for _ in range(50):
-            q = rng.random(2) * 4 - 1
-            d = region.mindist(q)
-            assert d >= region.sphere.mindist(q) - 1e-12
-            assert d >= region.rect.mindist(q) - 1e-12
+    def test_mindist_tighter_than_each_shape(self, tree, rng, monkeypatch):
+        # The paper's rule prices every entry at least as high as either
+        # single-shape ablation does, and strictly higher somewhere.
+        queries = rng.random((10, 6)) * 2 - 0.5
+        nodes = [node for node in tree.iter_nodes() if not node.is_leaf]
+        priced = {}
+        for rule in ("max", "rect", "sphere"):
+            monkeypatch.setattr(tree, "_mindist_rule", rule)
+            priced[rule] = np.concatenate([tree.child_mindists(node, q)
+                                           for node in nodes for q in queries])
+        for single in ("rect", "sphere"):
+            assert np.all(priced["max"] >= priced[single])
+            assert np.any(priced["max"] > priced[single])
 
-    def test_mindist_valid_lower_bound(self, region, rng):
-        # Any point inside the intersection is at least mindist away.
-        pts = rng.random((500, 2))
-        members = [p for p in pts if region.contains_point(p)]
-        assert members, "sample produced no region members"
-        q = np.array([3.0, -1.0])
-        d = region.mindist(q)
-        for p in members:
-            assert np.linalg.norm(p - q) >= d - 1e-12
+    def test_mindist_valid_lower_bound(self, tree, rng):
+        queries = rng.random((20, 6)) * 3 - 1
+        for node, slot, _, below in internal_entries(tree):
+            for q in queries:
+                d = tree.child_mindists(node, q)[slot]
+                assert np.linalg.norm(below - q, axis=1).min() >= d - 1e-12
 
-    def test_maxdist_valid_upper_bound(self, region, rng):
-        pts = rng.random((500, 2))
-        members = [p for p in pts if region.contains_point(p)]
-        q = np.array([3.0, -1.0])
-        d = region.maxdist(q)
-        for p in members:
-            assert np.linalg.norm(p - q) <= d + 1e-12
+    def test_maxdist_valid_upper_bound(self, tree):
+        # The sphere-and-rectangle reach bounds every point beneath, and
+        # the stored min(d_s, d_r) radius covers it.
+        for node, slot, child, below in internal_entries(tree):
+            center = node.centers[slot]
+            reach = tree._reach(center, child, rects=True)
+            assert np.linalg.norm(below - center, axis=1).max() <= reach + 1e-12
+            assert reach <= node.radii[slot] + 1e-12
 
-    def test_contains_point_requires_both(self, region):
-        # Inside rect, outside sphere.
-        assert not region.contains_point([0.0, 1.0] + np.array([0.0, 0.0]))
-        corner = np.array([0.999, 0.999])
-        assert region.rect.contains_point(corner)
-        assert not region.sphere.contains_point(corner)
-        assert not region.contains_point(corner)
-        assert region.contains_point([0.5, 0.5])
+    def test_contains_point_requires_both(self, tree):
+        # Every point beneath an entry lies in its box and in its sphere,
+        # and neither shape alone is the region: some box vertex lies
+        # outside its sphere, and some sphere pokes out of its box.
+        vertex_outside = sphere_outside = False
+        for node, slot, _, below in internal_entries(tree):
+            low, high = node.lows[slot], node.highs[slot]
+            center, radius = node.centers[slot], node.radii[slot]
+            assert np.all((below >= low) & (below <= high))
+            assert np.all(np.linalg.norm(below - center, axis=1) <= radius + 1e-12)
+            vertex_outside |= bool(np.linalg.norm(
+                np.maximum(np.abs(low - center), np.abs(high - center))) > radius)
+            sphere_outside |= bool(np.any(center - radius < low)
+                                   or np.any(center + radius > high))
+        assert vertex_outside and sphere_outside
 
-    def test_upper_bound_volume(self, region):
-        assert region.upper_bound_volume() == pytest.approx(
-            min(region.sphere.volume(), region.rect.volume())
-        )
-
-    def test_upper_bound_diameter(self, region):
-        assert region.upper_bound_diameter() == pytest.approx(
-            min(region.sphere.diameter, region.rect.diagonal)
-        )
-
-    def test_dims(self, region):
-        assert region.dims == 2

@@ -1,122 +1,102 @@
-"""Unit tests for repro.geometry.sphere."""
+"""Unit tests for repro.geometry.sphere: the sphere kernels against
+test-local oracles that do not share their formulas."""
 
 import math
 
 import numpy as np
 import pytest
 
-from repro.geometry.sphere import Sphere, maxdist_point_spheres, mindist_point_spheres
+from repro.geometry.sphere import mindist_point_spheres, mindist_points_spheres
+from repro.geometry.volume import log_sphere_volume, sphere_volume
+
+ORIGIN = np.zeros((1, 2))
+
+
+def mindist(q, center, radius) -> float:
+    return float(mindist_point_spheres(np.asarray(q, dtype=float),
+                                       np.atleast_2d(center),
+                                       np.array([radius], dtype=float))[0])
+
+
+def centroid_sphere(pts):
+    """The SS-tree's leaf sphere, spelled out here: centroid centre,
+    radius to the farthest point."""
+    center = pts.mean(axis=0)
+    return center, max(math.dist(p, center) for p in pts)
 
 
 class TestConstruction:
-    def test_rejects_negative_radius(self):
-        with pytest.raises(ValueError):
-            Sphere([0.0, 0.0], -0.1)
-
-    def test_from_point(self):
-        s = Sphere.from_point([1.0, 2.0])
-        assert s.radius == 0.0
-        assert s.volume() == 0.0
-
-    def test_bounding_centroid_center_is_centroid(self, rng):
-        pts = rng.random((50, 4))
-        s = Sphere.bounding_centroid(pts)
-        np.testing.assert_allclose(s.center, pts.mean(axis=0))
+    def test_from_point(self, rng):
+        # A zero-radius sphere: MINDIST is the plain distance to its centre.
+        c, q = rng.random(3), rng.random(3)
+        assert mindist(q, c, 0.0) == pytest.approx(np.linalg.norm(q - c))
 
     def test_bounding_centroid_covers_all_points(self, rng):
         pts = rng.random((50, 4))
-        s = Sphere.bounding_centroid(pts)
-        dists = np.linalg.norm(pts - s.center, axis=1)
-        assert np.all(dists <= s.radius + 1e-12)
-        # The radius is tight: some point attains it.
-        assert np.max(dists) == pytest.approx(s.radius)
-
-    def test_bounding_empty_raises(self):
-        with pytest.raises(ValueError):
-            Sphere.bounding_centroid(np.empty((0, 3)))
+        center, radius = centroid_sphere(pts)
+        assert all(mindist(p, center, radius) <= 1e-12 for p in pts)
 
 
 class TestProperties:
-    def test_diameter(self):
-        assert Sphere([0.0], 2.5).diameter == 5.0
-
     def test_volume_2d(self):
-        s = Sphere([0.0, 0.0], 2.0)
-        assert s.volume() == pytest.approx(math.pi * 4.0)
+        assert sphere_volume(2, 2.0) == pytest.approx(math.pi * 4.0)
 
     def test_volume_3d(self):
-        s = Sphere([0.0, 0.0, 0.0], 1.0)
-        assert s.volume() == pytest.approx(4.0 / 3.0 * math.pi)
+        assert sphere_volume(3, 1.0) == pytest.approx(4.0 / 3.0 * math.pi)
 
     def test_log_volume_degenerate(self):
-        assert Sphere([0.0], 0.0).log_volume() == -math.inf
+        assert log_sphere_volume(1, 0.0) == -math.inf
 
 
 class TestRelations:
     def test_contains_point(self):
-        s = Sphere([0.0, 0.0], 1.0)
-        assert s.contains_point([0.6, 0.6])
-        assert not s.contains_point([0.9, 0.9])
+        assert mindist([0.6, 0.6], ORIGIN, 1.0) == 0.0
+        assert mindist([0.9, 0.9], ORIGIN, 1.0) > 0.0
 
-    def test_contains_sphere(self):
-        outer = Sphere([0.0, 0.0], 2.0)
-        inner = Sphere([0.5, 0.0], 1.0)
-        assert outer.contains_sphere(inner)
-        assert not inner.contains_sphere(outer)
+    def test_contains_sphere(self, rng):
+        # A sphere inside another is never nearer to a query.
+        for q in rng.random((50, 2)) * 6 - 3:
+            assert mindist(q, [0.5, 0.0], 1.0) >= mindist(q, ORIGIN, 2.0)
 
     def test_intersects(self):
-        a = Sphere([0.0], 1.0)
-        assert a.intersects(Sphere([1.5], 1.0))
-        assert not a.intersects(Sphere([3.0], 1.0))
+        # Two spheres meet iff one centre is within the other's radius of
+        # the other sphere — the test the window query makes of a box.
+        assert mindist([1.5], [0.0], 1.0) <= 1.0
+        assert mindist([3.0], [0.0], 1.0) > 1.0
 
     def test_intersects_touching(self):
-        assert Sphere([0.0], 1.0).intersects(Sphere([2.0], 1.0))
+        assert mindist([2.0], [0.0], 1.0) == 1.0
 
 
 class TestDistances:
     def test_mindist_inside_zero(self):
-        s = Sphere([0.0, 0.0], 1.0)
-        assert s.mindist([0.3, 0.3]) == 0.0
+        assert mindist([0.3, 0.3], ORIGIN, 1.0) == 0.0
 
     def test_mindist_outside(self):
-        s = Sphere([0.0, 0.0], 1.0)
-        assert s.mindist([3.0, 0.0]) == pytest.approx(2.0)
-
-    def test_maxdist(self):
-        s = Sphere([0.0, 0.0], 1.0)
-        assert s.maxdist([3.0, 0.0]) == pytest.approx(4.0)
+        assert mindist([3.0, 0.0], ORIGIN, 1.0) == pytest.approx(2.0)
 
     def test_mindist_lower_bounds_member_points(self, rng):
         pts = rng.random((100, 3))
-        s = Sphere.bounding_centroid(pts)
+        center, radius = centroid_sphere(pts)
         q = rng.random(3) * 4.0
-        bound = s.mindist(q)
         dists = np.linalg.norm(pts - q, axis=1)
-        assert np.all(dists >= bound - 1e-12)
-
-
-class TestDunder:
-    def test_equality_and_hash(self):
-        a = Sphere([1.0, 2.0], 0.5)
-        b = Sphere([1.0, 2.0], 0.5)
-        c = Sphere([1.0, 2.0], 0.6)
-        assert a == b and hash(a) == hash(b)
-        assert a != c
+        assert np.all(dists >= mindist(q, center, radius) - 1e-12)
 
 
 class TestBatchKernels:
     def test_mindist_batch_matches_scalar(self, rng):
+        # Per sphere: max(0, |q - c| - r).
         centers = rng.random((25, 6))
         radii = rng.random(25) * 0.5
-        q = rng.random(6) * 2
-        batch = mindist_point_spheres(q, centers, radii)
-        for i in range(25):
-            assert batch[i] == pytest.approx(Sphere(centers[i], radii[i]).mindist(q))
+        for q in rng.random((10, 6)) * 2 - 0.5:
+            expected = [max(0.0, math.dist(q, c) - r) for c, r in zip(centers, radii)]
+            np.testing.assert_allclose(mindist_point_spheres(q, centers, radii),
+                                       expected, rtol=1e-12, atol=1e-15)
 
-    def test_maxdist_batch_matches_scalar(self, rng):
+    def test_query_block_rows_equal_point_kernel(self, rng):
         centers = rng.random((25, 6))
         radii = rng.random(25) * 0.5
-        q = rng.random(6) * 2
-        batch = maxdist_point_spheres(q, centers, radii)
-        for i in range(25):
-            assert batch[i] == pytest.approx(Sphere(centers[i], radii[i]).maxdist(q))
+        queries = rng.random((12, 6)) * 2 - 0.5
+        block = mindist_points_spheres(queries, centers, radii)
+        for q, row in zip(queries, block):
+            assert np.array_equal(row, mindist_point_spheres(q, centers, radii))

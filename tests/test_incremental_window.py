@@ -5,6 +5,7 @@ import pytest
 
 from repro.analysis import describe
 from repro.indexes import INDEX_KINDS, build_index
+from repro.search import incremental
 
 TREE_KINDS = [k for k in sorted(INDEX_KINDS) if k != "linear"]
 ALL_KINDS = sorted(INDEX_KINDS)
@@ -51,6 +52,31 @@ class TestIterNearest:
         list(index.iter_nearest(q))
         all_reads = index.stats.since(before).page_reads
         assert one_reads < all_reads
+
+    def test_points_surface_before_nodes_at_equal_distance(self, monkeypatch):
+        # A stored point's first neighbour is itself at distance 0.  Once
+        # its leaf is read that hit is yielded, however many regions also
+        # sit at MINDIST 0; expanding them first only reads more pages.
+        pts = np.random.default_rng(7).random((1500, 8))
+        index = build_index("sstree", pts)
+
+        def first_hit_reads(p):
+            index.store.drop_cache()
+            before = index.stats.snapshot()
+            hit = next(index.iter_nearest(p))
+            assert hit.distance == 0.0
+            return index.stats.since(before).page_reads
+
+        probes = pts[::30]
+        points_first = [first_hit_reads(p) for p in probes]
+        monkeypatch.setattr(incremental, "_NODE", -1)  # nodes first
+        nodes_first = [first_hit_reads(p) for p in probes]
+        assert all(a <= b for a, b in zip(points_first, nodes_first))
+        assert sum(points_first) < sum(nodes_first)
+        monkeypatch.undo()
+        for p in probes[:3]:
+            assert ([n.value for n in index.iter_nearest(p)]
+                    == [n.value for n in index.nearest(p, k=index.size)])
 
     def test_max_distance_bound(self, cloud):
         index = build_index("srtree", cloud)

@@ -1,8 +1,9 @@
 """Property-based tests (hypothesis) for core invariants.
 
-These cover the load-bearing mathematical properties: MINDIST bounds,
-codec round trips, heap semantics, and index exactness under arbitrary
-point distributions.
+These cover the load-bearing mathematical properties: the geometry
+kernels' bounds, the region rules every tree prunes with (on real
+trees), codec round trips, heap semantics, and index exactness under
+arbitrary point distributions.
 """
 
 import numpy as np
@@ -11,13 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.geometry.rectangle import Rect
-from repro.geometry.sphere import Sphere
-from repro.indexes import KDBTree, RStarTree, SRTree, SSTree
+from repro.geometry import farthest_point_rects, mindist_point_rects
+from repro.indexes import KDBTree, RStarTree, SRTree, SSTree, make_index
 from repro.search.knn import KnnCandidates
 from repro.storage.layout import NodeLayout
 from repro.storage.nodes import LeafNode
 from repro.storage.serializer import NodeCodec
+
+from tests.helpers import internal_entries
 
 
 finite = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False,
@@ -31,15 +33,18 @@ def points_strategy(min_rows=2, max_rows=60, dims=4):
 
 
 # ----------------------------------------------------------------------
-# geometry properties
+# geometry kernels: the bounds hold on arbitrary point sets
 # ----------------------------------------------------------------------
+
+
+def bounding_box(points):
+    return points.min(axis=0)[None, :], points.max(axis=0)[None, :]
 
 
 @given(points=points_strategy(), query=arrays(np.float64, (4,), elements=finite))
 @settings(max_examples=60, deadline=None)
 def test_rect_mindist_is_valid_lower_bound(points, query):
-    rect = Rect.bounding(points)
-    bound = rect.mindist(query)
+    bound = mindist_point_rects(query, *bounding_box(points))[0]
     dists = np.linalg.norm(points - query, axis=1)
     assert np.all(dists >= bound - 1e-7)
 
@@ -47,33 +52,9 @@ def test_rect_mindist_is_valid_lower_bound(points, query):
 @given(points=points_strategy(), query=arrays(np.float64, (4,), elements=finite))
 @settings(max_examples=60, deadline=None)
 def test_rect_farthest_is_valid_upper_bound(points, query):
-    rect = Rect.bounding(points)
-    bound = rect.farthest(query)
+    bound = farthest_point_rects(query, *bounding_box(points))[0]
     dists = np.linalg.norm(points - query, axis=1)
     assert np.all(dists <= bound + 1e-7)
-
-
-@given(points=points_strategy(), query=arrays(np.float64, (4,), elements=finite))
-@settings(max_examples=60, deadline=None)
-def test_sphere_mindist_maxdist_bracket_members(points, query):
-    sphere = Sphere.bounding_centroid(points)
-    dists = np.linalg.norm(points - query, axis=1)
-    assert np.all(dists >= sphere.mindist(query) - 1e-7)
-    assert np.all(dists <= sphere.maxdist(query) + 1e-7)
-
-
-@given(points=points_strategy())
-@settings(max_examples=60, deadline=None)
-def test_union_contains_both(points):
-    half = len(points) // 2
-    if half == 0 or half == len(points):
-        return
-    a = Rect.bounding(points[:half])
-    b = Rect.bounding(points[half:])
-    union = a.union(b)
-    assert union.contains_rect(a)
-    assert union.contains_rect(b)
-    assert union.volume() >= max(a.volume(), b.volume()) - 1e-12
 
 
 @given(points=points_strategy(min_rows=1))
@@ -83,8 +64,91 @@ def test_sr_region_shapes_consistent(points):
     # never exceeds the farthest-vertex distance of the MBR.
     center = points.mean(axis=0)
     radius = float(np.max(np.linalg.norm(points - center, axis=1)))
-    rect = Rect.bounding(points)
-    assert radius <= rect.farthest(center) + 1e-7
+    assert radius <= farthest_point_rects(center, *bounding_box(points))[0] + 1e-7
+
+
+# ----------------------------------------------------------------------
+# region rules: what the trees prune with is sound, on real trees
+# ----------------------------------------------------------------------
+
+#: Every family that bounds its nodes' contents, with each MINDIST rule
+#: of the SR-tree (the K-D-B-tree partitions space instead).
+REGION_FAMILIES = {
+    "rtree": ("rtree", {}),
+    "rstar": ("rstar", {}),
+    "sstree": ("sstree", {}),
+    "srtree-max": ("srtree", {"mindist_rule": "max"}),
+    "srtree-sphere": ("srtree", {"mindist_rule": "sphere"}),
+    "srtree-rect": ("srtree", {"mindist_rule": "rect"}),
+    "srx": ("srx", {}),
+    "vamsplit": ("vamsplit", {}),
+}
+SPHERE_FAMILIES = ["sstree", "srtree-max", "srx"]
+
+# Pages this small put 150 points under a tree of height >= 3, so there
+# are entries above leaves and entries above internal nodes.
+SMALL_PAGES = {"page_size": 512, "leaf_data_size": 16}
+
+
+@st.composite
+def clustered_points(draw):
+    """150-220 points scattered around a few drawn centres at a drawn
+    spread — exact duplicates (spread 0) and near-ties included."""
+    centres = draw(points_strategy(min_rows=1, max_rows=8))
+    n = draw(st.integers(150, 220))
+    spread = draw(st.sampled_from([0.0, 1e-9, 0.01, 1.0, 30.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    picks = centres[rng.integers(len(centres), size=n)]
+    return picks + spread * rng.standard_normal(picks.shape)
+
+
+def region_tree(family, points):
+    kind, options = REGION_FAMILIES[family]
+    tree = make_index(kind, points.shape[1], **SMALL_PAGES, **options)
+    tree.load(points)
+    assert tree.height >= 3
+    return tree
+
+
+@pytest.mark.parametrize("family", REGION_FAMILIES)
+@given(points=clustered_points(), queries=points_strategy(min_rows=1, max_rows=3))
+@settings(max_examples=10, deadline=None)
+def test_child_mindists_bound_the_points_beneath(family, points, queries):
+    # Pruning a child at MINDIST d is only sound if nothing beneath it
+    # is nearer than d.
+    tree = region_tree(family, points)
+    for q in queries:
+        for node, slot, _, below in internal_entries(tree):
+            nearest = np.linalg.norm(below - q, axis=1).min()
+            assert tree.child_mindists(node, q)[slot] <= nearest + 1e-9
+
+
+@pytest.mark.parametrize("family", REGION_FAMILIES)
+@given(points=clustered_points(), queries=points_strategy(min_rows=1, max_rows=6))
+@settings(max_examples=6, deadline=None)
+def test_child_mindists_batch_rows_equal_scalar(family, points, queries):
+    tree = region_tree(family, points)
+    for node in tree.iter_nodes():
+        if node.is_leaf:
+            continue
+        block = tree.child_mindists_batch(node, queries)
+        for q, row in zip(queries, block):
+            assert np.array_equal(row, tree.child_mindists(node, q))
+
+
+@pytest.mark.parametrize("family", SPHERE_FAMILIES)
+@given(points=clustered_points())
+@settings(max_examples=10, deadline=None)
+def test_reach_bounds_the_points_beneath(family, points):
+    # The reach the checker compares with the stored radius: an upper
+    # bound on the distance from the stored centre to every point
+    # beneath, and one the stored radius covers.
+    tree = region_tree(family, points)
+    for node, slot, child, below in internal_entries(tree):
+        center = node.centers[slot]
+        reach = tree._reach(center, child, tree.HAS_RECTS)
+        assert np.linalg.norm(below - center, axis=1).max() <= reach + 1e-9
+        assert reach <= node.radii[slot] + 1e-9
 
 
 # ----------------------------------------------------------------------

@@ -346,6 +346,39 @@ def check_http_stack(path: str, tree: ast.Module) -> list[str]:
     return problems
 
 
+#: The one package that may spell a distance to a box out in numpy.
+GEOMETRY_PACKAGE = os.path.join("src", "repro", "geometry") + os.sep
+
+
+def _is_np_call(node: ast.AST, names: tuple[str, ...]) -> bool:
+    return (isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in names
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "np")
+
+
+def check_box_distance_spelling(path: str, tree: ast.Module) -> list[str]:
+    """Flag ``np.maximum(np.maximum(...), ...)`` and
+    ``np.maximum(np.abs(...), ...)`` under ``src/repro`` outside
+    ``repro/geometry/``.
+
+    Those are the box-MINDIST and farthest-vertex formulas; the kernels in
+    ``repro.geometry.rectangle`` are their one spelling.
+    """
+    norm = path.replace("/", os.sep)
+    if (not norm.startswith(os.path.join("src", "repro") + os.sep)
+            or norm.startswith(GEOMETRY_PACKAGE)):
+        return []
+    return [
+        f"{path}:{node.lineno}: box distance spelled out in numpy; call "
+        f"repro.geometry's mindist_point_rects / farthest_point_rects"
+        for node in ast.walk(tree)
+        if _is_np_call(node, ("maximum",)) and node.args
+        and _is_np_call(node.args[0], ("maximum", "abs"))
+    ]
+
+
 def run_policy_pass(paths) -> int:
     """Repository policy checks that run even when pyflakes is installed."""
     problems: list[str] = []
@@ -361,6 +394,7 @@ def run_policy_pass(paths) -> int:
         problems.extend(check_store_construction(path, tree))
         problems.extend(check_logging_surface(path, tree))
         problems.extend(check_http_stack(path, tree))
+        problems.extend(check_box_distance_spelling(path, tree))
     for problem in problems:
         print(problem)
     if problems:
