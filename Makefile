@@ -1,6 +1,6 @@
 # Convenience targets for development and reproduction runs.
 
-.PHONY: install lint sloc test test-crash test-concurrency test-mp test-net test-batching bench bench-paper-scale results-check examples all
+.PHONY: install lint sloc build-digest test test-crash test-concurrency test-mp test-net test-batching bench bench-paper-scale results-check examples all
 
 # Byte-compile everything and run the dependency-free pyflakes-level
 # checker (tools/lint.py upgrades itself to real pyflakes when
@@ -14,6 +14,14 @@ lint:
 # CI prints it after lint.
 sloc:
 	python tools/sloc.py
+
+# SHA-256 and microseconds per point of seeded index files: every tree
+# family built (and a tenth deleted), bulk loads, and the ledger's three
+# corpora.  Equal digests on one machine mean a change built the same
+# trees; CI prints them next to sloc, informationally (einsum's
+# vectorised sums may round differently on another CPU).
+build-digest:
+	python tools/build_digest.py
 
 # `pip install -e .` needs the `wheel` package for PEP 517 editable
 # builds; offline environments fall back to the legacy setuptools path.

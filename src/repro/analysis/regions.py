@@ -16,9 +16,9 @@ average *volume* and average *diameter* of the leaf-level regions:
 All measurements walk the actual leaves and recompute shapes from the
 stored points, so they are exact for the tree as built (not subject to
 radius-update drift).  The shapes are the indexes' own rules — the
-R*-tree's ``_rect_of`` and the SS-tree's ``_sphere_of``, one spelling on
-:class:`~repro.indexes.base.SpatialIndex` — applied to whichever tree's
-leaves are being measured.
+R*-tree's ``_rect_of`` and the SS-tree's ``_centroid`` and ``_reach``,
+one spelling on :class:`~repro.indexes.base.SpatialIndex` — applied to
+whichever tree's leaves are being measured.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ def measure_leaf_regions(index: SpatialIndex) -> LeafRegionStats:
     for leaf in index.iter_leaves():
         if leaf.count == 0:
             continue
-        _center, radius, _weight = index._sphere_of(leaf)
+        radius = index._reach(index._centroid(leaf)[0], leaf)
         sphere_volumes.append(_volume.sphere_volume(dims, radius))
         sphere_log_volumes.append(_volume.log_sphere_volume(dims, radius))
         sphere_diameters.append(2.0 * radius)

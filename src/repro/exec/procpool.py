@@ -249,15 +249,27 @@ class ProcessServingPool(PoolCore):
         #: Stats of workers that died/respawned, folded into the total.
         self._retired_stats = IOStats()
         self._respawn_counts: dict[int, int] = {}
+        # Every worker starts before any handshake is awaited, so their
+        # start-ups (interpreter, imports, open) overlap.
         try:
             for idx in range(workers):
-                self._spawn(idx)
+                self._start(idx)
+            for idx in range(workers):
+                self._await_ready(idx)
         except BaseException:
+            for proc in self._procs:
+                if proc is not None:
+                    proc.terminate()
             self.close()
             raise
 
     def _spawn(self, idx: int) -> None:
         """Start worker ``idx`` and wait for its ready handshake."""
+        self._start(idx)
+        self._await_ready(idx)
+
+    def _start(self, idx: int) -> None:
+        """Start worker ``idx``; its handshake is :meth:`_await_ready`'s."""
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=_worker_main,
@@ -267,6 +279,13 @@ class ProcessServingPool(PoolCore):
         )
         proc.start()
         child_conn.close()
+        self._procs[idx] = proc
+        self._conns[idx] = parent_conn
+
+    def _await_ready(self, idx: int) -> None:
+        """Wait for worker ``idx``'s ready handshake; a worker that fails
+        it is terminated and its pipe closed."""
+        proc, parent_conn = self._procs[idx], self._conns[idx]
         try:
             if not parent_conn.poll(SPAWN_TIMEOUT_S):
                 raise StorageError(
@@ -291,8 +310,6 @@ class ProcessServingPool(PoolCore):
         #: The newest handshake: dims, kind, size (and that worker's pid).
         self._info = msg[1]
         self._pids[idx] = msg[1]["pid"]
-        self._procs[idx] = proc
-        self._conns[idx] = parent_conn
 
     def _respawn(self, idx: int, reason: str) -> None:
         """Kill worker ``idx`` (if alive) and bring up a replacement.

@@ -46,6 +46,12 @@ def mindist_points_rects(
 
 
 def farthest_point_rects(point: np.ndarray, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
-    """Farthest-vertex distance from ``point`` to each of N rectangles."""
-    delta = np.maximum(np.abs(lows - point), np.abs(highs - point))
+    """Farthest-vertex distance from ``point`` to each of N rectangles.
+
+    Per axis the farther side is ``max(|low - p|, |high - p|)``, which
+    for ``low <= high`` is ``max(p - low, high - p)`` to the bit:
+    ``fl(a - b) == -fl(b - a)``, and where ``p`` lies outside
+    ``[low, high]`` the negative term never wins.
+    """
+    delta = np.maximum(point - lows, highs - point)
     return np.sqrt(np.einsum("ij,ij->i", delta, delta))

@@ -11,6 +11,7 @@ the construction algorithms.
 
 from __future__ import annotations
 
+import math
 import time
 from abc import ABC, abstractmethod
 from collections.abc import Iterator
@@ -396,33 +397,61 @@ class SpatialIndex(ABC):
             return sphere
         return np.maximum(to_rects(query, node.lows[:n], node.highs[:n]), sphere)
 
-    def _rect_of(self, node) -> tuple[np.ndarray, np.ndarray]:
-        """Minimum bounding rectangle of a node's contents (Section 2.2)."""
+    def _summarize(self, child, parent: InternalNode,
+                   slot: int | None = None) -> None:
+        """Write ``child``'s entry into row ``slot`` of ``parent``, in place.
+
+        The entry is the child's page id plus, by ``HAS_RECTS`` /
+        ``HAS_SPHERES``, its MBR and its centroid, radius and weight;
+        ``slot=None`` appends a row.  Every ancestor of an insert pays
+        this once, so it allocates no dict and writes the reductions
+        straight into the parent's arrays.
+        """
+        parent.ensure_mutable()
+        row = parent.count if slot is None else slot
+        parent.child_ids[row] = child.page_id
+        if self.HAS_RECTS:
+            self._rect_of(child, parent.lows[row], parent.highs[row])
+        if self.HAS_SPHERES:
+            center, parent.weights[row] = self._centroid(child, parent.centers[row])
+            parent.radii[row] = self._radius(child, center)
+        if slot is None:
+            parent.count += 1
+
+    def _rect_of(self, node, low=None, high=None) -> tuple[np.ndarray, np.ndarray]:
+        """Minimum bounding rectangle of a node's contents (Section 2.2),
+        written into ``low``/``high`` when given."""
         n = node.count
-        if node.is_leaf:
-            pts = node.points[:n]
-            return pts.min(axis=0), pts.max(axis=0)
-        return node.lows[:n].min(axis=0), node.highs[:n].max(axis=0)
+        lows, highs = ((node.points, node.points) if node.is_leaf
+                       else (node.lows, node.highs))
+        return (np.minimum.reduce(lows[:n], axis=0, out=low),
+                np.maximum.reduce(highs[:n], axis=0, out=high))
 
-    def _sphere_of(self, node) -> tuple[np.ndarray, float, int]:
-        """Centroid, radius and weight of a node's bounding sphere
-        (Section 2.3).
+    def _centroid(self, node, out=None) -> tuple[np.ndarray, int]:
+        """Centroid and weight of the points beneath a node (Section 2.3),
+        the centroid written into ``out`` when given.
 
-        The center is the centroid of the points beneath the node (child
-        centroids weighted by subtree point counts); the radius reaches
-        the farthest point of a leaf, or the far side of the farthest
-        child sphere — the SS-tree's rule, which the SR-tree tightens
-        (:meth:`SRTree._entry_fields <repro.indexes.srtree.SRTree._entry_fields>`).
+        Child centroids are weighted by subtree point counts.  The sum
+        is ``np.mean``'s own (``add.reduce``, then divide), kept in that
+        order so every stored centre is the same to the bit.
         """
         n = node.count
         if node.is_leaf:
-            center, weight = node.points[:n].mean(axis=0), n
+            weight = n
+            center = np.add.reduce(node.points[:n], axis=0, out=out)
         else:
-            weights = node.weights[:n].astype(np.float64)
-            total = weights.sum()
-            center = (node.centers[:n] * weights[:, None]).sum(axis=0) / total
-            weight = int(total)
-        return center, self._reach(center, node), weight
+            weights = node.weights[:n]
+            weight = int(np.add.reduce(weights))
+            center = np.add.reduce(node.centers[:n] * weights[:, None],
+                                   axis=0, out=out)
+        center /= weight
+        return center, weight
+
+    def _radius(self, node, center: np.ndarray) -> float:
+        """Radius of the sphere around ``center`` that a node's parent
+        entry stores: the SS-tree's :meth:`_reach`, which the SR-tree
+        tightens (:meth:`SRTree._radius <repro.indexes.srtree.SRTree._radius>`)."""
+        return self._reach(center, node)
 
     def _reach(self, center: np.ndarray, node, rects: bool = False) -> float:
         """An upper bound on the distance from ``center`` to any point
@@ -436,23 +465,14 @@ class SpatialIndex(ABC):
         n = node.count
         if node.is_leaf:
             diff = node.points[:n] - center
-            return float(np.sqrt(np.max(np.einsum("ij,ij->i", diff, diff))))
+            return math.sqrt(np.maximum.reduce(np.einsum("ij,ij->i", diff, diff)))
         diff = node.centers[:n] - center
-        reaches = np.sqrt(np.einsum("ij,ij->i", diff, diff)) + node.radii[:n]
+        reaches = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        reaches += node.radii[:n]
         if rects:
-            reaches = np.minimum(reaches, farthest_point_rects(
-                center, node.lows[:n], node.highs[:n]))
-        return float(np.max(reaches))
-
-    def _entry_fields(self, node) -> dict:
-        """Region/weight keyword arguments describing ``node`` in its parent."""
-        fields = {}
-        if self.HAS_RECTS:
-            fields["low"], fields["high"] = self._rect_of(node)
-        if self.HAS_SPHERES:
-            fields["center"], fields["radius"], fields["weight"] = (
-                self._sphere_of(node))
-        return fields
+            np.minimum(reaches, farthest_point_rects(
+                center, node.lows[:n], node.highs[:n]), out=reaches)
+        return float(np.maximum.reduce(reaches))
 
     def _check_parent_entry(self, parent: InternalNode, slot: int, child) -> None:
         """Verify that entry ``slot`` of ``parent`` bounds ``child``'s contents.

@@ -117,18 +117,16 @@ def bulk_load(tree: SpatialIndex, points, values=None) -> None:
     # --- internal levels --------------------------------------------------
     level = 1
     while len(level_nodes) > 1:
-        entries = [(node.page_id, tree._entry_fields(node)) for node in level_nodes]
         centers = np.array([
-            fields["center"] if fields.get("center") is not None
-            else 0.5 * (fields["low"] + fields["high"])
-            for _, fields in entries
+            tree._centroid(node)[0] if tree.HAS_SPHERES
+            else 0.5 * np.add(*tree._rect_of(node))
+            for node in level_nodes
         ])
         parents = []
         for group in vam_groups(centers, tree.node_capacity, tree.node_min_fill):
             parent = store.new_internal(level)
             for i in group:
-                child_id, fields = entries[i]
-                parent.add(child_id, **fields)
+                tree._summarize(level_nodes[i], parent)
             store.write(parent)
             parents.append(parent)
         level_nodes = parents

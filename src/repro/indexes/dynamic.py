@@ -20,7 +20,7 @@ implements that machinery once; each family subclasses it and supplies:
 Regions are not a family hook.  What bounds a node — its MBR, its
 centroid sphere, or both — follows from the ``HAS_RECTS`` /
 ``HAS_SPHERES`` flags and is stated once on
-:class:`~repro.indexes.base.SpatialIndex` (``_entry_fields``,
+:class:`~repro.indexes.base.SpatialIndex` (``_summarize``,
 ``_check_parent_entry``, ``child_mindists``); the SR-tree adds its two
 Section-4 rules on top.  Which entries a forced reinsertion evicts is
 one rule too: the farthest from the node's center, per both the R*- and
@@ -136,20 +136,26 @@ class DynamicTree(SpatialIndex):
             self._store.free(node)
             return
 
-        path = self._choose_path(entry, container_level)
-        node = path[-1]
-        self._add_entry(node, entry)
-        self._finish_insert(path)
+        path, slots = self._choose_path(entry, container_level)
+        self._add_entry(path[-1], entry)
+        self._finish_insert(path, slots)
 
-    def _choose_path(self, entry: Entry, target_level: int) -> list[Node]:
-        """Descend from the root to a node at ``target_level``."""
+    def _choose_path(self, entry: Entry, level: int) -> tuple[list[Node], list[int]]:
+        """Descend from the root to a node at ``level``.
+
+        Returns the nodes on the way down and, for each but the last,
+        the slot of its entry for the next one: ``path[d + 1]`` is
+        ``path[d].child_ids[slots[d]]``.  The ascent that follows
+        writes through those slots instead of searching for them.
+        """
         node = self.read_node(self._root_id)
-        path = [node]
-        while node.level > target_level:
-            index = self._choose_child(node, entry)
-            node = self.read_node(int(node.child_ids[index]))
+        path, slots = [node], []
+        while node.level > level:
+            slot = self._choose_child(node, entry)
+            node = self.read_node(int(node.child_ids[slot]))
             path.append(node)
-        return path
+            slots.append(slot)
+        return path, slots
 
     def _add_entry(self, node: Node, entry: Entry) -> None:
         if node.is_leaf:
@@ -166,24 +172,23 @@ class DynamicTree(SpatialIndex):
                 weight=entry.weight,
             )
 
-    def _finish_insert(self, path: list[Node]) -> None:
+    def _finish_insert(self, path: list[Node], slots: list[int]) -> None:
         node = path[-1]
-        capacity = node.capacity
-        if node.count <= capacity:
+        if node.count <= node.capacity:
             self._store.write(node)
-            self._adjust_upward(path)
+            self._adjust_upward(path, slots)
         else:
-            self._overflow(path)
+            self._overflow(path, slots)
 
-    def _overflow(self, path: list[Node]) -> None:
+    def _overflow(self, path: list[Node], slots: list[int]) -> None:
         node = path[-1]
         is_root = len(path) == 1
         if not is_root and self._should_reinsert(node, is_root):
-            self._forced_reinsert(path)
+            self._forced_reinsert(path, slots)
         else:
-            self._split_and_propagate(path)
+            self._split_and_propagate(path, slots)
 
-    def _forced_reinsert(self, path: list[Node]) -> None:
+    def _forced_reinsert(self, path: list[Node], slots: list[int]) -> None:
         """Shed a fraction of an overflowing node's entries and reinsert them."""
         node = path[-1]
         self._mark_reinserted(node)
@@ -192,7 +197,7 @@ class DynamicTree(SpatialIndex):
         indices = self._reinsert_indices(node, count)
         evicted = self._remove_entries(node, indices)
         self._store.write(node)
-        self._adjust_upward(path)
+        self._adjust_upward(path, slots)
         container_level = node.level
         for entry in evicted:
             self._insert_entry(entry, container_level)
@@ -209,7 +214,7 @@ class DynamicTree(SpatialIndex):
         n = node.count
         if self.HAS_SPHERES:
             coords = node.points[:n] if node.is_leaf else node.centers[:n]
-            center = self._sphere_of(node)[0]
+            center = self._centroid(node)[0]
         else:
             coords = (node.points[:n] if node.is_leaf
                       else 0.5 * (node.lows[:n] + node.highs[:n]))
@@ -227,16 +232,16 @@ class DynamicTree(SpatialIndex):
         """
         return False
 
-    def _split_and_propagate(self, path: list[Node]) -> None:
+    def _split_and_propagate(self, path: list[Node], slots: list[int]) -> None:
         node = path[-1]
         group_a, group_b = self._split_indices(node)
         if not node.is_leaf and self._prefer_supernode(node, group_a, group_b):
             _obs.on_supernode_growth(self)
-            self._grow_supernode(path)
+            self._grow_supernode(path, slots)
             return
         _obs.on_split(self, node)
         left, right = self._split_into_two(node, group_a, group_b)
-        self._replace_split_node(path, node, left, right)
+        self._replace_split_node(path, slots, left, right)
 
     def _split_into_two(
         self, node: Node, group_a: np.ndarray, group_b: np.ndarray
@@ -280,31 +285,28 @@ class DynamicTree(SpatialIndex):
             extent += 1
         return extent
 
-    def _replace_split_node(self, path: list[Node], old: Node, left: Node,
-                            right: Node) -> None:
-        """Swap ``old``'s parent entry for its two split halves."""
+    def _replace_split_node(self, path: list[Node], slots: list[int],
+                            left: Node, right: Node) -> None:
+        """Swap the split node's parent entry for its two halves."""
         if len(path) == 1:
-            new_root = self._store.new_internal(old.level + 1)
-            new_root.add(left.page_id, **self._entry_fields(left))
-            new_root.add(right.page_id, **self._entry_fields(right))
+            new_root = self._store.new_internal(left.level + 1)
+            self._summarize(left, new_root)
+            self._summarize(right, new_root)
             self._store.write(new_root)
             self._root_id = new_root.page_id
             self._height += 1
             return
 
         parent = path[-2]
-        index = parent.find_child(old.page_id)
-        parent.ensure_mutable()
-        parent.child_ids[index] = left.page_id
-        parent.set_entry(index, **self._entry_fields(left))
-        parent.add(right.page_id, **self._entry_fields(right))
+        self._summarize(left, parent, slots[-1])
+        self._summarize(right, parent)
         if parent.count > parent.capacity:
-            self._overflow(path[:-1])
+            self._overflow(path[:-1], slots[:-1])
         else:
             self._store.write(parent)
-            self._adjust_upward(path[:-1])
+            self._adjust_upward(path[:-1], slots[:-1])
 
-    def _grow_supernode(self, path: list[Node]) -> None:
+    def _grow_supernode(self, path: list[Node], slots: list[int]) -> None:
         """Replace an overflowing node with a one-page-larger supernode."""
         old = path[-1]
         grown = self._store.new_internal(old.level, old.extent + 1)
@@ -316,21 +318,16 @@ class DynamicTree(SpatialIndex):
             self._root_id = grown.page_id
         else:
             parent = path[-2]
-            index = parent.find_child(old.page_id)
-            parent.ensure_mutable()
-            parent.child_ids[index] = grown.page_id
-            parent.set_entry(index, **self._entry_fields(grown))
+            self._summarize(grown, parent, slots[-1])
             self._store.write(parent)
-            self._adjust_upward(path[:-1])
+            self._adjust_upward(path[:-1], slots[:-1])
         self._store.free(old)
 
-    def _adjust_upward(self, path: list[Node]) -> None:
+    def _adjust_upward(self, path: list[Node], slots: list[int]) -> None:
         """Refresh the parent entry of every node on the path, bottom-up."""
         for depth in range(len(path) - 1, 0, -1):
-            child = path[depth]
             parent = path[depth - 1]
-            index = parent.find_child(child.page_id)
-            parent.set_entry(index, **self._entry_fields(child))
+            self._summarize(path[depth], parent, slots[depth - 1])
             self._store.write(parent)
 
     def _remove_entries(self, node: Node, indices: np.ndarray) -> list[Entry]:
@@ -433,8 +430,7 @@ class DynamicTree(SpatialIndex):
                 self._store.free(node)
             else:
                 self._store.write(node)
-                index = parent.find_child(node.page_id)
-                parent.set_entry(index, **self._entry_fields(node))
+                self._summarize(node, parent, parent.find_child(node.page_id))
             self._store.write(parent)
 
         # Shrink the root while it is an internal node with a single child.

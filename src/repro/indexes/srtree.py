@@ -85,17 +85,17 @@ class SRTree(SSTree):
     # regions: the two rules the paper adds to the SS-tree
     # ------------------------------------------------------------------
 
-    def _entry_fields(self, node: Node) -> dict:
-        """Both inherited shapes, the sphere's radius tightened to
-        ``min(d_s, d_r)`` (Section 4.2): no point beneath the node lies
-        past the farthest vertex of any child rectangle either."""
-        fields = super()._entry_fields(node)
-        if self._radius_rule == "min" and not node.is_leaf:
-            n = node.count
-            d_rect = float(np.max(farthest_point_rects(
-                fields["center"], node.lows[:n], node.highs[:n])))
-            fields["radius"] = min(fields["radius"], d_rect)
-        return fields
+    def _radius(self, node: Node, center: np.ndarray) -> float:
+        """The inherited radius tightened to ``min(d_s, d_r)`` (Section
+        4.2): no point beneath the node lies past the farthest vertex of
+        any child rectangle either."""
+        d_sphere = super()._radius(node, center)
+        if self._radius_rule != "min" or node.is_leaf:
+            return d_sphere
+        n = node.count
+        d_rect = float(np.maximum.reduce(farthest_point_rects(
+            center, node.lows[:n], node.highs[:n])))
+        return min(d_sphere, d_rect)
 
     def _region_mindists(self, node, query, to_rects, to_spheres) -> np.ndarray:
         """``max(sphere, rect)`` (Section 4.4) is the inherited rule for

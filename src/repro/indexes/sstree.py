@@ -36,7 +36,7 @@ class SSTree(DynamicTree):
 
     def _choose_child(self, node: InternalNode, entry: Entry) -> int:
         diff = node.centers[: node.count] - entry.center
-        return int(np.argmin(np.einsum("ij,ij->i", diff, diff)))
+        return int(np.einsum("ij,ij->i", diff, diff).argmin())
 
     # ------------------------------------------------------------------
     # Split: highest-variance dimension

@@ -99,7 +99,7 @@ class VAMSplitRTree(SpatialIndex):
         for group in vam_groups(points[indices],
                                 self._subtree_capacity(height - 1)):
             child = self._build_subtree(points, values, indices[group])
-            node.add(child.page_id, **self._entry_fields(child))
+            self._summarize(child, node)
         self._store.write(node)
         return node
 

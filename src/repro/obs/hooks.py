@@ -512,14 +512,26 @@ def on_flush(index) -> None:
     _sync_writes(index)
 
 
+#: index kind -> its (inserts, size, height) children, bound at its first insert.
+_insert_children: dict[str, tuple] = {}
+
+
 def on_insert(index) -> None:
     """Record one point insertion (called by the dynamic engine)."""
     if not _enabled:
         return
     kind = index.NAME
-    INSERTS.labels(index_kind=kind).inc()
-    INDEX_SIZE.labels(index_kind=kind).set(index.size)
-    INDEX_HEIGHT.labels(index_kind=kind).set(index.height)
+    children = _insert_children.get(kind)
+    if children is None:
+        children = _insert_children[kind] = (
+            INSERTS.labels(index_kind=kind),
+            INDEX_SIZE.labels(index_kind=kind),
+            INDEX_HEIGHT.labels(index_kind=kind),
+        )
+    inserts, size, height = children
+    inserts.inc()
+    size.set(index.size)
+    height.set(index.height)
     _sync_writes(index)
 
 

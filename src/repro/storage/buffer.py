@@ -80,8 +80,9 @@ class BufferPool:
     Parameters
     ----------
     capacity:
-        Maximum number of frames.  Must comfortably exceed the tree
-        height plus the reinsertion working set; 64 is a safe floor.
+        Maximum number of frames, at least 8.  Any such pool holds an
+        insert's working set, because eviction never picks a node in
+        the middle of its split (see :meth:`_victim`).
     write_back:
         Callback ``(node) -> None`` invoked when a dirty frame leaves the
         pool (eviction or flush); the node store uses it to serialize the
@@ -246,15 +247,23 @@ class BufferPool:
             yield frame.node
 
     def _victim(self) -> _Frame:
-        """Advance the hand to the frame SIEVE evicts next and return it."""
+        """Advance the hand to the frame SIEVE evicts next and return it.
+
+        The hand passes over a dirty node holding more entries than its
+        capacity, bit untouched: that is a node in the middle of its
+        split, whose write-back the page codec would refuse.
+        """
         frame = self._hand
         # Two laps at most: the first clears every unpinned frame's bit, so
         # the second stops at the first unpinned frame -- or none exists.
         for _ in range(2 * len(self._frames) + 2):
             if frame.pins == 0:
                 if not frame.visited:
-                    break
-                frame.visited = False
+                    node = frame.node
+                    if not frame.dirty or node.count <= node.capacity:
+                        break
+                else:
+                    frame.visited = False
             frame = frame.newer
         else:
             raise BufferPinError(

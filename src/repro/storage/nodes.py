@@ -349,29 +349,6 @@ class InternalNode:
             self.weights[i] = weight
         self.count += 1
 
-    def set_entry(
-        self,
-        index: int,
-        *,
-        low: np.ndarray | None = None,
-        high: np.ndarray | None = None,
-        center: np.ndarray | None = None,
-        radius: float | None = None,
-        weight: int | None = None,
-    ) -> None:
-        """Overwrite the region/weight of the entry at ``index`` in place."""
-        if not 0 <= index < self.count:
-            raise IndexError(index)
-        self.ensure_mutable()
-        if self.lows is not None and low is not None:
-            self.lows[index] = low
-            self.highs[index] = high
-        if self.centers is not None and center is not None:
-            self.centers[index] = center
-            self.radii[index] = radius
-        if self.weights is not None and weight is not None:
-            self.weights[index] = weight
-
     def remove_at(self, index: int) -> None:
         """Remove the entry at ``index`` (order not preserved)."""
         if not 0 <= index < self.count:
@@ -392,10 +369,12 @@ class InternalNode:
 
     def find_child(self, child_id: int) -> int:
         """Index of the entry pointing at ``child_id``; raises if absent."""
-        for i in range(self.count):
-            if self.child_ids[i] == child_id:
-                return i
-        raise KeyError(f"child page {child_id} not found in node {self.page_id}")
+        try:
+            return self.child_ids[: self.count].tolist().index(child_id)
+        except ValueError:
+            raise KeyError(
+                f"child page {child_id} not found in node {self.page_id}"
+            ) from None
 
     def __repr__(self) -> str:
         return (

@@ -6,6 +6,8 @@ import socket
 
 import numpy as np
 
+from repro.storage.nodes import InternalNode
+
 
 def brute_force_knn(points: np.ndarray, query: np.ndarray, k: int) -> list[int]:
     """Ground-truth k-NN: indices of the k closest rows, ascending distance.
@@ -16,6 +18,25 @@ def brute_force_knn(points: np.ndarray, query: np.ndarray, k: int) -> list[int]:
     dists = np.linalg.norm(points - query, axis=1)
     order = np.lexsort((np.arange(len(points)), dists))
     return [int(i) for i in order[:k]]
+
+
+def entry_of(tree, node) -> dict:
+    """The parent entry ``tree`` would store for ``node``: its region
+    rule's output by field name (``low``, ``high``, ``center``,
+    ``radius``, ``weight``), written into a throwaway parent node."""
+    layout = tree.layout
+    parent = InternalNode(-1, layout.dims, 1, node.level + 1,
+                          has_rects=tree.HAS_RECTS,
+                          has_spheres=tree.HAS_SPHERES,
+                          has_weights=tree.HAS_WEIGHTS)
+    tree._summarize(node, parent)
+    fields = {}
+    if tree.HAS_RECTS:
+        fields["low"], fields["high"] = parent.lows[0], parent.highs[0]
+    if tree.HAS_SPHERES:
+        fields["center"], fields["radius"] = parent.centers[0], parent.radii[0]
+        fields["weight"] = int(parent.weights[0])
+    return fields
 
 
 def internal_entries(tree):

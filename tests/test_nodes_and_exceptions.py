@@ -97,10 +97,6 @@ class TestInternalNode:
             InternalNode(1, 2, 4, level=0, has_rects=True, has_spheres=False,
                          has_weights=False)
 
-    def test_set_entry_bounds(self, node):
-        with pytest.raises(IndexError):
-            node.set_entry(0, weight=1)
-
     def test_remove_at_preserves_others(self, node):
         for i in range(3):
             node.add(i, low=np.full(2, float(i)), high=np.full(2, i + 1.0),

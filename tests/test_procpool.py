@@ -14,6 +14,7 @@ process startup, so the suite keeps pools few and datasets small.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 import threading
@@ -23,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro.api import Database
-from repro.exceptions import DimensionalityError
+from repro.exceptions import DimensionalityError, StorageError
 from repro.exec import ProcessServingPool, ServingPool
 from repro.obs.flightrec import FLIGHT
 from repro.obs.hooks import DEGRADED_QUERIES, QUERIES
@@ -272,6 +273,18 @@ def test_missing_file_rejected(tmp_path):
     with pytest.raises(FileNotFoundError):
         ServingPool(str(tmp_path / "nope.srtree"), workers=1,
                     backend="process")
+
+
+def test_workers_that_cannot_open_the_file_leave_no_process(tmp_path):
+    # Every worker starts before any handshake is read, so a refusal
+    # must take down the workers still starting, not only the one that
+    # answered first.
+    path = tmp_path / "not-an-index.srtree"
+    path.write_bytes(os.urandom(8192))
+    before = set(multiprocessing.active_children())
+    with pytest.raises(StorageError, match="failed to open"):
+        ProcessServingPool(str(path), workers=2)
+    assert set(multiprocessing.active_children()) <= before
 
 
 def test_direct_construction_is_the_same_class_and_does_not_warn(

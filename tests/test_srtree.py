@@ -7,7 +7,7 @@ from repro.geometry.rectangle import farthest_point_rects, mindist_point_rects
 from repro.geometry.sphere import mindist_point_spheres
 from repro.indexes.srtree import SRTree
 
-from tests.helpers import brute_force_knn
+from tests.helpers import brute_force_knn, entry_of
 
 
 @pytest.fixture
@@ -24,7 +24,7 @@ class TestRadiusRule:
         root = tree.read_node(tree.root_id)
         assert not root.is_leaf
         n = root.count
-        fields = tree._entry_fields(root)
+        fields = entry_of(tree, root)
         center = fields["center"]
         gaps = np.linalg.norm(root.centers[:n] - center, axis=1)
         d_sphere = float(np.max(gaps + root.radii[:n]))
@@ -101,7 +101,7 @@ class TestRegions:
     def test_rect_is_mbr_of_children(self, loaded):
         tree, pts = loaded
         root = tree.read_node(tree.root_id)
-        fields = tree._entry_fields(root)
+        fields = entry_of(tree, root)
         np.testing.assert_allclose(fields["low"], pts.min(axis=0), atol=1e-9)
         np.testing.assert_allclose(fields["high"], pts.max(axis=0), atol=1e-9)
 

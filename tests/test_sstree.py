@@ -6,6 +6,8 @@ import pytest
 from repro.indexes.base import Entry
 from repro.indexes.sstree import SSTree, variance_split
 
+from tests.helpers import entry_of
+
 
 class TestVarianceSplit:
     def test_splits_on_highest_variance_dimension(self, rng):
@@ -55,7 +57,7 @@ class TestCentroidRegions:
         tree = SSTree(3)
         pts = rng.random((10, 3))
         tree.load(pts)
-        fields = tree._entry_fields(tree.read_node(tree.root_id))
+        fields = entry_of(tree, tree.read_node(tree.root_id))
         np.testing.assert_allclose(fields["center"], pts.mean(axis=0))
         dists = np.linalg.norm(pts - fields["center"], axis=1)
         assert fields["radius"] == pytest.approx(dists.max())
@@ -67,7 +69,7 @@ class TestCentroidRegions:
         tree.load(pts)
         root = tree.read_node(tree.root_id)
         assert not root.is_leaf
-        fields = tree._entry_fields(root)
+        fields = entry_of(tree, root)
         # The weighted centroid of child centroids is the global centroid
         # only if child centers are exact point means -- they are, for a
         # freshly adjusted tree.
@@ -78,7 +80,7 @@ class TestCentroidRegions:
         pts = rng.random((8, 3))
         tree.load(pts)
         leaf = tree.read_node(tree.root_id)
-        np.testing.assert_allclose(tree._sphere_of(leaf)[0], pts.mean(axis=0))
+        np.testing.assert_allclose(tree._centroid(leaf)[0], pts.mean(axis=0))
 
     def test_spheres_cover_all_points(self, rng):
         # Every stored point must lie inside the sphere of every ancestor

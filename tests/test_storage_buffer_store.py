@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import Database
 from repro.exceptions import BufferPinError, StorageError
 from repro.storage.buffer import BufferPool
 from repro.storage.layout import NodeLayout
@@ -122,6 +123,16 @@ class TestEviction:
         with pytest.raises(BufferPinError):
             fill_leaf(store, seed=99)
 
+    @pytest.mark.parametrize("capacity, seed", [(8, 0), (12, 1), (16, 5)])
+    def test_a_small_pool_never_writes_back_a_node_mid_split(self, capacity, seed):
+        # These seeds once evicted the overfull node a split was still
+        # dividing, and its write-back raised PageOverflowError.
+        points = np.random.default_rng(seed).random((2500, 16))
+        db = Database.create(None, kind="sr", buffer_capacity=capacity)
+        db.insert_many(points)
+        db.index.check_invariants()
+        assert db.size == len(points)
+
     def test_hit_miss_counters(self, store):
         leaf = fill_leaf(store)
         store.read(leaf.page_id)
@@ -132,10 +143,14 @@ class TestEviction:
 
 
 class Page:
-    """All the pool reads of a node is ``page_id``; equality is identity."""
+    """All the pool reads of a node is ``page_id`` and, before it evicts
+    a dirty one, ``count``/``capacity``; equality is identity."""
 
-    def __init__(self, page_id):
+    capacity = 1
+
+    def __init__(self, page_id, count=0):
         self.page_id = page_id
+        self.count = count
 
 
 def touch(pool, page_id):
@@ -221,6 +236,22 @@ class TestSieveHand:
         pool.put(Page(8), dirty=False)
         pool.put(Page(9), dirty=False)           # goes on from 3, no second look at 0, 1
         assert [i for i in range(10) if i not in pool] == [2, 3]
+
+    def test_eviction_steps_over_a_dirty_node_mid_split(self):
+        written = []
+        pool = BufferPool(8, written.append)
+        splitting = Page(0, count=2)             # over capacity: mid-split
+        pool.put(splitting, dirty=True)
+        pool.put(Page(1, count=2), dirty=False)  # clean: dropping it loses nothing
+        for i in range(2, 8):
+            pool.put(Page(i), dirty=False)
+        pool.put(Page(8), dirty=False)           # the hand passes 0, evicts 1
+        assert 0 in pool and 1 not in pool and written == []
+        splitting.count = 1                      # the split is done
+        for i in range(2, 9):
+            pool.get(i)
+        pool.put(Page(9), dirty=False)           # a lap clearing 2..8 ends at 0,
+        assert 0 not in pool and written == [splitting]  # its bit left unset
 
     def test_all_pinned_raises_and_recovers(self):
         pool = full_pool()

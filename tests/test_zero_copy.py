@@ -13,6 +13,7 @@ page bytes.  These tests pin the three properties that make that safe:
 import numpy as np
 import pytest
 
+from repro.indexes import SRTree
 from repro.storage.layout import NodeLayout
 from repro.storage.nodes import InternalNode, LeafNode
 from repro.storage.serializer import NodeCodec
@@ -106,13 +107,16 @@ class TestInternalViews:
         assert int(decoded.child_ids[3]) == 999
         assert codec.decode(11, image).count == 3  # page image untouched
 
-    def test_set_entry_unfreezes(self, codec, layout, rng):
-        decoded = codec.decode(11, codec.encode(make_internal(layout, rng)))
-        low = rng.random(layout.dims)
-        decoded.set_entry(0, low=low, high=low + 2.0, center=low, radius=1.0,
-                          weight=5)
+    def test_summary_write_unfreezes(self, codec, layout, rng):
+        image = codec.encode(make_internal(layout, rng))
+        decoded = codec.decode(11, image)
+        leaf = make_leaf(layout, rng)
+        SRTree(layout.dims)._summarize(leaf, decoded, 0)
         assert not decoded.frozen
-        np.testing.assert_array_equal(decoded.lows[0], low)
+        np.testing.assert_array_equal(decoded.lows[0], leaf.live_points.min(axis=0))
+        assert int(decoded.weights[0]) == leaf.count
+        assert not np.array_equal(codec.decode(11, image).lows[0],
+                                  decoded.lows[0])  # page image untouched
 
     def test_remove_at_unfreezes(self, codec, layout, rng):
         decoded = codec.decode(11, codec.encode(make_internal(layout, rng)))
