@@ -1,6 +1,6 @@
 # Convenience targets for development and reproduction runs.
 
-.PHONY: install lint sloc build-digest test test-crash test-concurrency test-mp test-net test-batching bench bench-paper-scale results-check examples all
+.PHONY: install lint sloc build-digest wal-mix test test-crash test-concurrency test-mp test-net test-batching bench bench-paper-scale results-check examples all
 
 # Byte-compile everything and run the dependency-free pyflakes-level
 # checker (tools/lint.py upgrades itself to real pyflakes when
@@ -15,13 +15,23 @@ lint:
 sloc:
 	python tools/sloc.py
 
-# SHA-256 and microseconds per point of seeded index files: every tree
-# family built (and a tenth deleted), bulk loads, and the ledger's three
-# corpora.  Equal digests on one machine mean a change built the same
-# trees; CI prints them next to sloc, informationally (einsum's
-# vectorised sums may round differently on another CPU).
+# SHA-256, tree digest and microseconds per point of seeded index
+# files: every tree family built (and a tenth deleted), bulk loads, and
+# the ledger's three corpora.  Equal SHA-256s on one machine mean a
+# change built the same files; equal tree digests, the same trees (a
+# codec change moves only the former).  CI prints them next to sloc,
+# informationally (einsum's vectorised sums may round differently on
+# another CPU).
 build-digest:
 	python tools/build_digest.py
+
+# Write-ahead log bytes per insert by record kind (IMAGE/DELTA of leaves
+# and internal nodes, META, META_DELTA, BEGIN/COMMIT) for 2 000 inserts
+# of cluster_mixed_wal's insert stream, and the peak (data + log) over
+# user bytes that the ledger reports as space_amp.  About 15 s; CI
+# prints it next to sloc, informationally.
+wal-mix:
+	python tools/wal_mix.py
 
 # `pip install -e .` needs the `wheel` package for PEP 517 editable
 # builds; offline environments fall back to the legacy setuptools path.

@@ -16,11 +16,21 @@ layout of its node entries (paper Sections 3.1 and 5.3):
 
 :class:`NodeLayout` encodes these rules once; every index family
 instantiates it with the flags matching its entry contents.
+
+It also holds the page offsets of every entry block, and those depend on
+the node's capacity, never on its count.  A leaf's point block is
+``leaf_capacity`` rows long and its data areas follow it; an internal
+node's ``child_ids``, ``weights``, ``lows``, ``highs``, ``centers`` and
+``radii`` blocks are each ``node_capacity_for(extent)`` rows long, in
+that order, after the header and the continuation pointers.  Appending an
+entry therefore moves no byte behind it: a write changes the rows it
+touched and the count, and the write-ahead log's delta says just that.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .constants import (
     COORD_SIZE,
@@ -31,7 +41,23 @@ from .constants import (
     POINTER_SIZE,
 )
 
-__all__ = ["NodeLayout"]
+__all__ = ["NodeBlocks", "NodeLayout"]
+
+
+class NodeBlocks(NamedTuple):
+    """Byte offsets of an internal node's entry blocks in its page image.
+
+    Each block is ``capacity`` rows long; an offset is ``None`` for a
+    block the index family does not carry.
+    """
+
+    capacity: int
+    child_ids: int
+    weights: int | None
+    lows: int | None
+    highs: int | None
+    centers: int | None
+    radii: int | None
 
 
 @dataclass(frozen=True)
@@ -116,6 +142,33 @@ class NodeLayout:
             - POINTER_SIZE * (extent - 1)
         )
         return usable // self.node_entry_size
+
+    @property
+    def leaf_data_offset(self) -> int:
+        """Offset of a leaf's first data area: after ``leaf_capacity`` points.
+
+        The point block starts right after the header.
+        """
+        return NODE_HEADER_SIZE + COORD_SIZE * self.dims * self.leaf_capacity
+
+    def node_blocks(self, extent: int) -> NodeBlocks:
+        """Offsets of the entry blocks of an internal node of ``extent`` pages."""
+        rows = self.node_capacity_for(extent)
+        vector = COORD_SIZE * self.dims * rows
+        sizes = (
+            POINTER_SIZE * rows,
+            COUNT_SIZE * rows if self.has_weights else 0,
+            vector if self.has_rects else 0,
+            vector if self.has_rects else 0,
+            vector if self.has_spheres else 0,
+            COORD_SIZE * rows if self.has_spheres else 0,
+        )
+        offset = NODE_HEADER_SIZE + POINTER_SIZE * (extent - 1)
+        offsets = []
+        for size in sizes:
+            offsets.append(offset if size else None)
+            offset += size
+        return NodeBlocks(rows, *offsets)
 
     def min_fill(self, capacity: int, utilization: float = 0.4) -> int:
         """Minimum entry count for the given capacity.

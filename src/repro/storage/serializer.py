@@ -1,43 +1,56 @@
 """Binary page codec: node objects <-> fixed-size page images.
 
-Every node is serialized into a single page.  The byte layout follows
-:class:`~repro.storage.layout.NodeLayout`:
+Every node is serialized into a single page (a supernode into ``extent``
+pages).  Every block sits at a fixed offset that depends on the node's
+capacity, never on its count; :class:`~repro.storage.layout.NodeLayout`
+holds the offsets:
 
-* header: kind (u8), flags (u8), level (u16), count (u32) — 8 bytes;
-* leaf body: ``count`` points as contiguous float64, then ``count``
-  fixed-width data areas, each holding a 4-byte length prefix and the
-  payload, zero-padded to ``leaf_data_size``;
-* internal body: ``count`` child pointers (u32), then the optional
-  weights (u32), rectangle bounds (2 x D float64), and sphere
-  center/radius (D + 1 float64) blocks in that order.
+* header: kind (u8), flags (u8), level (u16), count (u32), extent (u16),
+  reserved (u16) — 12 bytes; an internal node's continuation page ids
+  (u32 each) follow it;
+* leaf body: a block of ``leaf_capacity`` points (contiguous float64),
+  then ``leaf_capacity`` fixed-width data areas, each holding a 4-byte
+  length prefix and the payload, zero-padded to ``leaf_data_size``;
+* internal body: the child pointers (u32), then the optional weights
+  (u32), rectangle lows and highs (D float64 each), and sphere centers (D
+  float64) and radii (float64) blocks, in that order, each
+  ``node_capacity_for(extent)`` rows long.
+
+Rows beyond ``count`` are zero.  So a write changes only the rows it
+touched (and the count word), and the write-ahead log's delta of the
+page is that many short ranges, not a restatement of every block behind
+the first changed row.  :meth:`NodeCodec.encode` writes the blocks into
+one zeroed page buffer by slice assignment and returns the whole
+``extent`` pages.
 
 **Zero-copy decode.**  :meth:`NodeCodec.decode` does not copy the entry
 blocks out of the page image: every numpy array of a freshly decoded node
-is a read-only ``np.frombuffer`` view that aliases ``data`` (bytes are
-immutable, so numpy marks the views non-writeable for free).  The node
-arrives *frozen* and materializes private ``capacity + 1`` arrays only on
-first mutation (:meth:`~repro.storage.nodes.LeafNode.ensure_mutable`).
-The entire search path therefore decodes a leaf with two ``frombuffer``
-calls and zero float copies.
+is a read-only ``np.frombuffer`` view of its ``count`` live rows that
+aliases ``data`` (bytes are immutable, so numpy marks the views
+non-writeable for free).  The node arrives *frozen* and materializes
+private ``capacity + 1`` arrays only on first mutation
+(:meth:`~repro.storage.nodes.LeafNode.ensure_mutable`).  The entire
+search path therefore decodes a leaf with two ``frombuffer`` calls and
+zero float copies.
 
 **Plain-int fast path.**  Leaf payloads are pickled in general, but the
 overwhelmingly common payload is a plain Python ``int`` row id.  Those
 are stored as a raw little-endian int64 with the high bit of the length
-prefix set (:data:`_INT_FLAG`).  Old pages are decoded unchanged — a
-pickled payload never exceeds ``leaf_data_size`` (< 2**31), so the high
-bit was always 0 before this encoding existed.
+prefix set (:data:`_INT_FLAG`); a pickled payload never exceeds
+``leaf_data_size`` (< 2**31), so its prefix never has that bit.
 
-The encoder asserts that the resulting image fits the page — by
-construction it always does when ``count <= capacity``, and a node caught
-mid-overflow (``count == capacity + 1``) is a programming error to
-persist, reported as :class:`~repro.exceptions.PageOverflowError`.
+The encoder refuses a node caught mid-overflow (``count == capacity +
+1``): persisting it is a programming error, reported as
+:class:`~repro.exceptions.PageOverflowError`.
 
 This module is also the only place allowed to call :func:`pickle.loads`
 (enforced by ``tools/lint.py``); the node store's metadata page goes
 through :func:`pack_meta` / :func:`unpack_meta` here.  There is one meta
 format: a fixed superblock (what :func:`read_superblock` takes from a
 file's first bytes) in front of a CRC-guarded pickle.  A page 0 without
-the superblock is refused, never unpickled.
+the superblock is refused, never unpickled, and so is a file whose
+superblock lacks the fixed-offset flag: its node bodies were packed by
+count, by an older build, and there is no reader for them.
 """
 
 from __future__ import annotations
@@ -50,13 +63,14 @@ import zlib
 import numpy as np
 
 from ..exceptions import PageOverflowError, ReproError, SerializationError
-from .layout import NodeLayout
+from .layout import NodeBlocks, NodeLayout
 from .nodes import InternalNode, LeafNode
 
 __all__ = [
     "NodeCodec",
     "META_SUPERBLOCK_SIZE",
     "pack_meta",
+    "meta_image",
     "read_superblock",
     "unpack_meta",
 ]
@@ -67,7 +81,7 @@ _KIND_INTERNAL = 1
 _FLAG_REINSERTED = 0x01
 _LEN_PREFIX = struct.Struct("<I")
 _PAGE_ID = struct.Struct("<I")
-_INT64 = struct.Struct("<q")
+_INT_SLOT = struct.Struct("<Iq")  # flagged length prefix + raw int64
 
 #: High bit of the length prefix: payload is a raw int64, not a pickle.
 _INT_FLAG = 0x8000_0000
@@ -76,14 +90,14 @@ _INT64_MAX = 2**63 - 1
 
 # Pre-bound struct methods: attribute lookups on struct.Struct instances
 # are surprisingly hot inside the per-value decode loop.
-_header_pack = _HEADER.pack
+_header_pack_into = _HEADER.pack_into
 _header_unpack_from = _HEADER.unpack_from
-_len_pack = _LEN_PREFIX.pack
+_len_pack_into = _LEN_PREFIX.pack_into
 _len_unpack_from = _LEN_PREFIX.unpack_from
-_page_id_pack = _PAGE_ID.pack
+_page_id_pack_into = _PAGE_ID.pack_into
 _page_id_unpack_from = _PAGE_ID.unpack_from
-_int64_pack = _INT64.pack
-_int64_unpack_from = _INT64.unpack_from
+_int_slot_pack_into = _INT_SLOT.pack_into
+_int64_unpack_from = struct.Struct("<q").unpack_from
 _pickle_dumps = pickle.dumps
 _pickle_loads = pickle.loads
 _frombuffer = np.frombuffer
@@ -98,8 +112,14 @@ _PAGE_ID_SIZE = _PAGE_ID.size
 _META_SUPERBLOCK = struct.Struct("<8sIHHII")
 _META_MAGIC = b"RPROMET1"
 _META_FLAG_CHECKSUMS = 0x0001
+#: Node blocks sit at fixed offsets (set on every file this build writes).
+_META_FLAG_FIXED_BLOCKS = 0x0002
 META_SUPERBLOCK_SIZE = _META_SUPERBLOCK.size
 _NOT_AN_INDEX = "is not a repro index file (it does not start with a meta superblock)"
+_COUNT_PACKED = (
+    "was written with count-packed node bodies by an older build, and this "
+    "build reads only fixed-offset node blocks: rebuild the index from its points"
+)
 
 
 def pack_meta(meta: dict) -> bytes:
@@ -114,7 +134,9 @@ def pack_meta(meta: dict) -> bytes:
     find the WAL in the first place.
     """
     payload = _pickle_dumps(meta, protocol=pickle.HIGHEST_PROTOCOL)
-    flags = _META_FLAG_CHECKSUMS if meta.get("checksums") else 0
+    flags = _META_FLAG_FIXED_BLOCKS
+    if meta.get("checksums"):
+        flags |= _META_FLAG_CHECKSUMS
     header = _META_SUPERBLOCK.pack(
         _META_MAGIC,
         int(meta.get("page_size", 0)),
@@ -133,14 +155,27 @@ def read_superblock(path) -> tuple[int, bool]:
     superblock is the first :data:`META_SUPERBLOCK_SIZE` bytes of the
     file: nothing else is read, and nothing is unpickled, to learn how
     to open the file and find its WAL.  A file that does not start with
-    one is not an index this code wrote, and is refused.
+    one is not an index this code wrote, and is refused; so is one whose
+    node bodies an older build packed by count (no fixed-offset flag),
+    before recovery or anything else touches it or its log.
     """
     with open(path, "rb") as handle:
         head = handle.read(META_SUPERBLOCK_SIZE)
     if len(head) < META_SUPERBLOCK_SIZE or head[:8] != _META_MAGIC:
         raise ReproError(f"{os.fspath(path)} {_NOT_AN_INDEX}")
     _, page_size, flags, _, _, _ = _META_SUPERBLOCK.unpack(head)
+    if not flags & _META_FLAG_FIXED_BLOCKS:
+        raise ReproError(f"{os.fspath(path)} {_COUNT_PACKED}")
     return page_size, bool(flags & _META_FLAG_CHECKSUMS)
+
+
+def meta_image(page: bytes) -> bytes:
+    """What :func:`pack_meta` wrote at the head of ``page``, without the
+    page's zero tail (a page that holds no superblock comes back whole)."""
+    if len(page) < META_SUPERBLOCK_SIZE or page[:8] != _META_MAGIC:
+        return page
+    length = _META_SUPERBLOCK.unpack_from(page)[4]
+    return page[: META_SUPERBLOCK_SIZE + length]
 
 
 def unpack_meta(payload: bytes) -> dict:
@@ -169,42 +204,48 @@ class NodeCodec:
 
     def __init__(self, layout: NodeLayout) -> None:
         self.layout = layout
+        self._leaf_data = layout.leaf_data_offset
+        #: extent -> the layout's block offsets for a node of that extent
+        self._blocks: dict[int, NodeBlocks] = {}
+
+    def _node_blocks(self, extent: int) -> NodeBlocks:
+        blocks = self._blocks.get(extent)
+        if blocks is None:
+            blocks = self._blocks[extent] = self.layout.node_blocks(extent)
+        return blocks
 
     # ------------------------------------------------------------------
     # encoding
     # ------------------------------------------------------------------
 
     def encode(self, node: LeafNode | InternalNode) -> bytes:
-        """Serialize a node into an image of at most ``extent`` pages."""
+        """Serialize a node into an image of exactly ``extent`` pages."""
+        flags = _FLAG_REINSERTED if node.reinserted else 0
         if node.is_leaf:
             capacity = self.layout.leaf_capacity
         else:
-            capacity = self.layout.node_capacity_for(node.extent)
+            blocks = self._node_blocks(node.extent)
+            capacity = blocks.capacity
         if node.count > capacity:
             raise PageOverflowError(
                 f"cannot persist node {node.page_id} with {node.count} entries "
                 f"(capacity {capacity}): split it first"
             )
-        flags = _FLAG_REINSERTED if node.reinserted else 0
+        image = bytearray(self.layout.page_size * node.extent)
+        # Blocks are assigned through a memoryview: a block of the wrong
+        # length raises instead of resizing the buffer.
+        page = memoryview(image)
         if node.is_leaf:
-            body = self._encode_leaf_body(node)
-            header = _header_pack(_KIND_LEAF, flags, 0, node.count, 1, 0)
-            continuation = b""
+            _header_pack_into(image, 0, _KIND_LEAF, flags, 0, node.count, 1, 0)
+            self._encode_leaf_body(node, page)
         else:
-            body = self._encode_internal_body(node)
-            header = _header_pack(
-                _KIND_INTERNAL, flags, node.level, node.count, node.extent, 0
+            _header_pack_into(
+                image, 0, _KIND_INTERNAL, flags, node.level, node.count, node.extent, 0
             )
-            continuation = b"".join(
-                _page_id_pack(page) for page in node.extra_pages
-            )
-        image = header + continuation + body
-        if len(image) > self.layout.page_size * node.extent:
-            raise PageOverflowError(
-                f"node {node.page_id} serialized to {len(image)} bytes, "
-                f"extent is {node.extent} pages of {self.layout.page_size}"
-            )
-        return image
+            for i, extra in enumerate(node.extra_pages):
+                _page_id_pack_into(image, _HEADER_SIZE + _PAGE_ID_SIZE * i, extra)
+            self._encode_internal_body(node, blocks, page)
+        return bytes(image)
 
     @staticmethod
     def peek_extent(first_page: bytes) -> tuple[int, list[int]]:
@@ -224,15 +265,16 @@ class NodeCodec:
             offset += _PAGE_ID_SIZE
         return extent, extras
 
-    def _encode_leaf_body(self, leaf: LeafNode) -> bytes:
-        parts = [np.ascontiguousarray(leaf.points[: leaf.count]).tobytes()]
+    def _encode_leaf_body(self, leaf: LeafNode, page: memoryview) -> None:
+        n = leaf.count
+        page[_HEADER_SIZE : _HEADER_SIZE + 8 * leaf.dims * n] = leaf.points[:n].tobytes()
         area = self.layout.leaf_data_size
-        pad = b"\x00" * area
+        offset = self._leaf_data
         for value in leaf.values:
             # Fast path: plain int row ids skip pickle entirely.  type()
             # (not isinstance) deliberately excludes bool subclasses.
             if type(value) is int and _INT64_MIN <= value <= _INT64_MAX:
-                slot = _len_pack(_INT_FLAG | 8) + _int64_pack(value)
+                _int_slot_pack_into(page, offset, _INT_FLAG | 8, value)
             else:
                 payload = _pickle_dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
                 if len(payload) + _LEN_SIZE > area:
@@ -240,22 +282,28 @@ class NodeCodec:
                         f"leaf payload pickles to {len(payload)} bytes; the data "
                         f"area is {area} bytes (including a 4-byte length prefix)"
                     )
-                slot = _len_pack(len(payload)) + payload
-            parts.append(slot + pad[len(slot):])
-        return b"".join(parts)
+                _len_pack_into(page, offset, len(payload))
+                start = offset + _LEN_SIZE
+                page[start : start + len(payload)] = payload
+            offset += area
 
-    def _encode_internal_body(self, node: InternalNode) -> bytes:
+    @staticmethod
+    def _encode_internal_body(
+        node: InternalNode, blocks: NodeBlocks, page: memoryview
+    ) -> None:
         n = node.count
-        parts = [np.ascontiguousarray(node.child_ids[:n], dtype=np.uint32).tobytes()]
+        vector = 8 * node.dims * n
+        at = blocks.child_ids
+        page[at : at + 4 * n] = node.child_ids[:n].astype(np.uint32).tobytes()
         if node.weights is not None:
-            parts.append(np.ascontiguousarray(node.weights[:n], dtype=np.uint32).tobytes())
+            at = blocks.weights
+            page[at : at + 4 * n] = node.weights[:n].astype(np.uint32).tobytes()
         if node.lows is not None:
-            parts.append(np.ascontiguousarray(node.lows[:n]).tobytes())
-            parts.append(np.ascontiguousarray(node.highs[:n]).tobytes())
+            page[blocks.lows : blocks.lows + vector] = node.lows[:n].tobytes()
+            page[blocks.highs : blocks.highs + vector] = node.highs[:n].tobytes()
         if node.centers is not None:
-            parts.append(np.ascontiguousarray(node.centers[:n]).tobytes())
-            parts.append(np.ascontiguousarray(node.radii[:n]).tobytes())
-        return b"".join(parts)
+            page[blocks.centers : blocks.centers + vector] = node.centers[:n].tobytes()
+            page[blocks.radii : blocks.radii + 8 * n] = node.radii[:n].tobytes()
 
     # ------------------------------------------------------------------
     # decoding
@@ -272,43 +320,32 @@ class NodeCodec:
         if len(data) < _HEADER_SIZE:
             raise SerializationError(f"page {page_id}: image too short to hold a header")
         kind, flags, level, count, extent, _ = _header_unpack_from(data)
-        extras: list[int] = []
-        offset = _HEADER_SIZE
-        if kind == _KIND_INTERNAL and extent > 1:
-            for _ in range(extent - 1):
-                (page,) = _page_id_unpack_from(data, offset)
-                extras.append(page)
-                offset += _PAGE_ID_SIZE
+        if len(data) < self.layout.page_size * extent:
+            raise SerializationError(f"page {page_id}: truncated node image")
         if kind == _KIND_LEAF:
-            node = self._decode_leaf(page_id, count, data, offset)
+            node = self._decode_leaf(page_id, count, data)
         elif kind == _KIND_INTERNAL:
-            node = self._decode_internal(page_id, level, count, data, offset, extent, extras)
+            node = self._decode_internal(page_id, level, count, data, extent)
         else:
             raise SerializationError(f"page {page_id}: unknown node kind {kind}")
         node.reinserted = bool(flags & _FLAG_REINSERTED)
         return node
 
-    def _decode_leaf(
-        self, page_id: int, count: int, data: bytes, body_offset: int
-    ) -> LeafNode:
+    def _decode_leaf(self, page_id: int, count: int, data: bytes) -> LeafNode:
         dims = self.layout.dims
         if count > self.layout.leaf_capacity:
             raise SerializationError(
                 f"page {page_id}: leaf count {count} exceeds capacity"
             )
-        point_bytes = 8 * dims * count
         area = self.layout.leaf_data_size
-        needed = point_bytes + area * count
-        if len(data) - body_offset < needed:
-            raise SerializationError(f"page {page_id}: truncated leaf body")
         # Zero-copy: the point block is a read-only view over the page
         # image (bytes are immutable, so numpy refuses writes for free).
         points = _frombuffer(
-            data, dtype=np.float64, count=dims * count, offset=body_offset
+            data, dtype=np.float64, count=dims * count, offset=_HEADER_SIZE
         ).reshape(count, dims)
         values: list[object] = []
         append = values.append
-        offset = body_offset + point_bytes
+        offset = self._leaf_data
         for _ in range(count):
             (length,) = _len_unpack_from(data, offset)
             start = offset + _LEN_SIZE
@@ -331,54 +368,35 @@ class NodeCodec:
         )
 
     def _decode_internal(
-        self,
-        page_id: int,
-        level: int,
-        count: int,
-        data: bytes,
-        body_offset: int,
-        extent: int = 1,
-        extras: list[int] | None = None,
+        self, page_id: int, level: int, count: int, data: bytes, extent: int
     ) -> InternalNode:
-        layout = self.layout
-        dims = layout.dims
-        capacity = layout.node_capacity_for(extent)
-        if count > capacity:
+        dims = self.layout.dims
+        blocks = self._node_blocks(extent)
+        if count > blocks.capacity:
             raise SerializationError(
                 f"page {page_id}: node count {count} exceeds capacity"
             )
-        offset = body_offset
+        extras = [
+            _page_id_unpack_from(data, _HEADER_SIZE + _PAGE_ID_SIZE * i)[0]
+            for i in range(extent - 1)
+        ]
 
-        def take(dtype, items: int, shape: tuple[int, ...] | None = None) -> np.ndarray:
-            nonlocal offset
-            arr = _frombuffer(data, dtype=dtype, count=items, offset=offset)
-            offset += arr.nbytes
-            return arr if shape is None else arr.reshape(shape)
+        def rows(offset: int | None, dtype, width: int = 0) -> np.ndarray | None:
+            if offset is None:
+                return None
+            if not width:
+                return _frombuffer(data, dtype=dtype, count=count, offset=offset)
+            return _frombuffer(
+                data, dtype=dtype, count=count * width, offset=offset
+            ).reshape(count, width)
 
-        weights = lows = highs = centers = radii = None
-        try:
-            child_ids = take(np.uint32, count)
-            if layout.has_weights:
-                weights = take(np.uint32, count)
-            if layout.has_rects:
-                lows = take(np.float64, count * dims, (count, dims))
-                highs = take(np.float64, count * dims, (count, dims))
-            if layout.has_spheres:
-                centers = take(np.float64, count * dims, (count, dims))
-                radii = take(np.float64, count)
-        except ValueError as exc:
-            raise SerializationError(f"page {page_id}: truncated node body") from exc
         return InternalNode.from_views(
-            page_id,
-            dims,
-            capacity,
-            level,
-            count,
-            child_ids,
-            weights,
-            lows,
-            highs,
-            centers,
-            radii,
-            extras if extras is not None else [],
+            page_id, dims, blocks.capacity, level, count,
+            rows(blocks.child_ids, np.uint32),
+            rows(blocks.weights, np.uint32),
+            rows(blocks.lows, np.float64, dims),
+            rows(blocks.highs, np.float64, dims),
+            rows(blocks.centers, np.float64, dims),
+            rows(blocks.radii, np.float64),
+            extras,
         )

@@ -35,7 +35,7 @@ from .constants import META_PAGE_ID
 from .layout import NodeLayout
 from .nodes import InternalNode, LeafNode
 from .pagefile import InMemoryPageFile, PageFile
-from .serializer import NodeCodec, pack_meta, unpack_meta
+from .serializer import NodeCodec, meta_image, pack_meta, unpack_meta
 from .stats import IOStats
 from .wal import WriteAheadLog
 
@@ -561,11 +561,7 @@ class NodeStore:
         for i, page_id in enumerate(node.all_page_ids):
             chunk = image[i * page_size : (i + 1) * page_size]
             if in_txn:
-                # Journal + shadow; the data file is untouched until
-                # commit.  Chunks are padded so supernode reassembly
-                # (first + extras concatenation) stays page aligned.
-                if len(chunk) < page_size:
-                    chunk = chunk + b"\x00" * (page_size - len(chunk))
+                # Journal + shadow; the data file is untouched until commit.
                 self.wal.log_page(page_id, chunk, self._delta_base(page_id))
                 self._shadow[page_id] = chunk
             else:
@@ -592,8 +588,7 @@ class NodeStore:
         if len(image) > self.layout.page_size:
             raise StorageError("index metadata does not fit in the meta page")
         if self.in_txn:
-            base = self._shadow_meta
-            self.wal.log_meta(image, self._pending_meta if base is None else base)
+            self.wal.log_meta(image, self._meta_base())
             self._shadow_meta = image
             return
         self._require_healthy()
@@ -604,15 +599,32 @@ class NodeStore:
             self.pagefile.sync()
             self._dirty_since_publish = True
 
-    def read_meta(self) -> dict:
-        """Load the index metadata dict from the reserved meta page."""
+    def _meta_image(self) -> bytes:
+        """Page 0's newest image: shadow, pending table, then the page file."""
         with self._mu:
             if self._shadow_meta is not None:
-                data: bytes = self._shadow_meta
-            elif self._pending_meta is not None:
-                data = self._pending_meta
-            else:
-                data = self.pagefile.read(META_PAGE_ID)
+                return self._shadow_meta
+            if self._pending_meta is not None:
+                return self._pending_meta
+            return meta_image(self.pagefile.read(META_PAGE_ID))
+
+    def _meta_base(self) -> bytes | None:
+        """The image the next meta record may be cut against.
+
+        :meth:`_delta_base`'s rule for page 0: ``None`` unless the log
+        already holds a meta image, else the newest one — which, once an
+        fsync boundary has applied it, is read back from the page file.
+        """
+        if not self.wal.has_image(META_PAGE_ID):
+            return None
+        try:
+            return self._meta_image()
+        except (StorageError, OSError):
+            return None
+
+    def read_meta(self) -> dict:
+        """Load the index metadata dict from the reserved meta page."""
+        data = self._meta_image()
         try:
             return unpack_meta(data)
         except Exception as exc:

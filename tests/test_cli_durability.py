@@ -174,3 +174,35 @@ def test_the_library_refuses_a_file_that_is_not_an_index(impostor):
             opener(str(impostor))
         assert not isinstance(info.value, StorageError)  # not "damage"
     assert not impostor.with_name(impostor.name + ".wal").exists()
+
+
+def test_a_count_packed_index_is_refused_untouched(tmp_path, data_file, capsys):
+    """An older build packed node bodies by count and left the superblock's
+    fixed-offset flag clear.  Every way in refuses such a file in one
+    line, exit 2, before recovery: the file and its log keep every byte."""
+    from repro import Database
+    from repro.exceptions import ReproError, StorageError
+
+    path = tmp_path / "old.db"
+    assert run("build", "--kind", "srtree", "--data", data_file, "--out", path) == 0
+    image = bytearray(path.read_bytes())
+    flags = int.from_bytes(image[12:14], "little")  # after magic + page size
+    assert flags & 0x0002
+    image[12:14] = (flags & ~0x0002).to_bytes(2, "little")
+    path.write_bytes(bytes(image))
+    log = tmp_path / "old.db.wal"
+    log.write_bytes(b"a torn tail recovery would truncate")
+    before = (path.read_bytes(), log.read_bytes())
+    capsys.readouterr()
+    for argv in (["query", "--index", path, "--point", "0.5,0.5,0.5,0.5", "-k", "3"],
+                 ["verify", "--index", path], ["recover", "--index", path]):
+        assert run(*argv) == 2
+        out, err = capsys.readouterr()
+        assert err == (f"error: {path} was written with count-packed node bodies "
+                       "by an older build, and this build reads only fixed-offset "
+                       "node blocks: rebuild the index from its points\n")
+        assert "Traceback" not in out + err
+    with pytest.raises(ReproError, match="count-packed node bodies") as info:
+        Database.open(str(path))
+    assert not isinstance(info.value, StorageError)
+    assert (path.read_bytes(), log.read_bytes()) == before

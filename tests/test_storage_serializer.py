@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import PageOverflowError, SerializationError
+from repro.indexes import INDEX_KINDS
 from repro.storage.layout import NodeLayout
 from repro.storage.nodes import InternalNode, LeafNode
 from repro.storage.serializer import NodeCodec
@@ -166,3 +167,62 @@ class TestCorruption:
         bad = struct.pack("<BBHI", 0, 0, 0, 10_000) + b"\x00" * 64
         with pytest.raises(SerializationError):
             codec.decode(1, bad)
+
+
+def full_internal(layout: NodeLayout, rng, count: int, extent: int) -> InternalNode:
+    """An internal node of ``extent`` pages holding ``count`` entries."""
+    node = InternalNode(
+        11, layout.dims, layout.node_capacity_for(extent), level=3,
+        has_rects=layout.has_rects, has_spheres=layout.has_spheres,
+        has_weights=layout.has_weights,
+    )
+    node.extra_pages = [40 + page for page in range(extent - 1)]
+    for i in range(count):
+        low = rng.random(layout.dims) + 0.5
+        node.add(100 + i, low=low, high=low + 1.0, center=low + 0.25,
+                 radius=float(rng.random()) + 0.5, weight=i + 1)
+    return node
+
+
+@pytest.mark.parametrize("kind", sorted(INDEX_KINDS))
+def test_every_family_round_trips_with_fixed_blocks_zero_past_count(kind, rng):
+    """Empty and full nodes, supernodes of 1-3 pages: each block sits at
+    the layout's offset, its rows beyond ``count`` are zeros, and decode
+    gives back what was encoded."""
+    cls = INDEX_KINDS[kind]
+    layout = NodeLayout(dims=3, has_rects=cls.HAS_RECTS,
+                        has_spheres=cls.HAS_SPHERES, has_weights=cls.HAS_WEIGHTS)
+    codec = NodeCodec(layout)
+    row, area, capacity = 8 * layout.dims, layout.leaf_data_size, layout.leaf_capacity
+    for count in (0, capacity):
+        leaf = make_leaf(layout, rng, count)
+        image = codec.encode(leaf)
+        assert len(image) == layout.page_size
+        decoded = codec.decode(7, image)
+        assert (decoded.count, decoded.values) == (count, leaf.values)
+        np.testing.assert_array_equal(decoded.points, leaf.points[:count])
+        assert not any(image[12 + row * count : 12 + row * capacity])
+        assert not any(image[layout.leaf_data_offset + area * count :])
+    widths = {"child_ids": 4, "weights": 4, "lows": row, "highs": row,
+              "centers": row, "radii": 8}
+    for extent in (1, 2, 3):
+        blocks = layout.node_blocks(extent)
+        for count in (0, blocks.capacity):
+            node = full_internal(layout, rng, count, extent)
+            image = codec.encode(node)
+            assert len(image) == layout.page_size * extent
+            decoded = codec.decode(11, image)
+            assert (decoded.level, decoded.count, decoded.extra_pages) == (
+                3, count, node.extra_pages)
+            end = 12 + 4 * (extent - 1)
+            for name, width in widths.items():
+                offset = getattr(blocks, name)
+                if offset is None:
+                    assert getattr(decoded, name) is None
+                    continue
+                assert offset == end  # the blocks tile the body, in order
+                end += width * blocks.capacity
+                np.testing.assert_array_equal(getattr(decoded, name),
+                                              getattr(node, name)[:count])
+                assert not any(image[offset + width * count : end])
+            assert end <= len(image)

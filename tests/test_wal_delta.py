@@ -786,7 +786,9 @@ def test_first_meta_since_a_truncate_or_a_reopen_is_raw(tmp_path):
 
 
 def test_store_hands_the_meta_it_holds_to_the_log(tmp_path):
-    """Shadow, then pending; an applied meta is not read back for a base."""
+    """Shadow, then pending, then the page file: an applied meta is read
+    back for a base, as any node page is, so no fsync boundary costs a
+    raw ``META``."""
     pagefile, wal, _ = open_storage(tmp_path / "s.db", page_size=PAGE,
                                     checksums=True, durability="wal",
                                     sync_every=3)
@@ -797,8 +799,7 @@ def test_store_hands_the_meta_it_holds_to_the_log(tmp_path):
         if seed == 8:
             store.write_meta(meta_of(10))
         store.commit_txn()
-    assert meta_kinds(wal.path) == [REC_META, REC_META_DELTA, REC_META_DELTA,
-                                    REC_META, REC_META_DELTA, REC_META_DELTA]
+    assert meta_kinds(wal.path) == [REC_META] + [REC_META_DELTA] * 5
     fresh, _ = crash_and_recover(store)
     assert meta_page(fresh) == padded(pack_meta(meta_of(10)))
     store.pagefile.close()
@@ -1162,10 +1163,12 @@ def test_recovery_memory_is_bounded_by_distinct_pages(tmp_path):
 
 
 def test_log_growth_per_insert_stays_near_one_page(tmp_path):
-    """The gain, pinned: 0.25 pages of log per insert.
+    """The gain, pinned: 0.157 pages of log per insert, bounded at 0.18
+    (a 15 % margin).
 
-    Trailing-zero-trimmed first images and a raw meta per commit, 0.35;
-    every write a whole image, 3.3.
+    Node bodies packed by count, whose deltas restated every block behind
+    the first changed row, 0.25; trailing-zero-trimmed first images and a
+    raw meta per commit, 0.35; every write a whole image, 3.3.
     """
     path = str(tmp_path / "amp.db")
     points = cluster_dataset(20, 115, 16, seed=11)
@@ -1178,4 +1181,133 @@ def test_log_growth_per_insert_stays_near_one_page(tmp_path):
         for i, point in enumerate(extra):
             db.insert(point, value=2000 + i)
         growth = os.path.getsize(wal_path(path)) - before
-    assert growth / len(extra) <= 0.3 * page_size
+    assert growth / len(extra) <= 0.18 * page_size
+
+
+# ----------------------------------------------------------------------
+# row-sized deltas: every node block at a fixed offset
+# ----------------------------------------------------------------------
+
+
+#: The paper's SR-tree page: 16-d entries, 8 KiB, 512-byte data areas.
+PAPER = NodeLayout(dims=16, has_rects=True, has_spheres=True, has_weights=True)
+ROW = 8 * PAPER.dims
+
+
+@pytest.fixture
+def paper_store(tmp_path):
+    pagefile, wal, _ = open_storage(tmp_path / "p.db", page_size=PAPER.page_size,
+                                    durability="wal")
+    store = NodeStore(PAPER, pagefile=pagefile, buffer_capacity=8, wal=wal)
+    yield store
+    store.close()
+
+
+def last_delta(store: NodeStore, page_id: int) -> tuple[list[tuple[int, int]], int]:
+    """``(offset, length)`` of each range of the page's last DELTA, and
+    the record's size in the log."""
+    with open(store.wal.path, "rb") as handle:
+        data = handle.read()
+    payload, pos = None, 0
+    while pos + _RECORD.size <= len(data):
+        _magic, kind, _txn, length, _crc = _RECORD.unpack_from(data, pos)
+        body = data[pos + _RECORD.size : pos + _RECORD.size + length]
+        if kind == REC_DELTA and _DELTA.unpack_from(body)[0] == page_id:
+            payload = body
+        pos += _RECORD.size + length
+    ranges, at = [], _DELTA.size
+    while at < len(payload):
+        offset, length = _RANGE.unpack_from(payload, at)
+        ranges.append((offset, length))
+        at += _RANGE.size + length
+    return ranges, _RECORD.size + len(payload)
+
+
+def paper_entry(node, rng: np.random.Generator, child: int) -> None:
+    low = rng.random(16) + 0.5
+    node.add(child, low=low, high=low + 1.0, center=low + 0.5,
+             radius=float(rng.random()) + 0.5, weight=child % 97 + 1)
+
+
+def committed(store: NodeStore, node) -> None:
+    store.write(node)
+    store.commit_txn()
+
+
+def test_a_leaf_append_logs_the_count_one_point_and_one_data_area(paper_store):
+    """About 200 bytes at D = 16: the count-packed leaf moved every data
+    area behind the new point, and its delta restated them."""
+    store, rng = paper_store, np.random.default_rng(4)
+    store.begin_txn()
+    leaf = store.new_leaf()
+    for i in range(5):
+        leaf.add(rng.random(16) + 0.5, 1000 + i)
+    committed(store, leaf)
+    store.begin_txn()
+    leaf.add(rng.random(16) + 0.5, 1005)
+    committed(store, leaf)
+    ranges, size = last_delta(store, leaf.page_id)
+    # The count word; the sixth point; the sixth area's flagged length
+    # prefix and the low word of its int64 row id (the high word is zero).
+    assert ranges == [(4, 4), (12 + 5 * ROW, ROW),
+                      (PAPER.leaf_data_offset + 5 * PAPER.leaf_data_size, 8)]
+    assert size < 200
+
+
+def test_an_internal_node_gaining_an_entry_logs_one_row_per_block(paper_store):
+    """A child split adds an entry to the parent: the count word and that
+    row of each of the six blocks, not every block behind the first."""
+    store, rng = paper_store, np.random.default_rng(5)
+    store.begin_txn()
+    node = store.new_internal(level=1)
+    for child in range(6):
+        paper_entry(node, rng, 100 + child)
+    committed(store, node)
+    store.begin_txn()
+    paper_entry(node, rng, 106)  # the new sibling's entry
+    committed(store, node)
+    blocks = PAPER.node_blocks(1)
+    ranges, size = last_delta(store, node.page_id)
+    assert ranges == [(4, 4), (blocks.child_ids + 4 * 6, 4),
+                      (blocks.weights + 4 * 6, 4), (blocks.lows + ROW * 6, ROW),
+                      (blocks.highs + ROW * 6, ROW), (blocks.centers + ROW * 6, ROW),
+                      (blocks.radii + 8 * 6, 8)]
+    assert size == _RECORD.size + _DELTA.size + 7 * _RANGE.size + 4 * 3 + 3 * ROW + 8
+
+
+def test_an_ascent_update_logs_only_the_changed_entry(paper_store):
+    """The entry of the child an insert went down: its weight, the MBR
+    side that grew, the new centroid and radius — nothing else."""
+    store, rng = paper_store, np.random.default_rng(6)
+    store.begin_txn()
+    node = store.new_internal(level=1)
+    for child in range(8):
+        paper_entry(node, rng, 100 + child)
+    committed(store, node)
+    store.begin_txn()
+    node.weights[2] += 1
+    node.highs[2, 7] += 0.375
+    node.centers[2] += rng.random(16) / 64
+    node.radii[2] += 0.125
+    committed(store, node)
+    blocks = PAPER.node_blocks(1)
+    changed = [(blocks.weights + 4 * 2, 4), (blocks.highs + ROW * 2 + 8 * 7, 8),
+               (blocks.centers + ROW * 2, ROW), (blocks.radii + 8 * 2, 8)]
+    ranges, size = last_delta(store, node.page_id)
+    assert len(ranges) == len(changed)
+    for (offset, length), (start, width) in zip(ranges, changed):
+        assert start <= offset and offset + length <= start + width
+    assert size <= _RECORD.size + _DELTA.size + 4 * _RANGE.size + 4 + 8 + ROW + 8
+
+
+def test_no_raw_meta_after_the_first_since_a_truncate(tmp_path):
+    """Every fsync boundary applies the meta page to the data file; the
+    next commit's meta record is still a delta, cut against that page."""
+    path = str(tmp_path / "meta.db")
+    points = np.random.default_rng(9).random((330, 4))
+    with Database.create(path, kind="sr", dims=4) as db:
+        db.insert_many(points[:300])
+    with Database.open(path, durability="wal", sync_every=4) as db:
+        for i, point in enumerate(points[300:]):
+            db.insert(point, value=300 + i)
+        assert meta_kinds(wal_path(path)) == [REC_META] + [REC_META_DELTA] * 29

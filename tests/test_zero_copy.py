@@ -169,11 +169,11 @@ class TestIntFastPath:
         leaf = LeafNode(7, layout.dims, layout.leaf_capacity)
         leaf.add(rng.random(layout.dims), 42)
         image = bytearray(codec.encode(leaf))
-        # Rewrite the single value slot (the image's trailing fixed-size
-        # data area) as an unflagged pickle payload.
+        # Rewrite the single value slot (the first fixed-size data area)
+        # as an unflagged pickle payload.
         payload = pickle.dumps(42, protocol=pickle.HIGHEST_PROTOCOL)
-        area = layout.leaf_data_size
+        area, start = layout.leaf_data_size, layout.leaf_data_offset
         slot = struct.pack("<I", len(payload)) + payload
-        image[-area:] = slot + b"\x00" * (area - len(slot))
+        image[start : start + area] = slot + b"\x00" * (area - len(slot))
         decoded = codec.decode(7, bytes(image))
         assert decoded.values == [42]

@@ -3,16 +3,25 @@
 
 Builds one file per tree family from a fixed seeded point set, deletes a
 tenth of the points where the family supports deletion, closes the file
-and prints its SHA-256 with the build's microseconds per point.  The
-dynamic families are also bulk-loaded once each.  Then it builds the
-ledger's three corpora (``uniform_*``, ``cluster_remote``,
+and prints its SHA-256, its *tree digest* and the build's microseconds
+per point.  The dynamic families are also bulk-loaded once each.  Then
+it builds the ledger's three corpora (``uniform_*``, ``cluster_remote``,
 ``cluster_mixed_wal``) exactly as ``ledger/workloads.py`` builds
-``base.idx``.  Two checkouts that print the same digests built the same
-trees, page for page.
+``base.idx``.  Two checkouts that print the same SHA-256s built the same
+files, page for page.
+
+The tree digest hashes what the file decodes to, not its bytes: every
+node reachable from the root, in page-id order — page id, level, count,
+its live entry rows and its values.  A change to the page codec moves
+the SHA-256s and must leave the tree digests where they were: the trees
+are the same, only their bytes on the page differ.
 
 Usage::
 
     python tools/build_digest.py          # or: make build-digest
+
+Each line is ``label  file-sha256  tree <first 16 hex digits of the tree
+digest>  us/point``.
 
 Informational, not a gate: einsum's vectorised sums may round
 differently on another CPU, so compare digests from one machine only,
@@ -57,6 +66,38 @@ PAGE_SIZE = 2048
 def digest(path: str) -> str:
     with open(path, "rb") as handle:
         return hashlib.sha256(handle.read()).hexdigest()
+
+
+def tree_digest(path: str) -> str:
+    """SHA-256 of the decoded nodes, in page-id order (see module docstring)."""
+    nodes = {}
+    with Database.open(path) as db:
+        store = db.index.store
+        pending = [db.index.root_id]
+        while pending:
+            node = store.read(pending.pop())
+            nodes[node.page_id] = node
+            if not node.is_leaf:
+                pending.extend(int(child) for child in node.child_ids[: node.count])
+        sha = hashlib.sha256()
+        for page_id in sorted(nodes):
+            node = nodes[page_id]
+            n = node.count
+            sha.update(repr((page_id, node.level, n, node.extent,
+                             node.reinserted)).encode())
+            if node.is_leaf:
+                sha.update(np.asarray(node.points[:n], np.float64).tobytes())
+                sha.update(repr(node.values).encode())
+                continue
+            for name in ("child_ids", "weights"):
+                rows = getattr(node, name)
+                if rows is not None:
+                    sha.update(np.asarray(rows[:n], np.int64).tobytes())
+            for name in ("lows", "highs", "centers", "radii"):
+                rows = getattr(node, name)
+                if rows is not None:
+                    sha.update(np.asarray(rows[:n], np.float64).tobytes())
+    return sha.hexdigest()
 
 
 def build(path: str, points: np.ndarray, kind: str, *, bulk: bool = False,
@@ -104,7 +145,8 @@ def main() -> int:
         path = os.path.join(tmp, "index")
         for label, rows, kind, options in builds:
             us = build(path, rows, kind, **options)
-            print(f"{label:<18} {digest(path)}  {us:8.1f} us/point", flush=True)
+            print(f"{label:<18} {digest(path)}  tree {tree_digest(path)[:16]}"
+                  f"  {us:8.1f} us/point", flush=True)
     return 0
 
 
