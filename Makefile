@@ -97,7 +97,8 @@ test-batching:
 bench:
 	pytest benchmarks/ --benchmark-only
 
-# Approach the paper's original data-set sizes (slow).
+# Approach the paper's original data-set sizes (slow).  The tables go to
+# benchmarks/results/scale10/, beside the scale-1 ones results-check gates.
 bench-paper-scale:
 	REPRO_BENCH_SCALE=10 pytest benchmarks/ --benchmark-only
 

@@ -11,7 +11,9 @@ Run with::
     pytest benchmarks/ --benchmark-only
 
 Scale every data set up or down with ``REPRO_BENCH_SCALE`` (default 1;
-the paper's original sizes correspond to roughly 10).
+the paper's original sizes correspond to roughly 10).  A scaled run
+archives its tables under ``results/scale{N}/``, beside the committed
+scale-1 tables that ``make results-check`` gates, not over them.
 """
 
 from __future__ import annotations
@@ -25,10 +27,14 @@ RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
 def archive(name: str, title: str, headers, rows) -> str:
     """Format, archive, and print one experiment table."""
+    from repro.bench.experiments import scale
     from repro.bench.report import format_table, write_report
 
     body = format_table(headers, rows)
-    text = write_report(os.path.join(RESULTS_DIR, f"{name}.txt"), title, body)
+    factor = scale()
+    directory = (RESULTS_DIR if factor == 1
+                 else os.path.join(RESULTS_DIR, f"scale{factor:g}"))
+    text = write_report(os.path.join(directory, f"{name}.txt"), title, body)
     print(f"\n{text}")
     return text
 

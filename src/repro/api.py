@@ -564,8 +564,11 @@ class Database(_IndexHandle):
         """Insert many points (payloads default to row indices).
 
         Works for every family: on the static ``vamsplit`` tree this is
-        its one bulk build (a second call raises).  Returns the number
-        of points inserted — the same contract as
+        its one bulk build (a second call raises); on a dynamic tree it
+        builds the tree a loop of :meth:`insert` builds, faster without
+        a WAL.  A ``values`` list of another length than ``points`` is
+        refused with ``ValueError`` before any point goes in.  Returns
+        the number of points inserted — the same contract as
         :meth:`repro.net.RemoteDatabase.insert_many`, pinned by the
         QuerySurface conformance suite.
         """

@@ -162,9 +162,9 @@ class SpatialIndex(ABC):
         )
         # Refuses a utilization outside (0, 0.5] now, not at the first insert.
         self._layout.min_fill(self._layout.leaf_capacity, min_utilization)
-        self._store = NodeStore(
+        self._attach(NodeStore(
             self._layout, pagefile, buffer_capacity, stats, wal=wal,
-        )
+        ))
         self._config = _IndexConfig(
             page_size=page_size,
             leaf_data_size=leaf_data_size,
@@ -176,6 +176,15 @@ class SpatialIndex(ABC):
         root = self._store.new_leaf()
         self._root_id = root.page_id
         self._height = 1
+
+    def _attach(self, store) -> None:
+        """Adopt ``store``, which settles a node's deferred entries
+        (:meth:`_settle`) before it encodes the node."""
+        self._store = store
+        #: child page id -> (parent, child) node objects, for each row
+        #: whose MBR and radius :meth:`_summarize` deferred.
+        self._unsettled: dict[int, tuple] = {}
+        store.on_encode = self._settle
 
     # ------------------------------------------------------------------
     # metadata
@@ -297,18 +306,27 @@ class SpatialIndex(ABC):
         in-memory state is kept (it *is* the committed state), the
         store refuses further mutations, and the error propagates;
         reopening the index replays the WAL and repairs the data file.
+
+        Either way no entry is left unsettled (:meth:`_settle`) when the
+        mutation ends; under a WAL they settle before the metadata is
+        journaled, so the commit flushes finished pages.
         """
         store = self._store
         if store.wal is None:
-            mutate()
+            try:
+                mutate()
+            finally:
+                self._settle()
             return
         snapshot = self._mutation_snapshot()
         store.begin_txn()
         try:
             mutate()
+            self._settle()
             store.write_meta(self._meta_dict())
             store.commit_txn()
         except BaseException:
+            self._unsettled.clear()  # an abort drops the nodes they name
             if store.poisoned:
                 raise  # durably committed; never roll back in memory
             try:
@@ -334,22 +352,37 @@ class SpatialIndex(ABC):
         The one fill path — :meth:`repro.api.Database.insert_many`,
         ``repro build`` and :func:`~repro.indexes.factory.build_index`
         all fill through here — so this is where the points are checked
-        (:func:`~repro.geometry.as_points`) and where a fill is timed
-        and counted (``repro_builds_total``, ``repro_build_seconds``).
+        (:func:`~repro.geometry.as_points`), a ``values`` list of
+        another length is refused before any point goes in, and a fill
+        is timed and counted (``repro_builds_total``,
+        ``repro_build_seconds``).
+
+        Without a WAL the fill is one mutation: the entries its inserts
+        defer settle once, when it returns or raises (:meth:`_settle`),
+        and the tree is the one a loop of :meth:`insert` builds.  Under
+        a WAL every point is its own transaction.
         """
         points = as_points(points, self.dims)
+        if values is not None:
+            values = list(values)
+            if len(values) != points.shape[0]:
+                raise ValueError("points and values lengths differ")
         start = time.perf_counter()
-        self._load(points, values)
+        try:
+            self._load(points, values)
+        finally:
+            self._settle()
         on_build(self, points.shape[0], time.perf_counter() - start)
         return points.shape[0]
 
     def _load(self, points: np.ndarray, values) -> None:
-        """Family-specific fill: one by one here, one bulk build on the
-        static tree."""
+        """Family-specific fill: one insert per point here (a transaction
+        each under a WAL), one bulk build on the static tree."""
         if values is None:
             values = range(points.shape[0])
-        for point, value in zip(points, values, strict=False):
-            self.insert(point, value)
+        insert = self._insert_point if self._store.wal is None else self.insert
+        for point, value in zip(points, values, strict=True):
+            insert(point, value)
 
     def child_mindists(self, node: InternalNode, point: np.ndarray) -> np.ndarray:
         """Lower-bound distance from ``point`` to each child region of ``node``.
@@ -398,7 +431,7 @@ class SpatialIndex(ABC):
         return np.maximum(to_rects(query, node.lows[:n], node.highs[:n]), sphere)
 
     def _summarize(self, child, parent: InternalNode,
-                   slot: int | None = None) -> None:
+                   slot: int | None = None, *, defer: bool = False) -> None:
         """Write ``child``'s entry into row ``slot`` of ``parent``, in place.
 
         The entry is the child's page id plus, by ``HAS_RECTS`` /
@@ -406,17 +439,63 @@ class SpatialIndex(ABC):
         ``slot=None`` appends a row.  Every ancestor of an insert pays
         this once, so it allocates no dict and writes the reductions
         straight into the parent's arrays.
+
+        ``defer`` writes only what a centroid ChooseSubtree reads — the
+        page id, centroid and weight — and leaves the MBR and radius
+        unsettled, for :meth:`_settle` to write once the child stops
+        changing.  A full write forgets any deferral of the row it
+        overwrites.
         """
         parent.ensure_mutable()
         row = parent.count if slot is None else slot
+        unsettled = self._unsettled
+        if slot is not None and unsettled:
+            unsettled.pop(int(parent.child_ids[row]), None)
         parent.child_ids[row] = child.page_id
+        if self.HAS_SPHERES:
+            parent.weights[row] = self._centroid(child, parent.centers[row])[1]
+        if defer:
+            unsettled[child.page_id] = (parent, child)
+        else:
+            self._bound(child, parent, row)
+        if slot is None:
+            parent.count += 1
+
+    def _bound(self, child, parent: InternalNode, row: int) -> None:
+        """Write the MBR and the radius of ``child``'s entry into ``row``
+        of ``parent``, the radius around the centroid already there."""
         if self.HAS_RECTS:
             self._rect_of(child, parent.lows[row], parent.highs[row])
         if self.HAS_SPHERES:
-            center, parent.weights[row] = self._centroid(child, parent.centers[row])
-            parent.radii[row] = self._radius(child, center)
-        if slot is None:
-            parent.count += 1
+            parent.radii[row] = self._radius(child, parent.centers[row])
+
+    def _settle(self, node=None) -> None:
+        """Write the MBR and radius of rows :meth:`_summarize` deferred:
+        every one when ``node`` is None, else ``node``'s own rows and
+        then its row in its parent.
+
+        A row is a pure function of its child's contents, so written
+        once after the child's last change it has the bits a write after
+        every change left.  A row reads its child's rows, so children
+        settle first, from the node objects registered with the rows:
+        nothing is looked up in the buffer pool, read or counted.
+        """
+        unsettled = self._unsettled
+        if not unsettled:
+            return
+        if node is None:
+            while unsettled:
+                self._settle(next(iter(unsettled.values()))[1])
+            return
+        if not node.is_leaf:
+            for child_id in node.child_ids[: node.count].tolist():
+                pending = unsettled.get(child_id)
+                if pending is not None:
+                    self._settle(pending[1])
+        pending = unsettled.pop(node.page_id, None)
+        if pending is not None:
+            parent, child = pending
+            self._bound(child, parent, parent.find_child(child.page_id))
 
     def _rect_of(self, node, low=None, high=None) -> tuple[np.ndarray, np.ndarray]:
         """Minimum bounding rectangle of a node's contents (Section 2.2),
@@ -759,7 +838,7 @@ class SpatialIndex(ABC):
         cls = type(self)
         view = cls.__new__(cls)
         view._layout = self._layout
-        view._store = store
+        view._attach(store)
         view._config = self._config
         view._adopt_meta(meta)
         return view
@@ -829,7 +908,7 @@ def _restore(cls: type[SpatialIndex], pagefile: PageFile, buffer_capacity: int,
         page_size=meta["page_size"],
         leaf_data_size=meta["leaf_data_size"],
     )
-    index._store = NodeStore(index._layout, pagefile, buffer_capacity, wal=wal)
+    index._attach(NodeStore(index._layout, pagefile, buffer_capacity, wal=wal))
     index._config = _IndexConfig(
         page_size=meta["page_size"],
         leaf_data_size=meta["leaf_data_size"],

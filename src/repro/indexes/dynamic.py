@@ -182,6 +182,8 @@ class DynamicTree(SpatialIndex):
 
     def _overflow(self, path: list[Node], slots: list[int]) -> None:
         node = path[-1]
+        if not node.is_leaf:
+            self._settle(node)  # splits and reinsertions read its rows
         is_root = len(path) == 1
         if not is_root and self._should_reinsert(node, is_root):
             self._forced_reinsert(path, slots)
@@ -324,10 +326,17 @@ class DynamicTree(SpatialIndex):
         self._store.free(old)
 
     def _adjust_upward(self, path: list[Node], slots: list[int]) -> None:
-        """Refresh the parent entry of every node on the path, bottom-up."""
+        """Refresh the parent entry of every node on the path, bottom-up.
+
+        Eagerly, only what ``_choose_child`` reads: the whole entry where
+        it steers by the rectangle (R, R*), the page id, centroid and
+        weight where it steers by the centroid (SS, SR), whose MBR and
+        radius settle later, once per node state (:meth:`_settle`).
+        """
+        defer = self.HAS_SPHERES
         for depth in range(len(path) - 1, 0, -1):
             parent = path[depth - 1]
-            self._summarize(path[depth], parent, slots[depth - 1])
+            self._summarize(path[depth], parent, slots[depth - 1], defer=defer)
             self._store.write(parent)
 
     def _remove_entries(self, node: Node, indices: np.ndarray) -> list[Entry]:
@@ -372,6 +381,7 @@ class DynamicTree(SpatialIndex):
         )
 
     def _rows_to_entries(self, node: InternalNode) -> list[Entry]:
+        self._settle(node)
         return [self._row_entry(node, i) for i in range(node.count)]
 
     # ------------------------------------------------------------------

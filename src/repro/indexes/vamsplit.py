@@ -48,10 +48,6 @@ class VAMSplitRTree(SpatialIndex):
             return
         if values is None:
             values = list(range(n))
-        else:
-            values = list(values)
-            if len(values) != n:
-                raise ValueError("points and values lengths differ")
 
         # The empty leaf created by the base constructor becomes garbage.
         self._store.free(self._root_id)

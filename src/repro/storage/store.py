@@ -110,6 +110,9 @@ class NodeStore:
         self.codec = NodeCodec(layout)
         self.stats = stats if stats is not None else IOStats()
         self.buffer = BufferPool(buffer_capacity, self._write_back, stats=self.stats)
+        #: Called with each node just before it is encoded (eviction or
+        #: flush); the owning index finishes the entries it deferred.
+        self.on_encode = None
         #: Optional write-ahead log.  While a transaction is open every
         #: page write is journaled and *shadowed* in memory instead of
         #: reaching the page file; :meth:`commit_txn` makes the shadow
@@ -555,6 +558,8 @@ class NodeStore:
             return None
 
     def _write_back(self, node: Node) -> None:
+        if self.on_encode is not None:
+            self.on_encode(node)
         image = self.codec.encode(node)
         page_size = self.layout.page_size
         in_txn = self.in_txn

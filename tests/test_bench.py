@@ -78,6 +78,18 @@ class TestReport:
         assert path.read_text() == text
         assert text.startswith("Title\n=====")
 
+    def test_a_scaled_run_archives_beside_the_scale_one_tables(
+            self, monkeypatch, tmp_path):
+        from benchmarks import conftest
+
+        monkeypatch.setattr(conftest, "RESULTS_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_BENCH_SCALE", raising=False)
+        conftest.archive("fig", "Scale one", ["n"], [[1]])
+        monkeypatch.setenv("REPRO_BENCH_SCALE", "10")
+        conftest.archive("fig", "Scale ten", ["n"], [[10]])
+        assert (tmp_path / "fig.txt").read_text().startswith("Scale one")
+        assert (tmp_path / "scale10" / "fig.txt").read_text().startswith("Scale ten")
+
 
 class TestExperiments:
     def test_fanout_experiment_matches_paper(self):

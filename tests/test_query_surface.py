@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import http.client
 import json
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from types import SimpleNamespace
 
 import numpy as np
@@ -255,6 +255,27 @@ def test_insert_many_returns_inserted_count(corpus, handle, tmp_path):
             assert before == corpus.data.shape[0]
             assert db.insert_many(batch) == 7
             assert db.size == before + 7
+
+
+@pytest.mark.parametrize("remote", [False, True], ids=["database", "remote"])
+def test_insert_many_refuses_values_of_another_length(tmp_path, remote):
+    # Both mutable handles, one contract: a values list one short or one
+    # long is refused before any point goes in, never cut to fit.
+    points = np.random.default_rng(7).random((10, 4))
+    with Database.create(str(tmp_path / "v.srtree"), kind="sr", dims=4) as db:
+        with ExitStack() as stack:
+            handle = db
+            if remote:
+                server = stack.enter_context(QueryServer(db, auth_token="t"))
+                handle = stack.enter_context(RemoteDatabase.connect(
+                    "%s:%d" % server.address, token="t"))
+            for values in ([1, 2, 3], list(range(11))):
+                with pytest.raises(ValueError,
+                                   match="points and values lengths differ"):
+                    handle.insert_many(points, values)
+            assert handle.size == 0
+            assert handle.insert_many(points, list(range(10))) == 10
+            assert handle.size == 10
 
 
 def test_unknown_kwargs_rejected_everywhere(corpus, handle):

@@ -234,3 +234,47 @@ def test_stored_entries_equal_the_textbook_formulas(family, points):
     for row in range(0, len(points), 3):
         tree.delete(points[row], value=row)
     assert assert_entries_are_the_oracles(tree) > 0
+
+
+@pytest.mark.parametrize("family", ["sstree", "srtree-min", "srtree-sphere", "srx"])
+def test_a_fill_that_raises_leaves_every_entry_settled(family, monkeypatch):
+    # Without a WAL a fill defers the MBR and radius of the entries its
+    # inserts pass through; one that dies mid-call must still leave each
+    # entry the rule's output for the child it describes.
+    kind, options = SUMMARY_FAMILIES[family]
+    tree = make_index(kind, 4, **SMALL_PAGES, **options)
+    choose = type(tree)._choose_child
+    calls = []
+
+    def choose_then_fail(self, node, entry):
+        calls.append(node.page_id)
+        if len(calls) == 1200:
+            raise RuntimeError("injected")
+        return choose(self, node, entry)
+
+    monkeypatch.setattr(type(tree), "_choose_child", choose_then_fail)
+    points = np.random.default_rng(17).random((600, 4))
+    with pytest.raises(RuntimeError, match="injected"):
+        tree.load(points)
+    monkeypatch.undo()
+    assert tree.height >= 3 and 0 < tree.size < len(points)
+    assert assert_entries_are_the_oracles(tree) > 0
+
+
+def test_a_full_write_forgets_the_deferred_row_it_overwrites(small_tree):
+    # A split writes its halves over the row of the node it replaced; the
+    # deferral of that row must go with it, or settling would look for
+    # a child the parent no longer holds.
+    tree = small_tree("srtree")
+    page_id, slot = entry_above(tree, 0)
+    parent = tree.read_node(page_id)
+    old = tree.read_node(int(parent.child_ids[slot]))
+    new = tree.read_node(int(parent.child_ids[slot - 1]))
+    tree._summarize(old, parent, slot, defer=True)
+    tree._summarize(new, parent, slot)
+    try:
+        tree._settle()
+        assert tree._unsettled == {}
+    finally:
+        tree._summarize(old, parent, slot)
+    tree.check_invariants()

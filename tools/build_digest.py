@@ -10,6 +10,11 @@ it builds the ledger's three corpora (``uniform_*``, ``cluster_remote``,
 ``base.idx``.  Two checkouts that print the same SHA-256s built the same
 files, page for page.
 
+Every family that takes ``insert()`` is built a second time with a loop
+of it instead of ``insert_many``; the line beneath prints that file's
+SHA-256 and ``same``, or ``MISMATCH`` where the two fills built
+different files.
+
 The tree digest hashes what the file decodes to, not its bytes: every
 node reachable from the root, in page-id order — page id, level, count,
 its live entry rows and its values.  A change to the page codec moves
@@ -101,13 +106,16 @@ def tree_digest(path: str) -> str:
 
 
 def build(path: str, points: np.ndarray, kind: str, *, bulk: bool = False,
-          delete: bool = False, **options) -> float:
+          per_point: bool = False, delete: bool = False, **options) -> float:
     """Build ``path``; returns microseconds per point."""
     with Database.create(path, kind=kind, dims=points.shape[1],
                          overwrite=True, **options) as db:
         start = time.perf_counter()
         if bulk:
             bulk_load(db.index, points)
+        elif per_point:
+            for row, point in enumerate(points):
+                db.insert(point, value=row)
         else:
             db.insert_many(points)
         seconds = time.perf_counter() - start
@@ -141,12 +149,19 @@ def main() -> int:
                for kind in BULK]
     builds += [(name, corpus, spec.INDEX_KIND, {"page_size": spec.PAGE_SIZE})
                for name, corpus in ledger_corpora().items()]
+    looped = {label for label, kind, _ in FAMILIES if kind not in UNDELETABLE}
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "index")
         for label, rows, kind, options in builds:
             us = build(path, rows, kind, **options)
-            print(f"{label:<18} {digest(path)}  tree {tree_digest(path)[:16]}"
+            sha = digest(path)
+            print(f"{label:<18} {sha}  tree {tree_digest(path)[:16]}"
                   f"  {us:8.1f} us/point", flush=True)
+            if label in looped:
+                build(path, rows, kind, per_point=True, **options)
+                loop_sha = digest(path)
+                verdict = "same" if loop_sha == sha else "MISMATCH"
+                print(f"{'  insert() loop':<18} {loop_sha}  {verdict}", flush=True)
     return 0
 
 

@@ -17,6 +17,8 @@ Usage::
 
 Exit status is non-zero if a count column moved, a table appeared that
 is not committed, or a benchmark failed; problems print one per line.
+Only the scale-1 tables are gated: a run at ``REPRO_BENCH_SCALE=N``
+archives under ``results/scaleN/``, which this never reads.
 """
 
 from __future__ import annotations
