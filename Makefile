@@ -44,14 +44,18 @@ test:
 # The durability suite on its own: checksum sweeps, WAL replay and
 # ordering, the log-record state machine (needs hypothesis: IMAGE, DELTA
 # and META_DELTA records under aborts, stale bases, truncates and kills;
-# the reserved PAGE record refused, by hand), and the randomized crash
+# the reserved PAGE record refused, by hand), the node store's model
+# (needs hypothesis: snapshot pins, batched commits, aborts, saves,
+# checkpoints, process kills and OS crashes against committed page maps
+# by epoch; deeper here than in tier-1), and the randomized crash
 # harness (210 fixed-seed kill points across the three paper workloads,
 # each reopening in WAL mode; a torn meta page).  CI runs this as a
 # dedicated job.
 test-crash:
 	PYTHONPATH=src python -m pytest tests/test_checksums.py tests/test_wal.py \
 	    tests/test_wal_ordering.py tests/test_wal_delta.py \
-	    tests/test_crash_recovery.py tests/test_cli_durability.py -q
+	    tests/test_node_store_model.py tests/test_crash_recovery.py \
+	    tests/test_cli_durability.py -q --hypothesis-profile=deep
 
 # Snapshot isolation under real thread interleaving: unit tests for the
 # epoch/COW layer plus the randomized writer/reader stress harness.

@@ -295,7 +295,7 @@ class SpatialIndex(ABC):
         commit (flushing every dirty page into the log first), and only
         then let the images reach the data file.  On a failure *before*
         the WAL commit the transaction is rolled back entirely in
-        memory — dirty buffers dropped, shadowed pages discarded, the
+        memory — dirty buffers dropped, uncommitted pages discarded, the
         index counters restored from a pre-mutation snapshot — so a
         rejected insert (say, a
         :class:`~repro.exceptions.DimensionalityError`) leaves the index
@@ -815,8 +815,8 @@ class SpatialIndex(ABC):
         The view shares the page file but owns a private buffer pool
         and stats bundle, so it is safe to query from another thread
         while this handle keeps committing WAL transactions — it sees
-        exactly the committed state at its epoch, never shadow-table or
-        pending-apply partial state.  ``epoch=None`` pins the newest
+        exactly the committed state at its epoch, never an open
+        transaction's pages or part of a commit.  ``epoch=None`` pins the newest
         committed epoch.  Close the view (or the
         :class:`~repro.api.Snapshot` facade wrapping it) to release the
         pin; use :meth:`refresh_snapshot` to advance it in place.

@@ -2,13 +2,14 @@
 
 A :class:`SnapshotStore` pins one committed epoch of a writer's
 :class:`~repro.storage.store.NodeStore` and serves every read from that
-epoch: retained copy-on-write images first, then the committed
-pending-apply table, then the page file — never the uncommitted shadow
-table of an in-flight WAL transaction.  It owns a **private** buffer
-pool and :class:`~repro.storage.stats.IOStats` bundle, so a reader
-thread never shares mutable cache state with the writer (or with other
-readers); the only shared surface is the base store's lock-guarded
-page-version bookkeeping.
+epoch through the base store's one read rule: the page's newest entry
+in the store's page table at or below the pinned epoch, else the page
+file (:meth:`~repro.storage.store.NodeStore.read_image_at`).  An
+in-flight WAL transaction's entries sit above every pinnable epoch, so
+they are never seen.  It owns a **private** buffer pool and
+:class:`~repro.storage.stats.IOStats` bundle, so a reader thread never
+shares mutable cache state with the writer (or with other readers); the
+only shared surface is the base store's lock-guarded page table.
 
 Snapshots are immutable: every mutation entry point raises
 :class:`~repro.exceptions.StorageError`.  :meth:`SnapshotStore.refresh_to`

@@ -23,10 +23,10 @@ truncates the log.
 
 The durability point of step 2 is also the store's *publish* point for
 snapshot isolation: ``NodeStore.commit_txn`` bumps the committed epoch
-there, in the same locked section that swaps the transaction's shadow
-pages into the committed pending-apply table — which is why an
-epoch-pinned reader sees either all of a transaction or none of it
-(``docs/CONCURRENCY.md``).
+there, and that one step turns every page the transaction wrote (the
+entries above the epoch in the store's page table) into committed
+state — which is why an epoch-pinned reader sees either all of a
+transaction or none of it (``docs/CONCURRENCY.md``).
 
 Record format (little endian)::
 
@@ -88,7 +88,8 @@ kernel could persist data-file pages *before* the COMMIT record, and
 recovery (which discards the torn log tail) would leave a partially
 applied transaction in the data file — structural corruption that page
 checksums cannot see.  :class:`~repro.storage.store.NodeStore`
-implements this by parking batched commits in a pending-apply table.
+implements this by keeping batched commits in its page table, above
+the epoch the data file has been brought to, until an fsync covers them.
 """
 
 from __future__ import annotations

@@ -7,6 +7,16 @@ import os
 import numpy as np
 import pytest
 
+try:
+    from hypothesis import settings
+except ImportError:  # CI jobs that run no generated tests lack hypothesis
+    pass
+else:
+    # ``make test-crash`` passes ``--hypothesis-profile=deep``: the model
+    # suites that read it (tests/test_node_store_model.py) run a larger
+    # budget there than in tier-1.
+    settings.register_profile("deep", deadline=None)
+
 
 @pytest.fixture
 def rng() -> np.random.Generator:

@@ -20,6 +20,13 @@ def brute_force_knn(points: np.ndarray, query: np.ndarray, k: int) -> list[int]:
     return [int(i) for i in order[:k]]
 
 
+def retained_images(store) -> int:
+    """Page images a ``NodeStore`` keeps only for pinned snapshots: its
+    page table's entries at or below the epoch the data file holds."""
+    return sum(epoch <= store._applied
+               for chain in store._pages.values() for epoch, _ in chain)
+
+
 def entry_of(tree, node) -> dict:
     """The parent entry ``tree`` would store for ``node``: its region
     rule's output by field name (``low``, ``high``, ``center``,

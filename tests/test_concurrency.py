@@ -27,6 +27,8 @@ import pytest
 from repro import Database
 from repro.exec import ServingPool
 
+from .helpers import retained_images
+
 DIMS = 4
 PREFILL = 16
 MIN_POINTS = 8
@@ -155,7 +157,7 @@ def test_randomized_writer_vs_snapshot_readers(wal_db):
     assert 2 * len(checks) >= 200
     # Every reader pin was released.
     assert wal_db.index.store.snapshot_pins == 0
-    assert not wal_db.index.store._versions
+    assert not retained_images(wal_db.index.store)
 
 
 def test_serving_pool_blocks_are_single_epoch(wal_db):

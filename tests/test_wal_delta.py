@@ -500,7 +500,7 @@ def test_free_and_reallocate_between_two_writes(store):
     fill(node, np.random.default_rng(2), 1)
     store.write(node)
     store.buffer.flush()  # logged whole ...
-    store.free(node)  # ... then dropped from the shadow table
+    store.free(node)  # ... then freed by the same transaction
     store.commit_txn()
     store.begin_txn()
     leaf = store.new_leaf()
