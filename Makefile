@@ -49,13 +49,15 @@ test:
 # checkpoints, process kills and OS crashes against committed page maps
 # by epoch; deeper here than in tier-1), and the randomized crash
 # harness (210 fixed-seed kill points across the three paper workloads,
-# each reopening in WAL mode; a torn meta page).  CI runs this as a
-# dedicated job.
+# each reopening in WAL mode; a torn meta page), and fills under a log
+# (the static build, bulk_load, a served build) killed before any flush.
+# CI runs this as a dedicated job.
 test-crash:
 	PYTHONPATH=src python -m pytest tests/test_checksums.py tests/test_wal.py \
 	    tests/test_wal_ordering.py tests/test_wal_delta.py \
 	    tests/test_node_store_model.py tests/test_crash_recovery.py \
-	    tests/test_cli_durability.py -q --hypothesis-profile=deep
+	    tests/test_cli_durability.py tests/test_durable_fills.py \
+	    -q --hypothesis-profile=deep
 
 # Snapshot isolation under real thread interleaving: unit tests for the
 # epoch/COW layer plus the randomized writer/reader stress harness.

@@ -26,8 +26,9 @@ Durability modes:
 * ``durability="none"`` (default) — the original engine: fast, pages
   reach the file through the write-back buffer, a crash can tear a
   multi-page insert.
-* ``durability="wal"`` — every :meth:`insert`/:meth:`delete` commits as
-  one transaction through a physical redo log; page images are sealed
+* ``durability="wal"`` — every :meth:`insert`/:meth:`delete`, and the
+  static tree's build, commits as one transaction through a physical
+  redo log (so does :meth:`create`'s empty tree); page images are sealed
   with CRC32 trailers; :meth:`Database.open` replays whatever a crash
   left behind, and only then reads the meta page that says which mode
   to resume.  See ``docs/DURABILITY.md``.
@@ -483,6 +484,7 @@ class Database(_IndexHandle):
         try:
             index = index_cls(dims, pagefile=pagefile, wal=wal, **kwargs)
             index._slo_ms = slo_ms
+            index._durably(lambda: None)  # under a WAL: the log's first commit
             index.save()
         except BaseException:
             # Arguments were checked above, so this is the disk failing:

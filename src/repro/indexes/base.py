@@ -360,7 +360,8 @@ class SpatialIndex(ABC):
         Without a WAL the fill is one mutation: the entries its inserts
         defer settle once, when it returns or raises (:meth:`_settle`),
         and the tree is the one a loop of :meth:`insert` builds.  Under
-        a WAL every point is its own transaction.
+        a WAL every point is its own transaction, and the static tree's
+        build is one.
         """
         points = as_points(points, self.dims)
         if values is not None:
@@ -753,8 +754,13 @@ class SpatialIndex(ABC):
         return meta
 
     def save(self) -> None:
-        """Flush all pages and persist index metadata to the meta page."""
-        self._store.write_meta(self._meta_dict())
+        """Flush all pages and persist index metadata to the meta page.
+
+        Under a WAL every commit journaled its metadata already, so this
+        is a flush: the log fsynced, every commit in the data file.
+        """
+        if self._store.wal is None:
+            self._store.write_meta(self._meta_dict())
         self._store.flush()
         on_flush(self)
 

@@ -81,6 +81,7 @@ def bulk_load(tree: SpatialIndex, points, values=None) -> None:
 
     After loading, the tree is indistinguishable from (and as dynamic
     as) an incrementally built one, but with tightly packed pages.
+    Under a WAL the load is one transaction.
     """
     from .dynamic import DynamicTree
 
@@ -100,9 +101,14 @@ def bulk_load(tree: SpatialIndex, points, values=None) -> None:
         values = list(values)
         if len(values) != n:
             raise ValueError("points and values lengths differ")
+    tree._durably(lambda: _pack(tree, points, values))
 
+
+def _pack(tree: SpatialIndex, points: np.ndarray, values: list) -> None:
+    """Pack ``points`` into ``tree`` level by level (see :func:`bulk_load`)."""
     store = tree.store
-    # The empty root leaf from the constructor becomes garbage.
+    # The empty root leaf from the constructor becomes garbage (at
+    # COMMIT under a WAL).
     store.free(tree.root_id)
 
     # --- leaf level -------------------------------------------------------
@@ -134,4 +140,4 @@ def bulk_load(tree: SpatialIndex, points, values=None) -> None:
 
     tree._root_id = level_nodes[0].page_id
     tree._height = level_nodes[0].level + 1
-    tree._size = n
+    tree._size = points.shape[0]

@@ -10,8 +10,9 @@ advantage of full knowledge of the data set while the others are
 designed to be fully dynamic" (Section 3.1).
 
 Queries use the same branch-and-bound machinery as the dynamic trees,
-over plain bounding rectangles.  ``load`` is ``build`` (once);
-``insert``/``delete`` raise: rebuild the tree to change its contents.
+over plain bounding rectangles.  ``load`` is ``build``, of an empty tree
+only (a reopened one too); ``insert``/``delete`` raise: rebuild the tree
+to change its contents.
 """
 
 from __future__ import annotations
@@ -34,29 +35,25 @@ class VAMSplitRTree(SpatialIndex):
     HAS_SPHERES = False
     HAS_WEIGHTS = False
 
-    def __init__(self, dims: int, **kwargs) -> None:
-        super().__init__(dims, **kwargs)
-        self._built = False
-
     def _load(self, points: np.ndarray, values) -> None:
-        """Construct the tree from the complete data set in one pass."""
-        if self._built:
+        """Construct the tree from the complete data set in one pass,
+        under a WAL as one transaction."""
+        if self._size:
             raise RuntimeError("a VAMSplit R-tree is static: build it only once")
         n = points.shape[0]
-        if n == 0:
-            self._built = True
-            return
-        if values is None:
-            values = list(range(n))
+        if n:
+            if values is None:
+                values = list(range(n))
+            self._durably(lambda: self._build(points, values))
 
-        # The empty leaf created by the base constructor becomes garbage.
+    def _build(self, points: np.ndarray, values) -> None:
+        # The empty leaf created by the base constructor becomes garbage
+        # (at COMMIT under a WAL: an abort keeps the empty tree).
         self._store.free(self._root_id)
-
-        root = self._build_subtree(points, values, np.arange(n))
+        root = self._build_subtree(points, values, np.arange(points.shape[0]))
         self._root_id = root.page_id
         self._height = root.level + 1
-        self._size = n
-        self._built = True
+        self._size = points.shape[0]
 
     #: The static tree's "insert many" is "build once": the facade and
     #: ``build_index`` fill every family through ``load``, which checks
@@ -102,10 +99,6 @@ class VAMSplitRTree(SpatialIndex):
     # ------------------------------------------------------------------
     # SpatialIndex interface
     # ------------------------------------------------------------------
-
-    def _restore_extra(self, meta: dict) -> None:
-        # A reopened tree holds its data set already.
-        self._built = True
 
     def _insert_point(self, point, value: object = None) -> None:
         raise NotImplementedError(

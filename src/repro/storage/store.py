@@ -35,13 +35,12 @@ holds because the data file is only ever written through
 that would read the file an entry holding the file's image.  Without
 a log the file runs ahead of every published epoch: writes land at
 once, as ``epoch + 1`` (the applied epoch), and :meth:`publish_epoch`
-makes that the published one.  Under a log a write outside any
-transaction applies every commit first and amends the published epoch,
-or publishes the next one when a snapshot pins it.  All page-file
-access and all table bookkeeping is serialized on one re-entrant lock
-so snapshot readers in other threads can share the file handle with the
-single writer; buffer-pool hits never touch the lock, and a miss with
-nothing in the table goes straight to the file.  See
+makes that the published one.  Under a log every write belongs to a
+transaction; one outside is refused with :class:`WALError`.  All
+page-file access and all table bookkeeping is serialized on one
+re-entrant lock so snapshot readers in other threads can share the file
+handle with the single writer; buffer-pool hits never touch the lock,
+and a miss with nothing in the table goes straight to the file.  See
 ``docs/CONCURRENCY.md``.
 """
 
@@ -163,7 +162,7 @@ class NodeStore:
         #: epoch -> number of live snapshot pins at that epoch.
         self._snapshot_pins: dict[int, int] = {}
         #: epoch e -> pages whose committed content changed when e was
-        #: published or amended (bounded to CHANGE_LOG_EPOCHS entries).
+        #: published (bounded to CHANGE_LOG_EPOCHS entries).
         self._epoch_changes: dict[int, set[int]] = {}
 
     @property
@@ -252,7 +251,7 @@ class NodeStore:
         keeps one epoch (and retains nothing).
         """
         with self._mu:
-            if self.wal is not None or self.in_txn:
+            if self.wal is not None:
                 raise StorageError(
                     "publish_epoch() is only for stores without a WAL; "
                     "WAL stores publish at commit_txn()"
@@ -336,12 +335,6 @@ class NodeStore:
                 changed.update(pages)
             return frozenset(changed)
 
-    def _record_epoch_changes(self, changed) -> None:
-        """Log the changed-page set of the epoch just published."""
-        self._epoch_changes[self._epoch] = set(changed)
-        while len(self._epoch_changes) > CHANGE_LOG_EPOCHS:
-            del self._epoch_changes[min(self._epoch_changes)]
-
     # ------------------------------------------------------------------
     # the page table (all but ``_write_through`` and ``_drain`` run
     # under ``_mu``)
@@ -408,27 +401,17 @@ class NodeStore:
         else:
             self.pagefile.write(page_id, image)
 
-    def _write_through(self, page_id: int, image: bytes | None) -> None:
-        """A write outside a transaction: the data file takes it now.
-
-        Without a log it is content of the unpublished ``epoch + 1``.
-        Under a log the file may hold only fsync-covered states: every
-        commit is applied first.  The write then amends the published
-        epoch (in practice ``save()`` rewriting the meta page the last
-        commit wrote) — unless a snapshot pins that epoch, in which case
-        it publishes the next one.  Either way a pinned epoch keeps its
-        bytes, and the epoch's changed pages include the write.
-        """
+    def _write_through(self, page_id: int, image: bytes | None, call: str) -> None:
+        """A write outside a transaction: without a log the data file
+        takes it now, as content of the unpublished ``epoch + 1``.  Under
+        a log it is refused, naming ``call``: every write is journaled."""
         if self.wal is not None:
-            self._drain()
+            raise WALError(
+                f"{call} of page {page_id} outside a transaction: under a "
+                "write-ahead log every write belongs to one"
+            )
         with self._mu:
-            if self.wal is None:
-                self._applied = self._epoch + 1
-            else:
-                if self._epoch in self._snapshot_pins:
-                    self._epoch = self._applied = self._epoch + 1
-                    self._record_epoch_changes(())
-                self._epoch_changes.get(self._epoch, set()).add(page_id)
+            self._applied = self._epoch + 1
             self._write_file(page_id, image)
             if self._snapshot_pins:
                 self._put(page_id, None, self._applied)
@@ -581,14 +564,13 @@ class NodeStore:
             page_ids = [node_or_id]
         else:
             page_ids = node_or_id.all_page_ids
-        self.buffer.discard(page_ids[0])
-        if self.in_txn:
-            with self._mu:
-                for page_id in page_ids:
-                    self._put(page_id, None, self._epoch + 1)
-            return
         for page_id in page_ids:
-            self._write_through(page_id, None)
+            if self.in_txn:
+                with self._mu:
+                    self._put(page_id, None, self._epoch + 1)
+            else:
+                self._write_through(page_id, None, "free()")
+        self.buffer.discard(page_ids[0])
 
     def flush(self) -> None:
         """Write back every dirty buffered node.
@@ -646,7 +628,7 @@ class NodeStore:
                 with self._mu:
                     self._put(page_id, chunk, self._epoch + 1)
             else:
-                self._write_through(page_id, chunk)
+                self._write_through(page_id, chunk, "write-back")
         extent = node.extent
         self.stats.page_writes += extent
         if node.is_leaf:
@@ -661,10 +643,9 @@ class NodeStore:
     def write_meta(self, meta: dict) -> None:
         """Persist an index metadata dict into the reserved meta page.
 
-        Outside a transaction page 0 goes to the data file at once and
-        is fsynced — under a log only after the log covering every
-        commit is fsynced (:meth:`_write_through`), so a crash can never
-        leave a root and size the durable log does not reach.
+        Inside a transaction it is journaled with the transaction's
+        pages; without a log page 0 goes to the data file at once and is
+        fsynced.
         """
         self._require_writable()
         image = pack_meta(meta)
@@ -675,8 +656,7 @@ class NodeStore:
             with self._mu:
                 self._put(META_PAGE_ID, image, self._epoch + 1)
             return
-        self._require_healthy()
-        self._write_through(META_PAGE_ID, image)
+        self._write_through(META_PAGE_ID, image, "write_meta()")
         with self._mu:
             self.pagefile.sync()
 
@@ -750,10 +730,12 @@ class NodeStore:
                 if (len(chain) > 1 and chain[-1][1] is not None
                         and chain[-2][0] > max(self._applied, newest_pin)):
                     del chain[-2]
-            changed = set(pages).difference(self._txn_allocated)
-            self._txn_allocated.clear()
             self._epoch += 1
-            self._record_epoch_changes(changed)
+            self._epoch_changes[self._epoch] = set(pages).difference(
+                self._txn_allocated)
+            self._txn_allocated.clear()
+            while len(self._epoch_changes) > CHANGE_LOG_EPOCHS:
+                del self._epoch_changes[min(self._epoch_changes)]
         try:
             if synced:
                 self._apply_pending()

@@ -295,6 +295,29 @@ def test_open_can_force_the_durability_mode(tmp_path):
         assert db.size == 2
 
 
+def test_the_first_commit_records_a_forced_wal_mode(tmp_path):
+    """``close`` writes no meta page under a log: a session that writes
+    nothing leaves a ``none`` file as found; its first commit's meta
+    says ``wal``."""
+    path = str(tmp_path / "quiet.db")
+    with Database.create(path, kind="sr", dims=4) as db:
+        db.insert([0.5] * 4)
+    with open(path, "rb") as handle:
+        before = handle.read()
+    with Database.open(path, durability="wal") as db:
+        assert db.durability == "wal"
+        assert db.size == 1
+    with open(path, "rb") as handle:
+        assert handle.read() == before
+    with Database.open(path) as db:
+        assert db.durability == "none"
+    with Database.open(path, durability="wal") as db:
+        db.insert([0.6] * 4)
+    with Database.open(path) as db:
+        assert db.durability == "wal"
+        assert db.size == 2
+
+
 def test_open_reads_the_meta_page_once_and_after_recovery(tmp_path, monkeypatch):
     """One path from a file to a handle: superblock, recovery, then a
     single meta read -- nothing unpickled before the log is replayed."""

@@ -4,12 +4,12 @@ A Hypothesis state machine drives a ``NodeStore`` over a checksummed
 ``FilePageFile`` — with a write-ahead log, or without one and publishing
 epochs by hand — through node writes (leaves, internal nodes, two-page
 supernodes), frees, meta writes, spills, synced and batched commits,
-aborts, writes and frees outside a transaction under the log (as a
-static tree's bulk load makes), snapshot pins, reads, in-place
-refreshes and releases, saves,
-checkpoints and two kinds of death.  The oracle is a dict of committed
-page maps by epoch (the meta page is page 0 in every map).  Between
-steps it checks:
+aborts, snapshot pins, reads, in-place refreshes and releases, saves,
+checkpoints and two kinds of death; under the log also node writes,
+frees and meta writes outside a transaction, each of which must be
+refused and change nothing.  The oracle is a dict of committed page
+maps by epoch (the meta page is page 0 in every map).  Between steps
+it checks:
 
 * a pinned snapshot reads exactly its epoch's bytes, meta included,
   whatever the writer has done since — also with a transaction open;
@@ -46,7 +46,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.exceptions import CrashError, StorageError
+from repro.exceptions import CrashError, StorageError, WALError
 from repro.storage import open_pagefile, open_storage, wal_path
 from repro.storage.constants import META_PAGE_ID
 from repro.storage.serializer import pack_meta
@@ -311,24 +311,42 @@ class NodeStoreMachine(_StoreMachine):
         self._begin()
         super().write(ops, spill, read)
 
+    def _untouched(self):
+        """What a refused write must leave as it was."""
+        with open(self.path, "rb") as handle:
+            data = handle.read()
+        store = self.store
+        table = {page_id: list(chain) for page_id, chain in store._pages.items()}
+        return (data, table, store.epoch, store.wal.size(),
+                store.pagefile.allocated_pages)
+
     @precondition(lambda self: self.txn_allocated is None)
-    @rule(ops=st.lists(OPS, min_size=1, max_size=4), pin=st.booleans())
-    def write_outside(self, ops, pin) -> None:
-        """Perhaps pin the newest epoch; then write and free outside any
-        transaction, as a static tree's bulk load does, each write
-        reaching the data file at once; then flush and checkpoint, so
-        the data file is the log's new starting point.  An epoch a
-        snapshot pins keeps its bytes."""
+    @rule(index=SEEDS, seed=SEEDS, pin=st.booleans())
+    def write_outside(self, index, seed, pin) -> None:
+        """Perhaps pin the newest epoch; then try a node write (written
+        back by a flush), a free and a meta write outside any
+        transaction.  Each is refused with ``WALError`` and changes
+        neither the data file, the page table, the epoch, the log nor
+        the allocation; the refused node is dropped from the pool."""
         if pin:
             self._pin()
-        before = self.store.epoch
-        for op in ops:
-            getattr(self, "_" + op[0])(*op[1:])
-        self.store.flush()
-        self._checkpoint()
-        epoch = self.store.epoch
-        if epoch != before or all(snap.epoch != epoch for snap in self.snapshots):
-            self.epochs[epoch] = self._committed_now()
+        store = self.store
+        attempts = [lambda: store.write_meta(meta_of(seed))]
+        if self.live:
+            node = self._pick(index)
+
+            def write() -> None:
+                fill(node, np.random.default_rng(seed), 1)
+                store.write(node)
+                store.flush()
+
+            attempts += [write, lambda: store.free(node)]
+        before = self._untouched()
+        for attempt in attempts:
+            with pytest.raises(WALError, match="outside a transaction"):
+                attempt()
+            assert self._untouched() == before
+        store.buffer.drop()
 
     @rule(synced=st.booleans(), meta=st.none() | SEEDS, pin=st.booleans())
     def commit(self, synced, meta, pin) -> None:
@@ -370,13 +388,9 @@ class NodeStoreMachine(_StoreMachine):
             assert self.store.read_meta() == self.meta
 
     def _save(self) -> None:
-        """Under a log the meta page ``save`` writes is the committed one
-        (rewritten outside a transaction: an epoch a snapshot pins stays
-        as it was, so the store may publish the same state anew)."""
-        if self.meta is not None:
-            self.store.write_meta(self.meta)
+        """Under a log ``SpatialIndex.save`` is a flush: every commit
+        journaled its meta page already."""
         self.store.flush()
-        self.epochs[self.store.epoch] = self._committed_now()
 
     def _committed_now(self) -> tuple[dict[int, bytes], frozenset, dict | None]:
         return dict(self.current), frozenset(self.live), self.meta

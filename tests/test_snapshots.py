@@ -114,16 +114,18 @@ class TestVisibility:
             assert snap.size == 30
             _assert_knn_matches(snap.knn(q, k=3), pts[10:], q, 3)
 
-    def test_writes_outside_a_transaction_leave_the_pinned_epoch(self, tmp_path):
-        # The static tree's bulk load writes, frees and saves outside any
-        # transaction; a snapshot pinned before it keeps the empty tree.
+    def test_a_static_build_leaves_the_pinned_epoch(self, tmp_path):
+        # The static tree's build is one transaction, its frees deferred
+        # to COMMIT; a snapshot pinned before it keeps the empty tree.
         db = Database.create(str(tmp_path / "vam.db"), kind="vamsplit",
                              dims=DIMS, durability="wal")
         store = db.index.store
         pts = _points(300)
         with db.snapshot() as snap:
             empty = store.read_meta_at(snap.epoch)
+            epoch = store.epoch
             db.insert_many(pts)
+            assert store.epoch == epoch + 1
             db.flush()
             assert store.read_meta_at(snap.epoch) == empty
             with db.index.snapshot_view(snap.epoch) as again:
@@ -288,7 +290,7 @@ class TestSurface:
     def test_stats_report_epoch_and_pins(self, wal_db):
         for p in _points(10):
             wal_db.insert(p)
-        assert wal_db.stats()["epoch"] == 10
+        assert wal_db.stats()["epoch"] == 11  # create's commit, then ten
         with wal_db.snapshot():
             assert wal_db.stats()["snapshot_pins"] == 1
         assert wal_db.stats()["snapshot_pins"] == 0
@@ -313,7 +315,7 @@ class TestSurface:
         for p in pts[:10]:
             wal_db.insert(p)
         flat = REGISTRY.flatten()
-        assert flat['repro_snapshot_epoch{index_kind="srtree"}'] == 10
+        assert flat['repro_snapshot_epoch{index_kind="srtree"}'] == 11
         with wal_db.snapshot() as snap:
             for p in pts[10:]:
                 wal_db.insert(p)

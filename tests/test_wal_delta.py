@@ -514,14 +514,25 @@ def test_free_and_reallocate_between_two_writes(store):
     assert fresh.read(leaf.page_id) == page_images(store, leaf)[leaf.page_id]
 
 
-def test_page_written_outside_a_transaction_is_no_base(store):
+def test_page_write_outside_a_transaction_is_refused(store):
+    """Under a log no write goes past it: not one page, not a base."""
     rewrite(store, store.leaf_id, seed=2)
+    path = store.pagefile.inner.path
+    with open(path, "rb") as handle:
+        data = handle.read()
+    table = {page_id: list(chain) for page_id, chain in store._pages.items()}
+    epoch, logged = store.epoch, store.wal.size()
     node = store.read(store.leaf_id)
     fill(node, np.random.default_rng(5), 1)
     store.write(node)
-    store.flush()  # straight to the data file, past the log
+    with pytest.raises(WALError, match=r"write-back of page \d+ outside a transaction"):
+        store.flush()
+    with open(path, "rb") as handle:
+        assert handle.read() == data
+    assert (store._pages, store.epoch, store.wal.size()) == (table, epoch, logged)
+    store.buffer.drop()  # the refused image
     node = rewrite(store, store.leaf_id, seed=3)
-    assert counts(store) == [(1, 0), (1, 0)]
+    assert counts(store) == [(1, 0), (0, 1)]
     fresh, _ = crash_and_recover(store)
     assert fresh.read(store.leaf_id) == page_images(store, node)[store.leaf_id]
 

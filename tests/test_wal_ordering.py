@@ -165,10 +165,10 @@ class TestBatchedCommitsStayWALOnly:
     def test_save_writes_meta_only_behind_the_durable_log(self, tmp_path):
         """An OS crash inside ``flush()`` loses whole batched commits.
 
-        ``save()`` rewrites the meta page before ``flush()`` fsyncs the
-        log; the meta page must not reach the data file until then, or a
-        crash at that fsync leaves a root and size that point at pages
-        the durable log never held.
+        Every batched commit journaled a meta page; none may reach the
+        data file before ``flush()`` fsyncs the log, or a crash at that
+        fsync leaves a root and size that point at pages the durable log
+        never held.
         """
         path = str(tmp_path / "s.db")
         points = np.random.default_rng(9).random((60, 4))
