@@ -68,10 +68,11 @@ test-concurrency:
 
 # Multiprocess serving under the spawn start method (the portable one:
 # macOS/Windows default, and the only method safe under threads): the
-# mmap page store, the ProcessServingPool crash/equivalence suite, and
-# the files holding the pool-contract tests parametrized over both
-# backends (the `pool_backend` fixture starts its worker processes by
-# fork in tier-1 and by REPRO_MP_START_METHOD here).
+# mmap page store, the serving pool's crash/equivalence suite, its
+# fault tests (a FaultPlan per worker process) and the pool-contract
+# tests.  Every pool a test builds comes from the `serving_pool`
+# fixture (tests/conftest.py), which starts its workers by fork in
+# tier-1 and by REPRO_MP_START_METHOD here.
 # faulthandler dumps all stacks if a deadlock eats the hard timeout.
 test-mp:
 	timeout -k 10 600 env PYTHONFAULTHANDLER=1 REPRO_MP_START_METHOD=spawn \
@@ -79,7 +80,7 @@ test-mp:
 	    python -m pytest tests/test_mmap_pagefile.py tests/test_procpool.py \
 	    tests/test_serving_faults.py tests/test_exec_batch.py -q
 
-# The network query service: QuerySurface conformance across all five
+# The network query service: QuerySurface conformance across all four
 # handle kinds (remote results byte-equal to local on the three paper
 # workloads) plus the server's admission-control, deadline, and
 # graceful-drain behaviors (a burst at 4x max_inflight must shed with

@@ -99,9 +99,9 @@ def _resolve_alias(kind: str) -> str:
 class QuerySurface(Protocol):
     """The formal read surface every query handle implements.
 
-    Five handle kinds satisfy this protocol — :class:`Database`,
-    :class:`Snapshot`, :class:`~repro.exec.ServingPool` (both thread
-    and process backends), and :class:`~repro.net.RemoteDatabase` —
+    Four handle kinds satisfy this protocol — :class:`Database`,
+    :class:`Snapshot`, :class:`~repro.exec.ServingPool` (worker
+    processes), and :class:`~repro.net.RemoteDatabase` —
     and ``tests/test_query_surface.py`` runs one shared conformance
     suite against all of them, asserting identical answers on the
     paper's three workloads.  Code written against this protocol can

@@ -166,7 +166,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "propagation, until SIGTERM/Ctrl-C — both trigger a "
                     "graceful drain (in-flight requests finish, late "
                     "arrivals are shed with 503).  With --workers > 1 "
-                    "the index is served through a ServingPool; with "
+                    "the index is served through a ServingPool of "
+                    "worker processes; with "
                     "--token, mutation endpoints (/v1/insert, "
                     "/v1/insert_many, /v1/delete) are enabled for "
                     "clients presenting the token (single-handle "
@@ -179,12 +180,10 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8750,
                          help="listen port (default 8750; 0 = ephemeral)")
     serve.add_argument("--workers", type=int, default=1,
-                         help="serve through a pool of this many workers "
-                              "(default 1 = a single Database handle, "
-                              "which also enables mutations with --token)")
-    serve.add_argument("--backend", choices=("thread", "process"),
-                         default="thread",
-                         help="pool backend when --workers > 1")
+                         help="serve through a pool of this many worker "
+                              "processes (default 1 = a single Database "
+                              "handle, which also enables mutations with "
+                              "--token)")
     serve.add_argument("--max-inflight", type=int, default=8,
                          help="admission control: concurrent requests "
                               "(default 8)")
@@ -403,8 +402,8 @@ def _cmd_serve(args) -> int:
         set_slo_ms(args.slo_ms)
     if args.workers > 1:
         source = ServingPool(args.index, workers=args.workers,
-                             backend=args.backend, timeout=args.timeout)
-        mode = f"{args.workers} {args.backend} workers"
+                             timeout=args.timeout)
+        mode = f"{args.workers} worker processes"
     else:
         source = Database.open(args.index)
         mode = "single handle"

@@ -63,7 +63,7 @@ class TransientIOError(StorageError, OSError):
     """A read failed in a way that is worth retrying (EIO, timeout).
 
     Emitted by the fault-injection harness and honored by
-    :class:`~repro.exec.parallel.ServingPool`, which retries reads with
+    :class:`~repro.exec.ServingPool`, which retries reads with
     backoff before degrading the affected queries.
     """
 

@@ -11,19 +11,14 @@ whole *block* of queries:
   ``(Q, count)`` leaf distance matrix
   (:func:`~repro.geometry.point.cross_distances`) in single numpy
   passes, with per-query pruning bounds kept in a NumPy array;
-* :class:`~repro.exec.parallel.ServingPool` serves one index from
-  several workers, each with its own buffer pool.  It is **one core,
-  two sets of worker primitives**: the query surface, sharding, the
-  deadline-bounded gather, degradation accounting and the worker-side
-  block runner exist once (:mod:`repro.exec.parallel`, which also
-  states the fault-handling policy and when to choose which backend);
-  a backend only says how a shard reaches a worker and what happens to
-  a worker that failed — threads that are quarantined
-  (:class:`~repro.exec.parallel.ServingPool`, the only backend for a
-  live database) or, with ``backend="process"``, processes over one
-  shared memory-mapped copy of the file that are killed and respawned
-  (:class:`~repro.exec.procpool.ProcessServingPool`), which is what
-  actually scales with cores.
+* :class:`~repro.exec.ServingPool` serves one saved index file from
+  several worker **processes**, each with its own buffer pool over one
+  shared memory-mapped copy of the file; a worker that times out or
+  dies is killed and respawned (:mod:`repro.exec.procpool`, which also
+  states the fault-handling policy).  A live
+  :class:`~repro.api.Database` is not a pool source: one
+  ``db.snapshot()``, refreshed with ``Snapshot.refresh()`` before each
+  ``knn_batch`` call, answers every call from one committed epoch.
 
 Together with the zero-copy page decode
 (:class:`~repro.storage.serializer.NodeCodec`), this is the path the
@@ -32,8 +27,7 @@ ledger's ``uniform_batch`` and ``uniform_pool`` workloads measure (see
 """
 
 from .batch import DEFAULT_BLOCK_SIZE, batch_knn, batch_range
-from .parallel import ServingPool
-from .procpool import ProcessServingPool
+from .procpool import ProcessServingPool, ServingPool
 
 __all__ = [
     "DEFAULT_BLOCK_SIZE",

@@ -1,72 +1,115 @@
-"""The serving pool's process backend: workers over a shared mmap.
+"""The serving pool: worker processes over one shared memory-mapped file.
 
-:class:`ProcessServingPool` is :class:`~repro.exec.parallel.PoolCore`
-(query surface, sharding, gather, degradation — see
-:mod:`repro.exec.parallel`, which also says when to choose this
-backend) with the worker primitives implemented by **processes**.
-Every worker re-opens the saved index file ``readonly`` — an
+A pool serves one saved index from several worker **processes** at
+once.  Every worker re-opens the file ``readonly`` — an
 :class:`~repro.storage.pagefile.MmapPageFile` under its private buffer
-pool — so the OS page cache physically shares one copy of the data
-across the whole pool, each page read is a zero-copy ``memoryview``
-into the shared map, and no GIL serializes the workers.
+pool and :class:`~repro.storage.stats.IOStats` — so the OS page cache
+physically shares one copy of the data across the whole pool, each page
+read is a zero-copy ``memoryview`` into the shared map, and no GIL
+serializes the workers.  :class:`ServingPool` owns argument validation,
+the query surface (:meth:`~ServingPool.knn` /
+:meth:`~ServingPool.range`, their ``*_batch`` forms,
+:meth:`~ServingPool.window`, :meth:`~ServingPool.lookup`), contiguous
+sharding, the deadline-bounded gather, degradation accounting,
+``worker_stats()`` and ``close()``; what a worker does for a shard is
+one function, :func:`_run_blocks` — the block loop around
+:func:`~repro.exec.batch.batch_knn` /
+:func:`~repro.exec.batch.batch_range` with the per-block transient-I/O
+retry.
 
 ::
 
-    with ServingPool("tree.db", workers=4, backend="process") as pool:
-        answers = pool.knn(queries, k=21)
-    print(pool.stats().page_reads)        # merged across processes
+    with ServingPool("tree.db", workers=4) as pool:
+        answers = pool.knn(queries, k=21)        # batched per worker
+    print(pool.stats().page_reads)               # merged across processes
 
-A shard ships to its worker as pickled ndarray buffers; the child runs
-the same :func:`~repro.exec.parallel._run_blocks` a pool thread would,
-and answers with three telemetry payloads that the parent merges so the
-process boundary stays invisible to operators:
+**A live database is not a pool source.**  ``ServingPool(db)`` raises
+:class:`ValueError`.  One snapshot refreshed before each call answers
+that call from one committed epoch, the guarantee a pool over a live
+database would give, and it measured faster than a pool of threads
+(``docs/PERFORMANCE.md``)::
+
+    with db.snapshot() as snap:
+        snap.refresh()                           # newest committed epoch
+        answers = snap.knn_batch(queries, k=21)  # one epoch per call
+
+**Telemetry.**  A shard ships to its worker as pickled ndarray buffers,
+and the worker answers with three telemetry payloads that the parent
+merges so the process boundary stays invisible to operators:
 
 * the worker's cumulative :class:`~repro.storage.stats.IOStats`
-  (feeds :meth:`ProcessServingPool.stats` / ``worker_stats()``);
+  (feeds :meth:`ServingPool.stats` / ``worker_stats()``);
 * per-family **counter deltas** from the worker's metrics registry,
   re-applied to the parent's :data:`~repro.obs.registry.REGISTRY` (so
   ``/metrics`` and ``/varz`` keep totalling the whole pool);
 * the worker's new flight-recorder records, re-recorded into the
   parent's ring with ``worker="procN"``.
 
-Histograms are *not* merged (bucket merges are lossy); the core
-observes each returned per-block wall time instead.
+Histograms are *not* merged (bucket merges are lossy); the parent
+observes each returned per-block wall time instead
+(``repro_pool_block_seconds``, the pool's SLO).
 
-**Retiring a worker.**  A worker that times out or dies (``SIGKILL``,
-OOM, torn pipe — degradation reason ``worker_died``) is **terminated
-and respawned** rather than quarantined: killing a process cannot
-corrupt the parent (its mmap, buffer pool, and caches die with it), so
-the pool is back at full strength for the next call.
+**Fault handling.**  Serving must stay up when a disk misbehaves, so
+every call runs under one resilience policy:
 
-**An exception a worker raises** crosses the pipe by the rule it
-crosses the network by: the worker ships ``(type name, message,
-traceback)``, and a class listed in
-:data:`repro.exceptions.RERAISABLE` (the library's own errors,
-``ValueError``, ``TypeError``, ...) is re-raised in the caller as
-itself, with the message — so both backends raise the same class for
-the same mistake and a server over either answers 400.  Anything not
-listed is a defect in the worker and arrives as a ``RuntimeError``
-carrying the child's traceback.
+* a *block* whose read raises
+  :class:`~repro.exceptions.TransientIOError` is retried
+  ``read_retries`` times with exponential backoff, inside the worker;
+* a per-*call* ``timeout`` (seconds) bounds how long the gather waits
+  for any shard;
+* a shard that still fails (exhausted retries, timeout, a crashed /
+  corrupt backend, a dead worker) **degrades** instead of failing the
+  whole call: its queries come back as empty lists, the loss is counted
+  by ``repro_degraded_queries_total{reason=...}``, and callers that
+  pass ``with_flags=True`` receive a per-query completeness mask;
+* a worker that times out or dies (``SIGKILL``, OOM, torn pipe —
+  reason ``worker_died``) is **terminated and respawned**: killing a
+  process cannot corrupt the parent (its mmap, buffer pool and caches
+  die with it), so the pool is back at full strength for the next call;
+* arguments are checked before anything is scattered
+  (:func:`~repro.geometry.as_point` / ``as_points`` for coordinates,
+  :func:`~repro.exec.batch.per_query` for ``k`` and radius), so no
+  worker sees an unchecked one.  What a worker still raises (an empty
+  index, ``low > high``, a bug) crosses the pipe by the rule it crosses
+  the network by: the worker ships ``(type name, message, traceback)``,
+  and a class listed in :data:`repro.exceptions.RERAISABLE` is
+  re-raised in the caller as itself, while anything else is a defect in
+  the worker and arrives as a ``RuntimeError`` carrying the child's
+  traceback — but only after every shard of the call has been
+  collected, so no stale answer is left in a pipe for the next call.
 
-Live :class:`~repro.api.Database` sources are **not** supported — an
-epoch-pinned snapshot view shares the writer's in-process store, which
-cannot cross a process boundary.
+**Threads.**  One pool may be shared by many threads (a
+:class:`~repro.net.server.QueryServer` calls it from every request
+thread).  A lock is held for a whole call — scatter, gather and any
+respawn — and by :meth:`~ServingPool.drop_caches` and
+:meth:`~ServingPool.close`, so two calls never share a pipe.  Each call
+already keeps every worker busy, so the lock costs no throughput.
+
+**Observability caveat.**  The query tracer (:mod:`repro.obs.tracer`)
+is deliberately single-threaded; do not enable tracing around pool
+calls.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import os
+import threading
 import time
 
-from ..exceptions import RERAISABLE, StorageError, TransientIOError
-from ..obs.flightrec import FLIGHT
-from ..obs.hooks import on_worker_respawned
-from ..obs.registry import REGISTRY
-from ..storage.stats import IOStats
-from .parallel import PoolCore, _remaining, _run_blocks
+import numpy as np
 
-__all__ = ["ProcessServingPool", "DEFAULT_START_METHOD"]
+from ..exceptions import RERAISABLE, StorageError, TransientIOError
+from ..geometry import as_point, as_points
+from ..indexes.base import Neighbor
+from ..obs.flightrec import FLIGHT
+from ..obs.hooks import on_degraded, on_pool_block, on_worker_respawned
+from ..obs.registry import REGISTRY
+from ..storage.serializer import read_superblock
+from ..storage.stats import IOStats
+from .batch import per_query
+
+__all__ = ["DEFAULT_START_METHOD", "ProcessServingPool", "ServingPool"]
 
 DEFAULT_START_METHOD = "spawn"
 """Default multiprocessing start method (override: ``REPRO_MP_START_METHOD``).
@@ -82,6 +125,79 @@ SPAWN_TIMEOUT_S = 60.0
 #: Fields of a flight-recorder record dict the parent must not replay
 #: (they are recomputed by ``FlightRecorder.record``).
 _COMPUTED_RECORD_FIELDS = ("slow", "traced", "ts")
+
+#: How to get what a pool over a live database would have given.
+_LIVE_RECIPE = ("serve a live Database through one db.snapshot() and call "
+                "Snapshot.refresh() then knn_batch(...) on it per call, "
+                "which answers each call from one committed epoch")
+
+
+def _run_blocks(index, op: str, queries: np.ndarray, params: dict,
+                retries: int, backoff: float):
+    """Run one shard block by block; returns ``(results, block_times)``.
+
+    This is all a worker does for a call.  ``params`` carries ``k`` /
+    ``radius`` as a scalar or as a per-query array aligned with
+    ``queries``, sliced per block.  ``block_times`` entries are
+    ``(wall_ms, queries)``.  A block that raises
+    :class:`TransientIOError` is retried with exponential backoff, its
+    time spanning the retries; exhausted retries propagate and degrade
+    the whole shard.
+    """
+    from .batch import DEFAULT_BLOCK_SIZE, batch_knn, batch_range
+
+    def of(value, rows):
+        return value[rows] if isinstance(value, np.ndarray) else value
+
+    if op == "window":
+        # queries is the stacked (2, dims) [low; high] pair: one block.
+        step = len(queries)
+
+        def run(rows):
+            return [index.window(queries[0], queries[1])]
+    elif op == "range":
+        step = DEFAULT_BLOCK_SIZE
+
+        def run(rows):
+            return batch_range(index, queries[rows],
+                               of(params["radius"], rows))
+    else:
+        step = block_size = params["block_size"] or DEFAULT_BLOCK_SIZE
+
+        def run(rows):
+            return batch_knn(index, queries[rows], of(params["k"], rows),
+                             block_size=block_size)
+
+    out: list[list[Neighbor]] = []
+    times: list[tuple[float, int]] = []
+    for start in range(0, len(queries), step):
+        rows = slice(start, start + step)
+        began = time.perf_counter()
+        for attempt in range(retries + 1):
+            try:
+                block = run(rows)
+                break
+            except TransientIOError:
+                if attempt == retries:
+                    raise
+                time.sleep(backoff * (2 ** attempt))
+        out.extend(block)
+        times.append(((time.perf_counter() - began) * 1e3, len(block)))
+    return out, times
+
+
+def _remaining(deadline: float | None) -> float | None:
+    """Seconds left until ``deadline`` (``None`` = wait forever)."""
+    return None if deadline is None else max(0.0, deadline - time.monotonic())
+
+
+def _package(results, complete, times, with_flags, with_times, single):
+    """``results[, complete][, times]``; a 1-D query unwraps its one row."""
+    if single:
+        results, complete = results[0], complete[0]
+    out = (results, *((complete,) if with_flags else ()),
+           *((times,) if with_times else ()))
+    return out if len(out) > 1 else results
 
 
 def _counter_snapshot() -> dict:
@@ -120,17 +236,20 @@ def _apply_counter_deltas(deltas: dict) -> None:
         family.labels(**dict(zip(family.label_names, key))).inc(amount)
 
 
-def _worker_main(conn, path: str, opts: dict) -> None:
+def _worker_main(conn, path: str, opts: dict, fault_plan) -> None:
     """Worker process entry point: open the index, serve the pipe.
 
-    Spawn-safe: everything the worker needs arrives through ``path`` and
-    the (picklable) ``opts`` dict.  The worker opens the saved file
-    ``readonly`` — mmap-backed, zero-copy reads, private buffer pool —
-    and then answers commands until told to stop or the pipe dies.
+    Spawn-safe: everything the worker needs arrives through ``path``,
+    the (picklable) ``opts`` dict and ``fault_plan``.  The worker opens
+    the saved file ``readonly`` — mmap-backed, zero-copy reads, private
+    buffer pool — and then answers commands until told to stop or the
+    pipe dies.  A :class:`~repro.storage.FaultPlan` (tests only) is
+    spliced under the open store, so every later page read obeys it.
     """
     import traceback
 
     from ..indexes.factory import _open_index
+    from ..storage.faults import splice_faults
 
     try:
         index = _open_index(path, opts["buffer_capacity"], readonly=True)
@@ -142,6 +261,8 @@ def _worker_main(conn, path: str, opts: dict) -> None:
             conn.close()
         return
     try:
+        if fault_plan is not None:
+            splice_faults(index.store, fault_plan)
         conn.send(("ready", {
             "dims": index.dims,
             "kind": index.NAME,
@@ -162,8 +283,6 @@ def _worker_main(conn, path: str, opts: dict) -> None:
                 conn.send(("ok", None))
                 continue
             _, op, queries, params = msg  # a "query"
-            if opts["test_delay_s"]:
-                time.sleep(opts["test_delay_s"])
             try:
                 results, times = _run_blocks(
                     index, op, queries, params,
@@ -198,49 +317,100 @@ def _worker_main(conn, path: str, opts: dict) -> None:
         conn.close()
 
 
-class ProcessServingPool(PoolCore):
-    """A fixed pool of worker *processes* over one saved index file.
+class ServingPool:
+    """A fixed pool of worker processes over one saved index file.
 
-    ``ServingPool(path, backend="process")`` constructs this class.
-
-    Parameters (the rest are :class:`~repro.exec.parallel.PoolCore`'s)
+    Parameters
     ----------
     source:
-        A page file written by ``index.save()`` / ``repro build``.
+        A page file written by ``index.save()`` / ``repro build``.  An
+        open :class:`~repro.api.Database` is refused with
+        :class:`ValueError`; see the module docstring for the snapshot
+        recipe that serves live data.
+    workers:
+        Worker count; defaults to ``min(4, cpu_count)``.
+    buffer_capacity:
+        Per-worker buffer pool frames (``None`` = store default).
+    timeout:
+        Per-call deadline in seconds shared by all shards of one call;
+        ``None`` (default) waits forever.  A shard that misses the
+        deadline degrades (empty results for its queries) and its
+        worker is respawned.
+    read_retries:
+        How many times a block is retried after a
+        :class:`~repro.exceptions.TransientIOError` (default 2).
+    retry_backoff:
+        Base sleep between retries, doubled each attempt (seconds).
+    slo_ms:
+        Per-block latency objective in milliseconds for this pool's
+        calls; blocks slower than this count toward
+        ``repro_slo_violations_total{op="pool_knn"/"pool_range"}``.
+        ``None`` (default) falls back to the process-wide objective
+        (:func:`repro.obs.hooks.set_slo_ms`).
     start_method:
         Multiprocessing start method (``None`` = the
         ``REPRO_MP_START_METHOD`` environment variable, default
         ``spawn``).
+    backend:
+        Only ``"process"`` is accepted.
     """
 
-    backend = "process"
-
-    def __init__(self, source, *, start_method: str | None = None,
-                 _test_delay_s: float = 0.0, **kwargs) -> None:
+    def __init__(
+        self,
+        source,
+        *,
+        workers: int | None = None,
+        buffer_capacity: int | None = None,
+        timeout: float | None = None,
+        read_retries: int = 2,
+        retry_backoff: float = 0.01,
+        slo_ms: float | None = None,
+        start_method: str | None = None,
+        backend: str = "process",
+        _fault_plans: dict | None = None,
+    ) -> None:
         from ..api import Database
 
+        if backend != "process":
+            raise ValueError(
+                f"backend={backend!r} is not available: a ServingPool runs "
+                f"worker processes over a saved index file; {_LIVE_RECIPE}")
         if isinstance(source, Database):
             raise ValueError(
-                "backend='process' serves immutable saved index files; a "
-                "live Database is served by epoch-pinned snapshot views, "
-                "which share the writer's in-process store and cannot "
-                "cross a process boundary — use backend='thread'"
-            )
+                "a ServingPool serves a saved index file, not an open "
+                f"Database; {_LIVE_RECIPE}")
+        if workers is None:
+            workers = min(4, os.cpu_count() or 1)
+        if workers < 1:
+            raise ValueError(f"workers must be positive, got {workers}")
+        if timeout is not None and timeout <= 0:
+            raise ValueError(f"timeout must be positive, got {timeout}")
+        if read_retries < 0:
+            raise ValueError(f"read_retries must be >= 0, got {read_retries}")
+        if slo_ms is not None and slo_ms <= 0:
+            raise ValueError(f"slo_ms must be positive, got {slo_ms}")
+        self._path = os.fspath(source)
+        # Refuse a missing file or one that is not an index here, in the
+        # words every other opener uses, before any worker is spawned.
+        read_superblock(self._path)
+        self._timeout = timeout
+        self._slo_ms = slo_ms
+        self._workers = workers
+        self._degraded_queries = 0
+        self._closed = False
+        #: Held for a whole call, drop or close: a worker's pipe carries
+        #: one call at a time, and its answer belongs to that call.
+        self._mu = threading.Lock()
         self._ctx = mp.get_context(start_method or os.environ.get(
             "REPRO_MP_START_METHOD", DEFAULT_START_METHOD))
-        self._test_delay_s = _test_delay_s
-        super().__init__(source, **kwargs)
-
-    def _open_workers(self, source, workers, buffer_capacity) -> None:
-        self._path = os.fspath(source)
-        if not os.path.exists(self._path):
-            raise FileNotFoundError(self._path)
         self._opts = {
             "buffer_capacity": buffer_capacity,
-            "read_retries": self._read_retries,
-            "retry_backoff": self._retry_backoff,
-            "test_delay_s": self._test_delay_s,
+            "read_retries": read_retries,
+            "retry_backoff": retry_backoff,
         }
+        #: worker -> FaultPlan spliced under that worker's store at every
+        #: start (tests inject disk faults through it).
+        self._fault_plans = dict(_fault_plans or {})
         self._procs: list = [None] * workers
         self._conns: list = [None] * workers
         self._pids: list[int | None] = [None] * workers
@@ -248,7 +418,7 @@ class ProcessServingPool(PoolCore):
         self._worker_stats = [IOStats() for _ in range(workers)]
         #: Stats of workers that died/respawned, folded into the total.
         self._retired_stats = IOStats()
-        self._respawn_counts: dict[int, int] = {}
+        self._respawn_counts = [0] * workers
         # Every worker starts before any handshake is awaited, so their
         # start-ups (interpreter, imports, open) overlap.
         try:
@@ -263,17 +433,16 @@ class ProcessServingPool(PoolCore):
             self.close()
             raise
 
-    def _spawn(self, idx: int) -> None:
-        """Start worker ``idx`` and wait for its ready handshake."""
-        self._start(idx)
-        self._await_ready(idx)
+    # ------------------------------------------------------------------
+    # worker lifecycle
 
     def _start(self, idx: int) -> None:
         """Start worker ``idx``; its handshake is :meth:`_await_ready`'s."""
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, self._path, self._opts),
+            args=(child_conn, self._path, self._opts,
+                  self._fault_plans.get(idx)),
             name=f"repro-serve-{idx}",
             daemon=True,
         )
@@ -320,9 +489,10 @@ class ProcessServingPool(PoolCore):
         self._stop(idx)
         self._retired_stats = self._retired_stats + self._worker_stats[idx]
         self._worker_stats[idx] = IOStats()
-        self._respawn_counts[idx] = self._respawn_counts.get(idx, 0) + 1
+        self._respawn_counts[idx] += 1
         on_worker_respawned(idx, reason)
-        self._spawn(idx)
+        self._start(idx)
+        self._await_ready(idx)
 
     def _stop(self, idx: int, grace: float = 0.0) -> None:
         """Wait ``grace`` seconds for worker ``idx`` to exit, terminate
@@ -338,24 +508,210 @@ class ProcessServingPool(PoolCore):
 
     # ------------------------------------------------------------------
 
-    def _describe(self) -> dict:
-        return self._info
+    @property
+    def workers(self) -> int:
+        """Number of worker processes (== private index handles)."""
+        return self._workers
+
+    @property
+    def dims(self) -> int:
+        """Dimensionality of the served index."""
+        return self._info["dims"]
+
+    @property
+    def kind(self) -> str:
+        """Registry name of the served index family."""
+        return self._info["kind"]
+
+    @property
+    def size(self) -> int:
+        """Number of points in the served index."""
+        return self._info["size"]
+
+    @property
+    def closed(self) -> bool:
+        """Whether :meth:`close` has completed."""
+        return self._closed
+
+    @property
+    def degraded_queries(self) -> int:
+        """Queries answered with empty (degraded) results so far."""
+        return self._degraded_queries
 
     @property
     def respawned_workers(self) -> int:
         """Total worker respawns (timeouts + deaths) over the pool's life."""
-        return sum(self._respawn_counts.values())
+        return sum(self._respawn_counts)
 
-    def _submit(self, worker: int, op: str, queries, params: dict) -> bool:
-        """Whether the shard reached the worker's pipe."""
-        try:
-            self._conns[worker].send(("query", op, queries, params))
-            return True
-        except OSError:
-            return False
+    # ------------------------------------------------------------------
+
+    def knn(self, queries, k: int = 1, *, block_size: int | None = None,
+            with_flags: bool = False, with_times: bool = False,
+            timeout: float | None = None):
+        """The ``k`` nearest neighbors, single query or batch.
+
+        A single 1-D ``point`` returns one ``list[Neighbor]`` — the
+        :class:`~repro.api.QuerySurface` contract, same shape as
+        ``Database.knn`` — while a 2-D ``(n, dims)`` batch returns one
+        list per query (see :meth:`knn_batch` for the keyword details).
+        """
+        return self._query(
+            "knn", queries, np.ndim(queries) == 1,
+            {"k": k, "block_size": block_size},
+            with_flags, with_times, timeout)
+
+    def knn_batch(self, queries, k: int = 1, *,
+                  block_size: int | None = None, with_flags: bool = False,
+                  with_times: bool = False, timeout: float | None = None):
+        """The ``k`` nearest neighbors of every query, in input order.
+
+        ``k`` is a scalar shared by every query or a ``(Q,)`` array
+        with one ``k`` per query.  Each shard runs the block engine in
+        blocks of ``block_size`` (default
+        :data:`~repro.exec.batch.DEFAULT_BLOCK_SIZE`) queries.
+
+        With ``with_flags=True``, returns ``(results, complete)`` where
+        ``complete[i]`` is ``False`` for queries whose shard degraded
+        (their results are ``[]``).
+
+        With ``with_times=True``, a list of per-block ``(wall_ms,
+        queries)`` pairs is appended to the return value — the *real*
+        per-block latencies measured inside the workers (one entry per
+        traversal block).  A block appears once; its time spans any
+        transient-I/O retries.  Degraded shards report no blocks.
+
+        ``timeout`` overrides the pool-level deadline for this one call
+        (the network server propagates each request's remaining
+        ``X-Repro-Deadline-Ms`` budget through it).
+        """
+        return self._query(
+            "knn", queries, False,
+            {"k": k, "block_size": block_size},
+            with_flags, with_times, timeout)
+
+    def range(self, queries, radius: float, *, with_flags: bool = False,
+              with_times: bool = False, timeout: float | None = None):
+        """All stored points within ``radius``, single query or batch.
+
+        Shapes follow :meth:`knn`: a 1-D point returns one
+        ``list[Neighbor]``, a 2-D batch one list per query.
+        ``with_flags``/``with_times``/``timeout`` behave as in
+        :meth:`knn_batch`.
+        """
+        return self._query("range", queries, np.ndim(queries) == 1,
+                           {"radius": radius}, with_flags, with_times,
+                           timeout)
+
+    def range_batch(self, queries, radius, *, with_flags: bool = False,
+                    with_times: bool = False, timeout: float | None = None):
+        """Batched range query: one result list per query row.
+
+        The :class:`~repro.api.QuerySurface` batch entry point —
+        ``radius`` is a scalar shared by every query or a ``(Q,)``
+        array with one radius per query.
+        """
+        return self._query("range", queries, False, {"radius": radius},
+                           with_flags, with_times, timeout)
+
+    def window(self, low, high, *, timeout: float | None = None
+               ) -> list[Neighbor]:
+        """All stored points inside the box ``[low, high]``.
+
+        Runs on one worker under the same retry / timeout / respawn
+        policy as the sharded calls; a degraded call returns ``[]``
+        (counted in ``repro_degraded_queries_total``).
+        """
+        pair = np.stack([as_point(low, self.dims), as_point(high, self.dims)])
+        return self._scatter("window", pair, {}, timeout=timeout)[0][0]
+
+    def lookup(self, point, *, timeout: float | None = None) -> list[object]:
+        """Exact-match point query: every payload stored at ``point``.
+
+        Same degenerate-window identity as
+        :meth:`repro.indexes.base.SpatialIndex.lookup`.
+        """
+        return [n.value for n in self.window(point, point, timeout=timeout)]
+
+    def _query(self, op: str, queries, single: bool, params: dict,
+               with_flags: bool, with_times: bool, timeout):
+        """Validate a knn/range call, scatter it, package the answer."""
+        queries = (as_point(queries, self.dims)[None] if single
+                   else as_points(queries, self.dims))
+        name = "k" if op == "knn" else "radius"
+        values = per_query(name, params[name], queries.shape[0])
+        if np.ndim(params[name]):
+            # One value per query is sharded with the queries; a shared
+            # scalar crosses to the workers as the scalar it is.
+            params[name] = values
+        return _package(*self._scatter(op, queries, params, timeout=timeout),
+                        with_flags, with_times, single)
+
+    def _scatter(self, op: str, queries: np.ndarray, params: dict, *,
+                 timeout: float | None = None):
+        """Shard one call over the workers and gather it.
+
+        Returns ``(results, complete, block_times)`` in input order.
+        """
+        with self._mu:
+            if self._closed:
+                raise RuntimeError("serving pool is closed")
+            if timeout is None:
+                timeout = self._timeout
+            # A window's stacked [low; high] pair is one opaque argument
+            # block: it goes intact to one worker and has one result.
+            whole = op == "window"
+            n = 1 if whole else queries.shape[0]
+            results: list[list[Neighbor] | None] = [None] * n
+            complete = [True] * n
+            times: list[tuple[float, int]] = []
+            pending = []
+            for worker, shard in enumerate(np.array_split(np.arange(n),
+                                                          self._workers)):
+                if shard.size == 0:
+                    continue
+                # Per-query parameter arrays (heterogeneous k/radius) are
+                # sliced with the shard so they stay aligned worker-side.
+                message = ("query", op, queries if whole else queries[shard],
+                           {name: value[shard] if isinstance(value, np.ndarray)
+                            else value for name, value in params.items()})
+                try:
+                    self._conns[worker].send(message)
+                    sent = True
+                except OSError:
+                    sent = False
+                pending.append((worker, shard, sent))
+            deadline = None if timeout is None else time.monotonic() + timeout
+            error: Exception | None = None
+            for worker, shard, sent in pending:
+                try:
+                    reason, answer = self._collect(worker, sent, deadline)
+                except Exception as exc:  # noqa: BLE001 - a worker's bug
+                    # The first one is re-raised below, once every shard of
+                    # this call has answered and no pipe holds a stale reply.
+                    error = error or exc
+                    continue
+                if reason is not None:
+                    if reason in ("timeout", "worker_died"):
+                        self._respawn(worker, reason)
+                    self._degrade(reason, shard, results, complete)
+                    continue
+                out, block_times = answer
+                for pos, qi in enumerate(shard):
+                    results[qi] = out[pos]
+                for wall_ms, _count in block_times:
+                    on_pool_block(f"pool_{op}", wall_ms / 1e3, self._slo_ms)
+                times.extend(block_times)
+            if error is not None:
+                raise error
+            return results, complete, times
 
     def _collect(self, worker: int, sent: bool, deadline):
-        """Receive one worker's answer, merging its telemetry."""
+        """Receive one worker's answer, merging its telemetry.
+
+        Returns ``(None, (results, block_times))``, or ``(reason,
+        None)`` for a shard that degrades; raises what the worker raised
+        when its class is in :data:`~repro.exceptions.RERAISABLE`.
+        """
         if not sent:
             return "worker_died", None
         conn = self._conns[worker]
@@ -384,12 +740,15 @@ class ProcessServingPool(PoolCore):
             FLIGHT.record(**fields)
         return None, (out, block_times)
 
-    def _retire(self, worker: int, reason: str, sent: bool) -> None:
-        if reason in ("timeout", "worker_died"):
-            self._respawn(worker, reason)
+    def _degrade(self, reason: str, shard, results, complete) -> None:
+        """Answer ``shard``'s queries with empty lists and count them."""
+        on_degraded(reason, len(shard))
+        self._degraded_queries += len(shard)
+        for qi in shard:
+            results[qi] = []
+            complete[qi] = False
 
-    def _io_stats(self) -> list[IOStats]:
-        return self._worker_stats
+    # ------------------------------------------------------------------
 
     def stats(self) -> IOStats:
         """Aggregate I/O counters summed over every worker process.
@@ -398,40 +757,84 @@ class ProcessServingPool(PoolCore):
         the retired totals of any respawned workers), so the figure is
         current as of the last completed call.
         """
-        return self._retired_stats + super().stats()
+        total = self._retired_stats
+        for stats in self._worker_stats:
+            total = total + stats
+        return total
 
-    def _health(self, worker: int) -> dict:
-        # Never quarantined: the respawn count is the health signal.
-        return {"pid": self._pids[worker], "quarantines": 0,
-                "quarantined": False,
-                "respawns": self._respawn_counts.get(worker, 0)}
+    def worker_stats(self) -> list[dict]:
+        """Per-worker I/O breakdown (attributes the pool aggregate).
 
-    def _drop(self, workers: list[int]) -> None:
-        """A worker that fails to answer the drop is respawned — which
-        is an even colder start."""
-        pending = []
-        for idx in workers:
-            try:
-                self._conns[idx].send(("drop",))
-                pending.append(idx)
-            except OSError:
-                self._respawn(idx, "worker_died")
-        for idx in pending:
-            try:
-                if not self._conns[idx].poll(SPAWN_TIMEOUT_S):
-                    raise EOFError
-                self._conns[idx].recv()
-            except (EOFError, OSError):
-                self._respawn(idx, "worker_died")
+        One dict per worker: page reads split by level, buffer
+        outcomes with the worker's own hit ratio, distance
+        computations, the worker's ``pid`` and how many times its slot
+        was ``respawns``-ed — so a skewed pool-level
+        ``buffer_hit_ratio`` can be traced to the worker responsible.
+        """
+        return [{
+            "worker": worker,
+            "page_reads": stats.page_reads,
+            "node_reads": stats.node_reads,
+            "leaf_reads": stats.leaf_reads,
+            "buffer_hits": stats.buffer_hits,
+            "buffer_misses": stats.buffer_misses,
+            "buffer_hit_ratio": stats.hit_ratio,
+            "distance_computations": stats.distance_computations,
+            "pid": self._pids[worker],
+            "respawns": self._respawn_counts[worker],
+        } for worker, stats in enumerate(self._worker_stats)]
 
-    def _close_workers(self) -> None:
-        """Workers are asked to stop, given a grace period, then
-        terminated; their pipes are closed either way."""
-        for conn in self._conns:
-            if conn is not None:
+    def drop_caches(self) -> None:
+        """Cold-start every worker (empties buffer pools).
+
+        A worker that fails to answer the drop is respawned — which is
+        an even colder start.
+        """
+        with self._mu:
+            if self._closed:
+                raise RuntimeError("serving pool is closed")
+            pending = []
+            for idx in range(self._workers):
                 try:
-                    conn.send(("stop",))
+                    self._conns[idx].send(("drop",))
+                    pending.append(idx)
                 except OSError:
-                    pass
-        for idx in range(len(self._procs)):
-            self._stop(idx, grace=5)
+                    self._respawn(idx, "worker_died")
+            for idx in pending:
+                try:
+                    if not self._conns[idx].poll(SPAWN_TIMEOUT_S):
+                        raise EOFError
+                    self._conns[idx].recv()
+                except (EOFError, OSError):
+                    self._respawn(idx, "worker_died")
+
+    def close(self) -> None:
+        """Release every worker (idempotent).
+
+        Workers are asked to stop, given a grace period, then
+        terminated; their pipes are closed either way.  The index is
+        read-only here, so nothing is written back.
+        """
+        with self._mu:
+            if self._closed:
+                return
+            self._closed = True
+            for conn in self._conns:
+                if conn is not None:
+                    try:
+                        conn.send(("stop",))
+                    except OSError:
+                        pass
+            for idx in range(len(self._procs)):
+                self._stop(idx, grace=5)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> bool:
+        self.close()
+        return False
+
+
+#: The name the ledger's traced run patches; the same class object.
+ProcessServingPool = ServingPool

@@ -4,8 +4,8 @@ Metrics (:mod:`repro.obs.registry`) answer "how much"; the tracer
 answers "why this query".  The event log answers "**what happened,
 when**" — the operator-facing narrative of the serving path: queries
 starting and finishing, WAL commits and recoveries, stores poisoning
-themselves, snapshots publishing and refreshing, workers entering and
-leaving quarantine, shards degrading, checksums failing.
+themselves, snapshots publishing and refreshing, pool workers being
+respawned, shards degrading, checksums failing.
 
 One process-wide :class:`EventLog` (:data:`EVENTS`) is the **single
 logging surface** of the library — ``tools/lint.py`` forbids ``print``

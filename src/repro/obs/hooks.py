@@ -54,8 +54,6 @@ __all__ = [
     "on_epoch_published",
     "on_snapshot_refresh",
     "on_store_poisoned",
-    "on_worker_quarantined",
-    "on_worker_released",
     "on_worker_respawned",
     "on_pool_block",
     "on_net_request",
@@ -655,25 +653,13 @@ def on_store_poisoned(why: str) -> None:
     EVENTS.emit("store_poisoned", level=ERROR, why=why)
 
 
-def on_worker_quarantined(worker: int, reason: str = "timeout") -> None:
-    """Record a serving-pool worker entering quarantine."""
-    EVENTS.emit("worker_quarantined", level=WARN,
-                worker=worker, reason=reason)
-
-
-def on_worker_released(worker: int) -> None:
-    """Record a quarantined serving-pool worker rejoining the rotation."""
-    EVENTS.emit("worker_released", level=INFO, worker=worker)
-
-
 def on_worker_respawned(worker: int, reason: str) -> None:
-    """Record a process-pool worker being terminated and replaced.
+    """Record a serving-pool worker being terminated and replaced.
 
-    Unlike a quarantined thread (which cannot be interrupted and must be
-    waited out), a worker *process* that times out or dies is killed and
-    a fresh one is spawned in its place, so the pool returns to full
-    strength immediately; ``reason`` is the degradation reason that
-    triggered the respawn (``timeout`` or ``worker_died``).
+    A worker process that times out or dies is killed and a fresh one
+    is spawned in its place, so the pool returns to full strength
+    immediately; ``reason`` is the degradation reason that triggered
+    the respawn (``timeout`` or ``worker_died``).
     """
     EVENTS.emit("worker_respawned", level=WARN, worker=worker, reason=reason)
 

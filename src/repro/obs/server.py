@@ -11,11 +11,11 @@ from outside:
 * ``/healthz`` — ``200 {"status": "ok", ...}`` while every watched
   handle is serviceable, ``503`` as soon as a watched database's store
   is poisoned (post-commit apply failure — see ``docs/DURABILITY.md``)
-  or a watched serving pool has **all** workers quarantined (every
-  handle stuck behind a timed-out shard — see ``docs/CONCURRENCY.md``);
+  or a watched query server is draining;
 * ``/varz`` — one JSON document: the flattened registry, the flight
-  recorder's summary, the event log's summary, and the snapshot
-  epoch/age of every watched database and pool.
+  recorder's summary, the event log's summary, the snapshot epoch of
+  every watched database and the workers and degraded queries of every
+  watched pool.
 
 The server binds ``127.0.0.1`` on an ephemeral port by default and
 serves from a daemon thread; it is an operator tool, not a hardened
@@ -57,11 +57,12 @@ class TelemetryServer:
         The surfaces to expose; default to the process-wide
         ``REGISTRY``/``FLIGHT``/``EVENTS``.
 
-    Health state comes from *watched* handles: :meth:`watch_database`
-    and :meth:`watch_pool` register live objects whose
-    ``store.poisoned`` / ``quarantined_workers`` the ``/healthz``
-    handler polls on every request.  Entering the context manager
-    starts the server; leaving stops it.
+    Health and ``/varz`` state come from *watched* handles:
+    :meth:`watch_database`, :meth:`watch_pool` and
+    :meth:`watch_query_server` register live objects that the handlers
+    poll on every request (a pool respawns a failed worker, so it has
+    no unhealthy state).  Entering the context manager starts the
+    server; leaving stops it.
     """
 
     def __init__(self, *, host: str = "127.0.0.1", port: int = 0,
@@ -83,7 +84,7 @@ class TelemetryServer:
         self._databases.append(db)
 
     def watch_pool(self, pool) -> None:
-        """Track a :class:`~repro.exec.ServingPool` for health state."""
+        """Track a :class:`~repro.exec.ServingPool` for ``/varz``."""
         self._pools.append(pool)
 
     def watch_query_server(self, query_server) -> None:
@@ -151,9 +152,9 @@ class TelemetryServer:
     def health(self) -> tuple[bool, dict]:
         """``(healthy, checks)`` over every watched handle.
 
-        A database fails its check when its store is poisoned; a pool
-        fails when every worker is quarantined.  No watched handles =
-        vacuously healthy (the process is up).
+        A database fails its check when its store is poisoned, a query
+        server while it drains.  No watched handles = vacuously healthy
+        (the process is up).
         """
         checks: list[dict] = []
         healthy = True
@@ -166,18 +167,6 @@ class TelemetryServer:
                 "detail": "store poisoned" if poisoned else "serviceable",
             })
             healthy &= not poisoned
-        for i, pool in enumerate(self._pools):
-            quarantined = pool.quarantined_workers
-            stuck = pool.workers > 0 and quarantined == pool.workers
-            checks.append({
-                "check": f"pool[{i}]",
-                "workers": pool.workers,
-                "quarantined": quarantined,
-                "ok": not stuck,
-                "detail": ("all workers quarantined" if stuck
-                           else "serviceable"),
-            })
-            healthy &= not stuck
         for i, qs in enumerate(self._query_servers):
             draining = bool(qs.draining)
             checks.append({
@@ -205,9 +194,7 @@ class TelemetryServer:
         for i, pool in enumerate(self._pools):
             snapshots.append({
                 "handle": f"pool[{i}]",
-                "epoch": pool.snapshot_epoch,
                 "workers": pool.workers,
-                "quarantined": pool.quarantined_workers,
                 "degraded_queries": pool.degraded_queries,
             })
         for i, qs in enumerate(self._query_servers):

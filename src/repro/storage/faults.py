@@ -37,7 +37,7 @@ import numpy as np
 from ..exceptions import CrashError, TransientIOError
 from .pagefile import PageFile
 
-__all__ = ["FaultInjectingPageFile", "FaultPlan"]
+__all__ = ["FaultInjectingPageFile", "FaultPlan", "splice_faults"]
 
 
 class FaultPlan:
@@ -238,3 +238,14 @@ class FaultInjectingPageFile(PageFile):
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def splice_faults(store, plan: FaultPlan) -> None:
+    """Splice a fault-injecting layer under an open ``store``'s buffers.
+
+    Every later page read obeys ``plan``; the buffers are dropped so the
+    next query reads through it.  A serving-pool worker takes its test
+    faults this way, after its index is open.
+    """
+    store.pagefile = FaultInjectingPageFile(store.pagefile, plan)
+    store.drop_cache()

@@ -18,8 +18,7 @@ provided:
   views without ever materializing a ``bytes`` object.  Because the
   mapping is backed by the OS page cache, every process serving the
   same file physically shares one copy of the hot pages — the backend
-  the multiprocess :class:`~repro.exec.procpool.ProcessServingPool`
-  workers open.
+  :class:`~repro.exec.ServingPool`'s worker processes open.
 
 Page 0 is reserved for index metadata (see
 :data:`repro.storage.constants.META_PAGE_ID`); the allocators never hand

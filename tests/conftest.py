@@ -36,15 +36,19 @@ def tiny_cloud(rng) -> np.ndarray:
     return rng.random((40, 4))
 
 
-@pytest.fixture(params=["thread", "process"])
-def pool_backend(request) -> dict:
-    """``ServingPool`` keywords selecting each backend in turn.
+@pytest.fixture(scope="session")
+def serving_pool():
+    """Build a ``ServingPool``: ``serving_pool(path, workers=2, ...)``.
 
-    Worker processes start by ``fork`` (fast) unless
-    ``REPRO_MP_START_METHOD`` names another method: ``make test-mp``
-    sets it to ``spawn`` so the same contract runs under both.
+    Every pool a test builds comes from here, so its workers start by
+    ``fork`` (fast) unless ``REPRO_MP_START_METHOD`` names another
+    method: ``make test-mp`` sets it to ``spawn``, the portable default.
     """
-    if request.param == "thread":
-        return {"backend": "thread"}
-    return {"backend": "process",
-            "start_method": os.environ.get("REPRO_MP_START_METHOD", "fork")}
+    from repro.exec import ServingPool
+
+    method = os.environ.get("REPRO_MP_START_METHOD", "fork")
+
+    def build(source, **kwargs):
+        return ServingPool(source, start_method=method, **kwargs)
+
+    return build

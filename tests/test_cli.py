@@ -200,6 +200,14 @@ class TestTelemetryCommands:
         assert lines[1].startswith("telemetry at http://127.0.0.1:")
         assert lines[-1] == "drained; bye"
 
+    def test_serve_refuses_the_thread_backend(self, index_file, capsys):
+        # A pool is worker processes; the flag that chose threads is gone.
+        with pytest.raises(SystemExit) as info:
+            run("serve", "--index", index_file, "--port", 0, "--workers", 2,
+                "--backend", "thread", "--duration", 0.05)
+        assert info.value.code == 2
+        assert "--backend" in capsys.readouterr().err
+
     def test_slow_table(self, index_file, capsys, obs_restore):
         assert run("slow", "--index", index_file, "--queries", 5,
                    "-k", 3, "--top", 3) == 0

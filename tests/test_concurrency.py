@@ -2,8 +2,8 @@
 
 One writer thread replays a precomputed insert/delete schedule through a
 ``durability="wal"`` database while reader threads query concurrently —
-directly through :meth:`Database.snapshot` handles and through a
-:class:`~repro.exec.ServingPool` serving epoch-pinned views.  Every
+through :meth:`Database.snapshot` handles, held or refreshed before
+every batched call.  Every
 answer must equal brute force over *some committed prefix* of the
 schedule (the crash-harness oracle, applied to time instead of to
 kill points): a result matching no prefix is a torn or dirty read.
@@ -25,7 +25,6 @@ import numpy as np
 import pytest
 
 from repro import Database
-from repro.exec import ServingPool
 
 from .helpers import retained_images
 
@@ -160,8 +159,9 @@ def test_randomized_writer_vs_snapshot_readers(wal_db):
     assert not retained_images(wal_db.index.store)
 
 
-def test_serving_pool_blocks_are_single_epoch(wal_db):
-    """Every pool call must answer its whole block from ONE prefix."""
+def test_refreshed_snapshot_blocks_are_single_epoch(wal_db):
+    """A snapshot refreshed before each batched call must answer the
+    whole block from ONE prefix."""
     rng = np.random.default_rng(0xBEEF)
     states, schedule = _build_schedule(rng, ops=100)
     for point in states[0]:
@@ -173,17 +173,17 @@ def test_serving_pool_blocks_are_single_epoch(wal_db):
     failures = []
     consistent = 0
 
-    with ServingPool(wal_db, workers=3) as pool:
+    with wal_db.snapshot() as snap:
         writer.start()
         try:
             for b in range(blocks):
                 queries = rng.normal(size=(block, DIMS))
                 before = writer.committed
-                results, flags = pool.knn(queries, k=K, with_flags=True)
+                snap.refresh()
+                results = snap.knn_batch(queries, k=K)
                 after = writer.committed
-                assert all(flags), "no shard may degrade in this test"
                 # One prefix must explain EVERY query in the block: the
-                # pool refreshed all workers to one epoch up front.
+                # snapshot reads one committed epoch until refreshed.
                 candidates = None
                 for qi in range(block):
                     got = [n.distance for n in results[qi]]
@@ -204,7 +204,7 @@ def test_serving_pool_blocks_are_single_epoch(wal_db):
     assert writer.error is None, f"writer crashed: {writer.error!r}"
     assert not failures, f"cross-epoch (torn) blocks: {failures[:5]}"
     assert consistent == blocks
-    # Pool closed: its worker pins are gone, the database still works.
+    # Snapshot closed: its pin is gone, the database still works.
     assert wal_db.index.store.snapshot_pins == 0
     final = states[-1]
     q = final[0]

@@ -10,7 +10,7 @@ import pytest
 
 from repro import Database
 from repro.exceptions import EmptyIndexError
-from repro.exec import ServingPool, batch_knn, batch_range
+from repro.exec import batch_knn, batch_range
 from repro.indexes import build_index
 from repro.storage import FilePageFile
 from repro.workloads import cluster_dataset, histogram_dataset, uniform_dataset
@@ -125,28 +125,28 @@ class TestServingPool:
         index.close()
         return path, data
 
-    def test_parallel_matches_sequential(self, saved):
+    def test_parallel_matches_sequential(self, saved, serving_pool):
         path, data = saved
         queries = _queries(data, 20, seed=32)
         with Database.open(path) as db:
             want = [db.index.nearest(q, k=9) for q in queries]
-        with ServingPool(path, workers=3) as pool:
+        with serving_pool(path, workers=3) as pool:
             got = pool.knn(queries, k=9)
         assert_same_neighbors(got, want)
 
-    def test_range_matches_sequential(self, saved):
+    def test_range_matches_sequential(self, saved, serving_pool):
         path, data = saved
         queries = _queries(data, 10, seed=33)
         with Database.open(path) as db:
             want = [db.index.within(q, 0.5) for q in queries]
-        with ServingPool(path, workers=2) as pool:
+        with serving_pool(path, workers=2) as pool:
             got = pool.range(queries, 0.5)
         for g_list, w_list in zip(got, want):
             assert [n.value for n in g_list] == [n.value for n in w_list]
 
-    def test_stats_aggregate_over_workers(self, saved):
+    def test_stats_aggregate_over_workers(self, saved, serving_pool):
         path, data = saved
-        with ServingPool(path, workers=2) as pool:
+        with serving_pool(path, workers=2) as pool:
             pool.drop_caches()
             before = pool.stats()
             pool.knn(data[:8], k=5)
@@ -154,10 +154,10 @@ class TestServingPool:
         assert delta.page_reads > 0
 
     def test_with_times_returns_per_block_latencies(self, saved,
-                                                    pool_backend):
+                                                    serving_pool):
         path, data = saved
         queries = _queries(data, 20, seed=35)
-        with ServingPool(path, workers=2, **pool_backend) as pool:
+        with serving_pool(path, workers=2) as pool:
             got, times = pool.knn(queries, k=3, block_size=8,
                                   with_times=True)
         assert len(got) == len(queries)
@@ -167,10 +167,10 @@ class TestServingPool:
         # least 3 blocks were timed independently.
         assert len(times) >= 3
 
-    def test_with_times_composes_with_flags(self, saved, pool_backend):
+    def test_with_times_composes_with_flags(self, saved, serving_pool):
         path, data = saved
         queries = _queries(data, 6, seed=36)
-        with ServingPool(path, workers=2, **pool_backend) as pool:
+        with serving_pool(path, workers=2) as pool:
             got, complete, times = pool.knn(queries, k=3, with_flags=True,
                                             with_times=True)
             assert len(got) == len(complete) == len(queries)
@@ -188,16 +188,16 @@ class TestServingPool:
             assert ok is True
             assert [count for _ms, count in times] == [1]
 
-    def test_range_with_times(self, saved, pool_backend):
+    def test_range_with_times(self, saved, serving_pool):
         path, data = saved
         queries = _queries(data, 6, seed=37)
-        with ServingPool(path, workers=2, **pool_backend) as pool:
+        with serving_pool(path, workers=2) as pool:
             got, times = pool.range(queries, 0.4, with_times=True)
         assert len(got) == len(queries)
         assert sum(count for _ms, count in times) == len(queries)
 
     def test_per_query_parameters_stay_aligned_across_shards(
-            self, saved, pool_backend):
+            self, saved, serving_pool):
         path, data = saved
         queries = _queries(data, 7, seed=38)  # shards of 3, 2, 2
         ks = np.arange(1, 8)
@@ -205,28 +205,28 @@ class TestServingPool:
         with Database.open(path) as db:
             want_knn = [db.knn(q, k=int(k)) for q, k in zip(queries, ks)]
             want_range = [db.range(q, r) for q, r in zip(queries, radii)]
-        with ServingPool(path, workers=3, **pool_backend) as pool:
+        with serving_pool(path, workers=3) as pool:
             assert_same_neighbors(pool.knn(queries, ks), want_knn, tol=0)
             assert_same_neighbors(pool.range(queries, radii), want_range,
                                   tol=0)
 
-    def test_window_and_lookup_equal_the_database(self, saved, pool_backend):
+    def test_window_and_lookup_equal_the_database(self, saved, serving_pool):
         path, data = saved
         low, high = data[0] - 0.25, data[0] + 0.25
         with Database.open(path) as db:
             want_window = db.window(low, high)
             want_lookup = db.lookup(data[0])
         assert want_window and want_lookup
-        with ServingPool(path, workers=2, **pool_backend) as pool:
+        with serving_pool(path, workers=2) as pool:
             got = pool.window(low, high)
             assert_same_neighbors([got], [want_window], tol=0)
             for g, w in zip(got, want_window):
                 assert np.array_equal(g.point, w.point)
             assert pool.lookup(data[0]) == want_lookup
 
-    def test_worker_stats_attributes_io_per_worker(self, saved):
+    def test_worker_stats_attributes_io_per_worker(self, saved, serving_pool):
         path, data = saved
-        with ServingPool(path, workers=2) as pool:
+        with serving_pool(path, workers=2) as pool:
             pool.drop_caches()
             pool.knn(data[:16], k=5)
             stats = pool.worker_stats()
@@ -235,13 +235,12 @@ class TestServingPool:
         assert sum(e["page_reads"] for e in stats) == aggregate.page_reads
         assert sum(e["buffer_hits"] for e in stats) == aggregate.buffer_hits
         for entry in stats:
-            assert entry["quarantines"] == 0
-            assert entry["quarantined"] is False
+            assert entry["respawns"] == 0
             assert 0.0 <= entry["buffer_hit_ratio"] <= 1.0
 
-    def test_closed_pool_rejects_queries(self, saved, pool_backend):
+    def test_closed_pool_rejects_queries(self, saved, serving_pool):
         path, data = saved
-        pool = ServingPool(path, workers=1, **pool_backend)
+        pool = serving_pool(path, workers=1)
         pool.close()
         with pytest.raises(RuntimeError, match="closed"):
             pool.knn(data[:2], k=1)
@@ -249,12 +248,12 @@ class TestServingPool:
             pool.drop_caches()
         pool.close()  # idempotent
 
-    def test_worker_count_validation(self, saved):
+    def test_worker_count_validation(self, saved, serving_pool):
         path, _data = saved
         with pytest.raises(ValueError):
-            ServingPool(path, workers=0)
+            serving_pool(path, workers=0)
 
-    def test_removed_page_cache_keyword_is_refused(self, saved, pool_backend):
+    def test_removed_page_cache_keyword_is_refused(self, saved, serving_pool):
         path, _data = saved
         with pytest.raises(TypeError, match="page_cache_capacity"):
-            ServingPool(path, workers=1, page_cache_capacity=8, **pool_backend)
+            serving_pool(path, workers=1, page_cache_capacity=8)

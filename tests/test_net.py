@@ -31,12 +31,12 @@ from repro.exceptions import (
     RemoteError,
     ServerOverloadedError,
 )
-from repro.exec import ServingPool
 from repro.httpd import MAX_BODY_BYTES
 from repro.net import QueryServer, RemoteDatabase
 from repro.obs.events import EVENTS
 from repro.obs.hooks import NET_REQUESTS, SHED_REQUESTS
 from repro.obs.server import TelemetryServer
+from repro.storage import FaultPlan
 from repro.workloads import uniform_dataset
 
 from .helpers import raw_http
@@ -109,13 +109,14 @@ def test_expired_deadline_shed_before_dispatch(corpus):
     assert SHED_REQUESTS.labels(reason="deadline").value == before + 1
 
 
-def test_deadline_budget_propagates_into_pool_timeout(corpus):
+def test_deadline_budget_propagates_into_pool_timeout(corpus, serving_pool):
     # A served pool gets the request's remaining budget as its per-call
     # timeout=.  A worker slower than the budget degrades that shard to
     # empty (the pool's documented timeout behavior) instead of holding
     # the request open past its deadline.
-    with ServingPool(corpus.path, workers=1, backend="process",
-                     start_method="fork", _test_delay_s=0.5) as pool:
+    slow = FaultPlan(slow_read_seconds=0.5)
+    with serving_pool(corpus.path, workers=1,
+                      _fault_plans={0: slow}) as pool:
         with QueryServer(pool) as server:
             with RemoteDatabase.connect(_addr(server)) as rdb:
                 started = time.monotonic()

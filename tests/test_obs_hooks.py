@@ -239,16 +239,15 @@ class TestLatencySLOs:
         assert d['repro_slo_violations_total{op="knn"}'] == 1
 
     def test_pool_blocks_checked_against_objective(
-            self, metrics_on, slo_reset, tmp_path, tiny_cloud):
+            self, metrics_on, slo_reset, tmp_path, tiny_cloud, serving_pool):
         from repro.api import Database
-        from repro.exec import ServingPool
 
         path = tmp_path / "pool-slo.db"
         with Database.create(path, dims=tiny_cloud.shape[1]) as db:
             for point in tiny_cloud:
                 db.insert(point)
         before = REGISTRY.flatten()
-        with ServingPool(path, workers=2, slo_ms=1e-6) as pool:
+        with serving_pool(path, workers=2, slo_ms=1e-6) as pool:
             pool.knn(tiny_cloud[:8], k=2)
         d = delta(before, REGISTRY.flatten())
         assert d['repro_slo_violations_total{op="pool_knn"}'] > 0

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
 import json
 import urllib.error
 import urllib.request
@@ -10,7 +9,6 @@ import urllib.request
 import pytest
 
 from repro.api import Database
-from repro.exec import ServingPool
 from repro.obs import REGISTRY, TelemetryServer, render
 
 from .helpers import raw_http
@@ -32,16 +30,6 @@ def db(tmp_path, tiny_cloud):
             handle.insert(point)
     with Database.open(path) as handle:
         yield handle
-
-
-class _FakeShard:
-    """Stands in for a timed-out shard future in pool._quarantine."""
-
-    def __init__(self) -> None:
-        self._done = False
-
-    def done(self) -> bool:
-        return self._done
 
 
 class TestEndpoints:
@@ -133,59 +121,22 @@ class TestHealthz:
         assert check["ok"] is False
         assert check["detail"] == "store poisoned"
 
-    @pytest.mark.parametrize("live", [False, True], ids=["file", "live"])
-    def test_all_quarantined_pool_flips_to_503_and_recovers(
-            self, tmp_path, tiny_cloud, live):
+    def test_a_watched_pool_is_in_varz_and_has_no_health_check(
+            self, tmp_path, tiny_cloud, serving_pool):
         path = tmp_path / "pool.db"
-        with contextlib.ExitStack() as stack:
-            handle = stack.enter_context(Database.create(
-                path, dims=tiny_cloud.shape[1],
-                durability="wal" if live else "none"))
-            for point in tiny_cloud:
-                handle.insert(point)
-            if not live:
-                handle.close()
-            pool = stack.enter_context(
-                ServingPool(handle if live else path, workers=2))
-            srv = stack.enter_context(TelemetryServer())
+        with Database.create(path, dims=tiny_cloud.shape[1]) as handle:
+            handle.insert_many(tiny_cloud)
+        with serving_pool(path, workers=2) as pool, \
+                TelemetryServer() as srv:
             srv.watch_pool(pool)
-            epoch = pool.snapshot_epoch
-            assert (epoch is not None) == live
-            status, _h, _b = _get(srv.url + "/healthz")
-            assert status == 200
-
-            # One stuck worker degrades but does not kill the pool.
-            shard0 = _FakeShard()
-            pool._quarantine[0] = shard0
-            status, _h, _b = _get(srv.url + "/healthz")
-            assert status == 200
-
-            # Every worker stuck: nothing can serve.
-            shard1 = _FakeShard()
-            pool._quarantine[1] = shard1
             status, _h, body = _get(srv.url + "/healthz")
-            assert status == 503
-            (check,) = json.loads(body)["checks"]
-            assert check["quarantined"] == 2
-            assert check["detail"] == "all workers quarantined"
-
-            # Regression: /varz still answers (snapshot_epoch took min()
-            # over the *available* workers of a live-database pool), and
-            # reading the epoch releases nobody.
+            assert status == 200
+            assert json.loads(body)["checks"] == []
             status, _h, body = _get(srv.url + "/varz")
-            assert status == 200
-            (entry,) = json.loads(body)["snapshots"]
-            assert entry["epoch"] == epoch
-            assert entry["quarantined"] == 2
-            assert pool.snapshot_epoch == epoch
-            assert set(pool._quarantine) == {0, 1}
-
-            # Stuck shards finally finish: healthy again.
-            shard0._done = True
-            shard1._done = True
-            status, _h, body = _get(srv.url + "/healthz")
-            assert status == 200
-            assert json.loads(body)["status"] == "ok"
+        assert status == 200
+        (entry,) = json.loads(body)["snapshots"]
+        assert entry == {"handle": "pool[0]", "workers": 2,
+                         "degraded_queries": 0}
 
     def test_health_combines_multiple_handles(self, db):
         srv = TelemetryServer()

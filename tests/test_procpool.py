@@ -1,15 +1,15 @@
-"""ProcessServingPool: multiprocess serving over the mmap page store.
+"""ServingPool: multiprocess serving over the mmap page store.
 
-The process backend's contract is the thread pool's contract, minus
-nothing: results are byte-for-byte those of single-query search, the
-parent's metrics/flight-recorder/IOStats keep working (worker telemetry
-is merged back over the pipe), and a worker that dies mid-call degrades
+Results are byte-for-byte those of single-query search, the parent's
+metrics/flight-recorder/IOStats keep working (worker telemetry is
+merged back over the pipe), and a worker that dies mid-call degrades
 its shard with reason ``worker_died`` — it never hangs the caller and
 it never poisons the pool, because the dead process is respawned.
 
-Workers are real OS processes under the spawn start method (the
-``REPRO_MP_START_METHOD`` env var can override); each pool here costs a
-process startup, so the suite keeps pools few and datasets small.
+Workers are real OS processes, started by the method the
+``serving_pool`` fixture picks (``fork`` in tier-1, ``spawn`` under
+``make test-mp``); each pool here costs a process startup, so the suite
+keeps pools few and datasets small.
 """
 
 from __future__ import annotations
@@ -18,16 +18,18 @@ import multiprocessing
 import os
 import signal
 import threading
+import time
 import warnings
 
 import numpy as np
 import pytest
 
 from repro.api import Database
-from repro.exceptions import DimensionalityError, StorageError
+from repro.exceptions import DimensionalityError, ReproError, StorageError
 from repro.exec import ProcessServingPool, ServingPool
 from repro.obs.flightrec import FLIGHT
 from repro.obs.hooks import DEGRADED_QUERIES, QUERIES
+from repro.storage import FaultPlan
 from repro.workloads import cluster_dataset, histogram_dataset, uniform_dataset
 
 WORKLOADS = {
@@ -57,6 +59,18 @@ def uniform_index(saved_indexes):
     return saved_indexes["uniform"][0]
 
 
+class _SlowFirstRead(FaultPlan):
+    """Sleeps 0.6 s before a worker's first page read, then reads freely."""
+
+    slow = True
+
+    def on_read(self, page_id, data):
+        if self.slow:
+            self.slow = False
+            time.sleep(0.6)
+        return super().on_read(page_id, data)
+
+
 def _random_queries(data: np.ndarray, n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     picks = rng.choice(data.shape[0], size=n // 2, replace=False)
@@ -83,7 +97,8 @@ def assert_byte_equal(got, want):
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_process_pool_matches_single_query_search(saved_indexes, name):
+def test_process_pool_matches_single_query_search(saved_indexes, name,
+                                                  serving_pool):
     path, data = saved_indexes[name]
     rng = np.random.default_rng(sum(map(ord, name)))
     queries = _random_queries(data, 24, seed=17)
@@ -94,7 +109,7 @@ def test_process_pool_matches_single_query_search(saved_indexes, name):
         want_knn = [db.knn(q, k=k) for q in queries]
         want_range = [db.range(q, radius) for q in queries]
 
-    with ServingPool(path, workers=2, backend="process") as pool:
+    with serving_pool(path, workers=2) as pool:
         assert pool.dims == data.shape[1]
         got_knn, complete = pool.knn(queries, k=k, with_flags=True)
         assert complete == [True] * len(queries)
@@ -110,15 +125,15 @@ def test_process_pool_matches_single_query_search(saved_indexes, name):
 
 
 def test_sigkilled_worker_degrades_with_worker_died_and_respawns(
-        uniform_index):
+        uniform_index, serving_pool):
     queries = np.random.default_rng(11).random((12, 8))
     before = DEGRADED_QUERIES.labels(reason="worker_died").value
-    with ServingPool(uniform_index, workers=2, backend="process",
-                     _test_delay_s=0.6) as pool:
+    with serving_pool(uniform_index, workers=2,
+                      _fault_plans={0: _SlowFirstRead()}) as pool:
         victim = pool._pids[0]
         survivor = pool._pids[1]
-        # Kill worker 0 while it is inside the call (each worker sleeps
-        # 0.6 s before answering, the timer fires at 0.15 s).
+        # Kill worker 0 while it is inside the call (its first page read
+        # sleeps 0.6 s, the timer fires at 0.15 s).
         timer = threading.Timer(0.15, os.kill,
                                 args=(victim, signal.SIGKILL))
         timer.start()
@@ -137,10 +152,9 @@ def test_sigkilled_worker_degrades_with_worker_died_and_respawns(
         assert (DEGRADED_QUERIES.labels(reason="worker_died").value
                 == before + complete.count(False))
 
-        # The process was respawned, not quarantined: the slot has a
-        # fresh pid and the next call is answered in full.
+        # The process was respawned: the slot has a fresh pid and the
+        # next call is answered in full.
         assert pool.respawned_workers == 1
-        assert pool.quarantined_workers == 0
         assert pool._pids[0] not in (None, victim)
         assert pool._pids[1] == survivor
         results2, complete2 = pool.knn(queries, k=3, with_flags=True)
@@ -148,24 +162,27 @@ def test_sigkilled_worker_degrades_with_worker_died_and_respawns(
         assert all(results2)
 
 
-def test_timed_out_worker_is_respawned_not_quarantined(uniform_index):
+def test_timed_out_worker_is_respawned_not_quarantined(uniform_index,
+                                                       serving_pool):
     queries = np.random.default_rng(12).random((4, 8))
-    with ServingPool(uniform_index, workers=1, timeout=0.25,
-                     backend="process", _test_delay_s=30.0) as pool:
+    stuck = FaultPlan(slow_read_seconds=30.0)
+    with serving_pool(uniform_index, workers=1, timeout=0.25,
+                      _fault_plans={0: stuck}) as pool:
         results, complete = pool.knn(queries, k=2, with_flags=True)
         assert complete == [False] * 4
         assert results == [[], [], [], []]
         assert pool.degraded_queries == 4
         assert pool.respawned_workers == 1
-        assert pool.quarantined_workers == 0
 
 
-def test_dead_worker_detected_even_without_timeout(uniform_index):
+def test_dead_worker_detected_even_without_timeout(uniform_index,
+                                                   serving_pool):
     # No timeout configured: the only wake-up is the pipe EOF the dying
     # process leaves behind.  The call must still return promptly.
     queries = np.random.default_rng(13).random((4, 8))
-    with ServingPool(uniform_index, workers=1, backend="process",
-                     _test_delay_s=0.6) as pool:
+    slow = FaultPlan(slow_read_seconds=0.6)
+    with serving_pool(uniform_index, workers=1,
+                      _fault_plans={0: slow}) as pool:
         threading.Timer(0.15, os.kill,
                         args=(pool._pids[0], signal.SIGKILL)).start()
         results, complete = pool.knn(queries, k=2, with_flags=True)
@@ -178,12 +195,12 @@ def test_dead_worker_detected_even_without_timeout(uniform_index):
 # ---------------------------------------------------------------------------
 
 
-def test_worker_telemetry_merges_into_parent(uniform_index):
+def test_worker_telemetry_merges_into_parent(uniform_index, serving_pool):
     queries = np.random.default_rng(14).random((10, 8))
     batch = QUERIES.labels(index_kind="srtree", op="batch_knn")
     queries_before = batch.value
     flight_before = FLIGHT.recorded
-    with ServingPool(uniform_index, workers=2, backend="process") as pool:
+    with serving_pool(uniform_index, workers=2) as pool:
         pool.knn(queries, k=4)
 
         # The workers executed batch_knn in their own interpreters, yet
@@ -201,8 +218,8 @@ def test_worker_telemetry_merges_into_parent(uniform_index):
             assert entry["worker"] == idx
             assert entry["pid"] == pool._pids[idx]
             assert entry["page_reads"] > 0
-            assert entry["quarantines"] == 0
             assert entry["respawns"] == 0
+            assert "quarantined" not in entry
 
         # Flight-recorder records crossed the pipe, tagged per process.
         assert FLIGHT.recorded > flight_before
@@ -210,9 +227,9 @@ def test_worker_telemetry_merges_into_parent(uniform_index):
         assert "proc0" in workers_seen or "proc1" in workers_seen
 
 
-def test_stats_stay_cumulative_across_respawn(uniform_index):
+def test_stats_stay_cumulative_across_respawn(uniform_index, serving_pool):
     queries = np.random.default_rng(15).random((6, 8))
-    with ServingPool(uniform_index, workers=1, backend="process") as pool:
+    with serving_pool(uniform_index, workers=1) as pool:
         pool.knn(queries, k=3)
         reads_before = pool.stats().page_reads
         assert reads_before > 0
@@ -224,9 +241,9 @@ def test_stats_stay_cumulative_across_respawn(uniform_index):
         assert pool.worker_stats()[0]["respawns"] == 1
 
 
-def test_drop_caches_resets_worker_buffers(uniform_index):
+def test_drop_caches_resets_worker_buffers(uniform_index, serving_pool):
     queries = np.random.default_rng(16).random((6, 8))
-    with ServingPool(uniform_index, workers=1, backend="process") as pool:
+    with serving_pool(uniform_index, workers=1) as pool:
         pool.knn(queries, k=3)
         misses_before = pool.stats().buffer_misses
         pool.drop_caches()
@@ -236,24 +253,58 @@ def test_drop_caches_resets_worker_buffers(uniform_index):
 
 
 # ---------------------------------------------------------------------------
+# Many threads, one pool (a QueryServer calls it from every request thread)
+# ---------------------------------------------------------------------------
+
+
+def test_concurrent_calls_each_get_their_own_answers(saved_indexes,
+                                                     serving_pool):
+    """Regression: calls from several threads must not share a pipe.
+    Without the pool's lock two calls send on one worker's connection and
+    each takes whichever answer arrives first, so a caller gets another
+    caller's neighbours (or a torn message)."""
+    path, data = saved_indexes["uniform"]
+    threads, rounds, k = 4, 20, 5
+    blocks = [_random_queries(data, 16, seed=40 + t) for t in range(threads)]
+    with Database.open(path) as db:
+        want = [db.knn_batch(block, k) for block in blocks]
+    start = threading.Barrier(threads)
+    failures: list[BaseException] = []
+
+    with serving_pool(path, workers=2) as pool:
+        def client(t):
+            try:
+                for _ in range(rounds):
+                    start.wait()
+                    got, complete = pool.knn_batch(blocks[t], k,
+                                                   with_flags=True)
+                    assert all(complete)
+                    assert_byte_equal(got, want[t])
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                failures.append(exc)
+                start.abort()
+
+        runners = [threading.Thread(target=client, args=(t,))
+                   for t in range(threads)]
+        for runner in runners:
+            runner.start()
+        for runner in runners:
+            runner.join(timeout=60)
+        assert not any(runner.is_alive() for runner in runners)
+    assert not failures, failures[0]
+
+
+# ---------------------------------------------------------------------------
 # Facade dispatch and argument validation
 # ---------------------------------------------------------------------------
 
 
-def test_serving_pool_backend_process_builds_process_pool(uniform_index):
-    with ServingPool(uniform_index, workers=1,
-                     backend="process") as pool:
+def test_serving_pool_backend_process_builds_process_pool(uniform_index,
+                                                         serving_pool):
+    with serving_pool(uniform_index, workers=1, backend="process") as pool:
         assert isinstance(pool, ProcessServingPool)
-        assert pool.backend == "process"
-        assert pool.snapshot_epoch is None
         res = pool.knn(np.random.default_rng(2).random((3, 8)), k=2)
         assert all(res)
-
-
-def test_serving_pool_backend_defaults_to_thread(uniform_index):
-    with ServingPool(uniform_index, workers=1) as pool:
-        assert type(pool) is ServingPool
-        assert pool.backend == "thread"
 
 
 def test_unknown_backend_rejected(uniform_index):
@@ -261,47 +312,67 @@ def test_unknown_backend_rejected(uniform_index):
         ServingPool(uniform_index, workers=1, backend="fiber")
 
 
+#: What every refusal of a live source names instead.
+RECIPE = r"db\.snapshot\(\).*Snapshot\.refresh\(\).*knn_batch"
+
+
+def test_thread_backend_is_refused_with_the_snapshot_recipe(uniform_index):
+    with pytest.raises(ValueError, match=RECIPE):
+        ServingPool(uniform_index, workers=1, backend="thread")
+
+
 def test_live_database_rejected_by_process_backend(uniform_index):
     with Database.open(uniform_index) as db:
-        with pytest.raises(ValueError, match="thread"):
+        with pytest.raises(ValueError, match=RECIPE):
+            ServingPool(db)
+        with pytest.raises(ValueError, match=RECIPE):
             ServingPool(db, backend="process")
-        with pytest.raises(ValueError, match="thread"):
+        with pytest.raises(ValueError, match=RECIPE):
             ProcessServingPool(db)
 
 
 def test_missing_file_rejected(tmp_path):
     with pytest.raises(FileNotFoundError):
-        ServingPool(str(tmp_path / "nope.srtree"), workers=1,
-                    backend="process")
+        ServingPool(str(tmp_path / "nope.srtree"), workers=1)
 
 
-def test_workers_that_cannot_open_the_file_leave_no_process(tmp_path):
-    # Every worker starts before any handshake is read, so a refusal
-    # must take down the workers still starting, not only the one that
-    # answered first.
+def test_a_file_that_is_not_an_index_is_refused_before_any_worker(
+        tmp_path, serving_pool):
     path = tmp_path / "not-an-index.srtree"
     path.write_bytes(os.urandom(8192))
     before = set(multiprocessing.active_children())
+    with pytest.raises(ReproError, match="is not a repro index file") as info:
+        serving_pool(str(path), workers=2)
+    assert not isinstance(info.value, StorageError)
+    assert set(multiprocessing.active_children()) <= before
+
+
+def test_workers_that_cannot_open_the_file_leave_no_process(
+        tmp_path, uniform_index, serving_pool):
+    # Every worker starts before any handshake is read, so a refusal
+    # must take down the workers still starting, not only the one that
+    # answered first.  The superblock is intact (the parent checks it);
+    # the meta page behind it fails its CRC in the workers.
+    image = bytearray(open(uniform_index, "rb").read())
+    image[40:48] = bytes(b ^ 0xFF for b in image[40:48])
+    path = tmp_path / "torn-meta.srtree"
+    path.write_bytes(bytes(image))
+    before = set(multiprocessing.active_children())
     with pytest.raises(StorageError, match="failed to open"):
-        ProcessServingPool(str(path), workers=2)
+        serving_pool(str(path), workers=2)
     assert set(multiprocessing.active_children()) <= before
 
 
 def test_direct_construction_is_the_same_class_and_does_not_warn(
-        uniform_index):
+        uniform_index, serving_pool):
+    assert ProcessServingPool is ServingPool
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
-        direct = ProcessServingPool(uniform_index, workers=1)
-        facade = ServingPool(uniform_index, workers=1, backend="process")
-    with direct, facade:
-        assert type(direct) is type(facade) is ProcessServingPool
-    # A keyword only one backend understands is rejected by the other.
-    with pytest.raises(TypeError, match="start_method"):
-        ServingPool(uniform_index, workers=1, start_method="fork")
+        with serving_pool(uniform_index, workers=1) as pool:
+            assert type(pool) is ProcessServingPool
+    # The one fault seam is a per-worker FaultPlan; the sleep is gone.
     with pytest.raises(TypeError, match="_test_delay_s"):
         ServingPool(uniform_index, workers=1, _test_delay_s=0.1)
-    with pytest.raises(TypeError, match="backend"):
-        ProcessServingPool(uniform_index, workers=1, backend="process")
 
 
 def test_what_a_worker_raised_crosses_the_pipe_by_the_whitelist():

@@ -1,4 +1,4 @@
-"""QuerySurface conformance: five handle kinds, one read contract.
+"""QuerySurface conformance: four handle kinds, one read contract.
 
 And one argument contract: what a point, a ``k`` and a radius may be is
 decided by ``geometry.as_point``/``as_points`` and ``exec.batch.per_query``
@@ -9,7 +9,7 @@ the longest path an argument can take — and demands the refusal
 
 ``repro.api.QuerySurface`` is the formal protocol every query handle
 implements — :class:`~repro.api.Database`, :class:`~repro.api.Snapshot`,
-:class:`~repro.exec.ServingPool` (thread and process backends), and
+:class:`~repro.exec.ServingPool` (worker processes), and
 :class:`~repro.net.RemoteDatabase` over a live
 :class:`~repro.net.QueryServer`.  This suite runs the *same* assertions
 against every handle on the paper's three workload families: identical
@@ -35,7 +35,6 @@ from repro.exceptions import (
     NetError,
     StorageError,
 )
-from repro.exec import ServingPool
 from repro.net import QueryServer, RemoteDatabase
 from repro.workloads import cluster_dataset, histogram_dataset, uniform_dataset
 
@@ -47,7 +46,7 @@ WORKLOADS = {
 
 
 @pytest.fixture(scope="module", params=sorted(WORKLOADS))
-def corpus(request, tmp_path_factory):
+def corpus(request, tmp_path_factory, serving_pool):
     """One saved SR-tree database per paper workload family."""
     name = request.param
     data = WORKLOADS[name]()
@@ -63,7 +62,7 @@ def corpus(request, tmp_path_factory):
         (data[picks[4:]] + data[picks[:4]]) / 2.0,
     ])
     yield SimpleNamespace(name=name, data=data, path=path, db=db,
-                          queries=queries)
+                          queries=queries, serving_pool=serving_pool)
     db.close()
 
 
@@ -79,17 +78,8 @@ def _snapshot(c):
 
 
 @contextmanager
-def _pool_thread(c):
-    with ServingPool(c.db, workers=2) as pool:
-        yield pool
-
-
-@contextmanager
 def _pool_process(c):
-    # fork keeps startup cheap; correctness is start-method independent
-    # and spawn is exercised by tests/test_procpool.py.
-    with ServingPool(c.path, workers=2, backend="process",
-                     start_method="fork") as pool:
+    with c.serving_pool(c.path, workers=2) as pool:
         yield pool
 
 
@@ -110,7 +100,6 @@ def _remote_process(c):
 HANDLES = {
     "database": _database,
     "snapshot": _snapshot,
-    "pool_thread": _pool_thread,
     "pool_process": _pool_process,
     "remote": _remote,
     "remote_process": _remote_process,
@@ -230,7 +219,7 @@ def test_insert_many_returns_inserted_count(corpus, handle, tmp_path):
     Mutable handle kinds (``Database``, ``RemoteDatabase``) must agree
     on the contract; read handles (snapshots, pools) must not expose
     the mutation at all — asserted here so the conformance matrix
-    covers all five kinds.
+    covers every kind.
     """
     if not hasattr(handle, "insert_many"):
         assert not isinstance(handle, (Database, RemoteDatabase))
@@ -382,7 +371,7 @@ def test_two_dimensional_range_is_refused_or_the_pools_batch(corpus, handle):
 
     want = _outcome(call, corpus.db, corpus)
     assert want[:2] == ("refused", DimensionalityError)
-    if hasattr(handle, "worker_stats"):  # a pool, either backend
+    if hasattr(handle, "worker_stats"):  # a pool
         want = _outcome(lambda h, c: h.range_batch(c.queries[:3], 0.35),
                         corpus.db, corpus)
     assert _outcome(call, handle, corpus) == want
@@ -390,9 +379,10 @@ def test_two_dimensional_range_is_refused_or_the_pools_batch(corpus, handle):
 
 @pytest.mark.parametrize("kind", sorted(HANDLES))
 def test_closed_handle_refuses_every_read(corpus, kind):
-    own = SimpleNamespace(db=Database.open(corpus.path), path=corpus.path)
+    own = SimpleNamespace(db=Database.open(corpus.path), path=corpus.path,
+                          serving_pool=corpus.serving_pool)
     refusal = {"database": StorageError, "snapshot": StorageError,
-               "pool_thread": RuntimeError, "pool_process": RuntimeError,
+               "pool_process": RuntimeError,
                "remote": NetError, "remote_process": NetError}[kind]
     q = corpus.queries[0]
     try:
@@ -448,11 +438,11 @@ def test_nan_is_refused_on_the_way_in_and_the_tree_still_verifies(tmp_path):
         db.verify()
 
 
-def test_worker_side_errors_are_one_class_on_both_backends(tmp_path,
-                                                           pool_backend):
+def test_worker_side_errors_cross_the_pipe_as_their_class(tmp_path,
+                                                          serving_pool):
     path = str(tmp_path / "empty.srtree")
     Database.create(path, kind="sr", dims=4).close()
-    with ServingPool(path, workers=1, **pool_backend) as pool:
+    with serving_pool(path, workers=1) as pool:
         with pytest.raises(EmptyIndexError, match="empty index"):
             pool.knn([0.1, 0.2, 0.3, 0.4], k=2)
         with pytest.raises(ValueError, match="low > high"):
