@@ -84,9 +84,11 @@ test-mp:
 # handle kinds (remote results byte-equal to local on the three paper
 # workloads) plus the server's admission-control, deadline, and
 # graceful-drain behaviors (a burst at 4x max_inflight must shed with
-# 429 while zero in-flight queries are dropped during drain), and the
-# telemetry endpoint, which stands on the same HTTP substrate
-# (repro/httpd.py: request framing and keep-alive, over raw sockets).
+# 429 while zero in-flight queries are dropped during drain), the
+# telemetry paths the server answers on the same port (/metrics,
+# /healthz, /varz, still answered during the drain), and the HTTP
+# substrate (repro/httpd.py: request framing and keep-alive, over raw
+# sockets).
 # faulthandler dumps all stacks if a hung socket eats the hard timeout.
 test-net:
 	timeout -k 10 600 env PYTHONFAULTHANDLER=1 PYTHONPATH=src \

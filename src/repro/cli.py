@@ -165,7 +165,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     "over HTTP/1.1 with admission control and deadline "
                     "propagation, until SIGTERM/Ctrl-C — both trigger a "
                     "graceful drain (in-flight requests finish, late "
-                    "arrivals are shed with 503).  With --workers > 1 "
+                    "arrivals are shed with 503).  /metrics, /healthz "
+                    "and /varz are answered on the same port.  "
+                    "With --workers > 1 "
                     "the index is served through a ServingPool of "
                     "worker processes; with "
                     "--token, mutation endpoints (/v1/insert, "
@@ -209,10 +211,10 @@ def _build_parser() -> argparse.ArgumentParser:
                               "seconds (pool serving only)")
     serve.add_argument("--slo-ms", type=float, default=None,
                          help="process-wide latency objective in ms")
-    serve.add_argument("--telemetry-port", type=int, default=None,
-                         metavar="PORT",
-                         help="also serve /metrics, /healthz, /varz on "
-                              "this port (0 = ephemeral)")
+    # Telemetry is answered on the query port; this flag is accepted,
+    # hidden and as 0 alone, because ledger/workloads.py passes it.
+    serve.add_argument("--telemetry-port", type=_telemetry_port,
+                       help=argparse.SUPPRESS)
     serve.add_argument("--duration", type=float, default=None,
                          help="serve this many seconds, then drain and "
                               "exit (default: until SIGTERM/Ctrl-C)")
@@ -389,13 +391,20 @@ def _cmd_query_remote(args) -> int:
     return 0
 
 
+def _telemetry_port(raw: str) -> int:
+    if int(raw) != 0:
+        raise argparse.ArgumentTypeError(
+            f"{raw} is refused: /metrics, /healthz and /varz are served "
+            f"on the query port (--port)")
+    return 0
+
+
 def _cmd_serve(args) -> int:
     import signal
     import threading
 
     from .exec import ServingPool
     from .net import QueryServer
-    from .obs import TelemetryServer
     from .obs.hooks import set_slo_ms
 
     if args.slo_ms is not None:
@@ -411,7 +420,6 @@ def _cmd_serve(args) -> int:
     # SIGTERM (and Ctrl-C below) trigger the same graceful drain:
     # in-flight requests finish, late arrivals are shed with 503.
     previous = signal.signal(signal.SIGTERM, lambda *_: stop.set())
-    telemetry = None
     try:
         server = QueryServer(
             source,
@@ -424,15 +432,6 @@ def _cmd_serve(args) -> int:
             max_batch=args.max_batch,
         )
         try:
-            if args.telemetry_port is not None:
-                telemetry = TelemetryServer(host=args.host,
-                                            port=args.telemetry_port)
-                telemetry.start()
-                telemetry.watch_query_server(server)
-                if isinstance(source, Database):
-                    telemetry.watch_database(source)
-                else:
-                    telemetry.watch_pool(source)
             host, port = server.address
             mutations = "enabled" if args.token else "disabled"
             if args.batch_delay_ms > 0:
@@ -440,9 +439,8 @@ def _cmd_serve(args) -> int:
                          f"x{args.max_batch}")
             print(f"serving {args.index} at http://{host}:{port}/v1 "
                   f"({mode}, mutations {mutations})")
-            if telemetry is not None:
-                print(f"telemetry at {telemetry.url}  "
-                      f"(/metrics /healthz /varz)")
+            print(f"telemetry at http://{host}:{port}  "
+                  f"(/metrics /healthz /varz)")
             print("Ctrl-C or SIGTERM drains and exits")
             try:
                 if args.duration is not None:
@@ -454,8 +452,6 @@ def _cmd_serve(args) -> int:
             print("draining...")
         finally:
             server.close()
-            if telemetry is not None:
-                telemetry.stop()
     finally:
         signal.signal(signal.SIGTERM, previous)
         source.close()

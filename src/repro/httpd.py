@@ -1,15 +1,14 @@
-"""The HTTP/1.1 substrate under both servers.
+"""The HTTP/1.1 substrate under the query server.
 
-:class:`~repro.net.QueryServer` (the data plane) and
-:class:`~repro.obs.TelemetryServer` (``/metrics``·``/healthz``·``/varz``)
-are applications: each routes a path and builds a response.  Everything
-that is HTTP rather than application is here, once, on the stdlib's
-``http.server`` and nothing else:
+:class:`~repro.net.QueryServer` is the application: it routes a path
+(a ``/v1/`` endpoint, or one of the telemetry routes ``/metrics``,
+``/healthz``, ``/varz``) and builds a response.  Everything that is
+HTTP rather than application is here, on the stdlib's ``http.server``
+and nothing else:
 
 * :class:`HttpListener` — the listening socket, its serve thread, the
-  bound address, and the two halves of a shutdown
-  (:meth:`~HttpListener.stop_accepting`, then :meth:`~HttpListener.unbind`
-  once the application has finished what it admitted);
+  bound address, and :meth:`~HttpListener.close`, which the application
+  calls once it has finished what it admitted;
 * :class:`Request` — one request as the application sees it: the parsed
   request line and headers, :meth:`~Request.read_body`, and the one
   response writer, :meth:`~Request.send`, which records what it sent in
@@ -39,9 +38,9 @@ Connections are HTTP/1.1 keep-alive with ``TCP_NODELAY``; a response
 leaves as one buffered segment without the stdlib's ``Server``/``Date``
 headers; the listen backlog is 128.  The library has one logging
 surface: ``http.server``'s request chatter goes to the event log at
-DEBUG under the application's event name, and an exception escaping a
-handler becomes an ``http_handler_error`` event instead of
-``socketserver``'s stderr traceback.
+DEBUG (``query_server_log``), and an exception escaping a handler
+becomes an ``http_handler_error`` event instead of ``socketserver``'s
+stderr traceback.
 """
 
 from __future__ import annotations
@@ -87,9 +86,8 @@ class Request(BaseHTTPRequestHandler):
             return
         status, reason = refusal
         self.close_connection = True
-        self.server.events.emit("http_request_refused", level=WARN,
-                                server=self.server.name, status=status,
-                                reason=reason)
+        EVENTS.emit("http_request_refused", level=WARN, status=status,
+                    reason=reason)
         self.send_json(status, {"error": reason, "error_type": "NetError"})
 
     do_GET = do_POST = _serve  # noqa: N815 (http.server API)
@@ -118,7 +116,7 @@ class Request(BaseHTTPRequestHandler):
 
     def send(self, status: int, body: bytes, content_type: str,
              headers: dict | None = None) -> None:
-        """Write the response: the one place either server does."""
+        """Write the response: the one place the server does."""
         if self._unread > MAX_DRAIN_BYTES:
             self.close_connection = True
         elif self._unread:
@@ -151,10 +149,8 @@ class Request(BaseHTTPRequestHandler):
         self.send(status, text.encode("utf-8"), "application/json", headers)
 
     def log_message(self, format: str, *args) -> None:
-        events = self.server.events
-        if events.enabled_for(DEBUG):
-            events.emit(self.server.log_event, level=DEBUG,
-                        message=format % args)
+        if EVENTS.enabled_for(DEBUG):
+            EVENTS.emit("query_server_log", level=DEBUG, message=format % args)
 
 
 class HttpListener(ThreadingHTTPServer):
@@ -162,8 +158,6 @@ class HttpListener(ThreadingHTTPServer):
 
     ``handle(request)`` is called on a per-connection thread for every
     well-framed GET or POST and answers through the :class:`Request`.
-    ``name`` names the serve thread and the server in substrate events;
-    ``log_event`` is the event ``http.server``'s chatter is filed under.
     """
 
     # The socketserver default backlog (5) resets connections when a
@@ -172,15 +166,12 @@ class HttpListener(ThreadingHTTPServer):
     request_queue_size = 128
     daemon_threads = True
 
-    def __init__(self, host: str, port: int, handle, *, name: str,
-                 log_event: str, events=EVENTS) -> None:
+    def __init__(self, host: str, port: int, handle) -> None:
         super().__init__((host, port), Request)
         self.handle = handle
-        self.name = name
-        self.log_event = log_event
-        self.events = events
         self._thread = threading.Thread(target=self.serve_forever,
-                                        name=name, daemon=True)
+                                        name="repro-query-server",
+                                        daemon=True)
         self._thread.start()
 
     @property
@@ -188,12 +179,10 @@ class HttpListener(ThreadingHTTPServer):
         """The bound ``(host, port)`` (the pick, when asked for port 0)."""
         return self.server_address[:2]
 
-    def stop_accepting(self) -> None:
-        """Stop the accept loop; open connections keep being served."""
+    def close(self) -> None:
+        """Stop the accept loop, close the listening socket and join the
+        serve thread; open connections keep being served."""
         self.shutdown()
-
-    def unbind(self) -> None:
-        """Close the listening socket and join the serve thread."""
         self.server_close()
         self._thread.join(timeout=5.0)
 
@@ -201,8 +190,6 @@ class HttpListener(ThreadingHTTPServer):
         exc = sys.exc_info()[1]
         # A peer that hangs up mid-request is routine; anything else is
         # a defect in a handler and worth an operator's attention.
-        self.events.emit("http_handler_error",
-                         level=DEBUG if isinstance(exc, ConnectionError)
-                         else WARN,
-                         server=self.name, client="%s:%s" % client_address[:2],
-                         error=repr(exc))
+        EVENTS.emit("http_handler_error",
+                    level=DEBUG if isinstance(exc, ConnectionError) else WARN,
+                    client="%s:%s" % client_address[:2], error=repr(exc))

@@ -6,9 +6,8 @@ implementation — a :class:`~repro.api.Database`, a
 protocol defined in :mod:`repro.net.protocol`.  The HTTP itself —
 listener, keep-alive, request-body framing (the 64 MiB cap, refusing
 what it cannot frame, reading past an unread body before a response)
-and the response writer — is :mod:`repro.httpd`, shared with the
-telemetry server; this module is what makes the query server a *data
-plane*:
+and the response writer — is :mod:`repro.httpd`; this module is what
+makes the query server a *data plane*:
 
 * **Admission control.**  At most ``max_inflight`` requests execute at
   once; up to ``max_queue`` more wait for a slot.  Overflow is shed
@@ -22,9 +21,14 @@ plane*:
   dispatched*; admitted requests hand their remaining budget to the
   serving pools' per-call ``timeout=``.
 * **Graceful drain.**  ``close()`` (or the CLI's SIGTERM handler)
-  stops accepting new work, sheds late arrivals with 503, waits for
-  every in-flight request to finish, then unbinds.  Zero admitted
-  queries are dropped.
+  sheds late arrivals with 503, waits for every in-flight request to
+  finish, then stops accepting and unbinds.  Zero admitted queries are
+  dropped, and until the unbind a fresh connection is answered
+  (``/healthz`` says 503 too) rather than left in the listen queue.
+* **Telemetry on the same port.**  ``/metrics``, ``/healthz`` and
+  ``/varz`` (:mod:`repro.obs.server`) are answered ahead of admission,
+  so they stay answerable under load and during the drain, and are not
+  counted as query requests.
 * **Keep-alive.**  HTTP/1.1 with explicit ``Content-Length`` on every
   response, so clients reuse one connection across calls; no early
   response (shed, 401, 403, 404) is written ahead of an unread body.
@@ -50,6 +54,7 @@ from ..exceptions import RERAISABLE, NetError
 from ..exec.batch import per_query
 from ..geometry import as_point
 from ..httpd import HttpListener, Request
+from ..obs import server as telemetry
 from ..obs.events import DEBUG, EVENTS, INFO, WARN
 from ..obs.hooks import on_net_inflight, on_net_request, on_net_shed
 from . import protocol
@@ -194,9 +199,7 @@ class QueryServer:
         self._shed = {"overload": 0, "deadline": 0, "draining": 0}
         self._served = 0
         self._stats_lock = threading.Lock()
-        self._listener = HttpListener(host, port, self._handle,
-                                      name="repro-query-server",
-                                      log_event="query_server_log")
+        self._listener = HttpListener(host, port, self._serve)
         EVENTS.emit("query_server_started", level=INFO,
                     host=self.address[0], port=self.address[1],
                     max_inflight=max_inflight, max_queue=max_queue,
@@ -242,7 +245,7 @@ class QueryServer:
         return doc
 
     def close(self) -> None:
-        """Graceful drain: stop accepting, finish in-flight, unbind.
+        """Graceful drain: shed new work, finish in-flight, unbind.
 
         Safe to call from any thread (the CLI calls it from a SIGTERM
         handler) and idempotent.
@@ -259,10 +262,10 @@ class QueryServer:
             # Flush every half-full batch now: its members hold
             # admission slots and must finish before wait_idle.
             self._coalescer.drain()
-        # Stop the accept loop first so no new connections race the wait.
-        self._listener.stop_accepting()
         drained = self._admission.wait_idle(self._drain_timeout_s)
-        self._listener.unbind()
+        # Accept until idle: a connection arriving during the drain is
+        # shed (503) instead of reset when the socket closes.
+        self._listener.close()
         EVENTS.emit("query_server_stopped", level=INFO if drained else WARN,
                     drained=drained, served=self._served)
 
@@ -275,16 +278,24 @@ class QueryServer:
     # ------------------------------------------------------------------
     # request plumbing
 
+    def _serve(self, request: Request) -> None:
+        # Telemetry is answered here, ahead of admission and of _handle's
+        # request accounting (the ledger times _handle as the request).
+        path = request.path.split("?", 1)[0].rstrip("/")
+        if path in telemetry.PATHS:
+            telemetry.answer(request, path, self._source, self)
+        else:
+            self._handle(request)
+
     def _handle(self, request: Request) -> None:
         started = time.monotonic()
         endpoint = self._route(request.path)
         deadline = self._parse_deadline(request, started)
         try:
             if endpoint is None:
-                self._send_error(
-                    request, 404,
-                    NetError(f"unknown endpoint {request.path!r}; "
-                             f"endpoints live under /v1/"))
+                doc = protocol.error_doc(NetError(
+                    f"unknown path {request.path!r}; see 'paths'"))
+                request.send_json(404, dict(doc, paths=_PATHS))
             elif deadline is _BAD_DEADLINE:
                 self._send_error(
                     request, 400,
@@ -649,6 +660,10 @@ class QueryServer:
             }
         return {"stats": repr(stats)}
 
+
+#: Every path the server answers, listed in its 404.
+_PATHS = ([f"/v1/{name}" for name in protocol.ENDPOINTS]
+          + list(telemetry.PATHS))
 
 #: Sentinel distinguishing "no deadline header" from "unparseable one".
 _BAD_DEADLINE = object()

@@ -22,8 +22,8 @@ one-off measurements into a first-class layer:
 * :mod:`repro.obs.flightrec` — the flight recorder (``FLIGHT``): an
   always-on ring of the last N query records with slow-query tail
   sampling;
-* :mod:`repro.obs.server` — :class:`TelemetryServer`, the dependency-
-  free HTTP endpoint exposing ``/metrics``, ``/healthz``, ``/varz``.
+* :mod:`repro.obs.server` — the ``/metrics``, ``/healthz`` and ``/varz``
+  routes, answered by :class:`~repro.net.QueryServer` on its own port.
 
 Quickstart::
 
@@ -53,7 +53,6 @@ from .hooks import (
     slo_ms,
 )
 from .prometheus import render
-from .server import TelemetryServer
 from .registry import (
     Counter,
     Gauge,
@@ -79,7 +78,6 @@ __all__ = [
     "QueryRecord",
     "REGISTRY",
     "Span",
-    "TelemetryServer",
     "Tracer",
     "explain",
     "get_registry",

@@ -1,227 +1,98 @@
-"""HTTP telemetry endpoint: ``/metrics``, ``/healthz``, ``/varz``.
+"""The telemetry routes: ``/metrics``, ``/healthz``, ``/varz``.
 
-Three routes on :mod:`repro.httpd` — the HTTP/1.1 substrate the query
-server stands on too, so a scraper keeps one connection alive across
-scrapes — that make the process's observability surfaces scrapeable
-from outside:
+:class:`~repro.net.QueryServer` answers these three paths on its own
+port, ahead of admission control — they stay answerable while the data
+plane is saturated or draining, and they are not counted as query
+requests.  The server passes itself and its served handle in; this
+module reads them and never imports :mod:`repro.net`:
 
 * ``/metrics`` — the metrics registry in Prometheus text exposition
   format, **byte-identical** to ``render(REGISTRY)`` (a stock
   Prometheus server or ``promtool check metrics`` parses it as-is);
-* ``/healthz`` — ``200 {"status": "ok", ...}`` while every watched
-  handle is serviceable, ``503`` as soon as a watched database's store
-  is poisoned (post-commit apply failure — see ``docs/DURABILITY.md``)
-  or a watched query server is draining;
+* ``/healthz`` — ``200 {"status": "ok", ...}`` while the served handle
+  and the server are serviceable, ``503`` as soon as a served
+  database's store is poisoned (post-commit apply failure — see
+  ``docs/DURABILITY.md``) or the server is draining;
 * ``/varz`` — one JSON document: the flattened registry, the flight
-  recorder's summary, the event log's summary, the snapshot epoch of
-  every watched database and the workers and degraded queries of every
-  watched pool.
-
-The server binds ``127.0.0.1`` on an ephemeral port by default and
-serves from a daemon thread; it is an operator tool, not a hardened
-public endpoint.  Request handling is quiet — ``http.server``'s
-stderr chatter goes to the event log instead (``telemetry_request``,
-DEBUG), keeping one logging surface.
-
-::
-
-    from repro.obs import TelemetryServer
-
-    with TelemetryServer(port=0) as srv:
-        srv.watch_database(db)
-        srv.watch_pool(pool)
-        print(srv.url)               # e.g. http://127.0.0.1:49152
-        ...                          # scrape srv.url + "/metrics"
+  recorder's summary, the event log's summary, the served database's
+  snapshot epoch or the served pool's workers and degraded queries, and
+  the server's admission-control snapshot.
 """
 
 from __future__ import annotations
 
-from ..httpd import HttpListener, Request
-from .events import EVENTS, INFO
+from .events import EVENTS
 from .flightrec import FLIGHT
 from .prometheus import render
 from .registry import REGISTRY
 
-__all__ = ["TelemetryServer"]
+__all__ = ["PATHS", "answer", "health", "varz"]
+
+#: The telemetry paths, answered beside the ``/v1/`` endpoints.
+PATHS = ("/metrics", "/healthz", "/varz")
 
 
-class TelemetryServer:
-    """Serve ``/metrics``, ``/healthz``, and ``/varz`` over HTTP.
+def answer(request, path: str, source, server) -> None:
+    """Answer ``path`` (one of :data:`PATHS`) through ``request``."""
+    if path == "/metrics":
+        request.send(200, render(REGISTRY).encode("utf-8"),
+                     "text/plain; version=0.0.4; charset=utf-8")
+    elif path == "/healthz":
+        healthy, doc = health(source, server)
+        request.send_json(200 if healthy else 503, doc, pretty=True)
+    else:
+        request.send_json(200, varz(source, server), pretty=True)
 
-    Parameters
-    ----------
-    host / port:
-        Bind address; ``port=0`` (default) picks an ephemeral port,
-        readable from :attr:`port` after :meth:`start`.
-    registry / recorder / events:
-        The surfaces to expose; default to the process-wide
-        ``REGISTRY``/``FLIGHT``/``EVENTS``.
 
-    Health and ``/varz`` state come from *watched* handles:
-    :meth:`watch_database`, :meth:`watch_pool` and
-    :meth:`watch_query_server` register live objects that the handlers
-    poll on every request (a pool respawns a failed worker, so it has
-    no unhealthy state).  Entering the context manager starts the
-    server; leaving stops it.
+def health(source, server) -> tuple[bool, dict]:
+    """``(healthy, document)`` for the served handle and its server.
+
+    A database fails its check when its store is poisoned, the server
+    while it drains.  A pool respawns a failed worker, so it has no
+    unhealthy state and no check.
     """
+    checks: list[dict] = []
+    if hasattr(source, "path"):  # a Database
+        poisoned = bool(source.index.store.poisoned)
+        checks.append({
+            "check": "database[0]",
+            "path": source.path,
+            "ok": not poisoned,
+            "detail": "store poisoned" if poisoned else "serviceable",
+        })
+    draining = bool(server.draining)
+    checks.append({
+        "check": "query_server[0]",
+        "address": "%s:%d" % server.address,
+        "ok": not draining,
+        "detail": "draining for shutdown" if draining else "serviceable",
+    })
+    healthy = all(check["ok"] for check in checks)
+    return healthy, {
+        "status": "ok" if healthy else "unhealthy",
+        "checks": checks,
+    }
 
-    def __init__(self, *, host: str = "127.0.0.1", port: int = 0,
-                 registry=None, recorder=None, events=None) -> None:
-        self._host = host
-        self._port = port
-        self._registry = registry if registry is not None else REGISTRY
-        self._recorder = recorder if recorder is not None else FLIGHT
-        self._events = events if events is not None else EVENTS
-        self._databases: list = []
-        self._pools: list = []
-        self._query_servers: list = []
-        self._listener: HttpListener | None = None
 
-    # -- watched handles ---------------------------------------------------
-
-    def watch_database(self, db) -> None:
-        """Track a :class:`~repro.api.Database` for health/epoch state."""
-        self._databases.append(db)
-
-    def watch_pool(self, pool) -> None:
-        """Track a :class:`~repro.exec.ServingPool` for ``/varz``."""
-        self._pools.append(pool)
-
-    def watch_query_server(self, query_server) -> None:
-        """Track a :class:`~repro.net.QueryServer` for health/load state.
-
-        ``/healthz`` reports the query server unhealthy once it starts
-        draining (load balancers should stop routing to it); ``/varz``
-        carries its live admission-control snapshot (in-flight, queued,
-        shed counts).
-        """
-        self._query_servers.append(query_server)
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def start(self) -> "TelemetryServer":
-        """Bind and serve from a daemon thread (idempotent)."""
-        if self._listener is None:
-            self._listener = HttpListener(
-                self._host, self._port, self._handle, name="repro-telemetry",
-                log_event="telemetry_request", events=self._events)
-            self._events.emit("telemetry_server_started", level=INFO,
-                              host=self.host, port=self.port)
-        return self
-
-    def stop(self) -> None:
-        """Shut the listener down and join the serving thread."""
-        if self._listener is None:
-            return
-        listener, self._listener = self._listener, None
-        listener.stop_accepting()
-        listener.unbind()
-        self._events.emit("telemetry_server_stopped", level=INFO)
-
-    def __enter__(self) -> "TelemetryServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-    # -- address -----------------------------------------------------------
-
-    @property
-    def _address(self) -> tuple[str, int]:
-        if self._listener is not None:
-            return self._listener.address
-        return self._host, self._port
-
-    @property
-    def host(self) -> str:
-        """Bound host."""
-        return self._address[0]
-
-    @property
-    def port(self) -> int:
-        """Bound port (the ephemeral pick once started)."""
-        return self._address[1]
-
-    @property
-    def url(self) -> str:
-        """``http://host:port`` of the running server."""
-        return f"http://{self.host}:{self.port}"
-
-    # -- state assembly (also used directly by tests/CLI) -------------------
-
-    def health(self) -> tuple[bool, dict]:
-        """``(healthy, checks)`` over every watched handle.
-
-        A database fails its check when its store is poisoned, a query
-        server while it drains.  No watched handles = vacuously healthy
-        (the process is up).
-        """
-        checks: list[dict] = []
-        healthy = True
-        for i, db in enumerate(self._databases):
-            poisoned = bool(db.index.store.poisoned)
-            checks.append({
-                "check": f"database[{i}]",
-                "path": db.path,
-                "ok": not poisoned,
-                "detail": "store poisoned" if poisoned else "serviceable",
-            })
-            healthy &= not poisoned
-        for i, qs in enumerate(self._query_servers):
-            draining = bool(qs.draining)
-            checks.append({
-                "check": f"query_server[{i}]",
-                "address": "%s:%d" % qs.address,
-                "ok": not draining,
-                "detail": ("draining for shutdown" if draining
-                           else "serviceable"),
-            })
-            healthy &= not draining
-        return healthy, {
-            "status": "ok" if healthy else "unhealthy",
-            "checks": checks,
-        }
-
-    def varz(self) -> dict:
-        """The ``/varz`` document as a dict."""
-        snapshots: list[dict] = []
-        for i, db in enumerate(self._databases):
-            entry: dict = {"handle": f"database[{i}]", "path": db.path}
-            if not db.closed:
-                entry["epoch"] = db.index.snapshot_epoch
-                entry["snapshot_pins"] = db.index.store.snapshot_pins
-            snapshots.append(entry)
-        for i, pool in enumerate(self._pools):
-            snapshots.append({
-                "handle": f"pool[{i}]",
-                "workers": pool.workers,
-                "degraded_queries": pool.degraded_queries,
-            })
-        for i, qs in enumerate(self._query_servers):
-            entry = dict(qs.describe())
-            entry["handle"] = f"query_server[{i}]"
-            snapshots.append(entry)
-        return {
-            "metrics": self._registry.flatten(),
-            "flight_recorder": self._recorder.summary(),
-            "events": self._events.summary(),
-            "snapshots": snapshots,
-        }
-
-    # -- request handling ----------------------------------------------------
-
-    def _handle(self, request: Request) -> None:
-        path = request.path.split("?", 1)[0].rstrip("/") or "/"
-        if path == "/metrics":
-            request.send(200, render(self._registry).encode("utf-8"),
-                         "text/plain; version=0.0.4; charset=utf-8")
-        elif path == "/healthz":
-            healthy, doc = self.health()
-            request.send_json(200 if healthy else 503, doc, pretty=True)
-        elif path == "/varz":
-            request.send_json(200, self.varz(), pretty=True)
-        else:
-            request.send_json(404, {
-                "error": f"unknown path {path!r}",
-                "paths": ["/metrics", "/healthz", "/varz"],
-            }, pretty=True)
+def varz(source, server) -> dict:
+    """The ``/varz`` document as a dict."""
+    snapshots: list[dict] = []
+    if hasattr(source, "path"):  # a Database
+        entry: dict = {"handle": "database[0]", "path": source.path}
+        if not source.closed:
+            entry["epoch"] = source.index.snapshot_epoch
+            entry["snapshot_pins"] = source.index.store.snapshot_pins
+        snapshots.append(entry)
+    elif hasattr(source, "degraded_queries"):  # a ServingPool
+        snapshots.append({
+            "handle": "pool[0]",
+            "workers": source.workers,
+            "degraded_queries": source.degraded_queries,
+        })
+    snapshots.append(dict(server.describe(), handle="query_server[0]"))
+    return {
+        "metrics": REGISTRY.flatten(),
+        "flight_recorder": FLIGHT.summary(),
+        "events": EVENTS.summary(),
+        "snapshots": snapshots,
+    }

@@ -2,11 +2,12 @@
 
 ``docs/OBSERVABILITY.md`` lists every metric family and every event,
 ``docs/SERVING.md`` and the ``repro.net.protocol`` docstring every
-endpoint, ``README.md`` and ``docs/API.md`` every CLI sub-command.  Each
-list is re-derived here from the code — the families in ``REGISTRY``,
-the literals passed to ``emit(`` under ``src/repro``,
-``protocol.ENDPOINTS``, the argparse sub-parsers — and must match name
-for name, so a metric, event, endpoint or command cannot be added,
+endpoint (``docs/SERVING.md`` the telemetry paths too), ``README.md``
+and ``docs/API.md`` every CLI sub-command.  Each list is re-derived
+here from the code — the families in ``REGISTRY``, the literals passed
+to ``emit(`` under ``src/repro``, ``protocol.ENDPOINTS`` and
+``repro.obs.server.PATHS``, the argparse sub-parsers — and must match
+name for name, so a metric, event, endpoint or command cannot be added,
 renamed or dropped on one side only.
 (A test, not a ``tools/lint.py`` policy: the linter imports nothing from
 the package, and the registry is only knowable by importing it.)
@@ -21,6 +22,7 @@ from pathlib import Path
 from repro.cli import _build_parser
 from repro.net import protocol
 from repro.obs import REGISTRY
+from repro.obs import server as telemetry
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -51,10 +53,7 @@ def test_event_catalog_is_what_the_code_emits():
     documented = _first_column("docs/OBSERVABILITY.md",
                                "### The structured event log",
                                "Events land in a bounded ring", r"`(\w+)`")
-    # http.server's chatter is emitted under a name each server hands
-    # the substrate (``log_event=``), not under a literal.
-    emitted = (_in_source(r'\bemit\(\s*"(\w+)"')
-               | _in_source(r'\blog_event="(\w+)"'))
+    emitted = _in_source(r'\bemit\(\s*"(\w+)"')
     assert sorted(documented) == sorted(emitted)
 
 
@@ -64,6 +63,10 @@ def test_endpoint_tables_are_the_protocol():
     docstring = re.findall(r"^``/v1/(\w+)``", protocol.__doc__, re.MULTILINE)
     assert sorted(serving) == sorted(protocol.ENDPOINTS)
     assert sorted(docstring) == sorted(protocol.ENDPOINTS)
+    # The telemetry paths share the query port, and the table.
+    paths = _first_column("docs/SERVING.md", "## Endpoints",
+                          "### Request framing", r"`(/(?!v1/)\w+)`")
+    assert paths == list(telemetry.PATHS)
 
 
 def test_cli_command_lists_are_the_parser():

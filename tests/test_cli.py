@@ -1,9 +1,18 @@
 """Tests for the command-line interface (repro.cli)."""
 
+import json
+import os
+import signal
+import subprocess
+import sys
+import urllib.request
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro import Database
+import repro
+from repro import Database, RemoteDatabase
 from repro.cli import main
 
 
@@ -190,15 +199,59 @@ class TestTelemetryCommands:
         return path
 
     def test_serve_runs_for_duration(self, index_file, capsys, obs_restore):
-        # The command the ledger starts (ledger/workloads.py), and the two
-        # banner lines it parses for the query and telemetry addresses.
         assert run("serve", "--index", index_file, "--port", 0,
-                   "--telemetry-port", 0, "--duration", 0.05) == 0
+                   "--duration", 0.05) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith(f"serving {index_file} at http://127.0.0.1:")
         assert "/v1 (single handle, mutations disabled)" in lines[0]
-        assert lines[1].startswith("telemetry at http://127.0.0.1:")
+        address = lines[0].split("http://")[1].split("/v1")[0]
+        # Telemetry is answered on the query port itself.
+        assert lines[1] == (f"telemetry at http://{address}  "
+                            f"(/metrics /healthz /varz)")
         assert lines[-1] == "drained; bye"
+
+    def test_serve_keeps_the_ledger_contract(self, index_file):
+        # The command ledger/workloads.py starts, the two banner lines it
+        # parses, and the /varz keys its counters() sums.
+        env = dict(os.environ, PYTHONUNBUFFERED="1",
+                   PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        child = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--index",
+             str(index_file), "--port", "0", "--telemetry-port", "0"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+            text=True)
+        try:
+            serving, banner = child.stdout.readline(), child.stdout.readline()
+            address = serving.split("http://")[1].split("/v1")[0]
+            url = banner.split()[2]
+            assert banner.startswith("telemetry at ")
+            assert url == f"http://{address}"
+            with RemoteDatabase.connect(address) as rdb:
+                assert len(rdb.knn(np.full(4, 0.5), k=3)) == 3
+            with urllib.request.urlopen(url + "/varz", timeout=10) as reply:
+                flat = json.load(reply)["metrics"]
+        finally:
+            child.send_signal(signal.SIGTERM)
+            out, _ = child.communicate(timeout=30)
+        assert child.returncode == 0
+        assert out.splitlines()[-1] == "drained; bye"
+        knn_count = [value for key, value in flat.items()
+                     if key.startswith("repro_net_request_seconds_count")
+                     and 'endpoint="knn"' in key]
+        leaf_reads = [value for key, value in flat.items()
+                      if key.startswith("repro_page_reads_total")
+                      and 'level="leaf"' in key]
+        assert knn_count == [1]
+        assert leaf_reads and sum(leaf_reads) > 0
+
+    def test_serve_refuses_a_second_port(self, index_file, capsys):
+        with pytest.raises(SystemExit) as info:
+            run("serve", "--index", index_file, "--port", 0,
+                "--telemetry-port", 9464, "--duration", 0.05)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--telemetry-port" in err
+        assert "query port (--port)" in err
 
     def test_serve_refuses_the_thread_backend(self, index_file, capsys):
         # A pool is worker processes; the flag that chose threads is gone.

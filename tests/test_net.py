@@ -7,8 +7,9 @@ burst beyond ``max_inflight + max_queue`` is shed with 429 and a
 ``Retry-After`` hint, ``close()`` drains every admitted request to
 completion (zero dropped), and a client that hangs up mid-request never
 poisons the serving loop.  Shed decisions land in
-``repro_shed_requests_total`` and the telemetry server's ``/healthz``
-flips as soon as a watched query server starts draining.
+``repro_shed_requests_total``, and the server's own ``/healthz`` flips
+to 503 as soon as it starts draining — and keeps answering fresh
+connections until the drain is done.
 """
 
 from __future__ import annotations
@@ -33,9 +34,10 @@ from repro.exceptions import (
 )
 from repro.httpd import MAX_BODY_BYTES
 from repro.net import QueryServer, RemoteDatabase
+from repro.obs import REGISTRY
+from repro.obs import server as telemetry
 from repro.obs.events import EVENTS
 from repro.obs.hooks import NET_REQUESTS, SHED_REQUESTS
-from repro.obs.server import TelemetryServer
 from repro.storage import FaultPlan
 from repro.workloads import uniform_dataset
 
@@ -79,6 +81,22 @@ class _Slow:
 
     def __getattr__(self, name):
         return getattr(self._db, name)
+
+
+class _Gated(_Slow):
+    """Query handle whose queries wait for ``release``; ``entered`` is
+    set once one is running (holds a drain open for exactly as long as
+    a test needs)."""
+
+    def __init__(self, db) -> None:
+        super().__init__(db, 0.0)
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def _query(self, name, *args, **kwargs):
+        self.entered.set()
+        assert self.release.wait(10.0)
+        return super()._query(name, *args, **kwargs)
 
 
 def _addr(server: QueryServer) -> str:
@@ -254,6 +272,61 @@ def test_draining_server_sheds_with_503(corpus):
             assert rdb.server_info()["draining"] is True
         assert server.describe()["shed"]["draining"] == 1
     assert SHED_REQUESTS.labels(reason="draining").value == before + 1
+
+
+def test_drain_keeps_answering_fresh_connections(corpus):
+    # Regression: close() stopped the accept loop before waiting for the
+    # in-flight query, so a fresh connection during the drain got no
+    # answer at all (reset when the socket closed) — neither the 503
+    # health check a load balancer needs nor the 503 shed.
+    source = _Gated(corpus.db)
+    server = QueryServer(source)
+    result: dict = {}
+
+    def query() -> None:
+        with RemoteDatabase.connect(_addr(server)) as rdb:
+            result["got"] = rdb.knn(corpus.data[0], k=2)
+
+    inflight = threading.Thread(target=query)
+    closer = threading.Thread(target=server.close)
+    inflight.start()
+    try:
+        assert source.entered.wait(10.0)
+        closer.start()
+        while not server.draining:
+            time.sleep(0.005)
+        health = raw_http(server.address,
+                          b"GET /healthz HTTP/1.1\r\nHost: test\r\n"
+                          b"Connection: close\r\n\r\n", timeout=3.0)
+        shed = raw_http(server.address, _knn_request(
+            corpus, extra=b"Connection: close\r\n"), timeout=3.0)
+    finally:
+        source.release.set()
+        inflight.join(timeout=10.0)
+        closer.join(timeout=10.0)
+    assert health.startswith(b"HTTP/1.1 503 ")
+    assert b"draining for shutdown" in health
+    assert shed.startswith(b"HTTP/1.1 503 ")
+    assert b"request shed: draining" in shed
+    # The in-flight query still finished, in full.
+    assert_neighbors_equal(result["got"], corpus.db.knn(corpus.data[0], k=2))
+    assert source.calls == 1
+
+
+@pytest.mark.parametrize("batch_delay_ms", [0.0, 5.0])
+def test_close_leaves_no_thread_or_socket(corpus, batch_delay_ms):
+    before = set(threading.enumerate())
+    server = QueryServer(corpus.db, batch_delay_ms=batch_delay_ms)
+    with RemoteDatabase.connect(_addr(server)) as rdb:
+        rdb.knn(corpus.data[0], k=2)
+    started = [thread for thread in threading.enumerate()
+               if thread not in before and thread.name in
+               ("repro-query-server", "repro-batch-flusher")]
+    assert len(started) == (2 if batch_delay_ms else 1)
+    server.close()
+    assert [thread for thread in started if thread.is_alive()] == []
+    assert server._listener.fileno() == -1
+    server.close()  # idempotent
 
 
 # ---------------------------------------------------------------------------
@@ -494,33 +567,50 @@ def test_keep_alive_reuses_one_connection(corpus):
         assert server.describe()["served"] >= 7  # descriptor + 6 queries
 
 
+def _requests_total() -> float:
+    return sum(value for key, value in REGISTRY.flatten().items()
+               if key.startswith("repro_net_requests_total"))
+
+
+def _get_json(server: QueryServer, path: str) -> tuple[int, dict]:
+    conn = http.client.HTTPConnection(*server.address, timeout=10)
+    try:
+        conn.request("GET", path)
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        conn.close()
+
+
 def test_request_metrics_and_telemetry_surface(corpus):
     before = NET_REQUESTS.labels(endpoint="knn", status="200").value
     server = QueryServer(corpus.db)
-    telemetry = TelemetryServer()
-    telemetry.watch_query_server(server)
     try:
-        healthy, doc = telemetry.health()
-        assert healthy
-        assert doc["checks"][0]["check"] == "query_server[0]"
+        status, doc = _get_json(server, "/healthz")
+        assert status == 200
+        assert doc["checks"][-1]["check"] == "query_server[0]"
 
         with RemoteDatabase.connect(_addr(server)) as rdb:
             rdb.knn(corpus.data[0], k=2)
         assert NET_REQUESTS.labels(endpoint="knn",
                                    status="200").value == before + 1
 
-        snapshot = [entry for entry in telemetry.varz()["snapshots"]
+        requests = _requests_total()
+        _status, doc = _get_json(server, "/varz")
+        snapshot = [entry for entry in doc["snapshots"]
                     if entry["handle"] == "query_server[0]"]
         assert snapshot and snapshot[0]["served"] >= 1
         assert snapshot[0]["draining"] is False
+        # The telemetry routes are not query requests.
+        assert _requests_total() == requests
     finally:
         server.close()
 
     # A draining/closed query server flips /healthz to unhealthy, so
     # load balancers stop routing to it.
-    healthy, doc = telemetry.health()
+    healthy, doc = telemetry.health(corpus.db, server)
     assert not healthy
-    assert doc["checks"][0]["detail"] == "draining for shutdown"
+    assert doc["checks"][-1]["detail"] == "draining for shutdown"
 
 
 def test_stats_and_explain_over_the_wire(corpus):
