@@ -1,10 +1,10 @@
 """Durability: an SR-tree living in a real file on disk.
 
 Every index in the library performs node I/O through the paged storage
-engine; swap the default in-memory page file for a
-:class:`~repro.storage.pagefile.FilePageFile` and the index becomes a
-durable on-disk structure — build it once, reopen it in a later
-process, keep inserting.
+engine.  :meth:`repro.Database.create` puts the index in a file and
+:meth:`repro.Database.open` brings it back — recovering whatever a crash
+left behind first — so the index becomes a durable on-disk structure:
+build it once, reopen it in a later process, keep inserting.
 
 Run with:  python examples/persistence.py
 """
@@ -14,7 +14,7 @@ import tempfile
 
 import numpy as np
 
-from repro import FilePageFile, SRTree, histogram_dataset
+from repro import Database, histogram_dataset
 
 
 def main() -> None:
@@ -23,38 +23,36 @@ def main() -> None:
 
     # --- first "process": build and close --------------------------------
     data = histogram_dataset(3000, bins=16, seed=5)
-    tree = SRTree(16, pagefile=FilePageFile(path))
-    tree.load(data, values=[f"img-{i}" for i in range(3000)])
-    query = data[7]
-    expected = [n.value for n in tree.nearest(query, 5)]
-    tree.close()  # saves metadata into page 0 and fsyncs
+    with Database.create(path, kind="srtree", dims=16) as db:
+        db.insert_many(data, values=[f"img-{i}" for i in range(3000)])
+        query = data[7]
+        expected = [n.value for n in db.knn(query, 5)]
+    # closing saved the metadata into page 0 and fsynced
 
     size = os.path.getsize(path)
     print(f"wrote {path}")
     print(f"  {size:,} bytes = {size // 8192} pages of 8192 bytes\n")
 
     # --- second "process": reopen and query -------------------------------
-    reopened = SRTree.open(FilePageFile(path, create=False))
-    print(f"reopened: {reopened.size} points, height {reopened.height}, "
-          f"{reopened.dims}-d")
-    got = [n.value for n in reopened.nearest(query, 5)]
-    assert got == expected, "results must survive the round trip"
-    print(f"  top-5 for the saved query: {got}")
+    with Database.open(path) as reopened:
+        print(f"reopened: {reopened.size} points, "
+              f"height {reopened.stats()['height']}, {reopened.dims}-d")
+        got = [n.value for n in reopened.knn(query, 5)]
+        assert got == expected, "results must survive the round trip"
+        print(f"  top-5 for the saved query: {got}")
 
-    # The reopened tree is fully dynamic: keep inserting.
-    rng = np.random.default_rng(0)
-    fresh = rng.dirichlet(np.ones(16), size=100)
-    for i, p in enumerate(fresh):
-        reopened.insert(p, f"new-{i}")
-    print(f"  inserted 100 more -> size {reopened.size}")
-    reopened.check_invariants()
-    reopened.close()
+        # The reopened tree is fully dynamic: keep inserting.
+        rng = np.random.default_rng(0)
+        fresh = rng.dirichlet(np.ones(16), size=100)
+        for i, p in enumerate(fresh):
+            reopened.insert(p, f"new-{i}")
+        print(f"  inserted 100 more -> size {reopened.size}")
+        reopened.verify()
 
     # --- third "process": verify the additions persisted ------------------
-    final = SRTree.open(FilePageFile(path, create=False))
-    assert final.size == 3100
-    print(f"\nreopened again: size {final.size} — additions are durable")
-    final.store.close()
+    with Database.open(path) as final:
+        assert final.size == 3100
+        print(f"\nreopened again: size {final.size} — additions are durable")
 
 
 if __name__ == "__main__":

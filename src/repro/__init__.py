@@ -59,7 +59,7 @@ from .indexes import (
     make_index,
 )
 from .obs import REGISTRY, MetricsRegistry, explain, render, trace
-from .storage import FilePageFile, InMemoryPageFile, IOStats
+from .storage import IOStats
 from .workloads import (
     PAPER_K,
     cluster_dataset,
@@ -77,10 +77,8 @@ __all__ = [
     "DeadlineExceededError",
     "DimensionalityError",
     "EmptyIndexError",
-    "FilePageFile",
     "INDEX_KINDS",
     "IOStats",
-    "InMemoryPageFile",
     "InvariantViolationError",
     "KDBTree",
     "KeyNotFoundError",

@@ -42,9 +42,10 @@ thread keeps inserting; see ``docs/CONCURRENCY.md``.
 A file describes itself: :meth:`Database.open` takes a path and nothing
 else it could get wrong (page size, checksums, kind and mode all come
 from the file), every family fills through :meth:`Database.insert_many`,
-and a file this library did not write is refused by name.  The older
-entry points (``make_index``/``build_index``, direct index-class
-construction) keep working.
+and a file this library did not write is refused by name.
+:meth:`Database.create` and :meth:`Database.open` are the only ways an
+index meets a file; ``make_index``/``build_index`` and the index classes
+themselves build in memory.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ import difflib
 import os
 from typing import Protocol, runtime_checkable
 
-from .indexes.base import Neighbor, SpatialIndex
+from .indexes.base import Neighbor, SpatialIndex, _move_onto
 from .indexes.factory import (
     _open_index,
     normalize_index_kwargs,
@@ -431,7 +432,7 @@ class Database(_IndexHandle):
             ``buffer_capacity``, ``reinsert_fraction``, family extras —
             validated with did-you-mean errors.
         """
-        from .storage import DEFAULT_PAGE_SIZE, open_storage
+        from .storage import open_storage
         from .storage.stack import open_pagefile
 
         if durability not in ("none", "wal"):
@@ -453,18 +454,17 @@ class Database(_IndexHandle):
             checksums = durability == "wal"
         index_cls = resolve_kind(_resolve_alias(kind))
         kwargs = normalize_index_kwargs(index_cls, index_kwargs)
-        page_size = int(kwargs.get("page_size", DEFAULT_PAGE_SIZE))
         file_path = None if in_memory else os.fspath(path)
         if file_path is not None and os.path.exists(file_path) and not overwrite:
             raise FileExistsError(
                 f"{file_path} already exists; pass overwrite=True "
                 "or use Database.open()"
             )
-        # The index constructors are what decide whether ``dims`` and the
-        # keywords are acceptable, so ask them — over memory, the result
-        # discarded — before an existing file is touched: a refused call
-        # destroys nothing.
-        index_cls(dims, **kwargs)
+        # The index constructor decides whether ``dims`` and the keywords
+        # are acceptable, and it builds in memory: a refused call
+        # destroys nothing.  The built index then moves onto its stack.
+        index = index_cls(dims, **kwargs)
+        page_size = index.layout.page_size
         if in_memory:
             pagefile = open_pagefile(
                 None, page_size=page_size, checksums=checksums,
@@ -482,7 +482,7 @@ class Database(_IndexHandle):
                 fault_plan=fault_plan,
             )
         try:
-            index = index_cls(dims, pagefile=pagefile, wal=wal, **kwargs)
+            _move_onto(index, pagefile, wal)
             index._slo_ms = slo_ms
             index._durably(lambda: None)  # under a WAL: the log's first commit
             index.save()

@@ -545,12 +545,12 @@ def _cmd_events(args) -> int:
 
 
 def _cmd_recover(args) -> int:
-    from .storage import open_storage, wal_path
+    from .storage import open_existing, wal_path
 
     log = wal_path(args.index)
     had_log = os.path.exists(log) and os.path.getsize(log) > 0
-    pagefile, _wal, report = open_storage(args.index, create=False,
-                                          durability="none")
+    pagefile, _wal, report, _meta = open_existing(args.index,
+                                                  durability="none")
     pagefile.close()
     if had_log:
         print(report)

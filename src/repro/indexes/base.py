@@ -43,13 +43,11 @@ from ..storage import (
     InternalNode,
     IOStats,
     LeafNode,
-    META_PAGE_ID,
     NodeLayout,
     NodeStore,
     PageFile,
     WriteAheadLog,
 )
-from ..storage.serializer import unpack_meta
 
 __all__ = ["Neighbor", "Entry", "SpatialIndex"]
 
@@ -145,12 +143,9 @@ class SpatialIndex(ABC):
         *,
         page_size: int = DEFAULT_PAGE_SIZE,
         leaf_data_size: int = DEFAULT_LEAF_DATA_SIZE,
-        pagefile: PageFile | None = None,
         buffer_capacity: int = DEFAULT_BUFFER_CAPACITY,
         min_utilization: float = 0.4,
         reinsert_fraction: float = 0.3,
-        stats: IOStats | None = None,
-        wal: WriteAheadLog | None = None,
     ) -> None:
         self._layout = NodeLayout(
             dims=dims,
@@ -162,9 +157,7 @@ class SpatialIndex(ABC):
         )
         # Refuses a utilization outside (0, 0.5] now, not at the first insert.
         self._layout.min_fill(self._layout.leaf_capacity, min_utilization)
-        self._attach(NodeStore(
-            self._layout, pagefile, buffer_capacity, stats, wal=wal,
-        ))
+        self._attach(NodeStore(self._layout, buffer_capacity=buffer_capacity))
         self._config = _IndexConfig(
             page_size=page_size,
             leaf_data_size=leaf_data_size,
@@ -771,24 +764,6 @@ class SpatialIndex(ABC):
     def _restore_extra(self, meta: dict) -> None:
         """Subclass hook: restore state saved by :meth:`_extra_meta`."""
 
-    @classmethod
-    def open(cls, pagefile: PageFile,
-             buffer_capacity: int = DEFAULT_BUFFER_CAPACITY,
-             wal: WriteAheadLog | None = None) -> "SpatialIndex":
-        """Re-open an index previously written with :meth:`save`.
-
-        The page file's meta page supplies every construction parameter;
-        the class must match the one that wrote the file.  ``wal``
-        attaches an (already recovered) write-ahead log so subsequent
-        mutations are transactional.
-        """
-        meta = unpack_meta(pagefile.read(META_PAGE_ID))
-        if meta["index"] != cls.NAME:
-            raise ValueError(
-                f"page file holds a {meta['index']!r} index, not {cls.NAME!r}"
-            )
-        return _restore(cls, pagefile, buffer_capacity, meta, wal=wal)
-
     def _adopt_meta(self, meta: dict) -> None:
         """Take the tree's counters and the family's extras from ``meta``."""
         self._root_id = meta["root_id"]
@@ -900,6 +875,21 @@ class SpatialIndex(ABC):
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def _move_onto(index: SpatialIndex, pagefile: PageFile,
+               wal: WriteAheadLog | None = None) -> None:
+    """Move a freshly built, empty in-memory index onto a new page stack.
+
+    The one way a new index reaches a file (:meth:`repro.Database.create`):
+    the in-memory store is dropped and the root leaf allocated again on
+    ``pagefile``, whose allocator, like every fresh stack's, hands out
+    the same first page id.
+    """
+    index._attach(NodeStore(index._layout, pagefile,
+                            index._config.buffer_capacity, wal=wal))
+    if index._store.new_leaf().page_id != index._root_id:
+        raise StorageError("the page stack to move onto is not empty")
 
 
 def _restore(cls: type[SpatialIndex], pagefile: PageFile, buffer_capacity: int,

@@ -92,7 +92,7 @@ def normalize_index_kwargs(cls: type[SpatialIndex], kwargs: dict) -> dict:
 
 
 def make_index(kind: str, dims: int, **kwargs) -> SpatialIndex:
-    """Instantiate an empty index of the given kind.
+    """Instantiate an empty in-memory index of the given kind.
 
     ``kind`` is a registry name (:data:`INDEX_KINDS`); the remaining
     keyword arguments go to the index constructor (page size, buffer

@@ -47,8 +47,6 @@ class RTree(DynamicTree):
     HAS_SPHERES = False
     HAS_WEIGHTS = False
 
-    _split_strategy = "quadratic"  # default for instances built by ``open``
-
     def __init__(self, dims: int, *, split: str = "quadratic", **kwargs) -> None:
         if split not in _SPLIT_STRATEGIES:
             raise ValueError(f"split must be one of {_SPLIT_STRATEGIES}")

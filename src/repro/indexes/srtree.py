@@ -54,11 +54,6 @@ class SRTree(SSTree):
     HAS_SPHERES = True
     HAS_WEIGHTS = True
 
-    # Class-level defaults so indexes reconstructed by ``open`` (which
-    # bypasses ``__init__``) behave per the paper's rules.
-    _radius_rule = "min"
-    _mindist_rule = "max"
-
     def __init__(self, dims: int, *, radius_rule: str = "min",
                  mindist_rule: str = "max", **kwargs) -> None:
         if radius_rule not in _RADIUS_RULES:

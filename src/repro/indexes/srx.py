@@ -49,10 +49,6 @@ class SRXTree(SRTree):
 
     NAME = "srx"
 
-    # Defaults for instances reconstructed by ``open``.
-    _max_overlap = 0.2
-    _max_extent = 4
-
     def __init__(self, dims: int, *, max_overlap: float = 0.2,
                  max_extent: int = 4, **kwargs) -> None:
         if not 0.0 <= max_overlap <= 1.0:

@@ -248,7 +248,7 @@ class MmapPageFile(PageFile):
     The backend is strictly read-only: :meth:`allocate`, :meth:`write`,
     and :meth:`free` raise :class:`~repro.exceptions.StorageError`.  Any
     write-ahead log must be recovered into the file *before* mapping it
-    (:func:`repro.storage.stack.open_storage` with ``readonly=True``
+    (:func:`repro.storage.stack.open_existing` with ``readonly=True``
     does this); mapping a file whose WAL still holds unapplied commits
     would serve stale pages.
     """

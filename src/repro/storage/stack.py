@@ -78,7 +78,7 @@ def open_pagefile(
         (:class:`~repro.storage.pagefile.MmapPageFile`) instead of
         opening it for positional I/O.  Requires ``path``; the resulting
         stack rejects every mutation.  Callers must recover any pending
-        WAL *before* mapping — :func:`open_storage` with
+        WAL *before* mapping — :func:`open_existing` with
         ``readonly=True`` handles that ordering.
     """
     physical = page_size + CHECKSUM_TRAILER_SIZE if checksums else page_size
@@ -106,26 +106,18 @@ def open_storage(
     durability: str = "none",
     sync_every: int = 1,
     fault_plan: FaultPlan | None = None,
-    create: bool = True,
-    readonly: bool = False,
 ) -> tuple[PageFile, WriteAheadLog | None, RecoveryReport]:
-    """Open (or create) a data file with crash recovery applied.
+    """Create a data file's page stack with crash recovery applied.
 
     Runs :func:`~repro.storage.wal.recover` against any WAL left behind
     by a previous process — whether or not the new session wants WAL
     durability itself — then opens a fresh log when ``durability ==
     "wal"``.  Returns ``(pagefile, wal_or_none, recovery_report)``.
 
-    ``page_size`` and ``checksums`` are the geometry of a file this call
-    may create.  With ``create=False`` (or ``readonly=True``) the file
-    exists and describes itself: this is :func:`open_existing` without
-    the meta dict.
+    ``page_size`` and ``checksums`` are the geometry of the file this
+    call creates.  A saved index describes itself and is opened with
+    :func:`open_existing`.
     """
-    if not create or readonly:
-        return open_existing(
-            path, durability=durability, sync_every=sync_every,
-            fault_plan=fault_plan, readonly=readonly,
-        )[:3]
     _check_durability(durability)
     pagefile = open_pagefile(
         path, page_size=page_size, checksums=checksums, fault_plan=fault_plan,

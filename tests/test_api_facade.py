@@ -148,12 +148,19 @@ def test_unknown_kwarg_gets_a_suggestion():
         Database.create(None, kind="sr", dims=4, bufer_capacity=8)
 
 
-@pytest.mark.parametrize("keyword", ["page_cache_bytes", "page_cache_capacity"])
+@pytest.mark.parametrize("keyword", ["page_cache_bytes", "page_cache_capacity",
+                                     "pagefile", "wal", "stats"])
 def test_removed_page_cache_keywords_are_refused(tmp_path, keyword):
-    # The raw-image page cache is gone; its spellings must fail loudly,
-    # not be swallowed as a no-op.
+    # The raw-image page cache is gone, and an index meets a file only
+    # through Database.create/open; those spellings must fail loudly,
+    # not be swallowed as a no-op or collide with the facade's own.
     with pytest.raises(ValueError, match=f"unknown keyword '{keyword}'"):
         Database.create(None, kind="sr", dims=4, **{keyword: 64 * 4096})
+    with pytest.raises(ValueError, match=f"unknown keyword '{keyword}'"):
+        Database.create(str(tmp_path / "c.db"), kind="sr", dims=4,
+                        **{keyword: 64 * 4096})
+    with pytest.raises(ValueError, match=f"unknown keyword '{keyword}'"):
+        build_index("srtree", workload("uniform"), **{keyword: 64 * 4096})
     path = str(tmp_path / "k.db")
     Database.create(path, kind="sr", dims=4).close()
     with pytest.raises(TypeError, match=keyword):

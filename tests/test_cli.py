@@ -101,14 +101,10 @@ class TestBuildInfoQuery:
 
 class TestOpenIndex:
     def test_open_with_custom_page_size(self, tmp_path, rng):
-        from repro.indexes import SRTree
-        from repro.storage import FilePageFile
-
         path = tmp_path / "big.idx"
-        tree = SRTree(4, page_size=16384,
-                      pagefile=FilePageFile(path, page_size=16384))
-        tree.load(rng.random((50, 4)))
-        tree.close()
+        with Database.create(path, kind="srtree", dims=4,
+                             page_size=16384) as db:
+            db.insert_many(rng.random((50, 4)))
         with Database.open(path) as db:
             assert db.index.layout.page_size == 16384
             assert db.index.size == 50

@@ -12,7 +12,6 @@ from repro import Database
 from repro.exceptions import EmptyIndexError
 from repro.exec import batch_knn, batch_range
 from repro.indexes import build_index
-from repro.storage import FilePageFile
 from repro.workloads import cluster_dataset, histogram_dataset, uniform_dataset
 
 KINDS = ["srtree", "rstar", "sstree", "linear"]
@@ -121,8 +120,8 @@ class TestServingPool:
     def saved(self, tmp_path_factory):
         data = uniform_dataset(400, 6, seed=31)
         path = tmp_path_factory.mktemp("pool") / "tree.db"
-        index = build_index("srtree", data, pagefile=FilePageFile(path))
-        index.close()
+        with Database.create(path, kind="srtree", dims=data.shape[1]) as db:
+            db.insert_many(data)
         return path, data
 
     def test_parallel_matches_sequential(self, saved, serving_pool):

@@ -20,7 +20,7 @@ from repro.exceptions import CrashError, StorageError
 from repro.indexes.factory import _open_index
 from repro.storage import CHECKSUM_TRAILER_SIZE, FaultPlan, FilePageFile
 from repro.storage.pagefile import MmapPageFile, PageNotFoundError
-from repro.storage.stack import open_pagefile, open_storage, wal_path
+from repro.storage.stack import open_existing, open_pagefile, wal_path
 
 PAGE = 512
 
@@ -150,8 +150,7 @@ def test_pending_wal_is_recovered_before_mapping(tmp_path, rng):
     pagefile.close()  # positional I/O is unbuffered; closing the fd is enough
     db.index.store.wal.close()
 
-    pf, wal, report = open_storage(out, page_size=2048, checksums=True,
-                                   readonly=True)
+    pf, wal, report, _meta = open_existing(out, readonly=True)
     try:
         assert wal is None
         assert pf.readonly is True
@@ -200,15 +199,13 @@ def test_readonly_open_serves_without_ever_writing(tmp_path, small_cloud):
 def test_snapshot_view_over_a_mapping_reads_supernodes(tmp_path):
     """A supernode's page images are memoryviews over the mapping; the
     snapshot view joins them on the same miss path as the live handle."""
-    from repro.indexes import build_index
     from repro.workloads import uniform_dataset
 
     data = uniform_dataset(3000, 16, seed=0)
     out = tmp_path / "srx.db"
-    tree = build_index("srx", data, page_size=2048,
-                       pagefile=FilePageFile(out, page_size=2048))
-    assert tree.supernode_count() > 0
-    tree.close()
+    with Database.create(str(out), kind="srx", dims=16, page_size=2048) as db:
+        db.insert_many(data)
+        assert db.index.supernode_count() > 0
 
     live = _open_index(str(out), readonly=True)
     try:

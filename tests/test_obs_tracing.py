@@ -13,10 +13,10 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from repro.indexes import SRTree, build_index
+from repro import Database
+from repro.indexes import build_index
 from repro.obs.explain import ExplainError, explain, level_breakdown
 from repro.obs.tracer import DESCENDED, PRUNED, Span, trace
-from repro.storage.pagefile import FilePageFile
 from repro.storage.stats import IOStats
 
 
@@ -44,11 +44,10 @@ def _tracing_off():
 def cold_tree(tmp_path, small_cloud):
     """An SR-tree reopened from disk with an empty buffer pool."""
     path = tmp_path / "cold.srtree"
-    tree = SRTree(small_cloud.shape[1], pagefile=FilePageFile(path))
-    tree.load(small_cloud)
-    tree.save()
-    tree.close()
-    return SRTree.open(FilePageFile(path, create=False))
+    with Database.create(path, kind="srtree", dims=small_cloud.shape[1]) as db:
+        db.insert_many(small_cloud)
+    with Database.open(path) as reopened:
+        yield reopened.index
 
 
 class TestIOStatsAdditions:

@@ -3,12 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.indexes import KDBTree, RStarTree, SRTree, SSTree, VAMSplitRTree
-from repro.storage.pagefile import FilePageFile
+from repro import Database
+from repro.indexes import RStarTree, SRTree, SSTree
 
 from tests.helpers import brute_force_knn
 
 DYNAMIC = [RStarTree, SSTree, SRTree]
+
+
+def values(neighbors):
+    return [n.value for n in neighbors]
 
 
 @pytest.mark.parametrize("cls", DYNAMIC, ids=lambda c: c.NAME)
@@ -17,89 +21,65 @@ class TestSaveOpenRoundTrip:
         path = tmp_path / f"{cls.NAME}.idx"
         pts = rng.random((200, 5))
 
-        tree = cls(5, pagefile=FilePageFile(path))
-        tree.load(pts)
-        q = rng.random(5)
-        expected = [n.value for n in tree.nearest(q, 7)]
-        tree.close()
+        with Database.create(path, kind=cls.NAME, dims=5) as db:
+            db.insert_many(pts)
+            q = rng.random(5)
+            expected = values(db.knn(q, 7))
 
-        reopened = cls.open(FilePageFile(path, create=False))
-        assert reopened.size == 200
-        assert reopened.dims == 5
-        assert [n.value for n in reopened.nearest(q, 7)] == expected
-        reopened.check_invariants()
-        reopened.store.close()
+        with Database.open(path) as reopened:
+            assert isinstance(reopened.index, cls)
+            assert reopened.size == 200
+            assert reopened.dims == 5
+            assert values(reopened.knn(q, 7)) == expected
+            reopened.verify()
 
     def test_mutate_after_reopen(self, cls, tmp_path, rng):
         path = tmp_path / f"{cls.NAME}-mut.idx"
         pts = rng.random((100, 4))
-        tree = cls(4, pagefile=FilePageFile(path))
-        tree.load(pts)
-        tree.close()
+        with Database.create(path, kind=cls.NAME, dims=4) as db:
+            db.insert_many(pts)
 
-        reopened = cls.open(FilePageFile(path, create=False))
-        extra = rng.random((50, 4))
-        for i, p in enumerate(extra):
-            reopened.insert(p, 100 + i)
-        assert reopened.size == 150
-        everything = np.vstack([pts, extra])
-        q = rng.random(4)
-        got = [n.value for n in reopened.nearest(q, 9)]
-        assert got == brute_force_knn(everything, q, 9)
-        reopened.store.close()
+        with Database.open(path) as reopened:
+            extra = rng.random((50, 4))
+            for i, p in enumerate(extra):
+                reopened.insert(p, 100 + i)
+            assert reopened.size == 150
+            everything = np.vstack([pts, extra])
+            q = rng.random(4)
+            assert values(reopened.knn(q, 9)) == brute_force_knn(everything, q, 9)
 
 
 class TestOpenValidation:
-    def test_wrong_class_rejected(self, tmp_path, rng):
-        path = tmp_path / "mismatch.idx"
-        tree = SRTree(4, pagefile=FilePageFile(path))
-        tree.load(rng.random((20, 4)))
-        tree.close()
-        with pytest.raises(ValueError, match="srtree"):
-            SSTree.open(FilePageFile(path, create=False))
-
     def test_save_is_idempotent(self, tmp_path, rng):
         path = tmp_path / "idem.idx"
-        tree = SRTree(3, pagefile=FilePageFile(path))
-        tree.load(rng.random((30, 3)))
-        tree.save()
-        tree.save()
-        tree.close()
-        reopened = SRTree.open(FilePageFile(path, create=False))
-        assert reopened.size == 30
-        reopened.store.close()
-
-    def test_in_memory_save_roundtrip(self, rng):
-        # save()/open() also work on the in-memory page file (same API).
-        tree = SRTree(3)
-        tree.load(rng.random((30, 3)))
-        tree.save()
-        reopened = SRTree.open(tree.store.pagefile)
-        assert reopened.size == 30
+        with Database.create(path, kind="srtree", dims=3) as db:
+            db.insert_many(rng.random((30, 3)))
+            db.flush()
+            db.flush()
+        with Database.open(path) as reopened:
+            assert reopened.size == 30
 
 
 class TestStaticAndKdbPersistence:
     def test_vamsplit_roundtrip(self, tmp_path, rng):
         path = tmp_path / "vam.idx"
         pts = rng.random((300, 4))
-        tree = VAMSplitRTree(4, pagefile=FilePageFile(path))
-        tree.build(pts)
-        q = rng.random(4)
-        expected = [n.value for n in tree.nearest(q, 5)]
-        tree.close()
-        reopened = VAMSplitRTree.open(FilePageFile(path, create=False))
-        assert [n.value for n in reopened.nearest(q, 5)] == expected
-        reopened.store.close()
+        with Database.create(path, kind="vamsplit", dims=4) as db:
+            db.insert_many(pts)
+            q = rng.random(4)
+            expected = values(db.knn(q, 5))
+        with Database.open(path) as reopened:
+            assert reopened.kind == "vamsplit"
+            assert values(reopened.knn(q, 5)) == expected
 
     def test_kdb_roundtrip(self, tmp_path, rng):
         path = tmp_path / "kdb.idx"
         pts = rng.random((300, 4))
-        tree = KDBTree(4, pagefile=FilePageFile(path))
-        tree.load(pts)
-        q = rng.random(4)
-        expected = [n.value for n in tree.nearest(q, 5)]
-        tree.close()
-        reopened = KDBTree.open(FilePageFile(path, create=False))
-        assert [n.value for n in reopened.nearest(q, 5)] == expected
-        reopened.check_invariants()
-        reopened.store.close()
+        with Database.create(path, kind="kdb", dims=4) as db:
+            db.insert_many(pts)
+            q = rng.random(4)
+            expected = values(db.knn(q, 5))
+        with Database.open(path) as reopened:
+            assert reopened.kind == "kdb"
+            assert values(reopened.knn(q, 5)) == expected
+            reopened.verify()

@@ -96,16 +96,14 @@ class TestConfig:
             RTree(4, split="cubic")
 
     def test_persistence_keeps_strategy(self, tmp_path, rng):
-        from repro.storage.pagefile import FilePageFile
+        from repro import Database
 
         path = tmp_path / "rtree.idx"
-        tree = RTree(3, split="linear", pagefile=FilePageFile(path))
-        tree.load(rng.random((60, 3)))
-        tree.close()
-        reopened = RTree.open(FilePageFile(path, create=False))
-        assert reopened._split_strategy == "linear"
-        assert reopened.size == 60
-        reopened.store.close()
+        with Database.create(path, kind="rtree", dims=3, split="linear") as db:
+            db.insert_many(rng.random((60, 3)))
+        with Database.open(path) as reopened:
+            assert reopened.index._split_strategy == "linear"
+            assert reopened.size == 60
 
     def test_rstar_improves_on_rtree(self, rng):
         # The family's history in one assertion: on clustered data the

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.indexes import SRTree, SRXTree
-from repro.storage.pagefile import FilePageFile
+from repro import Database
 
 from tests.helpers import brute_force_knn
 
@@ -135,17 +135,15 @@ class TestPersistence:
     def test_supernodes_survive_reopen(self, tmp_path, overlap_heavy, rng):
         pts = overlap_heavy
         path = tmp_path / "srx.idx"
-        tree = SRXTree(16, max_overlap=0.05, pagefile=FilePageFile(path))
-        tree.load(pts)
-        supernodes = tree.supernode_count()
-        assert supernodes > 0
-        q = rng.random(16)
-        expected = [n.value for n in tree.nearest(q, 7)]
-        tree.close()
+        with Database.create(path, kind="srx", dims=16, max_overlap=0.05) as db:
+            db.insert_many(pts)
+            supernodes = db.index.supernode_count()
+            assert supernodes > 0
+            q = rng.random(16)
+            expected = [n.value for n in db.knn(q, 7)]
 
-        reopened = SRXTree.open(FilePageFile(path, create=False))
-        assert reopened.supernode_count() == supernodes
-        assert reopened._max_overlap == 0.05
-        assert [n.value for n in reopened.nearest(q, 7)] == expected
-        reopened.check_invariants()
-        reopened.store.close()
+        with Database.open(path) as reopened:
+            assert reopened.index.supernode_count() == supernodes
+            assert reopened.index._max_overlap == 0.05
+            assert [n.value for n in reopened.knn(q, 7)] == expected
+            reopened.verify()

@@ -11,7 +11,6 @@ import pytest
 
 from repro import (
     Database,
-    FilePageFile,
     KDBTree,
     RStarTree,
     RTree,
@@ -55,7 +54,8 @@ class _Oracle:
 def test_full_lifecycle(cls, tmp_path, rng):
     dims = 8
     path = tmp_path / f"{cls.NAME}.idx"
-    index = cls(dims, pagefile=FilePageFile(path))
+    db = Database.create(path, kind=cls.NAME, dims=dims)
+    index = db.index
     oracle = _Oracle()
 
     # --- phase 1: ingest a clustered batch -----------------------------
@@ -110,7 +110,7 @@ def test_full_lifecycle(cls, tmp_path, rng):
     assert stream == oracle.knn(q, 5)
 
     # --- phase 4: persist, reopen kind-agnostically, keep going ---------
-    index.close()
+    db.close()
     reopened = Database.open(path).index
     assert type(reopened) is cls
     assert reopened.size == len(oracle.values)

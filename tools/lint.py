@@ -6,19 +6,20 @@ Runs (a) ``compileall`` over the given trees to catch syntax errors,
 definitions, and ``__all__`` names that don't exist in the module, and
 (c) a repository policy pass: ``pickle.loads``/``pickle.load`` may
 appear only in the storage serializer (everything else goes through
-the codec), raw page files and stores may be constructed only inside
-the storage/exec layers, and library code under ``src/repro`` may not
-``print`` or call ``logging.getLogger`` — the CLI and the structured
-event log (``repro.obs.events``) are the only output surfaces — nor
-import ``http.server``/``socketserver`` outside ``repro/httpd.py``, the
-one HTTP substrate under both servers.  Falls
-through to the real ``pyflakes`` when it is installed
-(its diagnostics are a strict superset of (b); the policy pass runs
-either way).
+the codec), raw page files may be constructed neither in library code
+outside the storage layer nor in the example programs, stores only
+inside the storage layer and the index base module, and library code
+under ``src/repro`` may not ``print`` or call ``logging.getLogger`` —
+the CLI and the structured event log (``repro.obs.events``) are the
+only output surfaces — nor import ``http.server``/``socketserver``
+outside ``repro/httpd.py``, the one HTTP substrate under both servers.
+Falls through to the real ``pyflakes`` when it is installed (its
+diagnostics are a strict superset of (b); the policy pass runs either
+way).
 
 Usage::
 
-    python tools/lint.py [paths ...]      # defaults to src tests benchmarks
+    python tools/lint.py [paths ...]      # defaults to src tests benchmarks examples tools
 """
 
 from __future__ import annotations
@@ -160,9 +161,10 @@ def check_pickle_usage(path: str, tree: ast.Module) -> list[str]:
 
 
 #: Page-file classes that may be constructed only inside the storage
-#: package (and its tests): everyone else must go through
+#: package (and its tests): the rest of the library must go through
 #: ``repro.storage.open_pagefile`` / ``open_storage`` so checksum
-#: trailers, fault injection, and WAL recovery stack in the right order.
+#: trailers, fault injection, and WAL recovery stack in the right order,
+#: and a user-facing program through ``repro.Database.create`` / ``open``.
 PAGEFILE_CLASSES = frozenset({
     "FilePageFile",
     "InMemoryPageFile",
@@ -171,26 +173,26 @@ PAGEFILE_CLASSES = frozenset({
     "FaultInjectingPageFile",
 })
 
-#: Where direct page-file construction is allowed: the storage package
-#: itself (which defines the stack) and the test/benchmark trees (which
-#: exercise individual layers in isolation).
+#: Where direct page-file construction is policed: the library and the
+#: example programs.  Tests and benchmarks legitimately build raw layers.
+PAGEFILE_POLICED_PREFIXES = (
+    os.path.join("src", "repro") + os.sep,
+    "examples" + os.sep,
+)
+
+#: Inside the policed trees, the storage package defines the stack.
 PAGEFILE_ALLOWED_PREFIXES = (
     os.path.join("src", "repro", "storage") + os.sep,
-    "tests" + os.sep,
-    "benchmarks" + os.sep,
 )
 
 
 def check_pagefile_construction(path: str, tree: ast.Module) -> list[str]:
-    """Flag direct ``*PageFile(...)`` construction outside ``repro.storage``.
-
-    Only library code under ``src/repro`` is policed; the storage
-    package, tests, and benchmarks legitimately build raw layers.
-    """
+    """Flag direct ``*PageFile(...)`` construction in the library outside
+    ``repro.storage`` and in the example programs."""
     norm = path.replace("/", os.sep)
-    if not norm.startswith(os.path.join("src", "repro") + os.sep):
+    if not norm.startswith(PAGEFILE_POLICED_PREFIXES):
         return []
-    if any(norm.startswith(prefix) for prefix in PAGEFILE_ALLOWED_PREFIXES):
+    if norm.startswith(PAGEFILE_ALLOWED_PREFIXES):
         return []
     problems: list[str] = []
     for node in ast.walk(tree):
@@ -205,8 +207,8 @@ def check_pagefile_construction(path: str, tree: ast.Module) -> list[str]:
         if name in PAGEFILE_CLASSES:
             problems.append(
                 f"{path}:{node.lineno}: direct {name}(...) construction "
-                f"outside repro.storage; use "
-                f"repro.storage.open_pagefile/open_storage instead"
+                f"outside repro.storage; use repro.Database.create/open "
+                f"(inside repro: repro.storage.open_pagefile/open_storage)"
             )
     return problems
 
@@ -224,8 +226,8 @@ STORE_CLASSES = frozenset({
 })
 
 #: Where direct store construction is allowed: the storage package
-#: (defines the stores) and the index base module, whose constructor
-#: and one restore routine own handle lifecycle.
+#: (defines the stores) and the index base module, whose constructor,
+#: move routine and restore routine own handle lifecycle.
 STORE_ALLOWED_PREFIXES = (
     os.path.join("src", "repro", "storage") + os.sep,
     os.path.join("src", "repro", "indexes", "base.py"),
