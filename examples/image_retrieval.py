@@ -17,8 +17,15 @@ corpus (the stand-in for the paper's real CMU data, see DESIGN.md):
 Run with:  python examples/image_retrieval.py
 """
 
+import numpy as np
+
 from repro import LinearScan, SRTree, SSTree, histogram_dataset
-from repro.search.metrics import histogram_intersection
+
+
+def histogram_intersection(a, b) -> float:
+    """Histogram-intersection dissimilarity, ``1 - sum(min(a_i, b_i))``,
+    of two L1-normalized histograms (Swain & Ballard)."""
+    return float(1.0 - np.minimum(a, b).sum())
 
 
 def build_corpus(n_images: int = 8000, bins: int = 16):

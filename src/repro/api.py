@@ -1,6 +1,6 @@
 """The unified database facade: one object, every index family.
 
-:class:`Database` wraps the storage stack (page file, optional CRC32
+:class:`Database` wraps the storage stack (page file, CRC32 page
 checksums, optional write-ahead log) and any of the index families
 behind one context-managed surface::
 
@@ -28,10 +28,13 @@ Durability modes:
   multi-page insert.
 * ``durability="wal"`` — every :meth:`insert`/:meth:`delete`, and the
   static tree's build, commits as one transaction through a physical
-  redo log (so does :meth:`create`'s empty tree); page images are sealed
-  with CRC32 trailers; :meth:`Database.open` replays whatever a crash
-  left behind, and only then reads the meta page that says which mode
-  to resume.  See ``docs/DURABILITY.md``.
+  redo log (so does :meth:`create`'s empty tree); :meth:`Database.open`
+  replays whatever a crash left behind, and only then reads the meta
+  page that says which mode to resume.  See ``docs/DURABILITY.md``.
+
+In both modes every page on disk is sealed with a CRC32 trailer, so a
+torn or rotten page raises :class:`~repro.exceptions.ChecksumError`
+instead of being read as data.
 
 Concurrent reads: :meth:`Database.snapshot` returns a
 :class:`Snapshot` — a read-only handle pinned to the newest *committed*
@@ -40,8 +43,8 @@ transaction's shadow pages or a half-applied commit, even while another
 thread keeps inserting; see ``docs/CONCURRENCY.md``.
 
 A file describes itself: :meth:`Database.open` takes a path and nothing
-else it could get wrong (page size, checksums, kind and mode all come
-from the file), every family fills through :meth:`Database.insert_many`,
+else it could get wrong (page size, kind and mode all come from the
+file), every family fills through :meth:`Database.insert_many`,
 and a file this library did not write is refused by name.
 :meth:`Database.create` and :meth:`Database.open` are the only ways an
 index meets a file; ``make_index``/``build_index`` and the index classes
@@ -388,7 +391,6 @@ class Database(_IndexHandle):
         dims: int = 16,
         *,
         durability: str = "none",
-        checksums: bool | None = None,
         sync_every: int = 1,
         overwrite: bool = False,
         fault_plan=None,
@@ -408,11 +410,8 @@ class Database(_IndexHandle):
         dims:
             Dimensionality of the points.
         durability:
-            ``"none"`` (default) or ``"wal"``.  WAL mode implies
-            checksummed pages unless ``checksums=False`` is forced.
-        checksums:
-            Seal pages with CRC32 trailers.  Defaults to ``True`` in WAL
-            mode and ``False`` otherwise.
+            ``"none"`` (default) or ``"wal"``.  Either way every page is
+            sealed with a CRC32 trailer; the log adds crash recovery.
         sync_every:
             WAL fsync batching: fsync the log on every Nth commit.
             Batched (unsynced) commits stay WAL-only until the next
@@ -432,8 +431,7 @@ class Database(_IndexHandle):
             ``buffer_capacity``, ``reinsert_fraction``, family extras —
             validated with did-you-mean errors.
         """
-        from .storage import open_storage
-        from .storage.stack import open_pagefile
+        from .storage import open_pagefile, open_wal, wal_path
 
         if durability not in ("none", "wal"):
             raise ValueError(
@@ -450,8 +448,6 @@ class Database(_IndexHandle):
             raise ValueError(f"sync_every must be >= 1, got {sync_every}")
         if slo_ms is not None and slo_ms <= 0:
             raise ValueError(f"slo_ms must be positive, got {slo_ms}")
-        if checksums is None:
-            checksums = durability == "wal"
         index_cls = resolve_kind(_resolve_alias(kind))
         kwargs = normalize_index_kwargs(index_cls, index_kwargs)
         file_path = None if in_memory else os.fspath(path)
@@ -464,24 +460,15 @@ class Database(_IndexHandle):
         # are acceptable, and it builds in memory: a refused call
         # destroys nothing.  The built index then moves onto its stack.
         index = index_cls(dims, **kwargs)
-        page_size = index.layout.page_size
-        if in_memory:
-            pagefile = open_pagefile(
-                None, page_size=page_size, checksums=checksums,
-                fault_plan=fault_plan,
-            )
-            wal = None
-        else:
+        if file_path is not None:
             _remove_files(file_path)
-            pagefile, wal, _report = open_storage(
-                file_path,
-                page_size=page_size,
-                checksums=checksums,
-                durability=durability,
-                sync_every=sync_every,
-                fault_plan=fault_plan,
-            )
+        pagefile = open_pagefile(file_path, page_size=index.layout.page_size,
+                                 fault_plan=fault_plan)
+        wal = None
         try:
+            if durability == "wal":
+                wal = open_wal(wal_path(file_path), sync_every=sync_every,
+                               fault_plan=fault_plan)
             _move_onto(index, pagefile, wal)
             index._slo_ms = slo_ms
             index._durably(lambda: None)  # under a WAL: the log's first commit
@@ -597,7 +584,6 @@ class Database(_IndexHandle):
             "epoch": index.snapshot_epoch,
             "snapshot_pins": index.store.snapshot_pins,
             "durability": self.durability,
-            "checksums": index.store.has_checksums,
             "page_size": index.layout.page_size,
             "leaf_capacity": index.leaf_capacity,
             "node_capacity": index.node_capacity,

@@ -6,10 +6,10 @@ Usage (also via ``python -m repro``)::
     python -m repro generate --family cluster --size 10000 --dims 16 \\
         --out data.npy
 
-    # Build a durable on-disk index over it.
+    # Build an on-disk index over it (every page sealed with a CRC32).
     python -m repro build --kind srtree --data data.npy --out images.srtree
 
-    # Crash-safe build: WAL-journaled inserts over checksummed pages.
+    # Crash-safe build: WAL-journaled inserts.
     python -m repro build --kind srtree --data data.npy --out images.srtree \\
         --durability wal
 
@@ -101,10 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
     build.add_argument("--page-size", type=int, default=8192)
     build.add_argument("--durability", choices=("none", "wal"), default="none",
                        help="'wal' commits every insert through a "
-                            "write-ahead log (implies --checksums)")
-    build.add_argument("--checksums", action="store_true",
-                       help="seal pages with CRC32 trailers "
-                            "(implied by --durability wal)")
+                            "write-ahead log")
     build.set_defaults(handler=_cmd_build)
 
     info = sub.add_parser("info", help="describe a saved index")
@@ -274,8 +271,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="check an index's structural and checksum integrity",
         description="Opens a saved index (running WAL recovery first), "
                     "reads every stored point (which verifies the CRC32 "
-                    "trailer of each page on checksummed files), and "
-                    "runs the family's structural invariant checks.  "
+                    "trailer of each page), and runs the family's "
+                    "structural invariant checks.  "
                     "Exits 1 on damage.",
     )
     verify.add_argument("--index", required=True, help="index data file")
@@ -303,21 +300,15 @@ def _cmd_build(args) -> int:
     data = np.load(args.data)
     if data.ndim != 2:
         raise ValueError(f"{args.data} does not hold an (N, D) point array")
-    checksums = args.checksums or args.durability == "wal"
     start = time.perf_counter()
     # --out replaces: a tree appended to an earlier build's pages would
     # leak them (and lay this build's page size over the old one's).
     with Database.create(args.out, kind=args.kind, dims=data.shape[1],
-                         durability=args.durability, checksums=checksums,
-                         overwrite=True, page_size=args.page_size) as db:
+                         durability=args.durability, overwrite=True,
+                         page_size=args.page_size) as db:
         db.insert_many(data)
         elapsed = time.perf_counter() - start
-    extras = []
-    if checksums:
-        extras.append("checksummed")
-    if args.durability == "wal":
-        extras.append("WAL")
-    suffix = f" ({', '.join(extras)})" if extras else ""
+    suffix = " (WAL)" if args.durability == "wal" else ""
     print(f"built {args.kind} over {data.shape[0]} x {data.shape[1]} points "
           f"in {elapsed:.2f}s -> {args.out}{suffix}")
     return 0
@@ -564,13 +555,11 @@ def _cmd_verify(args) -> int:
         with Database.open(args.index) as db:
             points = sum(1 for _ in db.index.iter_points())
             db.verify()
-            sealed = ("checksummed pages, "
-                      if db.index.store.has_checksums else "")
             height = db.index.height
     except (StorageError, IndexError_) as exc:
         print(f"{args.index}: FAILED -- {exc}", file=sys.stderr)
         return 1
-    print(f"{args.index}: OK ({sealed}{points} points, "
+    print(f"{args.index}: OK (checksummed pages, {points} points, "
           f"height {height}, invariants hold)")
     return 0
 

@@ -6,8 +6,8 @@ canonical form and provide the point-to-point distance kernels: the batched
 engine's leaf scan and the Figure-17 distance-concentration analysis.
 
 The library uses the Euclidean (L2) metric throughout, matching the paper;
-:mod:`repro.search.metrics` holds client-side helpers for other metrics,
-which no query uses.
+a client that wants another measure (``examples/image_retrieval.py``
+re-ranks by histogram intersection) computes it on the returned points.
 """
 
 from __future__ import annotations

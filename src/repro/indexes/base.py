@@ -740,7 +740,6 @@ class SpatialIndex(ABC):
             "root_id": self._root_id,
             "height": self._height,
             "size": self._size,
-            "checksums": self._store.has_checksums,
             "durability": "wal" if self._store.wal is not None else "none",
         }
         meta.update(self._extra_meta())

@@ -2,32 +2,19 @@
 
 * :mod:`~repro.search.knn` — the Roussopoulos–Kelley–Vincent depth-first
   branch-and-bound k-nearest-neighbor search the paper uses throughout;
-* :mod:`~repro.search.range` — ball (range) queries;
-* :mod:`~repro.search.metrics` — distance metrics for client-side use.
+* :mod:`~repro.search.range` — ball (range) queries.
 """
 
 from .incremental import iter_nearest
 from .knn import KnnCandidates, knn_search, knn_search_best_first
-from .metrics import (
-    chebyshev,
-    euclidean,
-    histogram_intersection,
-    manhattan,
-    minkowski,
-)
 from .range import range_search
 from .window import window_search
 
 __all__ = [
     "KnnCandidates",
-    "chebyshev",
-    "euclidean",
-    "histogram_intersection",
     "iter_nearest",
     "knn_search",
     "knn_search_best_first",
-    "manhattan",
-    "minkowski",
     "range_search",
     "window_search",
 ]

@@ -22,7 +22,7 @@ from .nodes import InternalNode, LeafNode
 from .pagefile import FilePageFile, InMemoryPageFile, MmapPageFile, PageFile
 from .serializer import NodeCodec
 from .snapshot import SnapshotStore, open_snapshot_store
-from .stack import open_existing, open_pagefile, open_storage, wal_path
+from .stack import open_existing, open_pagefile, wal_path
 from .stats import IOStats
 from .store import DEFAULT_BUFFER_CAPACITY, NodeStore
 from .wal import (
@@ -59,7 +59,6 @@ __all__ = [
     "open_existing",
     "open_pagefile",
     "open_snapshot_store",
-    "open_storage",
     "open_wal",
     "recover",
     "scan_wal",

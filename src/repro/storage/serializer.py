@@ -49,8 +49,10 @@ through :func:`pack_meta` / :func:`unpack_meta` here.  There is one meta
 format: a fixed superblock (what :func:`read_superblock` takes from a
 file's first bytes) in front of a CRC-guarded pickle.  A page 0 without
 the superblock is refused, never unpickled, and so is a file whose
-superblock lacks the fixed-offset flag: its node bodies were packed by
-count, by an older build, and there is no reader for them.
+superblock lacks a flag every file this build writes carries: without
+the fixed-offset flag its node bodies were packed by count, without the
+checksum flag its pages are bare, by an older build either way, and
+there is no reader for them.
 """
 
 from __future__ import annotations
@@ -111,6 +113,8 @@ _PAGE_ID_SIZE = _PAGE_ID.size
 #: reserved (u16) + payload length (u32) + payload CRC32 (u32).
 _META_SUPERBLOCK = struct.Struct("<8sIHHII")
 _META_MAGIC = b"RPROMET1"
+#: Every page is sealed with a CRC32 trailer (set on every file this
+#: build writes).
 _META_FLAG_CHECKSUMS = 0x0001
 #: Node blocks sit at fixed offsets (set on every file this build writes).
 _META_FLAG_FIXED_BLOCKS = 0x0002
@@ -120,13 +124,17 @@ _COUNT_PACKED = (
     "was written with count-packed node bodies by an older build, and this "
     "build reads only fixed-offset node blocks: rebuild the index from its points"
 )
+_BARE_PAGES = (
+    "was written with bare pages by an older build, and this build reads "
+    "only pages sealed with a CRC32 trailer: rebuild the index from its points"
+)
 
 
 def pack_meta(meta: dict) -> bytes:
     """Serialize the node store's metadata dict into a page payload.
 
     The payload starts with a fixed binary *superblock* carrying the
-    file geometry (page size, checksums flag) followed by the CRC-guarded
+    file geometry (page size, format flags) followed by the CRC-guarded
     pickled dict.  The geometry never changes over the life of a file,
     so its bytes are identical across every meta rewrite — a torn meta
     write can mangle the pickled tail (detected by the CRC and repaired
@@ -134,13 +142,10 @@ def pack_meta(meta: dict) -> bytes:
     find the WAL in the first place.
     """
     payload = _pickle_dumps(meta, protocol=pickle.HIGHEST_PROTOCOL)
-    flags = _META_FLAG_FIXED_BLOCKS
-    if meta.get("checksums"):
-        flags |= _META_FLAG_CHECKSUMS
     header = _META_SUPERBLOCK.pack(
         _META_MAGIC,
         int(meta.get("page_size", 0)),
-        flags,
+        _META_FLAG_CHECKSUMS | _META_FLAG_FIXED_BLOCKS,
         0,
         len(payload),
         zlib.crc32(payload) & 0xFFFFFFFF,
@@ -148,8 +153,8 @@ def pack_meta(meta: dict) -> bytes:
     return header + payload
 
 
-def read_superblock(path) -> tuple[int, bool]:
-    """``(page_size, checksums)`` of an index file, from its superblock.
+def read_superblock(path) -> int:
+    """The logical page size of an index file, from its superblock.
 
     The meta page is page 0, so whatever the page geometry the
     superblock is the first :data:`META_SUPERBLOCK_SIZE` bytes of the
@@ -157,6 +162,7 @@ def read_superblock(path) -> tuple[int, bool]:
     to open the file and find its WAL.  A file that does not start with
     one is not an index this code wrote, and is refused; so is one whose
     node bodies an older build packed by count (no fixed-offset flag),
+    and one whose pages an older build left bare (no checksum flag),
     before recovery or anything else touches it or its log.
     """
     with open(path, "rb") as handle:
@@ -166,7 +172,9 @@ def read_superblock(path) -> tuple[int, bool]:
     _, page_size, flags, _, _, _ = _META_SUPERBLOCK.unpack(head)
     if not flags & _META_FLAG_FIXED_BLOCKS:
         raise ReproError(f"{os.fspath(path)} {_COUNT_PACKED}")
-    return page_size, bool(flags & _META_FLAG_CHECKSUMS)
+    if not flags & _META_FLAG_CHECKSUMS:
+        raise ReproError(f"{os.fspath(path)} {_BARE_PAGES}")
+    return page_size
 
 
 def meta_image(page: bytes) -> bytes:

@@ -113,10 +113,6 @@ class SnapshotStore:
         return False
 
     @property
-    def has_checksums(self) -> bool:
-        return self.base.has_checksums
-
-    @property
     def closed(self) -> bool:
         return self._closed
 

@@ -3,9 +3,9 @@
 The storage engine is a sandwich of small wrappers::
 
     NodeStore
-      -> ChecksumPageFile        (optional: seals pages with CRC32)
+      -> ChecksumPageFile        (seals every page with CRC32)
       -> FaultInjectingPageFile  (tests only: torn writes, bit rot, EIO)
-      -> FilePageFile | InMemoryPageFile
+      -> FilePageFile | MmapPageFile | InMemoryPageFile
 
 Stacking order matters: fault injection sits *below* the checksum layer
 so a simulated torn write tears the sealed physical page — which the CRC
@@ -14,7 +14,6 @@ then catches — instead of producing a validly-sealed corrupt page.
 :func:`open_pagefile` is the only sanctioned way to build this stack
 outside the storage package (``tools/lint.py`` rejects direct
 ``FilePageFile(...)`` construction elsewhere in ``repro``).
-:func:`open_storage` adds WAL recovery on top for a file being created;
 :func:`open_existing` is the one path from a saved index file to an
 open stack — the file supplies its own geometry (the meta superblock)
 and, once recovered, its own meta.  The same lint rule confines direct
@@ -36,7 +35,7 @@ from .pagefile import FilePageFile, InMemoryPageFile, MmapPageFile, PageFile
 from .serializer import read_superblock, unpack_meta
 from .wal import RecoveryReport, WriteAheadLog, open_wal, recover
 
-__all__ = ["open_existing", "open_pagefile", "open_storage", "wal_path"]
+__all__ = ["open_existing", "open_pagefile", "wal_path"]
 
 
 def wal_path(path: str | os.PathLike) -> str:
@@ -48,7 +47,6 @@ def open_pagefile(
     path: str | os.PathLike | None,
     *,
     page_size: int = DEFAULT_PAGE_SIZE,
-    checksums: bool = False,
     fault_plan: FaultPlan | None = None,
     create: bool = True,
     mmap: bool = False,
@@ -60,12 +58,11 @@ def open_pagefile(
     path:
         Data file path, or ``None`` for an in-memory backend.
     page_size:
-        The *logical* page size (what the node layout sees).  With
-        ``checksums=True`` the physical file uses pages 8 bytes larger;
-        the caller never needs to care.
-    checksums:
-        Seal every page with a CRC32 trailer
-        (:class:`~repro.storage.checksums.ChecksumPageFile`).
+        The *logical* page size (what the node layout sees).  Every
+        page is sealed with a CRC32 trailer
+        (:class:`~repro.storage.checksums.ChecksumPageFile`), so the
+        physical file uses pages 8 bytes larger; the caller never needs
+        to care.
     fault_plan:
         Test-only :class:`~repro.storage.faults.FaultPlan`; when given,
         a :class:`~repro.storage.faults.FaultInjectingPageFile` is
@@ -81,7 +78,7 @@ def open_pagefile(
         WAL *before* mapping — :func:`open_existing` with
         ``readonly=True`` handles that ordering.
     """
-    physical = page_size + CHECKSUM_TRAILER_SIZE if checksums else page_size
+    physical = page_size + CHECKSUM_TRAILER_SIZE
     base: PageFile
     if path is None:
         if mmap:
@@ -93,41 +90,7 @@ def open_pagefile(
         base = FilePageFile(path, page_size=physical, create=create)
     if fault_plan is not None:
         base = FaultInjectingPageFile(base, fault_plan)
-    if checksums:
-        return ChecksumPageFile(base, page_size)
-    return base
-
-
-def open_storage(
-    path: str | os.PathLike,
-    *,
-    page_size: int = DEFAULT_PAGE_SIZE,
-    checksums: bool = False,
-    durability: str = "none",
-    sync_every: int = 1,
-    fault_plan: FaultPlan | None = None,
-) -> tuple[PageFile, WriteAheadLog | None, RecoveryReport]:
-    """Create a data file's page stack with crash recovery applied.
-
-    Runs :func:`~repro.storage.wal.recover` against any WAL left behind
-    by a previous process — whether or not the new session wants WAL
-    durability itself — then opens a fresh log when ``durability ==
-    "wal"``.  Returns ``(pagefile, wal_or_none, recovery_report)``.
-
-    ``page_size`` and ``checksums`` are the geometry of the file this
-    call creates.  A saved index describes itself and is opened with
-    :func:`open_existing`.
-    """
-    _check_durability(durability)
-    pagefile = open_pagefile(
-        path, page_size=page_size, checksums=checksums, fault_plan=fault_plan,
-    )
-    log_path = wal_path(path)
-    report = recover(pagefile, log_path) if _has_log(log_path) else RecoveryReport()
-    wal = None
-    if durability == "wal":
-        wal = open_wal(log_path, sync_every=sync_every, fault_plan=fault_plan)
-    return pagefile, wal, report
+    return ChecksumPageFile(base, page_size)
 
 
 def open_existing(
@@ -146,7 +109,9 @@ def open_existing(
     recovered; *then* the meta page is read, once, CRC-checked — a meta
     page torn by a crash has been repaired from the log by now, so what
     it says (``durability=None`` takes the mode the index was saved
-    with) is the committed truth.  A file without a superblock raises
+    with) is the committed truth.  A file without a superblock, or one
+    an older build wrote in a format this one does not read (see
+    :func:`~repro.storage.serializer.read_superblock`), raises
     :class:`~repro.exceptions.ReproError` before anything is opened.
 
     With ``readonly=True`` the data file is memory-mapped
@@ -158,12 +123,12 @@ def open_existing(
     """
     if durability is not None:
         _check_durability(durability)
-    page_size, checksums = read_superblock(path)
+    page_size = read_superblock(path)
     log_path = wal_path(path)
 
     def stack(mmap: bool) -> PageFile:
-        return open_pagefile(path, page_size=page_size, checksums=checksums,
-                             fault_plan=fault_plan, create=False, mmap=mmap)
+        return open_pagefile(path, page_size=page_size, fault_plan=fault_plan,
+                             create=False, mmap=mmap)
 
     replay = _has_log(log_path)
     report = RecoveryReport()

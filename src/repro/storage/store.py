@@ -53,7 +53,6 @@ from bisect import bisect_left
 from ..exceptions import StorageError, WALError
 from ..obs.tracer import trace
 from .buffer import BufferPool
-from .checksums import ChecksumPageFile
 from .constants import META_PAGE_ID
 from .layout import NodeLayout
 from .nodes import InternalNode, LeafNode
@@ -169,11 +168,6 @@ class NodeStore:
     def in_txn(self) -> bool:
         """Whether a WAL transaction is currently open."""
         return self.wal is not None and self.wal.in_txn
-
-    @property
-    def has_checksums(self) -> bool:
-        """Whether the page stack seals pages with CRC trailers."""
-        return isinstance(self.pagefile, ChecksumPageFile)
 
     @property
     def readonly(self) -> bool:

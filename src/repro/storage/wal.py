@@ -200,7 +200,6 @@ class WriteAheadLog:
         self._fault_plan = fault_plan
         self._txn_id = 0
         self._in_txn = False
-        self._records_in_txn = 0
         self._closed = False
         # Bytes in the log file, counted as they are appended (an "ab"
         # handle creates the file, so the size is always readable).
@@ -224,11 +223,6 @@ class WriteAheadLog:
     def in_txn(self) -> bool:
         """Whether a transaction is currently open."""
         return self._in_txn
-
-    @property
-    def records_in_txn(self) -> int:
-        """Records appended by the open transaction (0 outside one)."""
-        return self._records_in_txn
 
     def size(self) -> int:
         """Current log size in bytes (appended so far, flushed or not)."""
@@ -256,7 +250,6 @@ class WriteAheadLog:
             raise WALError("transaction already open")
         self._txn_id += 1
         self._in_txn = True
-        self._records_in_txn = 0
         self._append(REC_BEGIN, self._txn_id, b"")
         return self._txn_id
 
@@ -327,7 +320,6 @@ class WriteAheadLog:
         self._require_txn()
         self._append(REC_COMMIT, self._txn_id, b"")
         self._in_txn = False
-        self._records_in_txn = 0
         self._image_crcs.update(self._txn_image_crcs)
         self._txn_image_crcs.clear()
         self._commits_since_sync += 1
@@ -342,7 +334,6 @@ class WriteAheadLog:
     def abort(self) -> None:
         """Drop the open transaction (its records are never committed)."""
         self._in_txn = False
-        self._records_in_txn = 0
         self._txn_image_crcs.clear()
 
     def _require_txn(self) -> None:
@@ -363,7 +354,6 @@ class WriteAheadLog:
                 plan.die("WAL append")
         self._file.write(record)
         self._size += len(record)
-        self._records_in_txn += 1
         on_wal_append(_RECORD_KIND[rec_type], len(record))
 
     # ------------------------------------------------------------------
@@ -601,8 +591,9 @@ def recover(pagefile: PageFile, wal_path, *, truncate: bool = True) -> RecoveryR
     asserted by ``tests/test_wal.py``.  The data file is fsynced before
     the log is truncated, closing the crash-during-recovery window.
 
-    ``pagefile`` must be the *logical* page stack (checksummed when the
-    file is), so replayed images are re-sealed on the way down.
+    ``pagefile`` must be the *logical* page stack (the sealed one
+    :func:`~repro.storage.stack.open_pagefile` builds), so replayed
+    images are re-sealed on the way down.
     """
     if not os.path.exists(wal_path):
         return RecoveryReport()

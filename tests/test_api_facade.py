@@ -281,13 +281,28 @@ def test_reopen_round_trips_every_mode(tmp_path, durability):
         db.verify()
 
 
-def test_wal_mode_implies_checksums(tmp_path):
-    path = str(tmp_path / "sealed.db")
-    with Database.create(path, kind="sr", dims=4, durability="wal") as db:
-        assert db.stats()["checksums"] is True
-    path2 = str(tmp_path / "unsealed.db")
-    with Database.create(path2, kind="sr", dims=4) as db:
-        assert db.stats()["checksums"] is False
+def test_both_durability_modes_write_sealed_pages(tmp_path):
+    """With or without a log, every physical page is ``page_size + 8``
+    bytes: the logical image, then a CRC32 trailer that matches it."""
+    import zlib
+
+    from repro.storage import CHECKSUM_TRAILER_SIZE
+
+    physical = 2048 + CHECKSUM_TRAILER_SIZE
+    points = np.random.default_rng(3).random((300, 4))
+    for durability in ("none", "wal"):
+        path = tmp_path / f"{durability}.db"
+        with Database.create(str(path), kind="sr", dims=4, page_size=2048,
+                             durability=durability) as db:
+            db.insert_many(points)
+            assert db.stats()["page_size"] == 2048
+        data = path.read_bytes()
+        assert len(data) % physical == 0 and len(data) // physical > 3
+        for offset in range(0, len(data), physical):
+            page = data[offset:offset + physical]
+            image, trailer = page[:2048], page[2048:]
+            assert trailer[:2] == b"Ck", (durability, offset // physical)
+            assert int.from_bytes(trailer[4:], "little") == zlib.crc32(image)
 
 
 def test_open_can_force_the_durability_mode(tmp_path):
@@ -395,7 +410,7 @@ def test_stats_snapshot_keys():
         db.insert([0.1] * 4)
         stats = db.stats()
         for key in ("kind", "dims", "size", "height", "durability",
-                    "checksums", "page_size", "page_reads", "page_writes"):
+                    "page_size", "page_reads", "page_writes"):
             assert key in stats
         assert stats["kind"] == "srtree"
         assert stats["size"] == 1

@@ -111,9 +111,12 @@ def test_mismatched_backend_page_size_rejected():
 
 
 def test_open_pagefile_builds_checksummed_stack(tmp_path):
+    """Every stack is sealed: a file's, and an in-memory one's."""
+    memory = open_pagefile(None, page_size=PAGE)
+    assert isinstance(memory, ChecksumPageFile) and memory.inner.page_size == PHYSICAL
     path = tmp_path / "sealed.db"
-    pf = open_pagefile(path, page_size=PAGE, checksums=True)
-    assert pf.page_size == PAGE
+    pf = open_pagefile(path, page_size=PAGE)
+    assert isinstance(pf, ChecksumPageFile) and pf.page_size == PAGE
     pid = pf.allocate()
     pf.write(pid, b"payload")
     assert pf.read(pid).startswith(b"payload")

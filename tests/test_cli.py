@@ -14,6 +14,7 @@ import pytest
 import repro
 from repro import Database, RemoteDatabase
 from repro.cli import main
+from repro.storage import CHECKSUM_TRAILER_SIZE
 
 
 @pytest.fixture
@@ -53,7 +54,10 @@ class TestBuildInfoQuery:
         index_file = tmp_path / "index.srtree"
         assert run("build", "--kind", "srtree", "--data", data_file,
                    "--out", index_file) == 0
-        assert index_file.exists()
+        # No log, and still every page sealed: physical pages are 8 bytes
+        # longer than the logical ones.
+        assert index_file.stat().st_size % (8192 + CHECKSUM_TRAILER_SIZE) == 0
+        assert "(WAL)" not in capsys.readouterr().out
 
         assert run("info", "--index", index_file) == 0
         out = capsys.readouterr().out
@@ -66,6 +70,9 @@ class TestBuildInfoQuery:
         assert "3 neighbors" in out
         assert "page reads" in out
         assert out.splitlines()[0].startswith("0.000000")  # self-match first
+
+        assert run("verify", "--index", index_file) == 0
+        assert "OK (checksummed pages, 200 points" in capsys.readouterr().out
 
     def test_query_by_point_string(self, tmp_path, data_file, capsys):
         index_file = tmp_path / "index.srtree"

@@ -28,21 +28,12 @@ def test_build_durable_then_verify(tmp_path, data_file, capsys):
                "--out", out, "--page-size", "2048", "--durability", "wal")
     assert code == 0
     assert "WAL" in capsys.readouterr().out
-    # WAL mode implies checksummed (enlarged) physical pages.
+    # Sealed (enlarged) physical pages, as without a log.
     assert out.stat().st_size % (2048 + CHECKSUM_TRAILER_SIZE) == 0
 
     assert run("verify", "--index", out) == 0
     text = capsys.readouterr().out
     assert "OK" in text and "checksummed" in text
-
-
-def test_build_checksums_without_wal(tmp_path, data_file, capsys):
-    out = tmp_path / "sealed.db"
-    assert run("build", "--data", data_file, "--out", out,
-               "--page-size", "2048", "--checksums") == 0
-    assert "checksummed" in capsys.readouterr().out
-    assert run("query", "--index", out, "--row", "3",
-               "--data", data_file, "-k", "3") == 0
 
 
 def test_build_replaces_an_existing_index(tmp_path, data_file, capsys):
@@ -117,17 +108,19 @@ def test_recover_replays_a_crashed_log(tmp_path, data_file, capsys):
 
 
 def test_verify_fails_on_corruption(tmp_path, data_file, capsys):
+    """A default build (no log) seals its pages too: one flipped byte in
+    a tree page fails that page's CRC."""
     out = tmp_path / "rotten.db"
-    run("build", "--data", data_file, "--out", out,
-        "--page-size", "2048", "--checksums")
+    run("build", "--data", data_file, "--out", out, "--page-size", "2048")
     physical = 2048 + CHECKSUM_TRAILER_SIZE
     with open(out, "r+b") as handle:
-        handle.seek(2 * physical + 100)  # inside a tree page's image
+        handle.seek(2 * physical + 100)  # inside page 2's sealed image
         byte = handle.read(1)
         handle.seek(-1, 1)
         handle.write(bytes([byte[0] ^ 0xFF]))
     assert run("verify", "--index", out) == 1
-    assert "FAILED" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "FAILED" in err and "page 2: CRC32 mismatch" in err
 
 
 def test_recover_missing_file_errors(tmp_path):
@@ -176,33 +169,49 @@ def test_the_library_refuses_a_file_that_is_not_an_index(impostor):
     assert not impostor.with_name(impostor.name + ".wal").exists()
 
 
-def test_a_count_packed_index_is_refused_untouched(tmp_path, data_file, capsys):
-    """An older build packed node bodies by count and left the superblock's
-    fixed-offset flag clear.  Every way in refuses such a file in one
-    line, exit 2, before recovery: the file and its log keep every byte."""
+#: What an older build left clear in the superblock's flags, the bit,
+#: and the words every way in refuses such a file with.
+OLDER_FORMATS = {
+    "count-packed": (0x0002, "was written with count-packed node bodies by an "
+                             "older build, and this build reads only fixed-offset "
+                             "node blocks: rebuild the index from its points"),
+    "bare-pages": (0x0001, "was written with bare pages by an older build, and "
+                           "this build reads only pages sealed with a CRC32 "
+                           "trailer: rebuild the index from its points"),
+}
+
+
+@pytest.mark.parametrize("older", sorted(OLDER_FORMATS))
+def test_an_older_format_is_refused_untouched(older, tmp_path, data_file, capsys):
+    """An older build packed node bodies by count, or left its pages
+    bare, and so left one of the superblock's flags clear.  Every way in
+    refuses such a file in one line, exit 2, before recovery: the file
+    and its log keep every byte."""
     from repro import Database
     from repro.exceptions import ReproError, StorageError
+    from repro.exec import ServingPool
 
+    flag, words = OLDER_FORMATS[older]
     path = tmp_path / "old.db"
     assert run("build", "--kind", "srtree", "--data", data_file, "--out", path) == 0
     image = bytearray(path.read_bytes())
     flags = int.from_bytes(image[12:14], "little")  # after magic + page size
-    assert flags & 0x0002
-    image[12:14] = (flags & ~0x0002).to_bytes(2, "little")
+    assert flags & 0x0003 == 0x0003  # this build sets both
+    image[12:14] = (flags & ~flag).to_bytes(2, "little")
     path.write_bytes(bytes(image))
     log = tmp_path / "old.db.wal"
     log.write_bytes(b"a torn tail recovery would truncate")
     before = (path.read_bytes(), log.read_bytes())
     capsys.readouterr()
-    for argv in (["query", "--index", path, "--point", "0.5,0.5,0.5,0.5", "-k", "3"],
+    for argv in (["info", "--index", path],
+                 ["query", "--index", path, "--point", "0.5,0.5,0.5,0.5", "-k", "3"],
                  ["verify", "--index", path], ["recover", "--index", path]):
         assert run(*argv) == 2
         out, err = capsys.readouterr()
-        assert err == (f"error: {path} was written with count-packed node bodies "
-                       "by an older build, and this build reads only fixed-offset "
-                       "node blocks: rebuild the index from its points\n")
+        assert err == f"error: {path} {words}\n"
         assert "Traceback" not in out + err
-    with pytest.raises(ReproError, match="count-packed node bodies") as info:
-        Database.open(str(path))
-    assert not isinstance(info.value, StorageError)
+    for opener in (Database.open, ServingPool):
+        with pytest.raises(ReproError, match=words.split(",")[0]) as info:
+            opener(str(path))
+        assert not isinstance(info.value, StorageError)
     assert (path.read_bytes(), log.read_bytes()) == before

@@ -10,6 +10,7 @@ import pytest
 from repro import Database
 from repro.exceptions import KeyNotFoundError
 from repro.indexes import RStarTree, SRTree, SSTree
+from repro.storage import CHECKSUM_TRAILER_SIZE
 
 from tests.helpers import brute_force_knn
 
@@ -183,7 +184,8 @@ class TestHeldButNotResident:
                 live = {0}  # the meta page
                 for node in db.index.iter_nodes():
                     live.update(node.all_page_ids)
-                page_size = db.index.layout.page_size
+                # a physical page: the logical one and its CRC32 trailer
+                page_size = db.index.layout.page_size + CHECKSUM_TRAILER_SIZE
             files.append((live, path.read_bytes()))
         (small_live, small), (big_live, big) = files
         assert small_live == big_live and len(small_live) > 2 * 64

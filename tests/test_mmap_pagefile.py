@@ -94,13 +94,13 @@ def test_close_tolerates_outstanding_numpy_views(data_file):
 
 def test_checksummed_stack_verifies_over_the_mapping(tmp_path):
     path = str(tmp_path / "sealed.dat")
-    writer = open_pagefile(path, page_size=PAGE, checksums=True)
+    writer = open_pagefile(path, page_size=PAGE)
     pid = writer.allocate()
     writer.write(pid, b"\xab" * PAGE)
     writer.sync()
     writer.close()
 
-    reader = open_pagefile(path, page_size=PAGE, checksums=True, mmap=True)
+    reader = open_pagefile(path, page_size=PAGE, mmap=True)
     try:
         assert reader.readonly is True
         assert bytes(reader.read(pid)) == b"\xab" * PAGE
@@ -116,7 +116,7 @@ def test_checksummed_stack_verifies_over_the_mapping(tmp_path):
         byte = fh.read(1)
         fh.seek(-1, 1)
         fh.write(bytes([byte[0] ^ 0xFF]))
-    reader = open_pagefile(path, page_size=PAGE, checksums=True, mmap=True)
+    reader = open_pagefile(path, page_size=PAGE, mmap=True)
     try:
         from repro.exceptions import ChecksumError
         with pytest.raises(ChecksumError):

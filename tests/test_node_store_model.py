@@ -47,14 +47,22 @@ from hypothesis.stateful import (
 )
 
 from repro.exceptions import CrashError, StorageError, WALError
-from repro.storage import open_pagefile, open_storage, wal_path
+from repro.storage import open_pagefile, wal_path
 from repro.storage.constants import META_PAGE_ID
 from repro.storage.serializer import pack_meta
 from repro.storage.snapshot import open_snapshot_store
 from repro.storage.store import NodeStore
 
 from .helpers import retained_images
-from .test_wal_delta import LAYOUT, PAGE, fill, meta_of, padded, page_images
+from .test_wal_delta import (
+    LAYOUT,
+    PAGE,
+    fill,
+    meta_of,
+    padded,
+    page_images,
+    reopen_files,
+)
 
 SEEDS = st.integers(0, 1 << 16)
 NEW = st.tuples(st.just("new"), st.sampled_from(["leaf", "internal", "supernode"]),
@@ -94,6 +102,7 @@ class _StoreMachine(RuleBasedStateMachine):
         self.dirty = False
         self.snapshots = []
         self.txn_allocated: list[int] | None = None
+        open_pagefile(self.path, page_size=PAGE).close()
         self._open()
 
     # -- plumbing --------------------------------------------------------
@@ -110,7 +119,7 @@ class _StoreMachine(RuleBasedStateMachine):
         self.leaked = self._unheld()
 
     def _open_files(self):
-        return open_pagefile(self.path, page_size=PAGE, checksums=True), None
+        return open_pagefile(self.path, page_size=PAGE, create=False), None
 
     def _close_files(self) -> None:
         if self.store.wal is not None:
@@ -284,8 +293,7 @@ class NodeStoreMachine(_StoreMachine):
         self.durable = (0, 0)
 
     def _open_files(self):
-        pagefile, wal, _ = open_storage(self.path, page_size=PAGE,
-                                        checksums=True, durability="wal")
+        pagefile, wal = reopen_files(self.path)
         real_sync = wal.sync
 
         def sync() -> None:

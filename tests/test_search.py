@@ -1,4 +1,4 @@
-"""Unit tests for repro.search: k-NN, range search, candidates, metrics."""
+"""Unit tests for repro.search: k-NN, range search, candidates."""
 
 import numpy as np
 import pytest
@@ -6,13 +6,6 @@ import pytest
 from repro.exceptions import EmptyIndexError
 from repro.indexes import SRTree
 from repro.search.knn import KnnCandidates
-from repro.search.metrics import (
-    chebyshev,
-    euclidean,
-    histogram_intersection,
-    manhattan,
-    minkowski,
-)
 
 from tests.helpers import brute_force_knn
 
@@ -153,31 +146,3 @@ class TestRangeOnTree:
         res = tree.within(np.zeros(8), 100.0)
         assert len(res) == len(small_cloud)
 
-
-class TestMetrics:
-    def test_euclidean(self):
-        assert euclidean([0, 0], [3, 4]) == pytest.approx(5.0)
-
-    def test_manhattan(self):
-        assert manhattan([0, 0], [3, 4]) == pytest.approx(7.0)
-
-    def test_chebyshev(self):
-        assert chebyshev([0, 0], [3, 4]) == pytest.approx(4.0)
-
-    def test_minkowski_generalizes(self):
-        a, b = [0.0, 0.0], [3.0, 4.0]
-        assert minkowski(a, b, 2) == pytest.approx(euclidean(a, b))
-        assert minkowski(a, b, 1) == pytest.approx(manhattan(a, b))
-
-    def test_minkowski_invalid_order(self):
-        with pytest.raises(ValueError):
-            minkowski([0.0], [1.0], 0.5)
-
-    def test_histogram_intersection_identical(self):
-        h = np.full(4, 0.25)
-        assert histogram_intersection(h, h) == pytest.approx(0.0)
-
-    def test_histogram_intersection_disjoint(self):
-        a = np.array([1.0, 0.0])
-        b = np.array([0.0, 1.0])
-        assert histogram_intersection(a, b) == pytest.approx(1.0)

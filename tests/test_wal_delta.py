@@ -48,7 +48,6 @@ from repro.storage import (
     InMemoryPageFile,
     WriteAheadLog,
     open_pagefile,
-    open_storage,
     open_wal,
     recover,
     scan_wal,
@@ -79,6 +78,21 @@ LAYOUT = NodeLayout(dims=2, has_rects=True, has_spheres=True, has_weights=True,
                     page_size=PAGE, leaf_data_size=16)
 
 
+def create_files(path, *, page_size: int = PAGE, sync_every: int = 1):
+    """A new data file's page stack and its empty log."""
+    return (open_pagefile(path, page_size=page_size),
+            open_wal(wal_path(path), sync_every=sync_every))
+
+
+def reopen_files(path, *, sync_every: int = 1):
+    """How a process takes up a data file another one left: its page
+    stack with every committed transaction of its log replayed, and the
+    log open for appends."""
+    pagefile = open_pagefile(path, page_size=PAGE, create=False)
+    recover(pagefile, wal_path(path))
+    return pagefile, open_wal(wal_path(path), sync_every=sync_every)
+
+
 def padded(image: bytes, size: int = PAGE) -> bytes:
     return image + b"\x00" * (size - len(image))
 
@@ -107,7 +121,7 @@ def fill(node, rng: np.random.Generator, entries: int) -> None:
 
 def meta_of(seed: int) -> dict:
     """A meta dict: mostly one pickled length, now and then another."""
-    return {"page_size": PAGE, "checksums": True, "size": 70_000 + seed,
+    return {"page_size": PAGE, "size": 70_000 + seed,
             "root": seed % 50, "height": seed % 5, "note": "x" * (seed % 3 == 0)}
 
 
@@ -176,14 +190,13 @@ class WalDeltaMachine(RuleBasedStateMachine):
         #: to the log, committed or not
         self.logged: dict[bool, list[bytes]] = {True: [], False: []}
         self.stale = 0
+        open_pagefile(self.path, page_size=PAGE).close()
         self._open()
 
     # -- plumbing --------------------------------------------------------
 
     def _open(self) -> None:
-        pagefile, wal, _ = open_storage(self.path, page_size=PAGE,
-                                        checksums=True, durability="wal",
-                                        sync_every=3)
+        pagefile, wal = reopen_files(self.path, sync_every=3)
         self.store = NodeStore(LAYOUT, pagefile=pagefile, buffer_capacity=8,
                                wal=wal)
         real_commit = wal.commit
@@ -332,8 +345,7 @@ class WalDeltaMachine(RuleBasedStateMachine):
             key=lambda mark: mark[0],
         )
         # Recovering twice changes nothing ...
-        pagefile = open_pagefile(self.path, page_size=PAGE, checksums=True,
-                                 create=False)
+        pagefile = open_pagefile(self.path, page_size=PAGE, create=False)
         recover(pagefile, self.log, truncate=False)
         with open(self.path, "rb") as handle:
             once = handle.read()
@@ -416,8 +428,7 @@ def test_ranges_round_trip_at_any_page_size(data, base):
 @pytest.fixture
 def store(tmp_path):
     """A store with one committed, checkpointed leaf (``store.leaf_id``)."""
-    pagefile, wal, _ = open_storage(tmp_path / "r.db", page_size=PAGE,
-                                    checksums=True, durability="wal")
+    pagefile, wal = create_files(tmp_path / "r.db")
     store = NodeStore(LAYOUT, pagefile=pagefile, buffer_capacity=8, wal=wal)
     store.begin_txn()
     leaf = store.new_leaf()
@@ -800,9 +811,7 @@ def test_store_hands_the_meta_it_holds_to_the_log(tmp_path):
     """Shadow, then pending, then the page file: an applied meta is read
     back for a base, as any node page is, so no fsync boundary costs a
     raw ``META``."""
-    pagefile, wal, _ = open_storage(tmp_path / "s.db", page_size=PAGE,
-                                    checksums=True, durability="wal",
-                                    sync_every=3)
+    pagefile, wal = create_files(tmp_path / "s.db", sync_every=3)
     store = NodeStore(LAYOUT, pagefile=pagefile, buffer_capacity=8, wal=wal)
     for seed in (1, 2, 4, 7, 8):  # the third commit fsyncs and applies
         store.begin_txn()
@@ -987,9 +996,8 @@ def test_log_of_an_older_process_replays_to_the_same_bytes(tmp_path):
 def test_crash_at_every_record_boundary_recovers_the_committed_prefix(tmp_path):
     """One scripted log with every record kind the writer has, cut at each
     record's end and in the middle of each record."""
-    pagefile, wal, _ = open_storage(tmp_path / "e.db", page_size=PAGE,
-                                    checksums=True, durability="wal",
-                                    sync_every=1 << 20)  # batched: applied on flush
+    pagefile, wal = create_files(tmp_path / "e.db",
+                                 sync_every=1 << 20)  # batched: applied on flush
     store = NodeStore(LAYOUT, pagefile=pagefile, buffer_capacity=8, wal=wal)
     rng = np.random.default_rng(8)
     expected: dict[int, bytes] = {}
@@ -1207,8 +1215,7 @@ ROW = 8 * PAPER.dims
 
 @pytest.fixture
 def paper_store(tmp_path):
-    pagefile, wal, _ = open_storage(tmp_path / "p.db", page_size=PAPER.page_size,
-                                    durability="wal")
+    pagefile, wal = create_files(tmp_path / "p.db", page_size=PAPER.page_size)
     store = NodeStore(PAPER, pagefile=pagefile, buffer_capacity=8, wal=wal)
     yield store
     store.close()

@@ -162,7 +162,7 @@ def check_pickle_usage(path: str, tree: ast.Module) -> list[str]:
 
 #: Page-file classes that may be constructed only inside the storage
 #: package (and its tests): the rest of the library must go through
-#: ``repro.storage.open_pagefile`` / ``open_storage`` so checksum
+#: ``repro.storage.open_pagefile`` / ``open_existing`` so checksum
 #: trailers, fault injection, and WAL recovery stack in the right order,
 #: and a user-facing program through ``repro.Database.create`` / ``open``.
 PAGEFILE_CLASSES = frozenset({
@@ -208,7 +208,7 @@ def check_pagefile_construction(path: str, tree: ast.Module) -> list[str]:
             problems.append(
                 f"{path}:{node.lineno}: direct {name}(...) construction "
                 f"outside repro.storage; use repro.Database.create/open "
-                f"(inside repro: repro.storage.open_pagefile/open_storage)"
+                f"(inside repro: repro.storage.open_pagefile/open_existing)"
             )
     return problems
 
