@@ -394,7 +394,6 @@ class Database(_IndexHandle):
         sync_every: int = 1,
         overwrite: bool = False,
         fault_plan=None,
-        slo_ms: float | None = None,
         **index_kwargs,
     ) -> "Database":
         """Create a new, empty database.
@@ -419,13 +418,6 @@ class Database(_IndexHandle):
             acknowledged transactions, never part of one.
         overwrite:
             Replace an existing file (and its WAL) instead of raising.
-        slo_ms:
-            Latency objective for this handle's queries, in
-            milliseconds: queries slower than this count toward
-            ``repro_slo_violations_total{op=...}`` and
-            ``repro_slo_violation_ratio``.  ``None`` (default) defers
-            to the process-wide objective
-            (:func:`repro.obs.hooks.set_slo_ms`).
         index_kwargs:
             Uniform factory keywords — ``page_size``,
             ``buffer_capacity``, ``reinsert_fraction``, family extras —
@@ -446,8 +438,6 @@ class Database(_IndexHandle):
             )
         if sync_every < 1:
             raise ValueError(f"sync_every must be >= 1, got {sync_every}")
-        if slo_ms is not None and slo_ms <= 0:
-            raise ValueError(f"slo_ms must be positive, got {slo_ms}")
         index_cls = resolve_kind(_resolve_alias(kind))
         kwargs = normalize_index_kwargs(index_cls, index_kwargs)
         file_path = None if in_memory else os.fspath(path)
@@ -470,7 +460,6 @@ class Database(_IndexHandle):
                 wal = open_wal(wal_path(file_path), sync_every=sync_every,
                                fault_plan=fault_plan)
             _move_onto(index, pagefile, wal)
-            index._slo_ms = slo_ms
             index._durably(lambda: None)  # under a WAL: the log's first commit
             index.save()
         except BaseException:
@@ -493,7 +482,6 @@ class Database(_IndexHandle):
         sync_every: int = 1,
         buffer_capacity: int | None = None,
         fault_plan=None,
-        slo_ms: float | None = None,
     ) -> "Database":
         """Open an existing database, running WAL recovery first.
 
@@ -502,12 +490,9 @@ class Database(_IndexHandle):
         index kind and (unless ``durability`` overrides it) the
         durability mode it was last saved with.  A file this library
         did not write raises :class:`~repro.exceptions.ReproError`.
-        ``buffer_capacity`` is the buffer pool size in frames;
-        ``slo_ms`` behaves as in :meth:`create`.
+        ``buffer_capacity`` is the buffer pool size in frames.
         """
         file_path = os.fspath(path)
-        if slo_ms is not None and slo_ms <= 0:
-            raise ValueError(f"slo_ms must be positive, got {slo_ms}")
         index = _open_index(
             file_path,
             buffer_capacity,
@@ -515,7 +500,6 @@ class Database(_IndexHandle):
             sync_every=sync_every,
             fault_plan=fault_plan,
         )
-        index._slo_ms = slo_ms
         return cls(index, path=file_path, _token=_CONSTRUCT)
 
     # ------------------------------------------------------------------
@@ -531,11 +515,6 @@ class Database(_IndexHandle):
     def durability(self) -> str:
         """The active durability mode: ``"wal"`` or ``"none"``."""
         return "wal" if self._index.store.wal is not None else "none"
-
-    @property
-    def slo_ms(self) -> float | None:
-        """This handle's latency objective (``None`` = process default)."""
-        return getattr(self._index, "_slo_ms", None)
 
     # ------------------------------------------------------------------
     # mutation

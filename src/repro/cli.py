@@ -207,7 +207,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="default per-call worker deadline in "
                               "seconds (pool serving only)")
     serve.add_argument("--slo-ms", type=float, default=None,
-                         help="process-wide latency objective in ms")
+                         help="latency objective in ms (default 100)")
     # Telemetry is answered on the query port; this flag is accepted,
     # hidden and as 0 alone, because ledger/workloads.py passes it.
     serve.add_argument("--telemetry-port", type=_telemetry_port,
@@ -224,15 +224,15 @@ def _build_parser() -> argparse.ArgumentParser:
                     "index (like 'stats'), then prints the flight "
                     "recorder's slowest-query table: wall time, pages "
                     "read split by level, buffer hits, and — for "
-                    "queries tail-sampled after a slow-query breach — "
-                    "whether full trace detail was captured.",
+                    "queries tail-sampled after a latency-objective "
+                    "breach — whether full trace detail was captured.",
     )
     slow.add_argument("--index", required=True, help="saved index file")
     slow.add_argument("-n", "--top", type=int, default=10,
                       help="how many of the slowest queries to show")
-    slow.add_argument("--slow-ms", type=float, default=None,
-                      help="flag queries slower than this as slow and "
-                           "arm tail tracing (default 100)")
+    slow.add_argument("--slo-ms", type=float, default=None,
+                      help="latency objective in ms: slower queries "
+                           "are flagged slow (default 100)")
     slow.add_argument("--format", choices=("table", "json"),
                       default="table")
     slow.set_defaults(handler=_cmd_slow)
@@ -490,10 +490,10 @@ def _sample_stored_points(index, count: int, seed: int) -> np.ndarray:
 
 
 def _cmd_slow(args) -> int:
-    from .obs import FLIGHT
+    from .obs import FLIGHT, set_slo_ms, slo_ms
 
-    if args.slow_ms is not None:
-        FLIGHT.configure(slow_query_ms=args.slow_ms)
+    if args.slo_ms is not None:
+        set_slo_ms(args.slo_ms)
     _exercise(args)
     slowest = FLIGHT.slowest(args.top)
     if args.format == "json":
@@ -518,7 +518,7 @@ def _cmd_slow(args) -> int:
               f"{rec.buffer_hits:>6}  {','.join(flags) or '-'}")
     pct = FLIGHT.percentiles()
     print(f"-- {FLIGHT.recorded} recorded, {FLIGHT.slow_queries} slow "
-          f"(> {FLIGHT.slow_query_ms} ms); "
+          f"(> {slo_ms()} ms); "
           f"p50 {pct['p50']:.3f} ms  p95 {pct['p95']:.3f} ms  "
           f"p99 {pct['p99']:.3f} ms")
     return 0

@@ -47,7 +47,9 @@ merges so the process boundary stays invisible to operators:
 
 Histograms are *not* merged (bucket merges are lossy); the parent
 observes each returned per-block wall time instead
-(``repro_pool_block_seconds``, the pool's SLO).
+(``repro_pool_block_seconds``, held to the latency objective).  Workers
+start with the parent's objective (:func:`repro.obs.set_slo_ms`), so a
+record a worker flagged ``slow`` keeps its flag in the parent's ring.
 
 **Fault handling.**  Serving must stay up when a disk misbehaves, so
 every call runs under one resilience policy:
@@ -104,6 +106,7 @@ from ..geometry import as_point, as_points
 from ..indexes.base import Neighbor
 from ..obs.flightrec import FLIGHT
 from ..obs.hooks import on_degraded, on_pool_block, on_worker_respawned
+from ..obs.hooks import set_slo_ms, slo_ms
 from ..obs.registry import REGISTRY
 from ..storage.serializer import read_superblock
 from ..storage.stats import IOStats
@@ -124,7 +127,7 @@ SPAWN_TIMEOUT_S = 60.0
 
 #: Fields of a flight-recorder record dict the parent must not replay
 #: (they are recomputed by ``FlightRecorder.record``).
-_COMPUTED_RECORD_FIELDS = ("slow", "traced", "ts")
+_COMPUTED_RECORD_FIELDS = ("traced", "ts")
 
 #: How to get what a pool over a live database would have given.
 _LIVE_RECIPE = ("serve a live Database through one db.snapshot() and call "
@@ -240,10 +243,10 @@ def _worker_main(conn, path: str, opts: dict, fault_plan) -> None:
     """Worker process entry point: open the index, serve the pipe.
 
     Spawn-safe: everything the worker needs arrives through ``path``,
-    the (picklable) ``opts`` dict and ``fault_plan``.  The worker opens
-    the saved file ``readonly`` — mmap-backed, zero-copy reads, private
-    buffer pool — and then answers commands until told to stop or the
-    pipe dies.  A :class:`~repro.storage.FaultPlan` (tests only) is
+    the (picklable) ``opts`` dict (the parent's latency objective among
+    them) and ``fault_plan``.  The worker opens the saved file
+    ``readonly`` — mmap-backed, zero-copy reads, private buffer pool —
+    and then answers commands until told to stop or the pipe dies.  A :class:`~repro.storage.FaultPlan` (tests only) is
     spliced under the open store, so every later page read obeys it.
     """
     import traceback
@@ -251,6 +254,7 @@ def _worker_main(conn, path: str, opts: dict, fault_plan) -> None:
     from ..indexes.factory import _open_index
     from ..storage.faults import splice_faults
 
+    set_slo_ms(opts["slo_ms"])
     try:
         index = _open_index(path, opts["buffer_capacity"], readonly=True)
     except BaseException as exc:  # noqa: BLE001 - must report, then die
@@ -341,12 +345,6 @@ class ServingPool:
         :class:`~repro.exceptions.TransientIOError` (default 2).
     retry_backoff:
         Base sleep between retries, doubled each attempt (seconds).
-    slo_ms:
-        Per-block latency objective in milliseconds for this pool's
-        calls; blocks slower than this count toward
-        ``repro_slo_violations_total{op="pool_knn"/"pool_range"}``.
-        ``None`` (default) falls back to the process-wide objective
-        (:func:`repro.obs.hooks.set_slo_ms`).
     start_method:
         Multiprocessing start method (``None`` = the
         ``REPRO_MP_START_METHOD`` environment variable, default
@@ -364,7 +362,6 @@ class ServingPool:
         timeout: float | None = None,
         read_retries: int = 2,
         retry_backoff: float = 0.01,
-        slo_ms: float | None = None,
         start_method: str | None = None,
         backend: str = "process",
         _fault_plans: dict | None = None,
@@ -387,14 +384,11 @@ class ServingPool:
             raise ValueError(f"timeout must be positive, got {timeout}")
         if read_retries < 0:
             raise ValueError(f"read_retries must be >= 0, got {read_retries}")
-        if slo_ms is not None and slo_ms <= 0:
-            raise ValueError(f"slo_ms must be positive, got {slo_ms}")
         self._path = os.fspath(source)
         # Refuse a missing file or one that is not an index here, in the
         # words every other opener uses, before any worker is spawned.
         read_superblock(self._path)
         self._timeout = timeout
-        self._slo_ms = slo_ms
         self._workers = workers
         self._degraded_queries = 0
         self._closed = False
@@ -407,6 +401,7 @@ class ServingPool:
             "buffer_capacity": buffer_capacity,
             "read_retries": read_retries,
             "retry_backoff": retry_backoff,
+            "slo_ms": slo_ms(),
         }
         #: worker -> FaultPlan spliced under that worker's store at every
         #: start (tests inject disk faults through it).
@@ -699,7 +694,7 @@ class ServingPool:
                 for pos, qi in enumerate(shard):
                     results[qi] = out[pos]
                 for wall_ms, _count in block_times:
-                    on_pool_block(f"pool_{op}", wall_ms / 1e3, self._slo_ms)
+                    on_pool_block(f"pool_{op}", wall_ms / 1e3)
                 times.extend(block_times)
             if error is not None:
                 raise error

@@ -133,10 +133,6 @@ class SpatialIndex(ABC):
     HAS_SPHERES = False
     HAS_WEIGHTS = False
 
-    #: Per-handle latency objective (ms); ``Database(slo_ms=...)`` sets
-    #: it, ``None`` defers to :func:`repro.obs.hooks.set_slo_ms`.
-    _slo_ms: float | None = None
-
     def __init__(
         self,
         dims: int,

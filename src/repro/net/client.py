@@ -17,10 +17,10 @@ distinct connections and issue requests in parallel (a thread only
 waits when all ``pool_size`` connections are in flight).  Read
 requests that fail at the socket layer reconnect and retry once;
 mutations never auto-retry (the failure may have landed after the
-server applied the write).  Batch queries ship the compact binary
-ndarray codec from :mod:`repro.net.protocol` by default — pass
-``binary=False`` to force JSON bodies (useful against debugging
-proxies).
+server applied the write).  Batch queries and ``insert_many`` without
+values ship the compact binary ndarray codec from
+:mod:`repro.net.protocol`, and single-query responses come back as its
+neighbor block; the other bodies are JSON.
 """
 
 from __future__ import annotations
@@ -141,13 +141,12 @@ class RemoteDatabase:
 
     def __init__(self, host: str, port: int, *, token: str | None,
                  timeout: float, deadline_ms: float | None,
-                 binary: bool, pool_size: int = 4) -> None:
+                 pool_size: int = 4) -> None:
         self._host = host
         self._port = port
         self._token = token
         self._timeout = timeout
         self._deadline_ms = deadline_ms
-        self._binary = binary
         self._pool = _ConnectionPool(host, port, timeout, pool_size)
         self._closed = False
         self._descriptor = self._request_json("GET", "server")
@@ -161,7 +160,7 @@ class RemoteDatabase:
     @classmethod
     def connect(cls, address: str, *, token: str | None = None,
                 timeout: float = 10.0, deadline_ms: float | None = None,
-                binary: bool = True, pool_size: int = 4) -> "RemoteDatabase":
+                pool_size: int = 4) -> "RemoteDatabase":
         """Open a remote handle to a :class:`~repro.net.QueryServer`.
 
         Parameters
@@ -175,8 +174,6 @@ class RemoteDatabase:
         deadline_ms:
             Default ``X-Repro-Deadline-Ms`` budget attached to every
             query; per-call ``deadline_ms=`` overrides it.
-        binary:
-            Use the binary ndarray codec for batch bodies (default).
         pool_size:
             Maximum concurrent keep-alive connections.  Connections are
             created lazily, so the default costs nothing single-threaded
@@ -197,8 +194,7 @@ class RemoteDatabase:
         except ValueError:
             raise NetError(f"invalid port in address {address!r}") from None
         return cls(host or "127.0.0.1", port, token=token, timeout=timeout,
-                   deadline_ms=deadline_ms, binary=binary,
-                   pool_size=pool_size)
+                   deadline_ms=deadline_ms, pool_size=pool_size)
 
     # ------------------------------------------------------------------
     # transport
@@ -358,17 +354,14 @@ class RemoteDatabase:
 
     def _call_neighbors(self, endpoint: str, doc: dict,
                         deadline_ms: float | None):
-        """A single-result-list query; binary response when negotiated."""
-        extra = ({"Accept": protocol.NEIGHBORS_CONTENT_TYPE}
-                 if self._binary else None)
-        response, payload, resp_type = self._call(
-            endpoint, doc, deadline_ms=deadline_ms, extra_headers=extra)
-        if resp_type == protocol.NEIGHBORS_CONTENT_TYPE:
-            return protocol.decode_neighbor_block(payload)[0]
-        if response is None:
+        """A single-result-list query, answered as a neighbor block."""
+        _, payload, resp_type = self._call(
+            endpoint, doc, deadline_ms=deadline_ms,
+            extra_headers={"Accept": protocol.NEIGHBORS_CONTENT_TYPE})
+        if resp_type != protocol.NEIGHBORS_CONTENT_TYPE:
             raise NetError(
                 f"unexpected {endpoint} response type {resp_type!r}")
-        return protocol.neighbors_from_doc(response["neighbors"])
+        return protocol.decode_neighbor_block(payload)[0]
 
     def knn_batch(self, points, k=1, *, deadline_ms: float | None = None):
         """Batched kNN; ``k`` is a scalar or one value per query row."""
@@ -376,24 +369,17 @@ class RemoteDatabase:
         ks = per_query("k", k, points.shape[0])
         # One k per row travels as a list; a shared scalar as itself.
         k_doc = ks.tolist() if np.ndim(k) else int(k)
-        if self._binary:
-            response, payload, resp_type = self._call(
-                "knn_batch",
-                body=protocol.encode_matrix(points),
-                content_type=protocol.BINARY_CONTENT_TYPE,
-                extra_headers={protocol.K_HEADER: ",".join(
-                    map(str, np.atleast_1d(k_doc)))},
-                deadline_ms=deadline_ms)
-            if resp_type == protocol.NEIGHBORS_CONTENT_TYPE:
-                return protocol.decode_neighbor_block(payload)
-            if response is None:
-                raise NetError(
-                    f"unexpected knn_batch response type {resp_type!r}")
-        else:
-            response, _, _ = self._call(
-                "knn_batch", {"points": points.tolist(), "k": k_doc},
-                deadline_ms=deadline_ms)
-        return [protocol.neighbors_from_doc(r) for r in response["results"]]
+        _, payload, resp_type = self._call(
+            "knn_batch",
+            body=protocol.encode_matrix(points),
+            content_type=protocol.BINARY_CONTENT_TYPE,
+            extra_headers={protocol.K_HEADER: ",".join(
+                map(str, np.atleast_1d(k_doc)))},
+            deadline_ms=deadline_ms)
+        if resp_type != protocol.NEIGHBORS_CONTENT_TYPE:
+            raise NetError(
+                f"unexpected knn_batch response type {resp_type!r}")
+        return protocol.decode_neighbor_block(payload)
 
     def range(self, point, radius: float, *,
               deadline_ms: float | None = None):
@@ -450,7 +436,7 @@ class RemoteDatabase:
     def insert_many(self, points, values=None) -> int:
         """Bulk insert; returns the number of points inserted."""
         points = as_points(points, self.dims)
-        if values is None and self._binary:
+        if values is None:
             response, _, _ = self._call(
                 "insert_many",
                 body=protocol.encode_matrix(points),

@@ -19,7 +19,9 @@ makes the query server a *data plane*:
   absolute deadline on arrival.  Requests that are already expired (or
   expire while queued) are shed with 504 *before any work is
   dispatched*; admitted requests hand their remaining budget to the
-  serving pools' per-call ``timeout=``.
+  serving pools' per-call ``timeout=``.  A pool answer with a shard no
+  worker computed is never served as a 200: it answers 504 when the
+  request carried a deadline, else 503 with ``Retry-After``.
 * **Graceful drain.**  ``close()`` (or the CLI's SIGTERM handler)
   sheds late arrivals with 503, waits for every in-flight request to
   finish, then stops accepting and unbinds.  Zero admitted queries are
@@ -186,13 +188,16 @@ class QueryServer:
         self._admission = _Admission(max_inflight, max_queue, queue_timeout_s)
         # Serving pools take a per-call timeout=; plain handles do not.
         self._pooled = hasattr(source, "worker_stats")
+        #: What the knn/range reads go through: a pool's may come back
+        #: incomplete, and an incomplete answer is never served.
+        self._reads = _WholeAnswers(source) if self._pooled else source
         if batch_delay_ms < 0:
             raise ValueError(
                 f"batch_delay_ms must be >= 0, got {batch_delay_ms}")
         self._coalescer = None
         if batch_delay_ms > 0:
             self._coalescer = CoalescingScheduler(
-                source, batch_delay_s=batch_delay_ms / 1e3,
+                self._reads, batch_delay_s=batch_delay_ms / 1e3,
                 max_batch=max_batch, call_kwargs=self._pool_kwargs)
         self._closed = False
         self._close_lock = threading.Lock()
@@ -417,6 +422,14 @@ class QueryServer:
             # micro-batch; it was never executed.  Same 504 + shed
             # accounting as a pre-dispatch deadline shed.
             self._shed_response(request, "deadline")
+        except ShardLostError as exc:
+            # A pool worker did not compute part of the answer: 504
+            # when the request carried a budget, else 503 to retry.
+            if deadline is not None:
+                request.send_json(504, protocol.error_doc(exc))
+            else:
+                request.send_json(503, protocol.error_doc(exc),
+                                  {"Retry-After": "1"})
         except NotImplementedError as exc:
             self._send_error(request, 405, exc)
         except _CLIENT_ERRORS as exc:
@@ -458,7 +471,7 @@ class QueryServer:
 
     def _execute(self, request: Request, endpoint: str, body: bytes,
                  content_type: str, deadline: float | None) -> None:
-        source = self._source
+        source, reads = self._source, self._reads
         pool_kw = self._pool_kwargs(deadline)
 
         if endpoint == "server":
@@ -471,7 +484,7 @@ class QueryServer:
 
         if endpoint == "knn_batch":
             points, k = self._batch_request(request, body, content_type)
-            results = source.knn_batch(points, k=k, **pool_kw)
+            results = reads.knn_batch(points, k=k, **pool_kw)
             if content_type == protocol.BINARY_CONTENT_TYPE:
                 request.send(200, protocol.encode_neighbor_block(results),
                              protocol.NEIGHBORS_CONTENT_TYPE)
@@ -499,7 +512,7 @@ class QueryServer:
                 kwargs = dict(pool_kw)
                 if "algorithm" in doc:
                     kwargs["algorithm"] = doc["algorithm"]
-                neighbors = source.knn(point, k=k, **kwargs)
+                neighbors = reads.knn(point, k=k, **kwargs)
             self._send_neighbors(request, neighbors)
             return
 
@@ -513,7 +526,7 @@ class QueryServer:
                 neighbors = self._coalescer.submit("range", point, radius,
                                                    deadline)
             else:
-                neighbors = source.range(point, radius, **pool_kw)
+                neighbors = reads.range(point, radius, **pool_kw)
             self._send_neighbors(request, neighbors)
             return
 
@@ -526,7 +539,7 @@ class QueryServer:
             else:
                 radius = float(radius)
             _reject_unknown(doc, {"points", "radius"})
-            results = source.range_batch(points, radius, **pool_kw)
+            results = reads.range_batch(points, radius, **pool_kw)
             reply = {"results": [protocol.neighbors_to_doc(r)
                                  for r in results]}
 
@@ -659,6 +672,48 @@ class QueryServer:
                 for key, value in stats.items()
             }
         return {"stats": repr(stats)}
+
+
+class ShardLostError(Exception):
+    """A serving pool answered rows that no worker computed."""
+
+
+class _WholeAnswers:
+    """A serving pool's knn/range reads, refusing an incomplete answer.
+
+    A pool answers a shard it could not compute (timeout, dead worker,
+    I/O error) with empty rows; served as they are, they would be a 200
+    carrying a wrong answer.  Every read here asks for the pool's
+    completeness mask and raises :class:`ShardLostError` on any
+    incomplete row.
+    """
+
+    def __init__(self, pool) -> None:
+        self._pool = pool
+
+    def knn(self, point, k=1, **kwargs):
+        return _whole(*self._pool.knn(point, k=k, with_flags=True, **kwargs))
+
+    def range(self, point, radius, **kwargs):
+        return _whole(*self._pool.range(point, radius, with_flags=True,
+                                        **kwargs))
+
+    def knn_batch(self, points, k=1, **kwargs):
+        return _whole(*self._pool.knn_batch(points, k=k, with_flags=True,
+                                            **kwargs))
+
+    def range_batch(self, points, radius, **kwargs):
+        return _whole(*self._pool.range_batch(points, radius, with_flags=True,
+                                              **kwargs))
+
+
+def _whole(results, complete):
+    lost = np.size(complete) - np.count_nonzero(complete)
+    if lost:
+        raise ShardLostError(
+            f"{lost} of {np.size(complete)} queries were not computed: "
+            f"a serving-pool shard degraded")
+    return results
 
 
 #: Every path the server answers, listed in its 404.

@@ -20,8 +20,8 @@ one-off measurements into a first-class layer:
   level-filtered one-line JSON events with per-query ids, ring-buffered
   and optionally sunk to stderr/a file/a callable;
 * :mod:`repro.obs.flightrec` — the flight recorder (``FLIGHT``): an
-  always-on ring of the last N query records with slow-query tail
-  sampling;
+  always-on ring of the last N query records, tail-sampled after a
+  breach of the latency objective (``set_slo_ms``);
 * :mod:`repro.obs.server` — the ``/metrics``, ``/healthz`` and ``/varz``
   routes, answered by :class:`~repro.net.QueryServer` on its own port.
 

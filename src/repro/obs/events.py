@@ -13,7 +13,7 @@ and ``logging.getLogger`` everywhere else under ``src/repro``.  Every
 event is a flat dict with three fixed keys (``ts`` — Unix seconds,
 ``level``, ``event``) plus free-form fields; query-scoped events carry
 the ``query_id`` the hooks layer assigned, so one query's start/finish
-(and any slow-query or SLO-violation records in between) can be joined.
+(and its ``slo_violation``, if any) can be joined.
 
 Events always land in a bounded in-memory ring (cheap: one level check
 and a deque append), and are *additionally* serialized to a pluggable

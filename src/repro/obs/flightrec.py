@@ -9,10 +9,10 @@ time, page reads split by level, buffer hits, snapshot epoch, worker
 thread, degradation — into a bounded deque, always on, no locks beyond
 the GIL-atomic append.
 
-**Tail sampling.**  A query whose wall time breaches
-:attr:`FlightRecorder.slow_query_ms` is flagged ``slow`` (the hooks
-layer emits a ``slow_query`` WARN event) and *arms* the tracer for the
-next
+**Tail sampling.**  A query whose wall time breaches the latency
+objective (:func:`repro.obs.hooks.set_slo_ms`, default 100 ms) is
+flagged ``slow`` (the hooks layer judges it and emits the one
+``slo_violation`` WARN event) and *arms* the tracer for the next
 ``trace_tail`` queries on the main thread: those runs are recorded with
 full per-level trace detail (``QueryRecord.levels``, the
 :func:`repro.obs.explain.level_breakdown` tallies) even though ambient
@@ -23,9 +23,9 @@ the tracer is process-global and single-threaded by design.
 
 ::
 
-    from repro.obs import FLIGHT
+    from repro.obs import FLIGHT, set_slo_ms
 
-    FLIGHT.configure(slow_query_ms=25.0)
+    set_slo_ms(25.0)
     ...
     for rec in FLIGHT.slowest(5):
         print(rec.op, rec.wall_ms, rec.page_reads, rec.levels)
@@ -43,9 +43,6 @@ __all__ = ["FLIGHT", "FlightRecorder", "QueryRecord"]
 
 #: Default ring capacity (queries retained).
 DEFAULT_CAPACITY = 256
-
-#: Default latency threshold (ms) above which a query is flagged slow.
-DEFAULT_SLOW_QUERY_MS = 100.0
 
 #: How many follow-up queries get full trace detail after a breach.
 DEFAULT_TRACE_TAIL = 4
@@ -94,21 +91,16 @@ class FlightRecorder:
     ----------
     capacity:
         Queries retained (oldest evicted first).
-    slow_query_ms:
-        Wall-time threshold above which a query is flagged ``slow``
-        (``None`` disables flagging and tail sampling).
     trace_tail:
         Queries to run under the tracer after each breach (main thread
         only; 0 disables arming).
     """
 
     def __init__(self, *, capacity: int = DEFAULT_CAPACITY,
-                 slow_query_ms: float | None = DEFAULT_SLOW_QUERY_MS,
                  trace_tail: int = DEFAULT_TRACE_TAIL) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self._ring: deque[QueryRecord] = deque(maxlen=capacity)
-        self.slow_query_ms = slow_query_ms
         self.trace_tail = trace_tail
         self._trace_budget = 0
         self._recorded = 0
@@ -116,15 +108,12 @@ class FlightRecorder:
 
     # -- configuration -----------------------------------------------------
 
-    def configure(self, *, capacity=..., slow_query_ms=...,
-                  trace_tail=...) -> None:
+    def configure(self, *, capacity=..., trace_tail=...) -> None:
         """Change ring size or sampling knobs (unspecified = keep)."""
         if capacity is not ...:
             if capacity < 1:
                 raise ValueError(f"capacity must be positive, got {capacity}")
             self._ring = deque(self._ring, maxlen=capacity)
-        if slow_query_ms is not ...:
-            self.slow_query_ms = slow_query_ms
         if trace_tail is not ...:
             self.trace_tail = trace_tail
 
@@ -140,7 +129,7 @@ class FlightRecorder:
 
     @property
     def slow_queries(self) -> int:
-        """Queries that breached :attr:`slow_query_ms` since start."""
+        """Queries recorded ``slow`` since start."""
         return self._slow
 
     # -- tail sampling -------------------------------------------------------
@@ -169,11 +158,10 @@ class FlightRecorder:
                k: int | None, wall_ms: float, page_reads: int,
                node_reads: int, leaf_reads: int, buffer_hits: int,
                distance_computations: int, epoch: int | None,
-               worker: str, degraded_reason: str | None = None,
+               worker: str, slow: bool = False,
+               degraded_reason: str | None = None,
                levels: dict | None = None) -> QueryRecord:
-        """Append one query record; flags it slow and arms tail tracing."""
-        threshold = self.slow_query_ms
-        slow = threshold is not None and wall_ms > threshold
+        """Append one query record; a ``slow`` one arms tail tracing."""
         rec = QueryRecord(
             query_id=query_id,
             op=op,
@@ -244,14 +232,13 @@ class FlightRecorder:
             "retained": len(self._ring),
             "recorded": self._recorded,
             "slow_queries": self._slow,
-            "slow_query_ms": self.slow_query_ms,
             "trace_tail": self.trace_tail,
             "by_op": by_op,
             "latency_ms": self.percentiles(),
         }
 
     def reset(self) -> None:
-        """Empty the ring and counters (threshold/capacity kept)."""
+        """Empty the ring and counters (capacity and tail kept)."""
         self._ring.clear()
         self._recorded = 0
         self._slow = 0

@@ -76,9 +76,10 @@ def set_metrics_enabled(flag: bool) -> None:
     _enabled = bool(flag)
 
 
-# -- latency SLOs -------------------------------------------------------
+# -- the latency objective ---------------------------------------------
 
-_slo_ms: float | None = None
+#: The latency objective (ms); :func:`set_slo_ms` changes it.
+_slo_ms: float | None = 100.0
 _slo_observed = 0
 _slo_violated = 0
 
@@ -86,11 +87,14 @@ _slo_violated = 0
 def set_slo_ms(ms: float | None) -> None:
     """Set the process-wide latency objective in milliseconds.
 
-    Queries (and serving-pool blocks) slower than this count toward
-    ``repro_slo_violations_total{op=...}`` and move
-    ``repro_slo_violation_ratio``; ``None`` (the default) disables the
-    check.  :meth:`repro.Database.create`/``open`` accept a per-handle
-    ``slo_ms`` that overrides this global for their own queries.
+    The one latency threshold: an observed query, serving-pool block or
+    net request slower than this counts toward
+    ``repro_slo_violations_total{op=...}`` and
+    ``repro_slo_violation_ratio`` and emits one ``slo_violation`` WARN
+    event; a query is also flagged ``slow`` in the flight recorder and
+    arms its tail tracing.  Default 100 ms; ``None`` turns the check
+    off.  A serving pool's workers start with the
+    objective in force when the pool was created.
     """
     global _slo_ms
     if ms is not None and ms <= 0:
@@ -99,23 +103,32 @@ def set_slo_ms(ms: float | None) -> None:
 
 
 def slo_ms() -> float | None:
-    """The process-wide latency objective (``None`` = unset)."""
+    """The process-wide latency objective (``None`` = off)."""
     return _slo_ms
 
 
-def _check_slo(op: str, wall_ms: float, objective_ms: float,
-               query_id: int | None = None) -> None:
-    """Count one operation against a latency objective."""
+def _check_slo(op: str, wall_ms: float, query_id: int | None = None,
+               **fields) -> bool:
+    """Count one operation against the objective; ``True`` on a breach.
+
+    A breach increments the violation counter and emits one
+    ``slo_violation`` event carrying ``fields`` besides the common ones.
+    """
     global _slo_observed, _slo_violated
+    objective = _slo_ms
+    if objective is None:
+        return False
     _slo_observed += 1
-    if wall_ms > objective_ms:
+    breached = wall_ms > objective
+    if breached:
         _slo_violated += 1
         SLO_VIOLATIONS.labels(op=op).inc()
         EVENTS.emit(
             "slo_violation", level=WARN, op=op, query_id=query_id,
-            wall_ms=round(wall_ms, 3), slo_ms=objective_ms,
+            wall_ms=round(wall_ms, 3), slo_ms=objective, **fields,
         )
     SLO_RATIO.set(_slo_violated / _slo_observed)
+    return breached
 
 
 # ----------------------------------------------------------------------
@@ -420,7 +433,9 @@ class _QueryObservation:
             BUFFER_LOOKUPS.labels(index_kind=kind, outcome="miss").inc(misses)
         NODE_CACHE_HIT_RATIO.labels(index_kind=kind).set(stats.hit_ratio)
         wall_ms = elapsed * 1e3
-        rec = FLIGHT.record(
+        slow = _check_slo(op, wall_ms, query_id=self._qid, index_kind=kind,
+                          page_reads=page_reads, traced=levels is not None)
+        FLIGHT.record(
             query_id=self._qid,
             op=op,
             index_kind=kind,
@@ -433,20 +448,9 @@ class _QueryObservation:
             distance_computations=dists,
             epoch=getattr(index, "snapshot_epoch", None),
             worker=threading.current_thread().name,
+            slow=slow,
             levels=levels,
         )
-        if rec.slow:
-            EVENTS.emit(
-                "slow_query", level=WARN, query_id=self._qid, op=op,
-                index_kind=kind, wall_ms=round(wall_ms, 3),
-                page_reads=page_reads,
-                slow_query_ms=FLIGHT.slow_query_ms, traced=rec.traced,
-            )
-        objective = getattr(index, "_slo_ms", None)
-        if objective is None:
-            objective = _slo_ms
-        if objective is not None:
-            _check_slo(op, wall_ms, objective, query_id=self._qid)
         if EVENTS.enabled_for(DEBUG):
             EVENTS.emit(
                 "query_finish", level=DEBUG, query_id=self._qid, op=op,
@@ -664,21 +668,17 @@ def on_worker_respawned(worker: int, reason: str) -> None:
     EVENTS.emit("worker_respawned", level=WARN, worker=worker, reason=reason)
 
 
-def on_pool_block(op: str, seconds: float,
-                  slo_override_ms: float | None = None) -> None:
+def on_pool_block(op: str, seconds: float) -> None:
     """Record one serving-pool block: latency histogram + SLO check.
 
     ``op`` is labelled ``pool_knn``/``pool_range`` so pool blocks are
     distinguishable from the per-query histograms recorded inside the
-    workers.  ``slo_override_ms`` (the pool's own ``slo_ms``) takes
-    precedence over the process-wide objective.
+    workers.
     """
     if not _enabled:
         return
     POOL_BLOCK_SECONDS.labels(op=op).observe(seconds)
-    objective = slo_override_ms if slo_override_ms is not None else _slo_ms
-    if objective is not None:
-        _check_slo(op, seconds * 1e3, objective)
+    _check_slo(op, seconds * 1e3)
 
 
 def on_net_shed(reason: str) -> None:
@@ -694,8 +694,7 @@ def on_net_shed(reason: str) -> None:
     SHED_REQUESTS.labels(reason=reason).inc()
 
 
-def on_net_request(endpoint: str, status: int, seconds: float,
-                   slo_override_ms: float | None = None) -> None:
+def on_net_request(endpoint: str, status: int, seconds: float) -> None:
     """Record one answered query-server request: counter + latency + SLO.
 
     ``seconds`` is wall time from arrival to response, admission-queue
@@ -708,12 +707,8 @@ def on_net_request(endpoint: str, status: int, seconds: float,
         return
     NET_REQUESTS.labels(endpoint=endpoint, status=str(status)).inc()
     NET_REQUEST_SECONDS.labels(endpoint=endpoint).observe(seconds)
-    if slo_override_ms is not None:
-        objective = slo_override_ms
-    else:
-        objective = _slo_ms
-    if objective is not None and endpoint not in ("server", "stats"):
-        _check_slo(f"net_{endpoint}", seconds * 1e3, objective)
+    if endpoint not in ("server", "stats"):
+        _check_slo(f"net_{endpoint}", seconds * 1e3)
 
 
 def on_net_inflight(n: int) -> None:

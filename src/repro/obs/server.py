@@ -14,7 +14,8 @@ module reads them and never imports :mod:`repro.net`:
   database's store is poisoned (post-commit apply failure — see
   ``docs/DURABILITY.md``) or the server is draining;
 * ``/varz`` — one JSON document: the flattened registry, the flight
-  recorder's summary, the event log's summary, the served database's
+  recorder's summary (with the latency objective that flags its
+  ``slow`` records), the event log's summary, the served database's
   snapshot epoch or the served pool's workers and degraded queries, and
   the server's admission-control snapshot.
 """
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 from .events import EVENTS
 from .flightrec import FLIGHT
+from .hooks import slo_ms
 from .prometheus import render
 from .registry import REGISTRY
 
@@ -92,7 +94,7 @@ def varz(source, server) -> dict:
     snapshots.append(dict(server.describe(), handle="query_server[0]"))
     return {
         "metrics": REGISTRY.flatten(),
-        "flight_recorder": FLIGHT.summary(),
+        "flight_recorder": dict(FLIGHT.summary(), slo_ms=slo_ms()),
         "events": EVENTS.summary(),
         "snapshots": snapshots,
     }

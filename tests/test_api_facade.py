@@ -167,6 +167,20 @@ def test_removed_page_cache_keywords_are_refused(tmp_path, keyword):
         Database.open(path, **{keyword: 64 * 4096})
 
 
+def test_per_handle_latency_objective_is_refused(tmp_path, serving_pool):
+    # One latency objective per process (repro.obs.set_slo_ms): no
+    # handle takes its own, each refusing it as it refuses any unknown
+    # keyword.
+    path = str(tmp_path / "slo.db")
+    with pytest.raises(ValueError, match="unknown keyword 'slo_ms'"):
+        Database.create(path, kind="sr", dims=4, slo_ms=50.0)
+    Database.create(path, kind="sr", dims=4).close()
+    with pytest.raises(TypeError, match="unexpected keyword argument 'slo_ms'"):
+        Database.open(path, slo_ms=50.0)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'slo_ms'"):
+        serving_pool(path, workers=1, slo_ms=50.0)
+
+
 def test_conflicting_buffer_spellings_rejected(tmp_path):
     # One spelling: the frame count is ``buffer_capacity`` at every
     # entry point, and the alias it once had is refused by name.

@@ -3,7 +3,8 @@
 ``docs/OBSERVABILITY.md`` lists every metric family and every event,
 ``docs/SERVING.md`` and the ``repro.net.protocol`` docstring every
 endpoint (``docs/SERVING.md`` the telemetry paths too), ``README.md``
-and ``docs/API.md`` every CLI sub-command.  Each list is re-derived
+and ``docs/API.md`` every CLI sub-command (``docs/API.md`` its flags
+too).  Each list is re-derived
 here from the code — the families in ``REGISTRY``, the literals passed
 to ``emit(`` under ``src/repro``, ``protocol.ENDPOINTS`` and
 ``repro.obs.server.PATHS``, the argparse sub-parsers — and must match
@@ -70,9 +71,9 @@ def test_endpoint_tables_are_the_protocol():
 
 
 def test_cli_command_lists_are_the_parser():
-    commands, = (sorted(action.choices)
-                 for action in _build_parser()._actions
-                 if isinstance(action, argparse._SubParsersAction))
+    parsers, = (action.choices for action in _build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+    commands = sorted(parsers)
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     one_line, = re.findall(r"`python -m repro \{([\w,-]+)\}`", readme)
     api = (ROOT / "docs" / "API.md").read_text(encoding="utf-8")
@@ -80,3 +81,17 @@ def test_cli_command_lists_are_the_parser():
     assert sorted(one_line.split(",")) == commands
     # continuation lines of a command's flags are indented
     assert sorted(re.findall(r"^([\w-]+)", block, re.MULTILINE)) == commands
+    # Each command's documented flags (comments after `#` aside) are the
+    # parser's, hidden ones left out.
+    documented = {}
+    for line in block.strip().splitlines():
+        if not line[0].isspace():
+            command = line.split()[0]
+        flags = re.findall(r"(?<![\w-])(--?[a-z][\w-]*)", line.split("#")[0])
+        documented.setdefault(command, set()).update(flags)
+    for command, parser in parsers.items():
+        flags = {flag for action in parser._actions
+                 if action.help is not argparse.SUPPRESS
+                 and not isinstance(action, argparse._HelpAction)
+                 for flag in action.option_strings}
+        assert documented[command] == flags, command

@@ -183,14 +183,15 @@ class TestStats:
 
 @pytest.fixture
 def obs_restore():
-    """Restore global event-log/flight-recorder config the CLI mutates."""
-    from repro.obs import EVENTS, FLIGHT
+    """Restore the event log, flight recorder and latency objective the
+    CLI mutates."""
+    from repro.obs import EVENTS, FLIGHT, set_slo_ms, slo_ms
 
-    prior = (FLIGHT.slow_query_ms, FLIGHT.trace_tail)
+    prior = slo_ms()
     yield
     EVENTS.configure(min_level="info")
     EVENTS.clear()
-    FLIGHT.configure(slow_query_ms=prior[0], trace_tail=prior[1])
+    set_slo_ms(prior)
     FLIGHT.reset()
 
 
@@ -275,12 +276,12 @@ class TestTelemetryCommands:
                 if line.strip() and not line.startswith(("--", "   qid"))]
         assert 1 <= len(rows) <= 4
 
-    def test_slow_json_and_slow_ms_threshold(self, index_file, capsys,
-                                             obs_restore):
+    def test_slow_json_and_slo_ms_threshold(self, index_file, capsys,
+                                            obs_restore):
         import json as _json
 
         assert run("slow", "--index", index_file, "--queries", 4,
-                   "-k", 3, "--slow-ms", "0.000001",
+                   "-k", 3, "--slo-ms", "0.000001",
                    "--format", "json") == 0
         records = _json.loads(capsys.readouterr().out)
         assert records

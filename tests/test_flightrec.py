@@ -7,26 +7,30 @@ import threading
 import pytest
 
 from repro import build_index
+from repro.obs import hooks
 from repro.obs.flightrec import FLIGHT, FlightRecorder
 
 
 def _record(rec: FlightRecorder, *, wall_ms: float, op: str = "knn",
-            query_id: int = 1, page_reads: int = 0, levels=None):
+            query_id: int = 1, page_reads: int = 0, slow: bool = False,
+            levels=None):
     return rec.record(
         query_id=query_id, op=op, index_kind="srtree", k=5,
         wall_ms=wall_ms, page_reads=page_reads, node_reads=0,
         leaf_reads=page_reads, buffer_hits=0, distance_computations=0,
-        epoch=None, worker="MainThread", levels=levels,
+        epoch=None, worker="MainThread", slow=slow, levels=levels,
     )
 
 
 @pytest.fixture
 def global_flight():
-    """Use the process-wide recorder with a clean slate, then restore."""
-    prior = (FLIGHT.slow_query_ms, FLIGHT.trace_tail)
+    """Use the process-wide recorder with a clean slate, then restore it
+    and the latency objective that flags its records."""
+    prior = (hooks.slo_ms(), FLIGHT.trace_tail)
     FLIGHT.reset()
     yield FLIGHT
-    FLIGHT.configure(slow_query_ms=prior[0], trace_tail=prior[1])
+    hooks.set_slo_ms(prior[0])
+    FLIGHT.configure(trace_tail=prior[1])
     FLIGHT.reset()
 
 
@@ -91,9 +95,9 @@ class TestPercentiles:
                      "p95": 0.0, "p99": 0.0}
 
     def test_summary_counts_by_op(self):
-        rec = FlightRecorder(slow_query_ms=5.0)
+        rec = FlightRecorder()
         _record(rec, wall_ms=1.0, op="knn")
-        _record(rec, wall_ms=10.0, op="knn")
+        _record(rec, wall_ms=10.0, op="knn", slow=True)
         _record(rec, wall_ms=1.0, op="range")
         summary = rec.summary()
         assert summary["by_op"] == {"knn": 2, "range": 1}
@@ -103,29 +107,32 @@ class TestPercentiles:
 
 class TestTailSampling:
     def test_slow_query_flagged_and_arms_budget(self):
-        rec = FlightRecorder(slow_query_ms=5.0, trace_tail=2)
+        rec = FlightRecorder(trace_tail=2)
         fast = _record(rec, wall_ms=1.0)
         assert not fast.slow
         assert not rec.should_trace()
-        slow = _record(rec, wall_ms=9.0)
+        slow = _record(rec, wall_ms=9.0, slow=True)
         assert slow.slow
         assert rec.should_trace()
         assert rec.should_trace()
         assert not rec.should_trace()  # budget of 2 consumed
 
-    def test_none_threshold_disables_flagging(self):
-        rec = FlightRecorder(slow_query_ms=None)
-        assert not _record(rec, wall_ms=1e6).slow
-        assert not rec.should_trace()
+    def test_none_threshold_disables_flagging(self, global_flight,
+                                              tiny_cloud):
+        hooks.set_slo_ms(None)  # the objective off: nothing is slow
+        tree = build_index("srtree", tiny_cloud)
+        tree.nearest(tiny_cloud[0], k=3)
+        assert not global_flight.records()[-1].slow
+        assert not global_flight.should_trace()
 
     def test_zero_trace_tail_never_arms(self):
-        rec = FlightRecorder(slow_query_ms=1.0, trace_tail=0)
-        assert _record(rec, wall_ms=50.0).slow
+        rec = FlightRecorder(trace_tail=0)
+        assert _record(rec, wall_ms=50.0, slow=True).slow
         assert not rec.should_trace()
 
     def test_should_trace_refuses_worker_threads(self):
-        rec = FlightRecorder(slow_query_ms=1.0, trace_tail=4)
-        _record(rec, wall_ms=50.0)  # arm
+        rec = FlightRecorder(trace_tail=4)
+        _record(rec, wall_ms=50.0, slow=True)  # arm
         results: list[bool] = []
         worker = threading.Thread(
             target=lambda: results.append(rec.should_trace())
@@ -136,16 +143,16 @@ class TestTailSampling:
         assert rec.should_trace()  # budget untouched for the main thread
 
     def test_repeat_breach_does_not_stack_budget(self):
-        rec = FlightRecorder(slow_query_ms=1.0, trace_tail=2)
-        _record(rec, wall_ms=50.0)
-        _record(rec, wall_ms=50.0)
+        rec = FlightRecorder(trace_tail=2)
+        _record(rec, wall_ms=50.0, slow=True)
+        _record(rec, wall_ms=50.0, slow=True)
         assert rec.should_trace()
         assert rec.should_trace()
         assert not rec.should_trace()  # max(budget, tail), not +=
 
     def test_reset_clears_budget_and_counters(self):
-        rec = FlightRecorder(slow_query_ms=1.0)
-        _record(rec, wall_ms=50.0)
+        rec = FlightRecorder()
+        _record(rec, wall_ms=50.0, slow=True)
         rec.reset()
         assert rec.records() == []
         assert rec.recorded == 0
@@ -171,7 +178,7 @@ class TestObservedQueries:
             self, global_flight, small_cloud):
         """Acceptance: a breaching query's recorded pages equal the
         query's own IOStats.page_reads delta."""
-        global_flight.configure(slow_query_ms=0.0)  # everything breaches
+        hooks.set_slo_ms(1e-6)  # everything breaches
         tree = build_index("srtree", small_cloud)
         tree.store.drop_cache()
         before = tree.stats.page_reads
@@ -184,7 +191,8 @@ class TestObservedQueries:
         assert record.node_reads + record.leaf_reads == delta
 
     def test_breach_traces_the_tail(self, global_flight, tiny_cloud):
-        global_flight.configure(slow_query_ms=0.0, trace_tail=2)
+        hooks.set_slo_ms(1e-6)
+        global_flight.configure(trace_tail=2)
         tree = build_index("srtree", tiny_cloud)
         tree.nearest(tiny_cloud[0], k=3)   # breaches, arms the tracer
         tree.nearest(tiny_cloud[1], k=3)   # armed: full trace detail
@@ -198,7 +206,8 @@ class TestObservedQueries:
                                                   tiny_cloud):
         from repro.obs import trace
 
-        global_flight.configure(slow_query_ms=0.0, trace_tail=4)
+        hooks.set_slo_ms(1e-6)
+        global_flight.configure(trace_tail=4)
         tree = build_index("srtree", tiny_cloud)
         tree.nearest(tiny_cloud[0], k=2)  # arm
         trace.enable()
@@ -211,7 +220,7 @@ class TestObservedQueries:
             trace.disable()
 
     def test_fast_queries_not_traced(self, global_flight, tiny_cloud):
-        global_flight.configure(slow_query_ms=1e9)
+        hooks.set_slo_ms(1e9)
         tree = build_index("srtree", tiny_cloud)
         tree.nearest(tiny_cloud[0], k=3)
         record = global_flight.records()[-1]

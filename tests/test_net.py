@@ -34,6 +34,7 @@ from repro.exceptions import (
 )
 from repro.httpd import MAX_BODY_BYTES
 from repro.net import QueryServer, RemoteDatabase
+from repro.net.protocol import neighbors_from_doc
 from repro.obs import REGISTRY
 from repro.obs import server as telemetry
 from repro.obs.events import EVENTS
@@ -129,18 +130,19 @@ def test_expired_deadline_shed_before_dispatch(corpus):
 
 def test_deadline_budget_propagates_into_pool_timeout(corpus, serving_pool):
     # A served pool gets the request's remaining budget as its per-call
-    # timeout=.  A worker slower than the budget degrades that shard to
-    # empty (the pool's documented timeout behavior) instead of holding
-    # the request open past its deadline.
+    # timeout=.  A worker slower than the budget degrades that shard
+    # (the pool's documented timeout behavior) instead of holding the
+    # request open past its deadline, and the client gets a 504, not
+    # the degraded shard's empty rows.
     slow = FaultPlan(slow_read_seconds=0.5)
     with serving_pool(corpus.path, workers=1,
                       _fault_plans={0: slow}) as pool:
         with QueryServer(pool) as server:
             with RemoteDatabase.connect(_addr(server)) as rdb:
                 started = time.monotonic()
-                got = rdb.knn(corpus.data[0], k=3, deadline_ms=100.0)
+                with pytest.raises(DeadlineExceededError):
+                    rdb.knn(corpus.data[0], k=3, deadline_ms=100.0)
                 elapsed = time.monotonic() - started
-            assert got == []
             assert elapsed < 0.5  # did not wait out the worker's sleep
 
 
@@ -537,14 +539,22 @@ def test_token_gates_mutations_not_reads(tmp_path):
 
 
 def test_binary_and_json_codecs_agree(corpus):
+    # The client always sends the binary codec; a JSON batch body is an
+    # input from outside the program, so it is POSTed raw.
     queries = corpus.data[:6]
     want = corpus.db.knn_batch(queries, k=3)
+    body = json.dumps({"points": queries.tolist(), "k": 3}).encode()
     with QueryServer(corpus.db) as server:
-        address = _addr(server)
-        with RemoteDatabase.connect(address, binary=True) as bin_rdb:
-            with RemoteDatabase.connect(address, binary=False) as json_rdb:
-                got_bin = bin_rdb.knn_batch(queries, k=3)
-                got_json = json_rdb.knn_batch(queries, k=3)
+        with RemoteDatabase.connect(_addr(server)) as rdb:
+            got_bin = rdb.knn_batch(queries, k=3)
+        raw = raw_http(server.address, (
+            b"POST /v1/knn_batch HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Type: application/json\r\nConnection: close\r\n"
+            b"Content-Length: %d\r\n\r\n" % len(body)) + body)
+    head, _, payload = raw.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 200 ")
+    got_json = [neighbors_from_doc(r)
+                for r in json.loads(payload)["results"]]
     for got in (got_bin, got_json):
         assert len(got) == len(want)
         for g_list, w_list in zip(got, want):

@@ -7,10 +7,14 @@ delta of ``REGISTRY.flatten()`` rather than an absolute value.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro import REGISTRY, build_index
-from repro.obs import hooks
+from repro.obs import FLIGHT, hooks
 
 
 def delta(before: dict, after: dict) -> dict:
@@ -166,9 +170,11 @@ class TestDisabledHooks:
 class TestLatencySLOs:
     @pytest.fixture
     def slo_reset(self):
+        prior = hooks.slo_ms()
         hooks.set_slo_ms(None)
         yield
-        hooks.set_slo_ms(None)
+        hooks.set_slo_ms(prior)
+        FLIGHT.reset()  # a breach armed tail tracing
 
     def test_global_objective_counts_violations(self, metrics_on, slo_reset,
                                                 tiny_cloud):
@@ -222,21 +228,40 @@ class TestLatencySLOs:
         finally:
             EVENTS.clear()
 
-    def test_database_handle_objective_overrides_global(
-            self, metrics_on, slo_reset, tmp_path, tiny_cloud):
-        from repro.api import Database
+    def test_default_objective_is_100ms(self):
+        # Read in a fresh interpreter: this process's tests move it.
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "from repro.obs import slo_ms; print(slo_ms())"],
+            capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+        assert out.stdout.strip() == "100.0"
 
-        hooks.set_slo_ms(1e9)  # global would never fire
-        path = tmp_path / "slo.db"
-        with Database.create(path, dims=tiny_cloud.shape[1],
-                             slo_ms=1e-6) as db:
-            for point in tiny_cloud:
-                db.insert(point)
-            assert db.slo_ms == 1e-6
-            before = REGISTRY.flatten()
-            db.knn(tiny_cloud[0], k=2)
-            d = delta(before, REGISTRY.flatten())
-        assert d['repro_slo_violations_total{op="knn"}'] == 1
+    def test_one_breach_is_one_event_one_count_one_slow_record(
+            self, metrics_on, slo_reset, tiny_cloud):
+        from repro.obs import EVENTS
+
+        tree = build_index("srtree", tiny_cloud)
+        hooks.set_slo_ms(1e-6)
+        EVENTS.clear()
+        before = REGISTRY.flatten()
+        slow_before = FLIGHT.slow_queries
+        try:
+            tree.nearest(tiny_cloud[0], k=2)
+            warnings = [e for e in EVENTS.tail() if e["level"] == "warn"]
+        finally:
+            EVENTS.clear()
+        d = delta(before, REGISTRY.flatten())
+        assert [e["event"] for e in warnings] == ["slo_violation"]
+        event, = warnings
+        assert event["op"] == "knn" and event["index_kind"] == "srtree"
+        assert {"page_reads", "traced", "query_id", "wall_ms"} <= set(event)
+        assert {k: v for k, v in d.items()
+                if k.startswith("repro_slo_violations_total")} == {
+                    'repro_slo_violations_total{op="knn"}': 1}
+        assert FLIGHT.slow_queries == slow_before + 1
+        record = FLIGHT.records()[-1]
+        assert record.slow and record.query_id == event["query_id"]
 
     def test_pool_blocks_checked_against_objective(
             self, metrics_on, slo_reset, tmp_path, tiny_cloud, serving_pool):
@@ -246,11 +271,18 @@ class TestLatencySLOs:
         with Database.create(path, dims=tiny_cloud.shape[1]) as db:
             for point in tiny_cloud:
                 db.insert(point)
+        hooks.set_slo_ms(1e-6)
         before = REGISTRY.flatten()
-        with serving_pool(path, workers=2, slo_ms=1e-6) as pool:
+        recorded = FLIGHT.recorded
+        with serving_pool(path, workers=2) as pool:
             pool.knn(tiny_cloud[:8], k=2)
         d = delta(before, REGISTRY.flatten())
         assert d['repro_slo_violations_total{op="pool_knn"}'] > 0
+        # Workers start with the parent's objective, spawned ones too:
+        # their blocks count, and their records come back slow.
+        assert d['repro_slo_violations_total{op="batch_knn"}'] > 0
+        replayed = FLIGHT.records(FLIGHT.recorded - recorded)
+        assert replayed and all(r.slow for r in replayed)
         block_count = [v for k, v in d.items()
                        if k.startswith("repro_pool_block_seconds_count")]
         assert sum(block_count) > 0

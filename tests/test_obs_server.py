@@ -10,7 +10,7 @@ import pytest
 
 from repro.api import Database
 from repro.net import QueryServer, protocol
-from repro.obs import REGISTRY, render
+from repro.obs import REGISTRY, render, slo_ms
 from repro.obs import server as telemetry
 
 from .helpers import raw_http
@@ -71,6 +71,7 @@ class TestEndpoints:
         assert set(doc) >= {"metrics", "flight_recorder", "events",
                             "snapshots"}
         assert doc["flight_recorder"]["capacity"] > 0
+        assert doc["flight_recorder"]["slo_ms"] == slo_ms()
         snapshot, server_entry = doc["snapshots"]
         assert snapshot["handle"] == "database[0]"
         assert snapshot["epoch"] >= 0

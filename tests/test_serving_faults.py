@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from repro import Database
+from repro.exceptions import DeadlineExceededError, ServerOverloadedError
+from repro.net import QueryServer, RemoteDatabase
 from repro.obs.hooks import DEGRADED_QUERIES
 from repro.storage import FaultPlan
 from repro.workloads import uniform_dataset
@@ -126,6 +128,32 @@ def test_slow_shard_times_out_and_degrades(index_path, serving_pool):
         assert pool.respawned_workers == 1
         assert pool.worker_stats()[0]["pid"] not in (None, slow)
     assert DEGRADED_QUERIES.labels(reason="timeout").value == before + 2
+
+
+def test_served_pool_refuses_a_shard_it_did_not_compute(index_path,
+                                                       serving_pool):
+    # Regression: the server sent a degraded shard's empty rows as a 200.
+    queries = uniform_dataset(2, DIMS, seed=6)
+    with Database.open(index_path) as db:
+        assert len(db.knn(queries[0], k=K)) == K
+    plan = FaultPlan(slow_read_seconds=0.4)
+    with serving_pool(index_path, workers=1, timeout=0.2,
+                      _fault_plans={0: plan}) as pool, \
+            QueryServer(pool) as server, \
+            RemoteDatabase.connect("%s:%d" % server.address) as rdb:
+        with pytest.raises(DeadlineExceededError, match="not computed"):
+            rdb.knn(queries[0], k=K, deadline_ms=200)
+        with pytest.raises(DeadlineExceededError, match="not computed"):
+            rdb.knn_batch(queries, k=K, deadline_ms=200)
+        # No deadline header: the pool's own timeout lost the shard.
+        with pytest.raises(ServerOverloadedError) as lost:
+            rdb.range_batch(queries, 0.5)
+        assert lost.value.retry_after == 1.0
+        with QueryServer(pool, batch_delay_ms=1.0) as batching, \
+                RemoteDatabase.connect("%s:%d" % batching.address) as rdb:
+            with pytest.raises(DeadlineExceededError, match="not computed"):
+                rdb.knn(queries[0], k=K, deadline_ms=200)  # coalesced
+        assert pool.degraded_queries == 6
 
 
 def test_empty_query_block_is_complete_and_not_degraded(index_path,
