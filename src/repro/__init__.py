@@ -36,6 +36,7 @@ from .exceptions import (
     RemoteError,
     ReproError,
     ServerOverloadedError,
+    ShardLostError,
     StorageError,
     TransientIOError,
     WALError,
@@ -100,6 +101,7 @@ __all__ = [
     "SSTree",
     "ServerOverloadedError",
     "ServingPool",
+    "ShardLostError",
     "Snapshot",
     "SpatialIndex",
     "StorageError",

@@ -148,13 +148,20 @@ class QuerySurface(Protocol):
                                                                         RuntimeError (pools),
                                                                         NetError (RemoteDatabase)
 
+    **No handle returns part of an answer.**  A pool read that lost a
+    shard (a timeout, a dead worker, reads failing past the retries)
+    raises :class:`~repro.exceptions.ShardLostError`; a remote handle
+    over a pool raises ``DeadlineExceededError`` (504) or
+    ``ServerOverloadedError`` (503) for it, on every read endpoint.
+
     Everything else is one handle's extension, not the contract: a
     pool's ``knn``/``range`` also take a 2-D batch (every other handle
-    refuses one), its reads take ``with_flags=`` / ``with_times=`` /
-    ``timeout=`` (``knn`` also ``block_size=``) and its ``stats()`` is
-    an :class:`~repro.storage.stats.IOStats`; a remote handle's reads
-    take ``deadline_ms=``; ``Database`` and ``Snapshot`` take
-    ``algorithm=`` on ``knn`` (a remote handle forwards it), render
+    refuses one), every pool read takes ``timeout=``, its
+    ``knn``/``knn_batch``/``range``/``range_batch`` take
+    ``with_times=`` (the ``knn`` pair also ``block_size=``) and its
+    ``stats()`` is an :class:`~repro.storage.stats.IOStats`; a remote
+    handle's reads take ``deadline_ms=``; ``Database`` and ``Snapshot``
+    take ``algorithm=`` on ``knn`` (a remote handle forwards it), render
     ``explain(point, k) -> str`` (remote too) and have a ``len()``.
     """
 

@@ -64,7 +64,7 @@ class TransientIOError(StorageError, OSError):
 
     Emitted by the fault-injection harness and honored by
     :class:`~repro.exec.ServingPool`, which retries reads with
-    backoff before degrading the affected queries.
+    backoff before the call raises :class:`ShardLostError`.
     """
 
 
@@ -143,6 +143,24 @@ class DeadlineExceededError(NetError):
     """
 
 
+class ShardLostError(ReproError):
+    """A serving pool could not compute part of a call's answer.
+
+    :class:`~repro.exec.ServingPool` raises it when a shard timed out,
+    its worker died or its reads failed past the retries: a pool read
+    answers whole or not at all.  ``lost`` is how many of the call's
+    queries no worker computed.  It is not the caller's mistake, so it
+    is not in :data:`RERAISABLE`;
+    :class:`~repro.net.server.QueryServer` answers it with 504 when the
+    request carried a deadline, else 503 with ``Retry-After: 1``.
+    """
+
+    def __init__(self, lost: int, total: int) -> None:
+        super().__init__(f"{lost} of {total} queries were not computed: "
+                         f"a serving-pool shard degraded")
+        self.lost = lost
+
+
 class RemoteError(NetError):
     """The server failed in a way with no local exception equivalent.
 
@@ -164,6 +182,8 @@ class RemoteError(NetError):
 #: not ``getattr(builtins, ...)``).  Anything not listed is a defect
 #: there, not a mistake here: HTTP 500 / ``RemoteError`` on the wire, a
 #: ``RuntimeError`` carrying the worker's traceback on the pipe.
+#: :class:`ShardLostError` is the pool's own refusal, not a caller's
+#: error, and is left out.
 RERAISABLE: dict[str, type] = {
     "ValueError": ValueError,
     "TypeError": TypeError,
@@ -174,4 +194,5 @@ RERAISABLE: dict[str, type] = {
 RERAISABLE.update({
     name: obj for name, obj in list(globals().items())
     if isinstance(obj, type) and issubclass(obj, ReproError)
+    and obj is not ShardLostError
 })

@@ -10,7 +10,7 @@ serializes the workers.  :class:`ServingPool` owns argument validation,
 the query surface (:meth:`~ServingPool.knn` /
 :meth:`~ServingPool.range`, their ``*_batch`` forms,
 :meth:`~ServingPool.window`, :meth:`~ServingPool.lookup`), contiguous
-sharding, the deadline-bounded gather, degradation accounting,
+sharding, the deadline-bounded gather, the refusal of a lost shard,
 ``worker_stats()`` and ``close()``; what a worker does for a shard is
 one function, :func:`_run_blocks` — the block loop around
 :func:`~repro.exec.batch.batch_knn` /
@@ -56,14 +56,16 @@ every call runs under one resilience policy:
 
 * a *block* whose read raises
   :class:`~repro.exceptions.TransientIOError` is retried
-  ``read_retries`` times with exponential backoff, inside the worker;
+  :data:`READ_RETRIES` times with exponential backoff (from
+  :data:`RETRY_BACKOFF_S`), inside the worker;
 * a per-*call* ``timeout`` (seconds) bounds how long the gather waits
   for any shard;
 * a shard that still fails (exhausted retries, timeout, a crashed /
-  corrupt backend, a dead worker) **degrades** instead of failing the
-  whole call: its queries come back as empty lists, the loss is counted
-  by ``repro_degraded_queries_total{reason=...}``, and callers that
-  pass ``with_flags=True`` receive a per-query completeness mask;
+  corrupt backend, a dead worker) is **lost**: the loss is counted by
+  ``repro_degraded_queries_total{reason=...}`` and ``degraded_queries``,
+  and once every shard is collected the call raises
+  :class:`~repro.exceptions.ShardLostError` — a pool read answers
+  whole or raises, never with rows no worker computed;
 * a worker that times out or dies (``SIGKILL``, OOM, torn pipe —
   reason ``worker_died``) is **terminated and respawned**: killing a
   process cannot corrupt the parent (its mmap, buffer pool and caches
@@ -79,6 +81,7 @@ every call runs under one resilience policy:
   the worker and arrives as a ``RuntimeError`` carrying the child's
   traceback — but only after every shard of the call has been
   collected, so no stale answer is left in a pipe for the next call.
+  A worker's own error wins over a lost shard of the same call.
 
 **Threads.**  One pool may be shared by many threads (a
 :class:`~repro.net.server.QueryServer` calls it from every request
@@ -94,6 +97,7 @@ calls.
 
 from __future__ import annotations
 
+import math
 import multiprocessing as mp
 import os
 import threading
@@ -101,7 +105,9 @@ import time
 
 import numpy as np
 
-from ..exceptions import RERAISABLE, StorageError, TransientIOError
+from ..exceptions import (
+    RERAISABLE, ShardLostError, StorageError, TransientIOError,
+)
 from ..geometry import as_point, as_points
 from ..indexes.base import Neighbor
 from ..obs.flightrec import FLIGHT
@@ -125,6 +131,12 @@ parent holds; ``fork`` is accepted for tests that need fast startup.
 #: How long (seconds) to wait for a fresh worker's ready handshake.
 SPAWN_TIMEOUT_S = 60.0
 
+#: How many times a block is retried after a TransientIOError.
+READ_RETRIES = 2
+
+#: Sleep (seconds) before a block's first retry, doubled for each next.
+RETRY_BACKOFF_S = 0.01
+
 #: Fields of a flight-recorder record dict the parent must not replay
 #: (they are recomputed by ``FlightRecorder.record``).
 _COMPUTED_RECORD_FIELDS = ("traced", "ts")
@@ -135,8 +147,7 @@ _LIVE_RECIPE = ("serve a live Database through one db.snapshot() and call "
                 "which answers each call from one committed epoch")
 
 
-def _run_blocks(index, op: str, queries: np.ndarray, params: dict,
-                retries: int, backoff: float):
+def _run_blocks(index, op: str, queries: np.ndarray, params: dict):
     """Run one shard block by block; returns ``(results, block_times)``.
 
     This is all a worker does for a call.  ``params`` carries ``k`` /
@@ -144,8 +155,8 @@ def _run_blocks(index, op: str, queries: np.ndarray, params: dict,
     ``queries``, sliced per block.  ``block_times`` entries are
     ``(wall_ms, queries)``.  A block that raises
     :class:`TransientIOError` is retried with exponential backoff, its
-    time spanning the retries; exhausted retries propagate and degrade
-    the whole shard.
+    time spanning the retries; exhausted retries propagate and lose the
+    whole shard.
     """
     from .batch import DEFAULT_BLOCK_SIZE, batch_knn, batch_range
 
@@ -176,14 +187,14 @@ def _run_blocks(index, op: str, queries: np.ndarray, params: dict,
     for start in range(0, len(queries), step):
         rows = slice(start, start + step)
         began = time.perf_counter()
-        for attempt in range(retries + 1):
+        for attempt in range(READ_RETRIES + 1):
             try:
                 block = run(rows)
                 break
             except TransientIOError:
-                if attempt == retries:
+                if attempt == READ_RETRIES:
                     raise
-                time.sleep(backoff * (2 ** attempt))
+                time.sleep(RETRY_BACKOFF_S * (2 ** attempt))
         out.extend(block)
         times.append(((time.perf_counter() - began) * 1e3, len(block)))
     return out, times
@@ -194,13 +205,19 @@ def _remaining(deadline: float | None) -> float | None:
     return None if deadline is None else max(0.0, deadline - time.monotonic())
 
 
-def _package(results, complete, times, with_flags, with_times, single):
-    """``results[, complete][, times]``; a 1-D query unwraps its one row."""
+def _checked_timeout(timeout):
+    """``timeout`` if it is ``None`` or a finite number of seconds > 0."""
+    if timeout is not None and not (math.isfinite(timeout) and timeout > 0):
+        raise ValueError(
+            f"timeout must be None or a finite number > 0, got {timeout!r}")
+    return timeout
+
+
+def _package(results, times, with_times, single):
+    """``results[, times]``; a 1-D query unwraps its one row."""
     if single:
-        results, complete = results[0], complete[0]
-    out = (results, *((complete,) if with_flags else ()),
-           *((times,) if with_times else ()))
-    return out if len(out) > 1 else results
+        results = results[0]
+    return (results, times) if with_times else results
 
 
 def _counter_snapshot() -> dict:
@@ -288,9 +305,7 @@ def _worker_main(conn, path: str, opts: dict, fault_plan) -> None:
                 continue
             _, op, queries, params = msg  # a "query"
             try:
-                results, times = _run_blocks(
-                    index, op, queries, params,
-                    opts["read_retries"], opts["retry_backoff"])
+                results, times = _run_blocks(index, op, queries, params)
             except TransientIOError as exc:
                 conn.send(("degraded", "io_error", str(exc)))
                 continue
@@ -336,15 +351,11 @@ class ServingPool:
     buffer_capacity:
         Per-worker buffer pool frames (``None`` = store default).
     timeout:
-        Per-call deadline in seconds shared by all shards of one call;
-        ``None`` (default) waits forever.  A shard that misses the
-        deadline degrades (empty results for its queries) and its
-        worker is respawned.
-    read_retries:
-        How many times a block is retried after a
-        :class:`~repro.exceptions.TransientIOError` (default 2).
-    retry_backoff:
-        Base sleep between retries, doubled each attempt (seconds).
+        Per-call deadline in seconds shared by all shards of one call:
+        ``None`` (default) waits forever, else a finite number > 0.  A
+        shard that misses the deadline is lost (the call raises
+        :class:`~repro.exceptions.ShardLostError`) and its worker is
+        respawned.
     start_method:
         Multiprocessing start method (``None`` = the
         ``REPRO_MP_START_METHOD`` environment variable, default
@@ -360,8 +371,6 @@ class ServingPool:
         workers: int | None = None,
         buffer_capacity: int | None = None,
         timeout: float | None = None,
-        read_retries: int = 2,
-        retry_backoff: float = 0.01,
         start_method: str | None = None,
         backend: str = "process",
         _fault_plans: dict | None = None,
@@ -380,15 +389,11 @@ class ServingPool:
             workers = min(4, os.cpu_count() or 1)
         if workers < 1:
             raise ValueError(f"workers must be positive, got {workers}")
-        if timeout is not None and timeout <= 0:
-            raise ValueError(f"timeout must be positive, got {timeout}")
-        if read_retries < 0:
-            raise ValueError(f"read_retries must be >= 0, got {read_retries}")
         self._path = os.fspath(source)
         # Refuse a missing file or one that is not an index here, in the
         # words every other opener uses, before any worker is spawned.
         read_superblock(self._path)
-        self._timeout = timeout
+        self._timeout = _checked_timeout(timeout)
         self._workers = workers
         self._degraded_queries = 0
         self._closed = False
@@ -399,8 +404,6 @@ class ServingPool:
             "REPRO_MP_START_METHOD", DEFAULT_START_METHOD))
         self._opts = {
             "buffer_capacity": buffer_capacity,
-            "read_retries": read_retries,
-            "retry_backoff": retry_backoff,
             "slo_ms": slo_ms(),
         }
         #: worker -> FaultPlan spliced under that worker's store at every
@@ -530,7 +533,7 @@ class ServingPool:
 
     @property
     def degraded_queries(self) -> int:
-        """Queries answered with empty (degraded) results so far."""
+        """Queries of lost shards so far (each call raised ShardLostError)."""
         return self._degraded_queries
 
     @property
@@ -541,8 +544,7 @@ class ServingPool:
     # ------------------------------------------------------------------
 
     def knn(self, queries, k: int = 1, *, block_size: int | None = None,
-            with_flags: bool = False, with_times: bool = False,
-            timeout: float | None = None):
+            with_times: bool = False, timeout: float | None = None):
         """The ``k`` nearest neighbors, single query or batch.
 
         A single 1-D ``point`` returns one ``list[Neighbor]`` — the
@@ -552,12 +554,11 @@ class ServingPool:
         """
         return self._query(
             "knn", queries, np.ndim(queries) == 1,
-            {"k": k, "block_size": block_size},
-            with_flags, with_times, timeout)
+            {"k": k, "block_size": block_size}, with_times, timeout)
 
     def knn_batch(self, queries, k: int = 1, *,
-                  block_size: int | None = None, with_flags: bool = False,
-                  with_times: bool = False, timeout: float | None = None):
+                  block_size: int | None = None, with_times: bool = False,
+                  timeout: float | None = None):
         """The ``k`` nearest neighbors of every query, in input order.
 
         ``k`` is a scalar shared by every query or a ``(Q,)`` array
@@ -565,40 +566,34 @@ class ServingPool:
         blocks of ``block_size`` (default
         :data:`~repro.exec.batch.DEFAULT_BLOCK_SIZE`) queries.
 
-        With ``with_flags=True``, returns ``(results, complete)`` where
-        ``complete[i]`` is ``False`` for queries whose shard degraded
-        (their results are ``[]``).
-
-        With ``with_times=True``, a list of per-block ``(wall_ms,
-        queries)`` pairs is appended to the return value — the *real*
-        per-block latencies measured inside the workers (one entry per
-        traversal block).  A block appears once; its time spans any
-        transient-I/O retries.  Degraded shards report no blocks.
+        With ``with_times=True``, returns ``(results, times)``:
+        ``times`` holds the per-block ``(wall_ms, queries)`` pairs
+        measured inside the workers (one entry per traversal block).  A
+        block appears once; its time spans any transient-I/O retries.
 
         ``timeout`` overrides the pool-level deadline for this one call
         (the network server propagates each request's remaining
-        ``X-Repro-Deadline-Ms`` budget through it).
+        ``X-Repro-Deadline-Ms`` budget through it).  A shard no worker
+        computed makes the call raise
+        :class:`~repro.exceptions.ShardLostError`.
         """
         return self._query(
             "knn", queries, False,
-            {"k": k, "block_size": block_size},
-            with_flags, with_times, timeout)
+            {"k": k, "block_size": block_size}, with_times, timeout)
 
-    def range(self, queries, radius: float, *, with_flags: bool = False,
-              with_times: bool = False, timeout: float | None = None):
+    def range(self, queries, radius: float, *, with_times: bool = False,
+              timeout: float | None = None):
         """All stored points within ``radius``, single query or batch.
 
         Shapes follow :meth:`knn`: a 1-D point returns one
         ``list[Neighbor]``, a 2-D batch one list per query.
-        ``with_flags``/``with_times``/``timeout`` behave as in
-        :meth:`knn_batch`.
+        ``with_times``/``timeout`` behave as in :meth:`knn_batch`.
         """
         return self._query("range", queries, np.ndim(queries) == 1,
-                           {"radius": radius}, with_flags, with_times,
-                           timeout)
+                           {"radius": radius}, with_times, timeout)
 
-    def range_batch(self, queries, radius, *, with_flags: bool = False,
-                    with_times: bool = False, timeout: float | None = None):
+    def range_batch(self, queries, radius, *, with_times: bool = False,
+                    timeout: float | None = None):
         """Batched range query: one result list per query row.
 
         The :class:`~repro.api.QuerySurface` batch entry point —
@@ -606,15 +601,15 @@ class ServingPool:
         array with one radius per query.
         """
         return self._query("range", queries, False, {"radius": radius},
-                           with_flags, with_times, timeout)
+                           with_times, timeout)
 
     def window(self, low, high, *, timeout: float | None = None
                ) -> list[Neighbor]:
         """All stored points inside the box ``[low, high]``.
 
         Runs on one worker under the same retry / timeout / respawn
-        policy as the sharded calls; a degraded call returns ``[]``
-        (counted in ``repro_degraded_queries_total``).
+        policy as the sharded calls, and raises
+        :class:`~repro.exceptions.ShardLostError` as they do.
         """
         pair = np.stack([as_point(low, self.dims), as_point(high, self.dims)])
         return self._scatter("window", pair, {}, timeout=timeout)[0][0]
@@ -628,7 +623,7 @@ class ServingPool:
         return [n.value for n in self.window(point, point, timeout=timeout)]
 
     def _query(self, op: str, queries, single: bool, params: dict,
-               with_flags: bool, with_times: bool, timeout):
+               with_times: bool, timeout):
         """Validate a knn/range call, scatter it, package the answer."""
         queries = (as_point(queries, self.dims)[None] if single
                    else as_points(queries, self.dims))
@@ -639,25 +634,27 @@ class ServingPool:
             # scalar crosses to the workers as the scalar it is.
             params[name] = values
         return _package(*self._scatter(op, queries, params, timeout=timeout),
-                        with_flags, with_times, single)
+                        with_times, single)
 
     def _scatter(self, op: str, queries: np.ndarray, params: dict, *,
                  timeout: float | None = None):
         """Shard one call over the workers and gather it.
 
-        Returns ``(results, complete, block_times)`` in input order.
+        Returns ``(results, block_times)`` in input order, or raises
+        once every shard is collected: what a worker raised first, else
+        :class:`~repro.exceptions.ShardLostError` if a shard was lost.
         """
+        timeout = self._timeout if timeout is None else _checked_timeout(
+            timeout)
         with self._mu:
             if self._closed:
                 raise RuntimeError("serving pool is closed")
-            if timeout is None:
-                timeout = self._timeout
             # A window's stacked [low; high] pair is one opaque argument
             # block: it goes intact to one worker and has one result.
             whole = op == "window"
             n = 1 if whole else queries.shape[0]
             results: list[list[Neighbor] | None] = [None] * n
-            complete = [True] * n
+            lost = 0
             times: list[tuple[float, int]] = []
             pending = []
             for worker, shard in enumerate(np.array_split(np.arange(n),
@@ -688,7 +685,8 @@ class ServingPool:
                 if reason is not None:
                     if reason in ("timeout", "worker_died"):
                         self._respawn(worker, reason)
-                    self._degrade(reason, shard, results, complete)
+                    on_degraded(reason, len(shard))
+                    lost += len(shard)
                     continue
                 out, block_times = answer
                 for pos, qi in enumerate(shard):
@@ -696,15 +694,18 @@ class ServingPool:
                 for wall_ms, _count in block_times:
                     on_pool_block(f"pool_{op}", wall_ms / 1e3)
                 times.extend(block_times)
+            self._degraded_queries += lost
             if error is not None:
                 raise error
-            return results, complete, times
+            if lost:
+                raise ShardLostError(lost, n)
+            return results, times
 
     def _collect(self, worker: int, sent: bool, deadline):
         """Receive one worker's answer, merging its telemetry.
 
         Returns ``(None, (results, block_times))``, or ``(reason,
-        None)`` for a shard that degrades; raises what the worker raised
+        None)`` for a lost shard; raises what the worker raised
         when its class is in :data:`~repro.exceptions.RERAISABLE`.
         """
         if not sent:
@@ -734,14 +735,6 @@ class ServingPool:
             fields["worker"] = f"proc{worker}"
             FLIGHT.record(**fields)
         return None, (out, block_times)
-
-    def _degrade(self, reason: str, shard, results, complete) -> None:
-        """Answer ``shard``'s queries with empty lists and count them."""
-        on_degraded(reason, len(shard))
-        self._degraded_queries += len(shard)
-        for qi in shard:
-            results[qi] = []
-            complete[qi] = False
 
     # ------------------------------------------------------------------
 

@@ -139,8 +139,8 @@ class CoalescingScheduler:
         that must finish by ``deadline`` (the server's rule for handing
         a pool the remaining budget as ``timeout=``; the default passes
         nothing).  A batch is called with the *largest* deadline among
-        its members, so one short deadline cannot degrade its
-        batchmates.
+        its members, so one short deadline cannot lose its
+        batchmates' shards.
     """
 
     def __init__(self, source, *, batch_delay_s: float, max_batch: int,

@@ -19,9 +19,10 @@ makes the query server a *data plane*:
   absolute deadline on arrival.  Requests that are already expired (or
   expire while queued) are shed with 504 *before any work is
   dispatched*; admitted requests hand their remaining budget to the
-  serving pools' per-call ``timeout=``.  A pool answer with a shard no
-  worker computed is never served as a 200: it answers 504 when the
-  request carried a deadline, else 503 with ``Retry-After``.
+  serving pools' per-call ``timeout=``.  A pool read whose shard no
+  worker computed raises :class:`~repro.exceptions.ShardLostError`,
+  answered with 504 when the request carried a deadline, else 503 with
+  ``Retry-After``.
 * **Graceful drain.**  ``close()`` (or the CLI's SIGTERM handler)
   sheds late arrivals with 503, waits for every in-flight request to
   finish, then stops accepting and unbinds.  Zero admitted queries are
@@ -52,7 +53,7 @@ import time
 
 import numpy as np
 
-from ..exceptions import RERAISABLE, NetError
+from ..exceptions import RERAISABLE, NetError, ShardLostError
 from ..exec.batch import per_query
 from ..geometry import as_point
 from ..httpd import HttpListener, Request
@@ -188,16 +189,13 @@ class QueryServer:
         self._admission = _Admission(max_inflight, max_queue, queue_timeout_s)
         # Serving pools take a per-call timeout=; plain handles do not.
         self._pooled = hasattr(source, "worker_stats")
-        #: What the knn/range reads go through: a pool's may come back
-        #: incomplete, and an incomplete answer is never served.
-        self._reads = _WholeAnswers(source) if self._pooled else source
         if batch_delay_ms < 0:
             raise ValueError(
                 f"batch_delay_ms must be >= 0, got {batch_delay_ms}")
         self._coalescer = None
         if batch_delay_ms > 0:
             self._coalescer = CoalescingScheduler(
-                self._reads, batch_delay_s=batch_delay_ms / 1e3,
+                source, batch_delay_s=batch_delay_ms / 1e3,
                 max_batch=max_batch, call_kwargs=self._pool_kwargs)
         self._closed = False
         self._close_lock = threading.Lock()
@@ -471,7 +469,7 @@ class QueryServer:
 
     def _execute(self, request: Request, endpoint: str, body: bytes,
                  content_type: str, deadline: float | None) -> None:
-        source, reads = self._source, self._reads
+        source = self._source
         pool_kw = self._pool_kwargs(deadline)
 
         if endpoint == "server":
@@ -484,7 +482,7 @@ class QueryServer:
 
         if endpoint == "knn_batch":
             points, k = self._batch_request(request, body, content_type)
-            results = reads.knn_batch(points, k=k, **pool_kw)
+            results = source.knn_batch(points, k=k, **pool_kw)
             if content_type == protocol.BINARY_CONTENT_TYPE:
                 request.send(200, protocol.encode_neighbor_block(results),
                              protocol.NEIGHBORS_CONTENT_TYPE)
@@ -512,7 +510,7 @@ class QueryServer:
                 kwargs = dict(pool_kw)
                 if "algorithm" in doc:
                     kwargs["algorithm"] = doc["algorithm"]
-                neighbors = reads.knn(point, k=k, **kwargs)
+                neighbors = source.knn(point, k=k, **kwargs)
             self._send_neighbors(request, neighbors)
             return
 
@@ -526,7 +524,7 @@ class QueryServer:
                 neighbors = self._coalescer.submit("range", point, radius,
                                                    deadline)
             else:
-                neighbors = reads.range(point, radius, **pool_kw)
+                neighbors = source.range(point, radius, **pool_kw)
             self._send_neighbors(request, neighbors)
             return
 
@@ -539,7 +537,7 @@ class QueryServer:
             else:
                 radius = float(radius)
             _reject_unknown(doc, {"points", "radius"})
-            results = reads.range_batch(points, radius, **pool_kw)
+            results = source.range_batch(points, radius, **pool_kw)
             reply = {"results": [protocol.neighbors_to_doc(r)
                                  for r in results]}
 
@@ -672,48 +670,6 @@ class QueryServer:
                 for key, value in stats.items()
             }
         return {"stats": repr(stats)}
-
-
-class ShardLostError(Exception):
-    """A serving pool answered rows that no worker computed."""
-
-
-class _WholeAnswers:
-    """A serving pool's knn/range reads, refusing an incomplete answer.
-
-    A pool answers a shard it could not compute (timeout, dead worker,
-    I/O error) with empty rows; served as they are, they would be a 200
-    carrying a wrong answer.  Every read here asks for the pool's
-    completeness mask and raises :class:`ShardLostError` on any
-    incomplete row.
-    """
-
-    def __init__(self, pool) -> None:
-        self._pool = pool
-
-    def knn(self, point, k=1, **kwargs):
-        return _whole(*self._pool.knn(point, k=k, with_flags=True, **kwargs))
-
-    def range(self, point, radius, **kwargs):
-        return _whole(*self._pool.range(point, radius, with_flags=True,
-                                        **kwargs))
-
-    def knn_batch(self, points, k=1, **kwargs):
-        return _whole(*self._pool.knn_batch(points, k=k, with_flags=True,
-                                            **kwargs))
-
-    def range_batch(self, points, radius, **kwargs):
-        return _whole(*self._pool.range_batch(points, radius, with_flags=True,
-                                              **kwargs))
-
-
-def _whole(results, complete):
-    lost = np.size(complete) - np.count_nonzero(complete)
-    if lost:
-        raise ShardLostError(
-            f"{lost} of {np.size(complete)} queries were not computed: "
-            f"a serving-pool shard degraded")
-    return results
 
 
 #: Every path the server answers, listed in its 404.

@@ -240,7 +240,7 @@ WAL_RECOVERED_TXNS = REGISTRY.counter(
 )
 DEGRADED_QUERIES = REGISTRY.counter(
     "repro_degraded_queries_total",
-    "Queries answered with partial results after a shard failure",
+    "Serving-pool queries refused because their shard was lost",
     ("reason",),
 )
 SNAPSHOT_EPOCH = REGISTRY.gauge(
@@ -622,7 +622,7 @@ def on_wal_recovery(txns: int, deltas: int = 0) -> None:
 
 
 def on_degraded(reason: str, n: int = 1) -> None:
-    """Record ``n`` queries answered with partial (degraded) results."""
+    """Record ``n`` queries of a serving-pool shard no worker computed."""
     if n <= 0:
         return
     EVENTS.emit("degraded_scatter", level=WARN, reason=reason, queries=n)
@@ -662,8 +662,8 @@ def on_worker_respawned(worker: int, reason: str) -> None:
 
     A worker process that times out or dies is killed and a fresh one
     is spawned in its place, so the pool returns to full strength
-    immediately; ``reason`` is the degradation reason that triggered
-    the respawn (``timeout`` or ``worker_died``).
+    immediately; ``reason`` (``timeout`` or ``worker_died``) is why its
+    shard was lost.
     """
     EVENTS.emit("worker_respawned", level=WARN, worker=worker, reason=reason)
 

@@ -4,12 +4,13 @@
 ``docs/SERVING.md`` and the ``repro.net.protocol`` docstring every
 endpoint (``docs/SERVING.md`` the telemetry paths too), ``README.md``
 and ``docs/API.md`` every CLI sub-command (``docs/API.md`` its flags
-too).  Each list is re-derived
+too, and the serving pool's read keywords).  Each list is re-derived
 here from the code — the families in ``REGISTRY``, the literals passed
 to ``emit(`` under ``src/repro``, ``protocol.ENDPOINTS`` and
-``repro.obs.server.PATHS``, the argparse sub-parsers — and must match
-name for name, so a metric, event, endpoint or command cannot be added,
-renamed or dropped on one side only.
+``repro.obs.server.PATHS``, the argparse sub-parsers, the pool's
+signatures — and must match name for name, so a metric, event,
+endpoint, command or keyword cannot be added, renamed or dropped on one
+side only.
 (A test, not a ``tools/lint.py`` policy: the linter imports nothing from
 the package, and the registry is only knowable by importing it.)
 """
@@ -17,10 +18,12 @@ the package, and the registry is only knowable by importing it.)
 from __future__ import annotations
 
 import argparse
+import inspect
 import re
 from pathlib import Path
 
 from repro.cli import _build_parser
+from repro.exec import ServingPool
 from repro.net import protocol
 from repro.obs import REGISTRY
 from repro.obs import server as telemetry
@@ -95,3 +98,16 @@ def test_cli_command_lists_are_the_parser():
                  and not isinstance(action, argparse._HelpAction)
                  for flag in action.option_strings}
         assert documented[command] == flags, command
+
+
+def test_pool_row_names_the_pool_read_keywords():
+    api = (ROOT / "docs" / "API.md").read_text(encoding="utf-8")
+    row, = (line for line in api.splitlines()
+            if line.startswith("| `ServingPool` |"))
+    keywords = {name
+                for method in ("knn", "knn_batch", "range", "range_batch",
+                               "window", "lookup")
+                for name, param in inspect.signature(
+                    getattr(ServingPool, method)).parameters.items()
+                if param.kind is param.KEYWORD_ONLY}
+    assert set(re.findall(r"`(\w+)=`", row)) == keywords

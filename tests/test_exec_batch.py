@@ -166,25 +166,19 @@ class TestServingPool:
         # least 3 blocks were timed independently.
         assert len(times) >= 3
 
-    def test_with_times_composes_with_flags(self, saved, serving_pool):
+    def test_with_times_shapes_single_and_batch(self, saved, serving_pool):
         path, data = saved
         queries = _queries(data, 6, seed=36)
         with serving_pool(path, workers=2) as pool:
-            got, complete, times = pool.knn(queries, k=3, with_flags=True,
-                                            with_times=True)
-            assert len(got) == len(complete) == len(queries)
-            assert all(complete)
+            got, times = pool.knn(queries, k=3, with_times=True)
+            assert len(got) == len(queries)
             assert sum(count for _ms, count in times) == len(queries)
-            # A 1-D query unwraps its row and its flag, not the times.
-            one, ok, times = pool.knn(queries[0], k=3, with_flags=True,
-                                      with_times=True)
+            # A 1-D query unwraps its row, not the times.
+            one, times = pool.knn(queries[0], k=3, with_times=True)
             assert_same_neighbors([one], got[:1], tol=0)
-            assert ok is True
             assert [count for _ms, count in times] == [1]
-            one, ok, times = pool.range(queries[0], 0.4, with_flags=True,
-                                        with_times=True)
+            one, times = pool.range(queries[0], 0.4, with_times=True)
             assert_same_neighbors([one], pool.range(queries[:1], 0.4), tol=0)
-            assert ok is True
             assert [count for _ms, count in times] == [1]
 
     def test_range_with_times(self, saved, serving_pool):

@@ -2,9 +2,10 @@
 
 Results are byte-for-byte those of single-query search, the parent's
 metrics/flight-recorder/IOStats keep working (worker telemetry is
-merged back over the pipe), and a worker that dies mid-call degrades
-its shard with reason ``worker_died`` — it never hangs the caller and
-it never poisons the pool, because the dead process is respawned.
+merged back over the pipe), and a worker that dies mid-call loses its
+shard with reason ``worker_died`` — the call raises
+:class:`~repro.exceptions.ShardLostError`, it never hangs the caller
+and it never poisons the pool, because the dead process is respawned.
 
 Workers are real OS processes, started by the method the
 ``serving_pool`` fixture picks (``fork`` in tier-1, ``spawn`` under
@@ -25,7 +26,9 @@ import numpy as np
 import pytest
 
 from repro.api import Database
-from repro.exceptions import DimensionalityError, ReproError, StorageError
+from repro.exceptions import (
+    DimensionalityError, ReproError, ShardLostError, StorageError,
+)
 from repro.exec import ProcessServingPool, ServingPool
 from repro.obs.flightrec import FLIGHT
 from repro.obs.hooks import DEGRADED_QUERIES, QUERIES
@@ -111,8 +114,7 @@ def test_process_pool_matches_single_query_search(saved_indexes, name,
 
     with serving_pool(path, workers=2) as pool:
         assert pool.dims == data.shape[1]
-        got_knn, complete = pool.knn(queries, k=k, with_flags=True)
-        assert complete == [True] * len(queries)
+        got_knn = pool.knn(queries, k=k)
         assert_byte_equal(got_knn, want_knn)
 
         got_range = pool.range(queries, radius)
@@ -120,7 +122,7 @@ def test_process_pool_matches_single_query_search(saved_indexes, name,
 
 
 # ---------------------------------------------------------------------------
-# Crash resilience: SIGKILL mid-call degrades, never hangs
+# Crash resilience: SIGKILL mid-call raises ShardLostError, never hangs
 # ---------------------------------------------------------------------------
 
 
@@ -138,28 +140,24 @@ def test_sigkilled_worker_degrades_with_worker_died_and_respawns(
                                 args=(victim, signal.SIGKILL))
         timer.start()
         try:
-            results, complete = pool.knn(queries, k=3, with_flags=True)
+            with pytest.raises(ShardLostError) as lost:
+                pool.knn(queries, k=3)
         finally:
             timer.cancel()
 
-        # The dead worker's shard degraded to empty results; the other
-        # worker's shard is intact.  Nothing hung, nothing raised.
-        assert not all(complete)
-        assert any(complete)
-        for res, ok in zip(results, complete):
-            assert ok == bool(res)
-        assert pool.degraded_queries == complete.count(False)
+        # The dead worker's shard was lost and counted; the other
+        # worker's was not.  Nothing hung.
+        assert lost.value.lost == 6  # worker 0's contiguous half
+        assert pool.degraded_queries == lost.value.lost
         assert (DEGRADED_QUERIES.labels(reason="worker_died").value
-                == before + complete.count(False))
+                == before + lost.value.lost)
 
         # The process was respawned: the slot has a fresh pid and the
         # next call is answered in full.
         assert pool.respawned_workers == 1
         assert pool._pids[0] not in (None, victim)
         assert pool._pids[1] == survivor
-        results2, complete2 = pool.knn(queries, k=3, with_flags=True)
-        assert complete2 == [True] * len(queries)
-        assert all(results2)
+        assert all(pool.knn(queries, k=3))
 
 
 def test_timed_out_worker_is_respawned_not_quarantined(uniform_index,
@@ -168,9 +166,8 @@ def test_timed_out_worker_is_respawned_not_quarantined(uniform_index,
     stuck = FaultPlan(slow_read_seconds=30.0)
     with serving_pool(uniform_index, workers=1, timeout=0.25,
                       _fault_plans={0: stuck}) as pool:
-        results, complete = pool.knn(queries, k=2, with_flags=True)
-        assert complete == [False] * 4
-        assert results == [[], [], [], []]
+        with pytest.raises(ShardLostError, match="4 of 4 queries"):
+            pool.knn(queries, k=2)
         assert pool.degraded_queries == 4
         assert pool.respawned_workers == 1
 
@@ -185,8 +182,8 @@ def test_dead_worker_detected_even_without_timeout(uniform_index,
                       _fault_plans={0: slow}) as pool:
         threading.Timer(0.15, os.kill,
                         args=(pool._pids[0], signal.SIGKILL)).start()
-        results, complete = pool.knn(queries, k=2, with_flags=True)
-        assert complete == [False] * 4
+        with pytest.raises(ShardLostError, match="4 of 4 queries"):
+            pool.knn(queries, k=2)
         assert pool.respawned_workers == 1
 
 
@@ -276,10 +273,7 @@ def test_concurrent_calls_each_get_their_own_answers(saved_indexes,
             try:
                 for _ in range(rounds):
                     start.wait()
-                    got, complete = pool.knn_batch(blocks[t], k,
-                                                   with_flags=True)
-                    assert all(complete)
-                    assert_byte_equal(got, want[t])
+                    assert_byte_equal(pool.knn_batch(blocks[t], k), want[t])
             except BaseException as exc:  # noqa: BLE001 - reported below
                 failures.append(exc)
                 start.abort()
