@@ -4,10 +4,9 @@ The paper evaluates one query type (k = 21 nearest neighbors); the
 library supports the full toolbox a production index needs, all driven
 by the same per-family region bounds:
 
-* k-nearest-neighbor, depth-first (the paper's algorithm) and
-  best-first (I/O-optimal),
+* k-nearest-neighbor, depth-first (the paper's algorithm),
 * incremental ranking — neighbors streamed in distance order with no k
-  fixed up front,
+  fixed up front; its first k are the best-first (I/O-optimal) k-NN,
 * range (ball) queries,
 * window (box) queries.
 
@@ -29,12 +28,18 @@ def main() -> None:
     print(f"SR-tree over {len(tree)} clustered {dims}-d points\n")
 
     # --- the two k-NN traversals ------------------------------------------
-    for algorithm in ("depth-first", "best-first"):
+    # Depth-first is ``nearest``; best-first is the first k of the
+    # incremental iterator below.
+    traversals = {
+        "depth-first": lambda: tree.nearest(query, k=10),
+        "best-first": lambda: list(islice(tree.iter_nearest(query), 10)),
+    }
+    for name, search in traversals.items():
         tree.store.drop_cache()
         before = tree.stats.snapshot()
-        result = tree.nearest(query, k=10, algorithm=algorithm)
+        result = search()
         reads = tree.stats.since(before).page_reads
-        print(f"{algorithm:>12} 10-NN: top value {result[0].value}, "
+        print(f"{name:>12} 10-NN: top value {result[0].value}, "
               f"{reads} page reads")
 
     # --- incremental ranking ----------------------------------------------

@@ -53,7 +53,6 @@ themselves build in memory.
 
 from __future__ import annotations
 
-import difflib
 import os
 from typing import Protocol, runtime_checkable
 
@@ -70,7 +69,6 @@ __all__ = [
     "Snapshot",
     "QuerySurface",
     "KIND_ALIASES",
-    "validate_query_kwargs",
 ]
 
 KIND_ALIASES: dict[str, str] = {
@@ -161,8 +159,8 @@ class QuerySurface(Protocol):
     ``with_times=`` (the ``knn`` pair also ``block_size=``) and its
     ``stats()`` is an :class:`~repro.storage.stats.IOStats`; a remote
     handle's reads take ``deadline_ms=``; ``Database`` and ``Snapshot``
-    take ``algorithm=`` on ``knn`` (a remote handle forwards it), render
-    ``explain(point, k) -> str`` (remote too) and have a ``len()``.
+    render ``explain(point, k) -> str`` (remote too) and have a
+    ``len()``.
     """
 
     @property
@@ -223,32 +221,6 @@ class QuerySurface(Protocol):
         ...
 
 
-def validate_query_kwargs(op: str, kwargs: dict, *,
-                          allowed: tuple = ("algorithm",)) -> None:
-    """Reject unknown query keywords with a did-you-mean hint.
-
-    The query methods historically forwarded ``**kwargs`` straight into
-    the search internals, so a typo like ``db.knn(p, kk=3)`` silently
-    became ``TypeError`` deep inside a traversal — or worse, was
-    swallowed by a permissive override.  This applies the same
-    canonicalize/did-you-mean discipline as
-    :func:`~repro.indexes.factory.normalize_index_kwargs` at the facade
-    boundary.
-    """
-    if not kwargs:
-        return
-    candidates = sorted({*allowed, "k"})
-    for name in kwargs:
-        if name in allowed:
-            continue
-        close = difflib.get_close_matches(name, candidates, n=1)
-        hint = f"; did you mean {close[0]!r}?" if close else ""
-        raise TypeError(
-            f"{op}() got an unexpected keyword argument {name!r}{hint} "
-            f"(recognized: {', '.join(candidates)})"
-        )
-
-
 class _IndexHandle:
     """What :class:`Database` and :class:`Snapshot` share: one
     :class:`~repro.indexes.base.SpatialIndex` (live, or an epoch-pinned
@@ -288,15 +260,10 @@ class _IndexHandle:
     # -- queries: uniform across every family; a snapshot answers from
     # -- exactly the committed state at its epoch
 
-    def knn(self, point, k: int = 1, **kwargs) -> list[Neighbor]:
-        """The ``k`` nearest stored points, closest first.
-
-        ``algorithm`` (family-dependent) is the only extra keyword;
-        anything else is rejected with a did-you-mean hint instead of
-        leaking into the search internals.
-        """
-        validate_query_kwargs("knn", kwargs)
-        return self._index.nearest(point, k=k, **kwargs)
+    def knn(self, point, k: int = 1) -> list[Neighbor]:
+        """The ``k`` nearest stored points, closest first (the paper's
+        depth-first search)."""
+        return self._index.nearest(point, k=k)
 
     def knn_batch(self, points, k=1) -> list[list[Neighbor]]:
         """The ``k`` nearest neighbors of each query point, batched.

@@ -63,11 +63,12 @@ def per_query(name: str, value, nq: int) -> np.ndarray:
 
     ``value`` is one scalar shared by every query or a ``(nq,)``
     array-like with one value per query; ``k`` must be a whole number
-    of at least 1 (``2.5`` is refused, not rounded), a ``radius`` at
-    least 0 and not NaN.  This is the only place that decides: every
-    handle kind normalises through here — the scalar and block engines,
-    the linear scan, the serving pools, the network client — so a bad
-    argument fails with the same message wherever it is caught.
+    of at least 1 (``2.5`` is refused, not rounded), a ``radius`` (or
+    ``iter_nearest``'s ``max_distance``) at least 0 and not NaN.  This
+    is the only place that decides: every handle kind normalises through
+    here — the scalar and block engines, the linear scan, the serving
+    pools, the network client — so a bad argument fails with the same
+    message wherever it is caught.
     """
     values = np.asarray(value, dtype=np.float64)
     if values.ndim and values.shape != (nq,):

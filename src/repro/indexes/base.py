@@ -573,16 +573,13 @@ class SpatialIndex(ABC):
     # queries (shared)
     # ------------------------------------------------------------------
 
-    def nearest(self, point, k: int = 1,
-                algorithm: str = "depth-first") -> list[Neighbor]:
+    def nearest(self, point, k: int = 1) -> list[Neighbor]:
         """The ``k`` nearest stored points, closest first.
 
-        ``algorithm="depth-first"`` (default) is the branch-and-bound
-        search of Roussopoulos, Kelley and Vincent, as used throughout
-        the paper; ``"best-first"`` is the I/O-optimal priority-queue
-        traversal of Hjaltason & Samet (an extension — see
-        :func:`repro.search.knn.knn_search_best_first`).  Both return
-        identical results.
+        The depth-first branch-and-bound search of Roussopoulos, Kelley
+        and Vincent, as used throughout the paper.  The best-first
+        traversal of Hjaltason & Samet is :meth:`iter_nearest`, whose
+        first ``k`` neighbors are the same answer.
         """
         from ..exec.batch import per_query
 
@@ -590,21 +587,14 @@ class SpatialIndex(ABC):
         k = int(per_query("k", k, 1)[0])
         if self._size == 0:
             raise EmptyIndexError("cannot run a nearest-neighbor query on an empty index")
-        op = {"depth-first": "knn", "best-first": "knn_best_first"}.get(algorithm)
-        if op is None:
-            raise ValueError(
-                f"unknown algorithm {algorithm!r}; use 'depth-first' or 'best-first'"
-            )
-        with observed_query(self, op, k):
-            return self._knn(point, k, algorithm)
+        with observed_query(self, "knn", k):
+            return self._knn(point, k)
 
-    def _knn(self, point: np.ndarray, k: int, algorithm: str) -> list[Neighbor]:
+    def _knn(self, point: np.ndarray, k: int) -> list[Neighbor]:
         """A checked k-NN query's traversal (the linear scan scans)."""
-        from ..search.knn import knn_search, knn_search_best_first
+        from ..search.knn import knn_search
 
-        if algorithm == "depth-first":
-            return knn_search(self, point, k)
-        return knn_search_best_first(self, point, k)
+        return knn_search(self, point, k)
 
     def nearest_batch(self, points, k=1) -> list[list[Neighbor]]:
         """The ``k`` nearest neighbors of *each* query point, batched.
@@ -674,13 +664,23 @@ class SpatialIndex(ABC):
 
         The incremental algorithm of Hjaltason & Samet: no ``k`` needed
         up front, and only the pages required for the neighbors actually
-        consumed are read.  Optionally bounded by ``max_distance``.
+        consumed are read.  Optionally bounded by ``max_distance``.  The
+        arguments are checked, and the query counted, at the call —
+        before the first neighbor is asked for.
         """
+        from ..exec.batch import per_query
         from ..obs.hooks import on_incremental_query
+
+        point = as_point(point, self.dims)
+        max_distance = float(per_query("max_distance", max_distance, 1)[0])
+        on_incremental_query(self)
+        return self._iter_nearest(point, max_distance)
+
+    def _iter_nearest(self, point: np.ndarray, max_distance: float):
+        """A checked incremental query's traversal (the linear scan scans)."""
         from ..search.incremental import iter_nearest
 
-        on_incremental_query(self)
-        return iter_nearest(self, as_point(point, self.dims), max_distance)
+        return iter_nearest(self, point, max_distance)
 
     # ------------------------------------------------------------------
     # walking

@@ -61,9 +61,9 @@ class LinearScan(SpatialIndex):
     # ------------------------------------------------------------------
 
     # The base class checks the arguments and observes the query; only
-    # the traversal differs: every page, whichever ``algorithm`` is named.
+    # the traversal differs: every page.
 
-    def _knn(self, point, k: int, algorithm: str) -> list[Neighbor]:
+    def _knn(self, point, k: int) -> list[Neighbor]:
         """Exact k nearest neighbors by scanning every page."""
         candidates = KnnCandidates(k)
         for leaf in self.iter_leaves():
@@ -108,13 +108,9 @@ class LinearScan(SpatialIndex):
                 results.append(Neighbor(0.0, pts[i].copy(), leaf.values[i]))
         return results
 
-    def iter_nearest(self, point, max_distance: float = float("inf")):
-        """Yield points in ascending distance (computed eagerly by a scan)."""
-        neighbors = self.nearest(point, k=max(self._size, 1)) if self._size else []
-        for neighbor in neighbors:
-            if neighbor.distance > max_distance:
-                return
-            yield neighbor
+    def _iter_nearest(self, point, max_distance: float):
+        """Every point within ``max_distance``, closest first (one scan)."""
+        yield from self._range(point, max_distance)
 
     # ------------------------------------------------------------------
     # persistence

@@ -341,15 +341,9 @@ class RemoteDatabase:
         fails here, as on a local handle, before the round trip."""
         return as_point(value, self.dims).tolist()
 
-    def knn(self, point, k: int = 1, *, algorithm: str | None = None,
-            deadline_ms: float | None = None, **kwargs):
-        from ..api import validate_query_kwargs
-
-        validate_query_kwargs("knn", kwargs, allowed=())
+    def knn(self, point, k: int = 1, *, deadline_ms: float | None = None):
         doc = {"point": self._point(point),
                "k": int(per_query("k", k, 1)[0])}
-        if algorithm is not None:
-            doc["algorithm"] = algorithm
         return self._call_neighbors("knn", doc, deadline_ms)
 
     def _call_neighbors(self, endpoint: str, doc: dict,

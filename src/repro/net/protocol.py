@@ -7,7 +7,7 @@ One HTTP/1.1 service under ``/v1``:
 endpoint               method  body
 =====================  ======  =============================================
 ``/v1/server``         GET     — (service descriptor: protocol, dims, ...)
-``/v1/knn``            POST    ``{"point": [...], "k": 3, "algorithm"?}``
+``/v1/knn``            POST    ``{"point": [...], "k": 3}``
 ``/v1/knn_batch``      POST    ``{"points": [[...]], "k": 3}`` *or* a binary
                                matrix body (``k`` via ``X-Repro-K``)
 ``/v1/range``          POST    ``{"point": [...], "radius": 0.5}``

@@ -499,18 +499,15 @@ class QueryServer:
         if endpoint == "knn":
             point = _required(doc, "point")
             k = doc.get("k", 1)  # checked by the handle's per_query
-            _reject_unknown(doc, {"point", "k", "algorithm"})
-            if self._coalescer is not None and "algorithm" not in doc:
+            _reject_unknown(doc, {"point", "k"})
+            if self._coalescer is not None:
                 # Validate before enqueueing so a malformed request
                 # fails alone instead of poisoning its batchmates.
                 k = int(per_query("k", k, 1)[0])
                 point = as_point(point, getattr(source, "dims", None))
                 neighbors = self._coalescer.submit("knn", point, k, deadline)
             else:
-                kwargs = dict(pool_kw)
-                if "algorithm" in doc:
-                    kwargs["algorithm"] = doc["algorithm"]
-                neighbors = source.knn(point, k=k, **kwargs)
+                neighbors = source.knn(point, k=k, **pool_kw)
             self._send_neighbors(request, neighbors)
             return
 

@@ -463,9 +463,10 @@ class _QueryObservation:
 def observed_query(index, op: str, k: int | None = None):
     """Context manager timing one query and publishing its cost.
 
-    ``op`` is one of ``knn``, ``knn_best_first``, ``range``, ``window``,
-    ``incremental``, ``batch_knn``, or ``batch_range``; ``k`` (when the
-    operation has one) rides along into the flight-recorder record.
+    ``op`` is one of ``knn``, ``range``, ``window``, ``batch_knn``, or
+    ``batch_range`` (:func:`on_incremental_query` counts ``incremental``);
+    ``k`` (when the operation has one) rides along into the
+    flight-recorder record.
     Returns a shared no-op when metrics are disabled.
     """
     if not _enabled:

@@ -2,11 +2,13 @@
 
 * :mod:`~repro.search.knn` — the Roussopoulos–Kelley–Vincent depth-first
   branch-and-bound k-nearest-neighbor search the paper uses throughout;
+* :mod:`~repro.search.incremental` — Hjaltason & Samet's best-first,
+  distance-ranked iteration (``iter_nearest``);
 * :mod:`~repro.search.range` — ball (range) queries.
 """
 
 from .incremental import iter_nearest
-from .knn import KnnCandidates, knn_search, knn_search_best_first
+from .knn import KnnCandidates, knn_search
 from .range import range_search
 from .window import window_search
 
@@ -14,7 +16,6 @@ __all__ = [
     "KnnCandidates",
     "iter_nearest",
     "knn_search",
-    "knn_search_best_first",
     "range_search",
     "window_search",
 ]

@@ -5,7 +5,10 @@ a single priority queue holds both *subtrees* (keyed by region MINDIST)
 and *points* (keyed by exact distance); popping a point yields it as
 the next-nearest neighbor.  The caller decides when to stop, so "give
 me neighbors until I've seen enough" queries need no k up front —
-e.g. "closest image with a licence" or distance-bounded joins.
+e.g. "closest image with a licence" or distance-bounded joins.  It is
+the one best-first traversal: its first ``k`` neighbors are the
+I/O-optimal k-NN answer that ``benchmarks/test_ablation_search_algorithm.py``
+holds against the paper's depth-first search.
 
 This is an extension beyond the paper (which fixes k = 21 throughout),
 built on the same per-family MINDIST bounds.
@@ -26,12 +29,30 @@ import numpy as np
 
 from ..indexes.base import Neighbor
 from ..obs.tracer import trace
-from .knn import leaf_distances, trace_expansion
+from .knn import leaf_distances
 
 __all__ = ["iter_nearest"]
 
 _POINT = 0
 _NODE = 1
+
+
+def _trace_expansion(span, node, child_dists, bound: float, depth: int) -> None:
+    """Record one expanded node of a queue-driven traversal on ``span``.
+
+    The children within ``bound`` were pushed (their verdict comes when
+    they are popped); every other child is pruned here, in entry order.
+    ``depth`` is the queue length after the pushes.
+    """
+    level = node.level - 1
+    pushed = 0
+    for i in range(node.count):
+        if child_dists[i] <= bound:
+            pushed += 1
+        else:
+            span.prune(int(node.child_ids[i]), level, float(child_dists[i]),
+                       bound)
+    span.queue(depth, pushed=pushed)
 
 
 def iter_nearest(index, point: np.ndarray, max_distance: float = float("inf"),
@@ -90,4 +111,4 @@ def iter_nearest(index, point: np.ndarray, max_distance: float = float("inf"),
                      int(child_ids[i])),
                 )
         if span is not None:
-            trace_expansion(span, node, child_dists, max_distance, len(queue))
+            _trace_expansion(span, node, child_dists, max_distance, len(queue))

@@ -19,9 +19,9 @@ Distance computations are tallied into the index's
 :class:`~repro.storage.stats.IOStats` as a machine-independent CPU-cost
 proxy; physical page reads are counted by the node store itself.
 
-**Tracing.**  Each algorithm is one traversal that takes the active
+**Tracing.**  The search is one traversal that takes the active
 span (``trace.active``, read once per query) and records its
-visit/prune/queue events under ``if span is not None`` at the places
+visit/prune events under ``if span is not None`` at the places
 where a node is expanded — never per leaf candidate.  The untraced query
 pays those few branches per node and nothing else; there is no second
 copy of any loop to keep in step.
@@ -37,7 +37,7 @@ import numpy as np
 from ..indexes.base import Neighbor
 from ..obs.tracer import trace
 
-__all__ = ["knn_search", "knn_search_best_first", "KnnCandidates"]
+__all__ = ["knn_search", "KnnCandidates"]
 
 
 class KnnCandidates:
@@ -117,24 +117,6 @@ def leaf_distances(node, point: np.ndarray, stats):
     return pts, np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
-def trace_expansion(span, node, child_dists, bound: float, depth: int) -> None:
-    """Record one expanded node of a queue-driven traversal on ``span``.
-
-    The children within ``bound`` were pushed (their verdict comes when
-    they are popped); every other child is pruned here, in entry order.
-    ``depth`` is the queue length after the pushes.
-    """
-    level = node.level - 1
-    pushed = 0
-    for i in range(node.count):
-        if child_dists[i] <= bound:
-            pushed += 1
-        else:
-            span.prune(int(node.child_ids[i]), level, float(child_dists[i]),
-                       bound)
-    span.queue(depth, pushed=pushed)
-
-
 def _scan_leaf(node, point, candidates, stats) -> None:
     if node.count == 0:
         return
@@ -186,66 +168,3 @@ def _visit(index, page_id: int, point: np.ndarray, candidates: KnnCandidates,
             span.visit(child_id, node.level - 1, float(dists[i]),
                        candidates.bound)
         _visit(index, child_id, point, candidates, stats, span)
-
-
-# ----------------------------------------------------------------------
-# best-first (Hjaltason & Samet)
-# ----------------------------------------------------------------------
-
-
-def knn_search_best_first(index, point: np.ndarray, k: int) -> list[Neighbor]:
-    """Best-first k-NN (Hjaltason & Samet's incremental algorithm).
-
-    An extension beyond the paper: instead of the depth-first traversal
-    of Roussopoulos et al. (which the paper uses, and which
-    :func:`knn_search` implements), maintain one global priority queue
-    of subtrees ordered by MINDIST and always expand the closest.  This
-    is *I/O-optimal* for a given tree — it reads exactly the pages whose
-    region MINDIST is below the k-th-neighbor distance — so it lower
-    bounds the reads of any correct traversal and makes a good ablation
-    reference (``benchmarks/test_ablation_search_algorithm.py``).
-
-    Returns the same results as :func:`knn_search`.
-    """
-    candidates = KnnCandidates(k)
-    stats = index.stats
-    span = trace.active
-    tiebreak = count()
-    # Queue items: (mindist, tiebreak, page_id, level); the level rides
-    # along so whatever is still queued at the end can be attributed to
-    # its tree level when it is pruned.
-    queue: list[tuple[float, int, int, int]] = [
-        (0.0, next(tiebreak), index.root_id, index.height - 1)
-    ]
-    while queue:
-        dist, _, page_id, level = heapq.heappop(queue)
-        if dist > candidates.bound:
-            # Every remaining subtree is farther than the k-th best.
-            if span is not None:
-                bound = candidates.bound
-                span.prune(page_id, level, dist, bound)
-                for leftover_dist, _, leftover_id, leftover_level in queue:
-                    span.prune(leftover_id, leftover_level, leftover_dist, bound)
-            break
-        node = index.read_node(page_id)
-        if span is not None:
-            span.visit(page_id, node.level, dist, candidates.bound)
-            span.queue(len(queue), popped=1)
-        if node.is_leaf:
-            _scan_leaf(node, point, candidates, stats)
-            continue
-        child_dists = index.child_mindists(node, point)
-        stats.distance_computations += node.count
-        bound = candidates.bound
-        child_ids = node.child_ids
-        child_level = node.level - 1
-        for i in range(node.count):
-            if child_dists[i] <= bound:
-                heapq.heappush(
-                    queue,
-                    (float(child_dists[i]), next(tiebreak), int(child_ids[i]),
-                     child_level),
-                )
-        if span is not None:
-            trace_expansion(span, node, child_dists, bound, len(queue))
-    return candidates.results()

@@ -234,11 +234,8 @@ def test_facade_fills_and_reopens_every_family(tmp_path, kind):
     with Database.open(path) as db:
         assert (db.kind, db.size) == (kind, len(points))
         got = [[n.distance for n in db.knn(q, k=K)] for q in points[:8]]
-        best_first = [[n.distance
-                       for n in db.knn(q, k=K, algorithm="best-first")]
-                      for q in points[:8]]
         db.verify()
-    assert got == best_first == want
+    assert got == want
 
 
 def test_knn_batch_shares_the_neighbor_type(tmp_path):

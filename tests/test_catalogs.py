@@ -4,10 +4,10 @@
 ``docs/SERVING.md`` and the ``repro.net.protocol`` docstring every
 endpoint (``docs/SERVING.md`` the telemetry paths too), ``README.md``
 and ``docs/API.md`` every CLI sub-command (``docs/API.md`` its flags
-too, and the serving pool's read keywords).  Each list is re-derived
+too, and each handle's read keywords).  Each list is re-derived
 here from the code — the families in ``REGISTRY``, the literals passed
 to ``emit(`` under ``src/repro``, ``protocol.ENDPOINTS`` and
-``repro.obs.server.PATHS``, the argparse sub-parsers, the pool's
+``repro.obs.server.PATHS``, the argparse sub-parsers, the handles'
 signatures — and must match name for name, so a metric, event,
 endpoint, command or keyword cannot be added, renamed or dropped on one
 side only.
@@ -22,9 +22,10 @@ import inspect
 import re
 from pathlib import Path
 
+from repro import Database, Snapshot
 from repro.cli import _build_parser
 from repro.exec import ServingPool
-from repro.net import protocol
+from repro.net import RemoteDatabase, protocol
 from repro.obs import REGISTRY
 from repro.obs import server as telemetry
 
@@ -100,14 +101,26 @@ def test_cli_command_lists_are_the_parser():
         assert documented[command] == flags, command
 
 
-def test_pool_row_names_the_pool_read_keywords():
+#: The first cell of each row of docs/API.md's extension table, and the
+#: handle classes it speaks for.
+EXTENSION_ROWS = {
+    "`ServingPool`": (ServingPool,),
+    "`RemoteDatabase`": (RemoteDatabase,),
+    "`Database`, `Snapshot`": (Database, Snapshot),
+}
+
+
+def test_extension_rows_name_each_handles_read_keywords():
     api = (ROOT / "docs" / "API.md").read_text(encoding="utf-8")
-    row, = (line for line in api.splitlines()
-            if line.startswith("| `ServingPool` |"))
-    keywords = {name
-                for method in ("knn", "knn_batch", "range", "range_batch",
-                               "window", "lookup")
-                for name, param in inspect.signature(
-                    getattr(ServingPool, method)).parameters.items()
-                if param.kind is param.KEYWORD_ONLY}
-    assert set(re.findall(r"`(\w+)=`", row)) == keywords
+    for cell, classes in EXTENSION_ROWS.items():
+        row, = (line for line in api.splitlines()
+                if line.startswith(f"| {cell} |"))
+        keywords = {name
+                    for cls in classes
+                    for method in ("knn", "knn_batch", "range", "range_batch",
+                                   "window", "lookup")
+                    for name, param in inspect.signature(
+                        getattr(cls, method)).parameters.items()
+                    if param.kind is param.KEYWORD_ONLY}
+        # Every ``x=`` the row names, inside a call (``knn(x=)``) or not.
+        assert set(re.findall(r"(\w+)=", row)) == keywords, cell

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from repro import REGISTRY
 from repro.analysis import describe
+from repro.exceptions import DimensionalityError
 from repro.indexes import INDEX_KINDS, build_index
+from repro.obs import FLIGHT
 from repro.search import incremental
 
 TREE_KINDS = [k for k in sorted(INDEX_KINDS) if k != "linear"]
@@ -92,6 +95,31 @@ class TestIterNearest:
 
         tree = SRTree(3)
         assert list(tree.iter_nearest([0.0, 0.0, 0.0])) == []
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_iter_nearest_is_checked_and_counted_at_the_call(kind, cloud):
+    # Every family checks its arguments when ``iter_nearest`` is called,
+    # before any ``next()``, as ``within`` does, and counts the query
+    # once, as ``incremental``: never as a ``knn`` or its flight record.
+    index = build_index(kind, cloud)
+    with pytest.raises(ValueError, match="max_distance"):
+        index.iter_nearest(cloud[0], max_distance=float("nan"))
+    with pytest.raises(ValueError, match="max_distance"):
+        index.iter_nearest(cloud[0], max_distance=-1)
+    with pytest.raises(DimensionalityError):
+        index.iter_nearest(cloud[0][:4])
+
+    series = 'repro_queries_total{{index_kind="{}",op="{}"}}'.format
+    before, last = REGISTRY.flatten(), FLIGHT.records(1)
+    lazy = index.iter_nearest(cloud[0], max_distance=0.5)
+    after = REGISTRY.flatten()
+    assert (after.get(series(kind, "incremental"), 0)
+            - before.get(series(kind, "incremental"), 0)) == 1
+    list(lazy)
+    after = REGISTRY.flatten()
+    assert after.get(series(kind, "knn")) == before.get(series(kind, "knn"))
+    assert FLIGHT.records(1) == last
 
 
 class TestWindow:

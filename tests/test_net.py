@@ -376,6 +376,12 @@ def test_malformed_requests_are_client_errors(corpus):
                                        "bogus": 1})
         assert status == 400
         assert "bogus" in doc["error"]
+        # So is "algorithm": best-first search is the index's
+        # iter_nearest, not a /v1/knn option.
+        status, doc = post("/v1/knn", {"point": corpus.data[0].tolist(),
+                                       "algorithm": "best-first"})
+        assert status == 400
+        assert "['algorithm']" in doc["error"]
 
         # Missing required field -> 400.
         status, doc = post("/v1/range", {"radius": 0.5})
@@ -397,6 +403,10 @@ def test_malformed_requests_are_client_errors(corpus):
                 rdb.knn(np.zeros(3), k=1)
             with pytest.raises(TypeError, match="kk"):
                 rdb.knn(corpus.data[0], kk=3)
+    # Refused by the client's signature, before any round trip: handle
+    # and server are closed, yet the error is the keyword's.
+    with pytest.raises(TypeError, match="algorithm"):
+        rdb.knn(corpus.data[0], algorithm="best-first")
 
 
 # ---------------------------------------------------------------------------

@@ -53,12 +53,11 @@ class TestQueryMetrics:
         tree = build_index("sstree", tiny_cloud)
         before = REGISTRY.flatten()
         tree.nearest(tiny_cloud[0], k=2)
-        tree.nearest(tiny_cloud[0], k=2, algorithm="best-first")
         tree.within(tiny_cloud[0], radius=0.3)
         tree.window(tiny_cloud[0], tiny_cloud[0])
         list(tree.iter_nearest(tiny_cloud[0], max_distance=0.2))
         d = delta(before, REGISTRY.flatten())
-        for op in ("knn", "knn_best_first", "range", "window", "incremental"):
+        for op in ("knn", "range", "window", "incremental"):
             key = f'repro_queries_total{{index_kind="sstree",op="{op}"}}'
             assert d[key] == 1, op
 
@@ -117,11 +116,10 @@ class TestMutationMetrics:
         scan = build_index("linear", tiny_cloud)
         before = REGISTRY.flatten()
         scan.nearest(tiny_cloud[0], k=2)
-        scan.nearest(tiny_cloud[0], k=2, algorithm="best-first")
         scan.within(tiny_cloud[0], radius=0.3)
         scan.window(tiny_cloud[0], tiny_cloud[0])
         d = delta(before, REGISTRY.flatten())
-        for op in ("knn", "knn_best_first", "range", "window"):
+        for op in ("knn", "range", "window"):
             key = f'repro_queries_total{{index_kind="linear",op="{op}"}}'
             assert d[key] == 1, op
 

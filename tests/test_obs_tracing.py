@@ -20,10 +20,9 @@ from repro.obs.tracer import DESCENDED, PRUNED, Span, trace
 from repro.storage.stats import IOStats
 
 
-#: The five search algorithms, each as ``run(tree, query) -> neighbors``.
+#: The four search algorithms, each as ``run(tree, query) -> neighbors``.
 ALGORITHMS = {
     "knn": lambda tree, q: tree.nearest(q, k=5),
-    "knn_best_first": lambda tree, q: tree.nearest(q, k=5, algorithm="best-first"),
     "range": lambda tree, q: tree.within(q, 0.5),
     "window": lambda tree, q: tree.window(q - 0.2, q + 0.2),
     "incremental": lambda tree, q: list(islice(tree.iter_nearest(q), 5)),
@@ -236,11 +235,15 @@ class TestEndToEndExplain:
 
     @pytest.mark.parametrize("algorithm", ["depth-first", "best-first"])
     def test_both_knn_algorithms_trace(self, small_cloud, algorithm):
+        # Best-first k-NN is the first k of the incremental iterator.
         tree = build_index("sstree", small_cloud)
         trace.enable()
         before = tree.stats.snapshot()
         with trace.span("knn", algorithm=algorithm) as span:
-            tree.nearest(small_cloud[0], k=8, algorithm=algorithm)
+            if algorithm == "depth-first":
+                tree.nearest(small_cloud[0], k=8)
+            else:
+                list(islice(tree.iter_nearest(small_cloud[0]), 8))
         delta = tree.stats.since(before)
         assert span.pages_read == delta.page_reads
         assert span.visits

@@ -1,10 +1,13 @@
 """Property-based tests for the query extensions and bulk loading.
 
 Complements ``test_properties.py`` with invariants over the newer
-surface: window queries, incremental iteration, best-first search, and
+surface: window queries, incremental iteration (and its first ``k`` as a
+best-first search), and
 bulk-loaded trees — all checked against brute force on arbitrary
 point clouds.
 """
+
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -75,9 +78,8 @@ def test_incremental_bound_equals_range_query(points, query, bound):
 def test_best_first_equals_depth_first(points, query, k):
     tree = SRTree(4)
     tree.load(points)
-    dfs = [(round(n.distance, 9)) for n in tree.nearest(query, k)]
-    bfs = [(round(n.distance, 9)) for n in tree.nearest(query, k,
-                                                        algorithm="best-first")]
+    dfs = [round(n.distance, 9) for n in tree.nearest(query, k)]
+    bfs = [round(n.distance, 9) for n in islice(tree.iter_nearest(query), k)]
     assert dfs == bfs
 
 

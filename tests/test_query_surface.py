@@ -268,15 +268,17 @@ def test_insert_many_refuses_values_of_another_length(tmp_path, remote):
 
 
 def test_unknown_kwargs_rejected_everywhere(corpus, handle):
-    # Satellite 3: kwargs forwarding is gone — every handle rejects a
-    # typo'd keyword with a did-you-mean hint instead of silently
-    # ignoring it (or crashing deep inside the index).
-    try:
-        handle.knn(corpus.queries[0], kk=3)
-    except TypeError as exc:
-        assert "kk" in str(exc)
-    else:  # pragma: no cover - conformance failure
-        pytest.fail("unknown kwarg 'kk' was silently accepted")
+    # No handle forwards keywords it does not name: a typo, or the
+    # deleted ``algorithm=`` (best-first is ``iter_nearest`` on the
+    # index), is a TypeError naming the keyword — on a remote handle
+    # before any round trip.
+    for name, value in (("kk", 3), ("algorithm", "best-first")):
+        try:
+            handle.knn(corpus.queries[0], **{name: value})
+        except TypeError as exc:
+            assert name in str(exc)
+        else:  # pragma: no cover - conformance failure
+            pytest.fail(f"unknown kwarg {name!r} was silently accepted")
 
 
 # ---------------------------------------------------------------------------
