@@ -21,9 +21,10 @@ plane that crosses the machine boundary:
   implements the *same* :class:`~repro.api.QuerySurface` protocol as
   the local handles, so ``Database.open(path)`` swaps for
   ``RemoteDatabase.connect(addr)`` with zero call-site changes;
-* :mod:`~repro.net.protocol` — the shared wire format: JSON request
-  documents, a compact binary ndarray codec for batch bodies, and the
-  header/status conventions both sides agree on.
+* :mod:`~repro.net.protocol` — the shared wire format: matrix frames
+  for batches of points, one neighbor block for every neighbor list,
+  JSON for everything else, and the header/status conventions both
+  sides agree on.
 
 ::
 

@@ -18,9 +18,9 @@ waits when all ``pool_size`` connections are in flight).  Read
 requests that fail at the socket layer reconnect and retry once;
 mutations never auto-retry (the failure may have landed after the
 server applied the write).  Batch queries and ``insert_many`` without
-values ship the compact binary ndarray codec from
-:mod:`repro.net.protocol`, and single-query responses come back as its
-neighbor block; the other bodies are JSON.
+values send matrix frames from :mod:`repro.net.protocol`, every
+neighbor list comes back as its neighbor block, and the other bodies
+are JSON.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ import http.client
 import json
 import socket
 import threading
-
-import numpy as np
 
 from ..exceptions import (
     RERAISABLE,
@@ -247,15 +245,16 @@ class RemoteDatabase:
 
     def _call(self, endpoint: str, doc: dict | None = None, *,
               method: str = "POST", body: bytes | None = None,
-              content_type: str | None = None,
               deadline_ms: float | None = None,
-              extra_headers: dict | None = None,
               mutation: bool = False) -> tuple[dict | None, bytes, str]:
-        if body is None and doc is not None:
+        """One request: ``doc`` goes as JSON, ``body`` as matrix frames."""
+        content_type = None
+        if body is not None:
+            content_type = protocol.BINARY_CONTENT_TYPE
+        elif doc is not None:
             body = json.dumps(doc).encode("utf-8")
             content_type = protocol.JSON_CONTENT_TYPE
         headers = self._headers(content_type, deadline_ms)
-        headers.update(extra_headers or {})
         status, resp_headers, payload = self._request(
             method, endpoint, body, headers, retry=not mutation)
         resp_type = resp_headers.get("content-type", "").split(";")[0]
@@ -344,60 +343,51 @@ class RemoteDatabase:
     def knn(self, point, k: int = 1, *, deadline_ms: float | None = None):
         doc = {"point": self._point(point),
                "k": int(per_query("k", k, 1)[0])}
-        return self._call_neighbors("knn", doc, deadline_ms)
+        return self._call_neighbors("knn", doc, deadline_ms=deadline_ms)[0]
 
-    def _call_neighbors(self, endpoint: str, doc: dict,
+    def _call_neighbors(self, endpoint: str, doc: dict | None = None, *,
+                        body: bytes | None = None,
                         deadline_ms: float | None):
-        """A single-result-list query, answered as a neighbor block."""
-        _, payload, resp_type = self._call(
-            endpoint, doc, deadline_ms=deadline_ms,
-            extra_headers={"Accept": protocol.NEIGHBORS_CONTENT_TYPE})
+        """A neighbor read: one result list per query, from its block.
+
+        ``body`` is a batch's matrix frames; ``doc`` a single query's
+        JSON request.
+        """
+        _, payload, resp_type = self._call(endpoint, doc, body=body,
+                                           deadline_ms=deadline_ms)
         if resp_type != protocol.NEIGHBORS_CONTENT_TYPE:
             raise NetError(
                 f"unexpected {endpoint} response type {resp_type!r}")
-        return protocol.decode_neighbor_block(payload)[0]
+        return protocol.decode_neighbor_block(payload)
+
+    def _call_batch(self, endpoint: str, points, name: str, value,
+                    deadline_ms: float | None):
+        """A batch read: the points, then ``name``'s value for each row."""
+        points = as_points(points, self.dims)
+        per_row = per_query(name, value, points.shape[0])
+        return self._call_neighbors(
+            endpoint, body=protocol.encode_matrix(points)
+            + protocol.encode_matrix(per_row), deadline_ms=deadline_ms)
 
     def knn_batch(self, points, k=1, *, deadline_ms: float | None = None):
         """Batched kNN; ``k`` is a scalar or one value per query row."""
-        points = as_points(points, self.dims)
-        ks = per_query("k", k, points.shape[0])
-        # One k per row travels as a list; a shared scalar as itself.
-        k_doc = ks.tolist() if np.ndim(k) else int(k)
-        _, payload, resp_type = self._call(
-            "knn_batch",
-            body=protocol.encode_matrix(points),
-            content_type=protocol.BINARY_CONTENT_TYPE,
-            extra_headers={protocol.K_HEADER: ",".join(
-                map(str, np.atleast_1d(k_doc)))},
-            deadline_ms=deadline_ms)
-        if resp_type != protocol.NEIGHBORS_CONTENT_TYPE:
-            raise NetError(
-                f"unexpected knn_batch response type {resp_type!r}")
-        return protocol.decode_neighbor_block(payload)
+        return self._call_batch("knn_batch", points, "k", k, deadline_ms)
 
     def range(self, point, radius: float, *,
               deadline_ms: float | None = None):
-        return self._call_neighbors(
-            "range", {"point": self._point(point),
-                      "radius": float(per_query("radius", radius, 1)[0])},
-            deadline_ms)
+        doc = {"point": self._point(point),
+               "radius": float(per_query("radius", radius, 1)[0])}
+        return self._call_neighbors("range", doc, deadline_ms=deadline_ms)[0]
 
     def range_batch(self, points, radius, *,
                     deadline_ms: float | None = None):
         """Batched range search; ``radius`` is a scalar or one per row."""
-        points = as_points(points, self.dims)
-        radii = per_query("radius", radius, points.shape[0])
-        radius_doc = radii.tolist() if np.ndim(radius) else float(radius)
-        response, _, _ = self._call(
-            "range_batch", {"points": points.tolist(), "radius": radius_doc},
-            deadline_ms=deadline_ms)
-        return [protocol.neighbors_from_doc(r) for r in response["results"]]
+        return self._call_batch("range_batch", points, "radius", radius,
+                                deadline_ms)
 
     def window(self, low, high, *, deadline_ms: float | None = None):
-        response, _, _ = self._call(
-            "window", {"low": self._point(low), "high": self._point(high)},
-            deadline_ms=deadline_ms)
-        return protocol.neighbors_from_doc(response["neighbors"])
+        doc = {"low": self._point(low), "high": self._point(high)}
+        return self._call_neighbors("window", doc, deadline_ms=deadline_ms)[0]
 
     def lookup(self, point, *, deadline_ms: float | None = None):
         response, _, _ = self._call("lookup", {"point": self._point(point)},
@@ -432,14 +422,10 @@ class RemoteDatabase:
         points = as_points(points, self.dims)
         if values is None:
             response, _, _ = self._call(
-                "insert_many",
-                body=protocol.encode_matrix(points),
-                content_type=protocol.BINARY_CONTENT_TYPE,
+                "insert_many", body=protocol.encode_matrix(points),
                 mutation=True)
         else:
-            doc = {"points": points.tolist()}
-            if values is not None:
-                doc["values"] = list(values)
+            doc = {"points": points.tolist(), "values": list(values)}
             response, _, _ = self._call("insert_many", doc, mutation=True)
         return response["inserted"]
 

@@ -8,20 +8,25 @@ endpoint               method  body
 =====================  ======  =============================================
 ``/v1/server``         GET     — (service descriptor: protocol, dims, ...)
 ``/v1/knn``            POST    ``{"point": [...], "k": 3}``
-``/v1/knn_batch``      POST    ``{"points": [[...]], "k": 3}`` *or* a binary
-                               matrix body (``k`` via ``X-Repro-K``)
+``/v1/knn_batch``      POST    matrix frames: points ``(Q, D)``, k ``(Q,)``
 ``/v1/range``          POST    ``{"point": [...], "radius": 0.5}``
-``/v1/range_batch``    POST    ``{"points": [[...]], "radius": 0.5}`` (or one
-                               radius per row)
+``/v1/range_batch``    POST    matrix frames: points ``(Q, D)``, radius
+                               ``(Q,)``
 ``/v1/window``         POST    ``{"low": [...], "high": [...]}``
 ``/v1/lookup``         POST    ``{"point": [...]}``
 ``/v1/stats``          GET     —
 ``/v1/explain``        POST    ``{"point": [...], "k": 3}``
 ``/v1/insert``         POST    ``{"point": [...], "value"?}`` (auth)
-``/v1/insert_many``    POST    ``{"points": [[...]], "values"?}`` *or* a
-                               binary matrix body (auth)
+``/v1/insert_many``    POST    ``{"points": [[...]], "values"?}`` *or* one
+                               matrix frame, points ``(N, D)`` (auth)
 ``/v1/delete``         POST    ``{"point": [...], "value"?}`` (auth)
 =====================  ======  =============================================
+
+One encoding for each thing: a batch of points travels as matrix
+frames, every neighbor list (``knn``, ``range``, ``window`` and both
+batches) comes back as one neighbor block, and everything else —
+single-point requests, ``lookup``/``explain``/mutation answers, control
+documents and errors — is JSON.
 
 Headers:
 
@@ -30,7 +35,6 @@ Headers:
   already spent on arrival or expires while queued, and propagates the
   remainder into the serving pools' per-call ``timeout=``.
 * ``X-Repro-Token`` — the shared secret required by mutation endpoints.
-* ``X-Repro-K`` — ``k`` for binary-body ``knn_batch`` requests.
 
 Statuses: ``200`` success; ``400`` invalid request (the JSON error
 document's ``error_type`` names the library exception to re-raise
@@ -42,26 +46,27 @@ request); ``429`` shed by admission control
 (``Retry-After`` set); ``503`` draining for shutdown; ``504`` deadline
 expired.
 
-**Binary matrix codec.**  JSON float lists are 3-4x the wire size of the
-raw ndarray and dominate batch-query encode time, so batch bodies may
-instead use a compact binary frame (``Content-Type:``
-:data:`BINARY_CONTENT_TYPE`)::
+**Matrix frame** (``Content-Type:`` :data:`BINARY_CONTENT_TYPE`; a
+body is its frames back to back, nothing after the last)::
 
     b"RPM1" | u8 dtype | u8 ndim | u16 pad | ndim * u64 shape | raw LE data
 
-Batch *responses* use a neighbor-block frame that carries every result
-matrix in two ndarrays plus one JSON prelude for the payload values::
+**Neighbor block** (:data:`NEIGHBORS_CONTENT_TYPE`): every result list
+of a call in two ndarrays plus one JSON prelude for the payload
+values::
 
     b"RPN1" | u32 json_len | {"counts": [...], "values": [[...], ...]}
             | matrix(distances, (total,)) | matrix(points, (total, D))
 
-Both framings are versioned by their magic; unknown magic raises
+Both framings are versioned by their magic; unknown magic, a length
+lie or a shape that does not add up raises
 :class:`~repro.exceptions.NetError` rather than guessing.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -73,7 +78,6 @@ __all__ = [
     "PROTOCOL_VERSION",
     "DEADLINE_HEADER",
     "TOKEN_HEADER",
-    "K_HEADER",
     "JSON_CONTENT_TYPE",
     "BINARY_CONTENT_TYPE",
     "NEIGHBORS_CONTENT_TYPE",
@@ -82,18 +86,15 @@ __all__ = [
     "ENDPOINTS",
     "encode_matrix",
     "decode_matrix",
-    "neighbors_to_doc",
-    "neighbors_from_doc",
     "encode_neighbor_block",
     "decode_neighbor_block",
     "error_doc",
 ]
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 DEADLINE_HEADER = "X-Repro-Deadline-Ms"
 TOKEN_HEADER = "X-Repro-Token"
-K_HEADER = "X-Repro-K"
 
 JSON_CONTENT_TYPE = "application/json"
 BINARY_CONTENT_TYPE = "application/x-repro-matrix"
@@ -148,13 +149,17 @@ def decode_matrix(payload: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
         raise NetError("truncated matrix frame (short shape)")
     shape = struct.unpack_from(f"<{ndim}Q", payload, end)
     dtype = _DTYPES[code]
-    count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
+    # Python integers: a lying shape cannot wrap around to a small count.
+    count = math.prod(shape)
     data_end = shape_end + count * dtype.itemsize
     if len(payload) < data_end:
         raise NetError("truncated matrix frame (short data)")
-    array = np.frombuffer(
-        payload, dtype=dtype, count=count, offset=shape_end
-    ).reshape(shape)
+    try:
+        array = np.frombuffer(
+            payload, dtype=dtype, count=count, offset=shape_end
+        ).reshape(shape)
+    except ValueError as exc:  # an empty shape with a dimension numpy refuses
+        raise NetError(f"bad matrix frame shape {shape}: {exc}") from None
     return array, data_end
 
 
@@ -168,30 +173,6 @@ def _json_value(value):
             f"network protocol carries JSON payload values only"
         ) from None
     return value
-
-
-def neighbors_to_doc(neighbors: list[Neighbor]) -> list[dict]:
-    """One query's result list as JSON-ready dicts."""
-    return [
-        {
-            "distance": float(n.distance),
-            "point": np.asarray(n.point, dtype=np.float64).tolist(),
-            "value": _json_value(n.value),
-        }
-        for n in neighbors
-    ]
-
-
-def neighbors_from_doc(doc: list[dict]) -> list[Neighbor]:
-    """Rebuild a result list from its JSON document."""
-    return [
-        Neighbor(
-            distance=float(entry["distance"]),
-            point=np.asarray(entry["point"], dtype=np.float64),
-            value=entry["value"],
-        )
-        for entry in doc
-    ]
 
 
 def encode_neighbor_block(results: list[list[Neighbor]]) -> bytes:
@@ -218,17 +199,42 @@ def encode_neighbor_block(results: list[list[Neighbor]]) -> bytes:
 
 
 def decode_neighbor_block(payload: bytes) -> list[list[Neighbor]]:
-    """Decode the binary neighbor-block frame back into result lists."""
+    """Decode the binary neighbor-block frame back into result lists.
+
+    A block whose parts do not add up — a prelude that is not the
+    ``counts``/``values`` object, a row of values of another length than
+    its count, distances or points other than one per neighbor, bytes
+    after the points — raises :class:`NetError`.
+    """
     if len(payload) < 8 or payload[:4] != _NEIGHBORS_MAGIC:
         raise NetError("bad neighbor-block frame magic")
     (json_len,) = struct.unpack_from("<I", payload, 4)
     prelude_end = 8 + json_len
     if len(payload) < prelude_end:
         raise NetError("truncated neighbor-block frame (short prelude)")
-    prelude = json.loads(payload[8:prelude_end])
-    counts, values = prelude["counts"], prelude["values"]
+    try:
+        prelude = json.loads(payload[8:prelude_end])
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise NetError(f"neighbor-block prelude is not JSON: {exc}") from None
+    counts = prelude.get("counts") if isinstance(prelude, dict) else None
+    values = prelude.get("values") if isinstance(prelude, dict) else None
+    if not (isinstance(counts, list) and isinstance(values, list)
+            and len(counts) == len(values)
+            and all(type(c) is int and c >= 0 and isinstance(v, list)
+                    and len(v) == c for c, v in zip(counts, values))):
+        raise NetError("neighbor-block prelude must be {\"counts\": [n, ...], "
+                       "\"values\": [[n values], ...]}")
     distances, offset = decode_matrix(payload, prelude_end)
-    points, _ = decode_matrix(payload, offset)
+    points, offset = decode_matrix(payload, offset)
+    total = sum(counts)
+    if (distances.shape != (total,) or points.ndim != 2
+            or points.shape[0] != total):
+        raise NetError(
+            f"neighbor block of {total} neighbors carries distances "
+            f"{distances.shape} and points {points.shape}")
+    if offset != len(payload):
+        raise NetError(f"{len(payload) - offset} byte(s) after the "
+                       f"neighbor block")
     results: list[list[Neighbor]] = []
     row = 0
     for count, value_row in zip(counts, values):

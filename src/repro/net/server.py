@@ -378,21 +378,16 @@ class QueryServer:
                     exc: BaseException) -> None:
         request.send_json(status, protocol.error_doc(exc))
 
-    def _send_neighbors(self, request: Request, neighbors: list) -> None:
-        """One query's result list, binary when the client accepts it.
+    def _send_neighbors(self, request: Request, results: list) -> None:
+        """One result list per query, as one neighbor block.
 
-        Clients advertising ``Accept:`` :data:`NEIGHBORS_CONTENT_TYPE`
-        get the compact neighbor-block frame — float repr dominates the
-        JSON encode cost of a k=21 result, and at coalesced-batch rates
-        that per-response cost is what bounds server throughput.
+        The block is the only answer a neighbor list has: float repr
+        would dominate a JSON encode of a k=21 result, and at
+        coalesced-batch rates that per-response cost is what bounds
+        server throughput.
         """
-        accept = request.headers.get("Accept", "")
-        if protocol.NEIGHBORS_CONTENT_TYPE in accept:
-            request.send(200, protocol.encode_neighbor_block([neighbors]),
-                         protocol.NEIGHBORS_CONTENT_TYPE)
-        else:
-            request.send_json(
-                200, {"neighbors": protocol.neighbors_to_doc(neighbors)})
+        request.send(200, protocol.encode_neighbor_block(results),
+                     protocol.NEIGHBORS_CONTENT_TYPE)
 
     @staticmethod
     def _read_body(request: Request) -> bytes:
@@ -480,17 +475,13 @@ class QueryServer:
             request.send_json(200, {"stats": self._stats_doc()})
             return
 
-        if endpoint == "knn_batch":
-            points, k = self._batch_request(request, body, content_type)
-            results = source.knn_batch(points, k=k, **pool_kw)
-            if content_type == protocol.BINARY_CONTENT_TYPE:
-                request.send(200, protocol.encode_neighbor_block(results),
-                             protocol.NEIGHBORS_CONTENT_TYPE)
+        if endpoint in ("knn_batch", "range_batch"):
+            points, arg = _frames(body, content_type, 2)
+            if endpoint == "knn_batch":
+                results = source.knn_batch(points, k=arg, **pool_kw)
             else:
-                request.send_json(200, {
-                    "results": [protocol.neighbors_to_doc(r)
-                                for r in results],
-                })
+                results = source.range_batch(points, arg, **pool_kw)
+            self._send_neighbors(request, results)
             return
 
         binary_body = content_type == protocol.BINARY_CONTENT_TYPE
@@ -508,44 +499,33 @@ class QueryServer:
                 neighbors = self._coalescer.submit("knn", point, k, deadline)
             else:
                 neighbors = source.knn(point, k=k, **pool_kw)
-            self._send_neighbors(request, neighbors)
+            self._send_neighbors(request, [neighbors])
             return
 
         if endpoint == "range":
             point = _required(doc, "point")
-            radius = float(_required(doc, "radius"))
+            radius = _required(doc, "radius")  # checked by per_query
             _reject_unknown(doc, {"point", "radius"})
             if self._coalescer is not None:
-                per_query("radius", radius, 1)
+                radius = float(per_query("radius", radius, 1)[0])
                 point = as_point(point, getattr(source, "dims", None))
                 neighbors = self._coalescer.submit("range", point, radius,
                                                    deadline)
             else:
                 neighbors = source.range(point, radius, **pool_kw)
-            self._send_neighbors(request, neighbors)
+            self._send_neighbors(request, [neighbors])
             return
 
-        # Every other endpoint answers 200 with one JSON document.
-        if endpoint == "range_batch":
-            points = np.asarray(_required(doc, "points"), dtype=np.float64)
-            radius = _required(doc, "radius")
-            if isinstance(radius, (list, tuple)):
-                radius = np.asarray(radius, dtype=np.float64)
-            else:
-                radius = float(radius)
-            _reject_unknown(doc, {"points", "radius"})
-            results = source.range_batch(points, radius, **pool_kw)
-            reply = {"results": [protocol.neighbors_to_doc(r)
-                                 for r in results]}
-
-        elif endpoint == "window":
+        if endpoint == "window":
             low = _required(doc, "low")
             high = _required(doc, "high")
             _reject_unknown(doc, {"low", "high"})
-            neighbors = source.window(low, high, **pool_kw)
-            reply = {"neighbors": protocol.neighbors_to_doc(neighbors)}
+            self._send_neighbors(request,
+                                 [source.window(low, high, **pool_kw)])
+            return
 
-        elif endpoint == "lookup":
+        # Every other endpoint answers 200 with one JSON document.
+        if endpoint == "lookup":
             point = _required(doc, "point")
             _reject_unknown(doc, {"point"})
             reply = {"values": list(source.lookup(point, **pool_kw))}
@@ -573,7 +553,7 @@ class QueryServer:
         elif endpoint == "insert_many":
             self._require_mutable("insert_many")
             if binary_body:
-                points, _ = protocol.decode_matrix(body)
+                (points,) = _frames(body, content_type, 1)
                 values = None
             else:
                 points = _required(doc, "points")
@@ -607,23 +587,6 @@ class QueryServer:
             raise NotImplementedError(
                 f"the served handle ({type(self._source).__name__}) does "
                 f"not support {op}; serve a Database for mutations")
-
-    def _batch_request(self, request: Request, body: bytes,
-                       content_type: str):
-        if content_type == protocol.BINARY_CONTENT_TYPE:
-            points, _ = protocol.decode_matrix(body)
-            raw = request.headers.get(protocol.K_HEADER, "1")
-            # A comma-separated header carries per-query k values.
-            if "," in raw:
-                k = np.asarray([int(part) for part in raw.split(",")],
-                               dtype=np.int64)
-            else:
-                k = int(raw)
-            return points, k
-        doc = self._json_doc(body)
-        points = _required(doc, "points")
-        _reject_unknown(doc, {"points", "k"})
-        return np.asarray(points, dtype=np.float64), doc.get("k", 1)
 
     @staticmethod
     def _json_doc(body: bytes) -> dict:
@@ -675,6 +638,27 @@ _PATHS = ([f"/v1/{name}" for name in protocol.ENDPOINTS]
 
 #: Sentinel distinguishing "no deadline header" from "unparseable one".
 _BAD_DEADLINE = object()
+
+
+def _frames(body: bytes, content_type: str, count: int) -> list:
+    """The ``count`` matrix frames that make up a binary request body.
+
+    A batch read's body is its points then its ``k`` or radius, one per
+    row; ``insert_many``'s is its points alone.  Any other content type,
+    a missing frame or a byte after the last frame is refused.
+    """
+    if content_type != protocol.BINARY_CONTENT_TYPE:
+        raise ValueError(
+            f"this endpoint's body is {count} matrix frame(s), Content-Type "
+            f"{protocol.BINARY_CONTENT_TYPE}; got {content_type!r}")
+    frames, offset = [], 0
+    for _ in range(count):
+        array, offset = protocol.decode_matrix(body, offset)
+        frames.append(array)
+    if offset != len(body):
+        raise NetError(f"{len(body) - offset} byte(s) after the last of "
+                       f"{count} matrix frame(s)")
+    return frames
 
 
 def _required(doc: dict, key: str):

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import http.client
+import json
 import socket
 
 import numpy as np
 
+from repro.net.protocol import BINARY_CONTENT_TYPE, encode_matrix
 from repro.storage.nodes import InternalNode
 
 
@@ -77,3 +80,29 @@ def raw_http(address, payload: bytes, *, timeout: float = 5.0) -> bytes:
         except ConnectionResetError:
             pass  # closed with our unread bytes still in its buffer
         return b"".join(chunks)
+
+
+def post(address, endpoint: str, body, token: str | None = None):
+    """One raw ``POST /v1/<endpoint>``: the status and body text a client
+    of any language would see.
+
+    ``body`` is a JSON document (Python's ``json`` writes ``NaN``) or a
+    tuple of arrays, sent as matrix frames back to back; bytes go as a
+    matrix body unchanged.
+    """
+    if isinstance(body, tuple):
+        body = b"".join(encode_matrix(np.asarray(a)) for a in body)
+    if isinstance(body, bytes):
+        headers = {"Content-Type": BINARY_CONTENT_TYPE}
+    else:
+        body = json.dumps(body)
+        headers = {"Content-Type": "application/json"}
+    if token is not None:
+        headers["X-Repro-Token"] = token
+    conn = http.client.HTTPConnection(*address, timeout=10)
+    try:
+        conn.request("POST", f"/v1/{endpoint}", body, headers)
+        response = conn.getresponse()
+        return response.status, response.read().decode("utf-8", "replace")
+    finally:
+        conn.close()

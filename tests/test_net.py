@@ -17,8 +17,10 @@ from __future__ import annotations
 import http.client
 import json
 import socket
+import struct
 import threading
 import time
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -34,7 +36,13 @@ from repro.exceptions import (
 )
 from repro.httpd import MAX_BODY_BYTES
 from repro.net import QueryServer, RemoteDatabase
-from repro.net.protocol import neighbors_from_doc
+from repro.net.protocol import (
+    BINARY_CONTENT_TYPE,
+    decode_matrix,
+    decode_neighbor_block,
+    encode_matrix,
+    encode_neighbor_block,
+)
 from repro.obs import REGISTRY
 from repro.obs import server as telemetry
 from repro.obs.events import EVENTS
@@ -42,7 +50,7 @@ from repro.obs.hooks import NET_REQUESTS, SHED_REQUESTS
 from repro.storage import FaultPlan
 from repro.workloads import uniform_dataset
 
-from .helpers import raw_http
+from .helpers import post, raw_http
 
 
 @pytest.fixture(scope="module")
@@ -548,29 +556,150 @@ def test_token_gates_mutations_not_reads(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_binary_and_json_codecs_agree(corpus):
-    # The client always sends the binary codec; a JSON batch body is an
-    # input from outside the program, so it is POSTed raw.
+def _error(status_and_text):
+    """``(status, error_type, error)`` of a raw request's answer."""
+    status, text = status_and_text
+    doc = json.loads(text)
+    return status, doc["error_type"], doc["error"]
+
+
+def _refusal(call):
+    """``(400, class name, message)`` a server should answer for what
+    ``call`` raises locally."""
+    with pytest.raises(Exception) as info:
+        call()
+    return 400, type(info.value).__name__, str(info.value)
+
+
+@pytest.mark.parametrize("endpoint,arg", [("knn_batch", "k"),
+                                          ("range_batch", "radius")])
+def test_batch_reads_take_matrix_frames_only(corpus, endpoint, arg):
+    # A batch body is the points then one k or radius per row; a JSON
+    # body is refused with the content type it should have had.
     queries = corpus.data[:6]
-    want = corpus.db.knn_batch(queries, k=3)
-    body = json.dumps({"points": queries.tolist(), "k": 3}).encode()
+    value = 3 if arg == "k" else 0.4
     with QueryServer(corpus.db) as server:
-        with RemoteDatabase.connect(_addr(server)) as rdb:
-            got_bin = rdb.knn_batch(queries, k=3)
-        raw = raw_http(server.address, (
-            b"POST /v1/knn_batch HTTP/1.1\r\nHost: test\r\n"
-            b"Content-Type: application/json\r\nConnection: close\r\n"
-            b"Content-Length: %d\r\n\r\n" % len(body)) + body)
-    head, _, payload = raw.partition(b"\r\n\r\n")
-    assert head.startswith(b"HTTP/1.1 200 ")
-    got_json = [neighbors_from_doc(r)
-                for r in json.loads(payload)["results"]]
-    for got in (got_bin, got_json):
-        assert len(got) == len(want)
-        for g_list, w_list in zip(got, want):
-            assert_neighbors_equal(g_list, w_list)
-            for g, w in zip(g_list, w_list):
-                assert np.array_equal(g.point, w.point)
+        status, text = post(server.address, endpoint,
+                            {"points": queries.tolist(), arg: value})
+        assert status == 400
+        assert BINARY_CONTENT_TYPE in json.loads(text)["error"]
+        # Points alone: the per-row frame is missing.
+        status, error_type, error = _error(
+            post(server.address, endpoint, (queries,)))
+        assert (status, error_type) == (400, "NetError")
+        assert "truncated" in error
+
+
+@pytest.mark.parametrize("endpoint,name,values", [
+    ("knn_batch", "k", [1, 2]),
+    ("range_batch", "radius", [0.1, 0.2]),
+])
+def test_per_row_frame_of_another_length_is_per_querys_refusal(
+        corpus, endpoint, name, values):
+    queries = corpus.data[:6]
+    local = getattr(corpus.db, endpoint)
+    want = _refusal(lambda: local(queries, values))
+    assert want[1] == "ValueError" and "per-query" in want[2]
+    with QueryServer(corpus.db) as server:
+        got = _error(post(server.address, endpoint,
+                          (queries, np.asarray(values))))
+    assert got == want
+
+
+def test_trailing_bytes_after_the_frames_are_a_400(tmp_path):
+    data = uniform_dataset(40, 4, seed=12)
+    path = str(tmp_path / "trail.srtree")
+    with Database.create(path, kind="sr", dims=4) as db:
+        db.insert_many(data)
+        frames = encode_matrix(data[:3]) + encode_matrix(np.full(3, 2))
+        with QueryServer(db, auth_token="t") as server:
+            status, error_type, error = _error(
+                post(server.address, "knn_batch", frames + b"junk"))
+            assert (status, error_type) == (400, "NetError")
+            assert "4 byte(s) after the last of 2 matrix frame(s)" in error
+            status, error_type, _ = _error(post(
+                server.address, "insert_many",
+                encode_matrix(data[:3]) + b"junk", token="t"))
+            assert (status, error_type) == (400, "NetError")
+            assert db.size == len(data)
+            # The same frames without the junk are answered.
+            assert post(server.address, "knn_batch", frames)[0] == 200
+
+
+@pytest.mark.parametrize("radius", [None, [1, 2], -1.0, "far"])
+def test_range_radius_is_refused_as_database_refuses_it(corpus, serving_pool,
+                                                        radius):
+    point = corpus.data[0]
+    want = _refusal(lambda: corpus.db.range(point, radius))
+    doc = {"point": point.tolist(), "radius": radius}
+    with serving_pool(corpus.path, workers=1) as pool:
+        for source, batching in ((corpus.db, 0.0), (pool, 0.0),
+                                 (corpus.db, 1.0)):
+            with QueryServer(source, batch_delay_ms=batching) as server:
+                got = _error(post(server.address, "range", doc))
+            assert got == want, (type(source).__name__, batching)
+
+
+# ---------------------------------------------------------------------------
+# The decoders against a lying peer
+# ---------------------------------------------------------------------------
+
+
+def _block(prelude: bytes, distances, points) -> bytes:
+    """A neighbor block from its parts, whatever they say."""
+    return (b"RPN1" + struct.pack("<I", len(prelude)) + prelude
+            + encode_matrix(np.asarray(distances, dtype=np.float64))
+            + encode_matrix(np.asarray(points, dtype=np.float64)))
+
+
+def _prelude(doc) -> bytes:
+    return json.dumps(doc).encode()
+
+
+LYING_BLOCKS = {
+    "counts_beyond_the_rows": _block(
+        _prelude({"counts": [3], "values": [[0, 1, 2]]}),
+        [0.1, 0.2], np.zeros((2, 4))),
+    "values_shorter_than_counts": _block(
+        _prelude({"counts": [2], "values": [[0]]}),
+        [0.1, 0.2], np.zeros((2, 4))),
+    "no_counts": _block(_prelude({"values": [[0]]}), [0.1], np.zeros((1, 4))),
+    "prelude_a_list": _block(_prelude([[1], [[0]]]), [0.1], np.zeros((1, 4))),
+    "prelude_not_json": _block(b"{counts", [0.1], np.zeros((1, 4))),
+    "one_dimensional_points": _block(
+        _prelude({"counts": [2], "values": [[0, 1]]}),
+        [0.1, 0.2], np.zeros(2)),
+    "extra_distance_rows": _block(
+        _prelude({"counts": [1], "values": [[0]]}),
+        [0.1, 0.2, 0.3], np.zeros((1, 4))),
+    "bytes_after_the_points": _block(
+        _prelude({"counts": [1], "values": [[0]]}),
+        [0.1], np.zeros((1, 4))) + b"\0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(LYING_BLOCKS))
+def test_neighbor_block_that_does_not_add_up_is_a_net_error(name):
+    with pytest.raises(NetError):
+        decode_neighbor_block(LYING_BLOCKS[name])
+
+
+def test_honest_neighbor_block_round_trips(corpus):
+    results = corpus.db.knn_batch(corpus.data[:3], k=[1, 2, 3]) + [[]]
+    for got, want in zip(decode_neighbor_block(encode_neighbor_block(results)),
+                         results):
+        assert_neighbors_equal(got, want)
+    assert decode_neighbor_block(encode_neighbor_block([[]])) == [[]]
+
+
+@pytest.mark.parametrize("shape", [(2**62, 4), (2**63, 2), (2**63, 0)])
+def test_matrix_frame_with_an_overflowing_shape_is_a_net_error(shape):
+    frame = (struct.pack("<4sBBH", b"RPM1", 0, len(shape), 0)
+             + struct.pack(f"<{len(shape)}Q", *shape) + bytes(64))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NetError):
+            decode_matrix(frame)
 
 
 def test_keep_alive_reuses_one_connection(corpus):

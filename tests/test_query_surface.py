@@ -20,8 +20,6 @@ neighbor fails here before it can fail a benchmark.
 
 from __future__ import annotations
 
-import http.client
-import json
 from contextlib import ExitStack, contextmanager
 from types import SimpleNamespace
 
@@ -37,6 +35,8 @@ from repro.exceptions import (
 )
 from repro.net import QueryServer, RemoteDatabase
 from repro.workloads import cluster_dataset, histogram_dataset, uniform_dataset
+
+from .helpers import post
 
 WORKLOADS = {
     "uniform": lambda: uniform_dataset(150, 6, seed=21),
@@ -403,21 +403,6 @@ def test_closed_handle_refuses_every_read(corpus, kind):
         own.db.close()
 
 
-def _post(address, endpoint, doc, token=None):
-    """One raw JSON request (Python's ``json`` writes ``NaN``): the status
-    and body a client of any language would see."""
-    conn = http.client.HTTPConnection(*address, timeout=10)
-    try:
-        headers = {"Content-Type": "application/json"}
-        if token is not None:
-            headers["X-Repro-Token"] = token
-        conn.request("POST", f"/v1/{endpoint}", json.dumps(doc), headers)
-        response = conn.getresponse()
-        return response.status, response.read().decode("utf-8")
-    finally:
-        conn.close()
-
-
 def test_nan_is_refused_on_the_way_in_and_the_tree_still_verifies(tmp_path):
     data = uniform_dataset(120, 4, seed=5)
     bad = [float("nan"), 0.1, 0.2, 0.3]
@@ -429,12 +414,12 @@ def test_nan_is_refused_on_the_way_in_and_the_tree_still_verifies(tmp_path):
         with pytest.raises(ValueError, match="finite"):
             db.insert_many([data[0].tolist(), bad])
         with QueryServer(db, auth_token="t") as server:
-            status, body = _post(server.address, "insert", {"point": bad}, "t")
+            status, body = post(server.address, "insert", {"point": bad}, "t")
             assert (status, "finite" in body) == (400, True)
-            status, body = _post(server.address, "insert_many",
-                                 {"points": [data[0].tolist(), bad]}, "t")
+            status, body = post(server.address, "insert_many",
+                                {"points": [data[0].tolist(), bad]}, "t")
             assert (status, "finite" in body) == (400, True)
-            status, body = _post(server.address, "knn", {"point": bad, "k": 2})
+            status, body = post(server.address, "knn", {"point": bad, "k": 2})
             assert (status, "finite" in body) == (400, True)
         assert db.size == len(data)
         db.verify()
@@ -461,7 +446,8 @@ def test_bad_argument_through_a_process_pool_server_is_a_400(corpus):
                 ("window", {"low": [0.0, 0.0], "high": [1.0, 1.0]}),
                 ("lookup", {"point": [0.0, 0.0]}),
                 ("knn", {"point": q.tolist(), "k": 2.5}),
-                ("knn_batch", {"points": [q.tolist()], "k": [1, 2]})):
-            status, body = _post(server.address, endpoint, doc)
+                ("knn_batch", (q[None, :], np.array([1, 2]))),
+                ("range_batch", (q[None, :], np.array([-1.0])))):
+            status, body = post(server.address, endpoint, doc)
             assert status == 400, (endpoint, doc, body)
             assert "Traceback" not in body and ".py" not in body
