@@ -95,13 +95,17 @@ test-net:
 	    python -m pytest tests/test_query_surface.py tests/test_net.py \
 	    tests/test_obs_server.py -q
 
-# Dynamic micro-batching: the coalescing scheduler's flush triggers
-# (full/timer/deadline/drain), bit-equality of coalesced vs serial
-# dispatch on the three paper workloads, deadline sheds that leave
-# batchmates unharmed, and the client connection pool's concurrency.
+# Group commit in the query server: a lone request runs alone, what
+# queues behind a running call is answered by one batched call (at most
+# MAX_GROUP), bit-equal to serial dispatch on the three paper workloads;
+# deadline sheds that leave groupmates unharmed; drain; the client
+# connection pool's concurrency; and the scheduler against its model
+# under generated interleavings (needs hypothesis; deeper here than in
+# tier-1).
 test-batching:
 	timeout -k 10 600 env PYTHONFAULTHANDLER=1 PYTHONPATH=src \
-	    python -m pytest tests/test_batching.py -q
+	    python -m pytest tests/test_batching.py \
+	    tests/test_coalesce_model.py -q --hypothesis-profile=deep
 
 bench:
 	pytest benchmarks/ --benchmark-only

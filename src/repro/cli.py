@@ -164,7 +164,11 @@ def _build_parser() -> argparse.ArgumentParser:
                     "graceful drain (in-flight requests finish, late "
                     "arrivals are shed with 503).  /metrics, /healthz "
                     "and /varz are answered on the same port.  "
-                    "With --workers > 1 "
+                    "Coalescing is always on, with no timer and no "
+                    "flag: a knn/range request runs at once when no "
+                    "other of its kind is running, and those that "
+                    "arrive meanwhile are answered by one batched "
+                    "call when it returns.  With --workers > 1 "
                     "the index is served through a ServingPool of "
                     "worker processes; with "
                     "--token, mutation endpoints (/v1/insert, "
@@ -190,16 +194,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="admission control: queued requests beyond "
                               "the in-flight bound; overflow sheds with "
                               "429 (default 16)")
-    serve.add_argument("--batch-delay-ms", type=float, default=0.0,
-                         metavar="MS",
-                         help="coalesce concurrent knn/range requests "
-                              "into batched traversals, waiting up to "
-                              "this long for company (default 0 = off; "
-                              "see docs/SERVING.md 'Dynamic batching')")
-    serve.add_argument("--max-batch", type=int, default=32,
-                         help="flush a coalesced batch at this many "
-                              "requests (default 32; needs "
-                              "--batch-delay-ms > 0)")
     serve.add_argument("--token", default=None,
                          help="shared secret enabling mutation endpoints "
                               "(omit to serve read-only)")
@@ -419,15 +413,10 @@ def _cmd_serve(args) -> int:
             max_inflight=args.max_inflight,
             max_queue=args.max_queue,
             auth_token=args.token,
-            batch_delay_ms=args.batch_delay_ms,
-            max_batch=args.max_batch,
         )
         try:
             host, port = server.address
             mutations = "enabled" if args.token else "disabled"
-            if args.batch_delay_ms > 0:
-                mode += (f", batching {args.batch_delay_ms:g} ms "
-                         f"x{args.max_batch}")
             print(f"serving {args.index} at http://{host}:{port}/v1 "
                   f"({mode}, mutations {mutations})")
             print(f"telemetry at http://{host}:{port}  "

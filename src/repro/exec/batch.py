@@ -161,7 +161,12 @@ def _scan_leaf(node, queries, active, candidates, bounds, stats) -> None:
     dmat = cross_distances(queries[active], pts)
     stats.distance_computations += count * active.shape[0]
     values = node.values
-    for row, qi in enumerate(active):
+    # Offer only the rows with a distance below their query's bound; an
+    # infinite bound is a heap still filling, which takes every row.
+    row_bounds = bounds[active]
+    offered = (dmat.min(axis=1) < row_bounds) | (row_bounds == np.inf)
+    for row in np.flatnonzero(offered):
+        qi = active[row]
         cand = candidates[qi]
         cand.offer_batch(dmat[row], pts, values)
         bounds[qi] = cand.bound

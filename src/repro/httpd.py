@@ -46,6 +46,8 @@ stderr traceback.
 from __future__ import annotations
 
 import json
+import selectors
+import socket
 import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -169,10 +171,20 @@ class HttpListener(ThreadingHTTPServer):
     def __init__(self, host: str, port: int, handle) -> None:
         super().__init__((host, port), Request)
         self.handle = handle
-        self._thread = threading.Thread(target=self.serve_forever,
+        self._closing = False
+        self._thread = threading.Thread(target=self._accept_loop,
                                         name="repro-query-server",
                                         daemon=True)
         self._thread.start()
+
+    def _accept_loop(self) -> None:
+        # serve_forever() notices shutdown() only at its next 0.5 s poll;
+        # this loop is woken by close() itself (the timeout is a backstop).
+        with selectors.DefaultSelector() as selector:
+            selector.register(self, selectors.EVENT_READ)
+            while not self._closing:
+                if selector.select(0.5) and not self._closing:
+                    self._handle_request_noblock()
 
     @property
     def address(self) -> tuple[str, int]:
@@ -182,9 +194,13 @@ class HttpListener(ThreadingHTTPServer):
     def close(self) -> None:
         """Stop the accept loop, close the listening socket and join the
         serve thread; open connections keep being served."""
-        self.shutdown()
-        self.server_close()
+        self._closing = True
+        try:  # wake the loop's select with a connection of our own
+            socket.create_connection(self.address, timeout=1.0).close()
+        except OSError:
+            pass
         self._thread.join(timeout=5.0)
+        self.server_close()
 
     def handle_error(self, request, client_address) -> None:
         exc = sys.exc_info()[1]

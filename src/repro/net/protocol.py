@@ -117,11 +117,15 @@ _MATRIX_HEADER = struct.Struct("<4sBBH")
 
 
 def encode_matrix(array) -> bytes:
-    """Serialize an ndarray into the binary matrix frame."""
-    array = np.ascontiguousarray(array)
+    """Serialize an ndarray into the binary matrix frame.
+
+    The frame keeps the array's shape, a 0-d one's included (no shape
+    words); ``tobytes`` writes any layout in C order.
+    """
+    array = np.asarray(array)
     dtype = array.dtype.newbyteorder("<")
     if dtype not in _DTYPE_CODES:
-        array = np.ascontiguousarray(array, dtype=np.float64)
+        array = np.asarray(array, dtype=np.float64)
         dtype = np.dtype("<f8")
     code = _DTYPE_CODES[dtype]
     header = _MATRIX_HEADER.pack(_MATRIX_MAGIC, code, array.ndim, 0)

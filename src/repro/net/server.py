@@ -23,6 +23,10 @@ makes the query server a *data plane*:
   worker computed raises :class:`~repro.exceptions.ShardLostError`,
   answered with 504 when the request carried a deadline, else 503 with
   ``Retry-After``.
+* **Group commit.**  Admitted ``knn``/``range`` requests go through
+  :mod:`repro.net.coalesce`: one runs at once when its operation is
+  idle, and those that queue behind it are answered by one batched
+  call when it returns.
 * **Graceful drain.**  ``close()`` (or the CLI's SIGTERM handler)
   sheds late arrivals with 503, waits for every in-flight request to
   finish, then stops accepting and unbinds.  Zero admitted queries are
@@ -165,38 +169,21 @@ class QueryServer:
     drain_timeout_s:
         How long ``close()`` waits for in-flight requests before
         giving up and unbinding anyway.
-    batch_delay_ms, max_batch:
-        Dynamic micro-batching (:mod:`repro.net.coalesce`).  With
-        ``batch_delay_ms > 0``, admitted ``knn``/``range`` requests
-        coalesce into shared batched traversals: a group flushes when
-        it holds ``max_batch`` requests, when ``batch_delay_ms``
-        elapses, or sooner if the earliest member deadline would
-        otherwise expire.  ``batch_delay_ms=0`` (default) disables
-        coalescing entirely — dispatch is byte-identical to a server
-        without the feature.
     """
 
     def __init__(self, source, *, host: str = "127.0.0.1", port: int = 0,
                  max_inflight: int = 8, max_queue: int = 16,
                  queue_timeout_s: float = 2.0,
                  auth_token: str | None = None,
-                 drain_timeout_s: float = 30.0,
-                 batch_delay_ms: float = 0.0,
-                 max_batch: int = 32) -> None:
+                 drain_timeout_s: float = 30.0) -> None:
         self._source = source
         self._auth_token = auth_token
         self._drain_timeout_s = float(drain_timeout_s)
         self._admission = _Admission(max_inflight, max_queue, queue_timeout_s)
         # Serving pools take a per-call timeout=; plain handles do not.
         self._pooled = hasattr(source, "worker_stats")
-        if batch_delay_ms < 0:
-            raise ValueError(
-                f"batch_delay_ms must be >= 0, got {batch_delay_ms}")
-        self._coalescer = None
-        if batch_delay_ms > 0:
-            self._coalescer = CoalescingScheduler(
-                source, batch_delay_s=batch_delay_ms / 1e3,
-                max_batch=max_batch, call_kwargs=self._pool_kwargs)
+        self._coalescer = CoalescingScheduler(
+            source, call_kwargs=self._pool_kwargs)
         self._closed = False
         self._close_lock = threading.Lock()
         self._shed = {"overload": 0, "deadline": 0, "draining": 0}
@@ -206,9 +193,7 @@ class QueryServer:
         EVENTS.emit("query_server_started", level=INFO,
                     host=self.address[0], port=self.address[1],
                     max_inflight=max_inflight, max_queue=max_queue,
-                    mutations=auth_token is not None,
-                    batch_delay_ms=batch_delay_ms,
-                    max_batch=max_batch if self._coalescer else None)
+                    mutations=auth_token is not None)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -232,7 +217,7 @@ class QueryServer:
         with self._stats_lock:
             shed = dict(self._shed)
             served = self._served
-        doc = {
+        return {
             "address": f"{self.address[0]}:{self.address[1]}",
             "inflight": adm.inflight,
             "queued": adm.queued,
@@ -242,10 +227,8 @@ class QueryServer:
             "shed": shed,
             "draining": adm.draining,
             "closed": self._closed,
+            "batching": self._coalescer.describe(),
         }
-        if self._coalescer is not None:
-            doc["batching"] = self._coalescer.describe()
-        return doc
 
     def close(self) -> None:
         """Graceful drain: shed new work, finish in-flight, unbind.
@@ -261,10 +244,9 @@ class QueryServer:
                     inflight=self._admission.inflight,
                     queued=self._admission.queued)
         self._admission.start_drain()
-        if self._coalescer is not None:
-            # Flush every half-full batch now: its members hold
-            # admission slots and must finish before wait_idle.
-            self._coalescer.drain()
+        # Run every waiting group now: its members hold admission slots
+        # and need not wait behind the running calls.
+        self._coalescer.drain()
         drained = self._admission.wait_idle(self._drain_timeout_s)
         # Accept until idle: a connection arriving during the drain is
         # shed (503) instead of reset when the socket closes.
@@ -412,7 +394,7 @@ class QueryServer:
             self._execute(request, endpoint, body, content_type, deadline)
         except CoalescedDeadlineError:
             # The request's deadline expired while it waited in a
-            # micro-batch; it was never executed.  Same 504 + shed
+            # group; it was never executed.  Same 504 + shed
             # accounting as a pre-dispatch deadline shed.
             self._shed_response(request, "deadline")
         except ShardLostError as exc:
@@ -455,8 +437,8 @@ class QueryServer:
         """Per-call kwargs propagating the remaining budget into pools.
 
         The one statement of "remaining deadline -> a pool's
-        ``timeout=``"; the coalescer calls it too, with a batch's
-        largest member deadline.
+        ``timeout=``"; the coalescer calls it with a request's deadline,
+        or with a group's largest member deadline.
         """
         if not self._pooled or deadline is None:
             return {}
@@ -487,33 +469,17 @@ class QueryServer:
         binary_body = content_type == protocol.BINARY_CONTENT_TYPE
         doc = {} if binary_body else self._json_doc(body)
 
-        if endpoint == "knn":
+        if endpoint in ("knn", "range"):
+            name = "k" if endpoint == "knn" else "radius"
             point = _required(doc, "point")
-            k = doc.get("k", 1)  # checked by the handle's per_query
-            _reject_unknown(doc, {"point", "k"})
-            if self._coalescer is not None:
-                # Validate before enqueueing so a malformed request
-                # fails alone instead of poisoning its batchmates.
-                k = int(per_query("k", k, 1)[0])
-                point = as_point(point, getattr(source, "dims", None))
-                neighbors = self._coalescer.submit("knn", point, k, deadline)
-            else:
-                neighbors = source.knn(point, k=k, **pool_kw)
-            self._send_neighbors(request, [neighbors])
-            return
-
-        if endpoint == "range":
-            point = _required(doc, "point")
-            radius = _required(doc, "radius")  # checked by per_query
-            _reject_unknown(doc, {"point", "radius"})
-            if self._coalescer is not None:
-                radius = float(per_query("radius", radius, 1)[0])
-                point = as_point(point, getattr(source, "dims", None))
-                neighbors = self._coalescer.submit("range", point, radius,
-                                                   deadline)
-            else:
-                neighbors = source.range(point, radius, **pool_kw)
-            self._send_neighbors(request, [neighbors])
+            param = doc.get("k", 1) if name == "k" else _required(doc, name)
+            _reject_unknown(doc, {"point", name})
+            # Checked here, in the handles' order and words, so a bad
+            # request fails alone instead of poisoning its group.
+            point = as_point(point, getattr(source, "dims", None))
+            param = per_query(name, param, 1)[0].item()
+            self._send_neighbors(request, [self._coalescer.submit(
+                endpoint, point, param, deadline)])
             return
 
         if endpoint == "window":
@@ -602,7 +568,7 @@ class QueryServer:
 
     def _descriptor(self) -> dict:
         source = self._source
-        doc = {
+        return {
             "protocol": protocol.PROTOCOL_VERSION,
             "kind": getattr(source, "kind", None),
             "dims": getattr(source, "dims", None),
@@ -613,10 +579,8 @@ class QueryServer:
             "max_inflight": self._admission.max_inflight,
             "max_queue": self._admission.max_queue,
             "draining": self._admission.draining,
+            "batching": self._coalescer.describe(),
         }
-        if self._coalescer is not None:
-            doc["batching"] = self._coalescer.describe()
-        return doc
 
     def _stats_doc(self) -> dict:
         stats = self._source.stats()

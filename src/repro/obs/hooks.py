@@ -302,22 +302,21 @@ NET_INFLIGHT = REGISTRY.gauge(
 )
 NET_COALESCED = REGISTRY.counter(
     "repro_net_coalesced_total",
-    "Requests answered from a micro-batch shared with at least one "
+    "Requests answered by a batched call shared with at least one "
     "other request (the coalescing scheduler's win counter)",
     ("op",),
 )
 NET_BATCH_SIZE = REGISTRY.histogram(
     "repro_net_batch_size",
-    "Requests executed per micro-batch flush (after deadline sheds); "
-    "a distribution stuck at 1 means the delay window is too short "
-    "for the arrival rate",
+    "Requests answered per group flush (after deadline sheds); a "
+    "distribution stuck at 1 means requests rarely overlap",
     ("op",),
     buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0),
 )
 NET_BATCH_DELAY_SECONDS = REGISTRY.histogram(
     "repro_net_batch_delay_seconds",
-    "Time a micro-batch spent open before flushing (first enqueue to "
-    "flush) — the latency each coalesced request paid to be batched",
+    "Time a group waited for the running call (first arrival to "
+    "flush) — the latency a grouped request paid behind it",
     ("op",),
     buckets=DEFAULT_TIME_BUCKETS,
 )
@@ -721,12 +720,13 @@ def on_net_inflight(n: int) -> None:
 
 def on_net_batch_flush(op: str, size: int, queue_delay_s: float,
                        coalesced_requests: int) -> None:
-    """Record one micro-batch flush by the coalescing scheduler.
+    """Record one group flush by the coalescing scheduler.
 
-    ``size`` is the number of requests executed in the flush (deadline
-    sheds excluded), ``queue_delay_s`` how long the batch was open, and
-    ``coalesced_requests`` how many of those requests shared the
-    traversal with at least one other (0 for a solo flush).
+    ``size`` is the number of requests answered in the flush (deadline
+    sheds excluded), ``queue_delay_s`` how long the group waited for
+    the running call, and ``coalesced_requests`` how many of those
+    requests shared the call with at least one other (0 for a group of
+    one).
     """
     if not _enabled:
         return

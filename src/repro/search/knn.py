@@ -66,11 +66,20 @@ class KnnCandidates:
         Candidates are taken in ascending distance order, so the first
         one at or beyond the bound ends the leaf: everything after it in
         the sorted order is rejected wholesale without per-candidate
-        bound reads or tuple allocation.
+        bound reads or tuple allocation.  A full heap sorts only the
+        candidates strictly below its bound, and none means no sort: a
+        full heap refuses a candidate equal to its bound.  A heap still
+        filling takes every candidate, ``inf`` distances included.
         """
         heap = self._heap
         tiebreak = self._tiebreak
-        order = np.argsort(distances, kind="stable")
+        if len(heap) < self.k:
+            order = np.argsort(distances, kind="stable")
+        else:
+            (below,) = np.nonzero(distances < -heap[0][0])
+            if below.shape[0] == 0:
+                return
+            order = below[np.argsort(distances[below], kind="stable")]
         n = order.shape[0]
         pos = 0
         fill = self.k - len(heap)

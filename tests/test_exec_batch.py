@@ -250,3 +250,20 @@ class TestServingPool:
         path, _data = saved
         with pytest.raises(TypeError, match="page_cache_capacity"):
             serving_pool(path, workers=1, page_cache_capacity=8)
+
+
+@pytest.mark.parametrize("kind", ["srtree", "linear"])
+def test_a_filling_heap_takes_rows_whose_distances_overflow(kind):
+    # Coordinates near 1e200 overflow every distance to inf: the block
+    # engine must still offer such a leaf row to a heap that is not full.
+    points = np.array([[1e200, 0.0], [-1e200, 0.0], [0.0, 1e200],
+                       [0.5, 0.5], [0.1, 0.2]])
+    index = build_index(kind, points)
+    queries = np.array([[0.0, 0.0], [1e200, 1e200]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = batch_knn(index, queries, k=5)
+        want = [index.nearest(q, k=5) for q in queries]
+    for g, w in zip(got, want):
+        assert [(n.distance, n.value) for n in g] == [
+            (n.distance, n.value) for n in w]
+        assert len(g) == 5

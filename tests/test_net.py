@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import math
 import socket
 import struct
 import threading
@@ -323,16 +324,33 @@ def test_drain_keeps_answering_fresh_connections(corpus):
     assert source.calls == 1
 
 
-@pytest.mark.parametrize("batch_delay_ms", [0.0, 5.0])
-def test_close_leaves_no_thread_or_socket(corpus, batch_delay_ms):
+def test_close_on_an_idle_server_does_not_wait_for_a_poll(corpus):
+    # Regression: close() waited out the accept loop's 0.5 s poll.
+    for _ in range(3):
+        server = QueryServer(corpus.db)
+        time.sleep(0.02)  # the accept loop is asleep in its select
+        started = time.monotonic()
+        server.close()
+        assert time.monotonic() - started < 0.1
+
+
+@pytest.mark.parametrize("call_ms", [0.0, 5.0])
+def test_close_leaves_no_thread_or_socket(corpus, call_ms):
+    # A 5 ms call makes the concurrent reads queue behind it and run as
+    # groups; grouping, like a lone read, starts no thread of its own.
     before = set(threading.enumerate())
-    server = QueryServer(corpus.db, batch_delay_ms=batch_delay_ms)
-    with RemoteDatabase.connect(_addr(server)) as rdb:
-        rdb.knn(corpus.data[0], k=2)
+    server = QueryServer(_Slow(corpus.db, call_ms / 1e3), max_inflight=4)
+    with RemoteDatabase.connect(_addr(server), pool_size=4) as rdb:
+        readers = [threading.Thread(target=rdb.knn, args=(point,),
+                                    kwargs={"k": 2})
+                   for point in corpus.data[:4]]
+        for reader in readers:
+            reader.start()
+        for reader in readers:
+            reader.join(timeout=10.0)
     started = [thread for thread in threading.enumerate()
-               if thread not in before and thread.name in
-               ("repro-query-server", "repro-batch-flusher")]
-    assert len(started) == (2 if batch_delay_ms else 1)
+               if thread not in before and thread.name.startswith("repro-")]
+    assert [thread.name for thread in started] == ["repro-query-server"]
     server.close()
     assert [thread for thread in started if thread.is_alive()] == []
     assert server._listener.fileno() == -1
@@ -633,11 +651,10 @@ def test_range_radius_is_refused_as_database_refuses_it(corpus, serving_pool,
     want = _refusal(lambda: corpus.db.range(point, radius))
     doc = {"point": point.tolist(), "radius": radius}
     with serving_pool(corpus.path, workers=1) as pool:
-        for source, batching in ((corpus.db, 0.0), (pool, 0.0),
-                                 (corpus.db, 1.0)):
-            with QueryServer(source, batch_delay_ms=batching) as server:
+        for source in (corpus.db, pool):
+            with QueryServer(source) as server:
                 got = _error(post(server.address, "range", doc))
-            assert got == want, (type(source).__name__, batching)
+            assert got == want, type(source).__name__
 
 
 # ---------------------------------------------------------------------------
@@ -700,6 +717,18 @@ def test_matrix_frame_with_an_overflowing_shape_is_a_net_error(shape):
         warnings.simplefilter("error")
         with pytest.raises(NetError):
             decode_matrix(frame)
+
+
+@pytest.mark.parametrize("dtype", ["<f8", "<f4", "<i8"])
+@pytest.mark.parametrize("shape", [(), (3,), (2, 3), (2, 0, 3)])
+def test_matrix_frame_round_trips_shape_and_dtype(shape, dtype):
+    # Regression: a 0-d array went out as shape (1,).
+    array = np.arange(math.prod(shape)).astype(dtype).reshape(shape)
+    for sent in (array, array.T):  # the transpose is not C-contiguous
+        got, end = decode_matrix(encode_matrix(sent))
+        assert (got.shape, got.dtype) == (sent.shape, sent.dtype)
+        assert np.array_equal(got, sent)
+        assert end == len(encode_matrix(sent))
 
 
 def test_keep_alive_reuses_one_connection(corpus):

@@ -198,6 +198,46 @@ def test_candidates_keep_k_smallest(dists, k):
     assert result == sorted(dists)[: min(k, len(dists))]
 
 
+def _sequential_candidates(leaves, k):
+    """The candidate rule one candidate at a time, with no gate: a leaf
+    arrives in stable distance order; a full heap takes only a distance
+    below its worst and evicts the earliest-arrived of the tied worst."""
+    kept = []  # (distance, arrival, value)
+    arrival = 0
+    for leaf, values in leaves:
+        for i in sorted(range(len(leaf)), key=lambda i: leaf[i]):
+            if len(kept) == k:
+                worst = max(d for d, _, _ in kept)
+                if not leaf[i] < worst:
+                    continue
+                kept.remove(min(c for c in kept if c[0] == worst))
+            kept.append((leaf[i], arrival, values[i]))
+            arrival += 1
+    return [(d, v) for d, _, v in sorted(kept)]
+
+
+@given(
+    leaves=st.lists(
+        st.lists(st.integers(0, 5).map(float) | st.just(float("inf")),
+                 min_size=1, max_size=12),
+        min_size=1, max_size=10),
+    k=st.integers(1, 12),
+)
+@settings(max_examples=150, deadline=None)
+def test_gated_offer_batch_is_the_sequential_rule(leaves, k):
+    # Integer distances tie often; inf ones must enter a filling heap.
+    heap = KnnCandidates(k)
+    numbered, start = [], 0
+    for leaf in leaves:
+        values = list(range(start, start + len(leaf)))
+        start += len(leaf)
+        column = np.array(leaf)
+        heap.offer_batch(column, column[:, None], values)
+        numbered.append((leaf, values))
+    got = [(n.distance, n.value) for n in heap.results()]
+    assert got == _sequential_candidates(numbered, k)
+
+
 # ----------------------------------------------------------------------
 # index exactness properties
 # ----------------------------------------------------------------------

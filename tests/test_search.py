@@ -62,6 +62,29 @@ class TestKnnCandidates:
         assert [n.value for n in a.results()] == [n.value for n in b.results()]
         assert [n.value for n in a.results()] == list(np.argsort(dists)[:7])
 
+    def test_tie_evicts_the_earliest_of_the_worst(self):
+        # The rule a vectorised heap must keep: "stable-sort, keep the
+        # first k" would keep the first 5.
+        c = KnnCandidates(2)
+        _offer(c, (5.0, "first five"))
+        _offer(c, (5.0, "second five"))
+        _offer(c, (3.0, "three"))
+        assert [n.value for n in c.results()] == ["three", "second five"]
+
+    def test_full_heap_refuses_a_candidate_equal_to_its_bound(self):
+        c = KnnCandidates(2)
+        _offer(c, (1.0, "one"), (2.0, "two"))
+        _offer(c, (2.0, "equal"), (7.0, "far"))
+        assert [n.value for n in c.results()] == ["one", "two"]
+        assert c.bound == 2.0
+
+    def test_filling_heap_takes_infinite_distances(self):
+        # Coordinates near 1e200 overflow a distance to inf.
+        c = KnnCandidates(2)
+        _offer(c, (float("inf"), "overflowed"))
+        _offer(c, (float("inf"), "refused"), (4.0, "four"))
+        assert [n.value for n in c.results()] == ["four", "overflowed"]
+
     def test_ties_preserve_first_seen(self):
         c = KnnCandidates(1)
         _offer(c, (1.0, "first"), (1.0, "second"))

@@ -11,6 +11,7 @@ worker's store every time it starts.
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -155,11 +156,26 @@ def test_served_pool_refuses_a_shard_it_did_not_compute(index_path,
         with pytest.raises(ServerOverloadedError) as lost:
             rdb.range_batch(queries, 0.5)
         assert lost.value.retry_after == 1.0
-        with QueryServer(pool, batch_delay_ms=1.0) as batching, \
-                RemoteDatabase.connect("%s:%d" % batching.address) as rdb:
-            with pytest.raises(DeadlineExceededError, match="not computed"):
-                rdb.knn(queries[0], k=K, deadline_ms=200)  # coalesced
-        assert pool.degraded_queries == 6
+        # Reads that queue behind a running one are answered by one
+        # group call; a shard lost there refuses each of them.
+        outcomes = []
+
+        def read(point):
+            try:
+                rdb.knn(point, k=K)
+            except ServerOverloadedError as exc:
+                outcomes.append(str(exc))
+
+        readers = [threading.Thread(target=read, args=(point,))
+                   for point in (queries[0], queries[1], queries[0])]
+        for reader in readers:
+            reader.start()
+        for reader in readers:
+            reader.join(timeout=30.0)
+        assert len(outcomes) == 3
+        assert all("not computed" in text for text in outcomes)
+        assert server.describe()["batching"]["flushes"] >= 1
+        assert pool.degraded_queries == 8
 
 
 def test_served_window_and_lookup_refuse_a_lost_shard(index_path,
