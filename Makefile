@@ -88,12 +88,15 @@ test-mp:
 # telemetry paths the server answers on the same port (/metrics,
 # /healthz, /varz, still answered during the drain), and the HTTP
 # substrate (repro/httpd.py: request framing and keep-alive, over raw
-# sockets).
+# sockets), with the framing fuzzer (tests/test_net_fuzz.py: needs
+# hypothesis; generated raw requests against its oracle, deeper here
+# than in tier-1).
 # faulthandler dumps all stacks if a hung socket eats the hard timeout.
 test-net:
 	timeout -k 10 600 env PYTHONFAULTHANDLER=1 PYTHONPATH=src \
 	    python -m pytest tests/test_query_surface.py tests/test_net.py \
-	    tests/test_obs_server.py -q
+	    tests/test_obs_server.py tests/test_net_fuzz.py -q \
+	    --hypothesis-profile=deep
 
 # Group commit in the query server: a lone request runs alone, what
 # queues behind a running call is answered by one batched call (at most

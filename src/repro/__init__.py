@@ -42,7 +42,6 @@ from .exceptions import (
     WALError,
     WorkloadError,
 )
-from .net import QueryServer, RemoteDatabase
 from .indexes import (
     INDEX_KINDS,
     KDBTree,
@@ -121,3 +120,14 @@ __all__ = [
     "trace",
     "uniform_dataset",
 ]
+
+
+def __getattr__(name: str):
+    # The network pair resolves on first use, so a process that never
+    # serves or queries over HTTP (a pool worker, ``repro build``) never
+    # loads repro.net and its socket stack.
+    if name in ("QueryServer", "RemoteDatabase"):
+        from . import net
+
+        return getattr(net, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

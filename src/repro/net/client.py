@@ -9,9 +9,12 @@ library exceptions (the server ships the exception *type name* in its
 written against a local handle moves behind the network with zero
 call-site changes.
 
-Transport is a small pool of persistent ``http.client.HTTPConnection``
-objects (HTTP/1.1 keep-alive), sized by ``connect(...,
-pool_size=)``.  Connections are created lazily, so a single-threaded
+Transport is a small pool of persistent plain sockets (HTTP/1.1
+keep-alive), sized by ``connect(..., pool_size=)``.  A request leaves
+as one write; its response is read with the server's own head reader,
+:func:`repro.httpd.read_head` (status line, header fields, then
+``Content-Length`` body bytes), and a ``Connection: close`` answer
+discards the socket.  Connections are created lazily, so a single-threaded
 caller still reuses exactly one socket; concurrent threads check out
 distinct connections and issue requests in parallel (a thread only
 waits when all ``pool_size`` connections are in flight).  Read
@@ -25,7 +28,6 @@ are JSON.
 
 from __future__ import annotations
 
-import http.client
 import json
 import socket
 import threading
@@ -39,26 +41,67 @@ from ..exceptions import (
 )
 from ..exec.batch import per_query
 from ..geometry import as_point, as_points
+from ..httpd import (
+    Fields,
+    FramingError,
+    body_length,
+    connection_closes,
+    read_exact,
+    read_head,
+)
 from . import protocol
 
 __all__ = ["RemoteDatabase"]
 
 
-class _Connection(http.client.HTTPConnection):
-    """An HTTPConnection that disables Nagle's algorithm.
+class _Connection:
+    """One keep-alive socket to the server, connected on first use.
 
-    Request headers and body leave in separate writes; with Nagle on,
-    the body segment waits behind the server's delayed ACK (~40 ms per
-    request on loopback).
+    It writes a request as one buffer and reads the response with the
+    server's own head reader (:func:`repro.httpd.read_head`): the status
+    line, the header fields, then ``Content-Length`` body bytes.
     """
 
-    def connect(self) -> None:
-        super().connect()
-        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    __slots__ = ("_address", "_timeout", "_sock", "_rfile")
+
+    def __init__(self, host: str, port: int, timeout: float) -> None:
+        self._address = (host, port)
+        self._timeout = timeout
+        self._sock = self._rfile = None
+
+    def exchange(self, message: bytes) -> tuple[int, Fields, bytes, bool]:
+        """Send ``message``; ``(status, fields, body, closes)`` of the
+        response, where ``closes`` says the connection ends with it."""
+        if self._sock is None:
+            self._sock = socket.create_connection(self._address,
+                                                  self._timeout)
+            # The request leaves in one write, but a response's segments
+            # could otherwise wait on a delayed ACK.
+            self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self._rfile = self._sock.makefile("rb")
+        self._sock.sendall(message)
+        status = 100
+        while status < 200:  # skip interim (1xx) responses
+            head = read_head(self._rfile)
+            if head is None:
+                raise ConnectionResetError("the server closed the connection")
+            start, fields = head
+            version, _, rest = start.partition(" ")
+            code = rest[:3]
+            if not (version.startswith("HTTP/1.") and code.isdigit()):
+                raise FramingError(502, f"malformed status line {start!r}")
+            status = int(code)
+        body = read_exact(self._rfile, body_length(fields))
+        return status, fields, body, connection_closes(version, fields)
+
+    def close(self) -> None:
+        if self._sock is not None:
+            self._rfile.close()
+            self._sock.close()
 
 
 class _ConnectionPool:
-    """A bounded pool of lazily-created keep-alive HTTP connections.
+    """A bounded pool of lazily-created keep-alive connections.
 
     ``acquire`` hands out an idle connection, creates a fresh one while
     fewer than ``size`` exist, and otherwise blocks until a connection
@@ -76,12 +119,12 @@ class _ConnectionPool:
         self._timeout = timeout
         self.size = int(size)
         self._cv = threading.Condition()
-        self._idle: list[http.client.HTTPConnection] = []
+        self._idle: list[_Connection] = []
         #: Connections currently checked out or idle (<= size).
         self.created = 0
         self._closed = False
 
-    def acquire(self) -> http.client.HTTPConnection:
+    def acquire(self) -> _Connection:
         with self._cv:
             while True:
                 if self._closed:
@@ -90,11 +133,10 @@ class _ConnectionPool:
                     return self._idle.pop()
                 if self.created < self.size:
                     self.created += 1
-                    return _Connection(
-                        self._host, self._port, timeout=self._timeout)
+                    return _Connection(self._host, self._port, self._timeout)
                 self._cv.wait()
 
-    def release(self, conn: http.client.HTTPConnection) -> None:
+    def release(self, conn: _Connection) -> None:
         with self._cv:
             if self._closed:
                 _close_quietly(conn)
@@ -102,7 +144,7 @@ class _ConnectionPool:
             self._idle.append(conn)
             self._cv.notify()
 
-    def discard(self, conn: http.client.HTTPConnection) -> None:
+    def discard(self, conn: _Connection) -> None:
         """Drop a broken/non-reusable connection; frees its pool slot."""
         _close_quietly(conn)
         with self._cv:
@@ -119,7 +161,7 @@ class _ConnectionPool:
             _close_quietly(conn)
 
 
-def _close_quietly(conn: http.client.HTTPConnection) -> None:
+def _close_quietly(conn: _Connection) -> None:
     try:
         conn.close()
     except OSError:
@@ -146,6 +188,8 @@ class RemoteDatabase:
         self._timeout = timeout
         self._deadline_ms = deadline_ms
         self._pool = _ConnectionPool(host, port, timeout, pool_size)
+        self._host_line = (f"Host: [{host}]:{port}" if ":" in host
+                           else f"Host: {host}:{port}")
         self._closed = False
         self._descriptor = self._request_json("GET", "server")
         if self._descriptor.get("protocol") != protocol.PROTOCOL_VERSION:
@@ -199,19 +243,27 @@ class RemoteDatabase:
 
     def _request(self, method: str, endpoint: str, body: bytes | None,
                  headers: dict, *, retry: bool) -> tuple[int, dict, bytes]:
-        """One round trip; returns ``(status, response_headers, body)``."""
+        """One round trip; returns ``(status, response_headers, body)``
+        (the headers by lower-case name)."""
         if self._closed:
             raise NetError("this RemoteDatabase is closed")
+        lines = [f"{method} /v1/{endpoint} HTTP/1.1", self._host_line]
+        if body is not None:
+            lines.append(f"Content-Length: {len(body)}")
+        for name, value in headers.items():
+            if "\r" in value or "\n" in value:
+                raise ValueError(f"invalid {name} header value {value!r}")
+            lines.append(f"{name}: {value}")
+        message = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+        if body:
+            message += body
         attempts = 2 if retry else 1
-        conn: http.client.HTTPConnection | None = self._pool.acquire()
+        conn: _Connection | None = self._pool.acquire()
         try:
             for attempt in range(attempts):
                 try:
-                    conn.request(method, f"/v1/{endpoint}", body=body,
-                                 headers=headers)
-                    response = conn.getresponse()
-                    payload = response.read()
-                except (OSError, http.client.HTTPException) as exc:
+                    status, fields, payload, closes = conn.exchange(message)
+                except (OSError, FramingError) as exc:
                     self._pool.discard(conn)
                     conn = None
                     if attempt + 1 < attempts:
@@ -220,12 +272,10 @@ class RemoteDatabase:
                     raise NetError(
                         f"request to {self._host}:{self._port}"
                         f"/v1/{endpoint} failed: {exc!r}") from exc
-                if response.will_close:
+                if closes:
                     self._pool.discard(conn)
                     conn = None
-                return (response.status,
-                        {k.lower(): v for k, v in response.getheaders()},
-                        payload)
+                return status, fields, payload
         finally:
             if conn is not None:
                 self._pool.release(conn)

@@ -167,8 +167,8 @@ def decode_matrix(payload: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     return array, data_end
 
 
-def _json_value(value):
-    """Reject payload values the JSON wire format cannot round-trip."""
+def _check_json_value(value) -> None:
+    """Reject a payload value the JSON wire format cannot round-trip."""
     try:
         json.dumps(value)
     except (TypeError, ValueError):
@@ -176,23 +176,26 @@ def _json_value(value):
             f"payload value {value!r} is not JSON-representable; the "
             f"network protocol carries JSON payload values only"
         ) from None
-    return value
 
 
 def encode_neighbor_block(results: list[list[Neighbor]]) -> bytes:
     """Serialize batched results into the binary neighbor-block frame."""
     counts = [len(r) for r in results]
-    values = [[_json_value(n.value) for n in r] for r in results]
-    total = sum(counts)
+    values = [[n.value for n in r] for r in results]
+    try:
+        prelude = json.dumps({"counts": counts, "values": values})
+    except (TypeError, ValueError):
+        for row in values:  # name the value that failed
+            for value in row:
+                _check_json_value(value)
+        raise
     flat = [n for r in results for n in r]
-    distances = np.fromiter(
-        (n.distance for n in flat), dtype=np.float64, count=total
-    )
+    distances = np.array([n.distance for n in flat], dtype=np.float64)
     if flat:
-        points = np.stack([np.asarray(n.point, np.float64) for n in flat])
+        points = np.array([n.point for n in flat], dtype=np.float64)
     else:
         points = np.empty((0, 0), dtype=np.float64)
-    prelude = json.dumps({"counts": counts, "values": values}).encode("utf-8")
+    prelude = prelude.encode("utf-8")
     return b"".join([
         _NEIGHBORS_MAGIC,
         struct.pack("<I", len(prelude)),
@@ -239,18 +242,17 @@ def decode_neighbor_block(payload: bytes) -> list[list[Neighbor]]:
     if offset != len(payload):
         raise NetError(f"{len(payload) - offset} byte(s) after the "
                        f"neighbor block")
+    # One copy of the points: each neighbor's point is a writable row of
+    # it, not a view into the response bytes.
+    rows = list(np.array(points, dtype=np.float64))
+    distances = distances.astype(np.float64, copy=False).tolist()
     results: list[list[Neighbor]] = []
     row = 0
     for count, value_row in zip(counts, values):
-        results.append([
-            Neighbor(
-                distance=float(distances[row + i]),
-                point=np.array(points[row + i], dtype=np.float64),
-                value=value_row[i],
-            )
-            for i in range(count)
-        ])
-        row += count
+        end = row + count
+        results.append(list(map(Neighbor, distances[row:end], rows[row:end],
+                                value_row)))
+        row = end
     return results
 
 

@@ -50,7 +50,6 @@ server lifecycle plus per-request DEBUG events.
 from __future__ import annotations
 
 import dataclasses
-import hmac
 import json
 import threading
 import time
@@ -424,6 +423,8 @@ class QueryServer:
                 NetError("mutations are disabled: the server was started "
                          "without an auth token"))
             return False
+        import hmac  # here, not at the top: it loads OpenSSL via hashlib
+
         supplied = request.headers.get(protocol.TOKEN_HEADER, "")
         if not hmac.compare_digest(supplied.encode("utf-8"),
                                    self._auth_token.encode("utf-8")):

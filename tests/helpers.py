@@ -64,15 +64,25 @@ def internal_entries(tree):
             yield node, slot, tree.read_node(child), beneath[child]
 
 
-def raw_http(address, payload: bytes, *, timeout: float = 5.0) -> bytes:
+def raw_http(address, payload: bytes, *, timeout: float = 5.0,
+             half_close: bool = False) -> bytes:
     """Send raw bytes to ``address``; everything the server answers
     until it closes (or resets) the connection.
 
-    A server that neither answers nor closes within ``timeout`` raises
+    ``half_close`` shuts the sending side after ``payload``, so the
+    server sees end-of-stream where a request or body stops short
+    instead of waiting for bytes that never come.  A server that
+    neither answers nor closes within ``timeout`` raises
     ``TimeoutError`` — which is how a wedged connection fails a test.
     """
     with socket.create_connection(tuple(address), timeout=timeout) as sock:
-        sock.sendall(payload)
+        try:
+            sock.sendall(payload)
+            if half_close:
+                sock.shutdown(socket.SHUT_WR)
+        except OSError:
+            pass  # it answered and closed before reading all of it
+
         chunks = []
         try:
             while chunk := sock.recv(65536):

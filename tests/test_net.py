@@ -35,7 +35,8 @@ from repro.exceptions import (
     RemoteError,
     ServerOverloadedError,
 )
-from repro.httpd import MAX_BODY_BYTES
+from repro.httpd import MAX_BODY_BYTES, body_length, read_exact, read_head
+from repro.indexes.base import Neighbor
 from repro.net import QueryServer, RemoteDatabase
 from repro.net.protocol import (
     BINARY_CONTENT_TYPE,
@@ -709,6 +710,62 @@ def test_honest_neighbor_block_round_trips(corpus):
     assert decode_neighbor_block(encode_neighbor_block([[]])) == [[]]
 
 
+def _per_value_encode(results) -> bytes:
+    """The neighbor-block encoder before the one-dump one: a
+    ``json.dumps`` per value and a numpy array per point."""
+    def checked(value):
+        try:
+            json.dumps(value)
+        except (TypeError, ValueError):
+            raise NetError(
+                f"payload value {value!r} is not JSON-representable; the "
+                f"network protocol carries JSON payload values only"
+            ) from None
+        return value
+
+    counts = [len(r) for r in results]
+    values = [[checked(n.value) for n in r] for r in results]
+    flat = [n for r in results for n in r]
+    distances = np.fromiter((n.distance for n in flat), dtype=np.float64,
+                            count=sum(counts))
+    points = (np.stack([np.asarray(n.point, np.float64) for n in flat])
+              if flat else np.empty((0, 0), dtype=np.float64))
+    prelude = json.dumps({"counts": counts, "values": values}).encode()
+    return (b"RPN1" + struct.pack("<I", len(prelude)) + prelude
+            + encode_matrix(distances) + encode_matrix(points))
+
+
+def test_neighbor_block_encodes_byte_equal_to_the_per_value_encoder(corpus):
+    results = corpus.db.knn_batch(corpus.data[:4], k=[1, 5, 21, 2]) + [[]]
+    odd = [Neighbor(np.float64(0.5), corpus.data[0].astype(np.float32), v)
+           for v in (None, "s", 1.5, float("nan"), [1, {"a": (2, 3)}],
+                     {"k": None}, True, -(2**70))]
+    for case in (results, [[]], [], [[], []], [odd], [odd[:1], [], odd]):
+        assert encode_neighbor_block(case) == _per_value_encode(case)
+
+
+@pytest.mark.parametrize("value", [object(), b"bytes", {1, 2}, [1, object()]])
+def test_neighbor_block_refuses_a_value_json_cannot_carry(value):
+    point = np.zeros(3)
+    results = [[Neighbor(0.0, point, 1)], [Neighbor(0.1, point, 2),
+                                          Neighbor(0.2, point, value)]]
+    with pytest.raises(NetError) as want:
+        _per_value_encode(results)
+    with pytest.raises(NetError) as got:
+        encode_neighbor_block(results)
+    assert str(got.value) == str(want.value)
+
+
+def test_decoded_points_are_writable_and_independent(corpus):
+    results = corpus.db.knn_batch(corpus.data[:2], k=3)
+    decoded = decode_neighbor_block(encode_neighbor_block(results))
+    first, second = decoded[0][0].point, decoded[0][1].point
+    want = second.copy()
+    first[:] = -1.0  # a caller may scribble on an answer
+    assert np.array_equal(second, want)
+    assert all(type(n.distance) is float for row in decoded for n in row)
+
+
 @pytest.mark.parametrize("shape", [(2**62, 4), (2**63, 2), (2**63, 0)])
 def test_matrix_frame_with_an_overflowing_shape_is_a_net_error(shape):
     frame = (struct.pack("<4sBBH", b"RPM1", 0, len(shape), 0)
@@ -743,6 +800,96 @@ def test_keep_alive_reuses_one_connection(corpus):
             # the pool never had to open a second.
             assert pool.created == 1
         assert server.describe()["served"] >= 7  # descriptor + 6 queries
+
+
+class _Scripted:
+    """A server that answers each request it reads with the next scripted
+    reply: raw response bytes, or ``None`` to close the connection
+    without one.  ``requests`` holds the request lines it read."""
+
+    def __init__(self, *replies) -> None:
+        self.replies = list(replies)
+        self.requests: list[str] = []
+        self.sock = socket.create_server(("127.0.0.1", 0))
+        self.address = "%s:%d" % self.sock.getsockname()[:2]
+        self.thread = threading.Thread(target=self._run, daemon=True)
+        self.thread.start()
+
+    def _run(self) -> None:
+        while self.replies:
+            try:
+                conn, _ = self.sock.accept()
+            except OSError:
+                return
+            with conn, conn.makefile("rb") as rfile:
+                while self.replies and (head := read_head(rfile)):
+                    read_exact(rfile, body_length(head[1]))
+                    self.requests.append(head[0])
+                    reply = self.replies.pop(0)
+                    if reply is None:
+                        break
+                    conn.sendall(reply)
+
+    def close(self) -> None:
+        self.sock.close()
+        self.thread.join(timeout=5.0)
+
+
+def _reply(doc: dict, extra: bytes = b"") -> bytes:
+    body = json.dumps(doc).encode()
+    return (b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n" + extra
+            + b"Content-Length: %d\r\n\r\n" % len(body) + body)
+
+
+_DESCRIPTOR = _reply({"protocol": 2, "dims": 2, "kind": "srtree"})
+
+
+def test_client_retries_a_read_once_on_a_dropped_connection():
+    peer = _Scripted(_DESCRIPTOR, None, _reply({"stats": {"pages": 3}}))
+    try:
+        with RemoteDatabase.connect(peer.address) as rdb:
+            assert rdb.stats() == {"pages": 3}
+        assert peer.requests == ["GET /v1/server HTTP/1.1"] + [
+            "GET /v1/stats HTTP/1.1"] * 2
+    finally:
+        peer.close()
+
+
+def test_client_never_retries_a_mutation():
+    peer = _Scripted(_DESCRIPTOR, None, _reply({"ok": True, "size": 1}))
+    try:
+        with RemoteDatabase.connect(peer.address, token="t") as rdb:
+            with pytest.raises(NetError, match="insert failed"):
+                rdb.insert([0.5, 0.5])
+        assert peer.requests == ["GET /v1/server HTTP/1.1",
+                                 "POST /v1/insert HTTP/1.1"]
+    finally:
+        peer.close()
+
+
+def test_client_drops_a_connection_the_server_closes():
+    peer = _Scripted(_reply({"protocol": 2, "dims": 2},
+                            b"Connection: close\r\n"),
+                     _reply({"stats": {}}))
+    try:
+        with RemoteDatabase.connect(peer.address) as rdb:
+            assert rdb._pool.created == 0  # discarded, not kept idle
+            assert rdb.stats() == {}
+    finally:
+        peer.close()
+
+
+def test_client_skips_interim_responses_and_refuses_malformed_ones():
+    malformed = b"HTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n"
+    peer = _Scripted(b"HTTP/1.1 100 Continue\r\n\r\n" + _DESCRIPTOR,
+                     malformed, malformed)
+    try:
+        with RemoteDatabase.connect(peer.address) as rdb:
+            assert rdb.dims == 2
+            with pytest.raises(NetError, match="malformed status line"):
+                rdb.stats()
+    finally:
+        peer.close()
 
 
 def _requests_total() -> float:

@@ -11,8 +11,9 @@ outside the storage layer nor in the example programs, stores only
 inside the storage layer and the index base module, and library code
 under ``src/repro`` may not ``print`` or call ``logging.getLogger`` —
 the CLI and the structured event log (``repro.obs.events``) are the
-only output surfaces — nor import ``http.server``/``socketserver``
-outside ``repro/httpd.py``, the one HTTP substrate under both servers.
+only output surfaces — nor import ``http.server``, ``http.client``,
+``email`` or ``urllib.request`` at all, nor ``socketserver`` outside
+``repro/httpd.py``, the one HTTP substrate both ends of the wire use.
 Falls through to the real ``pyflakes`` when it is installed (its
 diagnostics are a strict superset of (b); the policy pass runs either
 way).
@@ -112,6 +113,11 @@ def check_file(path: str) -> list[str]:
                     module_names.add(target.id)
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             module_names.add(node.target.id)
+        if isinstance(node, ast.FunctionDef) and node.name == "__getattr__":
+            # A module __getattr__ (PEP 562) defines the names it spells.
+            module_names.update(
+                sub.value for sub in ast.walk(node)
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, str))
     for node in ast.walk(tree):
         if (isinstance(node, ast.Assign)
                 and any(isinstance(t, ast.Name) and t.id == "__all__"
@@ -317,19 +323,31 @@ def check_logging_surface(path: str, tree: ast.Module) -> list[str]:
     return problems
 
 
-#: The one library module that may stand on the stdlib's server stack:
-#: both servers import the substrate, so keep-alive, body framing and the
-#: response writer exist (and get fixed, and get fuzzed) once.
+#: The one library module that may stand on ``socketserver``: both ends
+#: of the wire frame HTTP through it, so keep-alive, body framing, the
+#: head reader and the response writer exist (and get fixed, and get
+#: fuzzed) once.
 HTTP_STACK_ALLOWED = os.path.join("src", "repro", "httpd.py")
-HTTP_STACK_MODULES = frozenset({"http.server", "socketserver"})
+#: The stdlib's HTTP stack, which no library module loads: it costs
+#: every process that imports ``repro`` ~7 MB, and the substrate frames
+#: HTTP/1.1 itself.
+HTTP_STACK_REFUSED = ("http.server", "http.client", "email",
+                      "urllib.request")
+
+
+def _refused_http_module(module: str) -> str | None:
+    for refused in HTTP_STACK_REFUSED:
+        if module == refused or module.startswith(refused + "."):
+            return refused
+    return None
 
 
 def check_http_stack(path: str, tree: ast.Module) -> list[str]:
-    """Flag ``http.server``/``socketserver`` imports under ``src/repro``
+    """Flag ``http.server``/``http.client``/``email``/``urllib.request``
+    imports anywhere under ``src/repro``, and ``socketserver`` imports
     outside the HTTP substrate."""
     norm = path.replace("/", os.sep)
-    if (not norm.startswith(os.path.join("src", "repro") + os.sep)
-            or norm == HTTP_STACK_ALLOWED):
+    if not norm.startswith(os.path.join("src", "repro") + os.sep):
         return []
     problems: list[str] = []
     for node in ast.walk(tree):
@@ -340,11 +358,19 @@ def check_http_stack(path: str, tree: ast.Module) -> list[str]:
                                        for alias in node.names]
         else:
             continue
-        for module in HTTP_STACK_MODULES.intersection(modules):
-            problems.append(
-                f"{path}:{node.lineno}: {module} imported outside "
-                f"repro/httpd.py; serve through repro.httpd.HttpListener"
-            )
+        for module in modules:
+            refused = _refused_http_module(module)
+            if refused is not None:
+                problems.append(
+                    f"{path}:{node.lineno}: {refused} imported in library "
+                    f"code; frame HTTP through repro.httpd"
+                )
+                break
+            if module == "socketserver" and norm != HTTP_STACK_ALLOWED:
+                problems.append(
+                    f"{path}:{node.lineno}: socketserver imported outside "
+                    f"repro/httpd.py; serve through repro.httpd.HttpListener"
+                )
     return problems
 
 
