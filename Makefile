@@ -68,7 +68,9 @@ test-concurrency:
 
 # Multiprocess serving under the spawn start method (the portable one:
 # macOS/Windows default, and the only method safe under threads): the
-# mmap page store, the serving pool's crash/equivalence suite, its
+# mmap page store, the node decode (a decoded node owns its rows and
+# shares no memory with the page image or the map; a full pool holds
+# rows, not pages), the serving pool's crash/equivalence suite, its
 # fault tests (a FaultPlan per worker process) and the pool-contract
 # tests.  Every pool a test builds comes from the `serving_pool`
 # fixture (tests/conftest.py), which starts its workers by fork in
@@ -77,8 +79,9 @@ test-concurrency:
 test-mp:
 	timeout -k 10 600 env PYTHONFAULTHANDLER=1 REPRO_MP_START_METHOD=spawn \
 	    PYTHONPATH=src \
-	    python -m pytest tests/test_mmap_pagefile.py tests/test_procpool.py \
-	    tests/test_serving_faults.py tests/test_exec_batch.py -q
+	    python -m pytest tests/test_mmap_pagefile.py tests/test_zero_copy.py \
+	    tests/test_procpool.py tests/test_serving_faults.py \
+	    tests/test_exec_batch.py -q
 
 # The network query service: QuerySurface conformance across all four
 # handle kinds (remote results byte-equal to local on the three paper
@@ -88,15 +91,20 @@ test-mp:
 # telemetry paths the server answers on the same port (/metrics,
 # /healthz, /varz, still answered during the drain), and the HTTP
 # substrate (repro/httpd.py: request framing and keep-alive, over raw
-# sockets), with the framing fuzzer (tests/test_net_fuzz.py: needs
-# hypothesis; generated raw requests against its oracle, deeper here
-# than in tier-1).
+# sockets; a peer stalled inside a head or body is closed after
+# MESSAGE_TIMEOUT_S and never holds an admission slot, an idle
+# keep-alive connection is not cut), with the framing fuzzer
+# (tests/test_net_fuzz.py: generated raw requests against its oracle)
+# and the client's wire decoders against a lying server
+# (tests/test_net_decoders.py: generated neighbor blocks and matrix
+# frames, cut, flipped and lying about their lengths); both need
+# hypothesis and run deeper here than in tier-1.
 # faulthandler dumps all stacks if a hung socket eats the hard timeout.
 test-net:
 	timeout -k 10 600 env PYTHONFAULTHANDLER=1 PYTHONPATH=src \
 	    python -m pytest tests/test_query_surface.py tests/test_net.py \
-	    tests/test_obs_server.py tests/test_net_fuzz.py -q \
-	    --hypothesis-profile=deep
+	    tests/test_obs_server.py tests/test_net_fuzz.py \
+	    tests/test_net_decoders.py -q --hypothesis-profile=deep
 
 # Group commit in the query server: a lone request runs alone, what
 # queues behind a running call is answered by one batched call (at most

@@ -1,4 +1,4 @@
-"""Batched, zero-copy query execution engine.
+"""Batched query execution engine.
 
 The per-query search code in :mod:`repro.search` prices one query
 against one node at a time.  This package amortizes that work across a
@@ -20,7 +20,7 @@ whole *block* of queries:
   ``db.snapshot()``, refreshed with ``Snapshot.refresh()`` before each
   ``knn_batch`` call, answers every call from one committed epoch.
 
-Together with the zero-copy page decode
+Together with the page decode
 (:class:`~repro.storage.serializer.NodeCodec`), this is the path the
 ledger's ``uniform_batch`` and ``uniform_pool`` workloads measure (see
 ``docs/PERFORMANCE.md``).

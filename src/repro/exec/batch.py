@@ -58,6 +58,13 @@ DEFAULT_BLOCK_SIZE = 64
 """Queries per traversal block (bounds the broadcast temporaries)."""
 
 
+#: Every whole number of magnitude up to this is a float64 exactly: a
+#: plain ``int`` or ``float`` in range needs no check beyond its bounds.
+_EXACT = 2**53
+_INT64 = np.dtype(np.int64)
+_FLOAT64 = np.dtype(np.float64)
+
+
 def per_query(name: str, value, nq: int) -> np.ndarray:
     """``k`` or ``radius`` for ``nq`` queries, checked, as a ``(nq,)`` array.
 
@@ -68,8 +75,29 @@ def per_query(name: str, value, nq: int) -> np.ndarray:
     is the only place that decides: every handle kind normalises through
     here — the scalar and block engines, the linear scan, the serving
     pools, the network client — so a bad argument fails with the same
-    message wherever it is caught.
+    message wherever it is caught.  The result is read-only.
     """
+    # The common argument, a plain Python number in range, is filled in
+    # directly (three calls a remote knn); any other value, bool and
+    # numpy scalars included, takes the checked path and its messages.
+    kind = type(value)
+    if name == "k":
+        if kind is int and 1 <= value <= _EXACT:
+            return _filled(nq, value, _INT64)
+    elif (kind is float or kind is int) and 0 <= value <= _EXACT:
+        return _filled(nq, value, _FLOAT64)
+    return _checked(name, value, nq)
+
+
+def _filled(nq: int, value, dtype: np.dtype) -> np.ndarray:
+    values = np.empty(nq, dtype=dtype)
+    values.fill(value)
+    values.flags.writeable = False
+    return values
+
+
+def _checked(name: str, value, nq: int) -> np.ndarray:
+    """:func:`per_query` for any value: converted, then checked."""
     values = np.asarray(value, dtype=np.float64)
     if values.ndim and values.shape != (nq,):
         raise ValueError(

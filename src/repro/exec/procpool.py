@@ -5,7 +5,7 @@ once.  Every worker re-opens the file ``readonly`` — an
 :class:`~repro.storage.pagefile.MmapPageFile` under its private buffer
 pool and :class:`~repro.storage.stats.IOStats` — so the OS page cache
 physically shares one copy of the data across the whole pool, each page
-read is a zero-copy ``memoryview`` into the shared map, and no GIL
+read is a ``memoryview`` into the shared map, and no GIL
 serializes the workers.  :class:`ServingPool` owns argument validation,
 the query surface (:meth:`~ServingPool.knn` /
 :meth:`~ServingPool.range`, their ``*_batch`` forms,
@@ -262,7 +262,7 @@ def _worker_main(conn, path: str, opts: dict, fault_plan) -> None:
     Spawn-safe: everything the worker needs arrives through ``path``,
     the (picklable) ``opts`` dict (the parent's latency objective among
     them) and ``fault_plan``.  The worker opens the saved file
-    ``readonly`` — mmap-backed, zero-copy reads, private buffer pool —
+    ``readonly`` — mmap-backed reads, private buffer pool —
     and then answers commands until told to stop or the pipe dies.  A :class:`~repro.storage.FaultPlan` (tests only) is
     spliced under the open store, so every later page read obeys it.
     """

@@ -52,6 +52,15 @@ A peer that ends the stream inside a head or a body gets no answer.
 ``Expect: 100-continue`` is answered ``100 Continue`` once the request
 is framed.
 
+**A stalled peer is cut off.**  The wait for a request's first byte —
+an idle keep-alive connection — is unbounded, so a client's pooled
+sockets are never cut.  Once that byte has arrived, each read of the
+request's head and body, and the write of its response, must finish
+within :data:`MESSAGE_TIMEOUT_S`; when one does not, the connection is
+closed unanswered and leaves an ``http_request_timeout`` event.  A body
+read that times out reaches the application as a
+:class:`ConnectionResetError`, the peer gone.
+
 HTTP/1.1 connections are keep-alive until ``Connection: close``;
 HTTP/1.0 ones close after the response unless ``Connection:
 keep-alive``.  Sockets run with ``TCP_NODELAY``; a response leaves as
@@ -75,7 +84,7 @@ from .obs.events import DEBUG, EVENTS, WARN
 
 __all__ = ["HttpListener", "Request", "FramingError", "read_head",
            "body_length", "read_exact", "MAX_BODY_BYTES", "MAX_DRAIN_BYTES",
-           "MAX_LINE_BYTES", "MAX_HEADERS"]
+           "MAX_LINE_BYTES", "MAX_HEADERS", "MESSAGE_TIMEOUT_S"]
 
 #: Upper bound on request bodies; far above any sane batch, low enough
 #: that a misbehaving client cannot balloon server memory.
@@ -89,6 +98,10 @@ MAX_LINE_BYTES = 64 * 1024
 
 #: The most header fields one message head may carry.
 MAX_HEADERS = 100
+
+#: Seconds each read of a request's head and body, and the write of its
+#: response, may take once its first byte has arrived.
+MESSAGE_TIMEOUT_S = 10.0
 
 _TOKEN = re.compile(r"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")
 _CONTROL = re.compile(r"[\x00-\x08\x0a-\x1f\x7f]")
@@ -232,12 +245,17 @@ class Request(socketserver.StreamRequestHandler):
     def _serve_one(self) -> None:
         self.status, self._unread = None, 0
         self.command = self.path = ""
+        connection = self.connection
+        connection.settimeout(None)  # idle between requests: no bound
         try:
-            head = read_head(self.rfile)
-            if head is None:
+            if not self.rfile.peek(1):
                 self.close_connection = True
                 return
-            self._frame(*head)
+            connection.settimeout(MESSAGE_TIMEOUT_S)
+            self._frame(*read_head(self.rfile))
+            if (self._unread and self.headers.get("expect", "").lower()
+                    == "100-continue" and self.request_version != "HTTP/1.0"):
+                connection.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
         except FramingError as exc:
             self.close_connection = True
             EVENTS.emit("http_request_refused", level=WARN,
@@ -249,9 +267,9 @@ class Request(socketserver.StreamRequestHandler):
         except ConnectionResetError:
             self.close_connection = True
             return
-        if (self._unread and self.headers.get("expect", "").lower()
-                == "100-continue" and self.request_version != "HTTP/1.0"):
-            self.connection.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+        except TimeoutError:
+            self._timed_out("head")
+            return
         try:
             self.server.handle(self)
         finally:
@@ -262,7 +280,15 @@ class Request(socketserver.StreamRequestHandler):
         # it counts after send() is counted before the client can see it.
         out, self._out = self._out, b""
         if out:
-            self.connection.sendall(out)
+            try:
+                self.connection.sendall(out)
+            except TimeoutError:
+                self._timed_out("response")
+
+    def _timed_out(self, stage: str) -> None:
+        self.close_connection = True
+        EVENTS.emit("http_request_timeout", level=WARN, stage=stage,
+                    seconds=MESSAGE_TIMEOUT_S)
 
     def _frame(self, start: str, fields: Fields) -> None:
         """Take the request line and fix the body length, or raise
@@ -289,9 +315,20 @@ class Request(socketserver.StreamRequestHandler):
         self._unread = length
 
     def read_body(self) -> bytes:
-        """The request body (empty when the request carried none)."""
+        """The request body (empty when the request carried none).
+
+        Raises :class:`ConnectionResetError` when the peer ends the
+        stream or stalls for :data:`MESSAGE_TIMEOUT_S` inside it.
+        """
         length, self._unread = self._unread, 0
-        return read_exact(self.rfile, length) if length else b""
+        if not length:
+            return b""
+        try:
+            return read_exact(self.rfile, length)
+        except TimeoutError:
+            self._timed_out("body")
+            raise ConnectionResetError(
+                "the peer stalled inside a request body") from None
 
     def send(self, status: int, body: bytes, content_type: str,
              headers: dict | None = None) -> None:

@@ -129,7 +129,7 @@ def _open_index(path, buffer_capacity: int | None = None, *,
     was last saved with — read from the meta page *after* recovery;
     ``"wal"``/``"none"`` force the mode for this session.
     ``readonly=True`` memory-maps the (recovered) file instead of
-    opening it for writing: reads are zero-copy and the OS page cache is
+    opening it for writing: reads take no syscall and the OS page cache is
     shared with every other process mapping the file, but all mutation
     raises.
     """

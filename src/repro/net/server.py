@@ -287,15 +287,24 @@ class QueryServer:
             elif endpoint in ("server", "stats"):
                 # Control-plane reads bypass admission: they must stay
                 # observable while the data plane is saturated.
-                self._dispatch(request, endpoint, deadline)
+                self._dispatch(request, endpoint, self._read_body(request),
+                               deadline)
             elif deadline is not None and started >= deadline:
                 self._shed_response(request, "deadline")
-            elif (reason := self._admission.acquire(deadline)) is not None:
-                self._shed_response(request, reason)
+            elif (endpoint in protocol.WRITE_ENDPOINTS
+                  and not self._check_auth(request)):
+                pass
             else:
+                # The whole request is in hand before it may take a
+                # slot: a peer that stalls inside its body holds none.
+                body = self._read_body(request)
+                reason = self._admission.acquire(deadline)
+                if reason is not None:
+                    self._shed_response(request, reason)
+                    return
                 on_net_inflight(self._admission.inflight)
                 try:
-                    self._dispatch(request, endpoint, deadline)
+                    self._dispatch(request, endpoint, body, deadline)
                 finally:
                     self._admission.release()
                     on_net_inflight(self._admission.inflight)
@@ -373,20 +382,16 @@ class QueryServer:
     @staticmethod
     def _read_body(request: Request) -> bytes:
         # A stage of its own, by this name, because the ledger times it
-        # (ledger/shims.py: net.server.read_body).
-        return request.read_body()
+        # (ledger/shims.py: net.server.read_body).  Only a POST carries
+        # a body the endpoint reads; any other is read past by the
+        # response.
+        return request.read_body() if request.command == "POST" else b""
 
     # ------------------------------------------------------------------
     # endpoint execution
 
-    def _dispatch(self, request: Request, endpoint: str,
+    def _dispatch(self, request: Request, endpoint: str, body: bytes,
                   deadline: float | None) -> None:
-        if (endpoint in protocol.WRITE_ENDPOINTS
-                and not self._check_auth(request)):
-            return
-        # Only a POST carries a body the endpoint reads; any other is
-        # read past by the response.
-        body = self._read_body(request) if request.command == "POST" else b""
         content_type = (request.headers.get("Content-Type") or
                         protocol.JSON_CONTENT_TYPE).split(";")[0].strip()
         try:

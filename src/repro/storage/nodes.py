@@ -11,11 +11,12 @@ present depends on the index family (rectangles for the R*-tree family,
 spheres for the SS-tree, both for the SR-tree), governed by the
 :class:`~repro.storage.layout.NodeLayout`.
 
-**Zero-copy decode.**  Nodes deserialized by the page codec arrive
-*frozen*: their entry arrays are read-only ``np.frombuffer`` views that
-alias the page image instead of copies (see
+**Frozen on decode.**  Nodes deserialized by the page codec arrive
+*frozen*: their entry arrays are read-only ``(count, ...)`` arrays over
+compact copies of the live rows, which the node owns — nothing aliases
+the page image or a mapped file (see
 :class:`~repro.storage.serializer.NodeCodec`).  Reads — the entire
-search path — work on the views directly.  The first mutation calls
+search path — work on them directly.  The first mutation calls
 :meth:`ensure_mutable`, which materializes the usual pre-allocated
 ``capacity + 1`` arrays (copy-on-write); the handful of call sites that
 poke entry arrays directly must call :meth:`ensure_mutable` themselves.
@@ -57,16 +58,17 @@ class LeafNode:
         self.points = np.empty((capacity + 1, dims), dtype=np.float64)
         self.values: list[object] = []
         self.reinserted = False
-        #: True while the entry arrays are read-only views over the page
-        #: image (zero-copy decode); cleared by :meth:`ensure_mutable`.
+        #: True while the entry arrays are the read-only live rows a
+        #: decode built; cleared by :meth:`ensure_mutable`.
         self.frozen = False
 
     @classmethod
     def from_views(cls, page_id: int, dims: int, capacity: int, count: int,
                    points: np.ndarray, values: list[object]) -> "LeafNode":
-        """Build a frozen leaf whose point rows alias a page image.
+        """Build a frozen leaf over decoded point rows.
 
-        ``points`` is a read-only ``(count, dims)`` view; no data is
+        ``points`` is a read-only ``(count, dims)`` array the leaf owns
+        (the codec copies it out of the page image); nothing more is
         copied until the node is mutated.
         """
         leaf = cls.__new__(cls)
@@ -212,8 +214,8 @@ class InternalNode:
         # Continuation pages of an X-tree-style supernode (empty for an
         # ordinary single-page node).
         self.extra_pages: list[int] = []
-        #: True while the entry arrays are read-only views over the page
-        #: image (zero-copy decode); cleared by :meth:`ensure_mutable`.
+        #: True while the entry arrays are the read-only live rows a
+        #: decode built; cleared by :meth:`ensure_mutable`.
         self.frozen = False
 
     @classmethod
@@ -232,11 +234,12 @@ class InternalNode:
         radii: np.ndarray | None,
         extra_pages: list[int],
     ) -> "InternalNode":
-        """Build a frozen internal node whose entry arrays alias a page image.
+        """Build a frozen internal node over decoded entry rows.
 
-        All arrays are read-only ``(count, ...)`` views (``child_ids`` and
+        All arrays are read-only ``(count, ...)`` arrays the node owns
+        (the codec copies them out of the page image; ``child_ids`` and
         ``weights`` may be narrower integer dtypes than the canonical
-        int64); nothing is copied until the node is mutated.
+        int64); nothing more is copied until the node is mutated.
         """
         node = cls.__new__(cls)
         node.page_id = page_id

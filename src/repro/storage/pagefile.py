@@ -13,9 +13,9 @@ provided:
   ``os.pwrite``), so concurrent readers never race on a shared file
   offset and every page transfer is one syscall;
 * :class:`MmapPageFile` — a **read-only** memory map of an existing
-  file; :meth:`~MmapPageFile.read` returns zero-copy ``memoryview``
-  slices of the map, which the zero-copy node decode turns into numpy
-  views without ever materializing a ``bytes`` object.  Because the
+  file; :meth:`~MmapPageFile.read` returns ``memoryview`` slices of the
+  map (no ``read`` syscall, no page-sized ``bytes``), out of which the
+  node decode copies only each entry block's live rows.  Because the
   mapping is backed by the OS page cache, every process serving the
   same file physically shares one copy of the hot pages — the backend
   :class:`~repro.exec.ServingPool`'s worker processes open.
@@ -237,13 +237,15 @@ class MmapPageFile(PageFile):
     """A read-only page file over a memory-mapped index file.
 
     :meth:`read` returns a ``memoryview`` slice of the mapping — no
-    ``seek``/``read`` syscall pair, no ``bytes`` copy — which the
-    zero-copy decode path (:meth:`repro.storage.serializer.NodeCodec.decode`)
-    aliases directly with ``np.frombuffer``.  The mapping is served from
-    the OS page cache, so any number of processes mapping the same file
-    share one physical copy of every hot page; this is what makes a
-    multiprocess serving pool cheap to scale (each worker's "private"
-    handle costs only its buffer pool, not a second copy of the data).
+    ``seek``/``read`` syscall pair, no page-sized ``bytes`` — out of which
+    :meth:`repro.storage.serializer.NodeCodec.decode` copies the live
+    rows of each entry block; no decoded node holds on to the map.  The
+    mapping is served from the OS page cache, so any number of
+    processes mapping the same file share one physical copy of every
+    hot page; this is what makes a multiprocess serving pool cheap to
+    scale (each worker's "private" handle costs the mapped pages it
+    touched and its buffer pool's compact frames, not a second copy of
+    the data).
 
     The backend is strictly read-only: :meth:`allocate`, :meth:`write`,
     and :meth:`free` raise :class:`~repro.exceptions.StorageError`.  Any
@@ -312,10 +314,12 @@ class MmapPageFile(PageFile):
     def close(self) -> None:
         """Release the mapping (best effort).
 
-        Decoded nodes hold numpy views that alias the map; if any are
-        still alive, ``mmap.close()`` refuses with ``BufferError`` and
-        the mapping simply stays resident until those views are garbage
-        collected — readers never observe a dangling pointer.
+        Decoded nodes own copies of their rows, so no node pins the map.
+        A caller that still holds a slice :meth:`read` returned (or an
+        ``np.frombuffer`` view of one) makes ``mmap.close()`` refuse
+        with ``BufferError``; the mapping then stays resident until that
+        view is garbage collected — readers never observe a dangling
+        pointer.
         """
         if self._view is None:
             return
@@ -324,9 +328,8 @@ class MmapPageFile(PageFile):
         try:
             self._mmap.close()
         except BufferError:
-            # Exported buffers (np.frombuffer views in a buffer pool or
-            # in caller-held results) pin the map; the OS unmaps it when
-            # the last view dies.
+            # A caller-held slice or view pins the map; the OS unmaps
+            # it when the last one dies.
             pass
 
     def __enter__(self) -> "MmapPageFile":

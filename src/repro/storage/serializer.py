@@ -23,15 +23,16 @@ the first changed row.  :meth:`NodeCodec.encode` writes the blocks into
 one zeroed page buffer by slice assignment and returns the whole
 ``extent`` pages.
 
-**Zero-copy decode.**  :meth:`NodeCodec.decode` does not copy the entry
-blocks out of the page image: every numpy array of a freshly decoded node
-is a read-only ``np.frombuffer`` view of its ``count`` live rows that
-aliases ``data`` (bytes are immutable, so numpy marks the views
-non-writeable for free).  The node arrives *frozen* and materializes
-private ``capacity + 1`` arrays only on first mutation
-(:meth:`~repro.storage.nodes.LeafNode.ensure_mutable`).  The entire
-search path therefore decodes a leaf with two ``frombuffer`` calls and
-zero float copies.
+**A decoded node owns its rows.**  :meth:`NodeCodec.decode` copies the
+``count`` live rows of every entry block out of the page image into a
+``bytes`` object of its own and builds each numpy array as an
+``np.frombuffer`` view over that copy (bytes are immutable, so numpy
+marks the arrays non-writeable for free).  Nothing of the image outlives
+the call: a buffer frame holds its node's rows, not the page they came
+from — the capacity-sized blocks, the empty tail and the leaf data
+areas, which are already decoded into Python values.  The node arrives
+*frozen* and materializes private ``capacity + 1`` arrays only on first
+mutation (:meth:`~repro.storage.nodes.LeafNode.ensure_mutable`).
 
 **Plain-int fast path.**  Leaf payloads are pickled in general, but the
 overwhelmingly common payload is a plain Python ``int`` row id.  Those
@@ -103,6 +104,8 @@ _int64_unpack_from = struct.Struct("<q").unpack_from
 _pickle_dumps = pickle.dumps
 _pickle_loads = pickle.loads
 _frombuffer = np.frombuffer
+_F8 = np.dtype(np.float64)
+_U4 = np.dtype(np.uint32)
 
 _HEADER_SIZE = _HEADER.size
 _LEN_SIZE = _LEN_PREFIX.size
@@ -321,9 +324,12 @@ class NodeCodec:
         """Reconstruct a node from its (possibly multi-page) image.
 
         The returned node is *frozen*: its entry arrays are read-only
-        views aliasing ``data``.  Callers that mutate entry arrays
-        directly must call ``ensure_mutable`` first; the node's own
-        mutators do so automatically.
+        copies of their live rows that share no memory with ``data``
+        (a ``bytes`` image or a ``memoryview`` of a mapped file), so
+        the image can be freed, or the map closed, once this returns.
+        Callers that mutate entry arrays directly must call
+        ``ensure_mutable`` first; the node's own mutators do so
+        automatically.
         """
         if len(data) < _HEADER_SIZE:
             raise SerializationError(f"page {page_id}: image too short to hold a header")
@@ -346,11 +352,7 @@ class NodeCodec:
                 f"page {page_id}: leaf count {count} exceeds capacity"
             )
         area = self.layout.leaf_data_size
-        # Zero-copy: the point block is a read-only view over the page
-        # image (bytes are immutable, so numpy refuses writes for free).
-        points = _frombuffer(
-            data, dtype=np.float64, count=dims * count, offset=_HEADER_SIZE
-        ).reshape(count, dims)
+        points = _rows(data, _HEADER_SIZE, count, _F8, dims)
         values: list[object] = []
         append = values.append
         offset = self._leaf_data
@@ -390,21 +392,30 @@ class NodeCodec:
         ]
 
         def rows(offset: int | None, dtype, width: int = 0) -> np.ndarray | None:
-            if offset is None:
-                return None
-            if not width:
-                return _frombuffer(data, dtype=dtype, count=count, offset=offset)
-            return _frombuffer(
-                data, dtype=dtype, count=count * width, offset=offset
-            ).reshape(count, width)
+            return None if offset is None else _rows(data, offset, count,
+                                                     dtype, width)
 
         return InternalNode.from_views(
             page_id, dims, blocks.capacity, level, count,
-            rows(blocks.child_ids, np.uint32),
-            rows(blocks.weights, np.uint32),
-            rows(blocks.lows, np.float64, dims),
-            rows(blocks.highs, np.float64, dims),
-            rows(blocks.centers, np.float64, dims),
-            rows(blocks.radii, np.float64),
+            rows(blocks.child_ids, _U4),
+            rows(blocks.weights, _U4),
+            rows(blocks.lows, _F8, dims),
+            rows(blocks.highs, _F8, dims),
+            rows(blocks.centers, _F8, dims),
+            rows(blocks.radii, _F8),
             extras,
         )
+
+
+def _rows(data, offset: int, count: int, dtype: np.dtype,
+          width: int = 0) -> np.ndarray:
+    """``count`` rows of a block at ``offset``, copied out of ``data``.
+
+    A read-only array over a ``bytes`` copy of just those rows: it shares
+    no memory with the image (``bytes()`` copies a ``memoryview`` slice
+    of a map and returns a ``bytes`` slice as it is), so the node keeps
+    its rows and the page image can go.  ``width`` 0 is one value a row.
+    """
+    size = dtype.itemsize * count * (width or 1)
+    array = _frombuffer(bytes(data[offset : offset + size]), dtype=dtype)
+    return array.reshape(count, width) if width else array

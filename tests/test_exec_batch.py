@@ -267,3 +267,58 @@ def test_a_filling_heap_takes_rows_whose_distances_overflow(kind):
         assert [(n.distance, n.value) for n in g] == [
             (n.distance, n.value) for n in w]
         assert len(g) == 5
+
+
+class TestPerQueryScalarPath:
+    """A plain Python ``k``/radius is filled in directly; the result is
+    the checked path's, and every other value still takes that path."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        from repro.exec import batch
+
+        seen = []
+
+        def checked(name, value, nq):
+            seen.append(value)
+            return original(name, value, nq)
+
+        original = batch._checked
+        monkeypatch.setattr(batch, "_checked", checked)
+        return seen
+
+    @pytest.mark.parametrize("name, value", [
+        ("k", 1), ("k", 21), ("k", 2**53),
+        ("radius", 0), ("radius", 7), ("radius", 0.0), ("radius", 0.25),
+        ("radius", 2.0**53)])
+    @pytest.mark.parametrize("nq", [1, 5])
+    def test_fast_path_equals_the_checked_path(self, monkeypatch, name,
+                                               value, nq):
+        from repro.exec import batch
+
+        want = batch._checked(name, value, nq)
+        seen = self._spy(monkeypatch)
+        got = batch.per_query(name, value, nq)
+        assert seen == []  # answered without the checked path
+        assert got.dtype == want.dtype
+        assert got.shape == want.shape == (nq,)
+        assert got.tolist() == want.tolist()
+        assert not got.flags.writeable and not want.flags.writeable
+
+    @pytest.mark.parametrize("name, value", [
+        ("k", True), ("k", float("nan")), ("k", float("inf")), ("k", 2.5),
+        ("k", 0), ("k", -1), ("k", 21.0), ("k", 2**53 + 1),
+        ("k", np.int64(3)), ("k", np.float64(3.0)), ("k", [2, 3]),
+        ("radius", True), ("radius", float("nan")), ("radius", float("inf")),
+        ("radius", -1), ("radius", -0.5), ("radius", np.float64(0.5)),
+        ("radius", np.int32(1)), ("radius", [0.5, 1.0])])
+    def test_other_values_take_the_checked_path(self, monkeypatch, name,
+                                                value):
+        from repro.exec import batch
+
+        seen = self._spy(monkeypatch)
+        try:
+            batch.per_query(name, value, 2)
+        except ValueError:
+            pass
+        assert len(seen) == 1 and seen[0] is value

@@ -2,9 +2,10 @@
 
 The mapping is the storage layer the multiprocess serving pool stands
 on: reads are ``memoryview`` slices of one OS-page-cache-backed copy of
-the file, every mutation is rejected, and any write-ahead log left by a
-crashed writer is recovered *before* the file is mapped (a map taken
-over unapplied commits would serve stale pages forever).
+the file, nodes decoded from them own copies of their rows (no node
+pins the map), every mutation is rejected, and any write-ahead log left
+by a crashed writer is recovered *before* the file is mapped (a map
+taken over unapplied commits would serve stale pages forever).
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ def test_read_returns_zero_copy_memoryview(data_file):
             assert isinstance(view, memoryview)
             assert len(view) == PAGE
             assert bytes(view) == bytes([fill]) * PAGE
-            # The decode path aliases this buffer directly; no copy.
+            # A view of the map, not a copy of the page.
             arr = np.frombuffer(view, dtype=np.uint8)
             assert arr[0] == fill and arr.base is not None
 
@@ -194,6 +195,38 @@ def test_readonly_open_serves_without_ever_writing(tmp_path, small_cloud):
 
     assert out.read_bytes() == before
     assert not os.path.exists(wal_path(str(out)))
+
+
+def test_nodes_decoded_over_a_mapping_share_no_memory_with_it(
+        tmp_path, small_cloud):
+    """Every entry array of a node read through a read-only handle is a
+    copy of its rows: none shares memory with the map, and nodes held
+    past ``close()`` do not keep the file mapped."""
+    out = tmp_path / "mapped.db"
+    with Database.create(str(out), kind="sr", dims=small_cloud.shape[1],
+                         page_size=2048) as db:
+        db.insert_many(small_cloud)
+
+    index = _open_index(str(out), readonly=True)
+    mapping = index.store.pagefile.inner
+    assert isinstance(mapping, MmapPageFile)
+    try:
+        nodes = list(index.iter_nodes())
+        assert any(node.is_leaf for node in nodes)
+        assert any(not node.is_leaf for node in nodes)
+        whole = np.frombuffer(mapping._mmap, dtype=np.uint8)
+        for node in nodes:
+            arrays = ([node.points] if node.is_leaf else
+                      [node.child_ids, node.weights, node.lows, node.highs,
+                       node.centers, node.radii])
+            for arr in arrays:
+                assert not arr.flags.writeable
+                assert not np.shares_memory(arr, whole)
+        del whole
+    finally:
+        index.close()
+    assert mapping._mmap.closed  # the held nodes did not pin it
+    assert nodes[0].count > 0
 
 
 def test_snapshot_view_over_a_mapping_reads_supernodes(tmp_path):

@@ -35,6 +35,7 @@ from repro.exceptions import (
     RemoteError,
     ServerOverloadedError,
 )
+from repro import httpd
 from repro.httpd import MAX_BODY_BYTES, body_length, read_exact, read_head
 from repro.indexes.base import Neighbor
 from repro.net import QueryServer, RemoteDatabase
@@ -524,6 +525,71 @@ def test_chunked_body_is_refused_not_parsed(corpus):
     (length,) = [int(line.split(b":")[1]) for line in head.split(b"\r\n")
                  if line.lower().startswith(b"content-length:")]
     assert len(body) == length  # nothing after the one response
+
+
+def test_a_stalled_body_holds_no_admission_slot(corpus):
+    # Regression: the body was read after admission, so one peer that
+    # sent a head and stalled inside its body held the only slot, and a
+    # well-formed query on a second connection was shed with 429.
+    with QueryServer(corpus.db, max_inflight=1, max_queue=0) as server:
+        with socket.create_connection(server.address, timeout=5.0) as peer:
+            peer.sendall(b"POST /v1/knn HTTP/1.1\r\nHost: test\r\n"
+                         b"Content-Type: application/json\r\n"
+                         b"Content-Length: 100\r\n\r\n")
+            time.sleep(0.2)  # its handler is now waiting for the body
+            with RemoteDatabase.connect(_addr(server)) as rdb:
+                got = rdb.knn(corpus.data[0], k=2)
+        assert_neighbors_equal(got, corpus.db.knn(corpus.data[0], k=2))
+        assert server.describe()["shed"]["overload"] == 0
+
+
+def _handler_threads() -> list[threading.Thread]:
+    return [thread for thread in threading.enumerate()
+            if "process_request_thread" in thread.name]
+
+
+@pytest.mark.parametrize("stage, payload", [
+    ("head", b"POST /v1/knn HTTP/1.1\r\nHost: test\r\n"),
+    ("body", b"POST /v1/knn HTTP/1.1\r\nHost: test\r\n"
+             b"Content-Length: 100\r\n\r\n{\"point\": ")])
+def test_a_stalled_request_is_closed_after_the_bound(corpus, monkeypatch,
+                                                     stage, payload):
+    monkeypatch.setattr(httpd, "MESSAGE_TIMEOUT_S", 0.3)
+    handlers = _handler_threads()
+    with QueryServer(corpus.db, max_inflight=1, max_queue=0) as server:
+        started = time.monotonic()
+        raw = raw_http(server.address, payload, timeout=5.0)
+        assert raw == b""  # closed unanswered, and not by raw_http's timeout
+        assert 0.3 <= time.monotonic() - started < 3.0
+        described = server.describe()
+        assert described["inflight"] == described["queued"] == 0
+        (event,) = [event for event in EVENTS.tail(20)
+                    if event["event"] == "http_request_timeout"][-1:]
+        assert event["stage"] == stage and event["seconds"] == 0.3
+        for _ in range(100):  # its handler thread ends just after the close
+            left = [thread for thread in _handler_threads()
+                    if thread not in handlers]
+            if not left:
+                break
+            time.sleep(0.02)
+        assert left == []
+
+
+def test_an_idle_keep_alive_connection_is_not_cut(corpus, monkeypatch):
+    # The bound starts at a request's first byte: a pooled connection
+    # may sit idle for longer and still be served.
+    monkeypatch.setattr(httpd, "MESSAGE_TIMEOUT_S", 0.2)
+    request = b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n"
+    with QueryServer(corpus.db) as server:
+        with socket.create_connection(server.address, timeout=5.0) as sock:
+            rfile = sock.makefile("rb")
+            for _ in range(2):
+                sock.sendall(request)
+                status, fields = read_head(rfile)
+                read_exact(rfile, body_length(fields))
+                assert status.startswith("HTTP/1.1 200 ")
+                time.sleep(0.5)
+            rfile.close()
 
 
 # ---------------------------------------------------------------------------

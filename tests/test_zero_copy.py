@@ -1,22 +1,31 @@
-"""Zero-copy decode: frozen views over the page image, copy-on-write.
+"""Node decode: frozen rows the node owns, copy-on-write.
 
-The codec decodes entry arrays as ``np.frombuffer`` views over the raw
-page bytes.  These tests pin the three properties that make that safe:
+The codec copies the live rows of every entry block out of the page
+image into read-only arrays of the node's own.  These tests pin what a
+decoded node, and so a buffer frame, holds:
 
-* decoded arrays are read-only and alias the page buffer (no copy);
-* mutating a frozen node goes through ``ensure_mutable`` and never
-  writes through to the page image;
+* decoded arrays are read-only, share no memory with the page image and
+  round-trip what was encoded;
+* mutating a frozen node goes through ``ensure_mutable``, which builds
+  ``capacity + 1`` arrays, and never writes through to the page image;
+* a full buffer pool holds compact rows, not 8 KiB page images
+  (measured with ``tracemalloc``);
 * the integer-payload fast path round-trips values without pickle and
   stays backward compatible with pickled payloads.
 """
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro import Database
 from repro.indexes import SRTree
 from repro.storage.layout import NodeLayout
 from repro.storage.nodes import InternalNode, LeafNode
 from repro.storage.serializer import NodeCodec
+from repro.workloads import uniform_dataset
 
 
 @pytest.fixture
@@ -47,11 +56,17 @@ def make_internal(layout, rng, count=6):
 
 
 class TestLeafViews:
-    def test_decoded_points_alias_page_buffer(self, codec, layout, rng):
-        image = codec.encode(make_leaf(layout, rng))
+    def test_decoded_points_own_their_rows(self, codec, layout, rng):
+        leaf = make_leaf(layout, rng)
+        image = codec.encode(leaf)
         decoded = codec.decode(7, image)
         raw = np.frombuffer(image, dtype=np.uint8)
-        assert np.shares_memory(decoded.points, raw)
+        assert not np.shares_memory(decoded.points, raw)
+        assert not decoded.points.flags.writeable
+        assert decoded.points.shape == (leaf.count, layout.dims)
+        np.testing.assert_array_equal(decoded.points, leaf.live_points)
+        decoded.add(rng.random(layout.dims), leaf.count)
+        assert decoded.points.shape == (layout.leaf_capacity + 1, layout.dims)
 
     def test_decoded_points_are_read_only(self, codec, layout, rng):
         decoded = codec.decode(7, codec.encode(make_leaf(layout, rng)))
@@ -86,15 +101,26 @@ class TestLeafViews:
         assert again.values == leaf.values
 
 
+ENTRY_ARRAYS = ("child_ids", "weights", "lows", "highs", "centers", "radii")
+
+
 class TestInternalViews:
-    def test_decoded_arrays_alias_page_buffer(self, codec, layout, rng):
-        image = codec.encode(make_internal(layout, rng))
+    def test_decoded_arrays_own_their_rows(self, codec, layout, rng):
+        node = make_internal(layout, rng)
+        image = codec.encode(node)
         decoded = codec.decode(11, image)
         raw = np.frombuffer(image, dtype=np.uint8)
-        for arr in (decoded.child_ids, decoded.weights, decoded.lows,
-                    decoded.highs, decoded.centers, decoded.radii):
-            assert np.shares_memory(arr, raw)
+        for name in ENTRY_ARRAYS:
+            arr = getattr(decoded, name)
+            assert not np.shares_memory(arr, raw)
             assert not arr.flags.writeable
+            np.testing.assert_array_equal(
+                arr, getattr(node, name)[: node.count])
+        low = rng.random(layout.dims)
+        decoded.add(999, low=low, high=low + 1.0, center=low, radius=0.5,
+                    weight=9)
+        for name in ENTRY_ARRAYS:
+            assert len(getattr(decoded, name)) == layout.node_capacity + 1
 
     def test_mutation_materializes_private_arrays(self, codec, layout, rng):
         image = codec.encode(make_internal(layout, rng, count=3))
@@ -124,6 +150,34 @@ class TestInternalViews:
         decoded.remove_at(0)
         assert not decoded.frozen
         assert decoded.count == before - 1
+
+
+def test_a_full_pool_holds_rows_not_pages(tmp_path):
+    # 16-d points on 8 KiB pages: a leaf's live points are about 1.5 KiB
+    # of a page that is three quarters data areas, decoded into Python
+    # ints.  A frame that kept its page image alive held about 9 KiB.
+    path = str(tmp_path / "footprint.srtree")
+    with Database.create(path, kind="sr", dims=16, page_size=8192) as db:
+        db.insert_many(uniform_dataset(1500, 16, seed=3))
+    frames = 64
+    with Database.open(path, buffer_capacity=frames) as db:
+        store = db.index.store
+        leaf_ids = [leaf.page_id for leaf in db.index.iter_leaves()]
+        assert len(leaf_ids) > frames
+        store.buffer.drop()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for page_id in leaf_ids[:frames]:
+                store.read(page_id)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(store.buffer) == frames
+        assert all(node.is_leaf for node in store.buffer.nodes())
+    assert held / frames < 3 * 1024, f"{held / frames:.0f} bytes a frame"
 
 
 class TestIntFastPath:
