@@ -93,8 +93,10 @@ test-mp:
 # substrate (repro/httpd.py: request framing and keep-alive, over raw
 # sockets; a peer stalled inside a head or body is closed after
 # MESSAGE_TIMEOUT_S and never holds an admission slot, an idle
-# keep-alive connection is not cut), with the framing fuzzer
-# (tests/test_net_fuzz.py: generated raw requests against its oracle)
+# keep-alive connection is not cut), with the request fuzzers
+# (tests/test_net_fuzz.py: generated raw requests against the framing
+# oracle, and generated matrix-frame bodies on /v1/knn, /v1/range and
+# /v1/window against the served Database, some behind a held knn)
 # and the client's wire decoders against a lying server
 # (tests/test_net_decoders.py: generated neighbor blocks and matrix
 # frames, cut, flipped and lying about their lengths); both need

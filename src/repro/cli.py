@@ -157,16 +157,16 @@ def _build_parser() -> argparse.ArgumentParser:
         "serve",
         help="serve an index's query API over HTTP (repro.net)",
         description="Opens a saved index and serves the full query "
-                    "surface (/v1/knn, /v1/knn_batch, /v1/range, "
-                    "/v1/window, /v1/lookup, /v1/stats, /v1/explain) "
+                    "surface (/v1/knn, /v1/range, /v1/window: matrix "
+                    "frames in; /v1/lookup, /v1/stats, /v1/explain) "
                     "over HTTP/1.1 with admission control and deadline "
                     "propagation, until SIGTERM/Ctrl-C — both trigger a "
                     "graceful drain (in-flight requests finish, late "
                     "arrivals are shed with 503).  /metrics, /healthz "
                     "and /varz are answered on the same port.  "
                     "Coalescing is always on, with no timer and no "
-                    "flag: a knn/range request runs at once when no "
-                    "other of its kind is running, and those that "
+                    "flag: a one-row knn/range request runs at once "
+                    "when none of its kind is running, and those that "
                     "arrive meanwhile are answered by one batched "
                     "call when it returns.  With --workers > 1 "
                     "the index is served through a ServingPool of "

@@ -70,7 +70,8 @@ def per_query(name: str, value, nq: int) -> np.ndarray:
 
     ``value`` is one scalar shared by every query or a ``(nq,)``
     array-like with one value per query; ``k`` must be a whole number
-    of at least 1 (``2.5`` is refused, not rounded), a ``radius`` (or
+    of at least 1 that fits int64 (``2.5`` is refused, not rounded, and
+    an integer converts exactly), a ``radius`` (or
     ``iter_nearest``'s ``max_distance``) at least 0 and not NaN.  This
     is the only place that decides: every handle kind normalises through
     here — the scalar and block engines, the linear scan, the serving
@@ -98,20 +99,32 @@ def _filled(nq: int, value, dtype: np.dtype) -> np.ndarray:
 
 def _checked(name: str, value, nq: int) -> np.ndarray:
     """:func:`per_query` for any value: converted, then checked."""
-    values = np.asarray(value, dtype=np.float64)
+    values = np.asarray(value)
+    if name != "k" or values.dtype.kind not in "iu":  # integers stay exact
+        values = np.asarray(value, dtype=np.float64)
     if values.ndim and values.shape != (nq,):
         raise ValueError(
             f"per-query {name} must have shape ({nq},), got {values.shape}")
     least, must_be = (1, "positive") if name == "k" else (0.0, "non-negative")
     if name == "k":
-        with np.errstate(invalid="ignore"):  # NaN/inf: caught just below
-            whole = values.astype(np.int64)
-        if (whole != values).any():
-            raise ValueError(f"k must be an integer, got {value}")
-        values = whole
+        values = _whole(values, value)
     if values.size and not values.min() >= least:  # "not >=": NaN fails too
         raise ValueError(f"{name} must be {must_be}, got {values.min()}")
     return np.broadcast_to(values, (nq,))
+
+
+def _whole(values: np.ndarray, value) -> np.ndarray:
+    """``k`` as int64, exactly: refused unless whole and within int64."""
+    if values.dtype.kind == "f":
+        with np.errstate(invalid="ignore"):  # NaN/inf are not whole
+            if not (np.isfinite(values) & (np.floor(values) == values)).all():
+                raise ValueError(f"k must be an integer, got {value}")
+        outside = np.abs(values) >= 2.0**63
+    else:
+        outside = values > np.iinfo(np.int64).max  # a uint64 past int64
+    if outside.any():
+        raise ValueError(f"k is out of range, got {value}: it must fit int64")
+    return values.astype(np.int64, copy=False)
 
 
 # ----------------------------------------------------------------------

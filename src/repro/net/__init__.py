@@ -22,9 +22,9 @@ plane that crosses the machine boundary:
   the local handles, so ``Database.open(path)`` swaps for
   ``RemoteDatabase.connect(addr)`` with zero call-site changes;
 * :mod:`~repro.net.protocol` — the shared wire format: matrix frames
-  for batches of points, one neighbor block for every neighbor list,
-  JSON for everything else, and the header/status conventions both
-  sides agree on.
+  for every neighbor read (a single query is a one-row batch), one
+  neighbor block for every neighbor list, JSON for everything else, and
+  the header/status conventions both sides agree on.
 
 ::
 

@@ -20,10 +20,12 @@ distinct connections and issue requests in parallel (a thread only
 waits when all ``pool_size`` connections are in flight).  Read
 requests that fail at the socket layer reconnect and retry once;
 mutations never auto-retry (the failure may have landed after the
-server applied the write).  Batch queries and ``insert_many`` without
-values send matrix frames from :mod:`repro.net.protocol`, every
-neighbor list comes back as its neighbor block, and the other bodies
-are JSON.
+server applied the write).  Every neighbor read sends matrix frames
+from :mod:`repro.net.protocol` — ``knn``/``range`` the points then one
+``k`` or radius per row (a single query is a one-row batch),
+``window`` its two corners — and gets its neighbor block back;
+``insert_many`` without values sends its points as one frame, and the
+other bodies are JSON.
 """
 
 from __future__ import annotations
@@ -294,12 +296,14 @@ class RemoteDatabase:
         return headers
 
     def _call(self, endpoint: str, doc: dict | None = None, *,
-              method: str = "POST", body: bytes | None = None,
+              method: str = "POST", frames: tuple | None = None,
               deadline_ms: float | None = None,
               mutation: bool = False) -> tuple[dict | None, bytes, str]:
-        """One request: ``doc`` goes as JSON, ``body`` as matrix frames."""
-        content_type = None
-        if body is not None:
+        """One request: ``doc`` goes as JSON, ``frames`` (arrays) as
+        matrix frames back to back."""
+        body = content_type = None
+        if frames is not None:
+            body = b"".join(map(protocol.encode_matrix, frames))
             content_type = protocol.BINARY_CONTENT_TYPE
         elif doc is not None:
             body = json.dumps(doc).encode("utf-8")
@@ -390,54 +394,45 @@ class RemoteDatabase:
         fails here, as on a local handle, before the round trip."""
         return as_point(value, self.dims).tolist()
 
-    def knn(self, point, k: int = 1, *, deadline_ms: float | None = None):
-        doc = {"point": self._point(point),
-               "k": int(per_query("k", k, 1)[0])}
-        return self._call_neighbors("knn", doc, deadline_ms=deadline_ms)[0]
-
-    def _call_neighbors(self, endpoint: str, doc: dict | None = None, *,
-                        body: bytes | None = None,
-                        deadline_ms: float | None):
-        """A neighbor read: one result list per query, from its block.
-
-        ``body`` is a batch's matrix frames; ``doc`` a single query's
-        JSON request.
-        """
-        _, payload, resp_type = self._call(endpoint, doc, body=body,
+    def _neighbors(self, endpoint: str, frames: tuple,
+                   deadline_ms: float | None):
+        """A neighbor read: one result list per query, from its block."""
+        _, payload, resp_type = self._call(endpoint, frames=frames,
                                            deadline_ms=deadline_ms)
         if resp_type != protocol.NEIGHBORS_CONTENT_TYPE:
             raise NetError(
                 f"unexpected {endpoint} response type {resp_type!r}")
         return protocol.decode_neighbor_block(payload)
 
-    def _call_batch(self, endpoint: str, points, name: str, value,
-                    deadline_ms: float | None):
-        """A batch read: the points, then ``name``'s value for each row."""
-        points = as_points(points, self.dims)
-        per_row = per_query(name, value, points.shape[0])
-        return self._call_neighbors(
-            endpoint, body=protocol.encode_matrix(points)
-            + protocol.encode_matrix(per_row), deadline_ms=deadline_ms)
+    def knn(self, point, k: int = 1, *, deadline_ms: float | None = None):
+        point = as_point(point, self.dims)[None]
+        return self._neighbors("knn", (point, per_query("k", k, 1)),
+                               deadline_ms)[0]
 
     def knn_batch(self, points, k=1, *, deadline_ms: float | None = None):
         """Batched kNN; ``k`` is a scalar or one value per query row."""
-        return self._call_batch("knn_batch", points, "k", k, deadline_ms)
+        points = as_points(points, self.dims)
+        return self._neighbors(
+            "knn", (points, per_query("k", k, len(points))), deadline_ms)
 
     def range(self, point, radius: float, *,
               deadline_ms: float | None = None):
-        doc = {"point": self._point(point),
-               "radius": float(per_query("radius", radius, 1)[0])}
-        return self._call_neighbors("range", doc, deadline_ms=deadline_ms)[0]
+        point = as_point(point, self.dims)[None]
+        return self._neighbors(
+            "range", (point, per_query("radius", radius, 1)), deadline_ms)[0]
 
     def range_batch(self, points, radius, *,
                     deadline_ms: float | None = None):
         """Batched range search; ``radius`` is a scalar or one per row."""
-        return self._call_batch("range_batch", points, "radius", radius,
-                                deadline_ms)
+        points = as_points(points, self.dims)
+        return self._neighbors(
+            "range", (points, per_query("radius", radius, len(points))),
+            deadline_ms)
 
     def window(self, low, high, *, deadline_ms: float | None = None):
-        doc = {"low": self._point(low), "high": self._point(high)}
-        return self._call_neighbors("window", doc, deadline_ms=deadline_ms)[0]
+        return self._neighbors("window", (as_point(low, self.dims),
+                                          as_point(high, self.dims)),
+                               deadline_ms)[0]
 
     def lookup(self, point, *, deadline_ms: float | None = None):
         response, _, _ = self._call("lookup", {"point": self._point(point)},
@@ -471,9 +466,8 @@ class RemoteDatabase:
         """Bulk insert; returns the number of points inserted."""
         points = as_points(points, self.dims)
         if values is None:
-            response, _, _ = self._call(
-                "insert_many", body=protocol.encode_matrix(points),
-                mutation=True)
+            response, _, _ = self._call("insert_many", frames=(points,),
+                                        mutation=True)
         else:
             doc = {"points": points.tolist(), "values": list(values)}
             response, _, _ = self._call("insert_many", doc, mutation=True)

@@ -7,12 +7,10 @@ One HTTP/1.1 service under ``/v1``:
 endpoint               method  body
 =====================  ======  =============================================
 ``/v1/server``         GET     — (service descriptor: protocol, dims, ...)
-``/v1/knn``            POST    ``{"point": [...], "k": 3}``
-``/v1/knn_batch``      POST    matrix frames: points ``(Q, D)``, k ``(Q,)``
-``/v1/range``          POST    ``{"point": [...], "radius": 0.5}``
-``/v1/range_batch``    POST    matrix frames: points ``(Q, D)``, radius
+``/v1/knn``            POST    matrix frames: points ``(Q, D)``, k ``(Q,)``
+``/v1/range``          POST    matrix frames: points ``(Q, D)``, radius
                                ``(Q,)``
-``/v1/window``         POST    ``{"low": [...], "high": [...]}``
+``/v1/window``         POST    matrix frames: low ``(D,)``, high ``(D,)``
 ``/v1/lookup``         POST    ``{"point": [...]}``
 ``/v1/stats``          GET     —
 ``/v1/explain``        POST    ``{"point": [...], "k": 3}``
@@ -22,11 +20,12 @@ endpoint               method  body
 ``/v1/delete``         POST    ``{"point": [...], "value"?}`` (auth)
 =====================  ======  =============================================
 
-One encoding for each thing: a batch of points travels as matrix
-frames, every neighbor list (``knn``, ``range``, ``window`` and both
-batches) comes back as one neighbor block, and everything else —
-single-point requests, ``lookup``/``explain``/mutation answers, control
-documents and errors — is JSON.
+One encoding for each thing: every neighbor read (``knn``, ``range``,
+``window``) sends matrix frames, a single query being a one-row
+``knn``/``range`` batch, and gets one neighbor block back; everything
+else — ``lookup``/``explain``/mutation requests and answers, control
+documents and errors — is JSON (``insert_many`` without values may send
+its points as one frame).
 
 Headers:
 
@@ -91,7 +90,7 @@ __all__ = [
     "error_doc",
 ]
 
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 DEADLINE_HEADER = "X-Repro-Deadline-Ms"
 TOKEN_HEADER = "X-Repro-Token"
@@ -102,8 +101,7 @@ NEIGHBORS_CONTENT_TYPE = "application/x-repro-neighbors"
 
 #: Read endpoints, available on every served handle kind.
 READ_ENDPOINTS = (
-    "server", "knn", "knn_batch", "range", "range_batch", "window",
-    "lookup", "stats", "explain",
+    "server", "knn", "range", "window", "lookup", "stats", "explain",
 )
 #: Mutation endpoints; require an auth token and a mutable source.
 WRITE_ENDPOINTS = ("insert", "insert_many", "delete")

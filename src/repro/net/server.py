@@ -23,10 +23,11 @@ makes the query server a *data plane*:
   worker computed raises :class:`~repro.exceptions.ShardLostError`,
   answered with 504 when the request carried a deadline, else 503 with
   ``Retry-After``.
-* **Group commit.**  Admitted ``knn``/``range`` requests go through
-  :mod:`repro.net.coalesce`: one runs at once when its operation is
-  idle, and those that queue behind it are answered by one batched
-  call when it returns.
+* **Group commit.**  An admitted one-row ``knn``/``range`` request
+  goes through :mod:`repro.net.coalesce`: it runs at once when its
+  operation is idle, and those that queue behind it are answered by
+  one batched call when it returns.  Any other row count is one
+  batched call of its own.
 * **Graceful drain.**  ``close()`` (or the CLI's SIGTERM handler)
   sheds late arrivals with 503, waits for every in-flight request to
   finish, then stops accepting and unbinds.  Zero admitted queries are
@@ -463,9 +464,23 @@ class QueryServer:
             request.send_json(200, {"stats": self._stats_doc()})
             return
 
-        if endpoint in ("knn_batch", "range_batch"):
+        if endpoint == "window":
+            low, high = _frames(body, content_type, 2)
+            self._send_neighbors(request,
+                                 [source.window(low, high, **pool_kw)])
+            return
+
+        if endpoint in ("knn", "range"):
             points, arg = _frames(body, content_type, 2)
-            if endpoint == "knn_batch":
+            name = "k" if endpoint == "knn" else "radius"
+            if points.ndim == 2 and len(points) == 1:
+                # Checked here, in the handles' order and words, so a bad
+                # request fails alone instead of poisoning its group.
+                point = as_point(points[0], getattr(source, "dims", None))
+                param = per_query(name, arg, 1)[0].item()
+                results = [self._coalescer.submit(endpoint, point, param,
+                                                  deadline)]
+            elif endpoint == "knn":
                 results = source.knn_batch(points, k=arg, **pool_kw)
             else:
                 results = source.range_batch(points, arg, **pool_kw)
@@ -474,27 +489,6 @@ class QueryServer:
 
         binary_body = content_type == protocol.BINARY_CONTENT_TYPE
         doc = {} if binary_body else self._json_doc(body)
-
-        if endpoint in ("knn", "range"):
-            name = "k" if endpoint == "knn" else "radius"
-            point = _required(doc, "point")
-            param = doc.get("k", 1) if name == "k" else _required(doc, name)
-            _reject_unknown(doc, {"point", name})
-            # Checked here, in the handles' order and words, so a bad
-            # request fails alone instead of poisoning its group.
-            point = as_point(point, getattr(source, "dims", None))
-            param = per_query(name, param, 1)[0].item()
-            self._send_neighbors(request, [self._coalescer.submit(
-                endpoint, point, param, deadline)])
-            return
-
-        if endpoint == "window":
-            low = _required(doc, "low")
-            high = _required(doc, "high")
-            _reject_unknown(doc, {"low", "high"})
-            self._send_neighbors(request,
-                                 [source.window(low, high, **pool_kw)])
-            return
 
         # Every other endpoint answers 200 with one JSON document.
         if endpoint == "lookup":
@@ -613,9 +607,10 @@ _BAD_DEADLINE = object()
 def _frames(body: bytes, content_type: str, count: int) -> list:
     """The ``count`` matrix frames that make up a binary request body.
 
-    A batch read's body is its points then its ``k`` or radius, one per
-    row; ``insert_many``'s is its points alone.  Any other content type,
-    a missing frame or a byte after the last frame is refused.
+    A ``knn``/``range`` body is its points then its ``k`` or radius, one
+    per row; ``window``'s is its low then its high corner;
+    ``insert_many``'s is its points alone.  Any other content type, a
+    missing frame or a byte after the last frame is refused.
     """
     if content_type != protocol.BINARY_CONTENT_TYPE:
         raise ValueError(

@@ -13,6 +13,7 @@ generated interleavings.
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 
@@ -29,6 +30,8 @@ from repro.net.coalesce import (
     CoalescingScheduler,
 )
 from repro.workloads import cluster_dataset, histogram_dataset, uniform_dataset
+
+from .helpers import post
 
 WORKLOADS = {
     "uniform": lambda: uniform_dataset(150, 6, seed=21),
@@ -455,6 +458,126 @@ def test_graceful_close_finishes_waiting_batch_members(corpus):
                 t.join(timeout=10.0)
             for i in (0, 1):
                 assert_neighbors_equal(result[i], db.knn(data[i], k=3))
+
+
+# ---------------------------------------------------------------------------
+# The routing rule: a one-row read is coalesced, any other is one batch
+# ---------------------------------------------------------------------------
+
+
+class _HeldServer:
+    """A server over a ``_Held`` source whose first ``knn`` is held open,
+    and a client with a connection for each thread."""
+
+    def __init__(self, db):
+        self.source = _Held(db)
+        self.server = QueryServer(self.source)
+        self.rdb = RemoteDatabase.connect(_addr(self.server), pool_size=8)
+        self.threads = []
+        self.results = {}
+
+    def start(self, name, call):
+        def run():
+            self.results[name] = call()
+        thread = threading.Thread(target=run)
+        thread.start()
+        self.threads.append(thread)
+
+    def hold_a_knn(self, point):
+        self.source.hold()
+        self.start("held", lambda: self.rdb.knn(point, k=3))
+        assert self.source.entered.wait(10.0)
+
+    def pending(self):
+        return self.server.describe()["batching"]["pending"]
+
+    def close(self):
+        self.source.release()
+        for thread in self.threads:
+            thread.join(timeout=10.0)
+        self.rdb.close()
+        self.server.close()
+
+
+@pytest.fixture
+def held(corpus):
+    served = _HeldServer(corpus[0])
+    yield served
+    served.close()
+
+
+def test_a_one_row_read_runs_solo_as_the_plain_call(corpus, held):
+    db, data, _ = corpus
+    assert_neighbors_equal(held.rdb.knn(data[0], k=3), db.knn(data[0], k=3))
+    # A one-row batch is the same request on the wire.
+    (got,) = held.rdb.knn_batch(data[1:2], k=4)
+    assert_neighbors_equal(got, db.knn(data[1], k=4))
+    (got,) = held.rdb.range_batch(data[2:3], 0.3)
+    assert_neighbors_equal(got, db.range(data[2], 0.3))
+    assert held.source.calls == [("knn", 1, {}), ("knn", 1, {}),
+                                 ("range", 1, {})]
+
+
+def test_a_one_row_read_joins_a_group_while_its_operation_is_busy(corpus,
+                                                                  held):
+    db, data, _ = corpus
+    held.hold_a_knn(data[0])
+    held.start(1, lambda: held.rdb.knn(data[1], k=2))
+    held.start(2, lambda: held.rdb.knn_batch(data[2:3], k=5)[0])
+    _wait_for(lambda: held.pending() == 2)
+    held.close()
+    assert [call[:2] for call in held.source.calls] == [
+        ("knn", 1), ("knn_batch", 2)]
+    assert_neighbors_equal(held.results[1], db.knn(data[1], k=2))
+    assert_neighbors_equal(held.results[2], db.knn(data[2], k=5))
+
+
+def test_a_many_row_read_is_one_batch_even_while_knn_is_held(corpus, held):
+    db, data, _ = corpus
+    held.hold_a_knn(data[0])
+    got = held.rdb.knn_batch(data[1:4], k=[1, 2, 3])
+    assert held.source.calls[1] == ("knn_batch", 3, {})
+    assert held.pending() == 0  # it did not wait behind the held call
+    for row, k, result in zip(data[1:4], [1, 2, 3], got):
+        assert_neighbors_equal(result, db.knn(row, k=k))
+    got = held.rdb.range_batch(data[4:6], 0.3)
+    assert held.source.calls[2] == ("range_batch", 2, {})
+    for row, result in zip(data[4:6], got):
+        assert_neighbors_equal(result, db.range(row, 0.3))
+
+
+def test_zero_rows_answer_no_lists(corpus, held):
+    dims = corpus[0].dims
+    assert held.rdb.knn_batch(np.empty((0, dims)), k=2) == []
+    assert held.rdb.range_batch(np.empty((0, dims)), 0.3) == []
+    assert held.source.calls == [("knn_batch", 0, {}),
+                                 ("range_batch", 0, {})]
+
+
+def test_a_bad_one_row_read_fails_alone_and_its_groupmates_answer(corpus,
+                                                                  held):
+    db, data, _ = corpus
+    held.hold_a_knn(data[0])
+    held.start(1, lambda: held.rdb.knn(data[1], k=2))
+    held.start(2, lambda: held.rdb.knn(data[2], k=4))
+    _wait_for(lambda: held.pending() == 2)
+    spoilt = data[3].copy()
+    spoilt[0] = np.nan
+    for points, k, error_type in ((data[3:4], 0, "ValueError"),
+                                  (data[3:4], 2.5, "ValueError"),
+                                  (spoilt[None], 2, "ValueError"),
+                                  (data[3:4, :-1], 2, "DimensionalityError")):
+        # Refused at once, while the operation is still held: it never
+        # joined the group.
+        status, text = post(held.server.address, "knn",
+                            (points, np.array([k])))
+        assert (status, json.loads(text)["error_type"]) == (400, error_type)
+        assert held.pending() == 2
+    held.close()
+    assert [call[:2] for call in held.source.calls] == [
+        ("knn", 1), ("knn_batch", 2)]
+    assert_neighbors_equal(held.results[1], db.knn(data[1], k=2))
+    assert_neighbors_equal(held.results[2], db.knn(data[2], k=4))
 
 
 # ---------------------------------------------------------------------------

@@ -322,3 +322,37 @@ class TestPerQueryScalarPath:
         except ValueError:
             pass
         assert len(seen) == 1 and seen[0] is value
+
+
+class TestPerQueryExactK:
+    """An integer ``k`` — a Python ``int`` or an integer array, as every
+    ``k`` arrives over the wire — converts to int64 exactly, and one
+    outside int64 is refused as out of range, not as "not an integer"."""
+
+    @pytest.mark.parametrize("value", [2**53 + 1, 2**62 + 1, 2**63 - 1])
+    def test_an_integer_k_is_exact(self, value):
+        from repro.exec.batch import per_query
+
+        for given, nq in ((value, 1), (np.array([value]), 1),
+                          (np.array([value], dtype=np.uint64), 1),
+                          ([value, 3], 2)):
+            got = per_query("k", given, nq)
+            assert got.dtype == np.int64
+            assert got.tolist() == ([value, 3] if nq == 2 else [value])
+
+    def test_an_exact_k_reaches_the_index(self):
+        db = Database.create(None, kind="sr", dims=3)
+        db.insert_many(uniform_dataset(20, 3, seed=4))
+        assert len(db.knn([0.5] * 3, k=2**63 - 1)) == 20
+        assert [len(r) for r in db.knn_batch(np.full((2, 3), 0.5),
+                                             k=[2**63 - 1, 3])] == [20, 3]
+
+    @pytest.mark.parametrize("value, nq", [
+        (2**63, 1), (2**64, 1), (2**100, 1), (-2**70, 1),
+        (np.array([2**63], dtype=np.uint64), 1), ([1, 2**63], 2),
+        (2.0**63, 1), (1e300, 1)])
+    def test_a_k_outside_int64_is_out_of_range(self, value, nq):
+        from repro.exec.batch import per_query
+
+        with pytest.raises(ValueError, match="out of range"):
+            per_query("k", value, nq)

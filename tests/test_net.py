@@ -41,6 +41,7 @@ from repro.indexes.base import Neighbor
 from repro.net import QueryServer, RemoteDatabase
 from repro.net.protocol import (
     BINARY_CONTENT_TYPE,
+    PROTOCOL_VERSION,
     decode_matrix,
     decode_neighbor_block,
     encode_matrix,
@@ -115,6 +116,12 @@ def _addr(server: QueryServer) -> str:
     return "%s:%d" % server.address
 
 
+def _knn_body(point, k: int) -> bytes:
+    """A one-row ``/v1/knn`` body: the point's frame, then its ``k``."""
+    return (encode_matrix(np.asarray(point)[None])
+            + encode_matrix(np.array([k])))
+
+
 def assert_neighbors_equal(got, want):
     assert [n.value for n in got] == [n.value for n in want]
     for g, w in zip(got, want):
@@ -160,11 +167,9 @@ def test_deadline_budget_propagates_into_pool_timeout(corpus, serving_pool):
 def test_unparseable_deadline_header_is_a_400(corpus):
     with QueryServer(corpus.db) as server:
         conn = http.client.HTTPConnection(*server.address)
-        body = json.dumps({"point": corpus.data[0].tolist(), "k": 1})
-        conn.request("POST", "/v1/knn", body=body, headers={
-            "Content-Type": "application/json",
-            "X-Repro-Deadline-Ms": "soon",
-        })
+        conn.request("POST", "/v1/knn", body=_knn_body(corpus.data[0], 1),
+                     headers={"Content-Type": BINARY_CONTENT_TYPE,
+                              "X-Repro-Deadline-Ms": "soon"})
         response = conn.getresponse()
         assert response.status == 400
         assert b"X-Repro-Deadline-Ms" in response.read()
@@ -368,11 +373,11 @@ def test_client_disconnect_does_not_poison_the_server(corpus):
     source = _Slow(corpus.db, 0.3)
     with QueryServer(source) as server:
         sock = socket.create_connection(server.address)
-        body = json.dumps({"point": corpus.data[0].tolist(),
-                           "k": 2}).encode("utf-8")
+        body = _knn_body(corpus.data[0], 2)
         sock.sendall(b"POST /v1/knn HTTP/1.1\r\n"
                      b"Host: test\r\n"
-                     b"Content-Type: application/json\r\n"
+                     b"Content-Type: " + BINARY_CONTENT_TYPE.encode() +
+                     b"\r\n"
                      b"Content-Length: " + str(len(body)).encode() +
                      b"\r\n\r\n" + body)
         sock.close()  # hang up while the query is still running
@@ -400,24 +405,18 @@ def test_malformed_requests_are_client_errors(corpus):
         assert status == 404
 
         # Unknown body field -> 400 naming the offender.
-        status, doc = post("/v1/knn", {"point": corpus.data[0].tolist(),
-                                       "bogus": 1})
+        status, doc = post("/v1/lookup", {"point": corpus.data[0].tolist(),
+                                          "bogus": 1})
         assert status == 400
         assert "bogus" in doc["error"]
-        # So is "algorithm": best-first search is the index's
-        # iter_nearest, not a /v1/knn option.
-        status, doc = post("/v1/knn", {"point": corpus.data[0].tolist(),
-                                       "algorithm": "best-first"})
-        assert status == 400
-        assert "['algorithm']" in doc["error"]
 
         # Missing required field -> 400.
-        status, doc = post("/v1/range", {"radius": 0.5})
+        status, doc = post("/v1/explain", {"k": 2})
         assert status == 400
         assert "point" in doc["error"]
 
         # Non-JSON body on a JSON endpoint -> 400, not a crashed thread.
-        conn.request("POST", "/v1/knn", body=b"\x00\xff not json",
+        conn.request("POST", "/v1/lookup", body=b"\x00\xff not json",
                      headers={"Content-Type": "application/json"})
         response = conn.getresponse()
         assert response.status == 400
@@ -437,6 +436,29 @@ def test_malformed_requests_are_client_errors(corpus):
         rdb.knn(corpus.data[0], algorithm="best-first")
 
 
+@pytest.mark.parametrize("endpoint, doc", [
+    ("knn", {"point": [0.5] * 6, "k": 2}),
+    ("range", {"point": [0.5] * 6, "radius": 0.3}),
+    ("window", {"low": [0.0] * 6, "high": [1.0] * 6})])
+def test_a_json_neighbor_read_is_refused_naming_the_frames(corpus, endpoint,
+                                                          doc):
+    with QueryServer(corpus.db) as server:
+        status, error_type, error = _error(post(server.address, endpoint,
+                                                doc))
+    assert (status, error_type) == (400, "ValueError")
+    assert BINARY_CONTENT_TYPE in error
+
+
+@pytest.mark.parametrize("endpoint", ["knn_batch", "range_batch"])
+def test_the_batch_endpoints_are_gone(corpus, endpoint):
+    # A batch is a many-row body on /v1/knn or /v1/range.
+    with QueryServer(corpus.db) as server:
+        status, text = post(server.address, endpoint,
+                            (corpus.data[:3], np.full(3, 2)))
+    assert status == 404
+    assert f"/v1/{endpoint}" not in json.loads(text)["paths"]
+
+
 # ---------------------------------------------------------------------------
 # Request framing (repro.httpd), over raw sockets
 # ---------------------------------------------------------------------------
@@ -444,11 +466,12 @@ def test_malformed_requests_are_client_errors(corpus):
 
 def _knn_request(corpus, length: bytes | None = None,
                  extra: bytes = b"") -> bytes:
-    body = json.dumps({"point": corpus.data[0].tolist(), "k": 2}).encode()
+    body = _knn_body(corpus.data[0], 2)
     if length is None:
         length = str(len(body)).encode()
     return (b"POST /v1/knn HTTP/1.1\r\nHost: test\r\n"
-            b"Content-Type: application/json\r\n" + extra +
+            b"Content-Type: " + BINARY_CONTENT_TYPE.encode() + b"\r\n"
+            + extra +
             b"Content-Length: " + length + b"\r\n\r\n" + body)
 
 
@@ -534,7 +557,8 @@ def test_a_stalled_body_holds_no_admission_slot(corpus):
     with QueryServer(corpus.db, max_inflight=1, max_queue=0) as server:
         with socket.create_connection(server.address, timeout=5.0) as peer:
             peer.sendall(b"POST /v1/knn HTTP/1.1\r\nHost: test\r\n"
-                         b"Content-Type: application/json\r\n"
+                         b"Content-Type: " + BINARY_CONTENT_TYPE.encode() +
+                         b"\r\n"
                          b"Content-Length: 100\r\n\r\n")
             time.sleep(0.2)  # its handler is now waiting for the body
             with RemoteDatabase.connect(_addr(server)) as rdb:
@@ -551,7 +575,7 @@ def _handler_threads() -> list[threading.Thread]:
 @pytest.mark.parametrize("stage, payload", [
     ("head", b"POST /v1/knn HTTP/1.1\r\nHost: test\r\n"),
     ("body", b"POST /v1/knn HTTP/1.1\r\nHost: test\r\n"
-             b"Content-Length: 100\r\n\r\n{\"point\": ")])
+             b"Content-Length: 100\r\n\r\nRPM1")])
 def test_a_stalled_request_is_closed_after_the_bound(corpus, monkeypatch,
                                                      stage, payload):
     monkeypatch.setattr(httpd, "MESSAGE_TIMEOUT_S", 0.3)
@@ -656,11 +680,13 @@ def _refusal(call):
     return 400, type(info.value).__name__, str(info.value)
 
 
-@pytest.mark.parametrize("endpoint,arg", [("knn_batch", "k"),
-                                          ("range_batch", "radius")])
-def test_batch_reads_take_matrix_frames_only(corpus, endpoint, arg):
-    # A batch body is the points then one k or radius per row; a JSON
-    # body is refused with the content type it should have had.
+@pytest.mark.parametrize("method,arg", [("knn_batch", "k"),
+                                        ("range_batch", "radius")])
+def test_batch_reads_take_matrix_frames_only(corpus, method, arg):
+    # A batch body is the points then one k or radius per row, sent to
+    # the single-query endpoint; a JSON body is refused with the content
+    # type it should have had.
+    endpoint = method.removesuffix("_batch")
     queries = corpus.data[:6]
     value = 3 if arg == "k" else 0.4
     with QueryServer(corpus.db) as server:
@@ -675,20 +701,22 @@ def test_batch_reads_take_matrix_frames_only(corpus, endpoint, arg):
         assert "truncated" in error
 
 
-@pytest.mark.parametrize("endpoint,name,values", [
+@pytest.mark.parametrize("method,name,values", [
     ("knn_batch", "k", [1, 2]),
     ("range_batch", "radius", [0.1, 0.2]),
 ])
 def test_per_row_frame_of_another_length_is_per_querys_refusal(
-        corpus, endpoint, name, values):
-    queries = corpus.data[:6]
-    local = getattr(corpus.db, endpoint)
-    want = _refusal(lambda: local(queries, values))
-    assert want[1] == "ValueError" and "per-query" in want[2]
+        corpus, method, name, values):
+    # Six rows (one batched call) and one row (checked before it may
+    # join a group) alike.
+    local = getattr(corpus.db, method)
     with QueryServer(corpus.db) as server:
-        got = _error(post(server.address, endpoint,
-                          (queries, np.asarray(values))))
-    assert got == want
+        for queries in (corpus.data[:6], corpus.data[:1]):
+            want = _refusal(lambda: local(queries, values))
+            assert want[1] == "ValueError" and "per-query" in want[2]
+            got = _error(post(server.address, method.removesuffix("_batch"),
+                              (queries, np.asarray(values))))
+            assert got == want
 
 
 def test_trailing_bytes_after_the_frames_are_a_400(tmp_path):
@@ -699,7 +727,7 @@ def test_trailing_bytes_after_the_frames_are_a_400(tmp_path):
         frames = encode_matrix(data[:3]) + encode_matrix(np.full(3, 2))
         with QueryServer(db, auth_token="t") as server:
             status, error_type, error = _error(
-                post(server.address, "knn_batch", frames + b"junk"))
+                post(server.address, "knn", frames + b"junk"))
             assert (status, error_type) == (400, "NetError")
             assert "4 byte(s) after the last of 2 matrix frame(s)" in error
             status, error_type, _ = _error(post(
@@ -708,20 +736,26 @@ def test_trailing_bytes_after_the_frames_are_a_400(tmp_path):
             assert (status, error_type) == (400, "NetError")
             assert db.size == len(data)
             # The same frames without the junk are answered.
-            assert post(server.address, "knn_batch", frames)[0] == 200
+            assert post(server.address, "knn", frames)[0] == 200
 
 
 @pytest.mark.parametrize("radius", [None, [1, 2], -1.0, "far"])
 def test_range_radius_is_refused_as_database_refuses_it(corpus, serving_pool,
                                                         radius):
+    # A radius a frame can carry is sent raw; the client refuses the
+    # others before the round trip, with the same words.
     point = corpus.data[0]
     want = _refusal(lambda: corpus.db.range(point, radius))
-    doc = {"point": point.tolist(), "radius": radius}
     with serving_pool(corpus.path, workers=1) as pool:
         for source in (corpus.db, pool):
             with QueryServer(source) as server:
-                got = _error(post(server.address, "range", doc))
-            assert got == want, type(source).__name__
+                with RemoteDatabase.connect(_addr(server)) as rdb:
+                    got = _refusal(lambda: rdb.range(point, radius))
+                assert got == want, type(source).__name__
+                if not isinstance(radius, str | None):
+                    got = _error(post(server.address, "range", (
+                        point[None], np.asarray(radius, dtype=float))))
+                    assert got == want, type(source).__name__
 
 
 # ---------------------------------------------------------------------------
@@ -907,7 +941,8 @@ def _reply(doc: dict, extra: bytes = b"") -> bytes:
             + b"Content-Length: %d\r\n\r\n" % len(body) + body)
 
 
-_DESCRIPTOR = _reply({"protocol": 2, "dims": 2, "kind": "srtree"})
+_DESCRIPTOR = _reply({"protocol": PROTOCOL_VERSION, "dims": 2,
+                      "kind": "srtree"})
 
 
 def test_client_retries_a_read_once_on_a_dropped_connection():
@@ -934,7 +969,7 @@ def test_client_never_retries_a_mutation():
 
 
 def test_client_drops_a_connection_the_server_closes():
-    peer = _Scripted(_reply({"protocol": 2, "dims": 2},
+    peer = _Scripted(_reply({"protocol": PROTOCOL_VERSION, "dims": 2},
                             b"Connection: close\r\n"),
                      _reply({"stats": {}}))
     try:

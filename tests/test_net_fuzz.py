@@ -19,28 +19,57 @@ The oracle, for every request:
   than requests sent.
 
 Every defect the fuzzer has found is a named regression test below it.
-``make test-net`` runs it deeper (``--hypothesis-profile=deep``).
+
+The second fuzzer writes the one request shape a neighbor read has:
+matrix frames on ``/v1/knn``, ``/v1/range`` and ``/v1/window``, with 0,
+1, 2 or 33 rows, NaN/inf coordinates, ``k`` and radii, a wrong ``D``, a
+per-row frame of another length, truncation, trailing bytes, shape and
+length lies, and ``X-Repro-Deadline-Ms`` values.  Half of them arrive
+while a lone ``knn`` is held open with a good request queued behind it,
+so a one-row body may join that request's group.  Its oracle is the
+served ``Database`` over the same corpus: a 200 whose block equals what
+``Database`` answers for the decoded frames, or a 400 naming the class
+``Database`` raises (a 504 only for a spent deadline); the groupmates
+are answered correctly, no slot is left held, and a good request on
+the same keep-alive connection is answered after it.
+
+``make test-net`` runs both deeper (``--hypothesis-profile=deep``).
 """
 
 from __future__ import annotations
 
 import json
 import re
+import struct
+import threading
+import time
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import Database
+from repro.exceptions import NetError
 from repro.net import QueryServer
-from repro.net.protocol import BINARY_CONTENT_TYPE
+from repro.net.protocol import (
+    BINARY_CONTENT_TYPE,
+    decode_matrix,
+    decode_neighbor_block,
+    encode_matrix,
+)
 from repro.obs.events import EVENTS, WARN
 from repro.workloads import uniform_dataset
 
 from .helpers import raw_http
 
 DIMS = 3
-KNN_BODY = json.dumps({"point": [0.5] * DIMS, "k": 2}).encode()
+#: A one-row ``/v1/knn`` body: the point's frame, then its k.
+KNN_BODY = (encode_matrix(np.full((1, DIMS), 0.5))
+            + encode_matrix(np.array([2])))
+#: A JSON document where a request line should be.
+JSON_LINE = json.dumps({"point": [0.5] * DIMS, "k": 2}).encode()
 #: A whole request, as a body: answered twice if a body is ever parsed.
 EMBEDDED = b"GET /v1/stats HTTP/1.1\r\nHost: fuzz\r\n\r\n"
 PIPELINED = b"GET /v1/server HTTP/1.1\r\nHost: fuzz\r\n\r\n"
@@ -55,16 +84,48 @@ SUBSTRATE_5XX = {501, 504, 505}
 DEFECT_EVENTS = {"http_handler_error", "query_server_error"}
 
 
+class _Holdable:
+    """The served ``Database``, whose next ``knn`` call can be held open
+    (``hold()`` returns the event that releases it)."""
+
+    def __init__(self, db) -> None:
+        self._db = db
+        self._gate: threading.Event | None = None
+        self.entered = threading.Event()
+
+    def __getattr__(self, name):
+        return getattr(self._db, name)
+
+    def hold(self) -> threading.Event:
+        self.entered.clear()
+        self._gate = threading.Event()
+        return self._gate
+
+    def knn(self, *args, **kwargs):
+        gate, self._gate = self._gate, None
+        if gate is not None:
+            self.entered.set()
+            assert gate.wait(10.0)
+        return self._db.knn(*args, **kwargs)
+
+
 @pytest.fixture(scope="module")
-def server(tmp_path_factory):
+def served(tmp_path_factory):
     path = str(tmp_path_factory.mktemp("fuzz") / "fuzz.srtree")
+    data = uniform_dataset(60, DIMS, seed=7)
     with Database.create(path, kind="sr", dims=DIMS, page_size=2048) as db:
-        db.insert_many(uniform_dataset(60, DIMS, seed=7))
+        db.insert_many(data)
     db = Database.open(path)
-    server = QueryServer(db)
-    yield server
+    source = _Holdable(db)
+    server = QueryServer(source)
+    yield SimpleNamespace(db=db, data=data, source=source, server=server)
     server.close()
     db.close()
+
+
+@pytest.fixture(scope="module")
+def server(served):
+    return served.server
 
 
 def _budget(examples: int) -> settings:
@@ -266,7 +327,8 @@ def test_generated_requests_meet_the_oracle(server, request):
 
 
 def _knn(*headers: bytes, body: bytes = KNN_BODY) -> bytes:
-    return b"".join([b"POST /v1/knn HTTP/1.1\r\nHost: fuzz\r\n"]
+    return b"".join([b"POST /v1/knn HTTP/1.1\r\nHost: fuzz\r\n",
+                     b"Content-Type: %s\r\n" % BINARY_CONTENT_TYPE.encode()]
                     + [h + b"\r\n" for h in headers] + [b"\r\n", body])
 
 
@@ -303,14 +365,14 @@ def test_content_length_of_thousands_of_digits_is_refused(server):
     assert _statuses(got) == [413]
     got = check(server, _knn(b"Content-Length: " + b"0" * 5000 + b"5",
                              body=b"hello"), 1)
-    assert _statuses(got) == [400]  # served: five bytes that are not JSON
+    assert _statuses(got) == [400]  # served: five bytes, not a frame
 
 
 @pytest.mark.parametrize("line, status", [
     (b"GET /healthz", 400),
     (b"\x00", 400),
     (b"GET  HTTP/1.1", 400),
-    (KNN_BODY, 400),
+    (JSON_LINE, 400),
     (b"GET /healthz HTTP/1.x", 400),
     (b"GET /healthz HTTP/0.9", 505),
     (b"GET /healthz HTTP/2.0", 505),
@@ -338,7 +400,7 @@ def test_unreadable_header_line_does_not_end_the_head(server):
 
 def test_body_stopping_short_is_never_executed(server):
     # The peer ended the stream inside the body: nothing is answered
-    # from a partial body (a prefix of a JSON document may parse).
+    # from a partial body.
     got = check(server, _knn(b"Content-Length: %d" % (len(KNN_BODY) + 7)), 1)
     assert got == []
 
@@ -400,3 +462,277 @@ def test_keep_alive_by_version(server, version, closes):
     got = check(server, b"GET /healthz " + version
                 + b"\r\nConnection: close\r\n\r\n" + PIPELINED, 2)
     assert _statuses(got) == [200]
+
+
+# ---------------------------------------------------------------------------
+# Generated neighbor-read bodies: matrix frames against the Database oracle
+# ---------------------------------------------------------------------------
+
+#: The point of the good request that follows every generated one on
+#: its connection, the points of the two queries a held call keeps
+#: busy, and the k of all three.
+GOOD_POINT = np.full(DIMS, 0.25)
+MATES = np.array([[0.1, 0.2, 0.3], [0.9, 0.8, 0.7]])
+GOOD_K = 4
+KS = {"<i8": [1, 2, 5, 21, 60, 61, 2**62, 2**63 - 1, 0, -1, -2**63],
+      "<f8": [1.0, 3.0, 2.5, np.nan, np.inf, -np.inf, 1e300]}
+RADII = {"<f8": [0.0, -0.0, 0.1, 0.3, 1.0, np.inf, 1e308, -1.0, np.nan],
+         "<i8": [0, 1, -1, 2**62]}
+#: Deadline header values beside none at all.
+DEADLINES = ["5000", "1e300", "0", "-5", "nan", "inf", "-inf", "soon",
+             "1e400", ""]
+
+
+def _coordinates(draw, shape, dtype: str) -> np.ndarray:
+    """Points of ``shape`` in the unit cube, one coordinate maybe spoilt."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    if dtype == "<i8":
+        array, specials = rng.integers(0, 2, shape), [-1, 2]
+    else:
+        array, specials = rng.random(shape), [np.nan, np.inf, -np.inf, 2.0]
+    return _spoilt(draw, array.astype(dtype), specials)
+
+
+def _per_row(draw, shape, dtype: str, values: list) -> np.ndarray:
+    """One drawn ``k`` or radius of ``values`` for every row, one maybe
+    another."""
+    array = np.full(shape, draw(st.sampled_from(values)), dtype=dtype)
+    return _spoilt(draw, array, values)
+
+
+def _spoilt(draw, array: np.ndarray, specials: list) -> np.ndarray:
+    if array.size and draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, array.size - 1))
+        array.flat[at] = draw(st.sampled_from(specials))
+    return array
+
+
+def _mostly(draw, usual, *others):
+    """``usual`` seven times in eight (and when shrinking), else one of
+    ``others``."""
+    if draw(st.integers(0, 7)) < 7:
+        return usual
+    return draw(st.sampled_from(others))
+
+
+@st.composite
+def frame_requests(draw):
+    """``(endpoint, body, content_type, deadline, behind)``: one neighbor
+    read's frames, whole or damaged, its two headers, and whether it
+    arrives behind a held ``knn``."""
+    endpoint = draw(st.sampled_from(["knn", "knn", "range", "window"]))
+    dims = _mostly(draw, DIMS, DIMS - 1, DIMS + 1, 0)
+    dtype = _mostly(draw, "<f8", "<f4", "<i8")
+    if endpoint == "window":
+        low, high = np.sort(_coordinates(draw, (2, dims), dtype), axis=0)
+        first, second = _mostly(draw, (low, high), (high, low))
+    else:
+        q = draw(st.sampled_from([1, 1, 1, 0, 2, 33]))
+        first = _coordinates(draw, _mostly(
+            draw, (q, dims), (dims,), (1, 1, dims), ()), dtype)
+        rows = _mostly(draw, q, q + 1, max(q - 1, 0), 1)
+        table, usual, other = ((KS, "<i8", "<f8") if endpoint == "knn"
+                               else (RADII, "<f8", "<i8"))
+        per_dtype = _mostly(draw, usual, other)
+        second = _per_row(draw, _mostly(draw, (rows,), (), (rows, 1)),
+                          per_dtype, table[per_dtype])
+    one = encode_matrix(first)
+    body = one + encode_matrix(second)
+    damage = None  # one body in four is damaged
+    if draw(st.integers(0, 3)) == 3:
+        damage = draw(st.sampled_from(["cut", "trail", "shape", "ndim",
+                                       "flip", "one_frame", "json"]))
+    if damage == "cut":
+        body = body[:draw(st.integers(0, len(body) - 1))]
+    elif damage == "trail":
+        body += draw(st.binary(min_size=1, max_size=8))
+    elif damage == "shape":  # one shape word of either frame lies
+        at, frame = draw(st.sampled_from([(0, first), (len(one), second)]))
+        if frame.ndim:
+            word = at + 8 + 8 * draw(st.integers(0, frame.ndim - 1))
+            lie = draw(st.sampled_from([0, 1, 2**32, 2**63, 2**64 - 1]
+                                       + [n + 1 for n in frame.shape]))
+            body = body[:word] + struct.pack("<Q", lie) + body[word + 8:]
+    elif damage == "ndim":
+        at = draw(st.sampled_from([0, len(one)]))
+        body = (body[:at + 5] + bytes([draw(st.integers(0, 255))])
+                + body[at + 6:])
+    elif damage == "flip":
+        at = draw(st.integers(0, len(body) - 1))
+        body = body[:at] + bytes([draw(st.integers(0, 255))]) + body[at + 1:]
+    elif damage == "one_frame":
+        body = one
+    elif damage == "json":
+        body = JSON_LINE
+    content_type = _mostly(draw, BINARY_CONTENT_TYPE,
+                           BINARY_CONTENT_TYPE + "; v=1", "application/json",
+                           None)
+    return (endpoint, body, content_type, _mostly(draw, None, *DEADLINES),
+            draw(st.booleans()))
+
+
+def _request(endpoint: str, body: bytes, content_type: str | None = None,
+             deadline: str | None = None, last: bool = False) -> bytes:
+    headers = [b"POST /v1/%s HTTP/1.1" % endpoint.encode(), b"Host: fuzz",
+               b"Content-Length: %d" % len(body)]
+    if content_type is not None:
+        headers.append(b"Content-Type: " + content_type.encode())
+    if deadline is not None:
+        headers.append(b"X-Repro-Deadline-Ms: " + deadline.encode())
+    if last:
+        headers.append(b"Connection: close")
+    return b"\r\n".join(headers) + b"\r\n\r\n" + body
+
+
+def _frames(*arrays) -> bytes:
+    return b"".join(encode_matrix(np.asarray(a)) for a in arrays)
+
+
+def _good(point=GOOD_POINT, last: bool = False) -> bytes:
+    return _request("knn", _frames(point[None], [GOOD_K]),
+                    BINARY_CONTENT_TYPE, last=last)
+
+
+def _database(db, endpoint: str, body: bytes, content_type):
+    """What ``Database`` answers for the frames of ``body``: its result
+    lists, or the name of the class it raises."""
+    try:
+        if (content_type or "").split(";")[0] != BINARY_CONTENT_TYPE:
+            raise ValueError("not a frames body")
+        first, offset = decode_matrix(body)
+        second, offset = decode_matrix(body, offset)
+        if offset != len(body):
+            raise NetError("bytes after the frames")
+        if endpoint == "window":
+            return [db.window(first, second)]
+        if endpoint == "knn":
+            return db.knn_batch(first, k=second)
+        return db.range_batch(first, second)
+    except Exception as exc:
+        return type(exc).__name__
+
+
+def _same_lists(got, want, data: np.ndarray) -> None:
+    """``got`` answers as ``want`` does: the same distances, each neighbor
+    the corpus row its value names, and the same values at each distance
+    but the last (a tie there may be broken either way)."""
+    assert len(got) == len(want)
+    for got_list, want_list in zip(got, want):
+        distances = [n.distance for n in want_list]
+        assert [n.distance for n in got_list] == distances
+        for n in got_list:
+            assert np.array_equal(n.point, data[n.value])
+        for distance in set(distances[:-1]) - set(distances[-1:]):
+            assert (sorted(n.value for n in got_list
+                           if n.distance == distance)
+                    == sorted(n.value for n in want_list
+                              if n.distance == distance))
+
+
+def _meets_oracle(served, endpoint, body, content_type, deadline, answer):
+    status, _, payload = answer
+    try:
+        budget = None if deadline is None else float(deadline)
+    except ValueError:
+        budget = np.nan
+    if budget is not None and not np.isfinite(budget):
+        assert status == 400, payload
+        assert json.loads(payload)["error_type"] == "ValueError"
+        return
+    if budget is not None and budget <= 0:
+        assert status == 504, payload
+        return
+    want = _database(served.db, endpoint, body, content_type)
+    if isinstance(want, str):
+        assert status == 400, (want, payload)
+        assert json.loads(payload)["error_type"] == want
+        return
+    assert status == 200, (want, payload)
+    got = decode_neighbor_block(payload)
+    _same_lists(got, want, served.data)
+    if endpoint != "window":  # the per-row frame had one value per row
+        _, offset = decode_matrix(body)
+        per_row = decode_matrix(body, offset)[0]
+        assert per_row.shape in ((), (len(got),)), per_row.shape
+
+
+def _wait_for(condition, timeout: float = 5.0) -> None:
+    limit = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < limit, "condition never held"
+        time.sleep(0.001)
+
+
+def _pending(server) -> int:
+    return server.describe()["batching"]["pending"]
+
+
+def _behind_a_held_knn(served, payload: bytes) -> tuple[bytes, list]:
+    """Send ``payload`` while a lone ``knn`` is held open and a good
+    request waits behind it; its raw answer, and both groupmates'."""
+    answers: dict = {}
+
+    def start(slot: int, data: bytes) -> threading.Thread:
+        def send() -> None:
+            answers[slot] = raw_http(served.server.address, data,
+                                     timeout=10.0, half_close=True)
+        thread = threading.Thread(target=send)
+        thread.start()
+        return thread
+
+    gate = served.source.hold()
+    threads = []
+    try:
+        threads.append(start(0, _good(MATES[0], last=True)))
+        assert served.source.entered.wait(5.0)  # it runs alone, held
+        threads.append(start(1, _good(MATES[1], last=True)))
+        _wait_for(lambda: _pending(served.server) == 1)  # it waits
+        threads.append(start(2, payload))
+        # The payload joins the group, or is answered at once and the
+        # good request after it on its connection joins instead.
+        _wait_for(lambda: _pending(served.server) == 2)
+    finally:
+        gate.set()
+        for thread in threads:
+            thread.join(10.0)
+    return answers[2], [answers[0], answers[1]]
+
+
+@_budget(100)
+@given(request=frame_requests())
+# Seeds, each the request that refutes one missing check: a bad point
+# or k checked before the request may join a group, a per-row frame of
+# another length, and bytes after the last frame.
+@example(request=("knn", _frames([[np.nan, 0.5, 0.5]], [2]),
+                  BINARY_CONTENT_TYPE, None, True))
+@example(request=("knn", _frames([[0.5, 0.5]], [2]),
+                  BINARY_CONTENT_TYPE, None, True))
+@example(request=("knn", _frames([[0.5] * DIMS], [0]),
+                  BINARY_CONTENT_TYPE, None, True))
+@example(request=("range", _frames(np.full((2, DIMS), 0.5), [0.3]),
+                  BINARY_CONTENT_TYPE, None, False))
+@example(request=("knn", _frames([[0.5] * DIMS], [2]) + b"\x00",
+                  BINARY_CONTENT_TYPE, None, False))
+def test_generated_frames_meet_the_database_oracle(served, request):
+    endpoint, body, content_type, deadline, behind = request
+    payload = (_request(endpoint, body, content_type, deadline)
+               + _good(last=True))
+    if behind:
+        raw, mates = _behind_a_held_knn(served, payload)
+        for point, mate in zip(MATES, mates):
+            (status, _, block), = responses(mate)
+            assert status == 200, block
+            _same_lists(decode_neighbor_block(block),
+                        [served.db.knn(point, k=GOOD_K)], served.data)
+    else:
+        raw = raw_http(served.server.address, payload, timeout=10.0,
+                       half_close=True)
+    got = responses(raw)
+    assert len(got) == 2, got  # the connection stayed in step
+    _meets_oracle(served, endpoint, body, content_type, deadline, got[0])
+    status, _, block = got[1]
+    assert status == 200, block
+    _same_lists(decode_neighbor_block(block),
+                [served.db.knn(GOOD_POINT, k=GOOD_K)], served.data)
+    described = served.server.describe()
+    assert (described["inflight"], described["queued"]) == (0, 0)

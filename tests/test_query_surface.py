@@ -419,7 +419,8 @@ def test_nan_is_refused_on_the_way_in_and_the_tree_still_verifies(tmp_path):
             status, body = post(server.address, "insert_many",
                                 {"points": [data[0].tolist(), bad]}, "t")
             assert (status, "finite" in body) == (400, True)
-            status, body = post(server.address, "knn", {"point": bad, "k": 2})
+            status, body = post(server.address, "knn",
+                                (np.array([bad]), np.array([2])))
             assert (status, "finite" in body) == (400, True)
         assert db.size == len(data)
         db.verify()
@@ -441,13 +442,13 @@ def test_bad_argument_through_a_process_pool_server_is_a_400(corpus):
     q = corpus.queries[0]
     with _pool_process(corpus) as pool, QueryServer(pool) as server:
         for endpoint, doc in (
-                ("window", {"low": (q + 0.1).tolist(),
-                            "high": (q - 0.1).tolist()}),
-                ("window", {"low": [0.0, 0.0], "high": [1.0, 1.0]}),
+                ("window", (q + 0.1, q - 0.1)),
+                ("window", (np.zeros(2), np.ones(2))),
                 ("lookup", {"point": [0.0, 0.0]}),
-                ("knn", {"point": q.tolist(), "k": 2.5}),
-                ("knn_batch", (q[None, :], np.array([1, 2]))),
-                ("range_batch", (q[None, :], np.array([-1.0])))):
+                ("knn", (q[None, :], np.array([2.5]))),
+                ("knn", (q[None, :], np.array([1, 2]))),
+                ("knn", (np.stack([q, q]), np.array([1, 2.5]))),
+                ("range", (q[None, :], np.array([-1.0])))):
             status, body = post(server.address, endpoint, doc)
             assert status == 400, (endpoint, doc, body)
             assert "Traceback" not in body and ".py" not in body
