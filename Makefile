@@ -25,8 +25,8 @@ sloc:
 build-digest:
 	python tools/build_digest.py
 
-# Write-ahead log bytes per insert by record kind (IMAGE/DELTA of leaves
-# and internal nodes, META, META_DELTA, BEGIN/COMMIT) for 2 000 inserts
+# Write-ahead log bytes per insert by record kind (IMAGE/DELTA of leaves,
+# internal nodes and the meta page, BEGIN/COMMIT) for 2 000 inserts
 # of cluster_mixed_wal's insert stream, and the peak (data + log) over
 # user bytes that the ledger reports as space_amp.  About 15 s; CI
 # prints it next to sloc, informationally.
@@ -42,9 +42,10 @@ test:
 	pytest tests/
 
 # The durability suite on its own: checksum sweeps, WAL replay and
-# ordering, the log-record state machine (needs hypothesis: IMAGE, DELTA
-# and META_DELTA records under aborts, stale bases, truncates and kills;
-# the reserved PAGE record refused, by hand), the node store's model
+# ordering, the log-record state machine (needs hypothesis: IMAGE and
+# DELTA records of node pages and of the meta page, page 0, under aborts,
+# stale bases, truncates and kills; the reserved PAGE, META and
+# META_DELTA records refused, by hand), the node store's model
 # (needs hypothesis: snapshot pins, batched commits, aborts, saves,
 # checkpoints, process kills and OS crashes against committed page maps
 # by epoch; deeper here than in tier-1), and the randomized crash

@@ -475,9 +475,12 @@ class QueryServer:
             name = "k" if endpoint == "knn" else "radius"
             if points.ndim == 2 and len(points) == 1:
                 # Checked here, in the handles' order and words, so a bad
-                # request fails alone instead of poisoning its group.
+                # request fails alone instead of poisoning its group.  A
+                # lone value goes in as a Python number: per_query's
+                # fast path, not its array checks.
                 point = as_point(points[0], getattr(source, "dims", None))
-                param = per_query(name, arg, 1)[0].item()
+                value = arg.item() if arg.shape in ((), (1,)) else arg
+                param = per_query(name, value, 1)[0].item()
                 results = [self._coalescer.submit(endpoint, point, param,
                                                   deadline)]
             elif endpoint == "knn":

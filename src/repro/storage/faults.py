@@ -35,6 +35,7 @@ import time
 import numpy as np
 
 from ..exceptions import CrashError, TransientIOError
+from .checksums import ChecksumPageFile
 from .pagefile import PageFile
 
 __all__ = ["FaultInjectingPageFile", "FaultPlan", "splice_faults"]
@@ -241,11 +242,16 @@ class FaultInjectingPageFile(PageFile):
 
 
 def splice_faults(store, plan: FaultPlan) -> None:
-    """Splice a fault-injecting layer under an open ``store``'s buffers.
+    """Splice a fault-injecting layer under an open ``store``'s CRC32 seal.
 
-    Every later page read obeys ``plan``; the buffers are dropped so the
-    next query reads through it.  A serving-pool worker takes its test
-    faults this way, after its index is open.
+    The faults sit where :func:`~repro.storage.stack.open_pagefile` puts
+    them, below the seal, so a bit flipped in a read fails the page's
+    checksum instead of reaching a query.  Every later page read obeys
+    ``plan``; the buffers are dropped so the next query reads through
+    it.  A serving-pool worker takes its test faults this way, after its
+    index is open.
     """
-    store.pagefile = FaultInjectingPageFile(store.pagefile, plan)
+    seal = store.pagefile
+    store.pagefile = ChecksumPageFile(FaultInjectingPageFile(seal.inner, plan),
+                                      seal.page_size)
     store.drop_cache()

@@ -73,7 +73,6 @@ __all__ = [
     "NodeCodec",
     "META_SUPERBLOCK_SIZE",
     "pack_meta",
-    "meta_image",
     "read_superblock",
     "unpack_meta",
 ]
@@ -178,15 +177,6 @@ def read_superblock(path) -> int:
     if not flags & _META_FLAG_CHECKSUMS:
         raise ReproError(f"{os.fspath(path)} {_BARE_PAGES}")
     return page_size
-
-
-def meta_image(page: bytes) -> bytes:
-    """What :func:`pack_meta` wrote at the head of ``page``, without the
-    page's zero tail (a page that holds no superblock comes back whole)."""
-    if len(page) < META_SUPERBLOCK_SIZE or page[:8] != _META_MAGIC:
-        return page
-    length = _META_SUPERBLOCK.unpack_from(page)[4]
-    return page[: META_SUPERBLOCK_SIZE + length]
 
 
 def unpack_meta(payload: bytes) -> dict:

@@ -12,7 +12,8 @@ image)]`` in ascending epoch order, where each entry says "from this
 epoch on the page holds this image".  ``None`` is a free; at or below
 the *applied* epoch (the newest whose pages the data file holds) it
 stands for the file's image, so the table never copies what the file
-holds.  The meta page is page 0 like any other.  Three kinds of entry
+holds.  The meta page is page 0 like any other: a whole padded page,
+here and in the log.  Three kinds of entry
 share the table:
 
 * the open WAL transaction's writes and frees, one entry per page at
@@ -57,9 +58,9 @@ from .constants import META_PAGE_ID
 from .layout import NodeLayout
 from .nodes import InternalNode, LeafNode
 from .pagefile import InMemoryPageFile, PageFile
-from .serializer import NodeCodec, meta_image, pack_meta, unpack_meta
+from .serializer import NodeCodec, pack_meta, unpack_meta
 from .stats import IOStats
-from .wal import WriteAheadLog
+from .wal import CHECKPOINT_BYTES, WriteAheadLog
 
 __all__ = ["NodeStore", "DEFAULT_BUFFER_CAPACITY"]
 
@@ -601,28 +602,28 @@ class NodeStore:
         if not self.wal.has_image(page_id):
             return None
         try:
-            image = self._read_page_image(page_id)
+            return self._read_page_image(page_id)
         except (StorageError, OSError):
             return None
-        # The log's meta images end where pack_meta's bytes do; the
-        # file pads page 0 with zeros.
-        return meta_image(image) if page_id == META_PAGE_ID else image
+
+    def _write_page(self, page_id: int, image: bytes, call: str) -> None:
+        """Write one whole page: inside a transaction to the log and the
+        table (the data file is untouched until commit), else through."""
+        if self.in_txn:
+            self.wal.log_page(page_id, image, self._delta_base(page_id))
+            with self._mu:
+                self._put(page_id, image, self._epoch + 1)
+        else:
+            self._write_through(page_id, image, call)
 
     def _write_back(self, node: Node) -> None:
         if self.on_encode is not None:
             self.on_encode(node)
         image = self.codec.encode(node)
         page_size = self.layout.page_size
-        in_txn = self.in_txn
         for i, page_id in enumerate(node.all_page_ids):
-            chunk = image[i * page_size : (i + 1) * page_size]
-            if in_txn:
-                # Journal + table; the data file is untouched until commit.
-                self.wal.log_page(page_id, chunk, self._delta_base(page_id))
-                with self._mu:
-                    self._put(page_id, chunk, self._epoch + 1)
-            else:
-                self._write_through(page_id, chunk, "write-back")
+            self._write_page(page_id, image[i * page_size : (i + 1) * page_size],
+                             "write-back")
         extent = node.extent
         self.stats.page_writes += extent
         if node.is_leaf:
@@ -637,22 +638,20 @@ class NodeStore:
     def write_meta(self, meta: dict) -> None:
         """Persist an index metadata dict into the reserved meta page.
 
-        Inside a transaction it is journaled with the transaction's
+        The image is padded to a whole page and written like any other:
+        inside a transaction it is journaled with the transaction's
         pages; without a log page 0 goes to the data file at once and is
         fsynced.
         """
         self._require_writable()
         image = pack_meta(meta)
-        if len(image) > self.layout.page_size:
+        page_size = self.layout.page_size
+        if len(image) > page_size:
             raise StorageError("index metadata does not fit in the meta page")
-        if self.in_txn:
-            self.wal.log_meta(image, self._delta_base(META_PAGE_ID))
+        self._write_page(META_PAGE_ID, image.ljust(page_size, b"\x00"), "write_meta()")
+        if not self.in_txn:
             with self._mu:
-                self._put(META_PAGE_ID, image, self._epoch + 1)
-            return
-        self._write_through(META_PAGE_ID, image, "write_meta()")
-        with self._mu:
-            self.pagefile.sync()
+                self.pagefile.sync()
 
     def read_meta(self) -> dict:
         """Load the index metadata dict from the reserved meta page."""
@@ -733,7 +732,7 @@ class NodeStore:
         try:
             if synced:
                 self._apply_pending()
-            if self.wal.size() > self.wal.checkpoint_bytes:
+            if self.wal.size() > CHECKPOINT_BYTES:
                 self.checkpoint()  # fsyncs the log, so every commit applies
         except BaseException as exc:
             self._poison(f"{type(exc).__name__}: {exc}")

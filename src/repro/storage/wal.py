@@ -1,4 +1,4 @@
-"""Physical write-ahead log: crash-safe page and meta updates.
+"""Physical write-ahead log: crash-safe page updates.
 
 The SR-tree is a *dynamic, disk-based* index, and a single insert
 mutates several pages (leaf, split sibling, every ancestor, the meta
@@ -18,7 +18,7 @@ window with classic physical redo logging:
 
 Uncommitted transactions never reach the data file, so recovery needs no
 undo pass.  A checkpoint (automatic once the log exceeds
-``checkpoint_bytes``, and on ``close``) fsyncs the data file and
+:data:`CHECKPOINT_BYTES`, and on ``close``) fsyncs the data file and
 truncates the log.
 
 The durability point of step 2 is also the store's *publish* point for
@@ -38,42 +38,43 @@ Record format (little endian)::
 ``CRC32`` covers type, txn id, and payload, so a torn append (or a bit
 flip) invalidates the record and everything after it.  IMAGE payloads
 are ``page_id (u32) + padded image length (u32)`` followed by ``offset
-(u32) + length (u32) + bytes`` ranges over a page of zeros; DELTA and
-META_DELTA payloads are ``page_id (u32) + base CRC32 (u32) + padded
-image length (u32)`` followed by the same ranges over the base image;
-META payloads are the raw meta-page image; BEGIN/COMMIT have empty
-payloads.  Type 2 (PAGE, a whole image, which builds before IMAGE wrote
-in its place) is reserved: no writer emits it, the number is never
-reused, and a log carrying one is refused with a :class:`WALError` —
-not scanned as a torn tail, which would drop the committed transactions
-behind it without a word.  Every clean close leaves an empty log, so
-that is the way to carry a file between builds.
+(u32) + length (u32) + bytes`` ranges over a page of zeros; DELTA
+payloads are ``page_id (u32) + base CRC32 (u32) + padded image length
+(u32)`` followed by the same ranges over the base image; BEGIN/COMMIT
+have empty payloads.  The meta page is page 0 here as in the store: its
+records are IMAGEs and DELTAs of a whole padded page, like any node's.
+Types 2 (PAGE, a whole image, which builds before IMAGE wrote in its
+place), 3 (META, a raw meta image) and 7 (META_DELTA, a delta of one)
+are reserved: no writer emits them, the numbers are never reused, and a
+log carrying one is refused with a :class:`WALError` — not scanned as a
+torn tail, which would drop the committed transactions behind it
+without a word.  Every clean close leaves an empty log, so that is the
+way to carry a file between builds.
 
 **Log the bytes that are not already known.**  One range encoder
 (:func:`_encode_ranges`) cuts every record that carries page bytes.  The
 *first* write of a page since the last truncate has nothing in the log
 to lean on, so it is cut against a page of zeros — an IMAGE: a leaf is
-mostly the padding of its fixed data areas, and the zeros stay out of
-the log.  The record kind itself says "start from zeros"; replay never
-infers that from a CRC, so an IMAGE overrides whatever image of the page
-the log held before (the page was freed and reallocated, or its base was
+mostly the padding of its fixed data areas, the meta page mostly the
+padding behind its pickled dict, and the zeros stay out of the log.  The
+record kind itself says "start from zeros"; replay never infers that
+from a CRC, so an IMAGE overrides whatever image of the page the log
+held before (the page was freed and reallocated, or its base was
 stale).  Every later write is a DELTA: the ranges in which the new image
 differs from the page's current one, plus the CRC32 of that (padded)
 base image.  The log keeps one CRC per imaged page — four bytes, never
 the image — and :meth:`WriteAheadLog.log_page` cuts a delta only against
 a base that has exactly that CRC; a stale base (the page's only image
 sat in an aborted transaction, the page was freed and reallocated, the
-read failed) gets an IMAGE instead, which is always correct.  The meta
-page follows the page rule: the first META since a truncate is the raw
-image, later ones are META_DELTA records against the last meta image the
-log holds, under the same CRC.  The CRC table follows the same rule
-replay does — a transaction's images count only once it commits — so the
-writer and :func:`recover` always agree on what a delta applies to.
-Replay never takes a base from the data file (a crash while an earlier
-recovery was applying images can leave any page torn): it keeps one
-running image per distinct page, applies each committed transaction's
-records to it, and treats a delta whose base CRC does not match as a
-corrupt record — the scan stops there, as for a torn tail.
+read failed) gets an IMAGE instead, which is always correct.  The CRC
+table follows the same rule replay does — a transaction's images count
+only once it commits — so the writer and :func:`recover` always agree on
+what a delta applies to.  Replay never takes a base from the data file
+(a crash while an earlier recovery was applying images can leave any
+page torn): it keeps one running image per distinct page, applies each
+committed transaction's records to it, and treats a delta whose base
+CRC does not match as a corrupt record — the scan stops there, as for a
+torn tail.
 
 **fsync batching.**  ``sync_every=1`` (default) fsyncs on every commit —
 every acknowledged insert survives an OS crash.  ``sync_every=N`` fsyncs
@@ -108,25 +109,26 @@ from .pagefile import PageFile
 
 __all__ = ["RecoveryReport", "WriteAheadLog", "open_wal", "recover", "scan_wal"]
 
+#: The log size past which the node store checkpoints after a commit.
+CHECKPOINT_BYTES = 16 * 1024 * 1024
+
 _RECORD = struct.Struct("<IBQII")
 _MAGIC = 0x57414C31  # "WAL1"
 
 REC_BEGIN = 1
-REC_PAGE = 2  # reserved: refused by _scan, never written, never reused
-REC_META = 3
 REC_COMMIT = 4
 REC_DELTA = 5
 REC_IMAGE = 6
-REC_META_DELTA = 7
+#: Record types older builds wrote: refused by _scan, never written, never reused.
+_RESERVED = {2: "PAGE", 3: "META", 7: "META_DELTA"}
 
 _RECORD_KIND = {REC_BEGIN: "marker", REC_COMMIT: "marker", REC_IMAGE: "page",
-                REC_DELTA: "delta", REC_META: "meta", REC_META_DELTA: "meta"}
+                REC_DELTA: "delta"}
 
 _IMAGE = struct.Struct("<II")  # page id, padded image length
 _DELTA = struct.Struct("<III")  # page id, CRC32 of the padded base, its length
 _RANGE = struct.Struct("<II")  # offset, length (the bytes follow)
-_MIN_PAYLOAD = {REC_IMAGE: _IMAGE.size, REC_DELTA: _DELTA.size,
-                REC_META_DELTA: _DELTA.size}
+_MIN_PAYLOAD = {REC_IMAGE: _IMAGE.size, REC_DELTA: _DELTA.size}
 
 
 @dataclass(slots=True)
@@ -141,7 +143,6 @@ class _Txn:
 
     txn_id: int
     pages: dict[int, bytes] = field(default_factory=dict)
-    meta: bytes | None = None
     whole_images: int = 0
     deltas: int = 0
 
@@ -153,7 +154,7 @@ class RecoveryReport:
     committed_txns: int = 0
     replayed_pages: int = 0  # whole images (IMAGE records)
     replayed_deltas: int = 0
-    replayed_meta: bool = False
+    replayed_meta: bool = False  # page 0 was replayed
     discarded_txns: int = 0
     discarded_bytes: int = 0
     last_txn_id: int = 0
@@ -178,25 +179,19 @@ class WriteAheadLog:
         Log file path (conventionally ``<data file> + ".wal"``).
     sync_every:
         Fsync the log on every Nth commit (see module docstring).
-    checkpoint_bytes:
-        Auto-checkpoint threshold checked by the node store after each
-        applied commit; the log is truncated once it grows past this.
     fault_plan:
         Optional :class:`~repro.storage.faults.FaultPlan` sharing the
         crash-test write budget with the data file, so the kill harness
         can die mid-log-append too.
     """
 
-    def __init__(self, path, *, sync_every: int = 1,
-                 checkpoint_bytes: int = 16 * 1024 * 1024,
-                 fault_plan=None) -> None:
+    def __init__(self, path, *, sync_every: int = 1, fault_plan=None) -> None:
         if sync_every < 1:
             raise ValueError(f"sync_every must be >= 1, got {sync_every}")
         self._path = os.fspath(path)
         self._file = open(self._path, "ab")
         self._sync_every = sync_every
         self._commits_since_sync = 0
-        self.checkpoint_bytes = checkpoint_bytes
         self._fault_plan = fault_plan
         self._txn_id = 0
         self._in_txn = False
@@ -205,10 +200,9 @@ class WriteAheadLog:
         # handle creates the file, so the size is always readable).
         self._size = os.path.getsize(self._path)
         # CRC32 of the newest logged image of every page imaged since
-        # the last truncate (the meta page under META_PAGE_ID, which is
-        # no node's): committed transactions, and the open one's overlay
-        # that commit() merges and abort() drops — the same visibility
-        # rule scan_wal applies to the images themselves.
+        # the last truncate: committed transactions, and the open one's
+        # overlay that commit() merges and abort() drops — the same
+        # visibility rule scan_wal applies to the images themselves.
         self._image_crcs: dict[int, int] = {}
         self._txn_image_crcs: dict[int, int] = {}
 
@@ -263,10 +257,15 @@ class WriteAheadLog:
         If its CRC32 is the one the log remembers for the page, the byte
         ranges that differ from it are cut as a DELTA; otherwise — or
         when those ranges would not be smaller — the record is an IMAGE,
-        the ranges that differ from a page of zeros.
+        the ranges that differ from a page of zeros.  The meta page is
+        page 0 (its records are counted as ``record="meta"``).
         """
         self._require_txn()
-        kind, payload = REC_DELTA, self._cut_delta(page_id, image, base)
+        kind, payload = REC_DELTA, None
+        known = self._image_crc(page_id)
+        if (known is not None and base is not None and len(base) == len(image)
+                and zlib.crc32(base) == known):
+            payload = _DELTA.pack(page_id, known, len(image)) + _encode_ranges(base, image)
         # An IMAGE is longer than its non-zero words, and most deltas
         # are not: those need no IMAGE cut to be compared with.
         words = np.frombuffer(image, np.uint32, len(image) >> 2)
@@ -274,35 +273,9 @@ class WriteAheadLog:
             sparse = _IMAGE.pack(page_id, len(image)) + _encode_ranges(None, image)
             if payload is None or len(payload) >= len(sparse):
                 kind, payload = REC_IMAGE, sparse
-        self._append(kind, self._txn_id, payload)
+        self._append(kind, self._txn_id, payload,
+                     "meta" if page_id == META_PAGE_ID else None)
         self._txn_image_crcs[page_id] = zlib.crc32(image)
-
-    def log_meta(self, image: bytes, base: bytes | None = None) -> None:
-        """Journal the after-image of the meta page, raw or as a delta.
-
-        ``base`` is the meta image ``image`` replaces, if the caller
-        holds one.  The page rule applies: a META_DELTA only against a
-        base with the CRC32 of the last meta image in the log, and only
-        if it is smaller than the image itself.
-        """
-        self._require_txn()
-        image = bytes(image)
-        delta = self._cut_delta(META_PAGE_ID, image, base)
-        if delta is not None and len(delta) < len(image):
-            self._append(REC_META_DELTA, self._txn_id, delta)
-        else:
-            self._append(REC_META, self._txn_id, image)
-        self._txn_image_crcs[META_PAGE_ID] = zlib.crc32(image)
-
-    def _cut_delta(self, page_id: int, image: bytes,
-                   base: bytes | None) -> bytes | None:
-        """DELTA payload from ``base``, or ``None`` if it is no base."""
-        if base is None or len(base) != len(image):
-            return None
-        known = self._image_crc(page_id)
-        if known is None or zlib.crc32(base) != known:
-            return None
-        return _DELTA.pack(page_id, known, len(image)) + _encode_ranges(base, image)
 
     def commit(self) -> bool:
         """Append the COMMIT record; fsync per the batching policy.
@@ -340,7 +313,9 @@ class WriteAheadLog:
         if not self._in_txn:
             raise WALError("no open transaction")
 
-    def _append(self, rec_type: int, txn_id: int, payload: bytes) -> None:
+    def _append(self, rec_type: int, txn_id: int, payload: bytes,
+                label: str | None = None) -> None:
+        """Append one record; ``label`` overrides its kind's metric label."""
         crc = _record_crc(rec_type, txn_id, payload)
         record = _RECORD.pack(_MAGIC, rec_type, txn_id, len(payload), crc) + payload
         plan = self._fault_plan
@@ -354,7 +329,7 @@ class WriteAheadLog:
                 plan.die("WAL append")
         self._file.write(record)
         self._size += len(record)
-        on_wal_append(_RECORD_KIND[rec_type], len(record))
+        on_wal_append(label or _RECORD_KIND[rec_type], len(record))
 
     # ------------------------------------------------------------------
     # checkpointing / lifecycle
@@ -481,8 +456,8 @@ def _apply_image(payload) -> tuple[int, bytearray | None]:
     return page_id, _apply_ranges(bytearray(size), payload, _IMAGE.size)
 
 
-def _scan(path) -> tuple[list[_Txn], dict[int, bytes], bytes | None, RecoveryReport]:
-    """Walk a log: committed transactions, final images, final meta, report.
+def _scan(path) -> tuple[list[_Txn], dict[int, bytes], RecoveryReport]:
+    """Walk a log: committed transactions, final images, report.
 
     The image table holds one entry per distinct page — the newest
     committed image, a materialised buffer — so the scan's memory is
@@ -493,7 +468,6 @@ def _scan(path) -> tuple[list[_Txn], dict[int, bytes], bytes | None, RecoveryRep
     committed: list[_Txn] = []
     open_txns: dict[int, _Txn] = {}
     images: dict[int, bytes] = {}
-    meta = None
     with open(path, "rb") as handle:
         data = memoryview(handle.read())
     size = len(data)
@@ -509,11 +483,12 @@ def _scan(path) -> tuple[list[_Txn], dict[int, bytes], bytes | None, RecoveryRep
         payload = data[pos + header_size : end]
         if _record_crc(rec_type, txn_id, payload) != crc:
             break  # bit flip or torn header
-        if rec_type == REC_PAGE:
+        if rec_type in _RESERVED:
             raise WALError(
-                f"{os.fspath(path)}: record type {REC_PAGE} (PAGE) at byte {pos} "
-                "is from an older build and no longer replayed; close the index "
-                "cleanly with that build (an empty log) before opening it here"
+                f"{os.fspath(path)}: record type {rec_type} ({_RESERVED[rec_type]}) "
+                f"at byte {pos} is from an older build and no longer replayed; "
+                "close the index cleanly with that build (an empty log) before "
+                "opening it here"
             )
         report.last_txn_id = max(report.last_txn_id, txn_id)
         txn = open_txns.get(txn_id)
@@ -542,25 +517,16 @@ def _scan(path) -> tuple[list[_Txn], dict[int, bytes], bytes | None, RecoveryRep
                 break  # not cut from the image the log holds: corrupt
             txn.pages[page_id] = image
             txn.deltas += 1
-        elif rec_type == REC_META:
-            txn.meta = payload
-        elif rec_type == REC_META_DELTA:
-            image = _apply_delta(meta if txn.meta is None else txn.meta, payload)
-            if image is None:
-                break
-            txn.meta = image
         else:  # REC_COMMIT
             del open_txns[txn_id]
             images.update(txn.pages)
             txn.pages.clear()
-            if txn.meta is not None:
-                meta = txn.meta
             committed.append(txn)
         pos = end
     report.committed_txns = len(committed)
     report.discarded_txns = len(open_txns)
     report.discarded_bytes = size - pos
-    return committed, images, meta, report
+    return committed, images, report
 
 
 def scan_wal(path) -> tuple[list[_Txn], RecoveryReport]:
@@ -576,7 +542,7 @@ def scan_wal(path) -> tuple[list[_Txn], RecoveryReport]:
     covers *every* txn id seen, so a re-opened WAL can continue the id
     sequence without collisions.
     """
-    committed, _images, _meta, report = _scan(path)
+    committed, _images, report = _scan(path)
     return committed, report
 
 
@@ -597,9 +563,10 @@ def recover(pagefile: PageFile, wal_path, *, truncate: bool = True) -> RecoveryR
     """
     if not os.path.exists(wal_path):
         return RecoveryReport()
-    committed, images, meta, report = _scan(wal_path)
+    committed, images, report = _scan(wal_path)
     report.replayed_pages = sum(txn.whole_images for txn in committed)
     report.replayed_deltas = sum(txn.deltas for txn in committed)
+    report.replayed_meta = META_PAGE_ID in images
     for page_id, image in images.items():
         if len(image) > pagefile.page_size:
             raise WALError(
@@ -608,10 +575,6 @@ def recover(pagefile: PageFile, wal_path, *, truncate: bool = True) -> RecoveryR
             )
         pagefile.ensure_allocated(page_id)
         pagefile.write(page_id, bytes(image).ljust(pagefile.page_size, b"\x00"))
-    if meta is not None:
-        pagefile.ensure_allocated(META_PAGE_ID)
-        pagefile.write(META_PAGE_ID, bytes(meta))
-        report.replayed_meta = True
     pagefile.sync()
     if truncate and (committed or report.discarded_bytes or report.discarded_txns):
         # Truncation resets the txn-id sequence: a WAL opened afterwards
@@ -627,19 +590,17 @@ def recover(pagefile: PageFile, wal_path, *, truncate: bool = True) -> RecoveryR
     return report
 
 
-def open_wal(path, *, sync_every: int = 1, fault_plan=None,
-             checkpoint_bytes: int = 16 * 1024 * 1024) -> WriteAheadLog:
+def open_wal(path, *, sync_every: int = 1, fault_plan=None) -> WriteAheadLog:
     """Open a WAL for appending, continuing the txn-id sequence.
 
     The caller is expected to have run :func:`recover` first (the log is
     normally empty here); any surviving records are scanned so fresh
     transactions get ids strictly above everything already on disk.
     Their images do not seed the CRC table: the first write of each page
-    (and of the meta page) in this session is cut against nothing — an
-    IMAGE, a raw META — which is always correct.
+    in this session is cut against nothing — an IMAGE — which is always
+    correct.
     """
-    wal = WriteAheadLog(path, sync_every=sync_every, fault_plan=fault_plan,
-                        checkpoint_bytes=checkpoint_bytes)
+    wal = WriteAheadLog(path, sync_every=sync_every, fault_plan=fault_plan)
     if wal.size():
         _, report = scan_wal(path)
         wal._txn_id = report.last_txn_id

@@ -323,6 +323,30 @@ class TestPerQueryScalarPath:
             pass
         assert len(seen) == 1 and seen[0] is value
 
+    @pytest.mark.parametrize("endpoint, value, bad", [
+        ("knn", np.array([3]), np.array([0])),
+        ("knn", np.array([3]), np.array([2.5])),
+        ("range", np.array([0.25]), np.array([-1.0]))])
+    def test_a_served_one_row_request_takes_the_fast_path(
+            self, monkeypatch, endpoint, value, bad):
+        """``/v1/knn`` and ``/v1/range`` hand a one-row request's value
+        to ``per_query`` as a Python number; a bad one is still refused
+        with the class a local call raises."""
+        from repro.net import QueryServer
+
+        from .helpers import post
+
+        data = WORKLOADS["uniform"]
+        with Database.create(None, kind="sr", dims=8) as db:
+            db.insert_many(data)
+            with QueryServer(db) as server:
+                seen = self._spy(monkeypatch)
+                status, _ = post(server.address, endpoint, (data[:1], value))
+                assert (status, seen) == (200, [])
+                status, text = post(server.address, endpoint, (data[:1], bad))
+                assert status == 400 and '"error_type": "ValueError"' in text
+                assert seen == [bad.item()]  # a number, not the frame
+
 
 class TestPerQueryExactK:
     """An integer ``k`` — a Python ``int`` or an integer array, as every

@@ -19,7 +19,7 @@ import pytest
 from repro import Database
 from repro.cli import main
 from repro.exceptions import (
-    DeadlineExceededError, ServerOverloadedError, ShardLostError,
+    ChecksumError, DeadlineExceededError, ServerOverloadedError, ShardLostError,
 )
 from repro.exec.procpool import READ_RETRIES
 from repro.net import QueryServer, RemoteDatabase
@@ -106,6 +106,27 @@ def test_a_lost_last_shard_counts_only_its_queries(index_path,
         with pytest.raises(ShardLostError, match="3 of 9 queries"):
             pool.knn(queries, k=K)
         assert pool.degraded_queries == 3
+
+
+def test_a_bit_flipped_in_a_read_is_a_lost_shard_not_a_wrong_answer(
+        index_path, serving_pool):
+    """A worker's faults sit under the CRC32 seal, as they do under
+    ``Database.open(fault_plan=)``: the flipped bit fails the page's
+    checksum and never reaches the answer."""
+    with Database.open(index_path) as db:
+        leaf = next(db.index.iter_leaves())
+        point = leaf.points[0].copy()
+    # The high byte of the leaf's first coordinate (rows start after the
+    # 12-byte page header).
+    plan = FaultPlan(flip_bit_in_read=(leaf.page_id, 12 + 7, 6))
+    with pytest.raises(ChecksumError):
+        with Database.open(index_path, fault_plan=plan) as db:
+            db.knn(point, k=1)
+    before = DEGRADED_QUERIES.labels(reason="storage_error").value
+    with serving_pool(index_path, workers=1, _fault_plans={0: plan}) as pool:
+        with pytest.raises(ShardLostError, match="1 of 1 queries"):
+            pool.knn(point[None], k=1)
+    assert DEGRADED_QUERIES.labels(reason="storage_error").value == before + 1
 
 
 def test_crashed_backend_is_a_lost_shard(index_path, serving_pool):

@@ -39,18 +39,18 @@ def test_commit_then_recover_replays_pages(log_path):
     wal.begin()
     wal.log_page(2, image(b"two"))
     wal.log_page(3, image(b"three"))
-    wal.log_meta(image(b"meta"))
+    wal.log_page(0, image(b"meta"))  # META_PAGE_ID == 0
     wal.commit()
     wal.close()
 
     pf = fresh_pagefile()
     report = recover(pf, log_path)
     assert report.committed_txns == 1
-    assert report.replayed_pages == 2
+    assert report.replayed_pages == 3
     assert report.replayed_meta
     assert pf.read(2) == image(b"two")
     assert pf.read(3) == image(b"three")
-    assert pf.read(0) == image(b"meta")  # META_PAGE_ID == 0
+    assert pf.read(0) == image(b"meta")
 
 
 def test_uncommitted_txn_is_discarded(log_path):

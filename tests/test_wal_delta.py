@@ -3,7 +3,7 @@
 The log carries only bytes that are not already known: a page's first
 image since the last truncate is its non-zero byte ranges (``IMAGE``),
 every later write the ranges that changed (``DELTA``), and the meta page
-follows the same rule (``META``, then ``META_DELTA``).  Three things
+is page 0, a whole padded page under the same rule.  Three things
 keep that safe and are what this file tests: the writer cuts a delta
 only against a base whose CRC32 is the one the log remembers (anything
 else gets an image that needs no base), an ``IMAGE`` starts from zeros
@@ -20,7 +20,8 @@ does not fit its base.
   prefix byte for byte;
 * one scripted log is cut at every record boundary;
 * named regressions pin each fallback and each way a record can be bad,
-  and hand-built logs pin what an older process's records replay to;
+  hand-built logs pin what an older process's records replay to, and the
+  record types older builds wrote are refused;
 * the log's size counter, recovery's memory bound and the log growth per
   insert (the gain itself) are pinned.
 """
@@ -60,9 +61,6 @@ from repro.storage.store import NodeStore
 from repro.storage.wal import (
     REC_DELTA,
     REC_IMAGE,
-    REC_META,
-    REC_META_DELTA,
-    REC_PAGE,
     _DELTA,
     _IMAGE,
     _RANGE,
@@ -143,6 +141,20 @@ def kinds(log: str) -> list[int]:
     return [kind for kind, _ in records(log)]
 
 
+def page_kinds(log: str, page_id: int = META_PAGE_ID) -> list[int]:
+    """The types of the log's records of one page (the meta page's)."""
+    with open(log, "rb") as handle:
+        data = handle.read()
+    out, pos = [], 0
+    while pos + _RECORD.size <= len(data):
+        _magic, kind, _txn, length, _crc = _RECORD.unpack_from(data, pos)
+        pos += _RECORD.size
+        if kind in (REC_IMAGE, REC_DELTA) and _IMAGE.unpack_from(data, pos)[0] == page_id:
+            out.append(kind)
+        pos += length
+    return out
+
+
 # ----------------------------------------------------------------------
 # generated crash schedules
 # ----------------------------------------------------------------------
@@ -173,7 +185,8 @@ class WalDeltaMachine(RuleBasedStateMachine):
     records ago — another page's, or this one's from an aborted
     transaction or before a truncate — or, for -1, the new image itself
     (no bytes differ: the cheapest delta there is).  The log must see
-    through it: a wrong base costs bytes, never a page.
+    through it: a wrong base costs bytes, never a page.  Every image the
+    log is handed, the meta page's too, is one whole page.
     """
 
     def __init__(self) -> None:
@@ -206,9 +219,10 @@ class WalDeltaMachine(RuleBasedStateMachine):
             return self.synced
 
         wal.commit = commit
-        real_page, real_meta = wal.log_page, wal.log_meta
+        real_page = wal.log_page
 
         def base_for(page_id: int, image: bytes, base):
+            assert len(image) == PAGE, (page_id, len(image))
             logged = self.logged[page_id == META_PAGE_ID]
             if self.stale < 0:
                 base = image
@@ -220,8 +234,6 @@ class WalDeltaMachine(RuleBasedStateMachine):
 
         wal.log_page = lambda page_id, image, base=None: real_page(
             page_id, image, base_for(page_id, image, base))
-        wal.log_meta = lambda image, base=None: real_meta(
-            image, base_for(META_PAGE_ID, image, base))
         #: (log size, model, live) after each commit since the last truncate
         self.marks = [(0, dict(self.model), set(self.live))]
         self.durable = 0
@@ -643,13 +655,14 @@ def test_first_image_of_a_16d_leaf_is_under_a_third_of_a_page(tmp_path):
         image = padded(store.codec.encode(store.read(db.index.root_id)),
                        store.layout.page_size)
         logged = records(store.wal.path)
-        assert [kind for kind, _ in logged] == [1, REC_META, REC_IMAGE, 4]
+        assert [kind for kind, _ in logged] == [1, REC_IMAGE, REC_IMAGE, 4]
+        assert page_kinds(store.wal.path) == [REC_IMAGE]  # the meta page's first
         record = logged[2][1] - logged[1][1]
         assert record <= 0.3 * store.layout.page_size
         assert record < len(image.rstrip(b"\x00")) // 2
         fresh = InMemoryPageFile(store.layout.page_size)
         report = recover(fresh, store.wal.path, truncate=False)
-        assert (report.replayed_pages, report.replayed_deltas) == (1, 0)
+        assert (report.replayed_pages, report.replayed_deltas) == (2, 0)
         assert fresh.read(db.index.root_id) == image
 
 
@@ -703,14 +716,9 @@ def test_dense_page_costs_one_range_header_and_a_length_more_than_whole(tmp_path
     wal.close()
 
 
-META_A = pack_meta(meta_of(1))
-META_B = pack_meta(meta_of(2))
-META_C = pack_meta(meta_of(4))
-META_LONG = pack_meta(meta_of(3))  # another length: never a delta's base
-
-
-def meta_kinds(log: str) -> list[int]:
-    return [kind for kind in kinds(log) if kind in (REC_META, REC_META_DELTA)]
+META_A = padded(pack_meta(meta_of(1)))
+META_B = padded(pack_meta(meta_of(2)))
+META_C = padded(pack_meta(meta_of(4)))
 
 
 def meta_page(pagefile) -> bytes:
@@ -724,93 +732,96 @@ def recovered_meta(log: str) -> bytes:
 
 
 def test_meta_after_the_first_is_a_delta(tmp_path):
-    assert len(META_A) == len(META_B) == len(META_C) != len(META_LONG)
-    wal = WriteAheadLog(str(tmp_path / "m.wal"))
-    wal.begin()
-    wal.log_meta(META_A)
-    wal.log_meta(META_B, META_A)  # against this transaction's own
-    wal.commit()
+    """The store pads the meta page: a pickle that grew is a delta too."""
+    assert len(pack_meta(meta_of(3))) != len(pack_meta(meta_of(1)))
+    pagefile, wal = create_files(tmp_path / "m.db")
+    store = NodeStore(LAYOUT, pagefile=pagefile, buffer_capacity=8, wal=wal)
+    store.begin_txn()
+    store.write_meta(meta_of(1))
+    store.write_meta(meta_of(2))  # against this transaction's own
+    store.commit_txn()
     before = wal.size()
-    wal.begin()
-    wal.log_meta(META_C, META_B)  # against the committed one
-    wal.commit()
-    assert wal.size() - before < 2 * _RECORD.size + len(META_C)
-    wal.begin()
-    wal.log_meta(META_LONG, META_C)  # lengths differ: raw
-    wal.log_meta(META_A, META_LONG)
-    wal.commit()
-    wal.close()
-    assert meta_kinds(wal.path) == [REC_META, REC_META_DELTA, REC_META_DELTA,
-                                    REC_META, REC_META]
-    assert recovered_meta(wal.path) == padded(META_A)
+    store.begin_txn()
+    store.write_meta(meta_of(4))  # against the committed one
+    store.commit_txn()
+    assert wal.size() - before < 2 * _RECORD.size + len(pack_meta(meta_of(4)))
+    store.begin_txn()
+    store.write_meta(meta_of(3))  # another pickled length
+    store.write_meta(meta_of(1))
+    store.commit_txn()
+    assert page_kinds(wal.path) == [REC_IMAGE] + [REC_DELTA] * 4
+    fresh, report = crash_and_recover(store)
+    store.pagefile.close()
+    assert report.replayed_meta
+    assert meta_page(fresh) == META_A
     for cut, want in ((os.path.getsize(wal.path) - 1, META_C), (before, META_B)):
         with open(wal.path, "r+b") as handle:
             handle.truncate(cut)
-        assert recovered_meta(wal.path) == padded(want)
+        assert recovered_meta(wal.path) == want
 
 
 def test_meta_of_an_aborted_transaction_is_no_base(tmp_path):
     wal = WriteAheadLog(str(tmp_path / "a.wal"))
     wal.begin()
-    wal.log_meta(META_A)
+    wal.log_page(META_PAGE_ID, META_A)
     wal.commit()
     wal.begin()
-    wal.log_meta(META_B, META_A)
+    wal.log_page(META_PAGE_ID, META_B, META_A)
     wal.abort()
     wal.begin()
-    wal.log_meta(META_C, META_B)  # the log's meta is META_A: raw
+    wal.log_page(META_PAGE_ID, META_C, META_B)  # the log's meta is META_A
     wal.commit()
     wal.begin()
-    wal.log_meta(META_A, META_C)
+    wal.log_page(META_PAGE_ID, META_A, META_C)
     wal.abort()
     wal.begin()
-    wal.log_meta(META_B, META_C)  # against the committed one, as before
+    wal.log_page(META_PAGE_ID, META_B, META_C)  # against the committed one
     wal.commit()
     wal.close()
-    assert meta_kinds(wal.path) == [REC_META, REC_META_DELTA, REC_META,
-                                    REC_META_DELTA, REC_META_DELTA]
-    assert recovered_meta(wal.path) == padded(META_B)
+    assert page_kinds(wal.path) == [REC_IMAGE, REC_DELTA, REC_IMAGE,
+                                    REC_DELTA, REC_DELTA]
+    assert recovered_meta(wal.path) == META_B
 
 
 def test_first_meta_only_in_an_aborted_transaction(tmp_path):
     """Same bytes as the data file's meta, same CRC — and not in the log."""
     wal = WriteAheadLog(str(tmp_path / "f.wal"))
     wal.begin()
-    wal.log_meta(META_A)
+    wal.log_page(META_PAGE_ID, META_A)
     wal.abort()
     wal.begin()
-    wal.log_meta(META_B, META_A)
+    wal.log_page(META_PAGE_ID, META_B, META_A)
     wal.commit()
     wal.close()
-    assert meta_kinds(wal.path) == [REC_META, REC_META]
-    assert recovered_meta(wal.path) == padded(META_B)
+    assert page_kinds(wal.path) == [REC_IMAGE, REC_IMAGE]
+    assert recovered_meta(wal.path) == META_B
 
 
-def test_first_meta_since_a_truncate_or_a_reopen_is_raw(tmp_path):
+def test_first_meta_since_a_truncate_or_a_reopen_is_an_image(tmp_path):
     log = str(tmp_path / "t.wal")
     wal = WriteAheadLog(log)
     wal.begin()
-    wal.log_meta(META_A)
+    wal.log_page(META_PAGE_ID, META_A)
     wal.commit()
     wal.truncate()
     wal.begin()
-    wal.log_meta(META_B, META_A)
+    wal.log_page(META_PAGE_ID, META_B, META_A)
     wal.commit()
     wal.close()
     reopened = open_wal(log)  # a log that was not recovered first
     reopened.begin()
-    reopened.log_meta(META_C, META_B)
-    reopened.log_meta(META_A, META_C)
+    reopened.log_page(META_PAGE_ID, META_C, META_B)
+    reopened.log_page(META_PAGE_ID, META_A, META_C)
     reopened.commit()
     reopened.close()
-    assert meta_kinds(log) == [REC_META, REC_META, REC_META_DELTA]
-    assert recovered_meta(log) == padded(META_A)
+    assert page_kinds(log) == [REC_IMAGE, REC_IMAGE, REC_DELTA]
+    assert recovered_meta(log) == META_A
 
 
 def test_store_hands_the_meta_it_holds_to_the_log(tmp_path):
-    """Shadow, then pending, then the page file: an applied meta is read
-    back for a base, as any node page is, so no fsync boundary costs a
-    raw ``META``."""
+    """The table's image, then the page file's: an applied meta is read
+    back for a base, as any node page is, so no fsync boundary costs the
+    meta page an ``IMAGE``."""
     pagefile, wal = create_files(tmp_path / "s.db", sync_every=3)
     store = NodeStore(LAYOUT, pagefile=pagefile, buffer_capacity=8, wal=wal)
     for seed in (1, 2, 4, 7, 8):  # the third commit fsyncs and applies
@@ -819,7 +830,7 @@ def test_store_hands_the_meta_it_holds_to_the_log(tmp_path):
         if seed == 8:
             store.write_meta(meta_of(10))
         store.commit_txn()
-    assert meta_kinds(wal.path) == [REC_META] + [REC_META_DELTA] * 5
+    assert page_kinds(wal.path) == [REC_IMAGE] + [REC_DELTA] * 5
     fresh, _ = crash_and_recover(store)
     assert meta_page(fresh) == padded(pack_meta(meta_of(10)))
     store.pagefile.close()
@@ -833,7 +844,7 @@ def flip(path: str, at: int) -> None:
         handle.write(bytes([byte[0] ^ 0x10]))
 
 
-@pytest.mark.parametrize("kind", [REC_IMAGE, REC_META_DELTA])
+@pytest.mark.parametrize("kind", [REC_IMAGE, REC_DELTA])
 @pytest.mark.parametrize("damage", ["flip", "tear"])
 def test_damaged_image_or_meta_delta_ends_the_scan_like_a_torn_page(
         tmp_path, kind, damage):
@@ -841,18 +852,18 @@ def test_damaged_image_or_meta_delta_ends_the_scan_like_a_torn_page(
     wal = WriteAheadLog(log)
     wal.begin()
     wal.log_page(3, padded(b"one"))
-    wal.log_meta(META_A)
+    wal.log_page(META_PAGE_ID, META_A)
     wal.commit()
     good = wal.size()
     wal.begin()
     wal.log_page(4, padded(b"two " * 9))
-    wal.log_meta(META_B, META_A)
+    wal.log_page(META_PAGE_ID, META_B, META_A)
     wal.commit()
     wal.begin()
     wal.log_page(5, padded(b"unreachable"))
     wal.commit()
     wal.close()
-    at = {REC_IMAGE: 5, REC_META_DELTA: 6}[kind]  # in the second transaction
+    at = {REC_IMAGE: 5, REC_DELTA: 6}[kind]  # in the second transaction
     (_, start), (found, end) = records(log)[at - 1 : at + 1]
     assert (found, start >= good + _RECORD.size) == (kind, True)
     if damage == "flip":
@@ -865,34 +876,34 @@ def test_damaged_image_or_meta_delta_ends_the_scan_like_a_torn_page(
     assert (report.committed_txns, report.discarded_txns) == (1, 1)
     assert report.discarded_bytes == os.path.getsize(log) - start
     assert fresh.read(3) == padded(b"one")
-    assert meta_page(fresh) == padded(META_A)
+    assert meta_page(fresh) == META_A
 
 
 def test_meta_delta_that_does_not_fit_its_base_ends_replay(tmp_path):
     """Wrong CRC, no base in the log, or a range that leaves the image."""
     ranges = _RANGE.pack(0, 4) + b"META"
     bad = [
-        _DELTA.pack(META_PAGE_ID, zlib.crc32(META_B), len(META_A)) + ranges,
-        _DELTA.pack(META_PAGE_ID, zlib.crc32(META_A), len(META_A))
-        + _RANGE.pack(len(META_A) - 2, 4) + b"META",
-        _DELTA.pack(META_PAGE_ID, zlib.crc32(META_A), len(META_A))[:-1],
+        _DELTA.pack(META_PAGE_ID, zlib.crc32(META_B), PAGE) + ranges,
+        _DELTA.pack(META_PAGE_ID, zlib.crc32(META_A), PAGE)
+        + _RANGE.pack(PAGE - 2, 4) + b"META",
+        _DELTA.pack(META_PAGE_ID, zlib.crc32(META_A), PAGE)[:-1],
     ]
     for n, payload in enumerate(bad):
         wal = WriteAheadLog(str(tmp_path / f"b{n}.wal"))
         wal.begin()
-        wal.log_meta(META_A)
+        wal.log_page(META_PAGE_ID, META_A)
         wal.commit()
         wal.begin()
-        wal._append(REC_META_DELTA, wal._txn_id, payload)
+        wal._append(REC_DELTA, wal._txn_id, payload)
         wal.commit()
         wal.close()
         fresh = InMemoryPageFile(PAGE)
         assert recover(fresh, wal.path, truncate=False).committed_txns == 1
-        assert meta_page(fresh) == padded(META_A)
+        assert meta_page(fresh) == META_A
     wal = WriteAheadLog(str(tmp_path / "none.wal"))  # a delta of nothing
     wal.begin()
-    wal._append(REC_META_DELTA, wal._txn_id,
-                _DELTA.pack(META_PAGE_ID, zlib.crc32(META_A), len(META_A)) + ranges)
+    wal._append(REC_DELTA, wal._txn_id,
+                _DELTA.pack(META_PAGE_ID, zlib.crc32(META_A), PAGE) + ranges)
     wal.commit()
     wal.close()
     report = recover(InMemoryPageFile(PAGE), wal.path, truncate=False)
@@ -928,10 +939,9 @@ def raw_record(kind: int, txn: int, payload: bytes = b"") -> bytes:
 
 
 def test_log_of_an_older_process_replays_to_the_same_bytes(tmp_path):
-    """Raw ``META`` and ``DELTA`` over ``IMAGE``, record by record as any
-    build since the ``IMAGE`` record writes them — and new records on top
-    of what they left.  The ``PAGE`` record older builds wrote in
-    ``IMAGE``'s place is refused, not replayed and not skipped."""
+    """``IMAGE`` and ``DELTA`` records, the meta page's among them, record
+    by record as any build since the meta page became page 0 in the log
+    writes them — and new records on top of what they left."""
     log = str(tmp_path / "old.wal")
     one, two, meta = padded(b"one"), padded(b"two, rewritten"), padded(b"meta")
     three = two[:32] + b"tail" + two[36:]
@@ -940,7 +950,7 @@ def test_log_of_an_older_process_replays_to_the_same_bytes(tmp_path):
         return _IMAGE.pack(page, PAGE) + _encode_ranges(None, content)
 
     old = (raw_record(1, 1) + raw_record(REC_IMAGE, 1, image(5, one))
-           + raw_record(REC_META, 1, meta) + raw_record(4, 1)
+           + raw_record(REC_IMAGE, 1, image(META_PAGE_ID, meta)) + raw_record(4, 1)
            + raw_record(1, 2) + raw_record(REC_IMAGE, 2, image(5, two))
            + raw_record(REC_IMAGE, 2, image(6, padded(b"one"))) + raw_record(4, 2)
            + raw_record(1, 3)
@@ -954,7 +964,7 @@ def test_log_of_an_older_process_replays_to_the_same_bytes(tmp_path):
     fresh = InMemoryPageFile(PAGE)
     report = recover(fresh, log, truncate=False)
     assert (report.committed_txns, report.replayed_pages,
-            report.replayed_deltas, report.replayed_meta) == (3, 3, 2, True)
+            report.replayed_deltas, report.replayed_meta) == (3, 4, 2, True)
     assert (fresh.read(5), fresh.read(6), meta_page(fresh)) == (
         three, padded(b"ONE"), meta)
     # New records lean on the images the old ones left.
@@ -964,29 +974,39 @@ def test_log_of_an_older_process_replays_to_the_same_bytes(tmp_path):
             + raw_record(REC_DELTA, 4, _DELTA.pack(5, zlib.crc32(three), PAGE)
                          + _encode_ranges(three, one))
             + raw_record(REC_IMAGE, 4, image(6, two))
-            + raw_record(REC_META_DELTA, 4,
+            + raw_record(REC_DELTA, 4,
                          _DELTA.pack(META_PAGE_ID, zlib.crc32(meta), PAGE)
                          + _encode_ranges(meta, padded(b"META")))
             + raw_record(4, 4))
     report = recover(fresh, log)
     assert (report.committed_txns, report.replayed_pages,
-            report.replayed_deltas) == (4, 4, 3)
+            report.replayed_deltas) == (4, 5, 4)
     assert (fresh.read(5), fresh.read(6), meta_page(fresh)) == (
         one, two, padded(b"META"))
 
-    # A committed PAGE record behind committed work: the log is refused
-    # whole (a "torn tail" reading would drop txn 2 without a word), the
-    # data file is not touched and the log is left for the build that
-    # can read it.
-    stale = (old[: len(raw_record(1, 1))]
-             + raw_record(REC_PAGE, 1, struct.pack("<I", 5) + one)
-             + raw_record(4, 1)
-             + raw_record(1, 2) + raw_record(REC_IMAGE, 2, image(6, two))
+
+@pytest.mark.parametrize("rec_type, name", [(2, "PAGE"), (3, "META"), (7, "META_DELTA")])
+def test_record_type_an_older_build_wrote_is_refused(tmp_path, rec_type, name):
+    """A committed record of a reserved type behind committed work: the
+    log is refused whole (a "torn tail" reading would drop txn 2 without
+    a word), the data file is not touched and the log is left for the
+    build that can read it."""
+    payload = {
+        2: struct.pack("<I", 5) + padded(b"one"),  # a whole image
+        3: padded(b"meta"),  # a raw meta image
+        7: _DELTA.pack(META_PAGE_ID, 0, PAGE) + _RANGE.pack(0, 4) + b"META",
+    }[rec_type]
+    log = str(tmp_path / "old.wal")
+    stale = (raw_record(1, 1) + raw_record(rec_type, 1, payload) + raw_record(4, 1)
+             + raw_record(1, 2)
+             + raw_record(REC_IMAGE, 2, _IMAGE.pack(6, PAGE)
+                          + _encode_ranges(None, padded(b"two")))
              + raw_record(4, 2))
     with open(log, "wb") as handle:
         handle.write(stale)
     untouched = InMemoryPageFile(PAGE)
-    with pytest.raises(WALError, match=r"record type 2 \(PAGE\)"):
+    at = len(raw_record(1, 1))
+    with pytest.raises(WALError, match=rf"record type {rec_type} \({name}\) at byte {at} "):
         recover(untouched, log)
     assert untouched.allocated_pages == 0
     with open(log, "rb") as handle:
@@ -1046,14 +1066,14 @@ def test_crash_at_every_record_boundary_recovers_the_committed_prefix(tmp_path):
     fill(again, rng, 1)
     store.write(again)
     store.buffer.flush()
-    commit(grow(again.page_id), meta=3)  # another meta length: raw
+    commit(grow(again.page_id), meta=3)  # another pickled length: a delta
     wal.close()
     store.pagefile.close()
 
-    assert set(kinds(wal.path)) == {1, 4, REC_IMAGE, REC_DELTA, REC_META,
-                                    REC_META_DELTA}
+    assert set(kinds(wal.path)) == {1, 4, REC_IMAGE, REC_DELTA}
     # The page that came back: from zeros, though the log held its image.
-    assert kinds(wal.path)[-5:] == [1, REC_IMAGE, REC_META, REC_DELTA, 4]
+    assert kinds(wal.path)[-5:] == [1, REC_IMAGE, REC_DELTA, REC_DELTA, 4]
+    assert page_kinds(wal.path) == [REC_IMAGE] + [REC_DELTA] * 5
     with open(wal.path, "rb") as handle:
         log = handle.read()
     cut_log = str(tmp_path / "cut.wal")
@@ -1083,7 +1103,7 @@ def test_size_counter_equals_the_file_size(tmp_path):
     def transaction(wal: WriteAheadLog, n: int) -> None:
         wal.begin()
         wal.log_page(n, padded(bytes([n + 1]) * PAGE))
-        wal.log_meta(b"meta")
+        wal.log_page(META_PAGE_ID, padded(b"meta"))
         assert wal.commit()
 
     with WriteAheadLog(str(tmp_path / "probe.wal")) as probe:  # uncrashed
@@ -1124,13 +1144,14 @@ def test_appended_bytes_are_counted_by_record_kind(tmp_path):
     wal.begin()
     wal.log_page(3, base)
     wal.log_page(3, b"BASE" + base[4:], base)
-    wal.log_meta(META_A)
-    wal.log_meta(b"META" + META_A[4:], META_A)
+    wal.log_page(META_PAGE_ID, META_A)
+    wal.log_page(META_PAGE_ID, b"META" + META_A[4:], META_A)
     wal.commit()
     grew = {kind: value - before[kind] for kind, value in appended().items()}
     assert grew == {"page": 21 + _IMAGE.size + _RANGE.size + 220,
                     "delta": 21 + _DELTA.size + _RANGE.size + 4,
-                    "meta": 21 + len(META_A) + 21 + _DELTA.size + _RANGE.size + 4,
+                    "meta": 21 + _IMAGE.size + len(_encode_ranges(None, META_A))
+                    + 21 + _DELTA.size + _RANGE.size + 4,
                     "marker": 2 * 21}
     assert sum(grew.values()) == wal.size()
     wal.close()
@@ -1139,7 +1160,7 @@ def test_appended_bytes_are_counted_by_record_kind(tmp_path):
         recover(InMemoryPageFile(PAGE), wal.path)
         (event,) = [e for e in events.EVENTS.tail()
                     if e["event"] == "wal_recovery"]
-        assert (event["replayed_txns"], event["replayed_deltas"]) == (1, 1)
+        assert (event["replayed_txns"], event["replayed_deltas"]) == (1, 2)
     finally:
         events.EVENTS.clear()
 
@@ -1328,4 +1349,4 @@ def test_no_raw_meta_after_the_first_since_a_truncate(tmp_path):
     with Database.open(path, durability="wal", sync_every=4) as db:
         for i, point in enumerate(points[300:]):
             db.insert(point, value=300 + i)
-        assert meta_kinds(wal_path(path)) == [REC_META] + [REC_META_DELTA] * 29
+        assert page_kinds(wal_path(path)) == [REC_IMAGE] + [REC_DELTA] * 29

@@ -124,7 +124,7 @@ class TestBatchedCommitsStayWALOnly:
         """The data file never runs ahead of the durable log — also when
         the pending image reached the log as byte ranges, not whole."""
         store = make_store(tmp_path, layout, sync_every=2)
-        leaf = committed_leaf(store, seed=7)  # batched: PAGE, pending only
+        leaf = committed_leaf(store, seed=7)  # batched: IMAGEs, pending only
 
         def grow(value: int) -> bytes:
             store.begin_txn()
@@ -140,7 +140,7 @@ class TestBatchedCommitsStayWALOnly:
         third = grow(2)  # DELTA against the data file; batched again
         committed, _ = scan_wal(store.wal.path)
         assert [(t.whole_images, t.deltas) for t in committed] == [
-            (1, 0), (0, 1), (0, 1)]
+            (2, 0), (0, 1), (0, 1)]  # the leaf's and the meta page's images
         assert store.pagefile.read(leaf.page_id) == second  # not ahead
         # What a crash here would recover is the log's state, third write
         # included, rebuilt without reading the data file.

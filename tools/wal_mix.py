@@ -11,7 +11,7 @@ per record and per insert:
 * ``IMAGE`` / ``DELTA`` records of leaves and of internal nodes (a
   page's kind is the kind byte of its ``IMAGE``, which the log holds
   before any ``DELTA`` of the page);
-* ``META`` (raw) and ``META_DELTA`` records of the meta page;
+* ``IMAGE`` / ``DELTA`` records of the meta page (page 0);
 * ``BEGIN`` / ``COMMIT`` markers.
 
 The last line is the peak of (data file + log) over the bytes of the
@@ -43,21 +43,18 @@ from ledger import spec  # noqa: E402
 from ledger.workloads import ClusterMixedWal  # noqa: E402
 from repro import Database  # noqa: E402
 from repro.storage import wal_path  # noqa: E402
+from repro.storage.constants import META_PAGE_ID  # noqa: E402
 from repro.storage.wal import (  # noqa: E402
-    _DELTA,
     _IMAGE,
     _RANGE,
     _RECORD,
     REC_BEGIN,
     REC_COMMIT,
-    REC_DELTA,
     REC_IMAGE,
-    REC_META,
-    REC_META_DELTA,
 )
 
-ROWS = ("IMAGE leaf", "IMAGE internal", "DELTA leaf", "DELTA internal",
-        "META", "META_DELTA", "BEGIN/COMMIT")
+ROWS = ("IMAGE leaf", "IMAGE internal", "IMAGE meta", "DELTA leaf",
+        "DELTA internal", "DELTA meta", "BEGIN/COMMIT")
 
 
 def record_mix(log: str) -> tuple[Counter, Counter]:
@@ -70,22 +67,20 @@ def record_mix(log: str) -> tuple[Counter, Counter]:
     while pos + _RECORD.size <= len(data):
         _magic, kind, _txn, length, _crc = _RECORD.unpack_from(data, pos)
         payload = data[pos + _RECORD.size : pos + _RECORD.size + length]
-        if kind == REC_IMAGE:
-            page_id = _IMAGE.unpack_from(payload)[0]
-            # The kind byte is the page's first; a leaf's is zero, so a
-            # leaf IMAGE has no range at offset 0 holding a one there.
-            at = _IMAGE.size
-            internal[page_id] = (len(payload) > at + _RANGE.size
-                                 and _RANGE.unpack_from(payload, at)[0] == 0
-                                 and payload[at + _RANGE.size] == 1)
-            row = "IMAGE " + ("internal" if internal[page_id] else "leaf")
-        elif kind == REC_DELTA:
-            page_id = _DELTA.unpack_from(payload)[0]
-            row = "DELTA " + ("internal" if internal[page_id] else "leaf")
-        elif kind in (REC_BEGIN, REC_COMMIT):
+        if kind in (REC_BEGIN, REC_COMMIT):
             row = "BEGIN/COMMIT"
         else:
-            row = {REC_META: "META", REC_META_DELTA: "META_DELTA"}[kind]
+            page_id = _IMAGE.unpack_from(payload)[0]  # a DELTA's starts alike
+            if kind == REC_IMAGE:
+                # The kind byte is the page's first; a leaf's is zero, so
+                # a leaf IMAGE has no range at offset 0 holding a one there.
+                at = _IMAGE.size
+                internal[page_id] = (len(payload) > at + _RANGE.size
+                                     and _RANGE.unpack_from(payload, at)[0] == 0
+                                     and payload[at + _RANGE.size] == 1)
+            page = "meta" if page_id == META_PAGE_ID else (
+                "internal" if internal[page_id] else "leaf")
+            row = ("IMAGE " if kind == REC_IMAGE else "DELTA ") + page
         records[row] += 1
         sizes[row] += _RECORD.size + length
         pos += _RECORD.size + length
