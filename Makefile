@@ -96,8 +96,9 @@ test-mp:
 # MESSAGE_TIMEOUT_S and never holds an admission slot, an idle
 # keep-alive connection is not cut), with the request fuzzers
 # (tests/test_net_fuzz.py: generated raw requests against the framing
-# oracle, and generated matrix-frame bodies on /v1/knn, /v1/range and
-# /v1/window against the served Database, some behind a held knn)
+# oracle, generated matrix-frame bodies on every read endpoint against
+# the served Database, some behind a held knn, and on /v1/insert,
+# /v1/insert_many and /v1/delete against a second Database)
 # and the client's wire decoders against a lying server
 # (tests/test_net_decoders.py: generated neighbor blocks and matrix
 # frames, cut, flipped and lying about their lengths); both need

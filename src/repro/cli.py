@@ -157,8 +157,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "serve",
         help="serve an index's query API over HTTP (repro.net)",
         description="Opens a saved index and serves the full query "
-                    "surface (/v1/knn, /v1/range, /v1/window: matrix "
-                    "frames in; /v1/lookup, /v1/stats, /v1/explain) "
+                    "surface (/v1/knn, /v1/range, /v1/window, /v1/lookup, "
+                    "/v1/explain, /v1/stats; every body is matrix frames) "
                     "over HTTP/1.1 with admission control and deadline "
                     "propagation, until SIGTERM/Ctrl-C — both trigger a "
                     "graceful drain (in-flight requests finish, late "
@@ -170,9 +170,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     "arrive meanwhile are answered by one batched "
                     "call when it returns.  With --workers > 1 "
                     "the index is served through a ServingPool of "
-                    "worker processes; with "
-                    "--token, mutation endpoints (/v1/insert, "
-                    "/v1/insert_many, /v1/delete) are enabled for "
+                    "worker processes; with --token, mutation endpoints "
+                    "(/v1/insert, /v1/insert_many, /v1/delete: points, "
+                    "then values as one JSON list) are enabled for "
                     "clients presenting the token (single-handle "
                     "Database serving only).  Query it with "
                     "'repro query --remote HOST:PORT' or "

@@ -20,12 +20,14 @@ distinct connections and issue requests in parallel (a thread only
 waits when all ``pool_size`` connections are in flight).  Read
 requests that fail at the socket layer reconnect and retry once;
 mutations never auto-retry (the failure may have landed after the
-server applied the write).  Every neighbor read sends matrix frames
-from :mod:`repro.net.protocol` — ``knn``/``range`` the points then one
+server applied the write).  Every request body is matrix frames from
+:mod:`repro.net.protocol`: ``knn``/``range`` send the points then one
 ``k`` or radius per row (a single query is a one-row batch),
-``window`` its two corners — and gets its neighbor block back;
-``insert_many`` without values sends its points as one frame, and the
-other bodies are JSON.
+``window`` its two corners, ``lookup`` its point as a one-row frame and
+``explain`` that row then its ``k``; ``insert``, ``insert_many`` and
+``delete`` send their points, then their payload values as one JSON
+list when there are any.  A neighbor read gets one neighbor block back;
+every other answer is a small JSON document.
 """
 
 from __future__ import annotations
@@ -295,19 +297,18 @@ class RemoteDatabase:
             headers[protocol.TOKEN_HEADER] = self._token
         return headers
 
-    def _call(self, endpoint: str, doc: dict | None = None, *,
-              method: str = "POST", frames: tuple | None = None,
+    def _call(self, endpoint: str, frames: tuple | None = None,
+              values: list | None = None, *, method: str = "POST",
               deadline_ms: float | None = None,
               mutation: bool = False) -> tuple[dict | None, bytes, str]:
-        """One request: ``doc`` goes as JSON, ``frames`` (arrays) as
-        matrix frames back to back."""
+        """One request: ``frames`` (arrays) go as matrix frames back to
+        back, then ``values``, unless ``None``, as the values part."""
         body = content_type = None
         if frames is not None:
             body = b"".join(map(protocol.encode_matrix, frames))
+            if values is not None:  # a value JSON cannot carry fails here
+                body += protocol.encode_json(values, values)
             content_type = protocol.BINARY_CONTENT_TYPE
-        elif doc is not None:
-            body = json.dumps(doc).encode("utf-8")
-            content_type = protocol.JSON_CONTENT_TYPE
         headers = self._headers(content_type, deadline_ms)
         status, resp_headers, payload = self._request(
             method, endpoint, body, headers, retry=not mutation)
@@ -389,11 +390,6 @@ class RemoteDatabase:
     # ------------------------------------------------------------------
     # QuerySurface
 
-    def _point(self, value) -> list[float]:
-        """One checked point as its JSON list: a wrong shape or a NaN
-        fails here, as on a local handle, before the round trip."""
-        return as_point(value, self.dims).tolist()
-
     def _neighbors(self, endpoint: str, frames: tuple,
                    deadline_ms: float | None):
         """A neighbor read: one result list per query, from its block."""
@@ -435,8 +431,9 @@ class RemoteDatabase:
                                deadline_ms)[0]
 
     def lookup(self, point, *, deadline_ms: float | None = None):
-        response, _, _ = self._call("lookup", {"point": self._point(point)},
-                                    deadline_ms=deadline_ms)
+        response, _, _ = self._call(
+            "lookup", (as_point(point, self.dims)[None],),
+            deadline_ms=deadline_ms)
         return response["values"]
 
     def stats(self) -> dict:
@@ -444,8 +441,8 @@ class RemoteDatabase:
 
     def explain(self, point, k: int = 1) -> str:
         response, _, _ = self._call(
-            "explain", {"point": self._point(point),
-                        "k": int(per_query("k", k, 1)[0])})
+            "explain", (as_point(point, self.dims)[None],
+                        per_query("k", k, 1)))
         return response["explain"]
 
     def server_info(self) -> dict:
@@ -456,26 +453,20 @@ class RemoteDatabase:
     # mutations (token-authenticated, never auto-retried)
 
     def insert(self, point, value=None) -> int:
-        doc = {"point": self._point(point)}
-        if value is not None:
-            doc["value"] = value
-        response, _, _ = self._call("insert", doc, mutation=True)
+        response, _, _ = self._call(
+            "insert", (as_point(point, self.dims)[None],),
+            None if value is None else [value], mutation=True)
         return response["size"]
 
     def insert_many(self, points, values=None) -> int:
         """Bulk insert; returns the number of points inserted."""
-        points = as_points(points, self.dims)
-        if values is None:
-            response, _, _ = self._call("insert_many", frames=(points,),
-                                        mutation=True)
-        else:
-            doc = {"points": points.tolist(), "values": list(values)}
-            response, _, _ = self._call("insert_many", doc, mutation=True)
+        response, _, _ = self._call(
+            "insert_many", (as_points(points, self.dims),),
+            None if values is None else list(values), mutation=True)
         return response["inserted"]
 
     def delete(self, point, value=...) -> int:
-        doc = {"point": self._point(point)}
-        if value is not ...:
-            doc["value"] = value
-        response, _, _ = self._call("delete", doc, mutation=True)
+        response, _, _ = self._call(
+            "delete", (as_point(point, self.dims)[None],),
+            None if value is ... else [value], mutation=True)
         return response["size"]

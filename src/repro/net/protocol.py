@@ -11,21 +11,25 @@ endpoint               method  body
 ``/v1/range``          POST    matrix frames: points ``(Q, D)``, radius
                                ``(Q,)``
 ``/v1/window``         POST    matrix frames: low ``(D,)``, high ``(D,)``
-``/v1/lookup``         POST    ``{"point": [...]}``
+``/v1/lookup``         POST    matrix frame: point ``(1, D)``
 ``/v1/stats``          GET     —
-``/v1/explain``        POST    ``{"point": [...], "k": 3}``
-``/v1/insert``         POST    ``{"point": [...], "value"?}`` (auth)
-``/v1/insert_many``    POST    ``{"points": [[...]], "values"?}`` *or* one
-                               matrix frame, points ``(N, D)`` (auth)
-``/v1/delete``         POST    ``{"point": [...], "value"?}`` (auth)
+``/v1/explain``        POST    matrix frames: point ``(1, D)``, k ``(1,)``
+``/v1/insert``         POST    matrix frame: point ``(1, D)``; values part
+                               ``[value]``? (auth)
+``/v1/insert_many``    POST    matrix frame: points ``(N, D)``; values part
+                               ``[N values]``? (auth)
+``/v1/delete``         POST    matrix frame: point ``(1, D)``; values part
+                               ``[value]``? (auth)
 =====================  ======  =============================================
 
-One encoding for each thing: every neighbor read (``knn``, ``range``,
-``window``) sends matrix frames, a single query being a one-row
-``knn``/``range`` batch, and gets one neighbor block back; everything
-else — ``lookup``/``explain``/mutation requests and answers, control
-documents and errors — is JSON (``insert_many`` without values may send
-its points as one frame).
+One encoding for each thing: every request body is matrix frames — a
+single ``knn``/``range`` query being a one-row batch — and a mutation
+may add one values part after its points; every neighbor list comes
+back as one neighbor block; every other answer, control document and
+error is JSON.  No values part means no value: ``insert`` stores
+``None``, ``insert_many`` stores row indices and ``delete`` removes a
+copy whatever its value; a values part ``[null]`` means the value
+``None``.
 
 Headers:
 
@@ -46,20 +50,25 @@ request); ``429`` shed by admission control
 expired.
 
 **Matrix frame** (``Content-Type:`` :data:`BINARY_CONTENT_TYPE`; a
-body is its frames back to back, nothing after the last)::
+body is its frames back to back, then a mutation's optional values
+part, nothing after)::
 
     b"RPM1" | u8 dtype | u8 ndim | u16 pad | ndim * u64 shape | raw LE data
 
-**Neighbor block** (:data:`NEIGHBORS_CONTENT_TYPE`): every result list
-of a call in two ndarrays plus one JSON prelude for the payload
-values::
+**JSON part** — a mutation's values part, and the prelude of a
+neighbor block::
 
-    b"RPN1" | u32 json_len | {"counts": [...], "values": [[...], ...]}
+    u32 json_len | UTF-8 JSON
+
+**Neighbor block** (:data:`NEIGHBORS_CONTENT_TYPE`): every result list
+of a call in two ndarrays plus one JSON part for the payload values::
+
+    b"RPN1" | JSON part {"counts": [...], "values": [[...], ...]}
             | matrix(distances, (total,)) | matrix(points, (total, D))
 
-Both framings are versioned by their magic; unknown magic, a length
-lie or a shape that does not add up raises
-:class:`~repro.exceptions.NetError` rather than guessing.
+Frames and blocks are versioned by their magic; unknown magic, a
+length lie, a JSON part that is not JSON or a shape that does not add
+up raises :class:`~repro.exceptions.NetError` rather than guessing.
 """
 
 from __future__ import annotations
@@ -85,12 +94,14 @@ __all__ = [
     "ENDPOINTS",
     "encode_matrix",
     "decode_matrix",
+    "encode_json",
+    "decode_json",
     "encode_neighbor_block",
     "decode_neighbor_block",
     "error_doc",
 ]
 
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
 DEADLINE_HEADER = "X-Repro-Deadline-Ms"
 TOKEN_HEADER = "X-Repro-Token"
@@ -176,27 +187,53 @@ def _check_json_value(value) -> None:
         ) from None
 
 
+def encode_json(doc, values) -> bytes:
+    """``doc`` as one JSON part: ``u32 json_len | UTF-8 JSON``.
+
+    ``values`` are the payload values inside ``doc``: when the encode
+    fails, the first of them JSON cannot carry is named in a
+    :class:`NetError`.
+    """
+    try:
+        text = json.dumps(doc)
+    except (TypeError, ValueError):
+        for value in values:
+            _check_json_value(value)
+        raise
+    data = text.encode("utf-8")
+    return struct.pack("<I", len(data)) + data
+
+
+def decode_json(payload: bytes, offset: int = 0):
+    """Decode one JSON part; returns ``(document, next_offset)``."""
+    start = offset + 4
+    if len(payload) < start:
+        raise NetError("truncated JSON part (short length)")
+    (length,) = struct.unpack_from("<I", payload, offset)
+    end = start + length
+    if len(payload) < end:
+        raise NetError("truncated JSON part (short data)")
+    try:
+        doc = json.loads(payload[start:end])
+    except (ValueError, RecursionError) as exc:  # not JSON, or past a limit
+        raise NetError(f"JSON part is not JSON: {exc}") from None
+    return doc, end
+
+
 def encode_neighbor_block(results: list[list[Neighbor]]) -> bytes:
     """Serialize batched results into the binary neighbor-block frame."""
     counts = [len(r) for r in results]
     values = [[n.value for n in r] for r in results]
-    try:
-        prelude = json.dumps({"counts": counts, "values": values})
-    except (TypeError, ValueError):
-        for row in values:  # name the value that failed
-            for value in row:
-                _check_json_value(value)
-        raise
+    prelude = encode_json({"counts": counts, "values": values},
+                          (value for row in values for value in row))
     flat = [n for r in results for n in r]
     distances = np.array([n.distance for n in flat], dtype=np.float64)
     if flat:
         points = np.array([n.point for n in flat], dtype=np.float64)
     else:
         points = np.empty((0, 0), dtype=np.float64)
-    prelude = prelude.encode("utf-8")
     return b"".join([
         _NEIGHBORS_MAGIC,
-        struct.pack("<I", len(prelude)),
         prelude,
         encode_matrix(distances),
         encode_matrix(points),
@@ -211,16 +248,9 @@ def decode_neighbor_block(payload: bytes) -> list[list[Neighbor]]:
     its count, distances or points other than one per neighbor, bytes
     after the points — raises :class:`NetError`.
     """
-    if len(payload) < 8 or payload[:4] != _NEIGHBORS_MAGIC:
+    if payload[:4] != _NEIGHBORS_MAGIC:
         raise NetError("bad neighbor-block frame magic")
-    (json_len,) = struct.unpack_from("<I", payload, 4)
-    prelude_end = 8 + json_len
-    if len(payload) < prelude_end:
-        raise NetError("truncated neighbor-block frame (short prelude)")
-    try:
-        prelude = json.loads(payload[8:prelude_end])
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise NetError(f"neighbor-block prelude is not JSON: {exc}") from None
+    prelude, prelude_end = decode_json(payload, 4)
     counts = prelude.get("counts") if isinstance(prelude, dict) else None
     values = prelude.get("values") if isinstance(prelude, dict) else None
     if not (isinstance(counts, list) and isinstance(values, list)

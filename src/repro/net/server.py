@@ -51,7 +51,6 @@ server lifecycle plus per-request DEBUG events.
 from __future__ import annotations
 
 import dataclasses
-import json
 import threading
 import time
 
@@ -393,8 +392,8 @@ class QueryServer:
 
     def _dispatch(self, request: Request, endpoint: str, body: bytes,
                   deadline: float | None) -> None:
-        content_type = (request.headers.get("Content-Type") or
-                        protocol.JSON_CONTENT_TYPE).split(";")[0].strip()
+        content_type = request.headers.get("Content-Type", "")
+        content_type = content_type.split(";")[0].strip()
         try:
             self._execute(request, endpoint, body, content_type, deadline)
         except CoalescedDeadlineError:
@@ -479,8 +478,7 @@ class QueryServer:
                 # lone value goes in as a Python number: per_query's
                 # fast path, not its array checks.
                 point = as_point(points[0], getattr(source, "dims", None))
-                value = arg.item() if arg.shape in ((), (1,)) else arg
-                param = per_query(name, value, 1)[0].item()
+                param = per_query(name, _one_value(arg), 1)[0].item()
                 results = [self._coalescer.submit(endpoint, point, param,
                                                   deadline)]
             elif endpoint == "knn":
@@ -490,65 +488,36 @@ class QueryServer:
             self._send_neighbors(request, results)
             return
 
-        binary_body = content_type == protocol.BINARY_CONTENT_TYPE
-        doc = {} if binary_body else self._json_doc(body)
-
         # Every other endpoint answers 200 with one JSON document.
         if endpoint == "lookup":
-            point = _required(doc, "point")
-            _reject_unknown(doc, {"point"})
-            reply = {"values": list(source.lookup(point, **pool_kw))}
+            (point,) = _frames(body, content_type, 1)
+            reply = {"values": list(source.lookup(_one_row(point),
+                                                  **pool_kw))}
 
         elif endpoint == "explain":
             if not hasattr(source, "explain"):
                 raise NotImplementedError(
                     f"the served handle ({type(source).__name__}) does not "
                     f"support explain")
-            point = _required(doc, "point")
-            k = doc.get("k", 1)
-            _reject_unknown(doc, {"point", "k"})
-            reply = {"explain": source.explain(point, k=k)}
+            point, k = _frames(body, content_type, 2)
+            reply = {"explain": source.explain(_one_row(point),
+                                               k=_one_value(k))}
 
-        elif endpoint == "insert":
-            self._require_mutable("insert")
-            point = _required(doc, "point")
-            _reject_unknown(doc, {"point", "value"})
-            if "value" in doc:
-                source.insert(point, doc["value"])
+        else:  # a mutation: its points, then maybe its values part
+            self._require_mutable(endpoint)
+            points, values = _frames(body, content_type, 1, values=True)
+            if endpoint == "insert_many":
+                inserted = (source.insert_many(points) if values is None
+                            else source.insert_many(points, values))
+                reply = {"ok": True, "inserted": int(inserted),
+                         "size": source.size}
             else:
-                source.insert(point)
-            reply = {"ok": True, "size": source.size}
-
-        elif endpoint == "insert_many":
-            self._require_mutable("insert_many")
-            if binary_body:
-                (points,) = _frames(body, content_type, 1)
-                values = None
-            else:
-                points = _required(doc, "points")
-                values = doc.get("values")
-                _reject_unknown(doc, {"points", "values"})
-            if values is None:
-                inserted = source.insert_many(points)
-            else:
-                inserted = source.insert_many(points, values)
-            if inserted is None:  # non-conforming source; fall back
-                inserted = len(points)
-            reply = {"ok": True, "inserted": int(inserted),
-                     "size": source.size}
-
-        elif endpoint == "delete":
-            self._require_mutable("delete")
-            point = _required(doc, "point")
-            _reject_unknown(doc, {"point", "value"})
-            if "value" in doc:
-                source.delete(point, value=doc["value"])
-            else:
-                source.delete(point)
-            reply = {"ok": True, "size": source.size}
-
-        else:  # unreachable: _route admits only protocol.ENDPOINTS
-            raise NetError(f"unroutable endpoint {endpoint!r}")
+                if values is not None and len(values) != 1:
+                    raise ValueError(f"{endpoint} takes one value, got a "
+                                     f"values part of {len(values)}")
+                # insert or delete: no values part is no value argument
+                getattr(source, endpoint)(_one_row(points), *(values or ()))
+                reply = {"ok": True, "size": source.size}
         request.send_json(200, reply)
 
     def _require_mutable(self, op: str) -> None:
@@ -556,18 +525,6 @@ class QueryServer:
             raise NotImplementedError(
                 f"the served handle ({type(self._source).__name__}) does "
                 f"not support {op}; serve a Database for mutations")
-
-    @staticmethod
-    def _json_doc(body: bytes) -> dict:
-        if not body:
-            return {}
-        try:
-            doc = json.loads(body)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"request body is not valid JSON: {exc}") from None
-        if not isinstance(doc, dict):
-            raise ValueError("request body must be a JSON object")
-        return doc
 
     def _descriptor(self) -> dict:
         source = self._source
@@ -607,13 +564,17 @@ _PATHS = ([f"/v1/{name}" for name in protocol.ENDPOINTS]
 _BAD_DEADLINE = object()
 
 
-def _frames(body: bytes, content_type: str, count: int) -> list:
-    """The ``count`` matrix frames that make up a binary request body.
+def _frames(body: bytes, content_type: str, count: int, *,
+            values: bool = False) -> list:
+    """The ``count`` matrix frames that make up a request body, then,
+    with ``values``, its values part (a JSON list) or ``None``.
 
     A ``knn``/``range`` body is its points then its ``k`` or radius, one
-    per row; ``window``'s is its low then its high corner;
-    ``insert_many``'s is its points alone.  Any other content type, a
-    missing frame or a byte after the last frame is refused.
+    per row; ``explain``'s is its point then its ``k``; ``window``'s is
+    its low then its high corner; ``lookup``'s is its point alone, and a
+    mutation's its points and maybe its values.  Any other content type,
+    a missing frame, a values part that is not a list or a byte after
+    the last part is refused.
     """
     if content_type != protocol.BINARY_CONTENT_TYPE:
         raise ValueError(
@@ -623,20 +584,27 @@ def _frames(body: bytes, content_type: str, count: int) -> list:
     for _ in range(count):
         array, offset = protocol.decode_matrix(body, offset)
         frames.append(array)
+    if values:
+        part = None
+        if offset < len(body):
+            part, offset = protocol.decode_json(body, offset)
+            if not isinstance(part, list):
+                raise NetError(f"the values part must be a JSON list, got "
+                               f"{type(part).__name__}")
+        frames.append(part)
     if offset != len(body):
         raise NetError(f"{len(body) - offset} byte(s) after the last of "
                        f"{count} matrix frame(s)")
     return frames
 
 
-def _required(doc: dict, key: str):
-    if key not in doc:
-        raise ValueError(f"request body is missing required field {key!r}")
-    return doc[key]
+def _one_row(frame: np.ndarray) -> np.ndarray:
+    """A one-row points frame as its point; any other shape unchanged,
+    for the handle to refuse in its own words."""
+    return frame[0] if frame.ndim == 2 and len(frame) == 1 else frame
 
 
-def _reject_unknown(doc: dict, allowed: set) -> None:
-    unknown = sorted(set(doc) - allowed)
-    if unknown:
-        raise ValueError(
-            f"unknown request field(s) {unknown}; allowed: {sorted(allowed)}")
+def _one_value(frame: np.ndarray):
+    """A lone ``k`` or radius as a Python number; any other shape
+    unchanged, for ``per_query`` to refuse."""
+    return frame.item() if frame.shape in ((), (1,)) else frame

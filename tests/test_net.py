@@ -31,6 +31,7 @@ from repro.api import Database
 from repro.exceptions import (
     DeadlineExceededError,
     DimensionalityError,
+    KeyNotFoundError,
     NetError,
     RemoteError,
     ServerOverloadedError,
@@ -392,36 +393,9 @@ def test_client_disconnect_does_not_poison_the_server(corpus):
 
 def test_malformed_requests_are_client_errors(corpus):
     with QueryServer(corpus.db) as server:
-        conn = http.client.HTTPConnection(*server.address)
-
-        def post(path, doc):
-            conn.request("POST", path, body=json.dumps(doc),
-                         headers={"Content-Type": "application/json"})
-            response = conn.getresponse()
-            return response.status, json.loads(response.read())
-
         # Unknown endpoint namespace -> 404.
-        status, doc = post("/v1/teleport", {})
+        status, _ = post(server.address, "teleport", {})
         assert status == 404
-
-        # Unknown body field -> 400 naming the offender.
-        status, doc = post("/v1/lookup", {"point": corpus.data[0].tolist(),
-                                          "bogus": 1})
-        assert status == 400
-        assert "bogus" in doc["error"]
-
-        # Missing required field -> 400.
-        status, doc = post("/v1/explain", {"k": 2})
-        assert status == 400
-        assert "point" in doc["error"]
-
-        # Non-JSON body on a JSON endpoint -> 400, not a crashed thread.
-        conn.request("POST", "/v1/lookup", body=b"\x00\xff not json",
-                     headers={"Content-Type": "application/json"})
-        response = conn.getresponse()
-        assert response.status == 400
-        response.read()
-        conn.close()
 
     # Library exceptions re-raise client-side as the same class.
     with QueryServer(corpus.db) as server:
@@ -439,14 +413,23 @@ def test_malformed_requests_are_client_errors(corpus):
 @pytest.mark.parametrize("endpoint, doc", [
     ("knn", {"point": [0.5] * 6, "k": 2}),
     ("range", {"point": [0.5] * 6, "radius": 0.3}),
-    ("window", {"low": [0.0] * 6, "high": [1.0] * 6})])
+    ("window", {"low": [0.0] * 6, "high": [1.0] * 6}),
+    ("lookup", {"point": [0.5] * 6}),
+    ("explain", {"point": [0.5] * 6, "k": 2}),
+    ("insert", {"point": [0.5] * 6, "value": "v"}),
+    ("insert_many", {"points": [[0.5] * 6], "values": ["v"]}),
+    ("delete", {"point": [0.5] * 6})])
 def test_a_json_neighbor_read_is_refused_naming_the_frames(corpus, endpoint,
                                                           doc):
-    with QueryServer(corpus.db) as server:
+    # Every request body is matrix frames (protocol 4): a JSON document
+    # is refused with the content type it should have had, a mutation's
+    # included, and nothing is written.
+    with QueryServer(corpus.db, auth_token="t") as server:
         status, error_type, error = _error(post(server.address, endpoint,
-                                                doc))
+                                                doc, token="t"))
     assert (status, error_type) == (400, "ValueError")
     assert BINARY_CONTENT_TYPE in error
+    assert corpus.db.size == len(corpus.data)
 
 
 @pytest.mark.parametrize("endpoint", ["knn_batch", "range_batch"])
@@ -660,6 +643,45 @@ def test_token_gates_mutations_not_reads(tmp_path):
                 assert rdb.delete(np.full(4, 0.25), value="probe") == 21
 
 
+def test_payload_values_mean_over_the_wire_what_they_mean_locally(tmp_path):
+    # No values part is "no value": insert stores None, delete removes a
+    # copy whatever its value; a values part [null] is the value None.
+    path = str(tmp_path / "values.srtree")
+    p, q = np.full(4, 0.25), np.full(4, 0.75)
+    with Database.create(path, kind="sr", dims=4) as db, \
+            QueryServer(db, auth_token="t") as server, \
+            RemoteDatabase.connect(_addr(server), token="t") as rdb:
+        assert rdb.insert(p) == 1
+        assert rdb.insert(p, value="kept") == 2
+        assert db.lookup(p) == [None, "kept"]
+        assert rdb.delete(p, value=None) == 1
+        assert db.lookup(p) == ["kept"]
+        with pytest.raises(KeyNotFoundError):
+            rdb.delete(p, value=None)
+        assert rdb.delete(p) == 0  # whatever its value
+        rdb.insert_many([q, q], values=[None, 7])
+        assert sorted(db.lookup(q), key=repr) == [7, None]
+        with pytest.raises(KeyNotFoundError):
+            rdb.delete(q, value="absent")
+        assert db.size == 2
+
+
+def test_a_value_json_cannot_carry_is_refused_before_the_round_trip(
+        tmp_path):
+    path = str(tmp_path / "refused.srtree")
+    with Database.create(path, kind="sr", dims=2) as db, \
+            QueryServer(db, auth_token="t") as server, \
+            RemoteDatabase.connect(_addr(server), token="t") as rdb:
+        served = server.describe()["served"]
+        for call in (lambda: rdb.insert([0.5, 0.5], value=object()),
+                     lambda: rdb.insert_many([[0.5, 0.5]], values=[object()]),
+                     lambda: rdb.delete([0.5, 0.5], value={1, 2})):
+            with pytest.raises(NetError, match="not JSON-representable"):
+                call()
+        assert server.describe()["served"] == served  # nothing was sent
+        assert db.size == 0
+
+
 # ---------------------------------------------------------------------------
 # Transport details: codecs, keep-alive, metrics, telemetry
 # ---------------------------------------------------------------------------
@@ -739,6 +761,22 @@ def test_trailing_bytes_after_the_frames_are_a_400(tmp_path):
             assert post(server.address, "knn", frames)[0] == 200
 
 
+@pytest.mark.parametrize("part", [b"{values", b"[" * 100_000, b"1" * 5000,
+                                  b"\xff"])
+def test_a_values_part_that_is_not_json_is_a_400(tmp_path, part):
+    # Not JSON, nested past the recursion limit, an integer past the
+    # digit limit, not UTF-8: a NetError, never a 500.
+    with Database.create(str(tmp_path / "v.srtree"), kind="sr",
+                         dims=2) as db, \
+            QueryServer(db, auth_token="t") as server:
+        status, error_type, error = _error(post(
+            server.address, "insert", encode_matrix(np.full((1, 2), 0.5))
+            + struct.pack("<I", len(part)) + part, token="t"))
+        assert (status, error_type) == (400, "NetError")
+        assert "JSON part is not JSON" in error
+        assert db.size == 0
+
+
 @pytest.mark.parametrize("radius", [None, [1, 2], -1.0, "far"])
 def test_range_radius_is_refused_as_database_refuses_it(corpus, serving_pool,
                                                         radius):
@@ -784,6 +822,8 @@ LYING_BLOCKS = {
     "no_counts": _block(_prelude({"values": [[0]]}), [0.1], np.zeros((1, 4))),
     "prelude_a_list": _block(_prelude([[1], [[0]]]), [0.1], np.zeros((1, 4))),
     "prelude_not_json": _block(b"{counts", [0.1], np.zeros((1, 4))),
+    "prelude_nested_past_the_recursion_limit": _block(
+        b"[" * 100_000, [0.1], np.zeros((1, 4))),
     "one_dimensional_points": _block(
         _prelude({"counts": [2], "values": [[0, 1]]}),
         [0.1, 0.2], np.zeros(2)),
@@ -910,6 +950,7 @@ class _Scripted:
     def __init__(self, *replies) -> None:
         self.replies = list(replies)
         self.requests: list[str] = []
+        self.closing = False
         self.sock = socket.create_server(("127.0.0.1", 0))
         self.address = "%s:%d" % self.sock.getsockname()[:2]
         self.thread = threading.Thread(target=self._run, daemon=True)
@@ -917,9 +958,9 @@ class _Scripted:
 
     def _run(self) -> None:
         while self.replies:
-            try:
-                conn, _ = self.sock.accept()
-            except OSError:
+            conn, _ = self.sock.accept()
+            if self.closing:
+                conn.close()
                 return
             with conn, conn.makefile("rb") as rfile:
                 while self.replies and (head := read_head(rfile)):
@@ -931,8 +972,14 @@ class _Scripted:
                     conn.sendall(reply)
 
     def close(self) -> None:
-        self.sock.close()
+        # Closing the socket does not wake a blocked accept(): a
+        # connection of its own does.
+        self.closing = True
+        socket.create_connection(self.sock.getsockname()[:2],
+                                 timeout=1.0).close()
         self.thread.join(timeout=5.0)
+        assert not self.thread.is_alive()
+        self.sock.close()
 
 
 def _reply(doc: dict, extra: bytes = b"") -> bytes:
@@ -943,6 +990,17 @@ def _reply(doc: dict, extra: bytes = b"") -> bytes:
 
 _DESCRIPTOR = _reply({"protocol": PROTOCOL_VERSION, "dims": 2,
                       "kind": "srtree"})
+
+
+def test_client_refuses_a_server_of_another_protocol():
+    # A protocol-3 server still parses JSON bodies; this client sends
+    # none, so it refuses the server before any call.
+    peer = _Scripted(_reply({"protocol": PROTOCOL_VERSION - 1, "dims": 2}))
+    try:
+        with pytest.raises(NetError, match="server speaks protocol 3"):
+            RemoteDatabase.connect(peer.address)
+    finally:
+        peer.close()
 
 
 def test_client_retries_a_read_once_on_a_dropped_connection():

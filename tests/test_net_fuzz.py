@@ -20,20 +20,30 @@ The oracle, for every request:
 
 Every defect the fuzzer has found is a named regression test below it.
 
-The second fuzzer writes the one request shape a neighbor read has:
-matrix frames on ``/v1/knn``, ``/v1/range`` and ``/v1/window``, with 0,
-1, 2 or 33 rows, NaN/inf coordinates, ``k`` and radii, a wrong ``D``, a
-per-row frame of another length, truncation, trailing bytes, shape and
-length lies, and ``X-Repro-Deadline-Ms`` values.  Half of them arrive
-while a lone ``knn`` is held open with a good request queued behind it,
-so a one-row body may join that request's group.  Its oracle is the
-served ``Database`` over the same corpus: a 200 whose block equals what
+The second fuzzer writes the one request shape every body has: matrix
+frames on ``/v1/knn``, ``/v1/range``, ``/v1/window``, ``/v1/lookup``
+and ``/v1/explain``, with 0, 1, 2 or 33 rows, NaN/inf coordinates, ``k``
+and radii, a wrong ``D``, a per-row frame of another length,
+truncation, trailing bytes, shape and length lies, a JSON body, and
+``X-Repro-Deadline-Ms`` values.  Half of them arrive while a lone
+``knn`` is held open with a good request queued behind it, so a one-row
+body may join that request's group.  Its oracle is the served
+``Database`` over the same corpus: a 200 whose answer equals what
 ``Database`` answers for the decoded frames, or a 400 naming the class
 ``Database`` raises (a 504 only for a spent deadline); the groupmates
 are answered correctly, no slot is left held, and a good request on
 the same keep-alive connection is answered after it.
 
-``make test-net`` runs both deeper (``--hypothesis-profile=deep``).
+The third writes ``/v1/insert``, ``/v1/insert_many`` and
+``/v1/delete`` bodies the same way — points, then no values part, a
+``null``, a string or a row's own value — damaged as above, or by a
+values list of the wrong length or a values part that is not a list.
+Each starts from a fresh copy of one corpus, and its oracle is a second
+``Database`` given the same call: the same answer or refusal, and
+afterwards the same size and the same values at every corpus point and
+every point of the request.
+
+``make test-net`` runs all three deeper (``--hypothesis-profile=deep``).
 """
 
 from __future__ import annotations
@@ -52,11 +62,14 @@ from hypothesis import strategies as st
 
 from repro import Database
 from repro.exceptions import NetError
+from repro.geometry import as_points
 from repro.net import QueryServer
 from repro.net.protocol import (
     BINARY_CONTENT_TYPE,
+    decode_json,
     decode_matrix,
     decode_neighbor_block,
+    encode_json,
     encode_matrix,
 )
 from repro.obs.events import EVENTS, WARN
@@ -515,18 +528,39 @@ def _mostly(draw, usual, *others):
     return draw(st.sampled_from(others))
 
 
+#: The corpus every generated mutation starts from.
+MUTABLE_DATA = uniform_dataset(40, DIMS, seed=11)
+#: The endpoints each generated-body test sends to.
+READS = ("knn", "knn", "range", "window", "lookup", "explain")
+MUTATIONS = ("insert", "insert_many", "delete")
+#: Payload values a values part carries beside a corpus row's own.
+VALUES = [None, "s", 3, "row"]
+
+
+def _rows(draw, shape, dtype: str) -> np.ndarray:
+    """Points of ``shape``; a mutation's ``(n, DIMS)`` float64 points are
+    often corpus rows, so a delete finds what it names."""
+    if (len(shape) == 2 and shape[1:] == (DIMS,) and dtype == "<f8"
+            and draw(st.booleans())):
+        at = draw(st.lists(st.integers(0, len(MUTABLE_DATA) - 1),
+                           min_size=shape[0], max_size=shape[0]))
+        return MUTABLE_DATA[at].copy()
+    return _coordinates(draw, shape, dtype)
+
+
 @st.composite
-def frame_requests(draw):
-    """``(endpoint, body, content_type, deadline, behind)``: one neighbor
-    read's frames, whole or damaged, its two headers, and whether it
-    arrives behind a held ``knn``."""
-    endpoint = draw(st.sampled_from(["knn", "knn", "range", "window"]))
+def frame_requests(draw, endpoints=READS):
+    """``(endpoint, body, content_type, deadline, behind)``: one request's
+    frames (and a mutation's values part), whole or damaged, its two
+    headers, and whether it arrives behind a held ``knn``."""
+    endpoint = draw(st.sampled_from(endpoints))
     dims = _mostly(draw, DIMS, DIMS - 1, DIMS + 1, 0)
     dtype = _mostly(draw, "<f8", "<f4", "<i8")
+    values = None  # no values part
     if endpoint == "window":
         low, high = np.sort(_coordinates(draw, (2, dims), dtype), axis=0)
-        first, second = _mostly(draw, (low, high), (high, low))
-    else:
+        frames = list(_mostly(draw, (low, high), (high, low)))
+    elif endpoint in ("knn", "range"):
         q = draw(st.sampled_from([1, 1, 1, 0, 2, 33]))
         first = _coordinates(draw, _mostly(
             draw, (q, dims), (dims,), (1, 1, dims), ()), dtype)
@@ -534,47 +568,73 @@ def frame_requests(draw):
         table, usual, other = ((KS, "<i8", "<f8") if endpoint == "knn"
                                else (RADII, "<f8", "<i8"))
         per_dtype = _mostly(draw, usual, other)
-        second = _per_row(draw, _mostly(draw, (rows,), (), (rows, 1)),
-                          per_dtype, table[per_dtype])
-    one = encode_matrix(first)
-    body = one + encode_matrix(second)
+        frames = [first, _per_row(draw, _mostly(draw, (rows,), (), (rows, 1)),
+                                  per_dtype, table[per_dtype])]
+    elif endpoint == "insert_many":
+        n = draw(st.sampled_from([1, 2, 5, 0]))
+        frames = [_rows(draw, _mostly(draw, (n, dims), (dims,),
+                                      (1, 1, dims), ()), dtype)]
+        if draw(st.booleans()):
+            values = draw(st.lists(st.sampled_from(VALUES), min_size=n,
+                                   max_size=n))
+    else:  # one point: lookup, explain, insert, delete
+        frames = [_rows(draw, _mostly(draw, (1, dims), (dims,), (2, dims),
+                                      (1, 1, dims), ()), dtype)]
+        if endpoint == "explain":
+            per_dtype = _mostly(draw, "<i8", "<f8")
+            frames.append(_per_row(draw, _mostly(draw, (1,), (), (2,)),
+                                   per_dtype, KS[per_dtype]))
+        elif endpoint in MUTATIONS and draw(st.booleans()):
+            values = [draw(st.sampled_from(VALUES))]
+    parts = [encode_matrix(frame) for frame in frames]
     damage = None  # one body in four is damaged
     if draw(st.integers(0, 3)) == 3:
-        damage = draw(st.sampled_from(["cut", "trail", "shape", "ndim",
-                                       "flip", "one_frame", "json"]))
+        damage = draw(st.sampled_from(
+            ["cut", "trail", "shape", "ndim", "flip", "one_frame", "json"]
+            + ["values_length", "values_not_list"] * (endpoint in MUTATIONS)))
+    if damage == "values_length":  # one value too many or too few
+        values = _mostly(draw, (values or []) + ["extra"], (values or [])[:-1])
+    elif damage == "values_not_list":
+        values = draw(st.sampled_from([{"values": values}, 5, "x", None]))
+    if endpoint in MUTATIONS and (values is not None or damage
+                                  == "values_not_list"):
+        parts.append(encode_json(values, ()))
+    body = b"".join(parts)
+    starts = np.cumsum([0] + [len(part) for part in parts[:len(frames)]])
     if damage == "cut":
         body = body[:draw(st.integers(0, len(body) - 1))]
     elif damage == "trail":
         body += draw(st.binary(min_size=1, max_size=8))
-    elif damage == "shape":  # one shape word of either frame lies
-        at, frame = draw(st.sampled_from([(0, first), (len(one), second)]))
+    elif damage == "shape":  # one shape word of any frame lies
+        at = draw(st.integers(0, len(frames) - 1))
+        frame = frames[at]
         if frame.ndim:
-            word = at + 8 + 8 * draw(st.integers(0, frame.ndim - 1))
+            word = starts[at] + 8 + 8 * draw(st.integers(0, frame.ndim - 1))
             lie = draw(st.sampled_from([0, 1, 2**32, 2**63, 2**64 - 1]
                                        + [n + 1 for n in frame.shape]))
             body = body[:word] + struct.pack("<Q", lie) + body[word + 8:]
     elif damage == "ndim":
-        at = draw(st.sampled_from([0, len(one)]))
+        at = starts[draw(st.integers(0, len(frames) - 1))]
         body = (body[:at + 5] + bytes([draw(st.integers(0, 255))])
                 + body[at + 6:])
     elif damage == "flip":
         at = draw(st.integers(0, len(body) - 1))
         body = body[:at] + bytes([draw(st.integers(0, 255))]) + body[at + 1:]
     elif damage == "one_frame":
-        body = one
+        body = parts[0]
     elif damage == "json":
         body = JSON_LINE
     content_type = _mostly(draw, BINARY_CONTENT_TYPE,
                            BINARY_CONTENT_TYPE + "; v=1", "application/json",
                            None)
     return (endpoint, body, content_type, _mostly(draw, None, *DEADLINES),
-            draw(st.booleans()))
+            endpoint not in MUTATIONS and draw(st.booleans()))
 
 
 def _request(endpoint: str, body: bytes, content_type: str | None = None,
              deadline: str | None = None, last: bool = False) -> bytes:
     headers = [b"POST /v1/%s HTTP/1.1" % endpoint.encode(), b"Host: fuzz",
-               b"Content-Length: %d" % len(body)]
+               b"Content-Length: %d" % len(body), b"X-Repro-Token: t"]
     if content_type is not None:
         headers.append(b"Content-Type: " + content_type.encode())
     if deadline is not None:
@@ -593,16 +653,65 @@ def _good(point=GOOD_POINT, last: bool = False) -> bytes:
                     BINARY_CONTENT_TYPE, last=last)
 
 
+def _decoded(body: bytes, content_type, count: int, values: bool) -> list:
+    """The ``count`` frames of ``body``, then with ``values`` its values
+    part (``None`` when absent), as the protocol defines them."""
+    if (content_type or "").split(";")[0] != BINARY_CONTENT_TYPE:
+        raise ValueError("not a frames body")
+    parts, offset = [], 0
+    for _ in range(count):
+        frame, offset = decode_matrix(body, offset)
+        parts.append(frame)
+    if values:
+        part = None
+        if offset < len(body):
+            part, offset = decode_json(body, offset)
+            if not isinstance(part, list):
+                raise NetError("a values part that is not a list")
+        parts.append(part)
+    if offset != len(body):
+        raise NetError("bytes after the frames")
+    return parts
+
+
+def _row(frame: np.ndarray):
+    """A ``(1, D)`` frame is the point it holds; any other shape is what
+    the handle is handed."""
+    return frame[0] if frame.ndim == 2 and len(frame) == 1 else frame
+
+
+def _explained(text: str) -> list[str]:
+    """An EXPLAIN report without what two runs may differ in: the wall
+    time, and where each page came from."""
+    return [text.split(" — ")[0]] + [line for line in text.splitlines()
+                                      if line.startswith("nodes visited")]
+
+
 def _database(db, endpoint: str, body: bytes, content_type):
     """What ``Database`` answers for the frames of ``body``: its result
-    lists, or the name of the class it raises."""
+    lists (a neighbor read), its JSON answer (any other), or the name of
+    the class it raises."""
     try:
-        if (content_type or "").split(";")[0] != BINARY_CONTENT_TYPE:
-            raise ValueError("not a frames body")
-        first, offset = decode_matrix(body)
-        second, offset = decode_matrix(body, offset)
-        if offset != len(body):
-            raise NetError("bytes after the frames")
+        if endpoint in MUTATIONS:
+            points, values = _decoded(body, content_type, 1, values=True)
+            if endpoint == "insert_many":
+                inserted = (db.insert_many(points) if values is None
+                            else db.insert_many(points, values))
+                return {"ok": True, "inserted": inserted, "size": db.size}
+            if values is None:
+                getattr(db, endpoint)(_row(points))
+            elif len(values) != 1:
+                raise ValueError("not one value")
+            else:
+                getattr(db, endpoint)(_row(points), values[0])
+            return {"ok": True, "size": db.size}
+        if endpoint == "lookup":
+            (point,) = _decoded(body, content_type, 1, values=False)
+            return {"values": db.lookup(_row(point))}
+        first, second = _decoded(body, content_type, 2, values=False)
+        if endpoint == "explain":
+            k = second.item() if second.shape in ((), (1,)) else second
+            return _explained(db.explain(_row(first), k=k))
         if endpoint == "window":
             return [db.window(first, second)]
         if endpoint == "knn":
@@ -629,7 +738,9 @@ def _same_lists(got, want, data: np.ndarray) -> None:
                               if n.distance == distance))
 
 
-def _meets_oracle(served, endpoint, body, content_type, deadline, answer):
+def _meets_oracle(oracle, endpoint, body, content_type, deadline, answer):
+    """``answer`` is what ``oracle.db`` answers for the same request:
+    refused as it refuses, or answered as it answers."""
     status, _, payload = answer
     try:
         budget = None if deadline is None else float(deadline)
@@ -642,18 +753,24 @@ def _meets_oracle(served, endpoint, body, content_type, deadline, answer):
     if budget is not None and budget <= 0:
         assert status == 504, payload
         return
-    want = _database(served.db, endpoint, body, content_type)
+    want = _database(oracle.db, endpoint, body, content_type)
     if isinstance(want, str):
-        assert status == 400, (want, payload)
+        assert status == (405 if want == "NotImplementedError" else 400), (
+            want, payload)
         assert json.loads(payload)["error_type"] == want
         return
     assert status == 200, (want, payload)
-    got = decode_neighbor_block(payload)
-    _same_lists(got, want, served.data)
-    if endpoint != "window":  # the per-row frame had one value per row
-        _, offset = decode_matrix(body)
-        per_row = decode_matrix(body, offset)[0]
-        assert per_row.shape in ((), (len(got),)), per_row.shape
+    if endpoint == "explain":
+        assert _explained(json.loads(payload)["explain"]) == want
+    elif endpoint in ("lookup", *MUTATIONS):
+        assert json.loads(payload) == want
+    else:
+        got = decode_neighbor_block(payload)
+        _same_lists(got, want, oracle.data)
+        if endpoint != "window":  # the per-row frame had one value per row
+            _, offset = decode_matrix(body)
+            per_row = decode_matrix(body, offset)[0]
+            assert per_row.shape in ((), (len(got),)), per_row.shape
 
 
 def _wait_for(condition, timeout: float = 5.0) -> None:
@@ -735,4 +852,94 @@ def test_generated_frames_meet_the_database_oracle(served, request):
     _same_lists(decode_neighbor_block(block),
                 [served.db.knn(GOOD_POINT, k=GOOD_K)], served.data)
     described = served.server.describe()
+    assert (described["inflight"], described["queued"]) == (0, 0)
+
+
+# ---------------------------------------------------------------------------
+# Generated mutation bodies: the same frames, and a second Database
+# ---------------------------------------------------------------------------
+
+
+class _Fresh:
+    """The served handle: a fresh copy of the mutation corpus for every
+    generated request (``renew()``), so each is judged on its own."""
+
+    def __init__(self) -> None:
+        self._db = None
+
+    def __getattr__(self, name):
+        return getattr(self._db, name)
+
+    def renew(self):
+        if self._db is not None:
+            self._db.close()
+        self._db = _mutation_corpus()
+        return self._db
+
+
+def _mutation_corpus():
+    """The corpus rows (values: row indices), and two more copies of
+    rows 0 and 1 valued ``None`` and ``"s"``."""
+    db = Database.create(None, kind="sr", dims=DIMS, page_size=2048)
+    db.insert_many(MUTABLE_DATA)
+    db.insert(MUTABLE_DATA[0], None)
+    db.insert(MUTABLE_DATA[1], "s")
+    return db
+
+
+@pytest.fixture(scope="module")
+def mutable():
+    source = _Fresh()
+    source.renew()
+    server = QueryServer(source, auth_token="t")
+    yield SimpleNamespace(source=source, server=server)
+    server.close()
+    source.close()
+
+
+def _probes(body: bytes) -> list:
+    """The points whose stored values are compared after a mutation: the
+    corpus, and the request's own points when its first frame has any."""
+    probes = list(MUTABLE_DATA)
+    try:
+        probes += list(as_points(decode_matrix(body)[0], DIMS))
+    except Exception:
+        pass
+    return probes
+
+
+@_budget(100)
+@given(request=frame_requests(MUTATIONS))
+# Seeds, each the request that refutes one slip: a values part ignored,
+# an absent value read as None, and a values part of two for one point.
+@example(request=("insert", _frames([MUTABLE_DATA[2]])
+                  + encode_json(["s"], ()), BINARY_CONTENT_TYPE, None, False))
+@example(request=("delete", _frames([MUTABLE_DATA[2]]),
+                  BINARY_CONTENT_TYPE, None, False))
+@example(request=("delete", _frames([MUTABLE_DATA[0]])
+                  + encode_json([None, None], ()), BINARY_CONTENT_TYPE, None,
+                  False))
+def test_generated_mutations_meet_the_database_oracle(mutable, request):
+    # The oracle is a second Database given the same call: the answer is
+    # its answer or its refusal, and afterwards both hold the same points
+    # with the same values.
+    endpoint, body, content_type, deadline, _ = request
+    db = mutable.source.renew()
+    raw = raw_http(mutable.server.address,
+                   _request(endpoint, body, content_type, deadline)
+                   + _good(last=True), timeout=10.0, half_close=True)
+    got = responses(raw)
+    assert len(got) == 2, got  # the connection stayed in step
+    with _mutation_corpus() as oracle:
+        _meets_oracle(SimpleNamespace(db=oracle, data=MUTABLE_DATA),
+                      endpoint, body, content_type, deadline, got[0])
+        assert db.size == oracle.size
+        for point in _probes(body):
+            assert db.lookup(point) == oracle.lookup(point)
+    status, _, block = got[1]
+    assert status == 200, block
+    (neighbors,) = decode_neighbor_block(block)
+    assert ([n.distance for n in neighbors]
+            == [n.distance for n in db.knn(GOOD_POINT, k=GOOD_K)])
+    described = mutable.server.describe()
     assert (described["inflight"], described["queued"]) == (0, 0)

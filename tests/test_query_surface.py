@@ -414,10 +414,11 @@ def test_nan_is_refused_on_the_way_in_and_the_tree_still_verifies(tmp_path):
         with pytest.raises(ValueError, match="finite"):
             db.insert_many([data[0].tolist(), bad])
         with QueryServer(db, auth_token="t") as server:
-            status, body = post(server.address, "insert", {"point": bad}, "t")
+            status, body = post(server.address, "insert",
+                                (np.array([bad]),), "t")
             assert (status, "finite" in body) == (400, True)
             status, body = post(server.address, "insert_many",
-                                {"points": [data[0].tolist(), bad]}, "t")
+                                (np.array([data[0].tolist(), bad]),), "t")
             assert (status, "finite" in body) == (400, True)
             status, body = post(server.address, "knn",
                                 (np.array([bad]), np.array([2])))
@@ -444,7 +445,7 @@ def test_bad_argument_through_a_process_pool_server_is_a_400(corpus):
         for endpoint, doc in (
                 ("window", (q + 0.1, q - 0.1)),
                 ("window", (np.zeros(2), np.ones(2))),
-                ("lookup", {"point": [0.0, 0.0]}),
+                ("lookup", (np.zeros((1, 2)),)),
                 ("knn", (q[None, :], np.array([2.5]))),
                 ("knn", (q[None, :], np.array([1, 2]))),
                 ("knn", (np.stack([q, q]), np.array([1, 2.5]))),
