@@ -69,11 +69,12 @@ test-concurrency:
 
 # Multiprocess serving under the spawn start method (the portable one:
 # macOS/Windows default, and the only method safe under threads): the
-# mmap page store, the node decode (a decoded node owns its rows and
-# shares no memory with the page image or the map; a full pool holds
-# rows, not pages), the serving pool's crash/equivalence suite, its
-# fault tests (a FaultPlan per worker process) and the pool-contract
-# tests.  Every pool a test builds comes from the `serving_pool`
+# read-only page store a worker reads through (no pool process maps the
+# index file) and MmapPageFile's unit tests, the node decode (a decoded
+# node owns its rows and shares no memory with the page image; a full
+# pool holds rows, not pages), the serving pool's crash/equivalence
+# suite, its fault tests (a FaultPlan per worker process) and the
+# pool-contract tests.  Every pool a test builds comes from the `serving_pool`
 # fixture (tests/conftest.py), which starts its workers by fork in
 # tier-1 and by REPRO_MP_START_METHOD here.
 # faulthandler dumps all stacks if a deadlock eats the hard timeout.

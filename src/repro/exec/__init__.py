@@ -12,11 +12,11 @@ whole *block* of queries:
   (:func:`~repro.geometry.point.cross_distances`) in single numpy
   passes, with per-query pruning bounds kept in a NumPy array;
 * :class:`~repro.exec.ServingPool` serves one saved index file from
-  several worker **processes**, each with its own buffer pool over one
-  shared memory-mapped copy of the file; a worker that times out or
-  dies is killed and respawned (:mod:`repro.exec.procpool`, which also
-  states the fault-handling policy).  A live
-  :class:`~repro.api.Database` is not a pool source: one
+  several worker **processes**, each reading the file read-only through
+  its own buffer pool; a worker that times out or dies is killed and
+  respawned (:mod:`repro.exec.procpool`, which also states the
+  fault-handling policy).  A live :class:`~repro.api.Database` is not
+  a pool source: one
   ``db.snapshot()``, refreshed with ``Snapshot.refresh()`` before each
   ``knn_batch`` call, answers every call from one committed epoch.
 

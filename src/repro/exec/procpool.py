@@ -1,12 +1,12 @@
-"""The serving pool: worker processes over one shared memory-mapped file.
+"""The serving pool: worker processes over one saved index file.
 
 A pool serves one saved index from several worker **processes** at
-once.  Every worker re-opens the file ``readonly`` — an
-:class:`~repro.storage.pagefile.MmapPageFile` under its private buffer
-pool and :class:`~repro.storage.stats.IOStats` — so the OS page cache
-physically shares one copy of the data across the whole pool, each page
-read is a ``memoryview`` into the shared map, and no GIL
-serializes the workers.  :class:`ServingPool` owns argument validation,
+once.  Every worker re-opens the file ``readonly`` — an ``O_RDONLY``
+:class:`~repro.storage.pagefile.FilePageFile` under its private buffer
+pool and :class:`~repro.storage.stats.IOStats` — so a page reaches a
+worker only through its buffer pool (one ``pread`` per miss, served
+from the OS page cache every process shares), and no GIL serializes
+the workers.  :class:`ServingPool` owns argument validation,
 the query surface (:meth:`~ServingPool.knn` /
 :meth:`~ServingPool.range`, their ``*_batch`` forms,
 :meth:`~ServingPool.window`, :meth:`~ServingPool.lookup`), contiguous
@@ -68,8 +68,9 @@ every call runs under one resilience policy:
   whole or raises, never with rows no worker computed;
 * a worker that times out or dies (``SIGKILL``, OOM, torn pipe —
   reason ``worker_died``) is **terminated and respawned**: killing a
-  process cannot corrupt the parent (its mmap, buffer pool and caches
-  die with it), so the pool is back at full strength for the next call;
+  process cannot corrupt the parent (its file handle, buffer pool and
+  caches die with it), so the pool is back at full strength for the
+  next call;
 * arguments are checked before anything is scattered
   (:func:`~repro.geometry.as_point` / ``as_points`` for coordinates,
   :func:`~repro.exec.batch.per_query` for ``k`` and radius), so no
@@ -262,7 +263,7 @@ def _worker_main(conn, path: str, opts: dict, fault_plan) -> None:
     Spawn-safe: everything the worker needs arrives through ``path``,
     the (picklable) ``opts`` dict (the parent's latency objective among
     them) and ``fault_plan``.  The worker opens the saved file
-    ``readonly`` — mmap-backed reads, private buffer pool —
+    ``readonly`` — ``pread`` through a private buffer pool —
     and then answers commands until told to stop or the pipe dies.  A :class:`~repro.storage.FaultPlan` (tests only) is
     spliced under the open store, so every later page read obeys it.
     """

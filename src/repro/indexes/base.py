@@ -55,6 +55,12 @@ __all__ = ["Neighbor", "Entry", "SpatialIndex"]
 _BOUND_EPS = 1e-9
 
 
+def _plain(value):
+    """A numpy scalar payload as its Python scalar (``np.int64`` -> ``int``),
+    so every handle stores and returns the same values."""
+    return value.item() if isinstance(value, np.generic) else value
+
+
 @dataclass(frozen=True)
 class Neighbor:
     """One query result: a point, its payload, and its distance."""
@@ -251,7 +257,9 @@ class SpatialIndex(ABC):
         transaction: a crash at any moment leaves the index at either
         the previous or the new state, never in between.  Without a WAL
         the mutation is applied directly (the original, faster path).
+        A numpy scalar ``value`` is stored as its Python scalar.
         """
+        value = _plain(value)
         self._durably(lambda: self._insert_point(point, value))
 
     @abstractmethod
@@ -342,7 +350,8 @@ class SpatialIndex(ABC):
         ``repro build`` and :func:`~repro.indexes.factory.build_index`
         all fill through here — so this is where the points are checked
         (:func:`~repro.geometry.as_points`), a ``values`` list of
-        another length is refused before any point goes in, and a fill
+        another length is refused before any point goes in, numpy scalar
+        values become Python scalars (as in :meth:`insert`), and a fill
         is timed and counted (``repro_builds_total``,
         ``repro_build_seconds``).
 
@@ -354,7 +363,7 @@ class SpatialIndex(ABC):
         """
         points = as_points(points, self.dims)
         if values is not None:
-            values = list(values)
+            values = [_plain(value) for value in values]
             if len(values) != points.shape[0]:
                 raise ValueError("points and values lengths differ")
         start = time.perf_counter()
@@ -847,7 +856,7 @@ class SpatialIndex(ABC):
         poisoned store (post-commit apply failure) is closed without
         saving: its metadata is already durable in the WAL, and writing
         to the diverged data file is exactly what poisoning forbids.
-        A readonly (mmap-backed) store likewise closes without saving —
+        A readonly store likewise closes without saving —
         its page file rejects writes and its meta page is already on
         disk.
         """

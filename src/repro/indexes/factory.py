@@ -128,10 +128,9 @@ def _open_index(path, buffer_capacity: int | None = None, *,
     ``durability=None`` (default) re-opens in whatever mode the index
     was last saved with — read from the meta page *after* recovery;
     ``"wal"``/``"none"`` force the mode for this session.
-    ``readonly=True`` memory-maps the (recovered) file instead of
-    opening it for writing: reads take no syscall and the OS page cache is
-    shared with every other process mapping the file, but all mutation
-    raises.
+    ``readonly=True`` opens the (recovered) file ``O_RDONLY`` instead
+    of for writing: reads go through the buffer pool as on any handle,
+    but all mutation raises.
     """
     pagefile, wal, _report, meta = open_existing(
         path, durability=durability, sync_every=sync_every,

@@ -176,10 +176,17 @@ def decode_matrix(payload: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     return array, data_end
 
 
+def _json_scalar(value):
+    """``json.dumps``' fallback: a numpy scalar as its Python scalar."""
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def _check_json_value(value) -> None:
     """Reject a payload value the JSON wire format cannot round-trip."""
     try:
-        json.dumps(value)
+        json.dumps(value, default=_json_scalar)
     except (TypeError, ValueError):
         raise NetError(
             f"payload value {value!r} is not JSON-representable; the "
@@ -192,10 +199,10 @@ def encode_json(doc, values) -> bytes:
 
     ``values`` are the payload values inside ``doc``: when the encode
     fails, the first of them JSON cannot carry is named in a
-    :class:`NetError`.
+    :class:`NetError`.  A numpy scalar goes as its Python scalar.
     """
     try:
-        text = json.dumps(doc)
+        text = json.dumps(doc, default=_json_scalar)
     except (TypeError, ValueError):
         for value in values:
             _check_json_value(value)

@@ -20,11 +20,12 @@ artifacts the WAL recovery pass cares about detectable:
   (a trailer flip breaks the magic or the stored CRC).
 
 Every page stack :func:`~repro.storage.stack.open_pagefile` builds —
-file, mmap or in-memory — is wrapped in this class; there is no bare
-format.  Keeping the trailer *outside* the logical page means the node
-layout — and therefore every fanout and page count the paper reports —
-is the logical page's alone; sealing costs 8 bytes of disk per page and
-one ``zlib.crc32`` per physical transfer, nothing else.
+file (writable or read-only) or in-memory — is wrapped in this class;
+there is no bare format.  Keeping the trailer *outside* the logical
+page means the node layout — and therefore every fanout and page count
+the paper reports — is the logical page's alone; sealing costs 8 bytes
+of disk per page and one ``zlib.crc32`` per physical transfer, nothing
+else.
 
 Verification failures raise :class:`~repro.exceptions.ChecksumError`
 and are counted by ``repro_checksum_failures_total``.

@@ -11,14 +11,15 @@ provided:
   ``i * page_size``, giving genuine persistence (see
   ``examples/persistence.py``).  All I/O is positional (``os.pread`` /
   ``os.pwrite``), so concurrent readers never race on a shared file
-  offset and every page transfer is one syscall;
+  offset and every page transfer is one syscall.  Opened with
+  ``readonly=True`` (``O_RDONLY``) it rejects every mutation — the
+  backend :class:`~repro.exec.ServingPool`'s worker processes read
+  through;
 * :class:`MmapPageFile` — a **read-only** memory map of an existing
   file; :meth:`~MmapPageFile.read` returns ``memoryview`` slices of the
-  map (no ``read`` syscall, no page-sized ``bytes``), out of which the
-  node decode copies only each entry block's live rows.  Because the
-  mapping is backed by the OS page cache, every process serving the
-  same file physically shares one copy of the hot pages — the backend
-  :class:`~repro.exec.ServingPool`'s worker processes open.
+  map.  Nothing in the library opens one any more: a buffer pool that
+  owns copies of its rows gains nothing from a map but a second,
+  uncounted copy of every page it touched in the process's RSS.
 
 Page 0 is reserved for index metadata (see
 :data:`repro.storage.constants.META_PAGE_ID`); the allocators never hand
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import mmap
 import os
+import weakref
 from abc import ABC, abstractmethod
 
 from ..exceptions import PageNotFoundError, PageOverflowError, StorageError
@@ -56,11 +58,18 @@ class PageFile(ABC):
         """Size of every page in bytes."""
         return self._page_size
 
+    def _require_writable(self, what: str) -> None:
+        if self.readonly:
+            raise StorageError(
+                f"{type(self).__name__} is read-only (attempted {what})"
+            )
+
     def allocate(self) -> int:
         """Return a fresh (or recycled) page id.
 
         The page's content is undefined until the first write.
         """
+        self._require_writable("allocate")
         if self._free:
             return self._free.pop()
         page_id = self._next_id
@@ -69,6 +78,7 @@ class PageFile(ABC):
 
     def free(self, page_id: int) -> None:
         """Release a page id for reuse by later allocations."""
+        self._require_writable(f"free of page {page_id}")
         self._check_id(page_id)
         self._discard(page_id)
         self._free.append(page_id)
@@ -83,6 +93,7 @@ class PageFile(ABC):
         live, and leaving it free would let a later :meth:`allocate`
         hand it out and overwrite committed data.
         """
+        self._require_writable("ensure_allocated")
         if page_id >= self._next_id:
             self._next_id = page_id + 1
         elif page_id in self._free:
@@ -158,19 +169,30 @@ class FilePageFile(PageFile):
     positional read, where the old ``seek()`` + ``read()`` pair could
     interleave and hand a thread the wrong page (and cost a second
     syscall besides).
+
+    With ``readonly=True`` the existing file is opened ``O_RDONLY`` and
+    :meth:`allocate`, :meth:`write`, :meth:`free` and
+    :meth:`ensure_allocated` raise :class:`~repro.exceptions.StorageError`.
+    Any write-ahead log must be recovered into the file *before* such a
+    handle opens it (:func:`repro.storage.stack.open_existing` with
+    ``readonly=True`` does this).  The descriptor is closed by
+    :meth:`close` or, for a handle nobody closed, when it is collected.
     """
 
     def __init__(self, path: str | os.PathLike, page_size: int = DEFAULT_PAGE_SIZE,
-                 create: bool = True) -> None:
+                 create: bool = True, readonly: bool = False) -> None:
         super().__init__(page_size)
         self._path = os.fspath(path)
+        self.readonly = readonly
         exists = os.path.exists(self._path)
-        if not exists and not create:
+        if not exists and (readonly or not create):
             raise FileNotFoundError(self._path)
-        flags = os.O_RDWR | getattr(os, "O_BINARY", 0)
+        flags = ((os.O_RDONLY if readonly else os.O_RDWR)
+                 | getattr(os, "O_BINARY", 0))
         if not exists:
             flags |= os.O_CREAT
         self._fd: int | None = os.open(self._path, flags, 0o644)
+        self._closer = weakref.finalize(self, os.close, self._fd)
         if exists:
             size = os.path.getsize(self._path)
             self._next_id = max(META_PAGE_ID + 1, size // page_size)
@@ -208,6 +230,7 @@ class FilePageFile(PageFile):
         return data
 
     def write(self, page_id: int, data: bytes) -> None:
+        self._require_writable(f"write of page {page_id}")
         self._check_id(page_id)
         self._check_data(data)
         if len(data) < self._page_size:
@@ -219,12 +242,13 @@ class FilePageFile(PageFile):
         pass
 
     def sync(self) -> None:
-        os.fsync(self._require_open())
+        if not self.readonly:
+            os.fsync(self._require_open())
 
     def close(self) -> None:
         if self._fd is not None:
-            os.close(self._fd)
             self._fd = None
+            self._closer()
 
     def __enter__(self) -> "FilePageFile":
         return self
@@ -236,23 +260,17 @@ class FilePageFile(PageFile):
 class MmapPageFile(PageFile):
     """A read-only page file over a memory-mapped index file.
 
-    :meth:`read` returns a ``memoryview`` slice of the mapping — no
-    ``seek``/``read`` syscall pair, no page-sized ``bytes`` — out of which
-    :meth:`repro.storage.serializer.NodeCodec.decode` copies the live
-    rows of each entry block; no decoded node holds on to the map.  The
-    mapping is served from the OS page cache, so any number of
-    processes mapping the same file share one physical copy of every
-    hot page; this is what makes a multiprocess serving pool cheap to
-    scale (each worker's "private" handle costs the mapped pages it
-    touched and its buffer pool's compact frames, not a second copy of
-    the data).
+    :meth:`read` returns a ``memoryview`` slice of the mapping, out of
+    which :meth:`repro.storage.serializer.NodeCodec.decode` copies the
+    live rows of each entry block; no decoded node holds on to the map.
+    No stack is built on it any more: under a buffer pool whose frames
+    own their rows, the map only adds the pages it touched to the
+    process's RSS, and a read-only :class:`FilePageFile` serves the same
+    pages from the same OS page cache.
 
     The backend is strictly read-only: :meth:`allocate`, :meth:`write`,
-    and :meth:`free` raise :class:`~repro.exceptions.StorageError`.  Any
-    write-ahead log must be recovered into the file *before* mapping it
-    (:func:`repro.storage.stack.open_existing` with ``readonly=True``
-    does this); mapping a file whose WAL still holds unapplied commits
-    would serve stale pages.
+    :meth:`free` and :meth:`ensure_allocated` raise
+    :class:`~repro.exceptions.StorageError`.
     """
 
     readonly = True
@@ -291,22 +309,8 @@ class MmapPageFile(PageFile):
             raise PageNotFoundError(page_id)
         return data
 
-    def _reject(self, what: str) -> StorageError:
-        return StorageError(
-            f"mmap page file {self._path} is read-only (attempted {what})"
-        )
-
-    def allocate(self) -> int:
-        raise self._reject("allocate")
-
     def write(self, page_id: int, data: bytes) -> None:
-        raise self._reject(f"write of page {page_id}")
-
-    def free(self, page_id: int) -> None:
-        raise self._reject(f"free of page {page_id}")
-
-    def ensure_allocated(self, page_id: int) -> None:
-        raise self._reject("ensure_allocated")
+        self._require_writable(f"write of page {page_id}")
 
     def _discard(self, page_id: int) -> None:  # pragma: no cover - unreachable
         pass

@@ -5,7 +5,7 @@ The storage engine is a sandwich of small wrappers::
     NodeStore
       -> ChecksumPageFile        (seals every page with CRC32)
       -> FaultInjectingPageFile  (tests only: torn writes, bit rot, EIO)
-      -> FilePageFile | MmapPageFile | InMemoryPageFile
+      -> FilePageFile | InMemoryPageFile
 
 Stacking order matters: fault injection sits *below* the checksum layer
 so a simulated torn write tears the sealed physical page — which the CRC
@@ -31,7 +31,7 @@ import os
 from .checksums import CHECKSUM_TRAILER_SIZE, ChecksumPageFile
 from .constants import DEFAULT_PAGE_SIZE, META_PAGE_ID
 from .faults import FaultInjectingPageFile, FaultPlan
-from .pagefile import FilePageFile, InMemoryPageFile, MmapPageFile, PageFile
+from .pagefile import FilePageFile, InMemoryPageFile, PageFile
 from .serializer import read_superblock, unpack_meta
 from .wal import RecoveryReport, WriteAheadLog, open_wal, recover
 
@@ -49,7 +49,7 @@ def open_pagefile(
     page_size: int = DEFAULT_PAGE_SIZE,
     fault_plan: FaultPlan | None = None,
     create: bool = True,
-    mmap: bool = False,
+    readonly: bool = False,
 ) -> PageFile:
     """Build the logical page stack over one data file.
 
@@ -70,24 +70,21 @@ def open_pagefile(
     create:
         Passed through to :class:`~repro.storage.pagefile.FilePageFile`;
         ``False`` raises if the file does not exist.
-    mmap:
-        Map the existing file read-only
-        (:class:`~repro.storage.pagefile.MmapPageFile`) instead of
-        opening it for positional I/O.  Requires ``path``; the resulting
-        stack rejects every mutation.  Callers must recover any pending
-        WAL *before* mapping — :func:`open_existing` with
-        ``readonly=True`` handles that ordering.
+    readonly:
+        Open the existing file ``O_RDONLY``; the resulting stack rejects
+        every mutation.  Requires ``path``.  Callers must recover any
+        pending WAL *before* opening read-only — :func:`open_existing`
+        with ``readonly=True`` handles that ordering.
     """
     physical = page_size + CHECKSUM_TRAILER_SIZE
     base: PageFile
     if path is None:
-        if mmap:
-            raise ValueError("mmap page stacks require a file path")
+        if readonly:
+            raise ValueError("read-only page stacks require a file path")
         base = InMemoryPageFile(physical)
-    elif mmap:
-        base = MmapPageFile(path, page_size=physical)
     else:
-        base = FilePageFile(path, page_size=physical, create=create)
+        base = FilePageFile(path, page_size=physical, create=create,
+                            readonly=readonly)
     if fault_plan is not None:
         base = FaultInjectingPageFile(base, fault_plan)
     return ChecksumPageFile(base, page_size)
@@ -114,31 +111,31 @@ def open_existing(
     :func:`~repro.storage.serializer.read_superblock`), raises
     :class:`~repro.exceptions.ReproError` before anything is opened.
 
-    With ``readonly=True`` the data file is memory-mapped
-    (:class:`~repro.storage.pagefile.MmapPageFile`) and no WAL is
-    opened regardless of ``durability``.  Recovery still runs first —
-    through a briefly-opened *writable* stack, since a mapping of a
-    file whose WAL holds unapplied commits would serve stale pages —
-    and only then is the (now fully recovered) file mapped.
+    With ``readonly=True`` the data file is opened ``O_RDONLY`` (every
+    mutation raises :class:`~repro.exceptions.StorageError`) and no WAL
+    is opened regardless of ``durability``.  Recovery still runs first —
+    through a briefly-opened *writable* stack, since a reader of a file
+    whose WAL holds unapplied commits would serve stale pages — and only
+    then is the (now fully recovered) file reopened read-only.
     """
     if durability is not None:
         _check_durability(durability)
     page_size = read_superblock(path)
     log_path = wal_path(path)
 
-    def stack(mmap: bool) -> PageFile:
+    def stack(readonly: bool) -> PageFile:
         return open_pagefile(path, page_size=page_size, fault_plan=fault_plan,
-                             create=False, mmap=mmap)
+                             create=False, readonly=readonly)
 
     replay = _has_log(log_path)
     report = RecoveryReport()
-    pagefile = stack(mmap=readonly and not replay)
+    pagefile = stack(readonly=readonly and not replay)
     try:
         if replay:
             report = recover(pagefile, log_path)
             if readonly:
                 pagefile.close()
-                pagefile = stack(mmap=True)
+                pagefile = stack(readonly=True)
         meta = unpack_meta(pagefile.read(META_PAGE_ID))
     except BaseException:
         pagefile.close()

@@ -172,7 +172,7 @@ class NodeStore:
 
     @property
     def readonly(self) -> bool:
-        """Whether the page stack rejects mutation (mmap-backed serving).
+        """Whether the page stack rejects mutation (a read-only serving copy).
 
         A readonly store never flushes or saves: :meth:`close` skips the
         write-back path and ``SpatialIndex.close`` skips ``save()``.
@@ -208,7 +208,7 @@ class NodeStore:
             )
 
     def _require_writable(self) -> None:
-        """Reject mutations on a readonly (mmap-backed) store *eagerly*.
+        """Reject mutations on a readonly store *eagerly*.
 
         Dirtying a buffered node would otherwise "succeed" in memory and
         be silently discarded at close (readonly close never flushes) —
@@ -216,7 +216,7 @@ class NodeStore:
         """
         if self.readonly:
             raise StorageError(
-                "node store is read-only (memory-mapped serving copy); "
+                "node store is read-only (read-only serving copy); "
                 "reopen the index writable to mutate it"
             )
 

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import os
+import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,6 +19,56 @@ else:
     # suites that read it (tests/test_node_store_model.py) run a larger
     # budget there than in tier-1.
     settings.register_profile("deep", deadline=None)
+
+
+_FD_DIR = "/proc/self/fd"
+#: How long a test's extra fds may take to close once it has ended.
+_FD_SETTLE_S = 1.0
+
+
+def _new_fds(before: set[str]) -> set[tuple[str, str]]:
+    """``(fd, target)`` of every open fd not in ``before``."""
+    fds = set()
+    for fd in set(os.listdir(_FD_DIR)) - before:
+        try:
+            fds.add((fd, os.readlink(os.path.join(_FD_DIR, fd))))
+        except OSError:  # closed since, like the listdir's own fd
+            pass
+    return fds
+
+
+@pytest.fixture(autouse=True)
+def no_fd_outlives_its_test():
+    """Fail a test that ends holding more file descriptors than it began
+    with: a handle nobody closed must give its fd back when collected.
+
+    A clean test costs two ``listdir`` calls.  When the count grew, the
+    fixture runs ``gc.collect()`` (cyclic garbage closes its fds) and
+    then watches the new fds for up to ``_FD_SETTLE_S``, collecting
+    every 50 ms; it fails only if one of them is still open, to the
+    same target, at the end.  A server's handler thread can still be
+    finishing after the server's ``close()`` returned, closing its
+    socket and dropping the last reference to a closed pool.  Fixtures
+    of a wider scope open theirs before this one counts.
+    """
+    if not os.path.isdir(_FD_DIR):
+        yield
+        return
+    before = set(os.listdir(_FD_DIR))
+    yield
+    if len(os.listdir(_FD_DIR)) <= len(before):
+        return
+    gc.collect()
+    stuck = _new_fds(before)
+    deadline = time.monotonic() + _FD_SETTLE_S
+    while stuck and time.monotonic() < deadline:
+        time.sleep(0.05)
+        gc.collect()
+        stuck &= _new_fds(before)
+    if stuck:
+        targets = Counter(target for _fd, target in stuck)
+        pytest.fail(f"test left {len(stuck)} more open fd(s) than it "
+                    f"began with: {dict(targets)}", pytrace=False)
 
 
 @pytest.fixture
@@ -47,6 +100,13 @@ def serving_pool():
     from repro.exec import ServingPool
 
     method = os.environ.get("REPRO_MP_START_METHOD", "fork")
+    if method != "fork":
+        # Such a pool starts multiprocessing's resource tracker, whose
+        # pipe then stays open for the life of this process: start it
+        # before the first test counts its fds.
+        from multiprocessing import resource_tracker
+
+        resource_tracker.ensure_running()
 
     def build(source, **kwargs):
         return ServingPool(source, start_method=method, **kwargs)

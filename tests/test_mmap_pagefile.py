@@ -1,25 +1,34 @@
-"""MmapPageFile: zero-copy read-only mapping of a saved index file.
+"""Read-only page files: the handles a serving pool's workers read through.
 
-The mapping is the storage layer the multiprocess serving pool stands
-on: reads are ``memoryview`` slices of one OS-page-cache-backed copy of
-the file, nodes decoded from them own copies of their rows (no node
-pins the map), every mutation is rejected, and any write-ahead log left
-by a crashed writer is recovered *before* the file is mapped (a map
-taken over unapplied commits would serve stale pages forever).
+A read-only open (``open_existing(readonly=True)``, reached from every
+``ServingPool`` worker) builds its stack on an ``O_RDONLY``
+:class:`FilePageFile`: every page reaches the process through its buffer
+pool by ``pread``, nodes decoded from those pages own their rows, every
+mutation is rejected before a buffer is dirtied, and any write-ahead log
+left by a crashed writer is recovered *before* the read-only open (a
+reader over unapplied commits would serve stale pages forever).
+
+:class:`MmapPageFile` is no longer opened by the library; its own unit
+tests stay here while the class does.
 """
 
 from __future__ import annotations
 
+import fcntl
+import gc
 import os
+import sys
 import threading
 
 import numpy as np
 import pytest
 
 from repro.api import Database
-from repro.exceptions import CrashError, StorageError
+from repro.exceptions import ChecksumError, CrashError, StorageError
 from repro.indexes.factory import _open_index
-from repro.storage import CHECKSUM_TRAILER_SIZE, FaultPlan, FilePageFile
+from repro.storage import (
+    CHECKSUM_TRAILER_SIZE, ChecksumPageFile, FaultPlan, FilePageFile,
+)
 from repro.storage.pagefile import MmapPageFile, PageNotFoundError
 from repro.storage.stack import open_existing, open_pagefile, wal_path
 
@@ -93,47 +102,136 @@ def test_close_tolerates_outstanding_numpy_views(data_file):
     assert int(arr[0]) == 0x22
 
 
-def test_checksummed_stack_verifies_over_the_mapping(tmp_path):
-    path = str(tmp_path / "sealed.dat")
+def _sealed_page(path):
+    """Write one CRC-sealed page through a writable stack; its id."""
     writer = open_pagefile(path, page_size=PAGE)
     pid = writer.allocate()
     writer.write(pid, b"\xab" * PAGE)
     writer.sync()
     writer.close()
+    return pid
 
-    reader = open_pagefile(path, page_size=PAGE, mmap=True)
-    try:
-        assert reader.readonly is True
-        assert bytes(reader.read(pid)) == b"\xab" * PAGE
-        with pytest.raises(StorageError, match="read-only"):
-            reader.write(pid, b"\0" * PAGE)
-    finally:
-        reader.close()
 
-    # A flipped bit in the mapped image is still caught by the CRC.
+def _flip_a_bit(path, pid):
     physical = PAGE + CHECKSUM_TRAILER_SIZE
     with open(path, "r+b") as fh:
         fh.seek(pid * physical + 7)
         byte = fh.read(1)
         fh.seek(-1, 1)
         fh.write(bytes([byte[0] ^ 0xFF]))
-    reader = open_pagefile(path, page_size=PAGE, mmap=True)
-    try:
-        from repro.exceptions import ChecksumError
+
+
+def test_checksummed_stack_verifies_over_the_mapping(tmp_path):
+    path = str(tmp_path / "sealed.dat")
+    pid = _sealed_page(path)
+
+    def mapped():
+        return ChecksumPageFile(
+            MmapPageFile(path, page_size=PAGE + CHECKSUM_TRAILER_SIZE), PAGE)
+
+    with mapped() as reader:
+        assert reader.readonly is True
+        assert bytes(reader.read(pid)) == b"\xab" * PAGE
+        with pytest.raises(StorageError, match="read-only"):
+            reader.write(pid, b"\0" * PAGE)
+
+    # A flipped bit in the mapped image is still caught by the CRC.
+    _flip_a_bit(path, pid)
+    with mapped() as reader, pytest.raises(ChecksumError):
+        reader.read(pid)
+
+
+def test_read_only_stack_rejects_mutation_and_verifies_pages(tmp_path):
+    path = str(tmp_path / "sealed.dat")
+    pid = _sealed_page(path)
+
+    with open_pagefile(path, page_size=PAGE, readonly=True) as reader:
+        assert reader.readonly is True
+        assert reader.read(pid) == b"\xab" * PAGE
+        with pytest.raises(StorageError, match="read-only"):
+            reader.write(pid, b"\0" * PAGE)
+
+    _flip_a_bit(path, pid)
+    with open_pagefile(path, page_size=PAGE, readonly=True) as reader:
         with pytest.raises(ChecksumError):
             reader.read(pid)
+
+
+def test_read_only_file_rejects_every_mutation(data_file):
+    with FilePageFile(data_file, page_size=PAGE, readonly=True) as pf:
+        assert pf.readonly is True
+        assert pf.read(2) == b"\x22" * PAGE
+        with pytest.raises(StorageError, match="read-only"):
+            pf.allocate()
+        with pytest.raises(StorageError, match="read-only"):
+            pf.write(1, b"\0" * PAGE)
+        with pytest.raises(StorageError, match="read-only"):
+            pf.free(1)
+        with pytest.raises(StorageError, match="read-only"):
+            pf.ensure_allocated(2)
+        pf.sync()  # a no-op, as on every read-only handle
+    with open(data_file, "rb") as fh:
+        assert fh.read()[PAGE:2 * PAGE] == b"\x11" * PAGE
+    with pytest.raises(FileNotFoundError):
+        FilePageFile(data_file + ".absent", page_size=PAGE, readonly=True)
+
+
+def test_read_only_fd_is_opened_o_rdonly(tmp_path, small_cloud):
+    # Root writes through a mode-0444 file, so only the descriptor's
+    # access mode shows that this handle cannot write.
+    out = str(tmp_path / "ro.db")
+    with Database.create(out, kind="sr", dims=small_cloud.shape[1],
+                         page_size=2048) as db:
+        db.insert_many(small_cloud)
+    index = _open_index(out, readonly=True)
+    try:
+        fd = index.store.pagefile.inner._fd
+        assert fcntl.fcntl(fd, fcntl.F_GETFL) & os.O_ACCMODE == os.O_RDONLY
     finally:
-        reader.close()
+        index.close()
+    writable = _open_index(out)
+    try:
+        fd = writable.store.pagefile.inner._fd
+        assert fcntl.fcntl(fd, fcntl.F_GETFL) & os.O_ACCMODE == os.O_RDWR
+    finally:
+        writable.close()
 
 
-def test_mmap_requires_a_real_file(tmp_path):
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="needs /proc/self/fd")
+@pytest.mark.parametrize("readonly", [False, True])
+def test_an_abandoned_file_page_file_closes_its_fd(data_file, readonly):
+    def open_fds():
+        return {fd for fd in os.listdir("/proc/self/fd")
+                if os.path.realpath(f"/proc/self/fd/{fd}") == data_file}
+
+    pf = FilePageFile(data_file, page_size=PAGE, create=False,
+                      readonly=readonly)
+    assert len(open_fds()) == 1
+    del pf
+    gc.collect()
+    assert open_fds() == set()
+    pf = FilePageFile(data_file, page_size=PAGE, create=False,
+                      readonly=readonly)
+    pf.close()
+    assert open_fds() == set()
+    other = os.open(data_file, os.O_RDONLY)  # may reuse the freed number
+    try:
+        del pf
+        gc.collect()
+        os.fstat(other)  # close() detached the finalizer: still open
+    finally:
+        os.close(other)
+
+
+def test_read_only_stack_requires_a_real_file(tmp_path):
     with pytest.raises(ValueError, match="path"):
-        open_pagefile(None, page_size=PAGE, mmap=True)
+        open_pagefile(None, page_size=PAGE, readonly=True)
 
 
-def test_pending_wal_is_recovered_before_mapping(tmp_path, rng):
+def test_pending_wal_is_recovered_before_the_read_only_open(tmp_path, rng):
     """A crashed writer's committed-but-unapplied WAL must reach the
-    data file before it is mapped; the mapping then serves the
+    data file before it is opened read-only; the reader then serves the
     recovered state, byte-identical to a writable re-open."""
     out = str(tmp_path / "crashed.db")
     points = rng.random((150, 4))
@@ -155,6 +253,7 @@ def test_pending_wal_is_recovered_before_mapping(tmp_path, rng):
     try:
         assert wal is None
         assert pf.readonly is True
+        assert isinstance(pf.inner, FilePageFile)
         assert report.committed_txns > 0  # recovery really ran first
     finally:
         pf.close()
@@ -188,8 +287,9 @@ def test_readonly_open_serves_without_ever_writing(tmp_path, small_cloud):
     try:
         hits = index.nearest(small_cloud[0], k=3)
         assert hits and hits[0].distance == 0.0
-        with pytest.raises(StorageError):
+        with pytest.raises(StorageError, match="read-only"):
             index.insert(small_cloud[0], value="nope")
+        assert index.store.buffer.flush() == 0  # refused before any dirt
     finally:
         index.close()
 
@@ -197,41 +297,59 @@ def test_readonly_open_serves_without_ever_writing(tmp_path, small_cloud):
     assert not os.path.exists(wal_path(str(out)))
 
 
-def test_nodes_decoded_over_a_mapping_share_no_memory_with_it(
+def test_nodes_read_through_a_read_only_handle_own_their_rows(
         tmp_path, small_cloud):
     """Every entry array of a node read through a read-only handle is a
-    copy of its rows: none shares memory with the map, and nodes held
-    past ``close()`` do not keep the file mapped."""
-    out = tmp_path / "mapped.db"
+    frozen copy of its rows: no array stands on a buffer larger than its
+    rows, so the buffer pool holds rows, not pages."""
+    out = tmp_path / "ro.db"
     with Database.create(str(out), kind="sr", dims=small_cloud.shape[1],
                          page_size=2048) as db:
         db.insert_many(small_cloud)
 
     index = _open_index(str(out), readonly=True)
-    mapping = index.store.pagefile.inner
-    assert isinstance(mapping, MmapPageFile)
     try:
+        assert isinstance(index.store.pagefile.inner, FilePageFile)
+        assert index.store.pagefile.inner.readonly
         nodes = list(index.iter_nodes())
         assert any(node.is_leaf for node in nodes)
         assert any(not node.is_leaf for node in nodes)
-        whole = np.frombuffer(mapping._mmap, dtype=np.uint8)
         for node in nodes:
             arrays = ([node.points] if node.is_leaf else
                       [node.child_ids, node.weights, node.lows, node.highs,
                        node.centers, node.radii])
             for arr in arrays:
                 assert not arr.flags.writeable
-                assert not np.shares_memory(arr, whole)
-        del whole
+                owner = arr
+                while isinstance(owner.base, np.ndarray):
+                    owner = owner.base
+                if owner.base is not None:  # a buffer of its rows alone
+                    assert len(owner.base) == arr.nbytes < 2048
     finally:
         index.close()
-    assert mapping._mmap.closed  # the held nodes did not pin it
-    assert nodes[0].count > 0
 
 
-def test_snapshot_view_over_a_mapping_reads_supernodes(tmp_path):
-    """A supernode's page images are memoryviews over the mapping; the
-    snapshot view joins them on the same miss path as the live handle."""
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads /proc/<pid>/maps")
+def test_no_pool_process_maps_the_index_file(tmp_path, small_cloud,
+                                             serving_pool):
+    out = str(tmp_path / "served.db")
+    with Database.create(out, kind="sr", dims=small_cloud.shape[1],
+                         page_size=2048) as db:
+        db.insert_many(small_cloud)
+    real = os.path.realpath(out)
+    with serving_pool(out, workers=2) as pool:
+        assert len(pool.knn(small_cloud[:8], k=3)) == 8
+        pids = [os.getpid()] + [w["pid"] for w in pool.worker_stats()]
+        assert len(set(pids)) == 3
+        for pid in pids:
+            with open(f"/proc/{pid}/maps") as fh:
+                assert [line for line in fh if real in line] == []
+
+
+def test_snapshot_view_over_a_read_only_handle_reads_supernodes(tmp_path):
+    """A supernode spans several pages; the snapshot view over a
+    read-only handle joins them on the same miss path as the handle."""
     from repro.workloads import uniform_dataset
 
     data = uniform_dataset(3000, 16, seed=0)

@@ -43,8 +43,10 @@ from repro.net import QueryServer, RemoteDatabase
 from repro.net.protocol import (
     BINARY_CONTENT_TYPE,
     PROTOCOL_VERSION,
+    decode_json,
     decode_matrix,
     decode_neighbor_block,
+    encode_json,
     encode_matrix,
     encode_neighbor_block,
 )
@@ -664,6 +666,29 @@ def test_payload_values_mean_over_the_wire_what_they_mean_locally(tmp_path):
         with pytest.raises(KeyNotFoundError):
             rdb.delete(q, value="absent")
         assert db.size == 2
+
+
+def test_numpy_payload_values_are_python_scalars_on_every_handle(tmp_path):
+    # np.arange values used to be stored as np.int64 locally and refused
+    # remotely; both handles now store (and answer with) plain ints.
+    points = np.array([[0.1, 0.1], [0.5, 0.5], [0.9, 0.9]])
+    extra = np.full(2, 0.3)
+    with Database.create(str(tmp_path / "local.srtree"), kind="sr",
+                         dims=2) as local, \
+            Database.create(str(tmp_path / "served.srtree"), kind="sr",
+                            dims=2) as served, \
+            QueryServer(served, auth_token="t") as server, \
+            RemoteDatabase.connect(_addr(server), token="t") as rdb:
+        for handle in (local, rdb):
+            assert handle.insert_many(points, values=np.arange(3)) == 3
+            handle.insert(extra, value=np.int64(7))
+        for handle in (local, served, rdb):
+            hits = handle.knn(points[1], k=4)
+            assert sorted(hit.value for hit in hits) == [0, 1, 2, 7]
+            assert {type(hit.value) for hit in hits} == {int}
+            assert [type(v) for v in handle.lookup(extra)] == [int]
+    assert decode_json(encode_json(
+        [np.int64(1), np.float32(0.5), np.bool_(True)], ()))[0] == [1, 0.5, True]
 
 
 def test_a_value_json_cannot_carry_is_refused_before_the_round_trip(

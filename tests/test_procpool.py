@@ -1,4 +1,4 @@
-"""ServingPool: multiprocess serving over the mmap page store.
+"""ServingPool: multiprocess serving over read-only page files.
 
 Results are byte-for-byte those of single-query search, the parent's
 metrics/flight-recorder/IOStats keep working (worker telemetry is

@@ -13,7 +13,9 @@ under ``src/repro`` may not ``print`` or call ``logging.getLogger`` —
 the CLI and the structured event log (``repro.obs.events``) are the
 only output surfaces — nor import ``http.server``, ``http.client``,
 ``email`` or ``urllib.request`` at all, nor ``socketserver`` outside
-``repro/httpd.py``, the one HTTP substrate both ends of the wire use.
+``repro/httpd.py``, the one HTTP substrate both ends of the wire use,
+nor ``mmap`` outside ``repro/storage/pagefile.py`` (pages reach a
+process through its buffer pool).
 Falls through to the real ``pyflakes`` when it is installed (its
 diagnostics are a strict superset of (b); the policy pass runs either
 way).
@@ -374,6 +376,31 @@ def check_http_stack(path: str, tree: ast.Module) -> list[str]:
     return problems
 
 
+#: The one library module that may import ``mmap``: a page reaches a
+#: process through its buffer pool, whose frames own their rows, and a
+#: map under it only adds a second, uncounted copy of every page touched.
+MMAP_ALLOWED = os.path.join("src", "repro", "storage", "pagefile.py")
+
+
+def check_mmap_import(path: str, tree: ast.Module) -> list[str]:
+    """Flag ``mmap`` imports under ``src/repro`` outside the page-file
+    module."""
+    norm = path.replace("/", os.sep)
+    if (not norm.startswith(os.path.join("src", "repro") + os.sep)
+            or norm == MMAP_ALLOWED):
+        return []
+    return [
+        f"{path}:{node.lineno}: mmap imported outside "
+        f"repro/storage/pagefile.py; read pages through "
+        f"repro.storage.open_pagefile/open_existing"
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Import)
+            and any(alias.name == "mmap" for alias in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.level == 0
+            and node.module == "mmap")
+    ]
+
+
 #: The one package that may spell a distance to a box out in numpy.
 GEOMETRY_PACKAGE = os.path.join("src", "repro", "geometry") + os.sep
 
@@ -422,6 +449,7 @@ def run_policy_pass(paths) -> int:
         problems.extend(check_store_construction(path, tree))
         problems.extend(check_logging_surface(path, tree))
         problems.extend(check_http_stack(path, tree))
+        problems.extend(check_mmap_import(path, tree))
         problems.extend(check_box_distance_spelling(path, tree))
     for problem in problems:
         print(problem)
