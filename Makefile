@@ -73,8 +73,10 @@ test-concurrency:
 # index file) and MmapPageFile's unit tests, the node decode (a decoded
 # node owns its rows and shares no memory with the page image; a full
 # pool holds rows, not pages), the serving pool's crash/equivalence
-# suite, its fault tests (a FaultPlan per worker process) and the
-# pool-contract tests.  Every pool a test builds comes from the `serving_pool`
+# suite, its fault tests (a FaultPlan per worker process), the
+# pool-contract tests and the tie-order property's pool leg (a 2-worker
+# pool returns the Database's neighbor lists where distances tie).
+# Every pool a test builds comes from the `serving_pool`
 # fixture (tests/conftest.py), which starts its workers by fork in
 # tier-1 and by REPRO_MP_START_METHOD here.
 # faulthandler dumps all stacks if a deadlock eats the hard timeout.
@@ -83,7 +85,7 @@ test-mp:
 	    PYTHONPATH=src \
 	    python -m pytest tests/test_mmap_pagefile.py tests/test_zero_copy.py \
 	    tests/test_procpool.py tests/test_serving_faults.py \
-	    tests/test_exec_batch.py -q
+	    tests/test_exec_batch.py tests/test_tie_order.py -q
 
 # The network query service: QuerySurface conformance across all four
 # handle kinds (remote results byte-equal to local on the three paper
@@ -115,13 +117,17 @@ test-net:
 # queues behind a running call is answered by one batched call (at most
 # MAX_GROUP), bit-equal to serial dispatch on the three paper workloads;
 # deadline sheds that leave groupmates unharmed; drain; the client
-# connection pool's concurrency; and the scheduler against its model
-# under generated interleavings (needs hypothesis; deeper here than in
-# tier-1).
+# connection pool's concurrency; the scheduler against its model
+# under generated interleavings; and one answer per query where
+# distances tie: Database, Snapshot, every block size, iter_nearest,
+# range, a coalesced group and a pool return the same neighbor lists,
+# ordered by (distance, page, slot) (all need hypothesis; deeper here
+# than in tier-1).
 test-batching:
 	timeout -k 10 600 env PYTHONFAULTHANDLER=1 PYTHONPATH=src \
 	    python -m pytest tests/test_batching.py \
-	    tests/test_coalesce_model.py -q --hypothesis-profile=deep
+	    tests/test_coalesce_model.py tests/test_tie_order.py -q \
+	    --hypothesis-profile=deep
 
 bench:
 	pytest benchmarks/ --benchmark-only

@@ -23,9 +23,11 @@ search; a subtree is skipped for a query only when its region MINDIST
 exceeds that bound, which can never exclude a true neighbor.  The visit
 *order* (children sorted by their minimum MINDIST over the active
 queries) differs from the per-query order, so the page-read count may
-differ slightly, but the returned neighbor sets are identical —
-asserted by ``tests/test_exec_batch.py`` across index families and
-workloads.
+differ slightly, but the returned neighbor lists are identical: every
+candidate heap ranks by ``(distance, leaf page id, slot)``, a total key
+that does not depend on the order leaves are read in — asserted by
+``tests/test_exec_batch.py`` across index families and workloads, and
+by ``tests/test_tie_order.py`` where distances tie.
 
 Blocks default to :data:`DEFAULT_BLOCK_SIZE` queries to keep the
 broadcast intermediates (``Q x N x D`` float64) comfortably in cache;
@@ -51,6 +53,7 @@ from ..indexes.base import Neighbor
 from ..obs.hooks import observed_query
 from ..obs.tracer import trace
 from ..search.knn import KnnCandidates
+from ..search.range import leaf_hits, ranked
 
 __all__ = ["DEFAULT_BLOCK_SIZE", "batch_knn", "batch_range", "per_query"]
 
@@ -202,14 +205,15 @@ def _scan_leaf(node, queries, active, candidates, bounds, stats) -> None:
     dmat = cross_distances(queries[active], pts)
     stats.distance_computations += count * active.shape[0]
     values = node.values
-    # Offer only the rows with a distance below their query's bound; an
-    # infinite bound is a heap still filling, which takes every row.
-    row_bounds = bounds[active]
-    offered = (dmat.min(axis=1) < row_bounds) | (row_bounds == np.inf)
+    page_id = node.page_id
+    # Offer only the rows with a distance at or below their query's
+    # bound (a tie may still win on its page); an infinite bound is a
+    # heap still filling, which takes every row.
+    offered = dmat.min(axis=1) <= bounds[active]
     for row in np.flatnonzero(offered):
         qi = active[row]
         cand = candidates[qi]
-        cand.offer_batch(dmat[row], pts, values)
+        cand.offer_batch(dmat[row], pts, values, page_id)
         bounds[qi] = cand.bound
 
 
@@ -268,7 +272,7 @@ def batch_range(index, queries, radius: float, *,
 
 def _range_block(index, queries: np.ndarray, radii: np.ndarray) -> list[list[Neighbor]]:
     nq = queries.shape[0]
-    hits: list[list[tuple[float, np.ndarray, object]]] = [[] for _ in range(nq)]
+    hits: list[list[tuple]] = [[] for _ in range(nq)]
     stats = index.stats
     span = trace.active
     if span is not None and getattr(index, "is_snapshot", False):
@@ -284,12 +288,8 @@ def _range_block(index, queries: np.ndarray, radii: np.ndarray) -> list[list[Nei
         pts = node.points[:count]
         dmat = cross_distances(queries[active], pts)
         stats.distance_computations += count * active.shape[0]
-        values = node.values
         for row, qi in enumerate(active):
-            (close,) = np.nonzero(dmat[row] <= radii[qi])
-            bucket = hits[qi]
-            for i in close:
-                bucket.append((float(dmat[row, i]), pts[i].copy(), values[i]))
+            leaf_hits(node, pts, dmat[row], radii[qi], hits[qi])
 
     def visit(page_id: int, active) -> None:
         node = index.read_node(page_id)
@@ -314,8 +314,4 @@ def _range_block(index, queries: np.ndarray, radii: np.ndarray) -> list[list[Nei
         if span is not None:
             span.visit(index.root_id, index.height - 1, 0.0)
         visit(index.root_id, active)
-    out: list[list[Neighbor]] = []
-    for bucket in hits:
-        bucket.sort(key=lambda item: item[0])
-        out.append([Neighbor(d, p, v) for d, p, v in bucket])
-    return out
+    return [ranked(bucket) for bucket in hits]

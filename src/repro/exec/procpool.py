@@ -411,6 +411,8 @@ class ServingPool:
         #: start (tests inject disk faults through it).
         self._fault_plans = dict(_fault_plans or {})
         self._procs: list = [None] * workers
+        #: Exit code of each slot's last reaped worker (-15: terminated).
+        self._exit_codes: list[int | None] = [None] * workers
         self._conns: list = [None] * workers
         self._pids: list[int | None] = [None] * workers
         #: Latest cumulative IOStats received from each live worker.
@@ -453,7 +455,7 @@ class ServingPool:
     def _await_ready(self, idx: int) -> None:
         """Wait for worker ``idx``'s ready handshake; a worker that fails
         it is terminated and its pipe closed."""
-        proc, parent_conn = self._procs[idx], self._conns[idx]
+        parent_conn = self._conns[idx]
         try:
             if not parent_conn.poll(SPAWN_TIMEOUT_S):
                 raise StorageError(
@@ -467,8 +469,7 @@ class ServingPool:
                     f"{msg[1]}\n{msg[3]}"
                 )
         except BaseException as exc:
-            proc.terminate()
-            proc.join(timeout=5)
+            self._reap(idx)
             parent_conn.close()
             if isinstance(exc, (EOFError, OSError)):
                 raise StorageError(
@@ -499,11 +500,25 @@ class ServingPool:
         proc, conn = self._procs[idx], self._conns[idx]
         if proc is not None:
             proc.join(timeout=grace)
-            if proc.is_alive():
-                proc.terminate()
-            proc.join(timeout=5)
+            self._reap(idx)
         if conn is not None:
             conn.close()
+
+    def _reap(self, idx: int) -> None:
+        """Terminate worker ``idx`` if it still runs (kill it if that
+        fails), reap it and close its ``Process``: the sentinel pipe
+        closes now, not when the object is collected, and the slot is
+        cleared."""
+        proc = self._procs[idx]
+        if proc.is_alive():
+            proc.terminate()
+            proc.join(timeout=5)
+            if proc.is_alive():
+                proc.kill()
+        proc.join()
+        self._exit_codes[idx] = proc.exitcode
+        proc.close()
+        self._procs[idx] = None
 
     # ------------------------------------------------------------------
 

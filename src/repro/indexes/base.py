@@ -588,7 +588,9 @@ class SpatialIndex(ABC):
         The depth-first branch-and-bound search of Roussopoulos, Kelley
         and Vincent, as used throughout the paper.  The best-first
         traversal of Hjaltason & Samet is :meth:`iter_nearest`, whose
-        first ``k`` neighbors are the same answer.
+        first ``k`` neighbors are the same answer.  Equal distances are
+        ordered by storage address, ``(distance, leaf page id, slot)``,
+        in every engine, so the answer depends only on the pages read.
         """
         from ..exec.batch import per_query
 

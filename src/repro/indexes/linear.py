@@ -14,7 +14,8 @@ import numpy as np
 
 from ..exceptions import InvariantViolationError
 from ..geometry import as_point
-from ..search.knn import KnnCandidates
+from ..search.knn import KnnCandidates, leaf_distances, scan_leaf
+from ..search.range import leaf_hits, ranked
 from ..storage.nodes import LeafNode
 from .base import Neighbor, SpatialIndex
 
@@ -67,31 +68,18 @@ class LinearScan(SpatialIndex):
         """Exact k nearest neighbors by scanning every page."""
         candidates = KnnCandidates(k)
         for leaf in self.iter_leaves():
-            if leaf.count == 0:
-                continue
-            pts = leaf.points[: leaf.count]
-            diff = pts - point
-            dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-            self.stats.distance_computations += leaf.count
-            candidates.offer_batch(dists, pts, leaf.values)
+            scan_leaf(leaf, point, candidates, self.stats)
         return candidates.results()
 
     def _range(self, point, radius: float) -> list[Neighbor]:
         """All points within ``radius``, closest first, by scanning every page."""
-        results: list[Neighbor] = []
+        hits: list[tuple] = []
         for leaf in self.iter_leaves():
             if leaf.count == 0:
                 continue
-            pts = leaf.points[: leaf.count]
-            diff = pts - point
-            dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-            self.stats.distance_computations += leaf.count
-            for i in np.nonzero(dists <= radius)[0]:
-                results.append(
-                    Neighbor(float(dists[i]), pts[i].copy(), leaf.values[i])
-                )
-        results.sort(key=lambda n: n.distance)
-        return results
+            pts, dists = leaf_distances(leaf, point, self.stats)
+            leaf_hits(leaf, pts, dists, radius, hits)
+        return ranked(hits)
 
     def _window(self, low, high) -> list[Neighbor]:
         """All points inside the box, by scanning every page."""

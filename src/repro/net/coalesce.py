@@ -21,9 +21,8 @@ This is group commit applied to queries: the batch size adapts to the
 load with no timer — under concurrency one traversal absorbs every
 request that arrived during the previous one, and without it nobody
 waits.  The batch engine takes per-query ``k``/``radius``
-(:mod:`repro.exec.batch`), so its distances are bit-equal to serial
-dispatch; where several points tie at the k-th distance, a group may
-return another of the tied points than a lone call would.
+(:mod:`repro.exec.batch`), so its answers are bit-equal to serial
+dispatch.
 
 A member whose deadline has passed when its group runs is shed alone
 (:class:`CoalescedDeadlineError`, which the server answers with the

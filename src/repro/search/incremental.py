@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Iterator
-from itertools import count
 
 import numpy as np
 
@@ -33,8 +32,8 @@ from .knn import leaf_distances
 
 __all__ = ["iter_nearest"]
 
-_POINT = 0
-_NODE = 1
+_NODE = 0
+_POINT = 1
 
 
 def _trace_expansion(span, node, child_dists, bound: float, depth: int) -> None:
@@ -65,26 +64,29 @@ def iter_nearest(index, point: np.ndarray, max_distance: float = float("inf"),
     once every remaining candidate is farther than the bound.
 
     Correctness invariant: an item is only yielded when its exact
-    distance is no greater than the MINDIST of every unexpanded subtree
-    still in the queue.
+    distance is below the MINDIST of every unexpanded subtree still in
+    the queue, and its ``(distance, page, slot)`` below every other
+    queued point's, so the first ``k`` are exactly the ``k``-NN answer.
     """
     stats = index.stats
-    tiebreak = count()
-    # Items: (distance, kind, tiebreak, payload); kind orders points
-    # before nodes at equal distance so exact hits surface immediately.
-    queue: list[tuple] = [(0.0, _NODE, next(tiebreak), index.root_id)]
+    # Items: (distance, kind, page, slot, payload), a point keyed by its
+    # leaf's page and its slot there, a subtree by its own page.  Points
+    # leave in (distance, page, slot) order, the k-NN order: at equal
+    # distance a subtree comes out before a point, because it may hold
+    # a tied point at a lower address.
+    queue: list[tuple] = [(0.0, _NODE, index.root_id, 0, None)]
     while queue:
-        dist, kind, _, payload = heapq.heappop(queue)
+        dist, kind, page_id, _, payload = heapq.heappop(queue)
         if dist > max_distance:
             return
         if kind == _POINT:
             candidate_point, value = payload
             yield Neighbor(dist, candidate_point, value)
             continue
-        node = index.read_node(payload)
+        node = index.read_node(page_id)
         span = trace.active
         if span is not None:
-            span.visit(payload, node.level, dist, max_distance)
+            span.visit(page_id, node.level, dist, max_distance)
             span.queue(len(queue), popped=1)
         if node.is_leaf:
             if node.count == 0:
@@ -94,7 +96,7 @@ def iter_nearest(index, point: np.ndarray, max_distance: float = float("inf"),
                 if dists[i] <= max_distance:
                     heapq.heappush(
                         queue,
-                        (float(dists[i]), _POINT, next(tiebreak),
+                        (float(dists[i]), _POINT, page_id, i,
                          (pts[i].copy(), node.values[i])),
                     )
             if span is not None:
@@ -107,8 +109,7 @@ def iter_nearest(index, point: np.ndarray, max_distance: float = float("inf"),
             if child_dists[i] <= max_distance:
                 heapq.heappush(
                     queue,
-                    (float(child_dists[i]), _NODE, next(tiebreak),
-                     int(child_ids[i])),
+                    (float(child_dists[i]), _NODE, int(child_ids[i]), 0, None),
                 )
         if span is not None:
             _trace_expansion(span, node, child_dists, max_distance, len(queue))

@@ -30,7 +30,6 @@ copy of any loop to keep in step.
 from __future__ import annotations
 
 import heapq
-from itertools import count
 
 import numpy as np
 
@@ -41,14 +40,19 @@ __all__ = ["knn_search", "KnnCandidates"]
 
 
 class KnnCandidates:
-    """A bounded max-heap of the best ``k`` candidates seen so far."""
+    """A bounded max-heap of the best ``k`` candidates seen so far.
+
+    Candidates are ordered by the total key ``(distance, leaf page id,
+    slot)``: where distances tie, the lower storage address wins.  Every
+    traversal that reads the same pages therefore keeps the same ``k``
+    points, whatever order it reads them in.
+    """
 
     def __init__(self, k: int) -> None:
         self.k = k
-        # Heap items are (-distance, tiebreak, point, value): heapq is a
-        # min-heap, so the worst candidate sits at index 0.
-        self._heap: list[tuple[float, int, np.ndarray, object]] = []
-        self._tiebreak = count()
+        # Heap items are (-distance, -page, -slot, point, value): heapq is
+        # a min-heap, so the worst key sits at index 0.
+        self._heap: list[tuple[float, int, int, np.ndarray, object]] = []
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -60,53 +64,46 @@ class KnnCandidates:
             return float("inf")
         return -self._heap[0][0]
 
-    def offer_batch(self, distances: np.ndarray, points: np.ndarray, values) -> None:
-        """Consider a leaf's worth of candidates at once.
+    def offer_batch(self, distances: np.ndarray, points: np.ndarray, values,
+                    page_id: int) -> None:
+        """Consider the entries of leaf ``page_id`` at once.
 
-        Candidates are taken in ascending distance order, so the first
-        one at or beyond the bound ends the leaf: everything after it in
-        the sorted order is rejected wholesale without per-candidate
-        bound reads or tuple allocation.  A full heap sorts only the
-        candidates strictly below its bound, and none means no sort: a
-        full heap refuses a candidate equal to its bound.  A heap still
+        Candidates are taken in ascending ``(distance, slot)`` order, so
+        the first one whose key is not below the worst kept key ends the
+        leaf.  A full heap sorts only the candidates that can beat its
+        worst: distances below its bound, or equal to it when this page
+        is not above the worst's, and none means no sort.  A heap still
         filling takes every candidate, ``inf`` distances included.
         """
         heap = self._heap
-        tiebreak = self._tiebreak
         if len(heap) < self.k:
             order = np.argsort(distances, kind="stable")
         else:
-            (below,) = np.nonzero(distances < -heap[0][0])
+            worst = heap[0]
+            if page_id <= -worst[1]:
+                (below,) = np.nonzero(distances <= -worst[0])
+            else:
+                (below,) = np.nonzero(distances < -worst[0])
             if below.shape[0] == 0:
                 return
             order = below[np.argsort(distances[below], kind="stable")]
-        n = order.shape[0]
-        pos = 0
+        order = order.tolist()
         fill = self.k - len(heap)
-        while fill > 0 and pos < n:
-            i = order[pos]
+        for i in order[:fill]:
             heapq.heappush(
                 heap,
-                (-float(distances[i]), next(tiebreak), points[i].copy(), values[i]),
+                (-float(distances[i]), -page_id, -i, points[i].copy(), values[i]),
             )
-            pos += 1
-            fill -= 1
-        if pos >= n:
-            return
-        bound = -heap[0][0]
-        for i in order[pos:]:
-            d = float(distances[i])
-            if d >= bound:
+        for i in order[fill:]:
+            key = (-float(distances[i]), -page_id, -i)
+            if key <= heap[0][:3]:
                 break
-            heapq.heapreplace(
-                heap, (-d, next(tiebreak), points[i].copy(), values[i])
-            )
-            bound = -heap[0][0]
+            heapq.heapreplace(heap, (*key, points[i].copy(), values[i]))
 
     def results(self) -> list[Neighbor]:
         """The candidates as :class:`Neighbor` objects, closest first."""
-        ordered = sorted(self._heap, key=lambda item: (-item[0], item[1]))
-        return [Neighbor(-d, point, value) for d, _, point, value in ordered]
+        ordered = sorted(self._heap, key=lambda item: item[:3], reverse=True)
+        return [Neighbor(-item[0], item[3], item[4]) for item in ordered]
 
 
 # ----------------------------------------------------------------------
@@ -126,11 +123,13 @@ def leaf_distances(node, point: np.ndarray, stats):
     return pts, np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
-def _scan_leaf(node, point, candidates, stats) -> None:
+def scan_leaf(node, point, candidates, stats) -> None:
+    """Offer every entry of leaf ``node`` to ``candidates`` under its
+    page id (the depth-first search and the linear scan)."""
     if node.count == 0:
         return
     pts, dists = leaf_distances(node, point, stats)
-    candidates.offer_batch(dists, pts, node.values)
+    candidates.offer_batch(dists, pts, node.values, node.page_id)
 
 
 # ----------------------------------------------------------------------
@@ -156,7 +155,7 @@ def _visit(index, page_id: int, point: np.ndarray, candidates: KnnCandidates,
            stats, span) -> None:
     node = index.read_node(page_id)
     if node.is_leaf:
-        _scan_leaf(node, point, candidates, stats)
+        scan_leaf(node, point, candidates, stats)
         return
     dists = index.child_mindists(node, point)
     stats.distance_computations += node.count

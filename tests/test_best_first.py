@@ -33,8 +33,7 @@ class TestBestFirst:
             assert got == brute_force_knn(cloud, q, 9)
 
     def test_agrees_with_depth_first(self, kind, cloud):
-        # Random data has no distance ties, so the answers are equal
-        # value for value.
+        # Both rank by (distance, page, slot): equal value for value.
         index = build_index(kind, cloud)
         q = cloud[42]
         dfs = [n.value for n in index.nearest(q, 21)]

@@ -722,20 +722,14 @@ def _database(db, endpoint: str, body: bytes, content_type):
 
 
 def _same_lists(got, want, data: np.ndarray) -> None:
-    """``got`` answers as ``want`` does: the same distances, each neighbor
-    the corpus row its value names, and the same values at each distance
-    but the last (a tie there may be broken either way)."""
+    """``got`` answers as ``want`` does: the same distances and values
+    in the same order, each neighbor the corpus row its value names."""
     assert len(got) == len(want)
     for got_list, want_list in zip(got, want):
-        distances = [n.distance for n in want_list]
-        assert [n.distance for n in got_list] == distances
+        assert [n.distance for n in got_list] == [n.distance for n in want_list]
+        assert [n.value for n in got_list] == [n.value for n in want_list]
         for n in got_list:
             assert np.array_equal(n.point, data[n.value])
-        for distance in set(distances[:-1]) - set(distances[-1:]):
-            assert (sorted(n.value for n in got_list
-                           if n.distance == distance)
-                    == sorted(n.value for n in want_list
-                              if n.distance == distance))
 
 
 def _meets_oracle(oracle, endpoint, body, content_type, deadline, answer):

@@ -357,6 +357,21 @@ def test_workers_that_cannot_open_the_file_leave_no_process(
     assert set(multiprocessing.active_children()) <= before
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="counts /proc/self/fd")
+def test_a_closed_pool_holds_no_fd_while_it_is_referenced(uniform_index,
+                                                          serving_pool):
+    # close() closes each worker's Process, so its sentinel pipe does not
+    # wait for the pool to be collected: a server thread still holding a
+    # closed pool costs no fd.  No gc.collect() here on purpose.
+    before = len(os.listdir("/proc/self/fd"))
+    pool = serving_pool(uniform_index, workers=2)
+    pool.knn(np.zeros(8), k=1)
+    pool.close()
+    assert len(os.listdir("/proc/self/fd")) == before
+    assert pool._procs == [None, None]
+
+
 def test_direct_construction_is_the_same_class_and_does_not_warn(
         uniform_index, serving_pool):
     assert ProcessServingPool is ServingPool

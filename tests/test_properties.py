@@ -193,27 +193,18 @@ def test_candidates_keep_k_smallest(dists, k):
     for start in range(0, len(dists), 12):  # one offer per leaf's worth
         rows = slice(start, start + 12)
         heap.offer_batch(column[rows], column[rows, None],
-                         range(len(dists))[rows])
+                         range(len(dists))[rows], start)
     result = [n.distance for n in heap.results()]
     assert result == sorted(dists)[: min(k, len(dists))]
 
 
 def _sequential_candidates(leaves, k):
-    """The candidate rule one candidate at a time, with no gate: a leaf
-    arrives in stable distance order; a full heap takes only a distance
-    below its worst and evicts the earliest-arrived of the tied worst."""
-    kept = []  # (distance, arrival, value)
-    arrival = 0
-    for leaf, values in leaves:
-        for i in sorted(range(len(leaf)), key=lambda i: leaf[i]):
-            if len(kept) == k:
-                worst = max(d for d, _, _ in kept)
-                if not leaf[i] < worst:
-                    continue
-                kept.remove(min(c for c in kept if c[0] == worst))
-            kept.append((leaf[i], arrival, values[i]))
-            arrival += 1
-    return [(d, v) for d, _, v in sorted(kept)]
+    """The reference rule: every candidate of every ``(page, distances,
+    values)`` leaf ranked by ``(distance, page, slot)``, the first ``k``
+    kept."""
+    every = [(d, page, slot, v) for page, leaf, values in leaves
+             for slot, (d, v) in enumerate(zip(leaf, values))]
+    return [(d, v) for d, _, _, v in sorted(every, key=lambda c: c[:3])[:k]]
 
 
 @given(
@@ -222,18 +213,21 @@ def _sequential_candidates(leaves, k):
                  min_size=1, max_size=12),
         min_size=1, max_size=10),
     k=st.integers(1, 12),
+    data=st.data(),
 )
 @settings(max_examples=150, deadline=None)
-def test_gated_offer_batch_is_the_sequential_rule(leaves, k):
+def test_gated_offer_batch_is_the_sequential_rule(leaves, k, data):
     # Integer distances tie often; inf ones must enter a filling heap.
+    # Leaves arrive in any page order, and the answer must not see it.
+    pages = data.draw(st.permutations(range(len(leaves))))
     heap = KnnCandidates(k)
     numbered, start = [], 0
-    for leaf in leaves:
+    for page, leaf in zip(pages, leaves):
         values = list(range(start, start + len(leaf)))
         start += len(leaf)
         column = np.array(leaf)
-        heap.offer_batch(column, column[:, None], values)
-        numbered.append((leaf, values))
+        heap.offer_batch(column, column[:, None], values, page)
+        numbered.append((page, leaf, values))
     got = [(n.distance, n.value) for n in heap.results()]
     assert got == _sequential_candidates(numbered, k)
 

@@ -10,10 +10,11 @@ from repro.search.knn import KnnCandidates
 from tests.helpers import brute_force_knn
 
 
-def _offer(candidates, *pairs):
-    """Offer ``(distance, value)`` pairs as one leaf's batch."""
+def _offer(candidates, *pairs, page=0):
+    """Offer ``(distance, value)`` pairs as the batch of leaf ``page``,
+    in slot order."""
     dists = np.array([d for d, _ in pairs], dtype=np.float64)
-    candidates.offer_batch(dists, dists[:, None], [v for _, v in pairs])
+    candidates.offer_batch(dists, dists[:, None], [v for _, v in pairs], page)
 
 
 class TestKnnCandidates:
@@ -55,41 +56,48 @@ class TestKnnCandidates:
         dists = np.linalg.norm(pts - q, axis=1)
 
         a = KnnCandidates(7)
-        a.offer_batch(dists, pts, list(range(40)))
+        a.offer_batch(dists, pts, list(range(40)), 0)
         b = KnnCandidates(7)
         for i in range(40):
-            b.offer_batch(dists[i:i + 1], pts[i:i + 1], [i])
+            b.offer_batch(dists[i:i + 1], pts[i:i + 1], [i], i)
         assert [n.value for n in a.results()] == [n.value for n in b.results()]
         assert [n.value for n in a.results()] == list(np.argsort(dists)[:7])
 
-    def test_tie_evicts_the_earliest_of_the_worst(self):
-        # The rule a vectorised heap must keep: "stable-sort, keep the
-        # first k" would keep the first 5.
-        c = KnnCandidates(2)
-        _offer(c, (5.0, "first five"))
-        _offer(c, (5.0, "second five"))
-        _offer(c, (3.0, "three"))
-        assert [n.value for n in c.results()] == ["three", "second five"]
+    def test_tie_at_the_worst_evicts_the_higher_address(self):
+        # Whichever five arrived first, the one on the higher page goes.
+        for pages in [(1, 2), (2, 1)]:
+            c = KnnCandidates(2)
+            for page in pages:
+                _offer(c, (5.0, f"five on page {page}"), page=page)
+            _offer(c, (3.0, "three"), page=3)
+            assert [n.value for n in c.results()] == ["three", "five on page 1"]
 
-    def test_full_heap_refuses_a_candidate_equal_to_its_bound(self):
+    def test_full_heap_takes_an_equal_distance_only_from_a_lower_address(self):
         c = KnnCandidates(2)
-        _offer(c, (1.0, "one"), (2.0, "two"))
-        _offer(c, (2.0, "equal"), (7.0, "far"))
+        _offer(c, (1.0, "one"), (2.0, "two"), page=5)
+        _offer(c, (2.0, "equal, higher page"), (7.0, "far"), page=6)
         assert [n.value for n in c.results()] == ["one", "two"]
+        _offer(c, (2.0, "equal, lower page"), page=4)
+        assert [n.value for n in c.results()] == ["one", "equal, lower page"]
         assert c.bound == 2.0
 
     def test_filling_heap_takes_infinite_distances(self):
         # Coordinates near 1e200 overflow a distance to inf.
         c = KnnCandidates(2)
-        _offer(c, (float("inf"), "overflowed"))
-        _offer(c, (float("inf"), "refused"), (4.0, "four"))
+        _offer(c, (float("inf"), "overflowed"), page=0)
+        _offer(c, (float("inf"), "refused"), (4.0, "four"), page=1)
         assert [n.value for n in c.results()] == ["four", "overflowed"]
 
-    def test_ties_preserve_first_seen(self):
-        c = KnnCandidates(1)
-        _offer(c, (1.0, "first"), (1.0, "second"))
-        _offer(c, (1.0, "third"))
-        assert [n.value for n in c.results()] == ["first"]
+    def test_ties_rank_by_page_then_slot(self):
+        c = KnnCandidates(3)
+        _offer(c, (1.0, "page 3 slot 0"), (1.0, "page 3 slot 1"), page=3)
+        _offer(c, (1.0, "page 2 slot 0"), (1.0, "page 2 slot 1"), page=2)
+        assert [n.value for n in c.results()] == [
+            "page 2 slot 0", "page 2 slot 1", "page 3 slot 0"]
+        one = KnnCandidates(1)
+        _offer(one, (1.0, "page 3 slot 0"), page=3)
+        _offer(one, (2.0, "page 2 slot 0"), (1.0, "page 2 slot 1"), page=2)
+        assert [n.value for n in one.results()] == ["page 2 slot 1"]
 
 
 class TestKnnOnTree:

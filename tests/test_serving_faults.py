@@ -356,4 +356,4 @@ def test_pool_close_survives_a_dead_worker(index_path, serving_pool):
     assert pool._closed
     # Each worker stopped on its own: the one whose store had crashed
     # swallowed the close error instead of dying with a traceback.
-    assert [proc.exitcode for proc in pool._procs] == [0, 0]
+    assert pool._exit_codes == [0, 0]
