@@ -101,7 +101,8 @@ test-mp:
 # (tests/test_net_fuzz.py: generated raw requests against the framing
 # oracle, generated matrix-frame bodies on every read endpoint against
 # the served Database, some behind a held knn, and on /v1/insert,
-# /v1/insert_many and /v1/delete against a second Database)
+# /v1/insert_many and /v1/delete against a second Database, and damaged
+# frames on a serving-pool worker's pipe)
 # and the client's wire decoders against a lying server
 # (tests/test_net_decoders.py: generated neighbor blocks and matrix
 # frames, cut, flipped and lying about their lengths); both need

@@ -33,9 +33,22 @@ database would give, and it measured faster than a pool of threads
         snap.refresh()                           # newest committed epoch
         answers = snap.knn_batch(queries, k=21)  # one epoch per call
 
-**Telemetry.**  A shard ships to its worker as pickled ndarray buffers,
-and the worker answers with three telemetry payloads that the parent
-merges so the process boundary stays invisible to operators:
+**The pipe speaks the wire's formats** (:mod:`repro.net.protocol`).
+After the spawn bootstrap every message is ``send_bytes`` /
+``recv_bytes``, and nothing is unpickled off the pipe.  A request is one
+JSON part, ``{"op": ..., "block_size": ...}``, then exactly the matrix
+frames ``/v1/<op>`` takes — a shard's points and one ``k`` or radius per
+point, or a window's low and high corner — read by the server's reader,
+:func:`~repro.net.protocol.decode_frames`.  An answer is one JSON part
+(its telemetry) then one neighbor block; a refusal is one JSON part in
+:func:`~repro.net.protocol.error_doc`'s shape.  A pool therefore carries
+exactly the payload values the wire carries: a tuple comes back as a
+list, and a value JSON cannot carry (``bytes``) raises
+:class:`~repro.exceptions.NetError` naming it.
+
+**Telemetry.**  An answer's JSON part carries three telemetry payloads
+that the parent merges so the process boundary stays invisible to
+operators:
 
 * the worker's cumulative :class:`~repro.storage.stats.IOStats`
   (feeds :meth:`ServingPool.stats` / ``worker_stats()``);
@@ -76,13 +89,15 @@ every call runs under one resilience policy:
   :func:`~repro.exec.batch.per_query` for ``k`` and radius), so no
   worker sees an unchecked one.  What a worker still raises (an empty
   index, ``low > high``, a bug) crosses the pipe by the rule it crosses
-  the network by: the worker ships ``(type name, message, traceback)``,
-  and a class listed in :data:`repro.exceptions.RERAISABLE` is
-  re-raised in the caller as itself, while anything else is a defect in
-  the worker and arrives as a ``RuntimeError`` carrying the child's
-  traceback — but only after every shard of the call has been
-  collected, so no stale answer is left in a pipe for the next call.
-  A worker's own error wins over a lost shard of the same call.
+  the network by: the worker ships the error document (type name and
+  message, plus its traceback for a class outside
+  :data:`repro.exceptions.RERAISABLE`, or the loss reason of a lost
+  shard), and a listed class is re-raised in the caller as itself,
+  while anything else is a defect in the worker and arrives as a
+  ``RuntimeError`` carrying the child's traceback — but only after
+  every shard of the call has been collected, so no stale answer is left
+  in a pipe for the next call.  A worker's own error wins over a lost
+  shard of the same call.
 
 **Threads.**  One pool may be shared by many threads (a
 :class:`~repro.net.server.QueryServer` calls it from every request
@@ -98,6 +113,7 @@ calls.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import multiprocessing as mp
 import os
@@ -107,10 +123,16 @@ import time
 import numpy as np
 
 from ..exceptions import (
-    RERAISABLE, ShardLostError, StorageError, TransientIOError,
+    RERAISABLE, NetError, ShardLostError, StorageError, TransientIOError,
 )
 from ..geometry import as_point, as_points
 from ..indexes.base import Neighbor
+# By name: the pool's codec calls are its own work, not a network
+# client's (a traced run wraps the module attributes as net.* spans).
+from ..net.protocol import (
+    decode_frames, decode_json, decode_neighbor_block, encode_json,
+    encode_matrix, encode_neighbor_block, error_doc,
+)
 from ..obs.flightrec import FLIGHT
 from ..obs.hooks import on_degraded, on_pool_block, on_worker_respawned
 from ..obs.hooks import set_slo_ms, slo_ms
@@ -138,9 +160,14 @@ READ_RETRIES = 2
 #: Sleep (seconds) before a block's first retry, doubled for each next.
 RETRY_BACKOFF_S = 0.01
 
-#: Fields of a flight-recorder record dict the parent must not replay
-#: (they are recomputed by ``FlightRecorder.record``).
-_COMPUTED_RECORD_FIELDS = ("traced", "ts")
+#: Fields of a flight-recorder record dict a worker does not send: the
+#: parent's ``FlightRecorder.record`` recomputes the first two and sets
+#: the last.
+_RECORD_FIELDS_NOT_SENT = ("traced", "ts", "worker")
+
+#: The frames each request carries after its JSON part: the ones
+#: ``/v1/<op>`` takes.
+_REQUEST_FRAMES = {"knn": 2, "range": 2, "window": 2, "drop": 0, "stop": 0}
 
 #: How to get what a pool over a live database would have given.
 _LIVE_RECIPE = ("serve a live Database through one db.snapshot() and call "
@@ -148,44 +175,39 @@ _LIVE_RECIPE = ("serve a live Database through one db.snapshot() and call "
                 "which answers each call from one committed epoch")
 
 
-def _run_blocks(index, op: str, queries: np.ndarray, params: dict):
+def _run_blocks(index, op: str, first: np.ndarray, second: np.ndarray,
+                block_size: int | None):
     """Run one shard block by block; returns ``(results, block_times)``.
 
-    This is all a worker does for a call.  ``params`` carries ``k`` /
-    ``radius`` as a scalar or as a per-query array aligned with
-    ``queries``, sliced per block.  ``block_times`` entries are
-    ``(wall_ms, queries)``.  A block that raises
-    :class:`TransientIOError` is retried with exponential backoff, its
-    time spanning the retries; exhausted retries propagate and lose the
-    whole shard.
+    This is all a worker does for a call.  ``first`` and ``second`` are
+    the request's two frames: the shard's points and one ``k`` or radius
+    per point, or a window's low and high corner (one block).
+    ``block_times`` entries are ``(wall_ms, queries)``.  A block that
+    raises :class:`TransientIOError` is retried with exponential
+    backoff, its time spanning the retries; exhausted retries propagate
+    and lose the whole shard.
     """
     from .batch import DEFAULT_BLOCK_SIZE, batch_knn, batch_range
 
-    def of(value, rows):
-        return value[rows] if isinstance(value, np.ndarray) else value
-
+    n, step = len(first), DEFAULT_BLOCK_SIZE
     if op == "window":
-        # queries is the stacked (2, dims) [low; high] pair: one block.
-        step = len(queries)
+        n = step = 1
 
         def run(rows):
-            return [index.window(queries[0], queries[1])]
+            return [index.window(first, second)]
     elif op == "range":
-        step = DEFAULT_BLOCK_SIZE
-
         def run(rows):
-            return batch_range(index, queries[rows],
-                               of(params["radius"], rows))
+            return batch_range(index, first[rows], second[rows])
     else:
-        step = block_size = params["block_size"] or DEFAULT_BLOCK_SIZE
+        step = block_size or DEFAULT_BLOCK_SIZE
 
         def run(rows):
-            return batch_knn(index, queries[rows], of(params["k"], rows),
-                             block_size=block_size)
+            return batch_knn(index, first[rows], second[rows],
+                             block_size=step)
 
     out: list[list[Neighbor]] = []
     times: list[tuple[float, int]] = []
-    for start in range(0, len(queries), step):
+    for start in range(0, n, step):
         rows = slice(start, start + step)
         began = time.perf_counter()
         for attempt in range(READ_RETRIES + 1):
@@ -201,6 +223,23 @@ def _run_blocks(index, op: str, queries: np.ndarray, params: dict):
     return out, times
 
 
+def _read_request(msg: bytes) -> tuple[str, int | None, list]:
+    """``(op, block_size, frames)`` of one request off a worker's pipe.
+
+    A request is one JSON part, ``{"op": ..., "block_size": ...}``, then
+    exactly the frames ``/v1/<op>`` takes: a ``knn`` or ``range`` its
+    points ``(q, D)`` and one ``k`` or radius per row, a ``window`` its
+    low and high corner; ``drop`` and ``stop`` none.  Anything else
+    raises :class:`~repro.exceptions.NetError`.
+    """
+    doc, offset = decode_json(msg)
+    op = doc.get("op") if isinstance(doc, dict) else None
+    if op not in _REQUEST_FRAMES:
+        raise NetError(f"not a pool request: {doc!r}")
+    return (op, doc.get("block_size"),
+            decode_frames(msg, _REQUEST_FRAMES[op], offset))
+
+
 def _remaining(deadline: float | None) -> float | None:
     """Seconds left until ``deadline`` (``None`` = wait forever)."""
     return None if deadline is None else max(0.0, deadline - time.monotonic())
@@ -214,43 +253,30 @@ def _checked_timeout(timeout):
     return timeout
 
 
-def _package(results, times, with_times, single):
-    """``results[, times]``; a 1-D query unwraps its one row."""
-    if single:
-        results = results[0]
-    return (results, times) if with_times else results
-
-
-def _counter_snapshot() -> dict:
-    """``{(family_name, label_values): value}`` for every counter child."""
-    snap: dict = {}
+def _counter_deltas(seen: dict) -> list:
+    """Every counter child's growth since ``seen`` (``{(family_name,
+    label_values): value}``, brought up to date), as ``[family_name,
+    label_values, amount]`` triples."""
+    deltas = []
     for family in REGISTRY.families():
         if family.kind != "counter":
             continue
         for key, child in family.samples():
-            snap[(family.name, key)] = child.value
-    return snap
+            grown = child.value - seen.get((family.name, key), 0.0)
+            if grown > 0:
+                deltas.append([family.name, key, grown])
+                seen[(family.name, key)] = child.value
+    return deltas
 
 
-def _counter_deltas(prev: dict) -> tuple[dict, dict]:
-    """New snapshot plus the positive per-child deltas since ``prev``."""
-    cur = _counter_snapshot()
-    deltas = {}
-    for key, value in cur.items():
-        grown = value - prev.get(key, 0.0)
-        if grown > 0:
-            deltas[key] = grown
-    return cur, deltas
-
-
-def _apply_counter_deltas(deltas: dict) -> None:
+def _apply_counter_deltas(deltas: list) -> None:
     """Re-apply a worker's counter growth to the parent registry.
 
     Only counters are merged: they are sums, so addition is exact.
     Unknown families (a worker ahead of the parent's catalog) are
     skipped rather than guessed at.
     """
-    for (name, key), amount in deltas.items():
+    for name, key, amount in deltas:
         family = REGISTRY.get(name)
         if family is None or family.kind != "counter":
             continue
@@ -263,70 +289,81 @@ def _worker_main(conn, path: str, opts: dict, fault_plan) -> None:
     Spawn-safe: everything the worker needs arrives through ``path``,
     the (picklable) ``opts`` dict (the parent's latency objective among
     them) and ``fault_plan``.  The worker opens the saved file
-    ``readonly`` — ``pread`` through a private buffer pool —
-    and then answers commands until told to stop or the pipe dies.  A :class:`~repro.storage.FaultPlan` (tests only) is
-    spliced under the open store, so every later page read obeys it.
+    ``readonly`` — ``pread`` through a private buffer pool — and then
+    answers requests (:func:`_read_request`) until told to stop or the
+    pipe dies.  Every message it sends opens with one JSON part: the
+    ready handshake ``{"ready": {...}}``, a refusal in
+    :func:`~repro.net.protocol.error_doc`'s shape, or an answer's
+    telemetry followed by its neighbor block.  A
+    :class:`~repro.storage.FaultPlan` (tests only) is spliced under the
+    open store, so every later page read obeys it.
     """
     import traceback
 
     from ..indexes.factory import _open_index
     from ..storage.faults import splice_faults
 
+    def refusal(exc: BaseException) -> bytes:
+        doc = error_doc(exc)
+        if isinstance(exc, StorageError):  # the shard is lost
+            doc["degraded"] = ("io_error" if isinstance(exc, TransientIOError)
+                               else "storage_error")
+        elif doc["error_type"] not in RERAISABLE:
+            doc["traceback"] = traceback.format_exc()
+        return encode_json(doc, ())
+
     set_slo_ms(opts["slo_ms"])
     try:
         index = _open_index(path, opts["buffer_capacity"], readonly=True)
     except BaseException as exc:  # noqa: BLE001 - must report, then die
         try:
-            conn.send(("error", type(exc).__name__, str(exc),
-                       traceback.format_exc()))
+            conn.send_bytes(refusal(exc))
         finally:
             conn.close()
         return
     try:
         if fault_plan is not None:
             splice_faults(index.store, fault_plan)
-        conn.send(("ready", {
+        conn.send_bytes(encode_json({"ready": {
             "dims": index.dims,
             "kind": index.NAME,
             "size": index.size,
             "pid": os.getpid(),
-        }))
-        counters = _counter_snapshot()
+        }}, ()))
+        counters: dict = {}
+        _counter_deltas(counters)  # what opening counted is not a call's
         flight_seen = FLIGHT.recorded
         while True:
             try:
-                msg = conn.recv()
+                msg = conn.recv_bytes()
             except (EOFError, OSError):
                 break
-            if msg[0] == "stop":
-                break
-            if msg[0] == "drop":
-                index.store.drop_cache()
-                conn.send(("ok", None))
-                continue
-            _, op, queries, params = msg  # a "query"
             try:
-                results, times = _run_blocks(index, op, queries, params)
-            except TransientIOError as exc:
-                conn.send(("degraded", "io_error", str(exc)))
-                continue
-            except StorageError as exc:
-                conn.send(("degraded", "storage_error", str(exc)))
-                continue
+                op, block_size, frames = _read_request(msg)
+                if op == "stop":
+                    break
+                if op == "drop":
+                    index.store.drop_cache()
+                    conn.send_bytes(encode_json({}, ()))
+                    continue
+                results, times = _run_blocks(index, op, *frames, block_size)
+                block = encode_neighbor_block(results)
             except Exception as exc:  # noqa: BLE001 - the caller's to raise
-                conn.send(("error", type(exc).__name__, str(exc),
-                           traceback.format_exc()))
+                conn.send_bytes(refusal(exc))
                 continue
-            counters, deltas = _counter_deltas(counters)
             new = FLIGHT.recorded - flight_seen
             flight_seen = FLIGHT.recorded
             records = [
-                r.to_dict()
+                {name: value for name, value in r.to_dict().items()
+                 if name not in _RECORD_FIELDS_NOT_SENT}
                 for r in FLIGHT.records(min(new, FLIGHT.capacity))
             ] if new else []
-            conn.send(("ok", (
-                results, times, index.stats.snapshot(), deltas, records,
-            )))
+            conn.send_bytes(encode_json({
+                "times": times,
+                "stats": dataclasses.asdict(index.stats),
+                "counters": _counter_deltas(counters),
+                "records": records,
+            }, ()) + block)
     except OSError:
         pass  # parent died; nothing left to report to
     finally:
@@ -462,12 +499,12 @@ class ServingPool:
                     f"worker {idx} did not come up within "
                     f"{SPAWN_TIMEOUT_S:.0f}s"
                 )
-            msg = parent_conn.recv()
-            if msg[0] == "error":
+            doc, _ = decode_json(parent_conn.recv_bytes())
+            if "error" in doc:
                 raise StorageError(
                     f"worker {idx} failed to open {self._path}: "
-                    f"{msg[1]}\n{msg[3]}"
-                )
+                    f"{doc['error_type']}: {doc['error']}\n"
+                    f"{doc.get('traceback', '')}".rstrip())
         except BaseException as exc:
             self._reap(idx)
             parent_conn.close()
@@ -477,8 +514,8 @@ class ServingPool:
                 ) from exc
             raise
         #: The newest handshake: dims, kind, size (and that worker's pid).
-        self._info = msg[1]
-        self._pids[idx] = msg[1]["pid"]
+        self._info = doc["ready"]
+        self._pids[idx] = self._info["pid"]
 
     def _respawn(self, idx: int, reason: str) -> None:
         """Kill worker ``idx`` (if alive) and bring up a replacement.
@@ -568,9 +605,8 @@ class ServingPool:
         ``Database.knn`` — while a 2-D ``(n, dims)`` batch returns one
         list per query (see :meth:`knn_batch` for the keyword details).
         """
-        return self._query(
-            "knn", queries, np.ndim(queries) == 1,
-            {"k": k, "block_size": block_size}, with_times, timeout)
+        return self._query("knn", queries, np.ndim(queries) == 1, k,
+                           block_size, with_times, timeout)
 
     def knn_batch(self, queries, k: int = 1, *,
                   block_size: int | None = None, with_times: bool = False,
@@ -593,9 +629,8 @@ class ServingPool:
         computed makes the call raise
         :class:`~repro.exceptions.ShardLostError`.
         """
-        return self._query(
-            "knn", queries, False,
-            {"k": k, "block_size": block_size}, with_times, timeout)
+        return self._query("knn", queries, False, k, block_size, with_times,
+                           timeout)
 
     def range(self, queries, radius: float, *, with_times: bool = False,
               timeout: float | None = None):
@@ -605,8 +640,8 @@ class ServingPool:
         ``list[Neighbor]``, a 2-D batch one list per query.
         ``with_times``/``timeout`` behave as in :meth:`knn_batch`.
         """
-        return self._query("range", queries, np.ndim(queries) == 1,
-                           {"radius": radius}, with_times, timeout)
+        return self._query("range", queries, np.ndim(queries) == 1, radius,
+                           None, with_times, timeout)
 
     def range_batch(self, queries, radius, *, with_times: bool = False,
                     timeout: float | None = None):
@@ -616,7 +651,7 @@ class ServingPool:
         ``radius`` is a scalar shared by every query or a ``(Q,)``
         array with one radius per query.
         """
-        return self._query("range", queries, False, {"radius": radius},
+        return self._query("range", queries, False, radius, None,
                            with_times, timeout)
 
     def window(self, low, high, *, timeout: float | None = None
@@ -627,8 +662,8 @@ class ServingPool:
         policy as the sharded calls, and raises
         :class:`~repro.exceptions.ShardLostError` as they do.
         """
-        pair = np.stack([as_point(low, self.dims), as_point(high, self.dims)])
-        return self._scatter("window", pair, {}, timeout=timeout)[0][0]
+        return self._scatter("window", as_point(low, self.dims),
+                             as_point(high, self.dims), timeout=timeout)[0][0]
 
     def lookup(self, point, *, timeout: float | None = None) -> list[object]:
         """Exact-match point query: every payload stored at ``point``.
@@ -638,37 +673,40 @@ class ServingPool:
         """
         return [n.value for n in self.window(point, point, timeout=timeout)]
 
-    def _query(self, op: str, queries, single: bool, params: dict,
+    def _query(self, op: str, queries, single: bool, value, block_size,
                with_times: bool, timeout):
         """Validate a knn/range call, scatter it, package the answer."""
         queries = (as_point(queries, self.dims)[None] if single
                    else as_points(queries, self.dims))
-        name = "k" if op == "knn" else "radius"
-        values = per_query(name, params[name], queries.shape[0])
-        if np.ndim(params[name]):
-            # One value per query is sharded with the queries; a shared
-            # scalar crosses to the workers as the scalar it is.
-            params[name] = values
-        return _package(*self._scatter(op, queries, params, timeout=timeout),
-                        with_times, single)
+        values = per_query("k" if op == "knn" else "radius", value,
+                           queries.shape[0])
+        results, times = self._scatter(op, queries, values,
+                                       block_size=block_size, timeout=timeout)
+        if single:  # a 1-D query unwraps its one row
+            results = results[0]
+        return (results, times) if with_times else results
 
-    def _scatter(self, op: str, queries: np.ndarray, params: dict, *,
+    def _scatter(self, op: str, first: np.ndarray, second: np.ndarray, *,
+                 block_size: int | None = None,
                  timeout: float | None = None):
         """Shard one call over the workers and gather it.
 
-        Returns ``(results, block_times)`` in input order, or raises
-        once every shard is collected: what a worker raised first, else
-        :class:`~repro.exceptions.ShardLostError` if a shard was lost.
+        ``first`` and ``second`` are the two frames ``/v1/<op>`` takes:
+        the points and one ``k`` or radius per point, sharded together,
+        or a window's low and high corner, which go whole to one worker
+        and have one result.  Returns ``(results, block_times)`` in input
+        order, or raises once every shard is collected: what a worker
+        raised first, else :class:`~repro.exceptions.ShardLostError` if
+        a shard was lost.
         """
         timeout = self._timeout if timeout is None else _checked_timeout(
             timeout)
         with self._mu:
             if self._closed:
                 raise RuntimeError("serving pool is closed")
-            # A window's stacked [low; high] pair is one opaque argument
-            # block: it goes intact to one worker and has one result.
             whole = op == "window"
-            n = 1 if whole else queries.shape[0]
+            n = 1 if whole else first.shape[0]
+            head = encode_json({"op": op, "block_size": block_size}, ())
             results: list[list[Neighbor] | None] = [None] * n
             lost = 0
             times: list[tuple[float, int]] = []
@@ -677,13 +715,11 @@ class ServingPool:
                                                           self._workers)):
                 if shard.size == 0:
                     continue
-                # Per-query parameter arrays (heterogeneous k/radius) are
-                # sliced with the shard so they stay aligned worker-side.
-                message = ("query", op, queries if whole else queries[shard],
-                           {name: value[shard] if isinstance(value, np.ndarray)
-                            else value for name, value in params.items()})
+                frames = (first, second) if whole else (first[shard],
+                                                        second[shard])
                 try:
-                    self._conns[worker].send(message)
+                    self._conns[worker].send_bytes(
+                        head + b"".join(map(encode_matrix, frames)))
                     sent = True
                 except OSError:
                     sent = False
@@ -720,9 +756,12 @@ class ServingPool:
     def _collect(self, worker: int, sent: bool, deadline):
         """Receive one worker's answer, merging its telemetry.
 
-        Returns ``(None, (results, block_times))``, or ``(reason,
-        None)`` for a lost shard; raises what the worker raised
-        when its class is in :data:`~repro.exceptions.RERAISABLE`.
+        An answer is one JSON part — block times, the worker's
+        cumulative I/O counters, counter deltas and new flight records —
+        then the neighbor block; a refusal is the JSON part alone.
+        Returns ``(None, (results, block_times))``, or ``(reason, None)``
+        for a lost shard; raises what the worker raised when its class is
+        in :data:`~repro.exceptions.RERAISABLE`.
         """
         if not sent:
             return "worker_died", None
@@ -730,27 +769,27 @@ class ServingPool:
         try:
             if not conn.poll(_remaining(deadline)):
                 return "timeout", None
-            msg = conn.recv()
+            msg = conn.recv_bytes()
         except (EOFError, OSError):
             return "worker_died", None
-        if msg[0] == "degraded":
-            return msg[1], None
-        if msg[0] == "error":
-            _, name, message, worker_traceback = msg
+        doc, end = decode_json(msg)
+        if "error" in doc:
+            if "degraded" in doc:
+                return doc["degraded"], None
+            name = doc["error_type"]
             if name in RERAISABLE:
-                raise RERAISABLE[name](message)
-            raise RuntimeError(
-                f"serving-pool worker raised:\n{name}: {worker_traceback}")
-        out, block_times, stats, deltas, records = msg[1]
-        self._worker_stats[worker] = stats
-        _apply_counter_deltas(deltas)
-        for record in records:
-            fields = dict(record)
-            for name in _COMPUTED_RECORD_FIELDS:
-                fields.pop(name, None)
-            fields["worker"] = f"proc{worker}"
-            FLIGHT.record(**fields)
-        return None, (out, block_times)
+                raise RERAISABLE[name](doc["error"])
+            raise RuntimeError(f"serving-pool worker raised:\n{name}: "
+                               f"{doc.get('traceback')}")
+        results = decode_neighbor_block(msg[end:])
+        self._worker_stats[worker] = IOStats(**doc["stats"])
+        _apply_counter_deltas(doc["counters"])
+        for fields in doc["records"]:
+            if fields["levels"] is not None:  # JSON keys are strings
+                fields["levels"] = {int(level): tally for level, tally
+                                    in fields["levels"].items()}
+            FLIGHT.record(**fields, worker=f"proc{worker}")
+        return None, (results, [tuple(pair) for pair in doc["times"]])
 
     # ------------------------------------------------------------------
 
@@ -800,7 +839,7 @@ class ServingPool:
             pending = []
             for idx in range(self._workers):
                 try:
-                    self._conns[idx].send(("drop",))
+                    self._conns[idx].send_bytes(encode_json({"op": "drop"}, ()))
                     pending.append(idx)
                 except OSError:
                     self._respawn(idx, "worker_died")
@@ -808,7 +847,7 @@ class ServingPool:
                 try:
                     if not self._conns[idx].poll(SPAWN_TIMEOUT_S):
                         raise EOFError
-                    self._conns[idx].recv()
+                    self._conns[idx].recv_bytes()
                 except (EOFError, OSError):
                     self._respawn(idx, "worker_died")
 
@@ -826,7 +865,7 @@ class ServingPool:
             for conn in self._conns:
                 if conn is not None:
                     try:
-                        conn.send(("stop",))
+                        conn.send_bytes(encode_json({"op": "stop"}, ()))
                     except OSError:
                         pass
             for idx in range(len(self._procs)):

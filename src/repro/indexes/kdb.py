@@ -53,12 +53,19 @@ class KDBTree(SpatialIndex):
         point = as_point(point, self.dims)
         path = self._containing_path(point)
         leaf = path[-1]
+        split = None
+        if leaf.count >= leaf.capacity:
+            # Choose the plane before the leaf changes: a leaf that
+            # cannot be split refuses the point and the tree stays as it
+            # was.
+            split = _choose_point_plane(
+                np.vstack([leaf.points[: leaf.count], point]))
         leaf.add(point.copy(), value)
         self._size += 1
-        if leaf.count <= leaf.capacity:
+        if split is None:
             self._store.write(leaf)
         else:
-            self._split_leaf_upward(path)
+            self._split_leaf_upward(path, *split)
 
     def _containing_path(self, point: np.ndarray) -> list[Node]:
         """The unique root-to-leaf path whose regions contain ``point``."""
@@ -87,10 +94,10 @@ class KDBTree(SpatialIndex):
     # splitting
     # ------------------------------------------------------------------
 
-    def _split_leaf_upward(self, path: list[Node]) -> None:
+    def _split_leaf_upward(self, path: list[Node], dim: int,
+                           plane: float) -> None:
         leaf = path[-1]
         region_low, region_high = self._region_of(path, len(path) - 1)
-        dim, plane = _choose_point_plane(leaf.points[: leaf.count])
         left_id, right_id = self._force_split(leaf, dim, plane)
         self._replace_in_parent(
             path, left_id, right_id, region_low, region_high, dim, plane

@@ -42,7 +42,16 @@ See ``docs/SERVING.md`` for the endpoint table, wire formats,
 admission-control knobs, deadline semantics, and the drain lifecycle.
 """
 
-from .client import RemoteDatabase
-from .server import QueryServer
+import importlib
 
 __all__ = ["QueryServer", "RemoteDatabase"]
+
+
+def __getattr__(name: str):
+    # The pair resolves on first use, so a process that reads only the
+    # wire formats (a pool worker imports repro.net.protocol) never loads
+    # the server, the client or their socket stack.
+    homes = {"QueryServer": ".server", "RemoteDatabase": ".client"}
+    if name in homes:
+        return getattr(importlib.import_module(homes[name], __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

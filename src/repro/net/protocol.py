@@ -55,8 +55,8 @@ part, nothing after)::
 
     b"RPM1" | u8 dtype | u8 ndim | u16 pad | ndim * u64 shape | raw LE data
 
-**JSON part** — a mutation's values part, and the prelude of a
-neighbor block::
+**JSON part** — a mutation's values part, the prelude of a neighbor
+block, and the head of every message on a serving pool's pipe::
 
     u32 json_len | UTF-8 JSON
 
@@ -69,6 +69,13 @@ of a call in two ndarrays plus one JSON part for the payload values::
 Frames and blocks are versioned by their magic; unknown magic, a
 length lie, a JSON part that is not JSON or a shape that does not add
 up raises :class:`~repro.exceptions.NetError` rather than guessing.
+
+A serving pool's pipe (:mod:`repro.exec.procpool`) speaks the same
+formats: a request is a JSON part ``{"op", "block_size"}`` then the
+frames ``/v1/<op>`` takes, read by :func:`decode_frames` as a request
+body is; an answer is a JSON part (block times, I/O counters, counter
+deltas, flight records) then one neighbor block; a refusal is one JSON
+part in :func:`error_doc`'s shape.
 """
 
 from __future__ import annotations
@@ -96,6 +103,7 @@ __all__ = [
     "decode_matrix",
     "encode_json",
     "decode_json",
+    "decode_frames",
     "encode_neighbor_block",
     "decode_neighbor_block",
     "error_doc",
@@ -225,6 +233,37 @@ def decode_json(payload: bytes, offset: int = 0):
     except (ValueError, RecursionError) as exc:  # not JSON, or past a limit
         raise NetError(f"JSON part is not JSON: {exc}") from None
     return doc, end
+
+
+def decode_frames(payload: bytes, count: int, offset: int = 0, *,
+                  values: bool = False) -> list:
+    """The ``count`` matrix frames of ``payload`` from ``offset`` on,
+    then, with ``values``, its values part (a JSON list) or ``None``.
+
+    This is how a request body is read, over HTTP and over a serving
+    pool's pipe alike: a ``knn``/``range`` body is its points then its
+    ``k`` or radius, one per row; ``explain``'s is its point then its
+    ``k``; ``window``'s is its low then its high corner; ``lookup``'s is
+    its point alone, and a mutation's its points and maybe its values.
+    A missing frame, a values part that is not a list or a byte after
+    the last part raises :class:`NetError`.
+    """
+    frames = []
+    for _ in range(count):
+        array, offset = decode_matrix(payload, offset)
+        frames.append(array)
+    if values:
+        part = None
+        if offset < len(payload):
+            part, offset = decode_json(payload, offset)
+            if not isinstance(part, list):
+                raise NetError(f"the values part must be a JSON list, got "
+                               f"{type(part).__name__}")
+        frames.append(part)
+    if offset != len(payload):
+        raise NetError(f"{len(payload) - offset} byte(s) after the last of "
+                       f"{count} matrix frame(s)")
+    return frames
 
 
 def encode_neighbor_block(results: list[list[Neighbor]]) -> bytes:

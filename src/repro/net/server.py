@@ -463,14 +463,20 @@ class QueryServer:
             request.send_json(200, {"stats": self._stats_doc()})
             return
 
+        # Every other endpoint's body is matrix frames (and a mutation's
+        # values part), read by protocol.decode_frames.
+        if content_type != protocol.BINARY_CONTENT_TYPE:
+            raise ValueError(
+                f"this endpoint's body is matrix frames, Content-Type "
+                f"{protocol.BINARY_CONTENT_TYPE}; got {content_type!r}")
         if endpoint == "window":
-            low, high = _frames(body, content_type, 2)
+            low, high = protocol.decode_frames(body, 2)
             self._send_neighbors(request,
                                  [source.window(low, high, **pool_kw)])
             return
 
         if endpoint in ("knn", "range"):
-            points, arg = _frames(body, content_type, 2)
+            points, arg = protocol.decode_frames(body, 2)
             name = "k" if endpoint == "knn" else "radius"
             if points.ndim == 2 and len(points) == 1:
                 # Checked here, in the handles' order and words, so a bad
@@ -490,7 +496,7 @@ class QueryServer:
 
         # Every other endpoint answers 200 with one JSON document.
         if endpoint == "lookup":
-            (point,) = _frames(body, content_type, 1)
+            (point,) = protocol.decode_frames(body, 1)
             reply = {"values": list(source.lookup(_one_row(point),
                                                   **pool_kw))}
 
@@ -499,13 +505,13 @@ class QueryServer:
                 raise NotImplementedError(
                     f"the served handle ({type(source).__name__}) does not "
                     f"support explain")
-            point, k = _frames(body, content_type, 2)
+            point, k = protocol.decode_frames(body, 2)
             reply = {"explain": source.explain(_one_row(point),
                                                k=_one_value(k))}
 
         else:  # a mutation: its points, then maybe its values part
             self._require_mutable(endpoint)
-            points, values = _frames(body, content_type, 1, values=True)
+            points, values = protocol.decode_frames(body, 1, values=True)
             if endpoint == "insert_many":
                 inserted = (source.insert_many(points) if values is None
                             else source.insert_many(points, values))
@@ -562,40 +568,6 @@ _PATHS = ([f"/v1/{name}" for name in protocol.ENDPOINTS]
 
 #: Sentinel distinguishing "no deadline header" from "unparseable one".
 _BAD_DEADLINE = object()
-
-
-def _frames(body: bytes, content_type: str, count: int, *,
-            values: bool = False) -> list:
-    """The ``count`` matrix frames that make up a request body, then,
-    with ``values``, its values part (a JSON list) or ``None``.
-
-    A ``knn``/``range`` body is its points then its ``k`` or radius, one
-    per row; ``explain``'s is its point then its ``k``; ``window``'s is
-    its low then its high corner; ``lookup``'s is its point alone, and a
-    mutation's its points and maybe its values.  Any other content type,
-    a missing frame, a values part that is not a list or a byte after
-    the last part is refused.
-    """
-    if content_type != protocol.BINARY_CONTENT_TYPE:
-        raise ValueError(
-            f"this endpoint's body is {count} matrix frame(s), Content-Type "
-            f"{protocol.BINARY_CONTENT_TYPE}; got {content_type!r}")
-    frames, offset = [], 0
-    for _ in range(count):
-        array, offset = protocol.decode_matrix(body, offset)
-        frames.append(array)
-    if values:
-        part = None
-        if offset < len(body):
-            part, offset = protocol.decode_json(body, offset)
-            if not isinstance(part, list):
-                raise NetError(f"the values part must be a JSON list, got "
-                               f"{type(part).__name__}")
-        frames.append(part)
-    if offset != len(body):
-        raise NetError(f"{len(body) - offset} byte(s) after the last of "
-                       f"{count} matrix frame(s)")
-    return frames
 
 
 def _one_row(frame: np.ndarray) -> np.ndarray:

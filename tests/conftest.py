@@ -71,6 +71,63 @@ def no_fd_outlives_its_test():
                     f"began with: {dict(targets)}", pytrace=False)
 
 
+_TASK_DIR = "/proc/self/task"
+#: How long a test's new children may take to exit once it has ended.
+_CHILD_SETTLE_S = 2.0
+
+
+def _children() -> set[int]:
+    """Pids of every child of this process, forked by any of its threads
+    (a zombie not yet reaped included)."""
+    pids: set[int] = set()
+    for task in os.listdir(_TASK_DIR):
+        try:
+            with open(os.path.join(_TASK_DIR, task, "children")) as listed:
+                pids.update(map(int, listed.read().split()))
+        except OSError:  # the thread ended since the listdir
+            pass
+    return pids
+
+
+def _cmdline(pid: int) -> str:
+    try:
+        with open(f"/proc/{pid}/cmdline", "rb") as raw:
+            words = raw.read().split(b"\0")
+    except OSError:
+        return "(gone)"
+    return b" ".join(words).decode(errors="replace").strip() or "(exited, not reaped)"
+
+
+@pytest.fixture(autouse=True)
+def no_child_outlives_its_test():
+    """Fail a test that ends leaving a child process it started: a pool
+    nobody closed, a server child nobody waited for.
+
+    A clean test costs two reads of ``/proc/self/task/*/children``.  A
+    new child gets up to ``_CHILD_SETTLE_S`` to exit and be reaped (a
+    worker told to stop may still be closing its index); one still
+    listed then fails the test, named by its command line.  Children
+    that existed before the test — a module-scoped server, the resource
+    tracker the ``serving_pool`` fixture starts under ``spawn`` — are
+    not counted.
+    """
+    if not os.path.isfile(os.path.join(_TASK_DIR, str(os.getpid()),
+                                       "children")):
+        yield
+        return
+    before = _children()
+    yield
+    stuck = _children() - before
+    deadline = time.monotonic() + _CHILD_SETTLE_S
+    while stuck and time.monotonic() < deadline:
+        time.sleep(0.05)
+        stuck &= _children()
+    if stuck:
+        names = sorted(f"{pid}: {_cmdline(pid)}" for pid in stuck)
+        pytest.fail(f"test left {len(stuck)} child process(es) behind: "
+                    f"{names}", pytrace=False)
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     """A deterministic random generator for test data."""

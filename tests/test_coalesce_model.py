@@ -116,7 +116,11 @@ class SchedulerMachine(RuleBasedStateMachine):
         self.source = _GatedSource()
         self.sched = CoalescingScheduler(self.source)
         self.threads: list[threading.Thread] = []
+        #: rid -> every answer it got.  A list is published whole, under
+        #: the lock: the checks read without it, and must never see a
+        #: rid whose answer is still being appended.
         self.outcomes: dict[int, list] = {}
+        self.outcomes_lock = threading.Lock()
         # The model.
         self.requests: dict[int, tuple] = {}  # rid -> (op, param, expired)
         self.busy: set[str] = set()
@@ -174,7 +178,8 @@ class SchedulerMachine(RuleBasedStateMachine):
             got = ("shed",)
         except _Failed:
             got = ("failed",)
-        self.outcomes.setdefault(rid, []).append(got)
+        with self.outcomes_lock:
+            self.outcomes[rid] = [*self.outcomes.get(rid, ()), got]
 
     @rule(op=st.sampled_from(["knn", "range"]), k=st.integers(1, 5),
           deadline=st.sampled_from([None, "past", "far"]))

@@ -118,3 +118,23 @@ class TestTree:
         fills = [leaf.count for leaf in tree.iter_leaves()]
         assert min(fills) >= 0  # empties allowed
         assert tree.size == sum(fills)
+
+
+@pytest.mark.parametrize("how", ["insert", "insert_many"])
+def test_a_refused_insert_leaves_the_tree_as_it_was(how):
+    # A leaf of copies of one point cannot be split: the point that would
+    # overflow it is refused before the leaf or the size changes, so the
+    # tree still checks and still saves.
+    from repro import Database
+
+    db = Database.create(None, kind="kdb", dims=3, page_size=2048)
+    assert db.index.read_node(db.index.root_id).capacity == 3
+    with pytest.raises(IndexError_, match="all identical"):
+        if how == "insert":
+            for _ in range(4):
+                db.insert(np.zeros(3))
+        else:
+            db.insert_many(np.zeros((4, 3)))
+    assert db.size == 3
+    db.index.check_invariants()
+    db.close()

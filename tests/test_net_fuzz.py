@@ -43,7 +43,16 @@ Each starts from a fresh copy of one corpus, and its oracle is a second
 afterwards the same size and the same values at every corpus point and
 every point of the request.
 
-``make test-net`` runs all three deeper (``--hypothesis-profile=deep``).
+The fourth points the same damages at a serving-pool worker's pipe,
+which speaks the wire's formats: a well-formed request (a JSON part,
+then ``knn``, ``range`` or ``window`` frames) cut short, with a bad
+magic, an unknown dtype code, a lying shape word, trailing bytes, a
+frame missing or one too many, or an op no worker knows.  Its oracle:
+the worker answers one error part naming ``NetError`` — never a block,
+a traceback or a lost shard — stays alive, and then answers the request
+undamaged as ``Database`` does.
+
+``make test-net`` runs all four deeper (``--hypothesis-profile=deep``).
 """
 
 from __future__ import annotations
@@ -937,3 +946,101 @@ def test_generated_mutations_meet_the_database_oracle(mutable, request):
             == [n.distance for n in db.knn(GOOD_POINT, k=GOOD_K)])
     described = mutable.server.describe()
     assert (described["inflight"], described["queued"]) == (0, 0)
+
+
+# ---------------------------------------------------------------------------
+# A serving-pool worker's pipe: the same frames, damaged, at a live worker
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def piped(tmp_path_factory, serving_pool):
+    """A one-worker pool over the fuzz corpus, and a Database over the
+    same file as its oracle."""
+    path = str(tmp_path_factory.mktemp("pipe") / "pipe.srtree")
+    data = uniform_dataset(60, DIMS, seed=7)
+    with Database.create(path, kind="sr", dims=DIMS, page_size=2048) as db:
+        db.insert_many(data)
+    db = Database.open(path)
+    pool = serving_pool(path, workers=1)
+    yield SimpleNamespace(db=db, data=data, pool=pool, pid=pool._pids[0])
+    pool.close()
+    db.close()
+
+
+#: What is done to a well-formed pool request before it is sent.
+PIPE_DAMAGES = ["cut", "magic", "dtype", "shape", "trail", "missing",
+                "extra", "op"]
+
+
+@st.composite
+def pipe_requests(draw):
+    """``(op, frames, body)``: a well-formed pool request's op and
+    frames, and its bytes with one damage done."""
+    op = draw(st.sampled_from(["knn", "range", "window"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    if op == "window":
+        frames = list(np.sort(rng.random((2, DIMS)), axis=0))
+    else:
+        q = draw(st.sampled_from([1, 2, 5]))
+        per_row = (rng.integers(1, 10, q) if op == "knn"
+                   else rng.uniform(0.0, 0.5, q))
+        frames = [rng.random((q, DIMS)), per_row]
+    head = encode_json({"op": op, "block_size": None}, ())
+    parts = [encode_matrix(frame) for frame in frames]
+    at = draw(st.integers(0, len(parts) - 1))
+    frame = parts[at]
+    damage = draw(st.sampled_from(PIPE_DAMAGES))
+    if damage == "magic":
+        magic = draw(st.binary(min_size=4, max_size=4).filter(
+            lambda m: m != b"RPM1"))
+        parts[at] = magic + frame[4:]
+    elif damage == "dtype":
+        parts[at] = frame[:4] + bytes([draw(st.integers(3, 255))]) + frame[5:]
+    elif damage == "shape":  # one shape word lies
+        word = 8 + 8 * draw(st.integers(0, frames[at].ndim - 1))
+        (true,) = struct.unpack_from("<Q", frame, word)
+        lie = draw(st.sampled_from([0, 1, true - 1, true + 1, 2**32, 2**63,
+                                    2**64 - 1]).filter(lambda n: n != true))
+        parts[at] = frame[:word] + struct.pack("<Q", lie) + frame[word + 8:]
+    elif damage == "missing":
+        del parts[at]
+    elif damage == "extra":
+        parts.append(frame)
+    elif damage == "op":
+        head = encode_json({"op": draw(st.sampled_from(
+            ["nearest", "", None, 5, "KNN"])), "block_size": None}, ())
+    body = head + b"".join(parts)
+    if damage == "cut":
+        body = body[:draw(st.integers(0, len(body) - 1))]
+    elif damage == "trail":
+        body += draw(st.binary(min_size=1, max_size=8))
+    return op, frames, body
+
+
+@_budget(30)
+@given(request=pipe_requests())
+def test_a_worker_refuses_damaged_frames_and_serves_on(piped, request):
+    # The worker reads its pipe with the server's reader: a damaged
+    # request gets one error part naming NetError — no block, no
+    # traceback, no lost shard — the worker lives, and the request
+    # undamaged is then answered as the Database answers it.
+    op, frames, body = request
+    pool = piped.pool
+    conn = pool._conns[0]
+    with pool._mu:
+        conn.send_bytes(body)
+        assert conn.poll(10.0), "the worker did not answer"
+        reply = conn.recv_bytes()
+    doc, end = decode_json(reply)
+    assert end == len(reply), "a damaged request was answered with a block"
+    assert doc["error_type"] == "NetError", doc
+    assert not {"traceback", "degraded"} & set(doc)
+    assert pool._pids[0] == piped.pid and pool.respawned_workers == 0
+    if op == "window":
+        got, want = [pool.window(*frames)], [piped.db.window(*frames)]
+    elif op == "knn":
+        got, want = pool.knn_batch(*frames), piped.db.knn_batch(*frames)
+    else:
+        got, want = pool.range_batch(*frames), piped.db.range_batch(*frames)
+    _same_lists(got, want, piped.data)

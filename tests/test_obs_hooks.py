@@ -274,13 +274,21 @@ class TestLatencySLOs:
         recorded = FLIGHT.recorded
         with serving_pool(path, workers=2) as pool:
             pool.knn(tiny_cloud[:8], k=2)
-        d = delta(before, REGISTRY.flatten())
+            d = delta(before, REGISTRY.flatten())
+            replayed = FLIGHT.records(FLIGHT.recorded - recorded)
+            # A slow record armed each worker's trace tail: its next call
+            # comes back traced, levels keyed by level number as in the
+            # worker (the pipe's JSON part carries them as strings).
+            pool.knn(tiny_cloud[:8], k=2)
+            traced = FLIGHT.records(2)
         assert d['repro_slo_violations_total{op="pool_knn"}'] > 0
         # Workers start with the parent's objective, spawned ones too:
         # their blocks count, and their records come back slow.
         assert d['repro_slo_violations_total{op="batch_knn"}'] > 0
-        replayed = FLIGHT.records(FLIGHT.recorded - recorded)
         assert replayed and all(r.slow for r in replayed)
+        assert all(r.traced and r.levels and all(type(level) is int
+                                                 for level in r.levels)
+                   for r in traced)
         block_count = [v for k, v in d.items()
                        if k.startswith("repro_pool_block_seconds_count")]
         assert sum(block_count) > 0

@@ -27,9 +27,10 @@ import pytest
 
 from repro.api import Database
 from repro.exceptions import (
-    DimensionalityError, ReproError, ShardLostError, StorageError,
+    DimensionalityError, NetError, ReproError, ShardLostError, StorageError,
 )
 from repro.exec import ProcessServingPool, ServingPool
+from repro.net.protocol import encode_json
 from repro.obs.flightrec import FLIGHT
 from repro.obs.hooks import DEGRADED_QUERIES, QUERIES
 from repro.storage import FaultPlan
@@ -386,23 +387,49 @@ def test_direct_construction_is_the_same_class_and_does_not_warn(
 
 def test_what_a_worker_raised_crosses_the_pipe_by_the_whitelist():
     """A listed class is re-raised as itself; anything else is a defect
-    in the worker and keeps its traceback (``exceptions.RERAISABLE``)."""
+    in the worker and keeps its traceback (``exceptions.RERAISABLE``).
+    A worker refuses with one JSON part in ``error_doc``'s shape."""
     class Pipe:
-        def __init__(self, message):
-            self.message = message
+        def __init__(self, doc):
+            self.part = encode_json(doc, ())
 
         def poll(self, timeout):
             return True
 
-        def recv(self):
-            return self.message
+        def recv_bytes(self):
+            return self.part
 
     pool = object.__new__(ProcessServingPool)
-    pool._conns = [Pipe(("error", "DimensionalityError", "expected 4",
-                         "Traceback ...")),
-                   Pipe(("error", "ZeroDivisionError", "division by zero",
-                         "Traceback (most recent call last): worker.py"))]
+    pool._conns = [Pipe({"error": "expected 4",
+                         "error_type": "DimensionalityError"}),
+                   Pipe({"error": "division by zero",
+                         "error_type": "ZeroDivisionError",
+                         "traceback": "Traceback (most recent call last): "
+                                      "worker.py"})]
     with pytest.raises(DimensionalityError, match="^expected 4$"):
         pool._collect(0, True, None)
     with pytest.raises(RuntimeError, match="ZeroDivisionError.*worker.py"):
         pool._collect(1, True, None)
+
+
+def test_a_pool_carries_the_payload_values_the_wire_carries(tmp_path,
+                                                           serving_pool):
+    # Answers cross the pipe as neighbor blocks: row ids and strings come
+    # back as stored, a tuple as a list (as over HTTP), and a value JSON
+    # cannot carry is refused with NetError naming it, as RemoteDatabase
+    # refuses it.
+    path = str(tmp_path / "payloads.srtree")
+    with Database.create(path, kind="sr", dims=2, page_size=2048) as db:
+        db.insert([0.1, 0.1], 7)
+        db.insert([0.3, 0.3], "row")
+        db.insert([0.5, 0.5], (1, "two"))
+        db.insert([0.9, 0.9], b"raw")
+    with serving_pool(path, workers=1) as pool:
+        assert [n.value for n in pool.knn([0.1, 0.1], k=1)] == [7]
+        assert pool.lookup([0.3, 0.3]) == ["row"]
+        assert pool.lookup([0.5, 0.5]) == [[1, "two"]]
+        with pytest.raises(NetError, match=r"b'raw'.*not JSON"):
+            pool.knn([0.9, 0.9], k=1)
+        # The refusal left nothing in the pipe: the next call is answered.
+        assert [n.value for n in pool.knn([0.5, 0.5], k=1)] == [[1, "two"]]
+        assert pool.respawned_workers == 0

@@ -15,7 +15,9 @@ only output surfaces — nor import ``http.server``, ``http.client``,
 ``email`` or ``urllib.request`` at all, nor ``socketserver`` outside
 ``repro/httpd.py``, the one HTTP substrate both ends of the wire use,
 nor ``mmap`` outside ``repro/storage/pagefile.py`` (pages reach a
-process through its buffer pool).
+process through its buffer pool), nor call a pickling ``Connection``'s
+``.send``/``.recv`` under ``repro/exec/`` (a serving pool's pipe
+carries the wire's frames, through ``send_bytes``/``recv_bytes``).
 Falls through to the real ``pyflakes`` when it is installed (its
 diagnostics are a strict superset of (b); the policy pass runs either
 way).
@@ -401,6 +403,26 @@ def check_mmap_import(path: str, tree: ast.Module) -> list[str]:
     ]
 
 
+#: Where a pipe is a serving pool's: its messages are the wire's JSON
+#: parts, matrix frames and neighbor blocks, never pickles.
+PIPE_POLICED = os.path.join("src", "repro", "exec") + os.sep
+
+
+def check_pipe_pickling(path: str, tree: ast.Module) -> list[str]:
+    """Flag ``.send(...)``/``.recv(...)`` calls under ``repro/exec/``:
+    on a ``multiprocessing`` connection they pickle and unpickle."""
+    if not path.replace("/", os.sep).startswith(PIPE_POLICED):
+        return []
+    return [
+        f"{path}:{node.lineno}: .{node.func.attr}() pickles over the pipe; "
+        f"send the wire's bytes with send_bytes/recv_bytes"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("send", "recv")
+    ]
+
+
 #: The one package that may spell a distance to a box out in numpy.
 GEOMETRY_PACKAGE = os.path.join("src", "repro", "geometry") + os.sep
 
@@ -450,6 +472,7 @@ def run_policy_pass(paths) -> int:
         problems.extend(check_logging_surface(path, tree))
         problems.extend(check_http_stack(path, tree))
         problems.extend(check_mmap_import(path, tree))
+        problems.extend(check_pipe_pickling(path, tree))
         problems.extend(check_box_distance_spelling(path, tree))
     for problem in problems:
         print(problem)
