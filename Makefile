@@ -122,13 +122,16 @@ test-net:
 # under generated interleavings; and one answer per query where
 # distances tie: Database, Snapshot, every block size, iter_nearest,
 # range, a coalesced group and a pool return the same neighbor lists,
-# ordered by (distance, page, slot) (all need hypothesis; deeper here
-# than in tier-1).
+# ordered by (distance, page, slot); and one traversal per query kind on
+# every family: range, the block engine's range, a snapshot's range,
+# iter_nearest and window against brute force, the pages a range reads
+# against the slot-order traversal it replaced, EXPLAIN pages against
+# IOStats (all need hypothesis; deeper here than in tier-1).
 test-batching:
 	timeout -k 10 600 env PYTHONFAULTHANDLER=1 PYTHONPATH=src \
 	    python -m pytest tests/test_batching.py \
-	    tests/test_coalesce_model.py tests/test_tie_order.py -q \
-	    --hypothesis-profile=deep
+	    tests/test_coalesce_model.py tests/test_tie_order.py \
+	    tests/test_one_traversal.py -q --hypothesis-profile=deep
 
 bench:
 	pytest benchmarks/ --benchmark-only

@@ -3,8 +3,10 @@
 The single-query search (:mod:`repro.search.knn`) spends most of its
 Python time per *node*: one ``child_mindists`` call, one argsort, one
 bound check per child.  When many queries arrive together, that per-node
-overhead can be shared.  :func:`batch_knn` walks the tree once per block
-of ``Q`` queries:
+overhead can be shared.  One block traversal serves :func:`batch_knn`
+and :func:`batch_range`, walking the tree once per block of ``Q``
+queries from the index's top pages (a tree's root; every page of the
+linear scan's chain):
 
 * at an internal node it computes the full ``(Q_active, children)``
   MINDIST matrix in one vectorised pass
@@ -13,21 +15,24 @@ of ``Q`` queries:
   pruning bound admits it;
 * at a leaf it computes the ``(Q_active, count)`` distance matrix in
   one :func:`~repro.geometry.point.cross_distances` pass and feeds each
-  row to that query's candidate heap;
+  row to that query's collector;
 * per-query pruning bounds live in one NumPy ``(Q,)`` array, so the
   admit-test for a child is a single vector comparison.
 
-**Correctness.**  Each query's bound is its current k-th-best distance
-(``inf`` while filling), exactly as in the depth-first single-query
-search; a subtree is skipped for a query only when its region MINDIST
-exceeds that bound, which can never exclude a true neighbor.  The visit
-*order* (children sorted by their minimum MINDIST over the active
-queries) differs from the per-query order, so the page-read count may
-differ slightly, but the returned neighbor lists are identical: every
-candidate heap ranks by ``(distance, leaf page id, slot)``, a total key
-that does not depend on the order leaves are read in — asserted by
-``tests/test_exec_batch.py`` across index families and workloads, and
-by ``tests/test_tie_order.py`` where distances tie.
+**Correctness.**  A k-NN query's bound is its current k-th-best
+distance (``inf`` while filling), exactly as in the depth-first
+single-query search; a range query's bound is its radius and never
+moves, as in :func:`~repro.search.range.range_search`.  A subtree is
+skipped for a query only when its region MINDIST exceeds that bound,
+which can never exclude a true neighbor.  The visit *order* (children
+sorted by their minimum MINDIST over the active queries) differs from
+the per-query order, so the page-read count may differ slightly, but
+the returned neighbor lists are identical: every collector ranks by
+``(distance, leaf page id, slot)``, a total key that does not depend on
+the order leaves are read in — asserted by ``tests/test_exec_batch.py``
+across index families and workloads, by ``tests/test_tie_order.py``
+where distances tie, and by ``tests/test_one_traversal.py`` at several
+block sizes.
 
 Blocks default to :data:`DEFAULT_BLOCK_SIZE` queries to keep the
 broadcast intermediates (``Q x N x D`` float64) comfortably in cache;
@@ -53,7 +58,7 @@ from ..indexes.base import Neighbor
 from ..obs.hooks import observed_query
 from ..obs.tracer import trace
 from ..search.knn import KnnCandidates
-from ..search.range import leaf_hits, ranked
+from ..search.range import RangeCandidates
 
 __all__ = ["DEFAULT_BLOCK_SIZE", "batch_knn", "batch_range", "per_query"]
 
@@ -131,7 +136,7 @@ def _whole(values: np.ndarray, value) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# k-NN
+# the two query kinds
 # ----------------------------------------------------------------------
 
 
@@ -167,33 +172,60 @@ def batch_knn(index, queries, k: int = 1, *,
     results: list[list[Neighbor]] = []
     with observed_query(index, "batch_knn", int(ks.max()) if ks.size else 0):
         for start in range(0, queries.shape[0], block_size):
-            results.extend(
-                _knn_block(index, queries[start : start + block_size],
-                           ks[start : start + block_size])
-            )
+            results.extend(_block(
+                index, queries[start : start + block_size],
+                [KnnCandidates(int(ki)) for ki in ks[start : start + block_size]]))
     return results
 
 
-def _knn_block(index, queries: np.ndarray, ks: np.ndarray) -> list[list[Neighbor]]:
-    nq = queries.shape[0]
-    candidates = [KnnCandidates(int(ki)) for ki in ks]
-    bounds = np.full(nq, np.inf)
+def batch_range(index, queries, radius: float, *,
+                block_size: int = DEFAULT_BLOCK_SIZE) -> list[list[Neighbor]]:
+    """All stored points within ``radius`` of each query, closest first.
+
+    The batched analogue of :meth:`~repro.indexes.base.SpatialIndex.within`:
+    the k-NN block traversal with each query's bound held at its radius,
+    so it descends into a child for exactly the queries whose ball
+    intersects its region (MINDIST ``<= radius``).
+
+    ``radius`` is one float for every query, or a ``(Q,)`` array-like
+    giving each query its own radius.
+    """
+    queries = as_points(queries, index.dims)
+    radii = per_query("radius", radius, queries.shape[0])
+    if block_size < 1:
+        raise ValueError(f"block_size must be positive, got {block_size}")
+    results: list[list[Neighbor]] = []
+    with observed_query(index, "batch_range"):
+        for start in range(0, queries.shape[0], block_size):
+            results.extend(_block(
+                index, queries[start : start + block_size],
+                [RangeCandidates(float(r)) for r in radii[start : start + block_size]]))
+    return results
+
+
+# ----------------------------------------------------------------------
+# the block traversal
+# ----------------------------------------------------------------------
+
+
+def _block(index, queries: np.ndarray, candidates: list) -> list[list[Neighbor]]:
+    """One traversal for a block of queries, query ``q`` collecting into
+    ``candidates[q]`` (a :class:`KnnCandidates` or a
+    :class:`~repro.search.range.RangeCandidates`), from the index's top
+    pages."""
+    bounds = np.array([c.bound for c in candidates], dtype=np.float64)
     stats = index.stats
     span = trace.active
     if span is not None and getattr(index, "is_snapshot", False):
         # Stamp which committed epoch answered this block so EXPLAIN
         # output from concurrent serving is attributable after the fact.
         span.labels.setdefault("epoch", index.snapshot_epoch)
-    active = np.arange(nq)
-    if index.height == 1:
-        # Leaf-only structures (a fresh tree, or the linear scan's leaf
-        # chain): every node is a leaf holding part of the data.
-        for node in index.iter_nodes():
-            _scan_leaf(node, queries, active, candidates, bounds, stats)
-        return [c.results() for c in candidates]
-    if span is not None:
-        span.visit(index.root_id, index.height - 1, 0.0)
-    _visit(index, index.root_id, queries, active, candidates, bounds, stats, span)
+    active = np.arange(queries.shape[0])
+    for page_id in index.top_ids():
+        if span is not None:
+            span.visit(page_id, index.height - 1, 0.0)
+        _visit(index, page_id, queries, active, candidates, bounds, stats,
+               span)
     return [c.results() for c in candidates]
 
 
@@ -238,80 +270,3 @@ def _visit(index, page_id: int, queries, active, candidates, bounds,
             span.visit(child_id, node.level - 1, float(col.min()))
         _visit(index, child_id, queries, active[mask], candidates, bounds,
                stats, span)
-
-
-# ----------------------------------------------------------------------
-# range search
-# ----------------------------------------------------------------------
-
-
-def batch_range(index, queries, radius: float, *,
-                block_size: int = DEFAULT_BLOCK_SIZE) -> list[list[Neighbor]]:
-    """All stored points within ``radius`` of each query, closest first.
-
-    The batched analogue of :meth:`~repro.indexes.base.SpatialIndex.within`:
-    one traversal per block, descending into a child for exactly the
-    queries whose ball intersects its region (MINDIST ``<= radius``).
-
-    ``radius`` is one float for every query, or a ``(Q,)`` array-like
-    giving each query its own radius.
-    """
-    queries = as_points(queries, index.dims)
-    radii = per_query("radius", radius, queries.shape[0])
-    if block_size < 1:
-        raise ValueError(f"block_size must be positive, got {block_size}")
-    results: list[list[Neighbor]] = []
-    with observed_query(index, "batch_range"):
-        for start in range(0, queries.shape[0], block_size):
-            results.extend(
-                _range_block(index, queries[start : start + block_size],
-                             radii[start : start + block_size])
-            )
-    return results
-
-
-def _range_block(index, queries: np.ndarray, radii: np.ndarray) -> list[list[Neighbor]]:
-    nq = queries.shape[0]
-    hits: list[list[tuple]] = [[] for _ in range(nq)]
-    stats = index.stats
-    span = trace.active
-    if span is not None and getattr(index, "is_snapshot", False):
-        # Stamp which committed epoch answered this block so EXPLAIN
-        # output from concurrent serving is attributable after the fact.
-        span.labels.setdefault("epoch", index.snapshot_epoch)
-    active = np.arange(nq)
-
-    def scan_leaf(node, active) -> None:
-        count = node.count
-        if count == 0:
-            return
-        pts = node.points[:count]
-        dmat = cross_distances(queries[active], pts)
-        stats.distance_computations += count * active.shape[0]
-        for row, qi in enumerate(active):
-            leaf_hits(node, pts, dmat[row], radii[qi], hits[qi])
-
-    def visit(page_id: int, active) -> None:
-        node = index.read_node(page_id)
-        if node.is_leaf:
-            scan_leaf(node, active)
-            return
-        dmat = index.child_mindists_batch(node, queries[active])
-        stats.distance_computations += node.count * active.shape[0]
-        for i in range(node.count):
-            mask = dmat[:, i] <= radii[active]
-            if not mask.any():
-                continue
-            child_id = int(node.child_ids[i])
-            if span is not None:
-                span.visit(child_id, node.level - 1, float(dmat[:, i].min()))
-            visit(child_id, active[mask])
-
-    if index.height == 1:
-        for node in index.iter_nodes():
-            scan_leaf(node, active)
-    else:
-        if span is not None:
-            span.visit(index.root_id, index.height - 1, 0.0)
-        visit(index.root_id, active)
-    return [ranked(bucket) for bucket in hits]

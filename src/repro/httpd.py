@@ -12,8 +12,10 @@ else of the stdlib's HTTP stack:
   it and :class:`~repro.net.RemoteDatabase` reads responses with it;
   :func:`body_length` and :func:`read_exact` frame the body after it;
 * :class:`HttpListener` — the listening socket, its serve thread, the
-  bound address, and :meth:`~HttpListener.close`, which the application
-  calls once it has finished what it admitted;
+  bound address, the thread of each connection, and
+  :meth:`~HttpListener.close`, which the application calls once it has
+  finished what it admitted and which returns once every connection's
+  thread has ended;
 * :class:`Request` — one request as the application sees it: the
   method (``command``), ``path`` and ``headers``,
   :meth:`~Request.read_body`, and the one response writer,
@@ -53,8 +55,9 @@ A peer that ends the stream inside a head or a body gets no answer.
 is framed.
 
 **A stalled peer is cut off.**  The wait for a request's first byte —
-an idle keep-alive connection — is unbounded, so a client's pooled
-sockets are never cut.  Once that byte has arrived, each read of the
+an idle keep-alive connection — is unbounded while the listener is
+open, so a client's pooled sockets are never cut; :meth:`~HttpListener.close`
+ends that wait.  Once that byte has arrived, each read of the
 request's head and body, and the write of its response, must finish
 within :data:`MESSAGE_TIMEOUT_S`; when one does not, the connection is
 closed unanswered and leaves an ``http_request_timeout`` event.  A body
@@ -78,6 +81,7 @@ import socket
 import socketserver
 import sys
 import threading
+import time
 from http import HTTPStatus
 
 from .obs.events import DEBUG, EVENTS, WARN
@@ -248,7 +252,7 @@ class Request(socketserver.StreamRequestHandler):
         connection = self.connection
         connection.settimeout(None)  # idle between requests: no bound
         try:
-            if not self.rfile.peek(1):
+            if not self.server._await_request(self):
                 self.close_connection = True
                 return
             connection.settimeout(MESSAGE_TIMEOUT_S)
@@ -365,6 +369,8 @@ class HttpListener(socketserver.ThreadingTCPServer):
 
     ``handle(request)`` is called on a per-connection thread for every
     well-framed GET or POST and answers through the :class:`Request`.
+    The listener keeps every connection's thread, so :meth:`close` can
+    end them all.
     """
 
     # The socketserver default backlog (5) resets connections when a
@@ -372,12 +378,15 @@ class HttpListener(socketserver.ThreadingTCPServer):
     # control, not the listen queue, is the concurrency bound.
     request_queue_size = 128
     allow_reuse_address = True
-    daemon_threads = True
 
     def __init__(self, host: str, port: int, handle) -> None:
         super().__init__((host, port), Request)
         self.handle = handle
         self._closing = False
+        self._lock = threading.Lock()
+        self._handlers: set[threading.Thread] = set()
+        #: Sockets of the connections waiting for their next request.
+        self._idle: set[socket.socket] = set()
         self._thread = threading.Thread(target=self._accept_loop,
                                         name="repro-query-server",
                                         daemon=True)
@@ -392,21 +401,59 @@ class HttpListener(socketserver.ThreadingTCPServer):
                 if selector.select(0.5) and not self._closing:
                     self._handle_request_noblock()
 
+    def process_request(self, request, client_address) -> None:
+        # socketserver keeps no daemon thread, so the listener keeps them.
+        thread = threading.Thread(target=self.process_request_thread,
+                                  args=(request, client_address),
+                                  name="repro-http-connection", daemon=True)
+        with self._lock:
+            self._handlers = {t for t in self._handlers if t.is_alive()}
+            self._handlers.add(thread)
+        thread.start()
+
+    def _await_request(self, request: Request) -> bool:
+        """Wait, unbounded, for the first byte of the connection's next
+        request; ``False`` when the connection is to end instead: the
+        peer closed it, or the listener is closing."""
+        connection = request.connection
+        with self._lock:
+            if self._closing:
+                return False
+            self._idle.add(connection)
+        try:
+            return bool(request.rfile.peek(1))
+        finally:
+            with self._lock:
+                self._idle.discard(connection)
+
     @property
     def address(self) -> tuple[str, int]:
         """The bound ``(host, port)`` (the pick, when asked for port 0)."""
         return self.server_address[:2]
 
     def close(self) -> None:
-        """Stop the accept loop, close the listening socket and join the
-        serve thread; open connections keep being served."""
-        self._closing = True
+        """Stop the accept loop and close the listening socket, then end
+        every connection: an idle one at once (its read side is shut),
+        a busy one after its response.  Returns once every connection's
+        thread has ended, or after :data:`MESSAGE_TIMEOUT_S` at most."""
+        with self._lock:
+            self._closing = True
         try:  # wake the loop's select with a connection of our own
             socket.create_connection(self.address, timeout=1.0).close()
         except OSError:
             pass
         self._thread.join(timeout=5.0)
         self.server_close()
+        with self._lock:
+            for connection in self._idle:
+                try:
+                    connection.shutdown(socket.SHUT_RD)
+                except OSError:  # the peer reset it first
+                    pass
+            handlers = self._handlers - {threading.current_thread()}
+        deadline = time.monotonic() + MESSAGE_TIMEOUT_S
+        for thread in handlers:
+            thread.join(max(0.0, deadline - time.monotonic()))
 
     def handle_error(self, request, client_address) -> None:
         exc = sys.exc_info()[1]

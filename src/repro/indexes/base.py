@@ -257,14 +257,17 @@ class SpatialIndex(ABC):
         transaction: a crash at any moment leaves the index at either
         the previous or the new state, never in between.  Without a WAL
         the mutation is applied directly (the original, faster path).
-        A numpy scalar ``value`` is stored as its Python scalar.
+        A numpy scalar ``value`` is stored as its Python scalar.  The
+        point is checked (:func:`~repro.geometry.as_point`) before any
+        transaction opens, so a refused point leaves no trace in the log.
         """
-        value = _plain(value)
+        point, value = as_point(point, self.dims), _plain(value)
         self._durably(lambda: self._insert_point(point, value))
 
     @abstractmethod
     def _insert_point(self, point, value: object = None) -> None:
-        """Family-specific insertion (runs inside the durability wrapper)."""
+        """Family-specific insertion (runs inside the durability wrapper)
+        of a checked ``(D,)`` float64 point."""
 
     def delete(self, point, value: object = ...) -> None:
         """Remove one stored copy of ``point`` (families that support it).
@@ -273,12 +276,15 @@ class SpatialIndex(ABC):
         matches.  Raises :class:`~repro.exceptions.KeyNotFoundError`
         when no matching entry exists, and ``NotImplementedError`` on
         static or append-only families.  Runs inside the same WAL
-        transaction wrapper as :meth:`insert`.
+        transaction wrapper as :meth:`insert`, and checks ``point`` as
+        it does.
         """
+        point = as_point(point, self.dims)
         self._durably(lambda: self._delete_point(point, value))
 
     def _delete_point(self, point, value: object = ...) -> None:
-        """Family-specific deletion (runs inside the durability wrapper)."""
+        """Family-specific deletion (runs inside the durability wrapper)
+        of a checked ``(D,)`` float64 point."""
         raise NotImplementedError(
             f"the {self.NAME} index does not support deletion"
         )
@@ -294,11 +300,11 @@ class SpatialIndex(ABC):
         the WAL commit the transaction is rolled back entirely in
         memory — dirty buffers dropped, uncommitted pages discarded, the
         index counters restored from a pre-mutation snapshot — so a
-        rejected insert (say, a
-        :class:`~repro.exceptions.DimensionalityError`) leaves the index
-        exactly as it was.  A failure *after* the WAL commit (the store
-        reports itself :attr:`~repro.storage.store.NodeStore.poisoned`)
-        is different: the transaction is durable, so rolling it back in
+        rejected insert (say, a K-D-B-tree leaf of duplicates that
+        cannot split) leaves the index exactly as it was.  A failure
+        *after* the WAL commit (the store reports itself
+        :attr:`~repro.storage.store.NodeStore.poisoned`) is different:
+        the transaction is durable, so rolling it back in
         memory would diverge from what recovery will replay — the
         in-memory state is kept (it *is* the committed state), the
         store refuses further mutations, and the error propagates;
@@ -593,19 +599,14 @@ class SpatialIndex(ABC):
         in every engine, so the answer depends only on the pages read.
         """
         from ..exec.batch import per_query
+        from ..search.knn import knn_search
 
         point = as_point(point, self.dims)
         k = int(per_query("k", k, 1)[0])
         if self._size == 0:
             raise EmptyIndexError("cannot run a nearest-neighbor query on an empty index")
         with observed_query(self, "knn", k):
-            return self._knn(point, k)
-
-    def _knn(self, point: np.ndarray, k: int) -> list[Neighbor]:
-        """A checked k-NN query's traversal (the linear scan scans)."""
-        from ..search.knn import knn_search
-
-        return knn_search(self, point, k)
+            return knn_search(self, point, k)
 
     def nearest_batch(self, points, k=1) -> list[list[Neighbor]]:
         """The ``k`` nearest neighbors of *each* query point, batched.
@@ -624,17 +625,12 @@ class SpatialIndex(ABC):
     def within(self, point, radius: float) -> list[Neighbor]:
         """All stored points within ``radius`` of ``point``, closest first."""
         from ..exec.batch import per_query
+        from ..search.range import range_search
 
         point = as_point(point, self.dims)
         radius = float(per_query("radius", radius, 1)[0])
         with observed_query(self, "range"):
-            return self._range(point, radius)
-
-    def _range(self, point: np.ndarray, radius: float) -> list[Neighbor]:
-        """A checked range query's traversal (the linear scan scans)."""
-        from ..search.range import range_search
-
-        return range_search(self, point, radius)
+            return range_search(self, point, radius)
 
     def within_batch(self, points, radius) -> list[list[Neighbor]]:
         """The range query of *each* query point, batched.
@@ -650,15 +646,11 @@ class SpatialIndex(ABC):
 
     def window(self, low, high) -> list[Neighbor]:
         """All stored points inside the axis-aligned box ``[low, high]``."""
-        low, high = as_point(low, self.dims), as_point(high, self.dims)
-        with observed_query(self, "window"):
-            return self._window(low, high)
-
-    def _window(self, low: np.ndarray, high: np.ndarray) -> list[Neighbor]:
-        """A checked window query's traversal (the linear scan scans)."""
         from ..search.window import window_search
 
-        return window_search(self, low, high)
+        low, high = as_point(low, self.dims), as_point(high, self.dims)
+        with observed_query(self, "window"):
+            return window_search(self, low, high)
 
     def lookup(self, point) -> list[object]:
         """Exact-match point query: the payloads stored at ``point``.
@@ -681,16 +673,11 @@ class SpatialIndex(ABC):
         """
         from ..exec.batch import per_query
         from ..obs.hooks import on_incremental_query
+        from ..search.incremental import iter_nearest
 
         point = as_point(point, self.dims)
         max_distance = float(per_query("max_distance", max_distance, 1)[0])
         on_incremental_query(self)
-        return self._iter_nearest(point, max_distance)
-
-    def _iter_nearest(self, point: np.ndarray, max_distance: float):
-        """A checked incremental query's traversal (the linear scan scans)."""
-        from ..search.incremental import iter_nearest
-
         return iter_nearest(self, point, max_distance)
 
     # ------------------------------------------------------------------
@@ -701,9 +688,14 @@ class SpatialIndex(ABC):
         """Fetch a node through the buffer pool (counted I/O)."""
         return self._store.read(page_id)
 
+    def top_ids(self) -> list[int]:
+        """The pages every traversal starts from: the root of a tree."""
+        return [self._root_id]
+
     def iter_nodes(self) -> Iterator[LeafNode | InternalNode]:
-        """Depth-first iteration over every node, root first."""
-        stack = [self._root_id]
+        """Depth-first iteration over every node, from the top pages in
+        order (:meth:`top_ids`)."""
+        stack = self.top_ids()[::-1]
         while stack:
             node = self.read_node(stack.pop())
             yield node

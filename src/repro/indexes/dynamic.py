@@ -32,7 +32,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..exceptions import InvariantViolationError, KeyNotFoundError
-from ..geometry import as_point
 from ..obs import hooks as _obs
 from ..storage.nodes import InternalNode, LeafNode
 from .base import Entry, SpatialIndex
@@ -79,7 +78,6 @@ class DynamicTree(SpatialIndex):
         Called by :meth:`~repro.indexes.base.SpatialIndex.insert`, which
         supplies WAL transactionality when the store is durable.
         """
-        point = as_point(point, self.dims)
         self._reinserted_levels: set[int] = set()
         self._insert_entry(Entry.for_point(point.copy(), value), 0)
         self._size += 1
@@ -104,7 +102,6 @@ class DynamicTree(SpatialIndex):
         no matching entry exists.  Underfull nodes are dissolved and
         their entries reinserted, exactly as in the R-tree (Section 4.3).
         """
-        point = as_point(point, self.dims)
         self._reinserted_levels = set()
         found = self._find_point(point, value)
         if found is None:

@@ -25,7 +25,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..exceptions import IndexError_, KeyNotFoundError
-from ..geometry import as_point
 from ..storage.nodes import InternalNode, LeafNode
 from .base import SpatialIndex
 
@@ -50,7 +49,6 @@ class KDBTree(SpatialIndex):
 
     def _insert_point(self, point, value: object = None) -> None:
         """Insert a point with an optional payload."""
-        point = as_point(point, self.dims)
         path = self._containing_path(point)
         leaf = path[-1]
         split = None
@@ -215,7 +213,6 @@ class KDBTree(SpatialIndex):
         leaves reorganization to offline rebuilds); an emptied leaf
         simply remains as an empty region of the partition.
         """
-        point = as_point(point, self.dims)
         path = self._containing_path(point)
         leaf = path[-1]
         if leaf.count:

@@ -33,6 +33,8 @@ makes the query server a *data plane*:
   finish, then stops accepting and unbinds.  Zero admitted queries are
   dropped, and until the unbind a fresh connection is answered
   (``/healthz`` says 503 too) rather than left in the listen queue.
+  Then every connection ends, an idle keep-alive one at once, and no
+  connection's thread outlives ``close()``.
 * **Telemetry on the same port.**  ``/metrics``, ``/healthz`` and
   ``/varz`` (:mod:`repro.obs.server`) are answered ahead of admission,
   so they stay answerable under load and during the drain, and are not
@@ -230,7 +232,9 @@ class QueryServer:
         }
 
     def close(self) -> None:
-        """Graceful drain: shed new work, finish in-flight, unbind.
+        """Graceful drain: shed new work, finish in-flight, unbind, and
+        end every connection (an idle keep-alive one included) before
+        returning.
 
         Safe to call from any thread (the CLI calls it from a SIGTERM
         handler) and idempotent.

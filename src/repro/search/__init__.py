@@ -1,10 +1,16 @@
-"""Query algorithms shared by every index structure.
+"""Query algorithms shared by every index structure: one traversal per
+query kind, each started from the index's top pages
+(:meth:`~repro.indexes.base.SpatialIndex.top_ids` — a tree's root, or
+every page of the linear scan's chain, which therefore defines no query
+of its own).
 
 * :mod:`~repro.search.knn` — the Roussopoulos–Kelley–Vincent depth-first
   branch-and-bound k-nearest-neighbor search the paper uses throughout;
+* :mod:`~repro.search.range` — ball (range) queries: that search with
+  its bound held at the radius, reading children in MINDIST order;
 * :mod:`~repro.search.incremental` — Hjaltason & Samet's best-first,
   distance-ranked iteration (``iter_nearest``);
-* :mod:`~repro.search.range` — ball (range) queries.
+* :mod:`~repro.search.window` — box (window) queries.
 """
 
 from .incremental import iter_nearest

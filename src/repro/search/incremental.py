@@ -13,6 +13,10 @@ holds against the paper's depth-first search.
 This is an extension beyond the paper (which fixes k = 21 throughout),
 built on the same per-family MINDIST bounds.
 
+The queue starts with the index's top pages at distance 0: a tree's
+root, or every page of the linear scan's chain, all of which are read
+before the first point is yielded.
+
 The generator is consumed lazily and may outlive the span it was
 created in, so the one loop reads ``trace.active`` each time it expands
 a node — where the store records that node's fetch — and a node's
@@ -74,7 +78,9 @@ def iter_nearest(index, point: np.ndarray, max_distance: float = float("inf"),
     # leave in (distance, page, slot) order, the k-NN order: at equal
     # distance a subtree comes out before a point, because it may hold
     # a tied point at a lower address.
-    queue: list[tuple] = [(0.0, _NODE, index.root_id, 0, None)]
+    queue: list[tuple] = [(0.0, _NODE, page_id, 0, None)
+                          for page_id in index.top_ids()]
+    heapq.heapify(queue)
     while queue:
         dist, kind, page_id, _, payload = heapq.heappop(queue)
         if dist > max_distance:

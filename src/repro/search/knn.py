@@ -1,4 +1,4 @@
-"""Depth-first branch-and-bound k-nearest-neighbor search.
+"""Depth-first branch-and-bound search: k-NN, and range at a fixed bound.
 
 This is the algorithm of Roussopoulos, Kelley and Vincent ("Nearest
 Neighbor Queries", SIGMOD 1995), which the paper uses for every index
@@ -9,6 +9,12 @@ structure (Section 4.4):
 2. maintain the ``k`` best candidates found so far in a max-heap;
 3. prune any subtree whose MINDIST exceeds the current ``k``-th best
    distance.
+
+A range query is the same search with its pruning bound held at the
+radius (:mod:`repro.search.range` supplies that collector), so it too
+reads its children in MINDIST order.  The search starts from the
+index's top pages: a tree's root, or every page of the linear scan's
+leaf chain, which is the case of a tree that is all leaves.
 
 The only index-specific ingredient is the MINDIST from a point to a
 child region, supplied by ``index.child_mindists`` — rectangles for the
@@ -36,7 +42,7 @@ import numpy as np
 from ..indexes.base import Neighbor
 from ..obs.tracer import trace
 
-__all__ = ["knn_search", "KnnCandidates"]
+__all__ = ["knn_search", "depth_first", "KnnCandidates"]
 
 
 class KnnCandidates:
@@ -107,7 +113,7 @@ class KnnCandidates:
 
 
 # ----------------------------------------------------------------------
-# shared by every traversal
+# shared with the incremental search
 # ----------------------------------------------------------------------
 
 
@@ -123,15 +129,6 @@ def leaf_distances(node, point: np.ndarray, stats):
     return pts, np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
-def scan_leaf(node, point, candidates, stats) -> None:
-    """Offer every entry of leaf ``node`` to ``candidates`` under its
-    page id (the depth-first search and the linear scan)."""
-    if node.count == 0:
-        return
-    pts, dists = leaf_distances(node, point, stats)
-    candidates.offer_batch(dists, pts, node.values, node.page_id)
-
-
 # ----------------------------------------------------------------------
 # depth-first branch-and-bound
 # ----------------------------------------------------------------------
@@ -143,19 +140,36 @@ def knn_search(index, point: np.ndarray, k: int) -> list[Neighbor]:
     Returns at most ``k`` :class:`Neighbor` results sorted by ascending
     distance (fewer when the index holds fewer than ``k`` points).
     """
-    candidates = KnnCandidates(k)
+    return depth_first(index, point, KnnCandidates(k))
+
+
+def depth_first(index, point: np.ndarray, candidates) -> list[Neighbor]:
+    """Run the branch-and-bound search from the index's top pages
+    (:meth:`~repro.indexes.base.SpatialIndex.top_ids`) into
+    ``candidates`` and return its ``results()``.
+
+    ``candidates`` is any collector with ``bound``, ``offer_batch`` and
+    ``results``: :class:`KnnCandidates` for k-NN, whose bound shrinks,
+    or :class:`~repro.search.range.RangeCandidates`, whose bound stays
+    at the radius.
+    """
+    stats = index.stats
     span = trace.active
-    if span is not None:
-        span.visit(index.root_id, index.height - 1, 0.0)
-    _visit(index, index.root_id, point, candidates, index.stats, span)
+    level = index.height - 1
+    for page_id in index.top_ids():
+        if span is not None:
+            span.visit(page_id, level, 0.0, candidates.bound)
+        _visit(index, page_id, point, candidates, stats, span)
     return candidates.results()
 
 
-def _visit(index, page_id: int, point: np.ndarray, candidates: KnnCandidates,
-           stats, span) -> None:
+def _visit(index, page_id: int, point: np.ndarray, candidates, stats,
+           span) -> None:
     node = index.read_node(page_id)
     if node.is_leaf:
-        scan_leaf(node, point, candidates, stats)
+        if node.count:
+            pts, dists = leaf_distances(node, point, stats)
+            candidates.offer_batch(dists, pts, node.values, node.page_id)
         return
     dists = index.child_mindists(node, point)
     stats.distance_computations += node.count

@@ -7,9 +7,9 @@ regions when the sphere's center is farther from the box than its
 radius, SR regions when either shape misses (the same complementary
 pruning as the paper's nearest-neighbor MINDIST rule).
 
-Like the other search algorithms, the one traversal takes the active
-span and records a visit/prune verdict per child under
-``if span is not None``.
+Like the other search algorithms, the one traversal starts from the
+index's top pages and takes the active span, recording a visit/prune
+verdict per child under ``if span is not None``.
 """
 
 from __future__ import annotations
@@ -54,9 +54,11 @@ def window_search(index, low: np.ndarray, high: np.ndarray) -> list[Neighbor]:
     results: list[Neighbor] = []
     stats = index.stats
     span = trace.active
+    # The top pages go on the stack last first, so they are read in order.
+    stack = index.top_ids()[::-1]
     if span is not None:
-        span.visit(index.root_id, index.height - 1, 0.0)
-    stack = [index.root_id]
+        for page_id in reversed(stack):
+            span.visit(page_id, index.height - 1, 0.0)
     while stack:
         node = index.read_node(stack.pop())
         if node.is_leaf:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import os
+import threading
 import time
 from collections import Counter
 
@@ -22,8 +23,6 @@ else:
 
 
 _FD_DIR = "/proc/self/fd"
-#: How long a test's extra fds may take to close once it has ended.
-_FD_SETTLE_S = 1.0
 
 
 def _new_fds(before: set[str]) -> set[tuple[str, str]]:
@@ -44,12 +43,11 @@ def no_fd_outlives_its_test():
 
     A clean test costs two ``listdir`` calls.  When the count grew, the
     fixture runs ``gc.collect()`` (cyclic garbage closes its fds) and
-    then watches the new fds for up to ``_FD_SETTLE_S``, collecting
-    every 50 ms; it fails only if one of them is still open, to the
-    same target, at the end.  A server's handler thread can still be
-    finishing after the server's ``close()`` returned, closing its
-    socket and dropping the last reference to a closed pool.  Fixtures
-    of a wider scope open theirs before this one counts.
+    fails if one of the new fds is still open.  It waits for nothing:
+    a server's connection threads end before its ``close()`` returns,
+    and ``no_thread_outlives_its_test``, torn down first, has already
+    waited for every other thread the test started.  Fixtures of a
+    wider scope open theirs before this one counts.
     """
     if not os.path.isdir(_FD_DIR):
         yield
@@ -60,11 +58,6 @@ def no_fd_outlives_its_test():
         return
     gc.collect()
     stuck = _new_fds(before)
-    deadline = time.monotonic() + _FD_SETTLE_S
-    while stuck and time.monotonic() < deadline:
-        time.sleep(0.05)
-        gc.collect()
-        stuck &= _new_fds(before)
     if stuck:
         targets = Counter(target for _fd, target in stuck)
         pytest.fail(f"test left {len(stuck)} more open fd(s) than it "
@@ -126,6 +119,36 @@ def no_child_outlives_its_test():
         names = sorted(f"{pid}: {_cmdline(pid)}" for pid in stuck)
         pytest.fail(f"test left {len(stuck)} child process(es) behind: "
                     f"{names}", pytrace=False)
+
+
+#: How long a test's new threads may take to end once it has ended.
+_THREAD_SETTLE_S = 2.0
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_its_test(no_fd_outlives_its_test):
+    """Fail a test that ends leaving a thread it started, daemon threads
+    included: a server nobody closed, a connection's handler that
+    outlived its server's ``close()``.
+
+    A clean test costs two ``threading.enumerate()`` calls.  A new
+    thread gets up to ``_THREAD_SETTLE_S`` to end; one still alive then
+    fails the test, by name.  Threads that existed before the test — a
+    module-scoped server's — are not counted.  It is torn down before
+    the fd check, whose fds a thread may still hold.
+    """
+    before = set(threading.enumerate())
+    yield
+    stuck = [thread for thread in threading.enumerate()
+             if thread not in before]
+    deadline = time.monotonic() + _THREAD_SETTLE_S
+    while stuck and time.monotonic() < deadline:
+        time.sleep(0.05)
+        stuck = [thread for thread in stuck if thread.is_alive()]
+    if stuck:
+        names = sorted(thread.name for thread in stuck)
+        pytest.fail(f"test left {len(stuck)} thread(s) running: {names}",
+                    pytrace=False)
 
 
 @pytest.fixture

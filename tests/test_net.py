@@ -19,6 +19,7 @@ import json
 import math
 import socket
 import struct
+import sys
 import threading
 import time
 import warnings
@@ -360,11 +361,68 @@ def test_close_leaves_no_thread_or_socket(corpus, call_ms):
             reader.join(timeout=10.0)
     started = [thread for thread in threading.enumerate()
                if thread not in before and thread.name.startswith("repro-")]
-    assert [thread.name for thread in started] == ["repro-query-server"]
+    assert [thread.name for thread in started
+            if thread.name != "repro-http-connection"] == ["repro-query-server"]
     server.close()
     assert [thread for thread in started if thread.is_alive()] == []
     assert server._listener.fileno() == -1
     server.close()  # idempotent
+
+
+def test_close_ends_a_connection_idle_in_a_client_pool(corpus):
+    # The client keeps its connection for the next call; the server's
+    # handler thread waits on it for a next request.  close() shuts that
+    # wait down: no connection's thread is alive once it returns.
+    before = set(threading.enumerate())
+    server = QueryServer(corpus.db)
+    rdb = RemoteDatabase.connect(_addr(server))
+    try:
+        rdb.knn(corpus.data[0], k=2)
+        assert rdb._pool.created == 1  # kept, idle
+        server.close()
+        assert [thread.name for thread in threading.enumerate()
+                if thread not in before] == []
+    finally:
+        rdb.close()
+        server.close()
+
+
+def test_close_racing_callers_leaves_no_connection_thread(corpus):
+    # Four callers keep four connections busy and idle by turns while the
+    # server closes under them, with the interpreter switching threads
+    # often; whatever each call got, no connection's thread is alive once
+    # close() has returned.
+    before = set(threading.enumerate())
+    server = QueryServer(corpus.db, max_inflight=4)
+    rdb = RemoteDatabase.connect(_addr(server), pool_size=4)
+    stop = threading.Event()
+
+    def call() -> None:
+        while not stop.is_set():
+            try:
+                rdb.knn(corpus.data[0], k=2)
+            except Exception:  # noqa: BLE001 - refused or cut by the close
+                pass
+
+    interval = sys.getswitchinterval()
+    callers = [threading.Thread(target=call) for _ in range(4)]
+    try:
+        sys.setswitchinterval(1e-5)
+        for caller in callers:
+            caller.start()
+        time.sleep(0.1)
+        server.close()
+        left = [thread.name for thread in threading.enumerate()
+                if thread not in before and thread not in callers]
+    finally:
+        sys.setswitchinterval(interval)
+        stop.set()
+        for caller in callers:
+            caller.join(timeout=10.0)
+        rdb.close()
+        server.close()
+    assert not any(caller.is_alive() for caller in callers)
+    assert left == []
 
 
 # ---------------------------------------------------------------------------
