@@ -1,38 +1,44 @@
-"""Batched k-NN and range search: one traversal per query block.
+"""The depth-first branch-and-bound search, one traversal per query block.
 
-The single-query search (:mod:`repro.search.knn`) spends most of its
-Python time per *node*: one ``child_mindists`` call, one argsort, one
-bound check per child.  When many queries arrive together, that per-node
-overhead can be shared.  One block traversal serves :func:`batch_knn`
-and :func:`batch_range`, walking the tree once per block of ``Q``
-queries from the index's top pages (a tree's root; every page of the
-linear scan's chain):
+This is the one depth-first search of the package (the paper's Section
+4.4, after Roussopoulos, Kelley and Vincent): :func:`batch_knn` and
+:func:`batch_range` run it over blocks of ``Q`` queries, and a single
+k-NN or range query (:func:`~repro.search.knn.knn_search`,
+:func:`~repro.search.range.range_search`) is a block of one.
+:func:`depth_first` walks the tree once per block from the index's top
+pages (a tree's root; every page of the linear scan's chain):
 
 * at an internal node it computes the full ``(Q_active, children)``
   MINDIST matrix in one vectorised pass
-  (:meth:`~repro.indexes.base.SpatialIndex.child_mindists_batch`) and
-  descends into each child with only the *subset* of queries whose
-  pruning bound admits it;
+  (:meth:`~repro.indexes.base.SpatialIndex.child_mindists_batch`),
+  visits the children in order of their smallest MINDIST over the
+  active queries, and descends into each with only the queries whose
+  pruning bound admits it; once a child's smallest MINDIST exceeds
+  every active bound, it and every later child are pruned;
 * at a leaf it computes the ``(Q_active, count)`` distance matrix in
-  one :func:`~repro.geometry.point.cross_distances` pass and feeds each
-  row to that query's collector;
-* per-query pruning bounds live in one NumPy ``(Q,)`` array, so the
-  admit-test for a child is a single vector comparison.
+  one :func:`~repro.geometry.point.cross_distances` pass and offers each
+  row to its query's collector when the row's minimum is within the
+  query's bound.
+
+The per-node bookkeeping is plain Python lists (the active query ids,
+the bounds, one ``tolist()`` of the MINDIST matrix and of the child
+ids), so a block of one costs about what a one-point loop would
+(``docs/PERFORMANCE.md``); the queries' points are re-gathered only
+when a child drops a query.  A traced
+query records a visit or prune event per child decision, with the
+smallest MINDIST over the active queries and the loosest bound among
+them (for a block of one, its MINDIST and bound).
 
 **Correctness.**  A k-NN query's bound is its current k-th-best
-distance (``inf`` while filling), exactly as in the depth-first
-single-query search; a range query's bound is its radius and never
-moves, as in :func:`~repro.search.range.range_search`.  A subtree is
-skipped for a query only when its region MINDIST exceeds that bound,
-which can never exclude a true neighbor.  The visit *order* (children
-sorted by their minimum MINDIST over the active queries) differs from
-the per-query order, so the page-read count may differ slightly, but
-the returned neighbor lists are identical: every collector ranks by
-``(distance, leaf page id, slot)``, a total key that does not depend on
-the order leaves are read in — asserted by ``tests/test_exec_batch.py``
-across index families and workloads, by ``tests/test_tie_order.py``
-where distances tie, and by ``tests/test_one_traversal.py`` at several
-block sizes.
+distance (``inf`` while filling); a range query's bound is its radius
+and never moves.  A subtree is skipped for a query only when its region
+MINDIST exceeds that bound, which can never exclude a true neighbor.
+Every collector ranks by ``(distance, leaf page id, slot)``, a total
+key that does not depend on the order leaves are read in, so a query's
+answer is the same alone or in any block — asserted by
+``tests/test_exec_batch.py`` against brute force across index families
+and workloads, by ``tests/test_tie_order.py`` where distances tie, and
+by ``tests/test_one_traversal.py`` at several block sizes.
 
 Blocks default to :data:`DEFAULT_BLOCK_SIZE` queries to keep the
 broadcast intermediates (``Q x N x D`` float64) comfortably in cache;
@@ -60,7 +66,7 @@ from ..obs.tracer import trace
 from ..search.knn import KnnCandidates
 from ..search.range import RangeCandidates
 
-__all__ = ["DEFAULT_BLOCK_SIZE", "batch_knn", "batch_range", "per_query"]
+__all__ = ["DEFAULT_BLOCK_SIZE", "batch_knn", "batch_range", "depth_first", "per_query"]
 
 DEFAULT_BLOCK_SIZE = 64
 """Queries per traversal block (bounds the broadcast temporaries)."""
@@ -82,7 +88,7 @@ def per_query(name: str, value, nq: int) -> np.ndarray:
     an integer converts exactly), a ``radius`` (or
     ``iter_nearest``'s ``max_distance``) at least 0 and not NaN.  This
     is the only place that decides: every handle kind normalises through
-    here — the scalar and block engines, the linear scan, the serving
+    here — single queries and blocks, the linear scan, the serving
     pools, the network client — so a bad argument fails with the same
     message wherever it is caught.  The result is read-only.
     """
@@ -172,7 +178,7 @@ def batch_knn(index, queries, k: int = 1, *,
     results: list[list[Neighbor]] = []
     with observed_query(index, "batch_knn", int(ks.max()) if ks.size else 0):
         for start in range(0, queries.shape[0], block_size):
-            results.extend(_block(
+            results.extend(depth_first(
                 index, queries[start : start + block_size],
                 [KnnCandidates(int(ki)) for ki in ks[start : start + block_size]]))
     return results
@@ -197,7 +203,7 @@ def batch_range(index, queries, radius: float, *,
     results: list[list[Neighbor]] = []
     with observed_query(index, "batch_range"):
         for start in range(0, queries.shape[0], block_size):
-            results.extend(_block(
+            results.extend(depth_first(
                 index, queries[start : start + block_size],
                 [RangeCandidates(float(r)) for r in radii[start : start + block_size]]))
     return results
@@ -208,65 +214,87 @@ def batch_range(index, queries, radius: float, *,
 # ----------------------------------------------------------------------
 
 
-def _block(index, queries: np.ndarray, candidates: list) -> list[list[Neighbor]]:
-    """One traversal for a block of queries, query ``q`` collecting into
-    ``candidates[q]`` (a :class:`KnnCandidates` or a
-    :class:`~repro.search.range.RangeCandidates`), from the index's top
-    pages."""
-    bounds = np.array([c.bound for c in candidates], dtype=np.float64)
+def depth_first(index, queries: np.ndarray, candidates: list) -> list[list[Neighbor]]:
+    """The one depth-first branch-and-bound search, for a block of queries.
+
+    Query ``q`` (row ``q`` of ``queries``) collects into
+    ``candidates[q]``, a :class:`KnnCandidates` or a
+    :class:`~repro.search.range.RangeCandidates`; the search starts from
+    the index's top pages and returns each collector's ``results()``.
+    A single query is a block of one (:func:`~repro.search.knn.knn_search`,
+    :func:`~repro.search.range.range_search`).
+    """
+    bounds = [c.bound for c in candidates]
     stats = index.stats
     span = trace.active
     if span is not None and getattr(index, "is_snapshot", False):
         # Stamp which committed epoch answered this block so EXPLAIN
         # output from concurrent serving is attributable after the fact.
         span.labels.setdefault("epoch", index.snapshot_epoch)
-    active = np.arange(queries.shape[0])
+    active = list(range(len(candidates)))
+    level = index.height - 1
     for page_id in index.top_ids():
         if span is not None:
-            span.visit(page_id, index.height - 1, 0.0)
-        _visit(index, page_id, queries, active, candidates, bounds, stats,
-               span)
+            span.visit(page_id, level, 0.0, max(bounds))
+        _visit(index, page_id, queries, queries, active, candidates, bounds,
+               stats, span)
     return [c.results() for c in candidates]
 
 
-def _scan_leaf(node, queries, active, candidates, bounds, stats) -> None:
-    count = node.count
-    if count == 0:
-        return
-    pts = node.points[:count]
-    dmat = cross_distances(queries[active], pts)
-    stats.distance_computations += count * active.shape[0]
-    values = node.values
-    page_id = node.page_id
-    # Offer only the rows with a distance at or below their query's
-    # bound (a tie may still win on its page); an infinite bound is a
-    # heap still filling, which takes every row.
-    offered = dmat.min(axis=1) <= bounds[active]
-    for row in np.flatnonzero(offered):
-        qi = active[row]
-        cand = candidates[qi]
-        cand.offer_batch(dmat[row], pts, values, page_id)
-        bounds[qi] = cand.bound
-
-
-def _visit(index, page_id: int, queries, active, candidates, bounds,
-           stats, span) -> None:
+def _visit(index, page_id: int, queries: np.ndarray, block: np.ndarray,
+           active: list, candidates: list, bounds: list, stats,
+           span) -> None:
+    """Expand ``page_id`` for the queries ``active`` (row ids of
+    ``queries``, and indices into ``candidates`` and ``bounds``), whose
+    points are ``block``, that is ``queries[active]``."""
     node = index.read_node(page_id)
+    count = node.count
+    stats.distance_computations += count * len(active)
     if node.is_leaf:
-        _scan_leaf(node, queries, active, candidates, bounds, stats)
+        if count:
+            # Offer the leaf to each query whose nearest row there is
+            # within its bound (a tie may still win on its page; an
+            # infinite bound is a heap still filling, which takes all).
+            pts = node.points[:count]
+            dmat = cross_distances(block, pts)
+            for row, nearest in enumerate(dmat.min(axis=1).tolist()):
+                q = active[row]
+                if nearest <= bounds[q]:
+                    cand = candidates[q]
+                    cand.offer_batch(dmat[row], pts, node.values, node.page_id)
+                    bounds[q] = cand.bound
         return
-    dmat = index.child_mindists_batch(node, queries[active])
-    stats.distance_computations += node.count * active.shape[0]
-    # Visit children in order of their best MINDIST over the still-active
-    # queries, so bounds tighten as early as possible for everyone.
-    order = np.argsort(dmat.min(axis=0), kind="stable")
-    for i in order:
-        col = dmat[:, i]
-        mask = col <= bounds[active]
-        if not mask.any():
-            continue
-        child_id = int(node.child_ids[i])
+    dmat = index.child_mindists_batch(node, block)
+    # Children go in order of their smallest MINDIST over the active
+    # queries; a child is entered by the queries whose bound admits it.
+    least = dmat.min(axis=0)
+    order = np.argsort(least, kind="stable").tolist()
+    least = least.tolist()
+    columns = dmat.T.tolist()
+    child_ids = node.child_ids[:count].tolist()
+    level = node.level - 1
+    # A lone query is admitted by the order test itself; a block also
+    # drops the queries whose own bound the child's MINDIST exceeds.
+    lone = len(active) == 1
+    loosest = max([bounds[q] for q in active])
+    for pos, i in enumerate(order):
+        if least[i] > loosest:
+            # Bounds only shrink, so every later child is out of reach too.
+            if span is not None:
+                for j in order[pos:]:
+                    span.prune(child_ids[j], level, least[j], loosest)
+            break
+        keep, kept = active, block
+        if not lone:
+            keep = [q for q, d in zip(active, columns[i]) if d <= bounds[q]]
+            if not keep:
+                if span is not None:
+                    span.prune(child_ids[i], level, least[i], loosest)
+                continue
+            if len(keep) < len(active):
+                kept = queries[keep]
         if span is not None:
-            span.visit(child_id, node.level - 1, float(col.min()))
-        _visit(index, child_id, queries, active[mask], candidates, bounds,
+            span.visit(child_ids[i], level, least[i], loosest)
+        _visit(index, child_ids[i], queries, kept, keep, candidates, bounds,
                stats, span)
+        loosest = bounds[active[0]] if lone else max([bounds[q] for q in active])

@@ -14,7 +14,7 @@ these functions are what those rules compute with.
 
 from .point import as_point, as_points, cross_distances, pairwise_distances
 from .rectangle import farthest_point_rects, mindist_point_rects, mindist_points_rects
-from .sphere import mindist_point_spheres, mindist_points_spheres
+from .sphere import mindist_points_spheres
 from .volume import (
     log_rect_volume,
     log_sphere_volume,
@@ -33,7 +33,6 @@ __all__ = [
     "log_sphere_volume",
     "log_unit_ball_volume",
     "mindist_point_rects",
-    "mindist_point_spheres",
     "mindist_points_rects",
     "mindist_points_spheres",
     "pairwise_distances",

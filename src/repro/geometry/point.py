@@ -89,13 +89,18 @@ def cross_distances(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
 
     ``queries`` is ``(Q, D)``, ``points`` is ``(N, D)``; the result is
     ``(Q, N)`` with ``result[q, n] = ||queries[q] - points[n]||``.  This
-    is the leaf-scan kernel of the batched query engine
-    (:mod:`repro.exec`): one numpy pass amortizes a whole query block
-    over a single decoded leaf.
+    is the leaf-scan kernel of the depth-first search
+    (:mod:`repro.exec.batch`): one numpy pass amortizes a whole query
+    block over a single decoded leaf, and a single query is a block of
+    one whose row is bit-equal to its row in any block.
     """
-    diff = queries[:, None, :] - points[None, :, :]
-    sq = np.einsum("qnd,qnd->qn", diff, diff)
-    return np.sqrt(sq)
+    if queries.shape[0] == 1:
+        # A lone query (every single k-NN or range query): the same sums
+        # in the same order, in a cheaper 2-D pass.
+        diff = points - queries
+        return np.sqrt(np.einsum("ij,ij->i", diff, diff))[None]
+    diff = queries[:, None, :] - points
+    return np.sqrt(np.einsum("qnd,qnd->qn", diff, diff))
 
 
 def pairwise_distances(points: np.ndarray) -> np.ndarray:

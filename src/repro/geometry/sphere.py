@@ -10,16 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["mindist_point_spheres", "mindist_points_spheres"]
-
-
-def mindist_point_spheres(
-    point: np.ndarray, centers: np.ndarray, radii: np.ndarray
-) -> np.ndarray:
-    """MINDIST from ``point`` to each of N spheres, vectorised."""
-    diff = centers - point
-    gaps = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    return np.maximum(gaps - radii, 0.0)
+__all__ = ["mindist_points_spheres"]
 
 
 def mindist_points_spheres(
@@ -28,8 +19,8 @@ def mindist_points_spheres(
     """MINDIST from each of Q points to each of N spheres, vectorised.
 
     The query-block kernel behind :mod:`repro.exec`: ``points`` is a
-    ``(Q, D)`` block.  Returns a ``(Q, N)`` distance matrix; row ``q``
-    equals ``mindist_point_spheres(points[q], centers, radii)``.
+    ``(Q, D)`` block.  Returns a ``(Q, N)`` distance matrix: row ``q``
+    is ``max(||centers[n] - points[q]|| - radii[n], 0)`` for each ``n``.
     """
     diff = centers[None, :, :] - points[:, None, :]
     gaps = np.sqrt(np.einsum("qnd,qnd->qn", diff, diff))

@@ -24,8 +24,6 @@ from ..geometry import (
     as_point,
     as_points,
     farthest_point_rects,
-    mindist_point_rects,
-    mindist_point_spheres,
     mindist_points_rects,
     mindist_points_spheres,
 )
@@ -392,29 +390,24 @@ class SpatialIndex(ABC):
     def child_mindists(self, node: InternalNode, point: np.ndarray) -> np.ndarray:
         """Lower-bound distance from ``point`` to each child region of ``node``.
 
-        This is the MINDIST that drives both the branch-and-bound search
-        (Section 4.4) and deletion lookups.  The default covers every
-        region shape combination (``HAS_RECTS`` / ``HAS_SPHERES``); a
-        subclass with a bespoke rule (the SR-tree's ``mindist_rule``)
-        overrides :meth:`_region_mindists`, which serves this and
-        :meth:`child_mindists_batch` alike.
+        The Section 4.4 MINDIST for one point, as the best-first search
+        and deletion lookups use it: row 0 of
+        :meth:`child_mindists_batch` for a block of one.
         """
-        return self._region_mindists(
-            node, point, mindist_point_rects, mindist_point_spheres)
+        return self._region_mindists(node, point[None])[0]
 
     def child_mindists_batch(
         self, node: InternalNode, points: np.ndarray
     ) -> np.ndarray:
         """``(Q, count)`` MINDIST matrix from each query to each child.
 
-        The query-block analogue of :meth:`child_mindists`, used by the
-        batched execution engine (:mod:`repro.exec`): one vectorised
-        numpy pass prices every child region of ``node`` against a whole
-        block of queries.  Row ``q`` must equal
-        ``child_mindists(node, points[q])``.
+        One vectorised numpy pass prices every child region of ``node``
+        against a whole ``(Q, D)`` block of queries.  The default covers
+        every region shape combination (``HAS_RECTS`` / ``HAS_SPHERES``);
+        a subclass with a bespoke rule (the SR-tree's ``mindist_rule``)
+        overrides :meth:`_region_mindists`.
         """
-        return self._region_mindists(
-            node, points, mindist_points_rects, mindist_points_spheres)
+        return self._region_mindists(node, points)
 
     # ------------------------------------------------------------------
     # region rules: a region is a rectangle, a sphere, or both
@@ -424,16 +417,17 @@ class SpatialIndex(ABC):
     # stated once for every family that bounds a node's *contents* (the
     # K-D-B-tree's regions partition space instead and use none of it).
 
-    def _region_mindists(self, node, query, to_rects, to_spheres) -> np.ndarray:
-        """MINDIST to each child region; with both shapes, the larger
-        of the two bounds (Section 4.4)."""
+    def _region_mindists(self, node, points: np.ndarray) -> np.ndarray:
+        """``(Q, count)`` MINDIST to each child region; with both
+        shapes, the larger of the two bounds (Section 4.4)."""
         n = node.count
         if not self.HAS_SPHERES:
-            return to_rects(query, node.lows[:n], node.highs[:n])
-        sphere = to_spheres(query, node.centers[:n], node.radii[:n])
+            return mindist_points_rects(points, node.lows[:n], node.highs[:n])
+        sphere = mindist_points_spheres(points, node.centers[:n], node.radii[:n])
         if not self.HAS_RECTS:
             return sphere
-        return np.maximum(to_rects(query, node.lows[:n], node.highs[:n]), sphere)
+        return np.maximum(
+            mindist_points_rects(points, node.lows[:n], node.highs[:n]), sphere)
 
     def _summarize(self, child, parent: InternalNode,
                    slot: int | None = None, *, defer: bool = False) -> None:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..geometry import farthest_point_rects
+from ..geometry import farthest_point_rects, mindist_points_rects, mindist_points_spheres
 from ..storage.nodes import InternalNode, LeafNode
 from .sstree import SSTree
 
@@ -92,12 +92,12 @@ class SRTree(SSTree):
             center, node.lows[:n], node.highs[:n])))
         return min(d_sphere, d_rect)
 
-    def _region_mindists(self, node, query, to_rects, to_spheres) -> np.ndarray:
+    def _region_mindists(self, node, points: np.ndarray) -> np.ndarray:
         """``max(sphere, rect)`` (Section 4.4) is the inherited rule for
         a region of both shapes; the ablations price one shape alone."""
         n = node.count
         if self._mindist_rule == "rect":
-            return to_rects(query, node.lows[:n], node.highs[:n])
+            return mindist_points_rects(points, node.lows[:n], node.highs[:n])
         if self._mindist_rule == "sphere":
-            return to_spheres(query, node.centers[:n], node.radii[:n])
-        return super()._region_mindists(node, query, to_rects, to_spheres)
+            return mindist_points_spheres(points, node.centers[:n], node.radii[:n])
+        return super()._region_mindists(node, points)

@@ -5,7 +5,9 @@ every page of the linear scan's chain, which therefore defines no query
 of its own).
 
 * :mod:`~repro.search.knn` — the Roussopoulos–Kelley–Vincent depth-first
-  branch-and-bound k-nearest-neighbor search the paper uses throughout;
+  branch-and-bound k-nearest-neighbor search the paper uses throughout:
+  its candidate heap, and the query as a block of one of
+  :func:`repro.exec.batch.depth_first`, the one depth-first traversal;
 * :mod:`~repro.search.range` — ball (range) queries: that search with
   its bound held at the radius, reading children in MINDIST order;
 * :mod:`~repro.search.incremental` — Hjaltason & Samet's best-first,

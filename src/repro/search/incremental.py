@@ -32,12 +32,21 @@ import numpy as np
 
 from ..indexes.base import Neighbor
 from ..obs.tracer import trace
-from .knn import leaf_distances
 
 __all__ = ["iter_nearest"]
 
 _NODE = 0
 _POINT = 1
+
+
+def leaf_distances(node, point: np.ndarray, stats):
+    """``(points, distances)`` over a leaf's entries: exact Euclidean
+    distances from ``point`` to every point the leaf stores, tallied as
+    distance computations."""
+    pts = node.points[: node.count]
+    diff = pts - point
+    stats.distance_computations += node.count
+    return pts, np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
 def _trace_expansion(span, node, child_dists, bound: float, depth: int) -> None:

@@ -1,8 +1,9 @@
-"""Depth-first branch-and-bound search: k-NN, and range at a fixed bound.
+"""k-nearest-neighbor search: the candidate collector, and the query as a
+block of one.
 
-This is the algorithm of Roussopoulos, Kelley and Vincent ("Nearest
-Neighbor Queries", SIGMOD 1995), which the paper uses for every index
-structure (Section 4.4):
+The search is the depth-first branch-and-bound of Roussopoulos, Kelley
+and Vincent ("Nearest Neighbor Queries", SIGMOD 1995), which the paper
+uses for every index structure (Section 4.4):
 
 1. traverse the tree depth-first, visiting children in order of their
    MINDIST from the query point (the *active branch list*);
@@ -10,27 +11,14 @@ structure (Section 4.4):
 3. prune any subtree whose MINDIST exceeds the current ``k``-th best
    distance.
 
-A range query is the same search with its pruning bound held at the
-radius (:mod:`repro.search.range` supplies that collector), so it too
-reads its children in MINDIST order.  The search starts from the
-index's top pages: a tree's root, or every page of the linear scan's
-leaf chain, which is the case of a tree that is all leaves.
-
+There is one traversal, :func:`repro.exec.batch.depth_first`, for a
+block of queries; :func:`knn_search` runs it on a block of one, with
+one :class:`KnnCandidates` as the heap.  A range query is the same
+search with its bound held at the radius (:mod:`repro.search.range`).
 The only index-specific ingredient is the MINDIST from a point to a
-child region, supplied by ``index.child_mindists`` — rectangles for the
+child region (``index.child_mindists_batch``): rectangles for the
 R*-tree family, spheres for the SS-tree, and the combined
 ``max(sphere, rect)`` bound for the SR-tree.
-
-Distance computations are tallied into the index's
-:class:`~repro.storage.stats.IOStats` as a machine-independent CPU-cost
-proxy; physical page reads are counted by the node store itself.
-
-**Tracing.**  The search is one traversal that takes the active
-span (``trace.active``, read once per query) and records its
-visit/prune events under ``if span is not None`` at the places
-where a node is expanded — never per leaf candidate.  The untraced query
-pays those few branches per node and nothing else; there is no second
-copy of any loop to keep in step.
 """
 
 from __future__ import annotations
@@ -40,9 +28,8 @@ import heapq
 import numpy as np
 
 from ..indexes.base import Neighbor
-from ..obs.tracer import trace
 
-__all__ = ["knn_search", "depth_first", "KnnCandidates"]
+__all__ = ["knn_search", "KnnCandidates"]
 
 
 class KnnCandidates:
@@ -112,81 +99,12 @@ class KnnCandidates:
         return [Neighbor(-item[0], item[3], item[4]) for item in ordered]
 
 
-# ----------------------------------------------------------------------
-# shared with the incremental search
-# ----------------------------------------------------------------------
-
-
-def leaf_distances(node, point: np.ndarray, stats):
-    """The one leaf kernel: ``(points, distances)`` over a leaf's entries.
-
-    Exact Euclidean distances from ``point`` to every point the leaf
-    stores, tallied as distance computations.
-    """
-    pts = node.points[: node.count]
-    diff = pts - point
-    stats.distance_computations += node.count
-    return pts, np.sqrt(np.einsum("ij,ij->i", diff, diff))
-
-
-# ----------------------------------------------------------------------
-# depth-first branch-and-bound
-# ----------------------------------------------------------------------
-
-
 def knn_search(index, point: np.ndarray, k: int) -> list[Neighbor]:
     """Find the ``k`` nearest points to ``point`` in ``index``.
 
     Returns at most ``k`` :class:`Neighbor` results sorted by ascending
     distance (fewer when the index holds fewer than ``k`` points).
     """
-    return depth_first(index, point, KnnCandidates(k))
+    from ..exec.batch import depth_first
 
-
-def depth_first(index, point: np.ndarray, candidates) -> list[Neighbor]:
-    """Run the branch-and-bound search from the index's top pages
-    (:meth:`~repro.indexes.base.SpatialIndex.top_ids`) into
-    ``candidates`` and return its ``results()``.
-
-    ``candidates`` is any collector with ``bound``, ``offer_batch`` and
-    ``results``: :class:`KnnCandidates` for k-NN, whose bound shrinks,
-    or :class:`~repro.search.range.RangeCandidates`, whose bound stays
-    at the radius.
-    """
-    stats = index.stats
-    span = trace.active
-    level = index.height - 1
-    for page_id in index.top_ids():
-        if span is not None:
-            span.visit(page_id, level, 0.0, candidates.bound)
-        _visit(index, page_id, point, candidates, stats, span)
-    return candidates.results()
-
-
-def _visit(index, page_id: int, point: np.ndarray, candidates, stats,
-           span) -> None:
-    node = index.read_node(page_id)
-    if node.is_leaf:
-        if node.count:
-            pts, dists = leaf_distances(node, point, stats)
-            candidates.offer_batch(dists, pts, node.values, node.page_id)
-        return
-    dists = index.child_mindists(node, point)
-    stats.distance_computations += node.count
-    child_ids = node.child_ids
-    order = np.argsort(dists, kind="stable")
-    for pos, i in enumerate(order):
-        # Children are visited in MINDIST order, so once one exceeds the
-        # current bound every later one does too.
-        if dists[i] > candidates.bound:
-            if span is not None:
-                bound = candidates.bound
-                for j in order[pos:]:
-                    span.prune(int(child_ids[j]), node.level - 1,
-                               float(dists[j]), bound)
-            break
-        child_id = int(child_ids[i])
-        if span is not None:
-            span.visit(child_id, node.level - 1, float(dists[i]),
-                       candidates.bound)
-        _visit(index, child_id, point, candidates, stats, span)
+    return depth_first(index, point[None], [KnnCandidates(k)])[0]

@@ -2,8 +2,9 @@
 
 A range query is the k-NN search of :mod:`repro.search.knn` with a
 collector whose pruning bound stays at the radius: the same depth-first
-traversal, the same per-family MINDIST, the same visit/prune trace
-events, so children are read in MINDIST order.
+traversal (a block of one of :func:`repro.exec.batch.depth_first`), the
+same per-family MINDIST, the same visit/prune trace events, so children
+are read in MINDIST order.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..indexes.base import Neighbor
-from .knn import depth_first
 
 __all__ = ["range_search", "RangeCandidates"]
 
@@ -42,4 +42,6 @@ class RangeCandidates:
 
 def range_search(index, point: np.ndarray, radius: float) -> list[Neighbor]:
     """All stored points with Euclidean distance <= ``radius``, closest first."""
-    return depth_first(index, point, RangeCandidates(radius))
+    from ..exec.batch import depth_first
+
+    return depth_first(index, point[None], [RangeCandidates(radius)])[0]

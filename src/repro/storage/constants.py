@@ -16,6 +16,10 @@ DEFAULT_PAGE_SIZE = 8192
 DEFAULT_LEAF_DATA_SIZE = 512
 """Bytes reserved per leaf entry for the user payload, as in the paper."""
 
+MIN_LEAF_DATA_SIZE = 12
+"""Smallest data area: a plain ``int`` payload is stored in place as a
+4-byte flagged length prefix and an 8-byte int64."""
+
 COORD_SIZE = 8
 """Bytes per coordinate (float64)."""
 

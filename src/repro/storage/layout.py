@@ -37,6 +37,7 @@ from .constants import (
     COUNT_SIZE,
     DEFAULT_LEAF_DATA_SIZE,
     DEFAULT_PAGE_SIZE,
+    MIN_LEAF_DATA_SIZE,
     NODE_HEADER_SIZE,
     POINTER_SIZE,
 )
@@ -73,7 +74,8 @@ class NodeLayout:
     page_size:
         Page size in bytes (paper default: 8192).
     leaf_data_size:
-        Bytes reserved per leaf entry for the user payload (paper: 512).
+        Bytes reserved per leaf entry for the user payload (paper: 512);
+        at least :data:`~repro.storage.constants.MIN_LEAF_DATA_SIZE`.
     """
 
     dims: int
@@ -88,6 +90,11 @@ class NodeLayout:
             raise ValueError(f"dimensionality must be >= 1, got {self.dims}")
         if not (self.has_rects or self.has_spheres):
             raise ValueError("a node entry needs at least one bounding shape")
+        if self.leaf_data_size < MIN_LEAF_DATA_SIZE:
+            raise ValueError(
+                f"leaf_data_size must be at least {MIN_LEAF_DATA_SIZE} bytes "
+                f"(an int payload's slot), got {self.leaf_data_size}"
+            )
         if self.leaf_capacity < 2:
             raise ValueError(
                 f"page size {self.page_size} fits only {self.leaf_capacity} leaf "

@@ -23,6 +23,22 @@ def brute_force_knn(points: np.ndarray, query: np.ndarray, k: int) -> list[int]:
     return [int(i) for i in order[:k]]
 
 
+def ranked_knn(index, points: np.ndarray, query: np.ndarray,
+               k: int) -> list[tuple[float, int]]:
+    """Ground-truth k-NN in the engines' order, by brute force.
+
+    ``(distance, value)`` of the ``k`` rows of ``points`` nearest
+    ``query``, ranked by ``(distance, leaf page id, slot)`` where each
+    row is stored in ``index`` (whose values are the row indices).
+    """
+    where = {leaf.values[slot]: (leaf.page_id, slot)
+             for leaf in index.iter_leaves() for slot in range(leaf.count)}
+    diff = points - query
+    dists = np.sqrt(np.einsum("ij,ij->i", diff, diff)).tolist()
+    rows = sorted(range(len(points)), key=lambda row: (dists[row], *where[row]))
+    return [(dists[row], row) for row in rows[:k]]
+
+
 def retained_images(store) -> int:
     """Page images a ``NodeStore`` keeps only for pinned snapshots: its
     page table's entries at or below the epoch the data file holds."""

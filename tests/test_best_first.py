@@ -8,7 +8,7 @@ import pytest
 
 from repro.indexes import INDEX_KINDS, build_index
 
-from tests.helpers import brute_force_knn
+from tests.helpers import brute_force_knn, ranked_knn
 
 TREE_KINDS = [k for k in sorted(INDEX_KINDS) if k != "linear"]
 
@@ -33,12 +33,13 @@ class TestBestFirst:
             assert got == brute_force_knn(cloud, q, 9)
 
     def test_agrees_with_depth_first(self, kind, cloud):
-        # Both rank by (distance, page, slot): equal value for value.
+        # Both rank by (distance, page, slot): each is the brute-force
+        # answer, value for value, from a query on a stored point.
         index = build_index(kind, cloud)
         q = cloud[42]
-        dfs = [n.value for n in index.nearest(q, 21)]
-        bfs = [n.value for n in best_first(index, q, 21)]
-        assert dfs == bfs
+        want = [value for _, value in ranked_knn(index, cloud, q, 21)]
+        assert [n.value for n in index.nearest(q, 21)] == want
+        assert [n.value for n in best_first(index, q, 21)] == want
 
     def test_never_reads_more_pages(self, kind, cloud):
         # Best-first is I/O-optimal: for the same tree and query its

@@ -73,6 +73,19 @@ class TestBatchDistances:
 
     def test_empty(self):
         assert cross_distances(np.zeros((2, 3)), np.empty((0, 3))).shape == (2, 0)
+        assert cross_distances(np.zeros((1, 3)), np.empty((0, 3))).shape == (1, 0)
+
+    @pytest.mark.parametrize("dims", [2, 16, 64])
+    def test_one_row_is_its_row_of_the_block(self, rng, dims):
+        # A single query is a block of one: its distances must be the
+        # block's, to the bit, or a tie could rank differently.
+        queries = rng.random((7, dims))
+        pts = rng.random((40, dims))
+        block = cross_distances(queries, pts)
+        for i in range(len(queries)):
+            row = cross_distances(queries[i : i + 1], pts)
+            assert row.shape == (1, 40)
+            assert np.array_equal(row[0], block[i])
 
 
 class TestPairwiseDistances:

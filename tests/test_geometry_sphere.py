@@ -6,16 +6,24 @@ import math
 import numpy as np
 import pytest
 
-from repro.geometry.sphere import mindist_point_spheres, mindist_points_spheres
+from repro.geometry.sphere import mindist_points_spheres
 from repro.geometry.volume import log_sphere_volume, sphere_volume
 
 ORIGIN = np.zeros((1, 2))
 
 
+def mindist_point_spheres(point, centers, radii) -> np.ndarray:
+    """The one-point kernel the query block's rows must equal: the
+    library prices one point as a block of one."""
+    diff = centers - point
+    gaps = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    return np.maximum(gaps - radii, 0.0)
+
+
 def mindist(q, center, radius) -> float:
-    return float(mindist_point_spheres(np.asarray(q, dtype=float),
-                                       np.atleast_2d(center),
-                                       np.array([radius], dtype=float))[0])
+    return float(mindist_points_spheres(np.asarray(q, dtype=float)[None],
+                                        np.atleast_2d(center),
+                                        np.array([radius], dtype=float))[0, 0])
 
 
 def centroid_sphere(pts):
@@ -90,8 +98,9 @@ class TestBatchKernels:
         radii = rng.random(25) * 0.5
         for q in rng.random((10, 6)) * 2 - 0.5:
             expected = [max(0.0, math.dist(q, c) - r) for c, r in zip(centers, radii)]
-            np.testing.assert_allclose(mindist_point_spheres(q, centers, radii),
-                                       expected, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(
+                mindist_points_spheres(q[None], centers, radii)[0],
+                expected, rtol=1e-12, atol=1e-15)
 
     def test_query_block_rows_equal_point_kernel(self, rng):
         centers = rng.random((25, 6))

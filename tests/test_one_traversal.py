@@ -1,11 +1,13 @@
 """One traversal per query kind, on every family.
 
-A range query is the k-NN search of :mod:`repro.search.knn` with its
-bound held at the radius, and the linear scan has no query of its own:
-its top pages are the whole leaf chain, so every traversal starts at
-every leaf.  On every family (the SR-tree under both radius rules), with
-512-byte pages so the trees are at least three high, and with radii
-that include 0 and infinity:
+There is one depth-first search, the block traversal of
+:mod:`repro.exec.batch`: a single k-NN or range query is a block of
+one.  A range query is the k-NN search with its bound held at the
+radius, and the linear scan has no query of its own: its top pages are
+the whole leaf chain, so every traversal starts at every leaf.  On
+every family (the SR-tree under both radius rules, the SRX-tree with
+supernodes), with 512-byte pages so the trees are at least three high,
+and with radii that include 0 and infinity:
 
 * ``within``, the block engine's ``batch_range`` at block sizes 1, 7
   and 64, a ``Snapshot``'s ``range`` and ``iter_nearest(max_distance=r)``
@@ -14,6 +16,11 @@ that include 0 and infinity:
 * a scalar range reads the same set of pages, with the same distance
   count, as the slot-order traversal it replaced (kept here as the
   reference);
+* a single ``nearest`` and ``within`` read as the scalar depth-first
+  loop the block of one replaced (kept here as the reference): the same
+  page fetches in the same order, the same visit and prune events with
+  their bounds, the same ``IOStats`` and the same answers, and one
+  query's EXPLAIN text is the loop's;
 * EXPLAIN's page total equals the ``IOStats.page_reads`` delta for every
   query kind, and the linear scan reads each chain page exactly once
   per query (once per block in the block engine).
@@ -34,9 +41,11 @@ from hypothesis import strategies as st
 
 from repro import Database
 from repro.exec import batch_knn, batch_range
-from repro.obs.explain import level_breakdown
+from repro.obs.explain import explain, level_breakdown
 from repro.obs.tracer import trace
-from repro.search.knn import leaf_distances
+from repro.search.incremental import leaf_distances
+from repro.search.knn import KnnCandidates
+from repro.search.range import RangeCandidates
 
 #: name -> (kind, keyword arguments)
 FAMILIES = {
@@ -161,6 +170,78 @@ def _slot_order_range(index, point: np.ndarray, radius: float):
     for page_id in getattr(index, "_leaf_ids", [index.root_id]):
         visit(page_id)
     return sorted(hits, key=lambda hit: hit[:3]), read
+
+
+def _loop_search(index, point: np.ndarray, candidates):
+    """The scalar depth-first loop a block of one replaced: children in
+    MINDIST order, the rest pruned once one is ``>`` the collector's
+    bound, with the same visit and prune events."""
+    stats = index.stats
+    span = trace.active
+    level = index.height - 1
+    for page_id in index.top_ids():
+        if span is not None:
+            span.visit(page_id, level, 0.0, candidates.bound)
+        _loop_visit(index, page_id, point, candidates, stats, span)
+    return candidates.results()
+
+
+def _loop_visit(index, page_id: int, point: np.ndarray, candidates, stats,
+                span) -> None:
+    node = index.read_node(page_id)
+    if node.is_leaf:
+        if node.count:
+            pts, dists = leaf_distances(node, point, stats)
+            candidates.offer_batch(dists, pts, node.values, node.page_id)
+        return
+    dists = index.child_mindists(node, point)
+    stats.distance_computations += node.count
+    child_ids = node.child_ids
+    order = np.argsort(dists, kind="stable")
+    for pos, i in enumerate(order):
+        if dists[i] > candidates.bound:
+            if span is not None:
+                bound = candidates.bound
+                for j in order[pos:]:
+                    span.prune(int(child_ids[j]), node.level - 1,
+                               float(dists[j]), bound)
+            break
+        child_id = int(child_ids[i])
+        if span is not None:
+            span.visit(child_id, node.level - 1, float(dists[i]),
+                       candidates.bound)
+        _loop_visit(index, child_id, point, candidates, stats, span)
+
+
+def _cold_trace(index, run):
+    """Run ``run()`` from an empty buffer pool under a span: its answer,
+    page fetches, visit/prune events and ``IOStats`` delta."""
+    index.store.drop_cache()
+    before = index.stats.snapshot()
+    with trace.span("query") as span:
+        answer = _answer(run())
+    fetches = [(f.page_id, f.level, f.pages, f.hit) for f in span.fetches]
+    return answer, fetches, span.visits, index.stats.since(before)
+
+
+def _check_loop(db: Database, queries, radii) -> None:
+    index = db.index
+    trace.enable()
+    try:
+        for q, r in zip(queries, radii):
+            assert _cold_trace(index, lambda: index.nearest(q, 5)) == \
+                _cold_trace(index, lambda: _loop_search(index, q, KnnCandidates(5)))
+            assert _cold_trace(index, lambda: index.within(q, r)) == \
+                _cold_trace(index, lambda: _loop_search(index, q, RangeCandidates(r)))
+    finally:
+        trace.disable()
+        trace.last = None
+
+
+def _untimed(report: str) -> str:
+    """An EXPLAIN report without its wall time."""
+    title, rest = report.split("\n", 1)
+    return title.split(" — ")[0] + "\n" + rest
 
 
 class _Reads:
@@ -301,6 +382,7 @@ def test_every_query_kind_is_one_traversal(corpus):
         _check_answers(db, data, queries, radii)
         _check_pages(db, queries, radii)
         _check_explain(db, queries, radii)
+        _check_loop(db, queries, radii)
         if family == "linear":
             _check_chain_reads(db, queries, radii)
 
@@ -320,3 +402,28 @@ def test_every_family_on_one_corpus(family):
         _check_explain(db, queries, radii)
         if family == "linear":
             _check_chain_reads(db, queries, radii)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_a_single_query_reads_as_the_deleted_loop(family):
+    data, queries = _corpus(11, 4, 300, 8)
+    radii = _radii(data, queries, [("between", 0.1), ("exact", 0.05),
+                                   ("inf", 0.0), ("zero", 0.0),
+                                   ("between", 0.4), ("exact", 0.3),
+                                   ("between", 0.0), ("exact", 0.9)])
+    with _database(family, data) as db:
+        if family == "srx":
+            assert db.index.supernode_count() > 0
+        _check_loop(db, queries, radii)
+        index = db.index
+        trace.enable()
+        try:
+            index.store.drop_cache()
+            with trace.span("knn", k=5) as span:
+                _loop_search(index, queries[1], KnnCandidates(5))
+            want = explain(span)
+        finally:
+            trace.disable()
+            trace.last = None
+        index.store.drop_cache()
+        assert _untimed(db.explain(queries[1], k=5)) == _untimed(want)

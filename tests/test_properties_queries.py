@@ -76,11 +76,14 @@ def test_incremental_bound_equals_range_query(points, query, bound):
        k=st.integers(1, 12))
 @settings(max_examples=40, deadline=None)
 def test_best_first_equals_depth_first(points, query, k):
+    # Each traversal's first k are the brute-force answer.
     tree = SRTree(4)
     tree.load(points)
-    dfs = [round(n.distance, 9) for n in tree.nearest(query, k)]
-    bfs = [round(n.distance, 9) for n in islice(tree.iter_nearest(query), k)]
-    assert dfs == bfs
+    expected = np.sort(np.linalg.norm(points - query, axis=1))[: min(k, len(points))]
+    dfs = [n.distance for n in tree.nearest(query, k)]
+    bfs = [n.distance for n in islice(tree.iter_nearest(query), k)]
+    np.testing.assert_allclose(dfs, expected, atol=1e-9)
+    np.testing.assert_allclose(bfs, expected, atol=1e-9)
 
 
 @given(points=points_strategy(min_rows=2, max_rows=120),

@@ -4,10 +4,16 @@ import numpy as np
 import pytest
 
 from repro.geometry.rectangle import farthest_point_rects, mindist_point_rects
-from repro.geometry.sphere import mindist_point_spheres
 from repro.indexes.srtree import SRTree
 
 from tests.helpers import brute_force_knn, entry_of
+
+
+def mindist_point_spheres(point, centers, radii) -> np.ndarray:
+    """MINDIST from ``point`` to each sphere, spelled out for reference."""
+    diff = centers - point
+    gaps = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    return np.maximum(gaps - radii, 0.0)
 
 
 @pytest.fixture

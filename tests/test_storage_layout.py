@@ -1,7 +1,9 @@
 """Unit tests for repro.storage.layout — the paper's Table 1 fanouts."""
 
+import numpy as np
 import pytest
 
+from repro import Database
 from repro.storage.layout import NodeLayout
 
 
@@ -77,6 +79,29 @@ class TestCapacityScaling:
     def test_shapeless_entry_rejected(self):
         with pytest.raises(ValueError):
             NodeLayout(dims=4, has_rects=False, has_spheres=False, has_weights=False)
+
+    @pytest.mark.parametrize("size", [0, 4, 8, 11])
+    def test_data_area_below_an_int_slot_rejected(self, size):
+        # An int payload is stored in place as a 4-byte prefix and an
+        # int64: a smaller area let one row's slot run into the next.
+        with pytest.raises(ValueError, match="leaf_data_size must be at least 12"):
+            layout_for("rstar", dims=3, page_size=512, leaf_data_size=size)
+        assert layout_for("rstar", dims=3, page_size=512,
+                          leaf_data_size=12).leaf_data_size == 12
+
+    def test_smallest_data_area_keeps_every_int_payload(self):
+        # The defect this pins: at leaf_data_size=8, 239 of these 260
+        # points came back with a wrong value (a large negative int,
+        # read across the next slot); Database.create now refuses 8.
+        rng = np.random.default_rng(0)
+        points = rng.random((260, 3))
+        with pytest.raises(ValueError, match="leaf_data_size"):
+            Database.create(None, kind="rtree", dims=3, page_size=512,
+                            leaf_data_size=8, buffer_capacity=8)
+        with Database.create(None, kind="rtree", dims=3, page_size=512,
+                             leaf_data_size=12, buffer_capacity=8) as db:
+            db.insert_many(points)
+            assert [db.knn(p, 1)[0].value for p in points] == list(range(260))
 
 
 class TestMinFill:

@@ -403,6 +403,33 @@ def check_mmap_import(path: str, tree: ast.Module) -> list[str]:
     ]
 
 
+#: The query packages, and the one module per traversal that may read a
+#: node there: the depth-first search (a single query is a block of one),
+#: the best-first search and the window search.
+TRAVERSAL_PACKAGES = tuple(os.path.join("src", "repro", package) + os.sep
+                           for package in ("search", "exec"))
+TRAVERSALS = {os.path.join("src", "repro", *parts) for parts in (
+    ("exec", "batch.py"), ("search", "incremental.py"), ("search", "window.py"))}
+
+
+def check_query_traversals(path: str, tree: ast.Module) -> list[str]:
+    """Flag ``read_node(...)`` calls under ``repro/search/`` and
+    ``repro/exec/`` outside the three traversal modules: a second
+    depth-first loop is a second engine to keep in step."""
+    norm = path.replace("/", os.sep)
+    if not norm.startswith(TRAVERSAL_PACKAGES) or norm in TRAVERSALS:
+        return []
+    return [
+        f"{path}:{node.lineno}: read_node() outside the query traversals; "
+        f"a depth-first query runs repro.exec.batch.depth_first "
+        f"(a single query is a block of one)"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "read_node"
+    ]
+
+
 #: Where a pipe is a serving pool's: its messages are the wire's JSON
 #: parts, matrix frames and neighbor blocks, never pickles.
 PIPE_POLICED = os.path.join("src", "repro", "exec") + os.sep
@@ -473,6 +500,7 @@ def run_policy_pass(paths) -> int:
         problems.extend(check_http_stack(path, tree))
         problems.extend(check_mmap_import(path, tree))
         problems.extend(check_pipe_pickling(path, tree))
+        problems.extend(check_query_traversals(path, tree))
         problems.extend(check_box_distance_spelling(path, tree))
     for problem in problems:
         print(problem)
