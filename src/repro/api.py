@@ -204,7 +204,8 @@ class QuerySurface(Protocol):
         ...
 
     def window(self, low, high) -> list[Neighbor]:
-        """All stored points inside the axis-aligned box ``[low, high]``."""
+        """All stored points inside the axis-aligned box ``[low, high]``,
+        in ``(leaf page id, slot)`` order, each at distance 0."""
         ...
 
     def lookup(self, point) -> list[object]:

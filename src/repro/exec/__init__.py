@@ -1,16 +1,17 @@
 """Batched query execution engine.
 
-The per-query search code in :mod:`repro.search` prices one query
-against one node at a time.  This package amortizes that work across a
-whole *block* of queries:
+The one depth-first search, and the pool that serves it:
 
-* :func:`~repro.exec.batch.batch_knn` / :func:`~repro.exec.batch.batch_range`
-  traverse the tree once per block, computing a ``(Q, children)``
-  MINDIST matrix per visited node
+* :func:`~repro.exec.batch.depth_first` traverses the tree once per
+  *block* of queries, pricing every entry of a visited node for the
+  whole block in one numpy pass — a ``(Q, children)`` MINDIST matrix
   (:meth:`~repro.indexes.base.SpatialIndex.child_mindists_batch`) and a
   ``(Q, count)`` leaf distance matrix
-  (:func:`~repro.geometry.point.cross_distances`) in single numpy
-  passes, with per-query pruning bounds kept in a NumPy array;
+  (:func:`~repro.geometry.point.cross_distances`), or a window's
+  meets-or-misses — with a pruning bound per query.
+  :func:`~repro.exec.batch.batch_knn` / :func:`~repro.exec.batch.batch_range`
+  run it over blocks, and a single k-NN, range or window query of
+  :mod:`repro.search` is a block of one;
 * :class:`~repro.exec.ServingPool` serves one saved index file from
   several worker **processes**, each reading the file read-only through
   its own buffer pool; a worker that times out or dies is killed and

@@ -3,22 +3,25 @@
 This is the one depth-first search of the package (the paper's Section
 4.4, after Roussopoulos, Kelley and Vincent): :func:`batch_knn` and
 :func:`batch_range` run it over blocks of ``Q`` queries, and a single
-k-NN or range query (:func:`~repro.search.knn.knn_search`,
-:func:`~repro.search.range.range_search`) is a block of one.
+k-NN, range or window query (:func:`~repro.search.knn.knn_search`,
+:func:`~repro.search.range.range_search`,
+:func:`~repro.search.window.window_search`) is a block of one.
 :func:`depth_first` walks the tree once per block from the index's top
-pages (a tree's root; every page of the linear scan's chain):
+pages (a tree's root; every page of the linear scan's chain), pricing
+each entry of a node for every active query in one vectorised pass —
+by :func:`mindists` for k-NN and range queries, by whether it meets the
+box for a window (0 or infinity):
 
-* at an internal node it computes the full ``(Q_active, children)``
-  MINDIST matrix in one vectorised pass
-  (:meth:`~repro.indexes.base.SpatialIndex.child_mindists_batch`),
-  visits the children in order of their smallest MINDIST over the
-  active queries, and descends into each with only the queries whose
-  pruning bound admits it; once a child's smallest MINDIST exceeds
-  every active bound, it and every later child are pruned;
-* at a leaf it computes the ``(Q_active, count)`` distance matrix in
-  one :func:`~repro.geometry.point.cross_distances` pass and offers each
-  row to its query's collector when the row's minimum is within the
-  query's bound.
+* at an internal node the full ``(Q_active, children)`` matrix
+  (:meth:`~repro.indexes.base.SpatialIndex.child_mindists_batch`) orders
+  the children by their smallest MINDIST over the active queries, and
+  each is entered with only the queries whose pruning bound admits it;
+  once a child's smallest MINDIST exceeds every active bound, it and
+  every later child are pruned;
+* at a leaf the ``(Q_active, count)`` distance matrix
+  (:func:`~repro.geometry.point.cross_distances`) offers each row to
+  its query's collector when the row's minimum is within the query's
+  bound.
 
 The per-node bookkeeping is plain Python lists (the active query ids,
 the bounds, one ``tolist()`` of the MINDIST matrix and of the child
@@ -214,15 +217,32 @@ def batch_range(index, queries, radius: float, *,
 # ----------------------------------------------------------------------
 
 
-def depth_first(index, queries: np.ndarray, candidates: list) -> list[list[Neighbor]]:
+def mindists(index, node, block: np.ndarray) -> np.ndarray:
+    """The k-NN and range pricing: ``(Q, count)`` distances from each
+    query of ``block`` to each entry of ``node`` — the MINDIST to each
+    child region at an internal node
+    (:meth:`~repro.indexes.base.SpatialIndex.child_mindists_batch`), the
+    exact distance to each point at a leaf (:func:`cross_distances`)."""
+    if node.is_leaf:
+        return cross_distances(block, node.points[: node.count])
+    return index.child_mindists_batch(node, block)
+
+
+def depth_first(index, queries: np.ndarray, candidates: list,
+                price=mindists) -> list[list[Neighbor]]:
     """The one depth-first branch-and-bound search, for a block of queries.
 
     Query ``q`` (row ``q`` of ``queries``) collects into
     ``candidates[q]``, a :class:`KnnCandidates` or a
     :class:`~repro.search.range.RangeCandidates`; the search starts from
     the index's top pages and returns each collector's ``results()``.
-    A single query is a block of one (:func:`~repro.search.knn.knn_search`,
-    :func:`~repro.search.range.range_search`).
+    ``price(index, node, block)`` gives the ``(Q_active, count)``
+    distance of each active query (the rows of ``block``) to each entry
+    of ``node``: :func:`mindists` for k-NN and range queries,
+    :func:`~repro.search.window.window_prices` for boxes.  A single
+    query is a block of one (:func:`~repro.search.knn.knn_search`,
+    :func:`~repro.search.range.range_search`,
+    :func:`~repro.search.window.window_search`).
     """
     bounds = [c.bound for c in candidates]
     stats = index.stats
@@ -237,34 +257,34 @@ def depth_first(index, queries: np.ndarray, candidates: list) -> list[list[Neigh
         if span is not None:
             span.visit(page_id, level, 0.0, max(bounds))
         _visit(index, page_id, queries, queries, active, candidates, bounds,
-               stats, span)
+               price, stats, span)
     return [c.results() for c in candidates]
 
 
 def _visit(index, page_id: int, queries: np.ndarray, block: np.ndarray,
-           active: list, candidates: list, bounds: list, stats,
+           active: list, candidates: list, bounds: list, price, stats,
            span) -> None:
     """Expand ``page_id`` for the queries ``active`` (row ids of
     ``queries``, and indices into ``candidates`` and ``bounds``), whose
-    points are ``block``, that is ``queries[active]``."""
+    rows are ``block``, that is ``queries[active]``."""
     node = index.read_node(page_id)
     count = node.count
     stats.distance_computations += count * len(active)
-    if node.is_leaf:
-        if count:
-            # Offer the leaf to each query whose nearest row there is
-            # within its bound (a tie may still win on its page; an
-            # infinite bound is a heap still filling, which takes all).
-            pts = node.points[:count]
-            dmat = cross_distances(block, pts)
-            for row, nearest in enumerate(dmat.min(axis=1).tolist()):
-                q = active[row]
-                if nearest <= bounds[q]:
-                    cand = candidates[q]
-                    cand.offer_batch(dmat[row], pts, node.values, node.page_id)
-                    bounds[q] = cand.bound
+    if not count:
         return
-    dmat = index.child_mindists_batch(node, block)
+    dmat = price(index, node, block)
+    if node.is_leaf:
+        # Offer the leaf to each query whose nearest row there is within
+        # its bound (a tie may still win on its page; an infinite bound
+        # is a heap still filling, which takes all).
+        pts = node.points[:count]
+        for row, nearest in enumerate(dmat.min(axis=1).tolist()):
+            q = active[row]
+            if nearest <= bounds[q]:
+                cand = candidates[q]
+                cand.offer_batch(dmat[row], pts, node.values, node.page_id)
+                bounds[q] = cand.bound
+        return
     # Children go in order of their smallest MINDIST over the active
     # queries; a child is entered by the queries whose bound admits it.
     least = dmat.min(axis=0)
@@ -296,5 +316,5 @@ def _visit(index, page_id: int, queries: np.ndarray, block: np.ndarray,
         if span is not None:
             span.visit(child_ids[i], level, least[i], loosest)
         _visit(index, child_ids[i], queries, kept, keep, candidates, bounds,
-               stats, span)
+               price, stats, span)
         loosest = bounds[active[0]] if lone else max([bounds[q] for q in active])

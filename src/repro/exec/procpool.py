@@ -36,9 +36,9 @@ database would give, and it measured faster than a pool of threads
 **The pipe speaks the wire's formats** (:mod:`repro.net.protocol`).
 After the spawn bootstrap every message is ``send_bytes`` /
 ``recv_bytes``, and nothing is unpickled off the pipe.  A request is one
-JSON part, ``{"op": ..., "block_size": ...}``, then exactly the matrix
-frames ``/v1/<op>`` takes — a shard's points and one ``k`` or radius per
-point, or a window's low and high corner — read by the server's reader,
+JSON part, ``{"op": ..., "block_size": ...}``, then two matrix frames
+— a shard's points and one ``k`` or radius per point, or a window's low
+and high corner as a one-row shard — read by the server's reader,
 :func:`~repro.net.protocol.decode_frames`.  An answer is one JSON part
 (its telemetry) then one neighbor block; a refusal is one JSON part in
 :func:`~repro.net.protocol.error_doc`'s shape.  A pool therefore carries
@@ -165,8 +165,7 @@ RETRY_BACKOFF_S = 0.01
 #: the last.
 _RECORD_FIELDS_NOT_SENT = ("traced", "ts", "worker")
 
-#: The frames each request carries after its JSON part: the ones
-#: ``/v1/<op>`` takes.
+#: How many frames each request carries after its JSON part.
 _REQUEST_FRAMES = {"knn": 2, "range": 2, "window": 2, "drop": 0, "stop": 0}
 
 #: How to get what a pool over a live database would have given.
@@ -181,7 +180,7 @@ def _run_blocks(index, op: str, first: np.ndarray, second: np.ndarray,
 
     This is all a worker does for a call.  ``first`` and ``second`` are
     the request's two frames: the shard's points and one ``k`` or radius
-    per point, or a window's low and high corner (one block).
+    per point, or its windows' low and high corners, one box per row.
     ``block_times`` entries are ``(wall_ms, queries)``.  A block that
     raises :class:`TransientIOError` is retried with exponential
     backoff, its time spanning the retries; exhausted retries propagate
@@ -191,10 +190,9 @@ def _run_blocks(index, op: str, first: np.ndarray, second: np.ndarray,
 
     n, step = len(first), DEFAULT_BLOCK_SIZE
     if op == "window":
-        n = step = 1
-
         def run(rows):
-            return [index.window(first, second)]
+            return [index.window(low, high)
+                    for low, high in zip(first[rows], second[rows])]
     elif op == "range":
         def run(rows):
             return batch_range(index, first[rows], second[rows])
@@ -227,10 +225,10 @@ def _read_request(msg: bytes) -> tuple[str, int | None, list]:
     """``(op, block_size, frames)`` of one request off a worker's pipe.
 
     A request is one JSON part, ``{"op": ..., "block_size": ...}``, then
-    exactly the frames ``/v1/<op>`` takes: a ``knn`` or ``range`` its
-    points ``(q, D)`` and one ``k`` or radius per row, a ``window`` its
-    low and high corner; ``drop`` and ``stop`` none.  Anything else
-    raises :class:`~repro.exceptions.NetError`.
+    its frames: a ``knn`` or ``range`` its points ``(q, D)`` and one
+    ``k`` or radius per row, a ``window`` its low and high corners, each
+    ``(q, D)``; ``drop`` and ``stop`` none.  Anything else raises
+    :class:`~repro.exceptions.NetError`.
     """
     doc, offset = decode_json(msg)
     op = doc.get("op") if isinstance(doc, dict) else None
@@ -658,12 +656,15 @@ class ServingPool:
                ) -> list[Neighbor]:
         """All stored points inside the box ``[low, high]``.
 
-        Runs on one worker under the same retry / timeout / respawn
-        policy as the sharded calls, and raises
-        :class:`~repro.exceptions.ShardLostError` as they do.
+        A one-row shard of low and high corners, so it runs on one
+        worker under the same retry / timeout / respawn policy as the
+        sharded calls, and raises
+        :class:`~repro.exceptions.ShardLostError` as they do.  The
+        answer is in ``(leaf page id, slot)`` order.
         """
-        return self._scatter("window", as_point(low, self.dims),
-                             as_point(high, self.dims), timeout=timeout)[0][0]
+        return self._scatter("window", as_point(low, self.dims)[None],
+                             as_point(high, self.dims)[None],
+                             timeout=timeout)[0][0]
 
     def lookup(self, point, *, timeout: float | None = None) -> list[object]:
         """Exact-match point query: every payload stored at ``point``.
@@ -691,21 +692,19 @@ class ServingPool:
                  timeout: float | None = None):
         """Shard one call over the workers and gather it.
 
-        ``first`` and ``second`` are the two frames ``/v1/<op>`` takes:
-        the points and one ``k`` or radius per point, sharded together,
-        or a window's low and high corner, which go whole to one worker
-        and have one result.  Returns ``(results, block_times)`` in input
-        order, or raises once every shard is collected: what a worker
-        raised first, else :class:`~repro.exceptions.ShardLostError` if
-        a shard was lost.
+        ``first`` and ``second`` are the two frames sharded together,
+        row by row: the points and one ``k`` or radius per point, or the
+        windows' low and high corners.  Returns ``(results,
+        block_times)`` in input order, or raises once every shard is
+        collected: what a worker raised first, else
+        :class:`~repro.exceptions.ShardLostError` if a shard was lost.
         """
         timeout = self._timeout if timeout is None else _checked_timeout(
             timeout)
         with self._mu:
             if self._closed:
                 raise RuntimeError("serving pool is closed")
-            whole = op == "window"
-            n = 1 if whole else first.shape[0]
+            n = first.shape[0]
             head = encode_json({"op": op, "block_size": block_size}, ())
             results: list[list[Neighbor] | None] = [None] * n
             lost = 0
@@ -715,11 +714,10 @@ class ServingPool:
                                                           self._workers)):
                 if shard.size == 0:
                     continue
-                frames = (first, second) if whole else (first[shard],
-                                                        second[shard])
                 try:
                     self._conns[worker].send_bytes(
-                        head + b"".join(map(encode_matrix, frames)))
+                        head + encode_matrix(first[shard])
+                        + encode_matrix(second[shard]))
                     sent = True
                 except OSError:
                     sent = False

@@ -89,14 +89,15 @@ def cross_distances(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
 
     ``queries`` is ``(Q, D)``, ``points`` is ``(N, D)``; the result is
     ``(Q, N)`` with ``result[q, n] = ||queries[q] - points[n]||``.  This
-    is the leaf-scan kernel of the depth-first search
-    (:mod:`repro.exec.batch`): one numpy pass amortizes a whole query
-    block over a single decoded leaf, and a single query is a block of
-    one whose row is bit-equal to its row in any block.
+    is the leaf-scan kernel of both traversals, the depth-first search
+    (:mod:`repro.exec.batch`) and the best-first one
+    (:mod:`repro.search.incremental`): one numpy pass amortizes a whole
+    query block over a single decoded leaf, and a single query is a
+    block of one whose row is bit-equal to its row in any block.
     """
     if queries.shape[0] == 1:
-        # A lone query (every single k-NN or range query): the same sums
-        # in the same order, in a cheaper 2-D pass.
+        # A lone query (every single query, every best-first leaf): the
+        # same sums in the same order, in a cheaper 2-D pass.
         diff = points - queries
         return np.sqrt(np.einsum("ij,ij->i", diff, diff))[None]
     diff = queries[:, None, :] - points

@@ -639,10 +639,13 @@ class SpatialIndex(ABC):
         return batch_range(self, points, radius)
 
     def window(self, low, high) -> list[Neighbor]:
-        """All stored points inside the axis-aligned box ``[low, high]``."""
+        """All stored points inside the axis-aligned box ``[low, high]``,
+        in ``(leaf page id, slot)`` order, each at distance 0."""
         from ..search.window import window_search
 
         low, high = as_point(low, self.dims), as_point(high, self.dims)
+        if np.any(low > high):
+            raise ValueError("window query has low > high on some dimension")
         with observed_query(self, "window"):
             return window_search(self, low, high)
 

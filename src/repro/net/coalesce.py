@@ -6,8 +6,9 @@ admission control and the served handle, and every admitted ``knn`` and
 
 * A request that finds its operation **idle** marks it busy and runs at
   once, on its own thread, as the plain ``source.knn`` /
-  ``source.range`` call — so a lone request keeps the scalar engine,
-  its page sequence and its answer.
+  ``source.range`` call: the one depth-first engine on a block of one,
+  so a lone request reads the pages and gets the answer it would
+  without a server.
 * A request that arrives while a call of its operation **runs** joins
   that operation's next group and waits.
 * When the running call returns, the group (at most :data:`MAX_GROUP`

@@ -12,7 +12,9 @@ of its own).
   its bound held at the radius, reading children in MINDIST order;
 * :mod:`~repro.search.incremental` — Hjaltason & Samet's best-first,
   distance-ranked iteration (``iter_nearest``);
-* :mod:`~repro.search.window` — box (window) queries.
+* :mod:`~repro.search.window` — box (window) queries: the same
+  depth-first search on a block of one box, each entry priced 0 when
+  it meets the box and infinity when it misses.
 """
 
 from .incremental import iter_nearest

@@ -30,6 +30,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
+from ..geometry.point import cross_distances
 from ..indexes.base import Neighbor
 from ..obs.tracer import trace
 
@@ -37,16 +38,6 @@ __all__ = ["iter_nearest"]
 
 _NODE = 0
 _POINT = 1
-
-
-def leaf_distances(node, point: np.ndarray, stats):
-    """``(points, distances)`` over a leaf's entries: exact Euclidean
-    distances from ``point`` to every point the leaf stores, tallied as
-    distance computations."""
-    pts = node.points[: node.count]
-    diff = pts - point
-    stats.distance_computations += node.count
-    return pts, np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
 def _trace_expansion(span, node, child_dists, bound: float, depth: int) -> None:
@@ -106,7 +97,9 @@ def iter_nearest(index, point: np.ndarray, max_distance: float = float("inf"),
         if node.is_leaf:
             if node.count == 0:
                 continue
-            pts, dists = leaf_distances(node, point, stats)
+            pts = node.points[: node.count]
+            dists = cross_distances(point[None], pts)[0]
+            stats.distance_computations += node.count
             for i in range(node.count):
                 if dists[i] <= max_distance:
                     heapq.heappush(

@@ -7,9 +7,13 @@ regions when the sphere's center is farther from the box than its
 radius, SR regions when either shape misses (the same complementary
 pruning as the paper's nearest-neighbor MINDIST rule).
 
-Like the other search algorithms, the one traversal starts from the
-index's top pages and takes the active span, recording a visit/prune
-verdict per child under ``if span is not None``.
+A window is a block of one of the one depth-first search,
+:func:`repro.exec.batch.depth_first`, priced by :func:`window_prices`:
+an entry is at distance 0 when its region (at a leaf, its point) meets
+the box and at infinity when it misses, and the box's collector is a
+range query's at radius 0.  So children are read in entry order, the
+pruned ones are traced at infinity, and the answer is in ``(leaf page
+id, slot)`` order.
 """
 
 from __future__ import annotations
@@ -18,20 +22,24 @@ import numpy as np
 
 from ..geometry import mindist_point_rects
 from ..indexes.base import Neighbor
-from ..obs.tracer import trace
+from .range import RangeCandidates
 
-__all__ = ["window_search", "child_window_mask"]
+__all__ = ["window_search", "window_prices"]
 
 
-def child_window_mask(node, low: np.ndarray, high: np.ndarray) -> np.ndarray:
-    """Boolean mask of child regions that may intersect the query box.
+def _meets(node, low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """Boolean mask of the entries of ``node`` that may meet the box.
 
-    Works for every index family from the arrays the node carries:
-    rectangle entries use rect-rect intersection; sphere entries check
-    ``MINDIST(center, box) <= radius``; entries with both shapes must
-    pass both tests (their region is the intersection).
+    A leaf's entries are its points.  An internal node's are its child
+    regions, tested from the arrays the node carries: rectangle entries
+    by rect-rect intersection; sphere entries by ``MINDIST(center, box)
+    <= radius``; entries with both shapes must pass both tests (their
+    region is the intersection).
     """
     n = node.count
+    if node.is_leaf:
+        pts = node.points[:n]
+        return np.all(pts >= low, axis=1) & np.all(pts <= high, axis=1)
     mask = np.ones(n, dtype=bool)
     if node.lows is not None:
         lows = node.lows[:n]
@@ -43,50 +51,22 @@ def child_window_mask(node, low: np.ndarray, high: np.ndarray) -> np.ndarray:
     return mask
 
 
+def window_prices(index, node, boxes: np.ndarray) -> np.ndarray:
+    """The window pricing of :func:`~repro.exec.batch.depth_first`:
+    ``(Q, count)``, 0.0 where an entry of ``node`` meets box ``q`` and
+    infinity where it misses.  ``boxes`` is ``(Q, 2, D)``, each box its
+    low then its high corner."""
+    return np.where([_meets(node, low, high) for low, high in boxes],
+                    0.0, np.inf)
+
+
 def window_search(index, low: np.ndarray, high: np.ndarray) -> list[Neighbor]:
     """All stored points with ``low <= p <= high`` on every dimension.
 
-    Results carry distance 0 (a window query has no query point); they
-    are ordered by traversal and can be sorted by the caller as needed.
+    Results carry distance 0 (a window query has no query point), in
+    ``(leaf page id, slot)`` order.
     """
-    if np.any(low > high):
-        raise ValueError("window query has low > high on some dimension")
-    results: list[Neighbor] = []
-    stats = index.stats
-    span = trace.active
-    # The top pages go on the stack last first, so they are read in order.
-    stack = index.top_ids()[::-1]
-    if span is not None:
-        for page_id in reversed(stack):
-            span.visit(page_id, index.height - 1, 0.0)
-    while stack:
-        node = index.read_node(stack.pop())
-        if node.is_leaf:
-            _scan_leaf(node, low, high, results, stats)
-            continue
-        mask = child_window_mask(node, low, high)
-        stats.distance_computations += node.count
-        child_ids = node.child_ids
-        if span is not None:
-            # A window query has no MINDIST; record 0.0 for survivors and
-            # +inf for pruned children (the region misses the box).
-            for i in range(node.count):
-                if mask[i]:
-                    span.visit(int(child_ids[i]), node.level - 1, 0.0)
-                else:
-                    span.prune(int(child_ids[i]), node.level - 1,
-                               float("inf"), 0.0)
-        for i in np.nonzero(mask)[0]:
-            stack.append(int(child_ids[i]))
-    return results
+    from ..exec.batch import depth_first
 
-
-def _scan_leaf(node, low: np.ndarray, high: np.ndarray,
-               results: list[Neighbor], stats) -> None:
-    if node.count == 0:
-        return
-    pts = node.points[: node.count]
-    inside = np.all(pts >= low, axis=1) & np.all(pts <= high, axis=1)
-    stats.distance_computations += node.count
-    for i in np.nonzero(inside)[0]:
-        results.append(Neighbor(0.0, pts[i].copy(), node.values[i]))
+    return depth_first(index, np.stack([low, high])[None],
+                       [RangeCandidates(0.0)], window_prices)[0]

@@ -39,6 +39,17 @@ def ranked_knn(index, points: np.ndarray, query: np.ndarray,
     return [(dists[row], row) for row in rows[:k]]
 
 
+def leaf_distances(node, point: np.ndarray, stats):
+    """``(points, distances)`` over a leaf's entries: exact Euclidean
+    distances from ``point`` to every point the leaf stores, tallied as
+    distance computations.  The reference loops' own leaf scan, spelled
+    out apart from the engines' ``cross_distances``."""
+    pts = node.points[: node.count]
+    diff = pts - point
+    stats.distance_computations += node.count
+    return pts, np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+
 def retained_images(store) -> int:
     """Page images a ``NodeStore`` keeps only for pinned snapshots: its
     page table's entries at or below the epoch the data file holds."""

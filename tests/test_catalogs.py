@@ -1,5 +1,6 @@
 """The documented catalogs are the ones the code has.
 
+``DESIGN.md``'s layout block names every module under ``src/repro``,
 ``docs/OBSERVABILITY.md`` lists every metric family and every event,
 ``docs/SERVING.md`` and the ``repro.net.protocol`` docstring every
 endpoint (``docs/SERVING.md`` the telemetry paths too), ``README.md``
@@ -46,6 +47,29 @@ def _in_source(pattern: str) -> set[str]:
     return {name
             for path in (ROOT / "src" / "repro").rglob("*.py")
             for name in re.findall(pattern, path.read_text(encoding="utf-8"))}
+
+
+def _layout_modules() -> list[str]:
+    """Every module ``DESIGN.md``'s layout block names, as its path under
+    ``src/repro``: a line at two spaces opens a package (``name/``) or
+    lists top-level modules, a deeper line continues the package."""
+    text = (ROOT / "DESIGN.md").read_text(encoding="utf-8")
+    block = text[text.index("```\nsrc/repro/\n"):]
+    block = block[:block.index("\ntests/")]
+    named, package = [], ""
+    for line in block.splitlines()[2:]:
+        words = line.split()
+        if not line.startswith("   "):
+            package = words.pop(0) if words[0].endswith("/") else ""
+        named.extend(package + word for word in words)
+    return named
+
+
+def test_design_layout_is_the_source_tree():
+    source = ROOT / "src" / "repro"
+    modules = [path.relative_to(source).as_posix()
+               for path in source.rglob("*.py") if path.name != "__init__.py"]
+    assert sorted(_layout_modules()) == sorted(modules)
 
 
 def test_metric_catalog_is_the_registry():

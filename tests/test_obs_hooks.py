@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from repro import REGISTRY, build_index
@@ -60,6 +61,25 @@ class TestQueryMetrics:
         for op in ("knn", "range", "window", "incremental"):
             key = f'repro_queries_total{{index_kind="sstree",op="{op}"}}'
             assert d[key] == 1, op
+
+    def test_a_refused_argument_is_not_a_failed_query(self, metrics_on,
+                                                      tiny_cloud):
+        from repro.obs import EVENTS
+
+        tree = build_index("srtree", tiny_cloud)
+        point = tiny_cloud[0]
+        low, high = np.full_like(point, 0.9), np.full_like(point, 0.1)
+        EVENTS.clear()
+        try:
+            with pytest.raises(ValueError, match="k must be positive"):
+                tree.nearest(point, 0)
+            with pytest.raises(ValueError, match="radius"):
+                tree.within(point, -1.0)
+            with pytest.raises(ValueError, match="low > high"):
+                tree.window(low, high)
+            assert EVENTS.tail() == []
+        finally:
+            EVENTS.clear()
 
     def test_buffer_lookup_outcomes(self, metrics_on, small_cloud):
         tree = build_index("srtree", small_cloud)

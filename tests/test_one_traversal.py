@@ -21,6 +21,12 @@ and with radii that include 0 and infinity:
   page fetches in the same order, the same visit and prune events with
   their bounds, the same ``IOStats`` and the same answers, and one
   query's EXPLAIN text is the loop's;
+* a window, a block of one of the same search priced 0 or infinity by
+  whether an entry meets the box, reads the same set of pages as the
+  stack walk it replaced (kept here as the reference), with the same
+  distance count, the same pruned children and the same answer, now in
+  ``(page, slot)`` order — for random, degenerate (``lookup``) and
+  empty boxes;
 * EXPLAIN's page total equals the ``IOStats.page_reads`` delta for every
   query kind, and the linear scan reads each chain page exactly once
   per query (once per block in the block engine).
@@ -41,11 +47,13 @@ from hypothesis import strategies as st
 
 from repro import Database
 from repro.exec import batch_knn, batch_range
+from repro.geometry import mindist_point_rects
 from repro.obs.explain import explain, level_breakdown
 from repro.obs.tracer import trace
-from repro.search.incremental import leaf_distances
 from repro.search.knn import KnnCandidates
 from repro.search.range import RangeCandidates
+
+from .helpers import leaf_distances
 
 #: name -> (kind, keyword arguments)
 FAMILIES = {
@@ -211,6 +219,93 @@ def _loop_visit(index, page_id: int, point: np.ndarray, candidates, stats,
             span.visit(child_id, node.level - 1, float(dists[i]),
                        candidates.bound)
         _loop_visit(index, child_id, point, candidates, stats, span)
+
+
+def _stack_window(index, low: np.ndarray, high: np.ndarray) -> list[tuple]:
+    """The window walk a block of one replaced: a stack of pages, each
+    node's children that may meet the box pushed in entry order (so read
+    last first), the rest pruned at infinity.  Returns its hits as
+    ``(point, value)`` in the order it found them."""
+    hits: list[tuple] = []
+    stats = index.stats
+    span = trace.active
+    stack = index.top_ids()[::-1]
+    if span is not None:
+        for page_id in reversed(stack):
+            span.visit(page_id, index.height - 1, 0.0)
+    while stack:
+        node = index.read_node(stack.pop())
+        n = node.count
+        stats.distance_computations += n
+        if node.is_leaf:
+            pts = node.points[:n]
+            inside = np.all(pts >= low, axis=1) & np.all(pts <= high, axis=1)
+            hits.extend((tuple(pts[i]), node.values[i])
+                        for i in np.flatnonzero(inside).tolist())
+            continue
+        mask = np.ones(n, dtype=bool)
+        if node.lows is not None:
+            mask &= (np.all(node.lows[:n] <= high, axis=1)
+                     & np.all(node.highs[:n] >= low, axis=1))
+        if node.centers is not None:
+            gaps = mindist_point_rects(node.centers[:n], low, high)
+            mask &= gaps <= node.radii[:n]
+        for i, child_id in enumerate(node.child_ids[:n].tolist()):
+            if mask[i]:
+                if span is not None:
+                    span.visit(child_id, node.level - 1, 0.0)
+                stack.append(child_id)
+            elif span is not None:
+                span.prune(child_id, node.level - 1, INF, 0.0)
+    return hits
+
+
+def _boxes(data: np.ndarray, queries: np.ndarray, radii: np.ndarray):
+    """A box around each query (half its radius wide, at most 0.5), a
+    degenerate one on each stored point the queries sit on (a
+    ``lookup``), and one that holds no point."""
+    boxes = []
+    for q, r in zip(queries, radii):
+        half = min(r, 1.0) / 2
+        boxes.append((q - half, q + half))
+        if (data == q).all(axis=1).any():
+            boxes.append((q, q))
+    gap = np.full(data.shape[1], 0.5 / 7)  # between grid lines
+    boxes.append((gap, gap + 0.1 / 7))
+    return boxes
+
+
+def _window_run(index, run):
+    """Run a window under a span from a cold buffer pool: its hits, the
+    pages it read, its distance count and its pruned children."""
+    index.store.drop_cache()
+    before = index.stats.distance_computations
+    with _Reads(index) as pages, trace.span("window") as span:
+        hits = run()
+    counted = index.stats.distance_computations - before
+    return hits, sorted(pages), counted, sorted(v.page_id for v in span.pruned)
+
+
+def _check_window(db: Database, data, queries, radii) -> None:
+    index = db.index
+    where = _locations(index, len(data))
+    trace.enable()
+    try:
+        for low, high in _boxes(data, queries, radii):
+            hits, pages, counted, pruned = _window_run(
+                index, lambda: [(tuple(n.point), n.value)
+                                for n in index.window(low, high)])
+            reference = _window_run(
+                index, lambda: _stack_window(index, low, high))
+            assert (Counter(hits), pages, counted, pruned) == \
+                (Counter(reference[0]), *reference[1:])
+            assert [value for _, value in hits] == sorted(
+                (value for _, value in hits), key=where.__getitem__)
+            if (low == high).all():
+                assert index.lookup(low) == [value for _, value in hits]
+    finally:
+        trace.disable()
+        trace.last = None
 
 
 def _cold_trace(index, run):
@@ -383,6 +478,7 @@ def test_every_query_kind_is_one_traversal(corpus):
         _check_pages(db, queries, radii)
         _check_explain(db, queries, radii)
         _check_loop(db, queries, radii)
+        _check_window(db, data, queries, radii)
         if family == "linear":
             _check_chain_reads(db, queries, radii)
 
@@ -400,6 +496,7 @@ def test_every_family_on_one_corpus(family):
         _check_answers(db, data, queries, radii)
         _check_pages(db, queries, radii)
         _check_explain(db, queries, radii)
+        _check_window(db, data, queries, radii)
         if family == "linear":
             _check_chain_reads(db, queries, radii)
 

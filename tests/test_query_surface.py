@@ -200,15 +200,24 @@ def test_window_matches_reference(corpus, handle):
     q = corpus.queries[0]
     low, high = q - 0.25, q + 0.25
     want = corpus.db.window(low, high)
-    got = handle.window(low, high)
-    assert sorted(n.value for n in got) == sorted(n.value for n in want)
+    # The reference answer is in (leaf page id, slot) order ...
+    where = {leaf.values[slot]: (leaf.page_id, slot)
+             for leaf in corpus.db.index.iter_leaves()
+             for slot in range(leaf.count)}
+    inside = np.flatnonzero(np.all((corpus.data >= low)
+                                   & (corpus.data <= high), axis=1))
+    assert len(want) == len(inside) > 1
+    assert [n.value for n in want] == sorted(inside.tolist(),
+                                             key=where.__getitem__)
+    # ... and every handle returns the same list.
+    assert_neighbors_equal(handle.window(low, high), want)
 
 
 def test_lookup_matches_reference(corpus, handle):
     probe = corpus.data[7]
     want = corpus.db.lookup(probe)
     assert want  # the probe is a stored point; lookup must find it
-    assert sorted(handle.lookup(probe)) == sorted(want)
+    assert handle.lookup(probe) == want
     miss = np.full(corpus.data.shape[1], -123.0)
     assert handle.lookup(miss) == []
 

@@ -404,17 +404,17 @@ def check_mmap_import(path: str, tree: ast.Module) -> list[str]:
 
 
 #: The query packages, and the one module per traversal that may read a
-#: node there: the depth-first search (a single query is a block of one),
-#: the best-first search and the window search.
+#: node there: the depth-first search (a single k-NN, range or window
+#: query is a block of one) and the best-first search.
 TRAVERSAL_PACKAGES = tuple(os.path.join("src", "repro", package) + os.sep
                            for package in ("search", "exec"))
 TRAVERSALS = {os.path.join("src", "repro", *parts) for parts in (
-    ("exec", "batch.py"), ("search", "incremental.py"), ("search", "window.py"))}
+    ("exec", "batch.py"), ("search", "incremental.py"))}
 
 
 def check_query_traversals(path: str, tree: ast.Module) -> list[str]:
     """Flag ``read_node(...)`` calls under ``repro/search/`` and
-    ``repro/exec/`` outside the three traversal modules: a second
+    ``repro/exec/`` outside the two traversal modules: a second
     depth-first loop is a second engine to keep in step."""
     norm = path.replace("/", os.sep)
     if not norm.startswith(TRAVERSAL_PACKAGES) or norm in TRAVERSALS:
