@@ -1,6 +1,6 @@
 # Convenience targets for development and reproduction runs.
 
-.PHONY: install lint sloc build-digest wal-mix test test-crash test-concurrency test-mp test-net test-batching bench bench-paper-scale results-check examples all
+.PHONY: install lint sloc build-digest wal-mix buffer-replay test test-crash test-concurrency test-mp test-net test-batching bench bench-paper-scale results-check examples all
 
 # Byte-compile everything and run the dependency-free pyflakes-level
 # checker (tools/lint.py upgrades itself to real pyflakes when
@@ -32,6 +32,15 @@ build-digest:
 # prints it next to sloc, informationally.
 wal-mix:
 	python tools/wal_mix.py
+
+# Physical reads per query of uniform_single and uniform_batch (seed 0,
+# fixed count) from their exact buffer-pool lookup streams, replayed
+# through BufferPool (equal to the ledger's pages_per_query to the
+# digit), SIEVE alone, exact LFU, the most looked-up pages held for good,
+# and Belady with bypass.  About 10 s; CI prints it next to sloc,
+# informationally.
+buffer-replay:
+	python tools/buffer_replay.py
 
 # `pip install -e .` needs the `wheel` package for PEP 517 editable
 # builds; offline environments fall back to the legacy setuptools path.

@@ -5,7 +5,15 @@ real deployment keeps a buffer pool; this ablation sweeps its size and
 reports the *warm* reads per query — showing (a) that the directory
 levels cache quickly, so even a small pool removes most node-level
 reads, and (b) that the SR-tree keeps its advantage over the SS-tree
-at every pool size.
+at the small pool sizes (at 256 frames the SS-tree's higher fanout wins).
+
+The pool is the product's (``repro.storage.buffer``): SIEVE replacement
+behind an admission rule that installs a clean page just read only if
+it was looked up in at least two more of the last 16 half-pool epochs
+than the frame it would evict.  Both decide which warm fetches are
+physical, so a change to either moves these counts (and Fig. 9's, also
+read through a warm pool), never the cold-query figures, which drop the
+pool before each query.
 """
 
 from conftest import archive

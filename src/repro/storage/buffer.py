@@ -26,12 +26,19 @@ Admission sits in front of replacement.  When the loop is *strict* --
 page is hit between its load and its eviction, no bit is ever set, and
 SIEVE is FIFO: each newcomer evicts exactly the page needed next.  So a
 clean page just read is only *offered* (:meth:`BufferPool.offer`): a
-full pool installs it only if it was looked up more often lately than
-the frame the hand would evict (TinyLFU, Einziger et al., TOS 2017),
-and otherwise declines, keeping the part of the loop it already holds.
-Lookups are counted per page in small saturating counters that are
-halved periodically, so an old working set cannot keep a new one out.
-Writes, new nodes and pinned reads are never refused (:meth:`put`).
+full pool installs it only if it has a stronger *claim* than the frame
+the hand would evict, and otherwise declines, keeping the part of the
+loop it already holds (a frequency filter, after TinyLFU, Einziger et
+al., TOS 2017).  Lookups are counted in *epochs* of ``capacity // 2``,
+and a page's claim is the number of the last ``_WINDOW`` epochs, the
+current one included, in which it was looked up: a page read by nearly
+every query outranks one read by every other query, and an old working
+set loses its claims within ``_WINDOW`` epochs.  The newcomer must lead
+by more than ``_MARGIN`` epochs.  On a strict loop the epoch boundary
+falls at a different point of each round, so two equally hot pages
+differ by one epoch from that phase alone; admitting on such a lead
+churns frames.  Writes, new nodes and pinned reads are never refused
+(:meth:`put`).
 
 Frames can be *pinned* while a tree operation holds a reference to the
 node object; pinned frames are never evicted, so in-flight mutations are
@@ -46,7 +53,10 @@ frames (``docs/CONCURRENCY.md``).
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Callable, Iterator
+
+import numpy as np
 
 from ..exceptions import BufferPinError
 from .nodes import InternalNode, LeafNode
@@ -56,11 +66,13 @@ __all__ = ["BufferPool"]
 
 Node = LeafNode | InternalNode
 
-# Lookup counts saturate at _COUNT_CAP and are halved every _AGING_PERIOD *
-# capacity lookups.  Not tuning surface (sweep in ``docs/PERFORMANCE.md``);
-# the low cap is what lets a new working set displace an old one quickly.
-_COUNT_CAP = 3
-_AGING_PERIOD = 10
+# A claim counts the epochs (capacity // 2 lookups each) among the last
+# _WINDOW, the current one included, that looked the page up; a newcomer
+# needs a lead of more than _MARGIN epochs.  Not tuning surface (sweep in
+# ``docs/PERFORMANCE.md``): longer windows read a little less but let a
+# new working set in up to twice as slowly.
+_WINDOW = 16
+_MARGIN = 1
 
 
 class _Frame:
@@ -107,9 +119,8 @@ class BufferPool:
         self._ring = _Frame(None)
         self._ring.pins = 1
         self._hand = self._ring
-        self._counts: dict[int, int] = {}  # page id -> recent lookups, <= _COUNT_CAP
-        self._lookups_to_aging = _AGING_PERIOD * capacity
         self.stats = stats if stats is not None else IOStats()
+        self._forget_claims()
 
     def __len__(self) -> int:
         return len(self._frames)
@@ -134,14 +145,10 @@ class BufferPool:
 
     def get(self, page_id: int) -> Node | None:
         """Return the cached node and mark it visited, or ``None``."""
-        counts = self._counts
-        count = counts.get(page_id, 0)
-        if count < _COUNT_CAP:
-            counts[page_id] = count + 1
-        self._lookups_to_aging -= 1
-        if not self._lookups_to_aging:
-            self._counts = {p: c >> 1 for p, c in counts.items() if c > 1}
-            self._lookups_to_aging = _AGING_PERIOD * self.capacity
+        self._epoch.add(page_id)
+        self._lookups_to_epoch -= 1
+        if not self._lookups_to_epoch:
+            self._next_epoch()
         frame = self._frames.get(page_id)
         if frame is None:
             self.stats.buffer_misses += 1
@@ -177,14 +184,24 @@ class BufferPool:
 
         ``put(node, dirty=False)``, except that a full pool declines
         (returns ``False``; nothing is evicted or written back) unless the
-        page was looked up more often lately than the frame it would evict.
+        page's :meth:`claim` beats that of the frame it would evict by more
+        than ``_MARGIN``.
         """
         if node.page_id not in self._frames and len(self._frames) >= self.capacity:
-            count = self._counts.get
-            if count(node.page_id, 0) <= count(self._victim().node.page_id, 0):
+            claim = self.claim
+            if claim(node.page_id) <= claim(self._victim().node.page_id) + _MARGIN:
                 return False
         self.put(node, dirty=False)
         return True
+
+    def claim(self, page_id: int) -> int:
+        """In how many of the last ``_WINDOW`` epochs, the current one
+        included, ``page_id`` was looked up."""
+        try:
+            closed = self._closed[page_id]
+        except IndexError:  # past the table: in no closed epoch
+            closed = 0
+        return closed + (page_id in self._epoch)
 
     def mark_dirty(self, page_id: int) -> None:
         """Flag a cached page as modified (no-op if not cached)."""
@@ -238,13 +255,39 @@ class BufferPool:
         self._frames.clear()
         ring = self._ring
         ring.newer = ring.older = self._hand = ring
-        self._counts = {}
-        self._lookups_to_aging = _AGING_PERIOD * self.capacity
+        self._forget_claims()
 
     def nodes(self) -> Iterator[Node]:
         """Iterate over the cached node objects (for diagnostics)."""
         for frame in self._frames.values():
             yield frame.node
+
+    def _forget_claims(self) -> None:
+        self._epoch: set[int] = set()  # pages looked up this epoch
+        self._epochs: deque[np.ndarray] = deque()  # closed epochs' pages, oldest first
+        self._closed = bytearray()  # page id -> claim over the closed epochs
+        self._lookups_to_epoch = self.capacity // 2
+
+    def _next_epoch(self) -> None:
+        """Close the current epoch; the oldest closed one leaves the window.
+
+        The closed epochs' claims change in two vector steps, one for the
+        epoch closing and one for the epoch leaving, so a lookup itself
+        only adds its page to a set.
+        """
+        pages = np.fromiter(self._epoch, np.intp, len(self._epoch))
+        self._epoch = set()
+        self._lookups_to_epoch = self.capacity // 2
+        closed = self._closed
+        top = int(pages.max())
+        if top >= len(closed):
+            closed.extend(bytes(top + 1 - len(closed)))
+        claims = np.frombuffer(closed, np.uint8)
+        claims[pages] += 1
+        epochs = self._epochs
+        epochs.append(pages)
+        if len(epochs) == _WINDOW:
+            claims[epochs.popleft()] -= 1
 
     def _victim(self) -> _Frame:
         """Advance the hand to the frame SIEVE evicts next and return it.
