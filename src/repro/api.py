@@ -548,7 +548,8 @@ class Database(_IndexHandle):
         }
 
     def verify(self) -> None:
-        """Run the family's structural invariant checks (raises on damage)."""
+        """Run the structural invariant checks, one walk that reads each
+        page once (raises on damage)."""
         self._index.check_invariants()
 
     # ------------------------------------------------------------------

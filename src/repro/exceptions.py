@@ -98,9 +98,10 @@ class KeyNotFoundError(IndexError_, KeyError):
 class InvariantViolationError(IndexError_, AssertionError):
     """An internal structural invariant check failed.
 
-    Raised only by the explicit ``check_invariants`` validators, never
-    during normal operation; seeing this exception means the tree is
-    corrupt (or the validator has found a genuine bug).
+    Raised only by the explicit ``check_invariants`` validator (what
+    ``Database.verify()`` runs), never during normal operation; seeing
+    this exception means the tree is corrupt (or the validator has found
+    a genuine bug).
     """
 
 

@@ -1,8 +1,9 @@
 """Shared index machinery: results, child entries, and the base class.
 
 :class:`SpatialIndex` owns the node store and provides everything common
-to all five index structures — metadata, tree walking, query entry
-points (delegating to :mod:`repro.search`), persistence, and statistics.
+to all five index structures — metadata, the one tree walk and the one
+structural check over it, query entry points (delegating to
+:mod:`repro.search`), persistence, and statistics.
 It also states the region rules once — bounding rectangle, centroid
 sphere, parent-bounds-child and MINDIST, keyed by the ``HAS_RECTS`` /
 ``HAS_SPHERES`` flags that fix the page layout.  Subclasses implement
@@ -552,31 +553,41 @@ class SpatialIndex(ABC):
                 center, node.lows[:n], node.highs[:n]), out=reaches)
         return float(np.maximum.reduce(reaches))
 
-    def _check_parent_entry(self, parent: InternalNode, slot: int, child) -> None:
-        """Verify that entry ``slot`` of ``parent`` bounds ``child``'s contents.
+    def _check_entry(self, parent: InternalNode | None, slot: int, node) -> None:
+        """Verify that entry ``slot`` of ``parent`` describes ``node``;
+        a top page (``parent`` None) has no entry to check.
 
         The rectangle must contain the child's own bounding rectangle.
         The sphere must reach every point beneath the child — not every
         child *sphere*: under the SR-tree's ``min(d_s, d_r)`` radius a
         parent sphere may be smaller than a child's, which is why the
         reach keeps the rectangle term where both shapes are stored.
+        The weight must be the number of points beneath the child.
         """
+        if parent is None:
+            return
         if self.HAS_RECTS:
-            low, high = self._rect_of(child)
+            low, high = self._rect_of(node)
             if (np.any(low < parent.lows[slot] - _BOUND_EPS)
                     or np.any(high > parent.highs[slot] + _BOUND_EPS)):
                 raise InvariantViolationError(
                     f"parent {parent.page_id} entry {slot} rectangle does not "
-                    f"bound child {child.page_id}"
+                    f"bound child {node.page_id}"
                 )
         if self.HAS_SPHERES:
             radius = float(parent.radii[slot])
-            reach = self._reach(parent.centers[slot], child, self.HAS_RECTS)
+            reach = self._reach(parent.centers[slot], node, self.HAS_RECTS)
             if reach > radius + _BOUND_EPS:
                 raise InvariantViolationError(
                     f"parent {parent.page_id} entry {slot} sphere (r={radius:.6g}) "
-                    f"does not cover child {child.page_id} (reach {reach:.6g})"
+                    f"does not cover child {node.page_id} (reach {reach:.6g})"
                 )
+        if self.HAS_WEIGHTS and node.weight != int(parent.weights[slot]):
+            raise InvariantViolationError(
+                f"parent {parent.page_id} entry {slot} weight "
+                f"{int(parent.weights[slot])} != child {node.page_id} weight "
+                f"{node.weight}"
+            )
 
     # ------------------------------------------------------------------
     # queries (shared)
@@ -689,15 +700,24 @@ class SpatialIndex(ABC):
         """The pages every traversal starts from: the root of a tree."""
         return [self._root_id]
 
+    def _walk(self) -> Iterator[tuple[InternalNode | None, int, LeafNode | InternalNode]]:
+        """The one whole-tree walk: ``(parent, slot, node)`` depth first,
+        the top pages (:meth:`top_ids`) in order with no parent, then
+        each node's children last slot first.  Each page is read once."""
+        stack = [(None, -1, page_id) for page_id in reversed(self.top_ids())]
+        while stack:
+            parent, slot, page_id = stack.pop()
+            node = self.read_node(page_id)
+            yield parent, slot, node
+            if not node.is_leaf:
+                stack.extend((node, i, child_id) for i, child_id in
+                             enumerate(node.child_ids[: node.count].tolist()))
+
     def iter_nodes(self) -> Iterator[LeafNode | InternalNode]:
         """Depth-first iteration over every node, from the top pages in
         order (:meth:`top_ids`)."""
-        stack = self.top_ids()[::-1]
-        while stack:
-            node = self.read_node(stack.pop())
+        for _, _, node in self._walk():
             yield node
-            if not node.is_leaf:
-                stack.extend(int(c) for c in node.child_ids[: node.count])
 
     def iter_leaves(self) -> Iterator[LeafNode]:
         """Iterate over every leaf node."""
@@ -718,6 +738,50 @@ class SpatialIndex(ABC):
     def node_count(self) -> int:
         """Number of internal nodes."""
         return sum(1 for node in self.iter_nodes() if not node.is_leaf)
+
+    # ------------------------------------------------------------------
+    # validation
+    # ------------------------------------------------------------------
+
+    def check_invariants(self) -> None:
+        """Verify the structural invariants of the whole index, on one
+        walk that reads each page once (:meth:`_walk`).
+
+        Raises :class:`~repro.exceptions.InvariantViolationError` naming
+        the page of the first violation.  Every family: a top page is at
+        level ``height - 1`` and a child below its parent (not always
+        one below: the VAMSplit build carves a small remainder group
+        into a shorter subtree); no node holds more entries than its
+        capacity, a supernode's counting its extent; no internal node is
+        empty; the leaves hold ``size`` points.  Each node's entry in
+        its parent is checked by :meth:`_check_entry`.
+        """
+        total = 0
+        for parent, slot, node in self._walk():
+            if parent is None:
+                if node.level != self._height - 1:
+                    raise InvariantViolationError(
+                        f"top page {node.page_id} at level {node.level}, "
+                        f"height says {self._height}"
+                    )
+            elif node.level >= parent.level:
+                raise InvariantViolationError(
+                    f"node {node.page_id} level {node.level} under parent "
+                    f"{parent.page_id} level {parent.level}"
+                )
+            if node.count > node.capacity:
+                raise InvariantViolationError(
+                    f"node {node.page_id} overflows: {node.count} > {node.capacity}"
+                )
+            if node.is_leaf:
+                total += node.count
+            elif node.count == 0:
+                raise InvariantViolationError(f"internal node {node.page_id} is empty")
+            self._check_entry(parent, slot, node)
+        if total != self._size:
+            raise InvariantViolationError(
+                f"tree holds {total} points, size says {self._size}"
+            )
 
     # ------------------------------------------------------------------
     # persistence

@@ -21,10 +21,12 @@ Regions are not a family hook.  What bounds a node — its MBR, its
 centroid sphere, or both — follows from the ``HAS_RECTS`` /
 ``HAS_SPHERES`` flags and is stated once on
 :class:`~repro.indexes.base.SpatialIndex` (``_summarize``,
-``_check_parent_entry``, ``child_mindists``); the SR-tree adds its two
+``_check_entry``, ``child_mindists``); the SR-tree adds its two
 Section-4 rules on top.  Which entries a forced reinsertion evicts is
 one rule too: the farthest from the node's center, per both the R*- and
-SS-tree papers (:meth:`DynamicTree._reinsert_indices`).
+SS-tree papers (:meth:`DynamicTree._reinsert_indices`).  The one check
+the engine adds to :meth:`~repro.indexes.base.SpatialIndex.check_invariants`
+is the non-root minimum fill.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ from .base import Entry, SpatialIndex
 
 __all__ = ["DynamicTree"]
 
+#: Slack a deletion's descent allows a child's MINDIST; it only widens
+#: the search, whose leaf match is exact (as :meth:`lookup`'s).
 _MATCH_EPS = 1e-9
 
 Node = LeafNode | InternalNode
@@ -388,15 +392,14 @@ class DynamicTree(SpatialIndex):
     def _find_point(
         self, point: np.ndarray, value: object
     ) -> tuple[list[Node], int] | None:
-        """Locate a leaf containing ``point`` (R-tree FindLeaf)."""
+        """Locate a leaf holding exactly ``point`` (R-tree FindLeaf)."""
 
         def recurse(node: Node, path: list[Node]) -> int | None:
             path.append(node)
             if node.is_leaf:
                 if node.count:
                     pts = node.points[: node.count]
-                    close = np.all(np.abs(pts - point) <= _MATCH_EPS, axis=1)
-                    for i in np.nonzero(close)[0]:
+                    for i in np.nonzero(np.all(pts == point, axis=1))[0]:
                         if value is ... or node.values[i] == value:
                             return int(i)
                 path.pop()
@@ -461,56 +464,14 @@ class DynamicTree(SpatialIndex):
     # validation
     # ------------------------------------------------------------------
 
-    def check_invariants(self) -> None:
-        """Verify the structural invariants of the whole tree.
-
-        Raises :class:`~repro.exceptions.InvariantViolationError` on the
-        first violation.  Checks: level monotonicity, fill factors,
-        stored point count, weight consistency, and region containment
-        (:meth:`~repro.indexes.base.SpatialIndex._check_parent_entry`).
-        """
-        total_points = 0
-        root = self.read_node(self._root_id)
-        if root.level != self._height - 1:
-            raise InvariantViolationError(
-                f"root level {root.level} != height-1 {self._height - 1}"
-            )
-        stack: list[tuple[int, InternalNode | None, int]] = [(self._root_id, None, -1)]
-        while stack:
-            page_id, parent, slot = stack.pop()
-            node = self.read_node(page_id)
-            if parent is not None:
-                if node.level != parent.level - 1:
-                    raise InvariantViolationError(
-                        f"node {page_id} level {node.level} under parent level "
-                        f"{parent.level}"
-                    )
-                min_fill = self.leaf_min_fill if node.is_leaf else self.node_min_fill
-                if node.count < min_fill:
-                    raise InvariantViolationError(
-                        f"node {page_id} holds {node.count} entries, minimum is "
-                        f"{min_fill}"
-                    )
-                self._check_parent_entry(parent, slot, node)
-            if node.count > node.capacity:
+    def _check_entry(self, parent: InternalNode | None, slot: int, node: Node) -> None:
+        """The region rules, after the non-root minimum fill that
+        CondenseTree keeps (Section 4.3)."""
+        if parent is not None:
+            min_fill = self.leaf_min_fill if node.is_leaf else self.node_min_fill
+            if node.count < min_fill:
                 raise InvariantViolationError(
-                    f"node {page_id} overflows: {node.count} > {node.capacity}"
+                    f"node {node.page_id} holds {node.count} entries, minimum "
+                    f"is {min_fill}"
                 )
-            if node.is_leaf:
-                total_points += node.count
-            else:
-                if node.weights is not None:
-                    for i in range(node.count):
-                        child = self.read_node(int(node.child_ids[i]))
-                        if child.weight != int(node.weights[i]):
-                            raise InvariantViolationError(
-                                f"node {page_id} entry {i} weight "
-                                f"{int(node.weights[i])} != child weight "
-                                f"{child.weight}"
-                            )
-                for i in range(node.count):
-                    stack.append((int(node.child_ids[i]), node, i))
-        if total_points != self._size:
-            raise InvariantViolationError(
-                f"tree holds {total_points} points, size says {self._size}"
-            )
+        super()._check_entry(parent, slot, node)

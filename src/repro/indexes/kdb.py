@@ -17,22 +17,23 @@ forced splits.
 
 Conventions: a region is half-open, ``low <= x < high``; the root tiles
 the whole space ``[-inf, inf)^D``; points exactly on a split plane
-belong to the right (``>=``) side.
+belong to the right (``>=``) side.  The structural check is
+:meth:`~repro.indexes.base.SpatialIndex.check_invariants` with these
+rules, exact, in place of the region rules (:meth:`KDBTree._check_entry`);
+a deletion matches a point exactly, as :meth:`lookup` does.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..exceptions import IndexError_, KeyNotFoundError
+from ..exceptions import IndexError_, InvariantViolationError, KeyNotFoundError
 from ..storage.nodes import InternalNode, LeafNode
 from .base import SpatialIndex
 
 __all__ = ["KDBTree"]
 
 Node = LeafNode | InternalNode
-
-_MATCH_EPS = 1e-9
 
 
 class KDBTree(SpatialIndex):
@@ -217,8 +218,7 @@ class KDBTree(SpatialIndex):
         leaf = path[-1]
         if leaf.count:
             pts = leaf.points[: leaf.count]
-            close = np.all(np.abs(pts - point) <= _MATCH_EPS, axis=1)
-            for i in np.nonzero(close)[0]:
+            for i in np.nonzero(np.all(pts == point, axis=1))[0]:
                 if value is ... or leaf.values[i] == value:
                     leaf.remove_at(int(i))
                     self._store.write(leaf)
@@ -230,59 +230,35 @@ class KDBTree(SpatialIndex):
     # validation
     # ------------------------------------------------------------------
 
-    def check_invariants(self) -> None:
-        """Verify disjointness, containment, and point-count invariants."""
-        from ..exceptions import InvariantViolationError
-
-        total = 0
-        stack: list[tuple[int, np.ndarray, np.ndarray, int]] = [
-            (
-                self._root_id,
-                np.full(self.dims, -np.inf),
-                np.full(self.dims, np.inf),
-                self._height - 1,
-            )
-        ]
-        while stack:
-            page_id, low, high, level = stack.pop()
-            node = self.read_node(page_id)
-            if node.level != level:
-                raise InvariantViolationError(
-                    f"node {page_id} at level {node.level}, expected {level}"
-                )
-            if node.is_leaf:
-                total += node.count
-                pts = node.points[: node.count]
-                if node.count and not (
-                    np.all(pts >= low) and np.all(pts < high)
-                ):
-                    raise InvariantViolationError(
-                        f"leaf {page_id} holds points outside its region"
-                    )
-                continue
-            n = node.count
-            if n == 0:
-                raise InvariantViolationError(f"internal node {page_id} is empty")
-            for i in range(n):
-                if np.any(node.lows[i] < low) or np.any(node.highs[i] > high):
-                    raise InvariantViolationError(
-                        f"child region {i} of node {page_id} leaks outside "
-                        f"its parent region"
-                    )
-                for j in range(i + 1, n):
-                    inter_low = np.maximum(node.lows[i], node.lows[j])
-                    inter_high = np.minimum(node.highs[i], node.highs[j])
-                    if np.all(inter_low < inter_high):
-                        raise InvariantViolationError(
-                            f"children {i} and {j} of node {page_id} overlap"
-                        )
-                stack.append(
-                    (int(node.child_ids[i]), node.lows[i].copy(),
-                     node.highs[i].copy(), level - 1)
-                )
-        if total != self._size:
+    def _check_entry(self, parent: InternalNode | None, slot: int, node: Node) -> None:
+        """The K-D-B rules in place of the region rules, exact and
+        half-open: entry ``slot`` of ``parent`` overlaps none of the
+        entries after it, and holds ``node``'s points (``low <= p <
+        high``) or its child regions."""
+        if parent is None:
+            return
+        low, high = parent.lows[slot], parent.highs[slot]
+        rest = slice(slot + 1, parent.count)
+        overlaps = np.all(np.maximum(low, parent.lows[rest])
+                          < np.minimum(high, parent.highs[rest]), axis=1)
+        if overlaps.any():
             raise InvariantViolationError(
-                f"tree holds {total} points, size says {self._size}"
+                f"children {slot} and {slot + 1 + int(np.argmax(overlaps))} "
+                f"of node {parent.page_id} overlap"
+            )
+        n = node.count
+        if node.is_leaf:
+            pts = node.points[:n]
+            if not (np.all(pts >= low) and np.all(pts < high)):
+                raise InvariantViolationError(
+                    f"leaf {node.page_id} holds points outside its region"
+                )
+            return
+        leaks = np.any((node.lows[:n] < low) | (node.highs[:n] > high), axis=1)
+        if leaks.any():
+            raise InvariantViolationError(
+                f"child region {int(np.argmax(leaks))} of node {node.page_id} "
+                f"leaks outside its parent region"
             )
 
 

@@ -6,12 +6,14 @@ chain, so every traversal of :mod:`repro.search` and
 :mod:`repro.exec.batch` starts at every leaf and reads each page once
 per query.  It is the ground truth the test suite verifies the tree
 indexes against, and the "no index" cost reference: its page reads per
-query equal the total number of leaf pages.
+query equal the total number of leaf pages.  Its structural check is the
+shared :meth:`~repro.indexes.base.SpatialIndex.check_invariants`: every
+top page a leaf (level ``height - 1 = 0``) within capacity, the leaves
+holding ``size`` points.
 """
 
 from __future__ import annotations
 
-from ..exceptions import InvariantViolationError
 from .base import SpatialIndex
 
 __all__ = ["LinearScan"]
@@ -68,21 +70,3 @@ class LinearScan(SpatialIndex):
     def top_ids(self) -> list[int]:
         """Every page of the chain: each query starts at every leaf."""
         return list(self._leaf_ids)
-
-    # ------------------------------------------------------------------
-    # validation
-    # ------------------------------------------------------------------
-
-    def check_invariants(self) -> None:
-        """Every page of the chain is a leaf within capacity, and their
-        counts sum to the stored size."""
-        total = 0
-        for node in self.iter_nodes():
-            if not node.is_leaf or node.count > node.capacity:
-                raise InvariantViolationError(
-                    f"page {node.page_id} of the chain is not a leaf "
-                    f"within capacity")
-            total += node.count
-        if total != self._size:
-            raise InvariantViolationError(
-                f"the chain holds {total} points, size says {self._size}")

@@ -10,16 +10,17 @@ advantage of full knowledge of the data set while the others are
 designed to be fully dynamic" (Section 3.1).
 
 Queries use the same branch-and-bound machinery as the dynamic trees,
-over plain bounding rectangles.  ``load`` is ``build``, of an empty tree
-only (a reopened one too); ``insert``/``delete`` raise: rebuild the tree
-to change its contents.
+over plain bounding rectangles, and the structural check is the shared
+:meth:`~repro.indexes.base.SpatialIndex.check_invariants` with the
+rectangle rule.  ``load`` is ``build``, of an empty tree only (a
+reopened one too); ``insert``/``delete`` raise: rebuild the tree to
+change its contents.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..exceptions import InvariantViolationError
 from ..storage.nodes import InternalNode, LeafNode
 from .base import SpatialIndex
 from .bulk import vam_groups
@@ -105,26 +106,3 @@ class VAMSplitRTree(SpatialIndex):
             "the VAMSplit R-tree is a static index: use build() (or "
             "insert_many(), once) with the complete data set"
         )
-
-    # ------------------------------------------------------------------
-    # validation
-    # ------------------------------------------------------------------
-
-    def check_invariants(self) -> None:
-        """Verify bounding containment and the stored point count."""
-        total = 0
-        stack = [(self._root_id, None, -1)]
-        while stack:
-            page_id, parent, slot = stack.pop()
-            node = self.read_node(page_id)
-            if parent is not None:
-                self._check_parent_entry(parent, slot, node)
-            if node.is_leaf:
-                total += node.count
-            else:
-                stack.extend((int(node.child_ids[i]), node, i)
-                             for i in range(node.count))
-        if total != self._size:
-            raise InvariantViolationError(
-                f"tree holds {total} points, size says {self._size}"
-            )

@@ -150,6 +150,19 @@ class TestConstructionEdgeCases:
         got = index.nearest(pts[7], 1)[0]
         assert got.value == "img-0007"
 
+    @pytest.mark.parametrize("kind", DYNAMIC_KINDS)
+    def test_delete_matches_a_point_exactly_as_lookup_does(self, kind):
+        from repro.exceptions import KeyNotFoundError
+
+        index = build_index(kind, np.array([[0.5, 0.5], [0.25, 0.75]]))
+        near = [0.5 + 1e-10, 0.5]
+        assert index.lookup(near) == []
+        with pytest.raises(KeyNotFoundError):
+            index.delete(near)
+        assert index.size == 2
+        index.delete([0.5, 0.5])
+        assert index.size == 1
+
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_dimension_mismatch_rejected(self, kind):
         from repro.exceptions import DimensionalityError

@@ -88,6 +88,17 @@ CASES = {
          ("src/repro/search/incremental.py", "index.read_node(page_id)\n"),
          ("src/repro/indexes/base.py", "self.read_node(page_id)\n")],
     ),
+    "check_one_verifier": (
+        [("src/repro/indexes/kdb.py",
+          "class KDBTree:\n    def check_invariants(self):\n        pass\n"),
+         ("src/repro/api.py", "def check_invariants(index):\n    pass\n")],
+        [("src/repro/indexes/base.py",
+          "class SpatialIndex:\n    def check_invariants(self):\n        pass\n"),
+         ("src/repro/indexes/kdb.py",
+          "class KDBTree:\n    def _check_entry(self, parent, slot, node):\n"
+          "        pass\n"),
+         ("tests/test_kdb.py", "def check_invariants(tree):\n    pass\n")],
+    ),
     "check_box_distance_spelling": (
         [("src/repro/search/window.py",
           "np.maximum(np.maximum(low - p, 0.0), p - high)\n"),

@@ -3,7 +3,7 @@
 ``SpatialIndex`` states what bounds a node once — ``_rect_of``
 (Section 2.2), ``_centroid`` and ``_radius`` (Section 2.3, tightened by
 the SR-tree's Section 4.2), ``_summarize`` writing them into the parent
-entry in place, ``_check_parent_entry`` verifying them — keyed by
+entry in place, ``_check_entry`` verifying them — keyed by
 ``HAS_RECTS`` / ``HAS_SPHERES``.  These tests hold the two ends
 together: what is stored is the rule's output, bit for bit the output
 of the textbook formulas, and a stored shape that is *not* makes

@@ -430,6 +430,29 @@ def check_query_traversals(path: str, tree: ast.Module) -> list[str]:
     ]
 
 
+#: The one module that may define a structural checker: every family's
+#: ``verify()`` is ``SpatialIndex.check_invariants`` over the one walk,
+#: and a family states its own rules in the ``_check_entry`` hook.
+VERIFIER = os.path.join("src", "repro", "indexes", "base.py")
+
+
+def check_one_verifier(path: str, tree: ast.Module) -> list[str]:
+    """Flag a ``def check_invariants`` under ``src/repro`` outside
+    ``indexes/base.py``: a second checker is a second walk to keep in
+    step."""
+    norm = path.replace("/", os.sep)
+    if (not norm.startswith(os.path.join("src", "repro") + os.sep)
+            or norm == VERIFIER):
+        return []
+    return [
+        f"{path}:{node.lineno}: check_invariants() defined outside "
+        f"repro/indexes/base.py; state a family's rules in _check_entry"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name == "check_invariants"
+    ]
+
+
 #: Where a pipe is a serving pool's: its messages are the wire's JSON
 #: parts, matrix frames and neighbor blocks, never pickles.
 PIPE_POLICED = os.path.join("src", "repro", "exec") + os.sep
@@ -501,6 +524,7 @@ def run_policy_pass(paths) -> int:
         problems.extend(check_mmap_import(path, tree))
         problems.extend(check_pipe_pickling(path, tree))
         problems.extend(check_query_traversals(path, tree))
+        problems.extend(check_one_verifier(path, tree))
         problems.extend(check_box_distance_spelling(path, tree))
     for problem in problems:
         print(problem)
