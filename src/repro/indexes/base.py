@@ -60,6 +60,15 @@ def _plain(value):
     return value.item() if isinstance(value, np.generic) else value
 
 
+def _level_error(parent, node) -> InvariantViolationError:
+    """The level rule's error: ``node`` is not where its parent's level
+    puts it."""
+    return InvariantViolationError(
+        f"node {node.page_id} level {node.level} under parent "
+        f"{parent.page_id} level {parent.level}"
+    )
+
+
 @dataclass(frozen=True)
 class Neighbor:
     """One query result: a point, its payload, and its distance."""
@@ -553,9 +562,8 @@ class SpatialIndex(ABC):
                 center, node.lows[:n], node.highs[:n]), out=reaches)
         return float(np.maximum.reduce(reaches))
 
-    def _check_entry(self, parent: InternalNode | None, slot: int, node) -> None:
-        """Verify that entry ``slot`` of ``parent`` describes ``node``;
-        a top page (``parent`` None) has no entry to check.
+    def _check_entry(self, parent: InternalNode, slot: int, node) -> None:
+        """Verify that entry ``slot`` of ``parent`` describes ``node``.
 
         The rectangle must contain the child's own bounding rectangle.
         The sphere must reach every point beneath the child — not every
@@ -564,8 +572,6 @@ class SpatialIndex(ABC):
         reach keeps the rectangle term where both shapes are stored.
         The weight must be the number of points beneath the child.
         """
-        if parent is None:
-            return
         if self.HAS_RECTS:
             low, high = self._rect_of(node)
             if (np.any(low < parent.lows[slot] - _BOUND_EPS)
@@ -751,13 +757,27 @@ class SpatialIndex(ABC):
         the page of the first violation.  Every family: a top page is at
         level ``height - 1`` and a child below its parent (not always
         one below: the VAMSplit build carves a small remainder group
-        into a shorter subtree); no node holds more entries than its
+        into a shorter subtree, so the balanced families state "one
+        below" in their hooks); no node holds more entries than its
         capacity, a supernode's counting its extent; no internal node is
-        empty; the leaves hold ``size`` points.  Each node's entry in
-        its parent is checked by :meth:`_check_entry`.
+        empty; a leaf's coordinates are finite; the leaves hold ``size``
+        points.  Each node below a top page is then checked against its
+        entry in its parent by :meth:`_check_entry`.
         """
         total = 0
         for parent, slot, node in self._walk():
+            if node.count > node.capacity:
+                raise InvariantViolationError(
+                    f"node {node.page_id} overflows: {node.count} > {node.capacity}"
+                )
+            if node.is_leaf:
+                if not np.isfinite(node.points[: node.count]).all():
+                    raise InvariantViolationError(
+                        f"leaf {node.page_id} holds a coordinate that is not finite"
+                    )
+                total += node.count
+            elif node.count == 0:
+                raise InvariantViolationError(f"internal node {node.page_id} is empty")
             if parent is None:
                 if node.level != self._height - 1:
                     raise InvariantViolationError(
@@ -765,19 +785,9 @@ class SpatialIndex(ABC):
                         f"height says {self._height}"
                     )
             elif node.level >= parent.level:
-                raise InvariantViolationError(
-                    f"node {node.page_id} level {node.level} under parent "
-                    f"{parent.page_id} level {parent.level}"
-                )
-            if node.count > node.capacity:
-                raise InvariantViolationError(
-                    f"node {node.page_id} overflows: {node.count} > {node.capacity}"
-                )
-            if node.is_leaf:
-                total += node.count
-            elif node.count == 0:
-                raise InvariantViolationError(f"internal node {node.page_id} is empty")
-            self._check_entry(parent, slot, node)
+                raise _level_error(parent, node)
+            else:
+                self._check_entry(parent, slot, node)
         if total != self._size:
             raise InvariantViolationError(
                 f"tree holds {total} points, size says {self._size}"

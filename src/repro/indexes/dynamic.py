@@ -24,9 +24,10 @@ centroid sphere, or both — follows from the ``HAS_RECTS`` /
 ``_check_entry``, ``child_mindists``); the SR-tree adds its two
 Section-4 rules on top.  Which entries a forced reinsertion evicts is
 one rule too: the farthest from the node's center, per both the R*- and
-SS-tree papers (:meth:`DynamicTree._reinsert_indices`).  The one check
+SS-tree papers (:meth:`DynamicTree._reinsert_indices`).  The two checks
 the engine adds to :meth:`~repro.indexes.base.SpatialIndex.check_invariants`
-is the non-root minimum fill.
+are a child exactly one level below its parent and the non-root minimum
+fill.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 from ..exceptions import InvariantViolationError, KeyNotFoundError
 from ..obs import hooks as _obs
 from ..storage.nodes import InternalNode, LeafNode
-from .base import Entry, SpatialIndex
+from .base import Entry, SpatialIndex, _level_error
 
 __all__ = ["DynamicTree"]
 
@@ -464,14 +465,17 @@ class DynamicTree(SpatialIndex):
     # validation
     # ------------------------------------------------------------------
 
-    def _check_entry(self, parent: InternalNode | None, slot: int, node: Node) -> None:
-        """The region rules, after the non-root minimum fill that
-        CondenseTree keeps (Section 4.3)."""
-        if parent is not None:
-            min_fill = self.leaf_min_fill if node.is_leaf else self.node_min_fill
-            if node.count < min_fill:
-                raise InvariantViolationError(
-                    f"node {node.page_id} holds {node.count} entries, minimum "
-                    f"is {min_fill}"
-                )
+    def _check_entry(self, parent: InternalNode, slot: int, node: Node) -> None:
+        """The region rules, after the two a dynamic tree keeps: a child
+        exactly one level below its parent (the tree is balanced, and
+        ``_choose_path`` descends by level) and the non-root minimum fill
+        that CondenseTree keeps (Section 4.3)."""
+        if node.level != parent.level - 1:
+            raise _level_error(parent, node)
+        min_fill = self.leaf_min_fill if node.is_leaf else self.node_min_fill
+        if node.count < min_fill:
+            raise InvariantViolationError(
+                f"node {node.page_id} holds {node.count} entries, minimum "
+                f"is {min_fill}"
+            )
         super()._check_entry(parent, slot, node)

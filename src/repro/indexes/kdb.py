@@ -19,8 +19,11 @@ Conventions: a region is half-open, ``low <= x < high``; the root tiles
 the whole space ``[-inf, inf)^D``; points exactly on a split plane
 belong to the right (``>=``) side.  The structural check is
 :meth:`~repro.indexes.base.SpatialIndex.check_invariants` with these
-rules, exact, in place of the region rules (:meth:`KDBTree._check_entry`);
-a deletion matches a point exactly, as :meth:`lookup` does.
+rules, exact, in place of the region rules, and a child exactly one
+level below its parent (:meth:`KDBTree._check_entry`); that a root leaf's
+points lie in the whole space is the shared rule that every stored
+coordinate is finite.  A deletion matches a point exactly, as
+:meth:`lookup` does.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 
 from ..exceptions import IndexError_, InvariantViolationError, KeyNotFoundError
 from ..storage.nodes import InternalNode, LeafNode
-from .base import SpatialIndex
+from .base import SpatialIndex, _level_error
 
 __all__ = ["KDBTree"]
 
@@ -230,13 +233,14 @@ class KDBTree(SpatialIndex):
     # validation
     # ------------------------------------------------------------------
 
-    def _check_entry(self, parent: InternalNode | None, slot: int, node: Node) -> None:
+    def _check_entry(self, parent: InternalNode, slot: int, node: Node) -> None:
         """The K-D-B rules in place of the region rules, exact and
-        half-open: entry ``slot`` of ``parent`` overlaps none of the
+        half-open: ``node`` is one level below ``parent`` (the tree is
+        balanced), entry ``slot`` of ``parent`` overlaps none of the
         entries after it, and holds ``node``'s points (``low <= p <
         high``) or its child regions."""
-        if parent is None:
-            return
+        if node.level != parent.level - 1:
+            raise _level_error(parent, node)
         low, high = parent.lows[slot], parent.highs[slot]
         rest = slice(slot + 1, parent.count)
         overlaps = np.all(np.maximum(low, parent.lows[rest])

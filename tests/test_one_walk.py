@@ -107,6 +107,48 @@ def test_a_child_at_its_parents_level_is_caught(family):
                         f"parent {parent.page_id}")
 
 
+@pytest.mark.parametrize("family", DYNAMIC + ["kdb"])
+def test_a_leaf_two_levels_under_its_parent_is_caught(family):
+    # A level-2 entry pointed straight at a grandchild leaf: its region
+    # still bounds the leaf, so only the exact level rule of a balanced
+    # family names it.
+    tree = build(family)
+    parent, slot, node = next(e for e in edges(tree) if e[0].level == 2)
+    assert node.level == 1
+    leaf_id = int(node.child_ids[0])
+
+    def skip_a_level(n):
+        n.child_ids[slot] = leaf_id
+
+    rewrite(tree, parent.page_id, skip_a_level)
+    assert_caught(tree, f"node {leaf_id} level 0 under parent "
+                        f"{parent.page_id} level 2")
+
+
+def test_a_vamsplit_remainder_subtree_may_sit_more_than_one_level_down():
+    # The static build carves a small remainder group into a shorter
+    # subtree, which is why the shared rule is "below", not "one below".
+    tree = make_index("vamsplit", 4, **SMALL_PAGES)
+    tree.load(np.random.default_rng(3).random((1000, 4)))
+    assert any(node.level < parent.level - 1
+               for parent, _, node in edges(tree))
+    tree.check_invariants()
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_coordinate_that_is_not_finite_is_caught(family, bad):
+    tree = build(family)
+    leaf = next(tree.iter_leaves())
+
+    def spoil(node):
+        node.points[0, 0] = bad
+
+    rewrite(tree, leaf.page_id, spoil)
+    assert_caught(tree, f"leaf {leaf.page_id} holds a coordinate that is "
+                        f"not finite")
+
+
 @pytest.mark.parametrize("family", TREES)
 def test_an_empty_internal_node_is_caught(family):
     tree = build(family)
